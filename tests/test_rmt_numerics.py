@@ -27,6 +27,7 @@ from taurmt.rmt_numerics import (
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
+    _phase_table,
     weight_eval,
 )
 
@@ -189,6 +190,70 @@ class TestFourierCoefficients:
         assert np.array_equal(a, b)
 
 
+def _pure_jump_coeffs(xi: float, phi: complex, kmax: int) -> np.ndarray:
+    # unit weight minus xi on the arc (pi - phi, pi), continued in phi:
+    # c_0 = 1 - xi phi / 2 pi, c_k = -xi/(2 pi) e^{-ik pi}(e^{ik phi} - 1)/(ik)
+    ks = np.arange(-kmax, kmax + 1)
+    c = np.empty(ks.shape, dtype=complex)
+    nz = ks != 0
+    k = ks[nz]
+    c[nz] = (-xi / (2 * math.pi) * np.exp(-1j * math.pi * k)
+             * (np.exp(1j * k * phi) - 1.0) / (1j * k))
+    c[~nz] = 1.0 - xi * phi / (2 * math.pi)
+    return c
+
+
+class TestFourierClosedFormsHighK:
+    """Closed forms out to the kmax the N = 64 Toeplitz route needs."""
+
+    @pytest.mark.parametrize("leg", [False, True])
+    @pytest.mark.parametrize("ks", [np.arange(-63.0, 64.0), np.array([-40.0])])
+    def test_phase_table_matches_exponentials(self, leg, ks):
+        # reference: one complex exponential per entry; both sides round
+        # at most ~|k| pi ulps, so agreement to 1e-13 relative
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-math.pi, math.pi, 200)
+        if leg:
+            theta = math.pi - rng.uniform(0.0, 1.0, 200) * (0.9 + 0.1j)
+        vals = rng.normal(size=200) + 1j * rng.normal(size=200)
+        got = _phase_table(vals, theta, ks)
+        want = vals[:, None] * np.exp(-1j * np.outer(theta, ks))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("omega1", [0.35, -0.3, 0.9])
+    def test_root_singularity(self, omega1):
+        # |2 cos(theta/2)|^{2 omega1} alone:
+        # c_k = Gamma(1 + 2 w) / (Gamma(1 + w + k) Gamma(1 + w - k))
+        kmax = 63
+        p = SSEParams(N=1, mu=0.0, omega1=omega1, omega2=0.0, xi_star=0.0)
+        got = fourier_table(WeightSpec(p, T_STD), kmax)
+        want = [math.gamma(1 + 2 * omega1)
+                / (math.gamma(1 + omega1 + k) * math.gamma(1 + omega1 - k))
+                for k in range(-kmax, kmax + 1)]
+        assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+    @pytest.mark.parametrize("t,kmax", [
+        (cmath.exp(2j), 63),
+        (0.9 * cmath.exp(0.9j), 24),
+        (0.8, 16),
+    ])
+    def test_pure_jump(self, t, kmax):
+        p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.7)
+        w = WeightSpec(p, t)
+        got = fourier_table(w, kmax)
+        want = _pure_jump_coeffs(0.7, w.phase(), kmax)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [T_STD, 0.9 * cmath.exp(0.9j)])
+    def test_single_coefficient_matches_table_ends(self, t):
+        kmax = 63
+        w = WeightSpec(P_STD, t)
+        c = fourier_table(w, kmax)
+        assert abs(fourier_coeff(w, kmax) - c[-1]) <= 1e-13
+        assert abs(fourier_coeff(w, -kmax) - c[0]) <= 1e-13
+
+
 class TestToeplitzRoute:
     def test_dimension_zero_is_one(self):
         assert toeplitz_an(replace(P_STD, N=0), T_STD) == 1.0 + 0.0j
@@ -242,6 +307,17 @@ class TestDirectOracle:
         t = cmath.exp(1j * phi)
         a = quad_oracle_an(p, t)
         b = toeplitz_an(p, t)
+        assert abs(a - b) <= 1e-9 * abs(b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_toeplitz_complex_weight(self, n):
+        # complex mu makes the weight, and so the N = 3 matrix product,
+        # complex
+        p = SSEParams(N=n, mu=0.2 + 0.15j, omega1=0.1, omega2=0.3,
+                      xi_star=0.5)
+        a = quad_oracle_an(p, T_STD)
+        b = toeplitz_an(p, T_STD)
+        assert abs(b.imag) > 1e-3
         assert abs(a - b) <= 1e-9 * abs(b)
 
     def test_singular_weight(self):
