@@ -15,7 +15,6 @@ bulk scaling limit.
 __version__ = "0.1.0"
 
 from . import (  # noqa: F401
-    cli,
     complexfn,
     mat2,
     monodromy_v,
@@ -24,3 +23,13 @@ from . import (  # noqa: F401
     sigma_ode,
     tau_series,
 )
+
+
+def __getattr__(name):
+    # the CLI is imported on first use, so that `python -m taurmt.cli` does
+    # not find it in sys.modules already
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -311,6 +311,8 @@ def _resolve(args) -> RunConfig:
     if cnt < 1:
         raise UsageError("grid-count must be >= 1")
     tol = float(raw.get("tol", 1e-10))
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be finite and positive, got {tol!r}")
     fmt = str(raw.get("format", "json"))
     if fmt not in ("json", "csv"):
         raise UsageError("format must be json or csv")

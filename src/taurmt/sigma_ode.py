@@ -15,6 +15,10 @@ is regular wherever L != 0; inflection points of the solution need no special
 handling. The only genuine turning points are zeros of the leading
 coefficient L: z' = 0 for the sixth-system form, t = 0 for the other two.
 
+Each relation is written once, in _sixth_form or _fifth_form; _relation binds
+a kind's parameters to it, and the public residual, gradient, z''' and root
+functions as well as the integrator all evaluate it from there.
+
 The integrator steps this third-order system with an adaptive embedded
 Runge-Kutta pair and monitors the original second-degree relation as a
 conserved constraint, re-projecting z'' onto the nearest root whenever the
@@ -30,8 +34,7 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from types import SimpleNamespace
 
 from .monodromy_v import ThetaV
 from .monodromy_vi import SSEParams, ThetaVI
@@ -122,105 +125,133 @@ class OdeKind:
         return (0j,)
 
 
-def _pieces(kind: OdeKind, t: complex, z: complex, z1: complex):
-    """Everything the relation needs at one state.
+def _sixth_form(theta: ThetaVI):
+    """(pieces, r_tz, turning) of the sixth-system sigma form."""
+    th0, tht, th1, thi = theta.as_tuple()
+    c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
+    e0, e1, e2, e3 = (0.25 * (tht + thi) ** 2, 0.25 * (tht - thi) ** 2,
+                      0.25 * (th0 + th1) ** 2, 0.25 * (th0 - th1) ** 2)
 
-    Returns (L, R, R_p, L_t, L_p, parts) with R_p = dR/dz', L_t = dL/dt,
-    L_p = dL/dz' and parts the term magnitudes used for residual scaling.
-    """
-    t, z, z1 = complex(t), complex(z), complex(z1)
-    if kind.name == "pvi_sf":
-        th0, tht, th1, thi = kind.params.as_tuple()
-        c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
-        roots = (0.25 * (tht + thi) ** 2, 0.25 * (tht - thi) ** 2,
-                 0.25 * (th0 + th1) ** 2, 0.25 * (th0 - th1) ** 2)
+    def pieces(t, z, z1):
         a = t * (t - 1)
+        a2 = a ** 2
         b = 2 * z1 * (t * z1 - z) - z1 ** 2 - c0
-        factors = [z1 + e for e in roots]
-        p = factors[0] * factors[1] * factors[2] * factors[3]
-        pp = sum(math.prod(factors[j] for j in range(4) if j != k) for k in range(4))
+        f0, f1, f2, f3 = z1 + e0, z1 + e1, z1 + e2, z1 + e3
+        p = f0 * f1 * f2 * f3
+        pp = f1 * f2 * f3 + f0 * f2 * f3 + f0 * f1 * f3 + f0 * f1 * f2
         bp = 4 * t * z1 - 2 * z - 2 * z1
-        lead = z1 * a ** 2
-        return (lead, b ** 2 - p, 2 * b * bp - pp,
-                2 * a * (2 * t - 1) * z1, a ** 2,
-                (abs(b) ** 2, abs(p)))
-    if kind.name == "pv_sf":
+        return (z1 * a2, b ** 2 - p, 2 * b * bp - pp,
+                2 * a * (2 * t - 1) * z1, a2,
+                (abs(b) ** 2, abs(p)), b)
+
+    def r_tz(z1, b):
+        return 4 * b * z1 ** 2, -4 * b * z1
+
+    # The leading coefficient is a product, so it vanishes only through one
+    # factor: z' here (t and t-1 are kept off zero by the path guard), t
+    # itself for the fifth forms. Testing the factor instead of the
+    # assembled product keeps legitimate tiny-but-nonzero leads usable.
+    def turning(t, z, z1):
+        return abs(z1) <= 1e-12 * max(1.0, abs(z))
+
+    return pieces, r_tz, turning
+
+
+def _fifth_form(shift: complex, roots: tuple):
+    """(pieces, r_tz, turning) of a fifth form with quartic roots roots."""
+    r0, r1, r2, r3 = roots
+
+    def pieces(t, z, z1):
+        b = z - t * z1 + 2 * z1 ** 2 - shift * z1
+        f0, f1, f2, f3 = z1 - r0, z1 - r1, z1 - r2, z1 - r3
+        p = f0 * f1 * f2 * f3
+        pp = f1 * f2 * f3 + f0 * f2 * f3 + f0 * f1 * f3 + f0 * f1 * f2
+        bp = -t + 4 * z1 - shift
+        return (t ** 2, -b ** 2 + 4 * p, -2 * b * bp + 4 * pp,
+                2 * t, 0j,
+                (abs(b) ** 2, 4 * abs(p)), b)
+
+    def r_tz(z1, b):
+        return 2 * b * z1, -2 * b
+
+    def turning(t, z, z1):
+        return abs(t) <= 1e-12
+
+    return pieces, r_tz, turning
+
+
+def _relation(kind: OdeKind) -> SimpleNamespace:
+    """kind's relation with its parameters bound once.
+
+    pieces(t, z, z1) gives (L, R, R_p, L_t, L_p, parts, b): R_p = dR/dz',
+    L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
+    scaling, b the polynomial R is built from. r_tz(z1, b) gives
+    (dR/dt, dR/dz). third, scaled and roots give z''', the scaled residual
+    and both z'' roots. All take complex arguments.
+    """
+    if kind.name == "pvi_sf":
+        pieces, r_tz, turning = _sixth_form(kind.params)
+    elif kind.name == "pv_sf":
         th0, th1, thi = kind.params.as_tuple()
-        shift = 2 * th0 + thi
-        roots = (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2)
+        pieces, r_tz, turning = _fifth_form(
+            2 * th0 + thi,
+            (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2))
     else:
-        shift = 0j
-        roots = tuple(-v for v in kind.params.as_tuple())
-    b = z - t * z1 + 2 * z1 ** 2 - shift * z1
-    factors = [z1 - r for r in roots]
-    p = factors[0] * factors[1] * factors[2] * factors[3]
-    pp = sum(math.prod(factors[j] for j in range(4) if j != k) for k in range(4))
-    bp = -t + 4 * z1 - shift
-    return (t ** 2, -b ** 2 + 4 * p, -2 * b * bp + 4 * pp,
-            2 * t, 0j,
-            (abs(b) ** 2, 4 * abs(p)))
+        pieces, r_tz, turning = _fifth_form(
+            0j, tuple(-v for v in kind.params.as_tuple()))
+
+    def third(t, z, z1, z2):
+        lead, _, rp, lt, lp, _, _ = pieces(t, z, z1)
+        if turning(t, z, z1):
+            raise TurningPointError(t, lead)
+        return -(lt * z2 + lp * z2 ** 2 + rp) / (2 * lead)
+
+    def scaled(t, z, z1, z2):
+        lead, r, _, _, _, parts, _ = pieces(t, z, z1)
+        f = lead * z2 ** 2 + r
+        return abs(f) / max(1.0, abs(lead) * abs(z2) ** 2, *parts)
+
+    def roots(t, z, z1):
+        lead, r, *_ = pieces(t, z, z1)
+        if turning(t, z, z1):
+            raise TurningPointError(t, lead)
+        root = cmath.sqrt(-r / lead)
+        return (root, -root)
+
+    return SimpleNamespace(pieces=pieces, r_tz=r_tz, third=third,
+                           scaled=scaled, roots=roots)
 
 
 def residual(kind: OdeKind, t: complex, z: complex, z1: complex, z2: complex) -> complex:
     """The printed polynomial relation, exactly; zero on true solutions."""
-    lead, r, *_ = _pieces(kind, t, z, z1)
+    lead, r, *_ = _relation(kind).pieces(complex(t), complex(z), complex(z1))
     return lead * complex(z2) ** 2 + r
 
 
 def residual_scaled(kind: OdeKind, t, z, z1, z2) -> float:
     """|relation| divided by the largest term magnitude (floored at 1)."""
-    lead, r, _, _, _, parts = _pieces(kind, t, z, z1)
-    f = lead * complex(z2) ** 2 + r
-    scale = max(1.0, abs(lead) * abs(z2) ** 2, *parts)
-    return abs(f) / scale
+    return _relation(kind).scaled(complex(t), complex(z), complex(z1),
+                                  complex(z2))
 
 
 def residual_gradient(kind: OdeKind, t, z, z1, z2) -> tuple:
     """(dF/dt, dF/dz, dF/dz', dF/dz'') of the second-degree relation."""
     t, z, z1, z2 = complex(t), complex(z), complex(z1), complex(z2)
-    lead, _, rp, lt, lp, _ = _pieces(kind, t, z, z1)
-    if kind.name == "pvi_sf":
-        th0, tht, th1, thi = kind.params.as_tuple()
-        c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
-        b = 2 * z1 * (t * z1 - z) - z1 ** 2 - c0
-        ft = lt * z2 ** 2 + 4 * b * z1 ** 2
-        fz = -4 * b * z1
-    else:
-        shift = (2 * kind.params.theta0 + kind.params.theta_inf
-                 if kind.name == "pv_sf" else 0j)
-        b = z - t * z1 + 2 * z1 ** 2 - shift * z1
-        ft = lt * z2 ** 2 + 2 * b * z1
-        fz = -2 * b
-    return (ft, fz, lp * z2 ** 2 + rp, 2 * lead * z2)
-
-
-def _check_turning(kind: OdeKind, t, z, z1, lead):
-    # The leading coefficient is a product, so it vanishes only through one
-    # factor: z' for the sixth form (t and t-1 are kept off zero by the path
-    # guard), t itself for the fifth forms. Testing the factor instead of the
-    # assembled product keeps legitimate tiny-but-nonzero leads usable.
-    if kind.name == "pvi_sf":
-        small = abs(z1) <= 1e-12 * max(1.0, abs(z))
-    else:
-        small = abs(t) <= 1e-12
-    if small:
-        raise TurningPointError(t, lead)
+    rel = _relation(kind)
+    lead, _, rp, lt, lp, _, b = rel.pieces(t, z, z1)
+    rt, rz = rel.r_tz(z1, b)
+    return (lt * z2 ** 2 + rt, rz, lp * z2 ** 2 + rp, 2 * lead * z2)
 
 
 def third_derivative(kind: OdeKind, t, z, z1, z2) -> complex:
     """Explicit z''' of the once-differentiated relation; see module docstring."""
-    z2 = complex(z2)
-    lead, _, rp, lt, lp, _ = _pieces(kind, t, z, z1)
-    _check_turning(kind, t, z, z1, lead)
-    return -(lt * z2 + lp * z2 ** 2 + rp) / (2 * lead)
+    return _relation(kind).third(complex(t), complex(z), complex(z1),
+                                 complex(z2))
 
 
 def solve_second_degree(kind: OdeKind, t, z, z1) -> tuple:
     """Both roots of the relation viewed as a quadratic in z''."""
-    lead, r, *_ = _pieces(kind, t, z, z1)
-    _check_turning(kind, t, z, z1, lead)
-    root = cmath.sqrt(-r / lead)
-    return (root, -root)
+    return _relation(kind).roots(complex(t), complex(z), complex(z1))
 
 
 @dataclass(frozen=True)
@@ -240,6 +271,9 @@ class SigmaTrajectory:
     values holds (zeta, zeta') pairs; curvatures the z'' the integrator
     carried; residuals the scaled second-degree defect after any
     re-projection. Every accepted node obeys residual <= 100 * tolerance.
+    The work counters: accepted and rejected steps, accepted nodes whose
+    z'' was re-projected, and the shortest accepted step |dt| (inf when no
+    step was taken); accepted == len(path) - 1.
     """
 
     path: tuple
@@ -247,6 +281,10 @@ class SigmaTrajectory:
     curvatures: tuple
     residuals: tuple
     tolerance: float
+    accepted: int = 0
+    rejected: int = 0
+    reprojected: int = 0
+    min_step: float = math.inf
 
     def __len__(self) -> int:
         return len(self.path)
@@ -305,10 +343,23 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
     seed is an OdeSeed or a (t0, zeta0, zeta0') triple; the z'' branch at the
     seed is the second-degree root nearest zeta2_hint (or seed.curvature),
     defaulting to the principal root. path lists the waypoints to visit after
-    t0; each segment must stay clear of the fixed singularities. The
-    second-degree relation is re-checked at every accepted node and z''
-    re-projected onto the nearest root when the scaled residual exceeds tol.
+    t0; each segment must stay clear of the fixed singularities. tol must be
+    finite and positive. The second-degree relation is re-checked at every
+    accepted node and z'' re-projected onto the nearest root when the scaled
+    residual exceeds tol.
+
+    The state, the six Cash-Karp stages and the 5th- and 4th-order updates
+    are carried as three scalar complexes each; the stages evaluate z'''
+    through kind's relation as bound once by _relation, which also supplies
+    the per-node residual and roots. Weighted stage sums add their terms in
+    tableau order, skipping the zero weights of the two updates, onto a
+    leading 0 as sum() does: that sets the sign of exactly-zero parts,
+    which flows on the real or the imaginary axis carry and the output
+    prints. The result counts its accepted, rejected and re-projected steps
+    and its shortest step (see SigmaTrajectory).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if isinstance(seed, OdeSeed):
         t0, z0, z10 = seed.t, seed.zeta, seed.dzeta
         if zeta2_hint is None:
@@ -329,70 +380,123 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
                 raise ValueError(f"path segment {a} -> {b} passes within 1e-9 "
                                  f"of the fixed singularity {s}")
 
-    roots = solve_second_degree(kind, t0, z0, z10)
+    rel = _relation(kind)
+    third, scaled, roots = rel.third, rel.scaled, rel.roots
+    y0, y1 = complex(z0), complex(z10)
+    pair = roots(complex(t0), y0, y1)
     if zeta2_hint is None:
-        z2 = roots[0]
+        y2 = pair[0]
     else:
-        z2 = min(roots, key=lambda r: abs(r - complex(zeta2_hint)))
+        y2 = min(pair, key=lambda r: abs(r - complex(zeta2_hint)))
 
     nodes = [t0]
     values = [(z0, z10)]
-    curvatures = [z2]
-    residuals = [residual_scaled(kind, t0, z0, z10, z2)]
-    y = np.array([z0, z10, z2], dtype=complex)
+    curvatures = [y2]
+    residuals = [scaled(complex(t0), y0, y1, y2)]
+    accepted = rejected = reprojected = 0
+    min_step = math.inf
+
+    _, c1, c2, c3, c4, c5 = _CK_C
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _CK_A
+    p0, _, p2, p3, _, p5 = _CK_B5
+    q0, _, q2, q3, q4, q5 = _CK_B4
 
     for a, b in legs:
         if a == b:
             continue
         dt = b - a
-
-        def rhs(s: float, state: np.ndarray) -> np.ndarray:
-            t = a + s * dt
-            z3 = third_derivative(kind, t, state[0], state[1], state[2])
-            return dt * np.array([state[1], state[2], z3], dtype=complex)
-
+        adt = abs(dt)
         s = 0.0
         h = 0.05
         if max_step is not None:
-            h = min(h, max_step / abs(dt))
+            h = min(h, max_step / adt)
         while s < 1.0:
             last = h >= 1.0 - s
             if last:
                 h = 1.0 - s
-            k = [rhs(s, y)]
-            for i in range(1, 6):
-                yi = y + h * sum(aij * kj for aij, kj in zip(_CK_A[i], k))
-                k.append(rhs(s + _CK_C[i] * h, yi))
-            y5 = y + h * sum(bj * kj for bj, kj in zip(_CK_B5, k))
-            y4 = y + h * sum(bj * kj for bj, kj in zip(_CK_B4, k))
-            err = max(
-                abs(d) / (tol + tol * max(abs(u), abs(v)))
-                for d, u, v in zip(y5 - y4, y, y5)
-            )
+            # k<i><c>: component c of stage i (numbered as in _CK_A), that is
+            # dt (z', z'', z''') at the stage's abscissa and state u (y
+            # itself for stage 0)
+            k00, k01, k02 = (dt * y1, dt * y2,
+                             dt * third(a + s * dt, y0, y1, y2))
+            u0 = y0 + h * (0 + a10 * k00)
+            u1 = y1 + h * (0 + a10 * k01)
+            u2 = y2 + h * (0 + a10 * k02)
+            k10, k11, k12 = (dt * u1, dt * u2,
+                             dt * third(a + (s + c1 * h) * dt, u0, u1, u2))
+            u0 = y0 + h * (0 + a20 * k00 + a21 * k10)
+            u1 = y1 + h * (0 + a20 * k01 + a21 * k11)
+            u2 = y2 + h * (0 + a20 * k02 + a21 * k12)
+            k20, k21, k22 = (dt * u1, dt * u2,
+                             dt * third(a + (s + c2 * h) * dt, u0, u1, u2))
+            u0 = y0 + h * (0 + a30 * k00 + a31 * k10 + a32 * k20)
+            u1 = y1 + h * (0 + a30 * k01 + a31 * k11 + a32 * k21)
+            u2 = y2 + h * (0 + a30 * k02 + a31 * k12 + a32 * k22)
+            k30, k31, k32 = (dt * u1, dt * u2,
+                             dt * third(a + (s + c3 * h) * dt, u0, u1, u2))
+            u0 = y0 + h * (0 + a40 * k00 + a41 * k10 + a42 * k20 + a43 * k30)
+            u1 = y1 + h * (0 + a40 * k01 + a41 * k11 + a42 * k21 + a43 * k31)
+            u2 = y2 + h * (0 + a40 * k02 + a41 * k12 + a42 * k22 + a43 * k32)
+            k40, k41, k42 = (dt * u1, dt * u2,
+                             dt * third(a + (s + c4 * h) * dt, u0, u1, u2))
+            u0 = y0 + h * (0 + a50 * k00 + a51 * k10 + a52 * k20 + a53 * k30
+                           + a54 * k40)
+            u1 = y1 + h * (0 + a50 * k01 + a51 * k11 + a52 * k21 + a53 * k31
+                           + a54 * k41)
+            u2 = y2 + h * (0 + a50 * k02 + a51 * k12 + a52 * k22 + a53 * k32
+                           + a54 * k42)
+            k50, k51, k52 = (dt * u1, dt * u2,
+                             dt * third(a + (s + c5 * h) * dt, u0, u1, u2))
+            # 5th- and 4th-order updates
+            n0 = y0 + h * (0 + p0 * k00 + p2 * k20 + p3 * k30 + p5 * k50)
+            n1 = y1 + h * (0 + p0 * k01 + p2 * k21 + p3 * k31 + p5 * k51)
+            n2 = y2 + h * (0 + p0 * k02 + p2 * k22 + p3 * k32 + p5 * k52)
+            m0 = y0 + h * (0 + q0 * k00 + q2 * k20 + q3 * k30 + q4 * k40
+                           + q5 * k50)
+            m1 = y1 + h * (0 + q0 * k01 + q2 * k21 + q3 * k31 + q4 * k41
+                           + q5 * k51)
+            m2 = y2 + h * (0 + q0 * k02 + q2 * k22 + q3 * k32 + q4 * k42
+                           + q5 * k52)
+            try:
+                err = max(abs(n0 - m0) / (tol + tol * max(abs(y0), abs(n0))),
+                          abs(n1 - m1) / (tol + tol * max(abs(y1), abs(n1))),
+                          abs(n2 - m2) / (tol + tol * max(abs(y2), abs(n2))))
+            except OverflowError:
+                # complex abs raises when the modulus overflows; reject the
+                # step and shrink it
+                err = math.inf
             if err <= 1.0:
+                accepted += 1
+                min_step = min(min_step, h * adt)
                 s = 1.0 if last else s + h
-                y = y5
+                y0, y1, y2 = n0, n1, n2
                 t_node = b if last else a + s * dt
-                res = residual_scaled(kind, t_node, *y)
+                res = scaled(t_node, y0, y1, y2)
                 if res > tol:
-                    pair = solve_second_degree(kind, t_node, y[0], y[1])
-                    y[2] = min(pair, key=lambda r: abs(r - y[2]))
-                    res = residual_scaled(kind, t_node, *y)
+                    root, neg = roots(t_node, y0, y1)
+                    y2 = neg if abs(neg - y2) < abs(root - y2) else root
+                    res = scaled(t_node, y0, y1, y2)
+                    reprojected += 1
                 nodes.append(t_node)
-                values.append((complex(y[0]), complex(y[1])))
-                curvatures.append(complex(y[2]))
+                values.append((y0, y1))
+                curvatures.append(y2)
                 residuals.append(res)
+            else:
+                rejected += 1
             grow = 0.9 * err ** -0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, grow))
             if max_step is not None:
-                h = min(h, max_step / abs(dt))
+                h = min(h, max_step / adt)
             # the completed-leg dust step may legitimately leave h tiny
             if h < 1e-14 and s < 1.0:
                 raise StepSizeUnderflowError(a + s * dt)
 
     return SigmaTrajectory(path=tuple(nodes), values=tuple(values),
                            curvatures=tuple(curvatures),
-                           residuals=tuple(residuals), tolerance=tol)
+                           residuals=tuple(residuals), tolerance=tol,
+                           accepted=accepted, rejected=rejected,
+                           reprojected=reprojected, min_step=min_step)
 
 
 def _cumulative_trapezoid(ts, fs):

@@ -297,6 +297,48 @@ class TestIntegrate:
         with pytest.raises(TurningPointError):
             integrate(k, (0.3, 0.2 + 0j, 0j), [0.3, 0.5], tol=1e-10)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_out_of_range_tolerance_rejected(self, tol):
+        k = OdeKind.pvi_sf(THETA6)
+        sd = seed_vi(THETA6, _exp6(), 1e-3)
+        with pytest.raises(ValueError, match="tol"):
+            integrate(k, sd, [0.01], tol=tol)
+
+
+class TestWorkCounters:
+    def test_counts_match_nodes(self):
+        k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
+        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
+        traj = integrate(k, sd, [0.05, 0.2, 0.4], tol=1e-10)
+        assert traj.accepted == len(traj) - 1
+        gaps = [abs(traj.path[i + 1] - traj.path[i])
+                for i in range(len(traj) - 1)]
+        assert traj.min_step == pytest.approx(min(gaps), rel=1e-12)
+
+    def test_tight_tolerance_rejects_and_reprojects(self):
+        # from 1e-3 to 0.4 at tol 1e-12 the flow rejects 5 trial steps and
+        # re-projects z'' once
+        k = OdeKind.pvi_sf(THETA6)
+        sd = seed_vi(THETA6, _exp6(), 1e-3)
+        traj = integrate(k, sd, [0.4], tol=1e-12)
+        assert traj.accepted == len(traj) - 1
+        assert traj.rejected > 0
+        assert traj.reprojected > 0
+
+    def test_max_step_bounds_min_step(self):
+        k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
+        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
+        traj = integrate(k, sd, [0.05, 0.4], tol=1e-8, max_step=0.01)
+        assert traj.accepted == len(traj) - 1 >= 35
+        assert 0 < traj.min_step <= 0.01 + 1e-12
+
+    def test_no_step_taken(self):
+        k = OdeKind.jmo_pv(V_ZERO)
+        traj = integrate(k, (0.1, 0j, 0j), [0.1, 0.1], tol=1e-10)
+        assert len(traj) == 1
+        assert (traj.accepted, traj.rejected, traj.reprojected) == (0, 0, 0)
+        assert traj.min_step == math.inf
+
 
 class TestTauReconstruct:
     def test_zero_solution_gives_anchor_everywhere(self):

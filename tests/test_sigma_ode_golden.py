@@ -1,0 +1,198 @@
+"""Bit-exact regression of the sigma-form integrator and the ode CLI.
+
+golden/sigma_ode_trajectories.json holds four integrate trajectories (the
+sixth form on a real path, the fifth form, the bulk form with max_step and
+two waypoints, and the bulk form on an imaginary-axis leg) and golden/*.out
+the stdout of `taurmt ode --family vi|bulk` at their defaults, all written
+with float.hex or repr. Every sum of the stepping loop keeps a fixed order,
+so the output must match bit for bit, signs of zero included. Seeds are
+stored with the trajectories, so only integrate is under test there.
+
+Regenerate only for a deliberate numerical change, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_sigma_ode_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+import random
+
+import pytest
+
+from taurmt import cli, tau_series
+from taurmt.monodromy_v import ThetaV
+from taurmt.monodromy_vi import SSEParams, ThetaVI
+from taurmt.rmt_numerics import fredholm_log_derivatives
+from taurmt.sigma_ode import (
+    OdeKind,
+    OdeSeed,
+    TurningPointError,
+    _relation,
+    integrate,
+    seed_bulk,
+    seed_v,
+    seed_vi,
+    third_derivative,
+)
+from taurmt.tau_series import bulk_okamoto_params, bulk_series
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+TRAJECTORIES = GOLDEN / "sigma_ode_trajectories.json"
+CLI_CASES = {"ode_vi.out": ["ode", "--family", "vi"],
+             "ode_bulk.out": ["ode", "--family", "bulk"]}
+
+THETA6 = ThetaVI(0.3, 0.4, 0.5, 0.6)
+THETA5 = ThetaV(0.3, 0.5, 0.7)
+P_STD = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
+P_GAP = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
+
+
+def _gap_seed(t, xi):
+    # the h-form seed of the CLI's bulk gap branch, on the imaginary axis
+    _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
+    return OdeSeed(-4j * t, t * l1, (1j / 4) * (l1 + t * l2),
+                   -(2 * l2 + t * l3) / 16.0)
+
+
+def _cases():
+    """name -> (kind, seed, path, integrate keyword arguments)."""
+    exp6 = tau_series.pvi_tau_series(THETA6, 0.45, 2.0)
+    exp5 = tau_series.pv_tau_series(THETA5, 0.4, 1.5)
+    return {
+        "pvi_sf_real": (OdeKind.pvi_sf(THETA6), seed_vi(THETA6, exp6, 1e-3),
+                        [0.4], {"tol": 1e-10}),
+        "pv_sf": (OdeKind.pv_sf(THETA5), seed_v(THETA5, exp5, 2e-3),
+                  [0.05], {"tol": 1e-10}),
+        "jmo_pv_waypoints_max_step": (
+            OdeKind.jmo_pv(bulk_okamoto_params(P_STD)),
+            seed_bulk(P_STD, bulk_series(P_STD), 0.05), [0.2, 0.4],
+            {"tol": 1e-10, "max_step": 0.01}),
+        "jmo_pv_imaginary_leg": (
+            OdeKind.jmo_pv(bulk_okamoto_params(P_GAP)),
+            _gap_seed(0.2, 0.5), [-4j * 0.6], {"tol": 1e-10}),
+    }
+
+
+def _hex(z: complex) -> list:
+    z = complex(z)
+    return [z.real.hex(), z.imag.hex()]
+
+
+def _unhex(pair) -> complex:
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+def _record_trajectory(traj) -> dict:
+    return {"path": [_hex(t) for t in traj.path],
+            "values": [[_hex(z), _hex(z1)] for z, z1 in traj.values],
+            "curvatures": [_hex(z2) for z2 in traj.curvatures],
+            "residuals": [r.hex() for r in traj.residuals]}
+
+
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == cli.EXIT_OK
+    return out.getvalue()
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    data = {}
+    for name, (kind, seed, path, kw) in _cases().items():
+        data[name] = {
+            "seed": [_hex(seed.t), _hex(seed.zeta), _hex(seed.dzeta),
+                     _hex(seed.curvature)],
+            **_record_trajectory(integrate(kind, seed, path, **kw)),
+        }
+    TRAJECTORIES.write_text(json.dumps(data, indent=1) + "\n")
+    for fname, argv in CLI_CASES.items():
+        (GOLDEN / fname).write_text(_cli_stdout(argv))
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_trajectory_is_bit_identical(name):
+    golden = json.loads(TRAJECTORIES.read_text())[name]
+    kind, _, path, kw = _cases()[name]
+    seed = OdeSeed(*(_unhex(v) for v in golden["seed"]))
+    traj = integrate(kind, seed, path, **kw)
+    got = _record_trajectory(traj)
+    for field in ("path", "values", "curvatures", "residuals"):
+        assert got[field] == golden[field], field
+
+
+@pytest.mark.parametrize("fname", sorted(CLI_CASES))
+def test_cli_stdout_is_bit_identical(fname):
+    assert _cli_stdout(CLI_CASES[fname]) == (GOLDEN / fname).read_text()
+
+
+def _random_states(rng, count):
+    for _ in range(count):
+        yield tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                    for _ in range(4))
+
+
+def _reference_third(kind, t, z, z1, z2):
+    """z''' written out with generator sums over the quartic's factors."""
+    if kind.name == "pvi_sf":
+        th0, tht, th1, thi = kind.params.as_tuple()
+        c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
+        roots = (-0.25 * (tht + thi) ** 2, -0.25 * (tht - thi) ** 2,
+                 -0.25 * (th0 + th1) ** 2, -0.25 * (th0 - th1) ** 2)
+        a = t * (t - 1)
+        b = 2 * z1 * (t * z1 - z) - z1 ** 2 - c0
+        bp = 4 * t * z1 - 2 * z - 2 * z1
+        lead, lt, lp = z1 * a ** 2, 2 * a * (2 * t - 1) * z1, a ** 2
+    else:
+        if kind.name == "pv_sf":
+            th0, th1, thi = kind.params.as_tuple()
+            shift = 2 * th0 + thi
+            roots = (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2)
+        else:
+            shift = 0j
+            roots = tuple(-v for v in kind.params.as_tuple())
+        b = z - t * z1 + 2 * z1 ** 2 - shift * z1
+        bp = -t + 4 * z1 - shift
+        lead, lt, lp = t ** 2, 2 * t, 0j
+    factors = [z1 - r for r in roots]
+    pp = sum(math.prod(factors[j] for j in range(4) if j != k)
+             for k in range(4))
+    rp = 2 * b * bp - pp if kind.name == "pvi_sf" else -2 * b * bp + 4 * pp
+    return -(lt * z2 + lp * z2 ** 2 + rp) / (2 * lead)
+
+
+@pytest.mark.parametrize("name", ["pvi_sf", "pv_sf", "jmo_pv"])
+def test_stage_function_matches_third_derivative(name):
+    """The loop's stage function, the public z''' and the reference agree
+    bit for bit, and turn at the same states."""
+    kind = {"pvi_sf": OdeKind.pvi_sf(THETA6), "pv_sf": OdeKind.pv_sf(THETA5),
+            "jmo_pv": OdeKind.jmo_pv(bulk_okamoto_params(P_STD))}[name]
+    stage = _relation(kind).third
+    rng = random.Random(20261018)
+    states = list(_random_states(rng, 400))
+    # states on the turning locus: z' = 0 (sixth form), t = 0 (fifth forms)
+    if name == "pvi_sf":
+        states += [(t, z, 0j, z2) for t, z, _, z2 in states[:20]]
+    else:
+        states += [(0j, z, z1, z2) for _, z, z1, z2 in states[:20]]
+    turned = 0
+    for t, z, z1, z2 in states:
+        try:
+            want = third_derivative(kind, t, z, z1, z2)
+        except TurningPointError:
+            with pytest.raises(TurningPointError):
+                stage(t, z, z1, z2)
+            turned += 1
+            continue
+        got = stage(t, z, z1, z2)
+        assert _hex(got) == _hex(want)
+        assert _hex(got) == _hex(_reference_third(kind, t, z, z1, z2))
+    assert turned == 20
+
+
+if __name__ == "__main__":
+    write_golden()
