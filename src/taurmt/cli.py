@@ -12,6 +12,12 @@ Exit codes: 0 success, 2 identity violation (monodromy-check or
 nonconvergence, 1 I/O failure. Every subcommand also accepts --selftest,
 which ignores the grid and runs that command's built-in property checks.
 
+--tol (default 1e-10, finite and positive) means something different per
+command: monodromy-check reports every identity residual above it as a
+violation; ode integrates at min(tol, 1e-10) and toeplitz at
+min(tol, 1e-12), so a looser value is clamped without notice; series,
+fredholm, bulk and asymptotics ignore it and run at fixed accuracy.
+
 Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i.
 """
@@ -217,6 +223,16 @@ _PARAM_FLAGS = {
 
 _GRID_KINDS = ("real", "circle", "imag")
 
+_TOL_HELP = {
+    "monodromy-check": "largest identity residual that passes",
+    "series": "ignored: the Toeplitz column runs at 1e-12",
+    "ode": "flow tolerance, clamped to at most 1e-10",
+    "toeplitz": "quadrature tolerance, clamped to at most 1e-12",
+    "fredholm": "ignored: the node count sets the accuracy",
+    "bulk": "ignored: the flow runs at 1e-10, the Toeplitz limit at 1e-12",
+    "asymptotics": "ignored: the node count sets the accuracy",
+}
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="taurmt", description=__doc__.splitlines()[0])
@@ -229,7 +245,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--grid-end", default=None)
         p.add_argument("--grid-count", default=None)
         p.add_argument("--grid-path", default=None, choices=_GRID_KINDS)
-        p.add_argument("--tol", default=None)
+        p.add_argument("--tol", default=None,
+                       help=f"default 1e-10; {_TOL_HELP[name]}")
         p.add_argument("--format", default=None, choices=("json", "csv"))
         p.add_argument("--output", default=None)
         p.add_argument("--config", default=None)
@@ -644,26 +661,20 @@ def cmd_bulk(cfg: RunConfig) -> int:
         xi = p.xi_star
         ts = cfg.grid_values()
         kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
-
-        def h_seed(t):
-            _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
-            x = -4j * t
-            h = t * l1
-            dh = (1j / 4) * (l1 + t * l2)
-            curv = -(2 * l2 + t * l3) / 16.0
-            return OdeSeed(x, h, dh, curv)
-
-        seed = h_seed(ts[0])
+        t = ts[0]
+        _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
+        seed = OdeSeed(-4j * t, t * l1, (1j / 4) * (l1 + t * l2),
+                       -(2 * l2 + t * l3) / 16.0)
         rows = []
         state = seed
         for i, t in enumerate(ts):
             if i == 0:
-                z = seed.zeta
+                z = seed.zeta  # and l1 is the seed's
             else:
                 traj = integrate(kind, state, [-4j * t], tol=1e-10)
                 tend, z, dz = traj.final
                 state = OdeSeed(tend, z, dz, traj.curvatures[-1])
-            _, l1, _, _ = fredholm_log_derivatives(t, xi)
+                _, l1, _, _ = fredholm_log_derivatives(t, xi)
             h_fred = t * l1
             r = bulk_limit_an(-4j * t, p, dims)
             e_fred = complex(fredholm_sine(FredholmSpec(t, xi, m=120)))

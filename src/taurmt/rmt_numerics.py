@@ -47,6 +47,16 @@ on the contour there. The subtracted arc of the modified measure becomes
 a straight leg from pi - phi to pi in the complex angle plane with the
 same sine structure. On the circle all of this collapses back to the
 real-modulus weight.
+
+Fredholm notes. The sine kernel and its t-derivatives are even functions
+of u - v, and the Gauss-Legendre rule is symmetric about 0, so the
+Nystrom matrix commutes with the reflection u -> -u. In the basis of
+even and odd node pairs it is block diagonal (Gaudin's factorization
+E = E+ E-), each block about half the order: every O(m^3) step runs on
+two blocks of order m/2, a quarter of the work, with the same
+exponential convergence in m. An odd rule's centre node belongs to the
+even block. The determinant, its log and the resolvent traces are sums
+or products over the two blocks.
 """
 
 from __future__ import annotations
@@ -433,6 +443,19 @@ def toeplitz_an(p: SSEParams, t: complex, tol: float = 1e-12) -> complex:
     return complex(np.linalg.det(c[idx]))
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a real a times a complex b runs as one real product.
+
+    The C-contiguous complex b is read as a real matrix of twice the
+    width, its real and imaginary parts interleaved: half the work of the
+    complex product numpy would otherwise form. For real b both views are
+    no-ops.
+    """
+    if np.iscomplexobj(a):
+        return a @ b
+    return (a @ b.view(float)).view(b.dtype)
+
+
 def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
     """Literal N fold angular integral, N <= 3, on the defining circle.
 
@@ -442,10 +465,8 @@ def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
     agree to rtol before a value is accepted; one escalation is tried,
     then QuadratureError. Kept independent of the Fourier machinery: no
     complex legs, no continued weight, just the real-modulus integrand.
-    For N = 3 the real Vandermonde matrix multiplies a complex matrix as
-    a real one of twice the width, its real and imaginary parts
-    interleaved: one real product at half the cost of the complex one
-    numpy would otherwise form.
+    For N = 3 the real Vandermonde matrix multiplies the complex weighted
+    one through _matmul, as one real product.
     """
     tt = complex(t)
     if abs(abs(tt) - 1.0) > 1e-12:
@@ -494,7 +515,7 @@ def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
         if n == 2:
             return complex(0.5 * (u @ dmat @ u))
         v = u[:, None] * dmat
-        dv = (dmat @ v.view(float)).view(v.dtype)
+        dv = _matmul(dmat, v)
         diag = np.einsum("ac,ac->c", v, dv)
         return complex((u @ diag) / 6.0)
 
@@ -513,6 +534,20 @@ def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
 # sine-kernel Fredholm determinant
 
 
+def _check_fredholm(t, xi, m) -> None:
+    """Argument check shared by every sine-kernel entry point."""
+    if int(m) < 10:
+        raise ValueError("need at least 10 quadrature nodes")
+    if not (cmath.isfinite(complex(t)) and cmath.isfinite(complex(xi))):
+        raise ValueError("half-width and coupling must be finite")
+
+
+def _narrow(z):
+    """z as a float when its imaginary part is exactly 0, else complex."""
+    z = complex(z)
+    return z.real if z.imag == 0.0 else z
+
+
 @dataclass(frozen=True)
 class FredholmSpec:
     """Gap determinant request: interval (-t, t), coupling xi, m nodes."""
@@ -524,70 +559,140 @@ class FredholmSpec:
     def __post_init__(self):
         if isinstance(self.t, complex) or not (float(self.t) > 0.0):
             raise ValueError("half-width t must be a positive real")
-        if int(self.m) < 10:
-            raise ValueError("need at least 10 quadrature nodes")
+        _check_fredholm(self.t, self.xi, self.m)
 
 
 @lru_cache(maxsize=64)
 def _gl_rule(m: int):
-    return np.polynomial.legendre.leggauss(m)
+    """Gauss-Legendre nodes and weights on (-1, 1), read-only.
+
+    The cache hands the same arrays to every caller, and the parity
+    blocks are built from views of them, so they are locked against
+    writes. numpy returns the rule symmetrized: x[m-1-i] == -x[i] and
+    w[m-1-i] == w[i] exactly, with x = 0 at the centre of an odd rule.
+    """
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
-def _sine_kernel(t, m: int):
-    """Symmetrized Nystrom matrix of sin(t(u-v))/(pi(u-v)) on (-1, 1)."""
+def _sine_kernel_blocks(t, m: int, derivatives: bool = False):
+    """Parity blocks of the Nystrom matrix of the sine kernel on (-1, 1).
+
+    The kernel is sin(t d)/(pi d) in d = u - v, with diagonal t/pi; with
+    derivatives its t-derivatives cos(t d)/pi, -d sin(t d)/pi and
+    -d^2 cos(t d)/pi follow it. Each is even in d, so on the positive
+    half p of the m-node rule the even block is
+    (K(p_i - p_j) + K(p_i + p_j)) sqrt(w_i w_j) and the odd block has the
+    minus sign. The centre node of an odd rule joins the even block at
+    half its weight, which reproduces its row exactly, and drops out of
+    the odd one. Returns (even, odd), each a tuple of one (or four)
+    symmetric matrices; real for real t.
+
+    Both K(p_i - p_j) and K(p_i + p_j) are symmetric in (i, j), so one
+    matrix g holds every value needed: the differences below its
+    diagonal, the sums on and above it. Each block is then g plus or
+    minus its transpose with the diagonal set apart, and the kernel is
+    evaluated at m^2/4 points, not the m^2 of the full matrix.
+    """
     x, w = _gl_rule(m)
-    d = x[:, None] - x[None, :]
+    half = m // 2
+    p = x[half:]
+    sq = np.sqrt(w[half:])
+    c = m % 2
+    if c:
+        sq[0] = math.sqrt(0.5 * w[half])
+    scale = np.outer(sq, sq / math.pi)
+    below = np.where(np.tri(len(p), k=-1, dtype=bool), -1.0, 1.0)
+    arg = below * p
+    arg += p[:, None]
+    targ = t * arg
+    sin_g = np.sin(targ)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.sin(t * d) / (math.pi * d)
-    np.fill_diagonal(k, t / math.pi)
-    sq = np.sqrt(w)
-    return k * np.outer(sq, sq)
+        k0 = sin_g / arg
+    if c:
+        k0[0, 0] = t
+    # each kernel with its value at d = 0
+    kernels = [(k0, t)]
+    if derivatives:
+        cos_g = np.cos(targ)
+        kernels += [(cos_g, 1.0), (-arg * sin_g, 0.0),
+                    (-(arg * arg) * cos_g, 0.0)]
+    even, odd = [], []
+    for g, at_zero in kernels:
+        k_sum = np.diagonal(g)
+        e = g + g.T
+        np.fill_diagonal(e, at_zero + k_sum)
+        e *= scale
+        o = g.T - g
+        o *= below
+        np.fill_diagonal(o, at_zero - k_sum)
+        o *= scale
+        even.append(e)
+        odd.append(o[c:, c:])
+    return tuple(even), tuple(odd)
+
+
+def _identity_minus(xi, a: np.ndarray) -> np.ndarray:
+    """I - xi a, formed in one fresh array."""
+    mat = a * -xi
+    mat.flat[::len(a) + 1] += 1.0
+    return mat
 
 
 def fredholm_sine(spec: FredholmSpec):
     """det(I - xi K) on (-t, t) for the kernel sin(x-y)/(pi(x-y)).
 
     Rescaled to (-1, 1), where the kernel is sin(t(u-v))/(pi(u-v)) with
-    diagonal t/pi. Convergence in m is exponential; doubling m is the
-    error check. Returns float for real xi.
+    diagonal t/pi, and factored by parity: det(I - xi A+) det(I - xi A-)
+    over the even and odd blocks. Convergence in m is exponential, but
+    no error estimate is formed here: the check, a second evaluation at
+    doubled m, belongs to the caller (the fredholm selftest runs it).
+    Returns float for real xi.
     """
-    a = _sine_kernel(float(spec.t), int(spec.m))
-    xi = complex(spec.xi)
-    if xi.imag == 0.0:
-        return float(np.linalg.det(np.eye(spec.m) - xi.real * a))
-    return complex(np.linalg.det(np.eye(spec.m, dtype=complex) - xi * a))
+    xi = _narrow(spec.xi)
+    e = 1.0
+    for (a,) in _sine_kernel_blocks(float(spec.t), int(spec.m)):
+        e = e * np.linalg.det(_identity_minus(xi, a))
+    return float(e) if isinstance(xi, float) else complex(e)
 
 
 def fredholm_log_derivatives(t: complex, xi: complex = 1.0, m: int = 140):
     """(log E, d log E/dt, d2, d3) for the sine-kernel determinant.
 
-    Resolvent-trace identities rather than finite differences. The
+    Resolvent-trace identities rather than finite differences, per
+    parity block with R = (I - xi A0)^{-1} and C_k = A_k R:
+    d log E/dt = -xi tr C1, the second derivative adds tr C1^2 and tr C2,
+    the third tr C1^3, tr C1 C2 and tr R A3, each trace an elementwise
+    sum (tr XY = sum X * Y^T, and every A_k is symmetric). log E sums
+    the blocks' log moduli and takes the principal log of the product
+    of their signs. Real arithmetic throughout for real t and xi. The
     half-width may be complex here (the determinant is entire in t, and
-    the sigma-form chain needs it on the imaginary axis); the gap wrapper
-    above keeps its positive-real contract.
+    the sigma-form chain needs it on the imaginary axis); the gap
+    wrapper above keeps its positive-real contract. Raises ValueError
+    for fewer than 10 nodes or a non-finite t or xi.
     """
-    m = int(m)
-    x, w = _gl_rule(m)
-    d = x[:, None] - x[None, :]
-    sq = np.outer(np.sqrt(w), np.sqrt(w))
-    td = t * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = np.sin(td) / (math.pi * d)
-    np.fill_diagonal(k0, t / math.pi)
-    a0 = k0 * sq
-    a1 = (np.cos(td) / math.pi) * sq
-    a2 = (-np.sin(td) * d / math.pi) * sq
-    a3 = (-np.cos(td) * d * d / math.pi) * sq
-    xi = complex(xi)
-    mat = np.eye(m, dtype=complex) - xi * a0
-    sign, logabs = np.linalg.slogdet(mat)
+    _check_fredholm(t, xi, m)
+    t, xi = _narrow(t), _narrow(xi)
+    logabs, sign = 0.0, 1.0
+    tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
+    for a0, a1, a2, a3 in _sine_kernel_blocks(t, int(m), derivatives=True):
+        mat = _identity_minus(xi, a0)
+        block_sign, block_logabs = np.linalg.slogdet(mat)
+        sign, logabs = sign * block_sign, logabs + block_logabs
+        r = np.linalg.inv(mat)
+        c1, c2 = _matmul(a1, r), _matmul(a2, r)
+        tr1 += np.trace(c1)
+        tr2 += np.trace(c2)
+        tr3 += np.sum(r * a3)
+        tr11 += np.sum(c1 * c1.T)
+        tr12 += np.sum(c1 * c2.T)
+        tr111 += np.sum((c1 @ c1) * c1.T)
     loge = complex(logabs) + cmath.log(complex(sign))
-    r = np.linalg.solve(mat, np.eye(m, dtype=complex))
-    b1, b2, b3 = r @ a1, r @ a2, r @ a3
-    l1 = -xi * np.trace(b1)
-    l2 = -xi * (xi * np.trace(b1 @ b1) + np.trace(b2))
-    l3 = -xi * (2.0 * xi * xi * np.trace(b1 @ b1 @ b1)
-                + 3.0 * xi * np.trace(b1 @ b2) + np.trace(b3))
+    l1 = -xi * tr1
+    l2 = -xi * (xi * tr11 + tr2)
+    l3 = -xi * (2.0 * xi * xi * tr111 + 3.0 * xi * tr12 + tr3)
     return loge, complex(l1), complex(l2), complex(l3)
 
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import taurmt
+from taurmt import cli
 from taurmt.cli import COMMANDS, EXIT_BAD_PARAMS, EXIT_OK, main
 
 SRC = pathlib.Path(taurmt.__file__).resolve().parent.parent
@@ -52,3 +53,63 @@ def test_package_import_leaves_cli_unloaded():
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "--nodes=3"],
+    ["fredholm", "--nodes=3"],
+    ["fredholm", "--xi=nan"],
+    ["fredholm", "--grid-start=inf", "--grid-count=1"],
+])
+def test_bad_fredholm_arguments_are_parameter_errors(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error: ")
+    assert "Traceback" not in captured.err
+
+
+def _json_rows(argv, capsys):
+    assert main(argv) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+def test_odd_node_counts(capsys):
+    grid = ["--grid-start=0.5", "--grid-end=4", "--grid-count=4"]
+    for xi in ("1", "0.5+0.5i"):
+        odd = _json_rows(["fredholm", f"--xi={xi}", "--nodes=81", *grid],
+                         capsys)
+        twin = _json_rows(["fredholm", f"--xi={xi}", "--nodes=162", *grid],
+                          capsys)
+        for a, b in zip(odd, twin):
+            assert abs(complex(a[1], a[2]) - complex(b[1], b[2])) <= 1e-12
+    odd = _json_rows(["asymptotics", "--xi=1", "--nodes=141"], capsys)
+    even = _json_rows(["asymptotics", "--xi=1", "--nodes=140"], capsys)
+    for a, b in zip(odd, even):
+        assert abs(a[2] - b[2]) <= 1e-10 * max(1.0, abs(b[2]))
+        assert abs(a[5] - b[5]) <= 1e-12
+
+
+def test_bulk_gap_point_reuses_the_seed_log_derivatives(monkeypatch, capsys):
+    calls = []
+    real = cli.fredholm_log_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fredholm_log_derivatives", counted)
+    rows = _json_rows(["bulk", "--mu=0", "--omega1=0", "--omega2=0",
+                       "--dims=4,8", "--grid-count=3"], capsys)
+    assert calls == [row[0] for row in rows]
+    assert rows[0][5] == 0.0
+
+
+def test_looser_tolerance_is_clamped(capsys):
+    # ode integrates at min(--tol, 1e-10), so a looser --tol changes
+    # nothing; change this test together with the clamp
+    loose = main(["ode", "--tol=1e-6"]), capsys.readouterr().out
+    default = main(["ode", "--tol=1e-10"]), capsys.readouterr().out
+    assert loose == default
+    assert loose[0] == EXIT_OK

@@ -27,6 +27,7 @@ from taurmt.rmt_numerics import (
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
+    _gl_rule,
     _phase_table,
     weight_eval,
 )
@@ -424,6 +425,113 @@ class TestLogDerivatives:
     def test_complex_halfwidth_allowed(self):
         loge, l1, _, _ = fredholm_log_derivatives(1.0j, 0.5)
         assert cmath.isfinite(loge) and cmath.isfinite(l1)
+
+
+def _full_kernels(t, m):
+    """The whole m x m Nystrom matrices of the sine kernel and its first
+    three t-derivatives, as the library formed them before the parity
+    split."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    d = x[:, None] - x[None, :]
+    sq = np.outer(np.sqrt(w), np.sqrt(w))
+    td = t * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k0 = np.sin(td) / (math.pi * d)
+    np.fill_diagonal(k0, t / math.pi)
+    return (k0 * sq, (np.cos(td) / math.pi) * sq,
+            (-np.sin(td) * d / math.pi) * sq,
+            (-np.cos(td) * d * d / math.pi) * sq)
+
+
+def _full_determinant(t, xi, m):
+    a0 = _full_kernels(t, m)[0]
+    return complex(np.linalg.det(np.eye(m) - complex(xi) * a0))
+
+
+def _full_log_derivatives(t, xi, m):
+    a0, a1, a2, a3 = _full_kernels(t, m)
+    xi = complex(xi)
+    mat = np.eye(m, dtype=complex) - xi * a0
+    sign, logabs = np.linalg.slogdet(mat)
+    loge = complex(logabs) + cmath.log(complex(sign))
+    r = np.linalg.solve(mat, np.eye(m, dtype=complex))
+    b1, b2, b3 = r @ a1, r @ a2, r @ a3
+    l1 = -xi * np.trace(b1)
+    l2 = -xi * (xi * np.trace(b1 @ b1) + np.trace(b2))
+    l3 = -xi * (2.0 * xi * xi * np.trace(b1 @ b1 @ b1)
+                + 3.0 * xi * np.trace(b1 @ b2) + np.trace(b3))
+    return loge, complex(l1), complex(l2), complex(l3)
+
+
+# real half-widths (the gap determinant), an imaginary one (the bulk
+# chain's -4it leg) and oblique ones
+SPLIT_HALFWIDTHS = (0.7, 2.5, 4.0, 1.2j, 0.8 + 0.6j, 2.0 - 1.0j)
+
+
+class TestParitySplit:
+    """The even/odd block factorization against the full Nystrom matrix,
+    at even and odd node counts (an odd rule puts a node at 0)."""
+
+    @pytest.mark.parametrize("m,xi", [
+        (m, xi) for m in (80, 81, 140)
+        for xi in (1.0, 0.5, 0.5 + 0.5j, -0.6 - 0.7j)]
+        + [(300, 1.0), (300, 0.5 + 0.5j)])
+    def test_matches_full_matrix(self, m, xi):
+        for t in SPLIT_HALFWIDTHS:
+            if isinstance(t, float):
+                got = complex(fredholm_sine(FredholmSpec(t, xi, m=m)))
+                want = _full_determinant(t, xi, m)
+                assert abs(got - want) <= 1e-12 * abs(want), t
+            got = fredholm_log_derivatives(t, xi, m)
+            want = _full_log_derivatives(t, xi, m)
+            for g, v in zip(got, want):
+                assert abs(g - v) <= 1e-12 * max(1.0, abs(v)), t
+
+    @pytest.mark.parametrize("m", [80, 81])
+    @pytest.mark.parametrize("xi", [0.5, 0.5 + 0.5j, -0.9 + 0.2j, 1.8])
+    def test_log_is_principal_and_matches_determinant(self, m, xi):
+        for t in (0.7, 2.5, 4.0):
+            loge = fredholm_log_derivatives(t, xi, m)[0]
+            assert -math.pi < loge.imag <= math.pi
+            e = complex(fredholm_sine(FredholmSpec(t, xi, m=m)))
+            assert abs(cmath.exp(loge) - e) <= 1e-12 * abs(e)
+
+    def test_negative_determinant_takes_the_upper_branch(self):
+        # xi > 1 pushes one factor below zero: log(-1) is +i pi
+        e = fredholm_sine(FredholmSpec(2.5, 1.8, m=80))
+        assert e < 0.0
+        loge = fredholm_log_derivatives(2.5, 1.8, 80)[0]
+        assert loge.imag == math.pi
+
+    def test_real_arguments_stay_real(self):
+        assert isinstance(fredholm_sine(FredholmSpec(2.0, 0.5, m=81)), float)
+        assert all(v.imag == 0.0
+                   for v in fredholm_log_derivatives(2.0, 0.5, 81))
+
+    def test_quadrature_rule_is_read_only(self):
+        x, w = _gl_rule(80)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[:] = 1.0
+
+    @pytest.mark.parametrize("t,xi,m", [
+        (1.0, 1.0, 9),
+        (1.0, 1.0, 3),
+        (math.nan, 1.0, 80),
+        (complex(1.0, math.inf), 1.0, 80),
+        (1.0, math.nan, 80),
+        (1.0, complex(math.inf, 0.0), 80),
+    ])
+    def test_log_derivatives_reject_bad_arguments(self, t, xi, m):
+        with pytest.raises(ValueError):
+            fredholm_log_derivatives(t, xi, m)
+
+    @pytest.mark.parametrize("t,xi", [(math.inf, 1.0), (1.0, math.nan),
+                                      (1.0, complex(0.5, math.inf))])
+    def test_spec_rejects_non_finite(self, t, xi):
+        with pytest.raises(ValueError):
+            FredholmSpec(t, xi)
 
 
 class TestBulkLimit:
