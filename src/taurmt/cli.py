@@ -20,6 +20,11 @@ fredholm, bulk and asymptotics ignore it and run at fixed accuracy.
 
 Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i.
+
+The commands compose library calls and re-derive none: the tau <-> sigma
+maps are tau_series.sigma_map, the rebuilt average of bulk is
+sigma_ode.tau_reconstruct, the monodromy residuals come from monodromy_vi
+and monodromy_v.
 """
 
 from __future__ import annotations
@@ -27,15 +32,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexfn import GammaPoleError
-from .mat2 import IDENTITY, Mat2, det, max_diff, mul, tr
+from .mat2 import Mat2, det, max_diff
 from .monodromy_v import (
     InconsistentKError,
     NonGenericError,
@@ -51,7 +57,6 @@ from .monodromy_vi import (
     ThetaVI,
     check_generic,
     connection_sigmas,
-    manifold_residual,
     pvi_matrices,
     sse_monodromy,
     sse_offdiag_relation_residual,
@@ -73,9 +78,9 @@ from .sigma_ode import (
     integrate,
     seed_bulk,
     seed_vi,
+    tau_reconstruct,
 )
 from .tau_series import (
-    GAP_E_CONSTANT,
     an_series,
     bulk_okamoto_params,
     bulk_series,
@@ -97,8 +102,23 @@ EXIT_VIOLATION = 2
 EXIT_BAD_PARAMS = 3
 EXIT_NONCONVERGED = 4
 
-COMMANDS = ("monodromy-check", "series", "ode", "toeplitz", "fredholm",
-            "bulk", "asymptotics")
+# command -> (default grid (start, end, count, path), what --tol does)
+_COMMANDS = {
+    "monodromy-check": ((0.0, 0.0, 1, "real"),
+                        "largest identity residual that passes"),
+    "series": ((0.9, 0.995, 20, "real"),
+               "ignored: the Toeplitz column runs at 1e-12"),
+    "ode": ((1e-3, 0.4, 2, "real"), "flow tolerance, clamped to at most 1e-10"),
+    "toeplitz": ((0.2, 3.0, 15, "circle"),
+                 "quadrature tolerance, clamped to at most 1e-12"),
+    "fredholm": ((0.1, 3.0, 30, "real"),
+                 "ignored: the node count sets the accuracy"),
+    "bulk": ((0.2, 0.8, 4, "real"),
+             "ignored: the flow runs at 1e-10, the Toeplitz limit at 1e-12"),
+    "asymptotics": ((2.0, 4.0, 5, "real"),
+                    "ignored: the node count sets the accuracy"),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 class UsageError(Exception):
@@ -206,87 +226,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 _PARAM_FLAGS = {
-    # flag -> (converter, description)
-    "mu": (parse_complex, "singularity exponent parameter"),
-    "omega1": (parse_complex, "first arc-end exponent parameter"),
-    "omega2": (parse_complex, "rotation parameter"),
-    "xi": (parse_complex, "jump coupling xi*"),
-    "bigN": (int, "matrix dimension N"),
-    "sigma": (parse_complex, "two-point exponent sigma"),
-    "s": (parse_complex, "parameterization coefficient s"),
-    "r": (parse_complex, "gauge parameter r"),
-    "theta0": (parse_complex, "exponent theta_0"),
-    "thetat": (parse_complex, "exponent theta_t"),
-    "theta1": (parse_complex, "exponent theta_1"),
-    "thetainf": (parse_complex, "exponent theta_inf"),
+    # flag -> (converter, description, default or None)
+    "mu": (parse_complex, "singularity exponent parameter", 0.25 + 0j),
+    "omega1": (parse_complex, "first arc-end exponent parameter", 0.1 + 0j),
+    "omega2": (parse_complex, "rotation parameter", 0.3 + 0j),
+    "xi": (parse_complex, "jump coupling xi*", 0.5 + 0j),
+    "bigN": (int, "matrix dimension N", 2),
+    "sigma": (parse_complex, "two-point exponent sigma", 0.41 + 0j),
+    "s": (parse_complex, "parameterization coefficient s", 1.1 + 0j),
+    "r": (parse_complex, "gauge parameter r", 1.0 + 0j),
+    "theta0": (parse_complex, "exponent theta_0", None),
+    "thetat": (parse_complex, "exponent theta_t", None),
+    "theta1": (parse_complex, "exponent theta_1", None),
+    "thetainf": (parse_complex, "exponent theta_inf", None),
+}
+
+# flag -> (commands that take it, converter, further add_argument keywords)
+_COMMAND_FLAGS = {
+    "corrupt-s": (("monodromy-check",), parse_complex, {"metavar": "FACTOR"}),
+    "family": (("series", "ode"), str, {"choices": ("an", "bulk", "vi")}),
+    "oracle": (("toeplitz",), _as_bool,
+               {"action": "store_const", "const": True}),
+    "nodes": (("fredholm", "asymptotics"), int, {}),
+    "dims": (("bulk",), str, {"help": "comma list of matrix dimensions"}),
 }
 
 _GRID_KINDS = ("real", "circle", "imag")
 
-_TOL_HELP = {
-    "monodromy-check": "largest identity residual that passes",
-    "series": "ignored: the Toeplitz column runs at 1e-12",
-    "ode": "flow tolerance, clamped to at most 1e-10",
-    "toeplitz": "quadrature tolerance, clamped to at most 1e-12",
-    "fredholm": "ignored: the node count sets the accuracy",
-    "bulk": "ignored: the flow runs at 1e-10, the Toeplitz limit at 1e-12",
-    "asymptotics": "ignored: the node count sets the accuracy",
-}
 
-
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="taurmt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
+    for name, (_, tol_help) in _COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
-        for flag, (_, desc) in _PARAM_FLAGS.items():
+        for flag, (_, desc, _) in _PARAM_FLAGS.items():
             p.add_argument(f"--{flag}", default=None, help=desc)
         p.add_argument("--grid-start", default=None)
         p.add_argument("--grid-end", default=None)
         p.add_argument("--grid-count", default=None)
         p.add_argument("--grid-path", default=None, choices=_GRID_KINDS)
         p.add_argument("--tol", default=None,
-                       help=f"default 1e-10; {_TOL_HELP[name]}")
+                       help=f"default 1e-10; {tol_help}")
         p.add_argument("--format", default=None, choices=("json", "csv"))
         p.add_argument("--output", default=None)
         p.add_argument("--config", default=None)
         p.add_argument("--selftest", action="store_const", const=True,
                        default=None)
-        if name == "monodromy-check":
-            p.add_argument("--corrupt-s", default=None, metavar="FACTOR")
-        if name in ("series", "ode"):
-            p.add_argument("--family", default=None, choices=("an", "bulk", "vi"))
-        if name == "toeplitz":
-            p.add_argument("--oracle", action="store_const", const=True,
-                           default=None)
-        if name in ("fredholm", "asymptotics"):
-            p.add_argument("--nodes", default=None)
-        if name == "bulk":
-            p.add_argument("--dims", default=None,
-                           help="comma list of matrix dimensions")
+        for flag, (commands, _, kwargs) in _COMMAND_FLAGS.items():
+            if name in commands:
+                p.add_argument(f"--{flag}", default=None, **kwargs)
     return parser
-
-
-_DEFAULTS = {
-    "mu": 0.25 + 0j,
-    "omega1": 0.1 + 0j,
-    "omega2": 0.3 + 0j,
-    "xi": 0.5 + 0j,
-    "bigN": 2,
-    "r": 1.0 + 0j,
-    "sigma": 0.41 + 0j,
-    "s": 1.1 + 0j,
-}
-
-_GRID_DEFAULTS = {
-    "monodromy-check": (0.0, 0.0, 1, "real"),
-    "series": (0.9, 0.995, 20, "real"),
-    "ode": (1e-3, 0.4, 2, "real"),
-    "toeplitz": (0.2, 3.0, 15, "circle"),
-    "fredholm": (0.1, 3.0, 30, "real"),
-    "bulk": (0.2, 0.8, 4, "real"),
-    "asymptotics": (2.0, 4.0, 5, "real"),
-}
 
 
 def _resolve(args) -> RunConfig:
@@ -298,29 +289,27 @@ def _resolve(args) -> RunConfig:
         flag = key.replace("_", "-")
         if value is not None and flag not in ("command", "config"):
             raw[flag] = value
-    known = (set(_PARAM_FLAGS) | {"grid-start", "grid-end", "grid-count",
-                                  "grid-path", "tol", "format", "output",
-                                  "selftest", "corrupt-s", "family",
-                                  "oracle", "nodes", "dims"})
+    known = (set(_PARAM_FLAGS) | set(_COMMAND_FLAGS)
+             | {"grid-start", "grid-end", "grid-count", "grid-path", "tol",
+                "format", "output", "selftest"})
     for key in raw:
         if key not in known:
             raise UsageError(f"unknown configuration key {key!r}")
 
     params = {}
-    for flag, (conv, _) in _PARAM_FLAGS.items():
+    for flag, (conv, _, default) in _PARAM_FLAGS.items():
         if flag in raw:
             try:
                 params[flag] = conv(raw[flag])
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"--{flag}: {exc}") from None
-        elif flag in _DEFAULTS:
-            params[flag] = _DEFAULTS[flag]
-    for extra, conv in (("corrupt-s", parse_complex), ("family", str),
-                        ("oracle", _as_bool), ("nodes", int), ("dims", str)):
+        elif default is not None:
+            params[flag] = default
+    for extra, (_, conv, _) in _COMMAND_FLAGS.items():
         if extra in raw:
             params[extra] = conv(raw[extra])
 
-    g0, g1, cnt, kind = _GRID_DEFAULTS[args.command]
+    (g0, g1, cnt, kind), _ = _COMMANDS[args.command]
     g0 = float(raw.get("grid-start", g0))
     g1 = float(raw.get("grid-end", g1))
     cnt = int(raw.get("grid-count", cnt))
@@ -344,6 +333,12 @@ def _sse_params(cfg: RunConfig) -> SSEParams:
     p = cfg.params
     return SSEParams(N=p["bigN"], mu=p["mu"], omega1=p["omega1"],
                      omega2=p["omega2"], xi_star=p["xi"])
+
+
+def _theta_from(cfg: RunConfig) -> ThetaVI:
+    p = cfg.params
+    return ThetaVI(p.get("theta0", 0.31 + 0j), p.get("thetat", 0.27 + 0j),
+                   p.get("theta1", 0.38 + 0j), p.get("thetainf", 0.52 + 0j))
 
 
 # ---------------------------------------------------------------------------
@@ -393,53 +388,45 @@ def _emit_table(cfg: RunConfig, columns, rows, extra=None):
 # monodromy-check
 
 
+def _corrupted(mats, corrupt):
+    """mats with M0's upper-right entry scaled by corrupt (--corrupt-s), and
+    the two rows both branches report from it: cyclic and manifold."""
+    if corrupt != 1:
+        m0 = mats.m0
+        mats = replace(mats, m0=Mat2(m0.a11, m0.a12 * corrupt, m0.a21, m0.a22))
+    return mats, mats.cyclic_residual(), abs(mats.manifold())
+
+
 def _generic_residuals(theta: ThetaVI, sigma, s, r, corrupt) -> dict:
     report = check_generic(theta, sigma)
     if not report.ok:
         raise ValueError("non-generic exponents: "
                          + "; ".join(report.violations))
-    data = MonodromyDataVI.create(theta, sigma, s, r)
-    mats = pvi_matrices(data)
-    m0 = mats.m0
-    if corrupt != 1:
-        m0 = Mat2(m0.a11, m0.a12 * corrupt, m0.a21, m0.a22)
-    cyc = mul(mats.m_inf, mul(mats.m1, mul(mats.mt, m0)))
-    out = {"cyclic": max_diff(cyc, IDENTITY)}
-    out["det_m0"] = abs(det(m0) - 1.0)
-    traces = [tr(m) for m in (m0, mats.mt, mats.m1, mats.m_inf)]
-    p0t = tr(mul(mats.mt, m0))
-    pt1 = tr(mul(mats.m1, mats.mt))
-    p01 = tr(mul(mats.m1, m0))
-    out["manifold"] = abs(manifold_residual(*traces, p0t, pt1, p01))
-    out["two_point_0t"] = abs(p0t - 2 * cmath.cos(math.pi * sigma))
+    mats, cyclic, manifold = _corrupted(
+        pvi_matrices(MonodromyDataVI.create(theta, sigma, s, r)), corrupt)
+    *_, p0t, pt1, p01 = mats.trace_coordinates()
     cos_t1, cos_01 = connection_sigmas(theta, sigma, s)
-    out["connection_t1"] = abs(pt1 - 2 * cos_t1)
-    out["connection_01"] = abs(p01 - 2 * cos_01)
-    return out
+    return {"cyclic": cyclic, "det_m0": abs(det(mats.m0) - 1.0),
+            "manifold": manifold,
+            "two_point_0t": abs(p0t - 2 * cmath.cos(math.pi * sigma)),
+            "connection_t1": abs(pt1 - 2 * cos_t1),
+            "connection_01": abs(p01 - 2 * cos_01)}
 
 
 def _sse_residuals(p: SSEParams, r, corrupt) -> dict:
-    res = sse_monodromy(p, r)
-    mats = res.matrices
-    m0 = mats.m0
-    if corrupt != 1:
-        m0 = Mat2(m0.a11, m0.a12 * corrupt, m0.a21, m0.a22)
-    cyc = mul(mats.m_inf, mul(mats.m1, mul(mats.mt, m0)))
-    out = {"cyclic": max_diff(cyc, IDENTITY)}
-    out["off_diagonal_relation"] = sse_offdiag_relation_residual(p, r)
-    traces = [tr(m) for m in (m0, mats.mt, mats.m1, mats.m_inf)]
-    p0t = tr(mul(mats.mt, m0))
-    pt1 = tr(mul(mats.m1, mats.mt))
-    p01 = tr(mul(mats.m1, m0))
-    out["manifold"] = abs(manifold_residual(*traces, p0t, pt1, p01))
+    mats = sse_monodromy(p, r).matrices
+    _, cyclic, manifold = _corrupted(mats, corrupt)
+    out = {"cyclic": cyclic,
+           "off_diagonal_relation": sse_offdiag_relation_residual(p, r),
+           "manifold": manifold}
 
     pv = sse_pv_matrices(p)
     for name, value in pv.data.residuals().items():
         out["pv_" + name] = value
     thv = sse_theta_v(p)
-    stokes = stokes_from_sigma(thv, 2 * p.mu + 2 * p.omega1, -2 * p.mu)
-    out["stokes_constraint"] = stokes.constraint_residual(
-        thv.theta_inf, 2 * p.mu + 2 * p.omega1)
+    stokes = stokes_from_sigma(thv, p.sigma, -2 * p.mu)
+    out["stokes_constraint"] = stokes.constraint_residual(thv.theta_inf,
+                                                          p.sigma)
 
     lt = limit_transition_ii(mats.m0, mats.mt, -2 * p.omega1,
                              thv.theta_inf, mats.m_inf, mats.m1)
@@ -457,10 +444,8 @@ def cmd_monodromy_check(cfg: RunConfig) -> int:
     corrupt = p.get("corrupt-s", 1.0 + 0j)
     generic = any(k in p for k in ("theta0", "thetat", "theta1", "thetainf"))
     if generic:
-        theta = ThetaVI(
-            p.get("theta0", 0.31 + 0j), p.get("thetat", 0.27 + 0j),
-            p.get("theta1", 0.38 + 0j), p.get("thetainf", 0.52 + 0j))
-        report = _generic_residuals(theta, p["sigma"], p["s"], p["r"], corrupt)
+        report = _generic_residuals(_theta_from(cfg), p["sigma"], p["s"],
+                                    p["r"], corrupt)
     else:
         report = _sse_residuals(_sse_params(cfg), p["r"], corrupt)
     rows = [(name, value) for name, value in report.items()]
@@ -531,12 +516,6 @@ def _selftest_series(cfg: RunConfig):
 
 # ---------------------------------------------------------------------------
 # ode
-
-
-def _theta_from(cfg: RunConfig) -> ThetaVI:
-    p = cfg.params
-    return ThetaVI(p.get("theta0", 0.31 + 0j), p.get("thetat", 0.27 + 0j),
-                   p.get("theta1", 0.38 + 0j), p.get("thetainf", 0.52 + 0j))
 
 
 def _trajectory_rows(traj):
@@ -696,36 +675,22 @@ def cmd_bulk(cfg: RunConfig) -> int:
     xs = cfg.grid_values()
     exp = bulk_series(p)
     x0 = xs[0]
-    seed = seed_bulk(p, exp, x0)
     kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
     # the reconstruction integrates u/y by the trapezoid rule over the
     # accepted nodes, so cap the step well below what the flow tolerance
     # alone would allow
-    traj = integrate(kind, seed, xs[1:] if len(xs) > 1 else [x0],
-                     tol=1e-10, max_step=0.004)
-    v = kind.params
-    slope = -(v.v3 + v.v4) / 2
-    intercept = (v.v3 + v.v4) ** 2 / 2 - (v.v1 - v.v2) * (v.v3 - v.v4) / 2
-    anchor = exp.evaluate(x0)
-    recon = [(complex(x0), anchor)]
-    log_a = cmath.log(anchor)
-    prev_t, prev_f = None, None
-    for t, (z, _dz) in zip(traj.path, traj.values):
-        t = complex(t)
-        f = (z + slope * t + intercept) / t
-        if prev_t is not None:
-            log_a += 0.5 * (f + prev_f) * (t - prev_t)
-            recon.append((t, cmath.exp(log_a)))
-        prev_t, prev_f = t, f
+    traj = integrate(kind, seed_bulk(p, exp, x0),
+                     xs[1:] if len(xs) > 1 else [x0], tol=1e-10,
+                     max_step=0.004)
+    # segment ends land exactly on the requested nodes
+    a_ode = dict(tau_reconstruct(traj, kind, (x0, exp.evaluate(x0))))
     rows = []
     for x in xs:
-        # segment ends land exactly on the requested nodes
-        a_ode = min(recon, key=lambda tv: abs(tv[0] - x))[1]
         a_series = exp.evaluate(x)
         r = bulk_limit_an(x, p, dims)
-        rows.append((x, a_ode.real, a_ode.imag, a_series.real,
+        rows.append((x, a_ode[x].real, a_ode[x].imag, a_series.real,
                      a_series.imag, r.extrapolant.real, r.extrapolant.imag,
-                     abs(a_ode - r.extrapolant),
+                     abs(a_ode[x] - r.extrapolant),
                      abs(a_series - r.extrapolant)))
     _emit_table(cfg, ("x", "ode_re", "ode_im", "series_re", "series_im",
                       "toeplitz_limit_re", "toeplitz_limit_im",
@@ -772,10 +737,9 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
 
 
 def _selftest_asymptotics(cfg: RunConfig):
-    t = 3.0
-    e = fredholm_sine(FredholmSpec(t, 1.0, m=120))
-    ratio = e / (t ** -0.25 * math.exp(-t * t / 2))
-    yield "gap constant within 1%", abs(ratio / GAP_E_CONSTANT - 1) <= 0.01
+    e = fredholm_sine(FredholmSpec(3.0, 1.0, m=120))
+    ratio = e / gap_asymptotics(3.0, 1.0).gap_probability
+    yield "gap constant within 1%", abs(ratio - 1) <= 0.01
     pred = gap_asymptotics(2.5, 1.0).log_derivative
     _, l1, _, _ = fredholm_log_derivatives(2.5, 1.0)
     yield "logderiv series at t=2.5", abs(pred - (2.5 * l1).real) <= 2e-3

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 __all__ = [
     "GammaPoleError",
     "GammaRatio",
+    "INPUT_INTEGER_TOL",
+    "COMPUTED_INTEGER_TOL",
+    "near_integer",
     "ln_gamma",
     "gamma_ratio",
     "sin_pi",
@@ -40,7 +43,22 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
-_POLE_TOL = 1e-12
+INPUT_INTEGER_TOL = 1e-12
+COMPUTED_INTEGER_TOL = 1e-9
+
+
+def near_integer(z: complex, step: float = 1.0,
+                 tol: float = INPUT_INTEGER_TOL) -> bool:
+    """Whether |Im z| <= tol and Re z is within tol of step * round(Re z / step).
+
+    The one near-integer policy: INPUT_INTEGER_TOL for exponents given as
+    input and gamma arguments shifted from them; COMPUTED_INTEGER_TOL for
+    quantities computed through roots and logarithms, whose error near an
+    integer is of order sqrt(eps), e.g. l = log(w + sqrt(w^2 - 1)) / (pi i).
+    """
+    z = complex(z)
+    return (abs(z.imag) <= tol
+            and abs(z.real / step - round(z.real / step)) * step <= tol)
 
 
 class GammaPoleError(ValueError):
@@ -54,12 +72,10 @@ class GammaPoleError(ValueError):
 def _near_nonpositive_integer(z: complex) -> int | None:
     """Return the pole index n >= 0 with z ~ -n, or None."""
     z = complex(z)
-    if abs(z.imag) > _POLE_TOL:
+    if not near_integer(z):
         return None
     n = round(z.real)
-    if n > 0 or abs(z.real - n) > _POLE_TOL:
-        return None
-    return -n
+    return None if n > 0 else -n
 
 
 def _lanczos_right(z: complex) -> complex:

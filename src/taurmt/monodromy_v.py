@@ -18,9 +18,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .complexfn import GammaRatio, cos_pi, exp_pi_i, gamma_ratio, sin_pi
+from .complexfn import (
+    COMPUTED_INTEGER_TOL,
+    GammaRatio,
+    cos_pi,
+    exp_pi_i,
+    gamma_ratio,
+    near_integer,
+    sin_pi,
+)
 from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
-from .monodromy_vi import DegenerateParameterError, SSEParams
+from .monodromy_vi import SSEParams, _require_nonzero
 
 __all__ = [
     "NonGenericError",
@@ -42,7 +50,6 @@ __all__ = [
     "s_from_s_hat_v",
 ]
 
-_DEGEN_TOL = 1e-12
 _CONSISTENCY_TOL = 1e-10
 
 
@@ -71,8 +78,7 @@ class ThetaV:
 
     def theta_inf_integer(self) -> bool:
         """Flag for the non-generic case theta_inf in Z."""
-        t = self.theta_inf
-        return abs(t.imag) <= _DEGEN_TOL and abs(t.real - round(t.real)) <= _DEGEN_TOL
+        return near_integer(self.theta_inf)
 
 
 @dataclass(frozen=True)
@@ -157,12 +163,8 @@ def pv_matrices(theta: ThetaV, sigma: complex, s: complex, r: complex):
     s = complex(s)
     r = complex(r)
 
-    sin_sg = sin_pi(sigma)
-    if abs(sin_sg) < _DEGEN_TOL:
-        raise DegenerateParameterError("sin(pi sigma)", sin_sg)
-    rs = r * s
-    if abs(rs) < _DEGEN_TOL:
-        raise DegenerateParameterError("r*s", rs)
+    sin_sg = _require_nonzero("sin(pi sigma)", sin_pi(sigma))
+    rs = _require_nonzero("r*s", r * s)
 
     pref = 1.0 / (1j * sin_sg)
     m0_frame = Mat2(
@@ -185,9 +187,7 @@ def pv_matrices(theta: ThetaV, sigma: complex, s: complex, r: complex):
         exp_pi_i(-sigma / 2), r * sin_pi((thi + sigma) / 2),
         1 / r * exp_pi_i(sigma / 2), sin_pi((thi - sigma) / 2),
     )
-    d_det = det(d)
-    if abs(d_det) < _DEGEN_TOL:
-        raise DegenerateParameterError("det D", d_det)
+    _require_nonzero("det D", det(d))
     d_inv = inv(d)
     m0 = mul(d_inv, mul(m0_frame, d))
     m1 = mul(d_inv, mul(m1_frame, d))
@@ -203,9 +203,7 @@ def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
     """
     thi = theta.theta_inf
     sigma = complex(sigma)
-    r = complex(r)
-    if abs(r) < _DEGEN_TOL:
-        raise DegenerateParameterError("r", r)
+    r = _require_nonzero("r", r)
     inv_g1 = gamma_ratio(GammaRatio((), (1 - (sigma - thi) / 2, (sigma + thi) / 2)))
     inv_g2 = gamma_ratio(GammaRatio((), (1 - (sigma + thi) / 2, (sigma - thi) / 2)))
     s1 = -2j * math.pi / r * inv_g1
@@ -296,10 +294,6 @@ class LimitIIResult:
         }
 
 
-def _is_int(z: complex) -> bool:
-    return abs(z.imag) <= 1e-9 and abs(z.real - round(z.real)) <= 1e-9
-
-
 def _eigenvector(m: Mat2, lam: complex):
     """Nullspace direction of (m - lam I), picked from the stabler row."""
     a, b = m.a11 - lam, m.a12
@@ -362,11 +356,12 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
     if not take_first:
         l = -l
 
-    if _is_int(l):
+    if near_integer(l, tol=COMPUTED_INTEGER_TOL):
         raise NonGenericError(f"l = {l} is an integer; the limit is non-generic")
     alpha = -(theta_inf_v - l) / 2
     beta = -(theta_inf_v + l) / 2
-    if _is_int(alpha) or _is_int(beta):
+    if (near_integer(alpha, tol=COMPUTED_INTEGER_TOL)
+            or near_integer(beta, tol=COMPUTED_INTEGER_TOL)):
         raise NonGenericError(f"alpha = {alpha} or beta = {beta} is an integer")
 
     s_hat0 = 2j * math.pi * gamma_ratio(GammaRatio((), (1 - alpha, 1 - beta)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .complexfn import GammaRatio, cos_pi, exp_pi_i, gamma_ratio, sin_pi
+from .complexfn import GammaRatio, cos_pi, exp_pi_i, gamma_ratio, near_integer, sin_pi
 from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _DEGEN_TOL = 1e-12
-_INT_TOL = 1e-12
 
 
 class DegenerateParameterError(ValueError):
@@ -53,11 +52,6 @@ def _require_nonzero(name: str, value: complex) -> complex:
     if abs(value) < _DEGEN_TOL:
         raise DegenerateParameterError(name, value)
     return value
-
-
-def _is_near_integer(z: complex, step: float = 1.0) -> bool:
-    z = complex(z)
-    return abs(z.imag) <= _INT_TOL and abs(z.real / step - round(z.real / step)) * step <= _INT_TOL
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ def check_generic(theta: ThetaVI, sigma_0t: complex) -> GenericityReport:
     sigma_0t = complex(sigma_0t)
     violations = []
     for name, value in zip(("theta0", "theta_t", "theta1", "theta_inf"), theta.as_tuple()):
-        if _is_near_integer(value):
+        if near_integer(value):
             violations.append(f"(a) {name} = {value} is an integer")
     if not (0.0 < sigma_0t.real < 1.0):
         violations.append(f"(b) Re(sigma_0t) = {sigma_0t.real} outside (0, 1)")
@@ -102,7 +96,7 @@ def check_generic(theta: ThetaVI, sigma_0t: complex) -> GenericityReport:
         for s1 in (1, -1):
             for s2 in (1, -1):
                 combo = base + s1 * other + s2 * sigma_0t
-                if _is_near_integer(combo, step=2.0):
+                if near_integer(combo, step=2.0):
                     violations.append(
                         f"(c) {label} resonance: {base} {'+' if s1 > 0 else '-'} "
                         f"{other} {'+' if s2 > 0 else '-'} sigma in 2Z (value {combo})"
@@ -188,9 +182,22 @@ class MonodromyMatricesVI:
     m_inf: Mat2
     d: Mat2
 
+    def cyclic_residual(self) -> float:
+        """max |Minf M1 Mt M0 - I| over the entries."""
+        return max_diff(mul(self.m_inf, mul(self.m1, mul(self.mt, self.m0))), IDENTITY)
+
+    def trace_coordinates(self) -> tuple:
+        """(p0, pt, p1, p_inf, p0t, pt1, p01) as manifold_residual takes them."""
+        m0, mt, m1 = self.m0, self.mt, self.m1
+        return (tr(m0), tr(mt), tr(m1), tr(self.m_inf),
+                tr(mul(mt, m0)), tr(mul(m1, mt)), tr(mul(m1, m0)))
+
+    def manifold(self) -> complex:
+        """manifold_residual of these matrices' trace coordinates."""
+        return manifold_residual(*self.trace_coordinates())
+
     def residuals(self, theta: ThetaVI) -> dict:
         """Deviations from the defining identities (all should be ~0)."""
-        cyc = mul(self.m_inf, mul(self.m1, mul(self.mt, self.m0)))
         dets = {
             "det_m0": abs(det(self.m0) - 1.0),
             "det_mt": abs(det(self.mt) - 1.0),
@@ -203,7 +210,7 @@ class MonodromyMatricesVI:
             "tr_m1": abs(tr(self.m1) - 2 * cos_pi(theta.theta1)),
             "tr_m_inf": abs(tr(self.m_inf) - 2 * cos_pi(theta.theta_inf)),
         }
-        return {"cyclic": max_diff(cyc, IDENTITY), **dets, **traces}
+        return {"cyclic": self.cyclic_residual(), **dets, **traces}
 
 
 def pvi_matrices(data: MonodromyDataVI) -> MonodromyMatricesVI:

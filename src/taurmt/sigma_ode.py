@@ -41,10 +41,10 @@ from .monodromy_vi import SSEParams, ThetaVI
 from .tau_series import (
     BoundaryExpansion,
     BulkParams,
+    SigmaMap,
     TauSeries,
-    h_to_u,
-    sigma_from_logderiv_v,
-    sigma_from_logderiv_vi,
+    bulk_okamoto_params,
+    sigma_map,
 )
 
 __all__ = [
@@ -499,65 +499,49 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
                            reprojected=reprojected, min_step=min_step)
 
 
-def _cumulative_trapezoid(ts, fs):
-    acc = 0j
-    out = [0j]
-    for i in range(1, len(ts)):
-        acc += (fs[i - 1] + fs[i]) / 2 * (ts[i] - ts[i - 1])
-        out.append(acc)
-    return out
-
-
 def tau_reconstruct(trajectory: SigmaTrajectory, kind: OdeKind,
-                    anchor_value: complex = 1.0) -> list:
-    """Rebuild the tau-like function along the trajectory by log-integration.
+                    anchor: tuple) -> list:
+    """Rebuild tau along the trajectory by log-integration from anchor.
 
-    For jmo_pv the integrand is u(y)/y with u recovered from h by the affine
-    bulk shift, anchored at y = 0 where u must vanish (the average is 1
-    there); the root parameters must be ordered as bulk_okamoto_params emits
-    them, mu-pair first. For the sixth and fifth forms the integrand is the
-    tau log-derivative recovered by inverting the affine sigma map, anchored
-    at the first node with value anchor_value.
+    anchor is (point, value) with tau(point) = value. The integrand is the
+    log-derivative recovered from each node by the sigma map of kind's
+    family (tau_series.sigma_map), summed by the trapezoid rule onto
+    log(value) and exponentiated node by node. point is the trajectory's
+    first node, or, for jmo_pv, the origin: there u = y d/dy log tau must
+    vanish (the average is 1 at y = 0), and the integrand u/y takes its
+    limit u'(0), estimated at the first node. Returns (t, tau) pairs from
+    the anchor on.
     """
-    anchor_value = complex(anchor_value)
+    point, value = complex(anchor[0]), complex(anchor[1])
+    amap = sigma_map(kind.params)
     ts = [complex(t) for t in trajectory.path]
-    if kind.name == "jmo_pv":
-        v = kind.params
-        mu = (v.v1 - v.v2) / 2
-        half_sum = v.v3 + v.v4  # equals i omega2
-        om1 = (v.v3 - v.v4) / 2
-        slope = -half_sum / 2
-        intercept = half_sum ** 2 / 2 - 2 * mu * om1
-        us = [z + slope * t + intercept
-              for t, (z, _) in zip(ts, trajectory.values)]
-        du0 = trajectory.values[0][1] + slope
+    scaled = [amap.from_sigma(t, z) for t, (z, _) in zip(ts, trajectory.values)]
+    fs = [w / amap.scale(t) for t, w in zip(ts, scaled)]
+    if point == 0 and kind.name == "jmo_pv":
+        du0 = trajectory.values[0][1] - amap.slope
         # Linear extrapolation of u back to 0; for an integrable anchor it
         # vanishes up to the curvature of u over the first node, so this is a
         # coarse relative guard against u(0) != 0, not a precision check.
-        u_at_zero = us[0] - ts[0] * du0
-        if abs(u_at_zero) > 0.05 * max(abs(us[0]), abs(ts[0] * du0)):
+        u_at_zero = scaled[0] - ts[0] * du0
+        if abs(u_at_zero) > 0.05 * max(abs(scaled[0]), abs(ts[0] * du0)):
             raise NonIntegrableAnchorError(
                 f"u(0) ~ {u_at_zero} != 0: integrand u/y is not integrable "
                 "at the anchor")
-        # integrand at the anchor is the limit u'(0), estimated at the first node
-        fs = [du0] + [u / t for u, t in zip(us, ts)]
-        cum = _cumulative_trapezoid([0j] + ts, fs)
-        return [(0j, anchor_value)] + [
-            (t, anchor_value * cmath.exp(c)) for t, c in zip(ts, cum[1:])]
+        ts, fs = [point] + ts, [du0] + fs
+    elif point != ts[0]:
+        raise ValueError(f"anchor point {point} is neither the first node "
+                         f"{ts[0]} nor, for jmo_pv, the origin")
+    out = [(point, value)]
+    log_a = cmath.log(value)
+    for i in range(1, len(ts)):
+        log_a += 0.5 * (fs[i] + fs[i - 1]) * (ts[i] - ts[i - 1])
+        out.append((ts[i], cmath.exp(log_a)))
+    return out
 
-    if kind.name == "pvi_sf":
-        th0, tht, th1, thi = kind.params.as_tuple()
-        def dlog(t, z):
-            return ((z - (tht ** 2 - thi ** 2) / 4 * t
-                     + (tht ** 2 + th0 ** 2 - thi ** 2 - th1 ** 2) / 8)
-                    / (t * (t - 1)))
-    else:
-        th0, th1, thi = kind.params.as_tuple()
-        def dlog(t, z):
-            return (z - (th0 + thi) / 2 * t - ((th0 + thi) ** 2 - th1 ** 2) / 4) / t
-    fs = [dlog(t, z) for t, (z, _) in zip(ts, trajectory.values)]
-    cum = _cumulative_trapezoid(ts, fs)
-    return [(t, anchor_value * cmath.exp(c)) for t, c in zip(ts, cum)]
+
+def _seed(amap: SigmaMap, expansion: BoundaryExpansion, t: complex) -> OdeSeed:
+    t = complex(t)
+    return OdeSeed(t, *amap.jet(t, *expansion.log_derivatives(t, 3)))
 
 
 def seed_vi(theta: ThetaVI, expansion: BoundaryExpansion, t: complex) -> OdeSeed:
@@ -567,34 +551,16 @@ def seed_vi(theta: ThetaVI, expansion: BoundaryExpansion, t: complex) -> OdeSeed
     in; for an expansion about the other fixed singularity the caller works
     in the flipped frame throughout.
     """
-    t = complex(t)
-    l1, l2, l3 = expansion.log_derivatives(t, 3)
-    tht, thi = theta.theta_t, theta.theta_inf
-    quarter = (tht ** 2 - thi ** 2) / 4
-    zeta = sigma_from_logderiv_vi(t, l1, theta)
-    dzeta = (2 * t - 1) * l1 + t * (t - 1) * l2 + quarter
-    curv = 2 * l1 + 2 * (2 * t - 1) * l2 + t * (t - 1) * l3
-    return OdeSeed(t, zeta, dzeta, curv)
+    return _seed(sigma_map(theta), expansion, t)
 
 
 def seed_v(theta: ThetaV, expansion: BoundaryExpansion, t: complex) -> OdeSeed:
-    t = complex(t)
-    l1, l2, l3 = expansion.log_derivatives(t, 3)
-    half = (theta.theta0 + theta.theta_inf) / 2
-    zeta = sigma_from_logderiv_v(t, l1, theta)
-    dzeta = l1 + t * l2 + half
-    curv = 2 * l2 + t * l3
-    return OdeSeed(t, zeta, dzeta, curv)
+    return _seed(sigma_map(theta), expansion, t)
 
 
 def seed_bulk(p: SSEParams, expansion: BoundaryExpansion, x: complex) -> OdeSeed:
     """Seed the alternative fifth form from the bulk expansion at x."""
-    x = complex(x)
-    l1, l2, l3 = expansion.log_derivatives(x, 3)
-    intercept = h_to_u(0.0, 0.0, p)
-    slope = h_to_u(1.0, 0.0, p) - intercept
-    u, du = x * l1, l1 + x * l2
-    return OdeSeed(x, u - slope * x - intercept, du - slope, 2 * l2 + x * l3)
+    return _seed(sigma_map(bulk_okamoto_params(p)), expansion, x)
 
 
 def suggest_seed_radius(series: TauSeries, target: float = 1e-10) -> float:

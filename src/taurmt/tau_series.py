@@ -7,23 +7,37 @@ expansions of the spectrum-singularity average, the affine maps from
 log-derivatives of tau to the sigma-functions, and the large-gap asymptotic
 forms. Series objects evaluate on the principal branch and know their own
 remainder order so integration routines can pick seed points responsibly.
+
+Each family's tau <-> sigma map (sixth, fifth and bulk) lives here and
+nowhere else, as the SigmaMap that sigma_map builds; the seeds and the tau
+reconstruction of sigma_ode, and through them the CLI, use it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
-from .complexfn import GammaRatio, barnes_prefactor, exp_pi_i, gamma_ratio, sin_pi
+from .complexfn import (
+    COMPUTED_INTEGER_TOL,
+    GammaRatio,
+    barnes_prefactor,
+    exp_pi_i,
+    gamma_ratio,
+    near_integer,
+    sin_pi,
+)
 from .monodromy_v import ThetaV
-from .monodromy_vi import DegenerateParameterError, SSEParams, ThetaVI
+from .monodromy_vi import DegenerateParameterError, SSEParams, ThetaVI, _require_nonzero
 
 __all__ = [
     "TauSeries",
     "BoundaryExpansion",
     "BulkParams",
+    "SigmaMap",
     "GapAsymptotics",
     "ZETA_PRIME_MINUS_ONE",
     "GAP_E_CONSTANT",
@@ -31,8 +45,7 @@ __all__ = [
     "an_series",
     "bulk_series",
     "pv_tau_series",
-    "sigma_from_logderiv_vi",
-    "sigma_from_logderiv_v",
+    "sigma_map",
     "bulk_okamoto_params",
     "h_to_u",
     "u_to_h",
@@ -45,12 +58,10 @@ __all__ = [
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
 GAP_E_CONSTANT = math.exp(3 * ZETA_PRIME_MINUS_ONE + math.log(2.0) / 12.0)
 
-_INT_TOL = 1e-12
-
 
 def _cpow(w: complex, e: complex) -> complex:
     """w**e on the principal branch, with exact integer exponents."""
-    if abs(e.imag) <= _INT_TOL and abs(e.real - round(e.real)) <= _INT_TOL:
+    if near_integer(e):
         return complex(w) ** int(round(e.real))
     if w == 0:
         return 0.0 if e.real > 0 else complex("nan")
@@ -148,8 +159,7 @@ class BoundaryExpansion:
 def _require_nondegenerate_sigma(sigma: complex) -> complex:
     sigma = complex(sigma)
     for label, value in (("sigma", sigma), ("1+sigma", 1 + sigma), ("1-sigma", 1 - sigma)):
-        if abs(value) < 1e-12:
-            raise DegenerateParameterError(label, value)
+        _require_nonzero(label, value)
     return sigma
 
 
@@ -182,10 +192,6 @@ def pvi_tau_series(theta: ThetaVI, sigma: complex, s_hat: complex) -> BoundaryEx
     return BoundaryExpansion(series=series, prefactor_exponent=prefactor)
 
 
-def _sigma_is_integer(sigma: complex) -> bool:
-    return abs(sigma.imag) <= 1e-9 and abs(sigma.real - round(sigma.real)) <= 1e-9
-
-
 def _xi_bracket(p: SSEParams) -> complex:
     """The weight-dependent combination entering every branch coefficient."""
     return (p.xi_star * exp_pi_i(-(p.mu - p.omega_bar)) / 2j
@@ -202,7 +208,7 @@ def an_series(p: SSEParams) -> BoundaryExpansion:
     if p.N < 1:
         raise DegenerateParameterError("N", p.N)
     sg = p.sigma
-    if _sigma_is_integer(sg):
+    if near_integer(sg, tol=COMPUTED_INTEGER_TOL):
         raise DegenerateParameterError("2 mu + 2 omega1", sg)
     if sg.real <= 0:
         raise DegenerateParameterError("Re(2 mu + 2 omega1)", sg)
@@ -266,17 +272,17 @@ def pv_tau_series(theta: ThetaV, sigma: complex, s_hat: complex) -> BoundaryExpa
         raise DegenerateParameterError("s_hat", s_hat)
     th0, th1, thi = theta.as_tuple()
     for name, value in (("theta0", th0), ("theta1", th1)):
-        if abs(value.imag) <= 1e-9 and abs(value.real - round(value.real)) <= 1e-9:
+        if near_integer(value, tol=COMPUTED_INTEGER_TOL):
             raise DegenerateParameterError(name + " integer", value)
-    for pm1 in (1, -1):
-        for pm2 in (1, -1):
-            combo = th1 + pm1 * th0 + pm2 * sigma
-            if abs(combo.imag) <= 1e-9 and abs(combo.real / 2 - round(combo.real / 2)) <= 1e-9:
-                raise DegenerateParameterError("theta1 +/- theta0 +/- sigma resonance", combo)
-    for pm in (1, -1):
-        combo = thi + pm * sigma
-        if abs(combo.imag) <= 1e-9 and abs(combo.real / 2 - round(combo.real / 2)) <= 1e-9:
-            raise DegenerateParameterError("theta_inf +/- sigma resonance", combo)
+    # a resonance puts combo in 2Z; its real part is compared in units of
+    # combo / 2, so it is flagged within 2 * COMPUTED_INTEGER_TOL of an even
+    # integer and its imaginary part within COMPUTED_INTEGER_TOL of zero
+    combos = [("theta1 +/- theta0 +/- sigma resonance", th1 + pm1 * th0 + pm2 * sigma)
+              for pm1 in (1, -1) for pm2 in (1, -1)]
+    combos += [("theta_inf +/- sigma resonance", thi + pm * sigma) for pm in (1, -1)]
+    for label, combo in combos:
+        if near_integer(complex(combo.real / 2, combo.imag), tol=COMPUTED_INTEGER_TOL):
+            raise DegenerateParameterError(label, combo)
 
     c1 = -thi * (th1 ** 2 - th0 ** 2 + sigma ** 2) / (4 * sigma ** 2)
     c_plus = (-s_hat * (thi - sigma) * (th0 ** 2 - (th1 - sigma) ** 2)
@@ -291,22 +297,6 @@ def pv_tau_series(theta: ThetaV, sigma: complex, s_hat: complex) -> BoundaryExpa
     return BoundaryExpansion(series=series, prefactor_exponent=(sigma ** 2 - thi ** 2) / 4)
 
 
-def sigma_from_logderiv_vi(t: complex, dlog_tau: complex, theta: ThetaVI) -> complex:
-    """Affine map from d/dt log tau to the sixth-system sigma-function."""
-    th0, tht, th1, thi = theta.as_tuple()
-    return (t * (t - 1) * dlog_tau
-            + (tht ** 2 - thi ** 2) / 4 * t
-            - (tht ** 2 + th0 ** 2 - thi ** 2 - th1 ** 2) / 8)
-
-
-def sigma_from_logderiv_v(t: complex, dlog_tau: complex, theta: ThetaV) -> complex:
-    """Affine map from d/dt log tau to the fifth-system sigma-function."""
-    th0, th1, thi = theta.as_tuple()
-    return (t * dlog_tau
-            + (th0 + thi) / 2 * t
-            + ((th0 + thi) ** 2 - th1 ** 2) / 4)
-
-
 @dataclass(frozen=True)
 class BulkParams:
     """Okamoto-style root parameters of the alternative fifth sigma-form."""
@@ -319,11 +309,75 @@ class BulkParams:
     def __post_init__(self):
         for name in ("v1", "v2", "v3", "v4"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.v1 + self.v2 + self.v3 + self.v4 != 0:
-            raise ValueError("Okamoto parameters must sum to zero exactly")
+        # forming the roots from complex (mu, omega2) and summing them leaves
+        # at most 1.5 eps * max|v_i| (2e5 draws); allow 8
+        total = abs(self.v1 + self.v2 + self.v3 + self.v4)
+        if not total <= 8 * sys.float_info.epsilon * max(map(abs, self.as_tuple())):
+            raise ValueError(f"Okamoto parameters must sum to zero, got |sum| = {total!r}")
 
     def as_tuple(self):
         return (self.v1, self.v2, self.v3, self.v4)
+
+
+@dataclass(frozen=True)
+class SigmaMap:
+    """One family's affine map between tau and its sigma-function,
+
+        sigma(t) = scale(t) * d/dt log tau(t) + slope * t + intercept,
+
+    scale(t) = t (t - 1) for the sixth family (sixth=True), t for the fifth
+    and the bulk ones. sigma_map builds it.
+    """
+
+    slope: complex
+    intercept: complex
+    sixth: bool = False
+
+    def scale(self, t: complex) -> complex:
+        return t * (t - 1) if self.sixth else t
+
+    def sigma(self, t: complex, dlog_tau: complex) -> complex:
+        return self.to_sigma(t, self.scale(t) * dlog_tau)
+
+    def to_sigma(self, t: complex, scaled: complex) -> complex:
+        """sigma from scaled = scale(t) * d/dt log tau."""
+        return scaled + self.slope * t + self.intercept
+
+    def from_sigma(self, t: complex, sigma: complex) -> complex:
+        """scale(t) * d/dt log tau from sigma."""
+        return sigma - self.slope * t - self.intercept
+
+    def jet(self, t: complex, l1: complex, l2: complex, l3: complex) -> tuple:
+        """(sigma, sigma', sigma'') at t from l_k = (d/dt)^k log tau."""
+        if self.sixth:
+            a, da = t * (t - 1), 2 * t - 1
+            return (self.to_sigma(t, a * l1), da * l1 + a * l2 + self.slope,
+                    2 * l1 + 2 * da * l2 + a * l3)
+        return (self.to_sigma(t, t * l1), l1 + t * l2 + self.slope,
+                2 * l2 + t * l3)
+
+
+def sigma_map(params) -> SigmaMap:
+    """The tau <-> sigma map of the family params belong to.
+
+    ThetaVI: the sixth-system sigma of Jimbo. ThetaV: the fifth-system one.
+    BulkParams, ordered as bulk_okamoto_params emits them (mu-pair first):
+    the bulk h(x) = x d/dx log tau + (i omega2 / 2) x + 2 mu omega1
+    + omega2^2 / 2 of Jimbo-Miwa-Mori-Sato.
+    """
+    if isinstance(params, ThetaVI):
+        th0, tht, th1, thi = params.as_tuple()
+        return SigmaMap((tht ** 2 - thi ** 2) / 4,
+                        -((tht ** 2 + th0 ** 2 - thi ** 2 - th1 ** 2) / 8),
+                        sixth=True)
+    if isinstance(params, ThetaV):
+        th0, th1, thi = params.as_tuple()
+        return SigmaMap((th0 + thi) / 2, ((th0 + thi) ** 2 - th1 ** 2) / 4)
+    if isinstance(params, BulkParams):
+        v1, v2, v3, v4 = params.as_tuple()
+        return SigmaMap((v3 + v4) / 2,
+                        (v1 - v2) * (v3 - v4) / 2 - (v3 + v4) ** 2 / 2)
+    raise TypeError(f"no sigma map for {type(params).__name__}")
 
 
 def bulk_okamoto_params(p: SSEParams) -> BulkParams:
@@ -333,19 +387,15 @@ def bulk_okamoto_params(p: SSEParams) -> BulkParams:
     return BulkParams(p.mu - half, -p.mu - half, p.omega1 + half, -p.omega1 + half)
 
 
-def _bulk_shift(x: complex, p: SSEParams) -> complex:
-    om, omb = p.omega, p.omega_bar
-    return (omb - om) / 4 * x + (om - omb) ** 2 / 8 - p.mu * (om + omb)
-
-
 def h_to_u(x: complex, h: complex, p: SSEParams) -> complex:
-    """Map the sigma-form solution h(x) to u(x), the scaled log-derivative."""
-    return complex(h) + _bulk_shift(complex(x), p)
+    """Map the sigma-form solution h(x) to u(x), the scaled log-derivative,
+    by sigma_map(bulk_okamoto_params(p))."""
+    return sigma_map(bulk_okamoto_params(p)).from_sigma(complex(x), complex(h))
 
 
 def u_to_h(x: complex, u: complex, p: SSEParams) -> complex:
     """Inverse of h_to_u at the same point."""
-    return complex(u) - _bulk_shift(complex(x), p)
+    return sigma_map(bulk_okamoto_params(p)).to_sigma(complex(x), complex(u))
 
 
 def zeta0_series(s: complex, p: SSEParams) -> complex:

@@ -113,3 +113,30 @@ def test_looser_tolerance_is_clamped(capsys):
     default = main(["ode", "--tol=1e-10"]), capsys.readouterr().out
     assert loose == default
     assert loose[0] == EXIT_OK
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["toeplitz", "--oracle", "--grid-count=2"], ["toeplitz", "--grid-count=2"]),
+    (["series", "--family=bulk", "--grid-count=2"], ["series", "--grid-count=2"]),
+])
+def test_consecutive_calls_share_no_flags(first, second, capsys):
+    before = main(second), capsys.readouterr().out
+    assert main(first) == EXIT_OK
+    capsys.readouterr()
+    assert (main(second), capsys.readouterr().out) == before
+    params = json.loads(before[1])["params"]
+    assert "oracle" not in params and "family" not in params
+
+
+@pytest.mark.parametrize("command", [["bulk", "--dims=8,16", "--grid-count=2"],
+                                     ["ode", "--family=bulk"]])
+def test_complex_weight_is_accepted(command, capsys):
+    # the roots of a complex (mu, omega2) do not sum to exactly 0
+    rows = _json_rows([*command, "--mu=0.14+0.147i", "--omega1=0.045",
+                       "--omega2=0.217"], capsys)
+    assert len(rows) >= 2
+    assert all(math.isfinite(v) for row in rows for v in row)

@@ -1,0 +1,74 @@
+"""Byte-exact regression of the CLI's stdout.
+
+golden/cli_*.out (and .csv) hold the stdout of every command at its
+defaults, of monodromy-check on both branches (SSE and generic theta, each
+also with a corrupted M0), of bulk at the sine-kernel gap point and at a
+complex weight, and of one CSV table. Every number is written through
+repr, so any change in the arithmetic behind a command shows here.
+
+Regenerate only for a deliberate numerical change, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from taurmt import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+GENERIC_THETA = ["--theta0=0.21", "--thetat=0.33", "--theta1=0.4",
+                 "--thetainf=0.17", "--sigma=0.45", "--s=0.8", "--r=1.3"]
+CASES = {
+    # file -> (argv, exit code)
+    "cli_monodromy_check.out": (["monodromy-check"], cli.EXIT_OK),
+    "cli_monodromy_check_corrupt.out": (
+        ["monodromy-check", "--corrupt-s=1.001"], cli.EXIT_VIOLATION),
+    "cli_monodromy_check_generic.out": (
+        ["monodromy-check", *GENERIC_THETA], cli.EXIT_OK),
+    "cli_monodromy_check_generic_corrupt.out": (
+        ["monodromy-check", *GENERIC_THETA, "--corrupt-s=0.999+0.002i"],
+        cli.EXIT_VIOLATION),
+    "cli_series.out": (["series"], cli.EXIT_OK),
+    "cli_ode.out": (["ode"], cli.EXIT_OK),
+    "cli_toeplitz.out": (["toeplitz"], cli.EXIT_OK),
+    "cli_fredholm.out": (["fredholm"], cli.EXIT_OK),
+    "cli_bulk.out": (["bulk"], cli.EXIT_OK),
+    "cli_asymptotics.out": (["asymptotics"], cli.EXIT_OK),
+    "cli_bulk_gap.out": (
+        ["bulk", "--mu=0", "--omega1=0", "--omega2=0"], cli.EXIT_OK),
+    "cli_series_bulk.csv": (
+        ["series", "--family=bulk", "--format=csv"], cli.EXIT_OK),
+    # complex (mu, omega2): the Okamoto roots sum to zero only to rounding
+    "cli_bulk_complex_weight.out": (
+        ["bulk", "--mu=0.14+0.147i", "--omega1=0.045", "--omega2=0.217",
+         "--dims=8,16", "--grid-count=2"], cli.EXIT_OK),
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    for fname, (argv, want) in CASES.items():
+        code, text = _run(argv)
+        assert code == want, (fname, code)
+        (GOLDEN / fname).write_text(text)
+
+
+@pytest.mark.parametrize("fname", sorted(CASES))
+def test_cli_stdout_is_byte_identical(fname):
+    argv, want = CASES[fname]
+    assert _run(argv) == (want, (GOLDEN / fname).read_text())
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -344,7 +344,7 @@ class TestTauReconstruct:
     def test_zero_solution_gives_anchor_everywhere(self):
         k = OdeKind.jmo_pv(V_ZERO)
         traj = integrate(k, (0.1, 0j, 0j), [0.1, 1.0], tol=1e-10)
-        rec = tau_reconstruct(traj, k, 2.0)
+        rec = tau_reconstruct(traj, k, (0, 2.0))
         assert rec[0] == (0j, 2.0 + 0j)
         assert all(a == 2.0 for _, a in rec)
 
@@ -352,7 +352,7 @@ class TestTauReconstruct:
         p0 = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
         k = OdeKind.jmo_pv(bulk_okamoto_params(p0))
         traj = integrate(k, (0.1, 0j, 0j), [0.1, 1.0], tol=1e-10)
-        rec = tau_reconstruct(traj, k, 1.0)
+        rec = tau_reconstruct(traj, k, (0, 1.0))
         assert all(a == 1.0 for _, a in rec)
 
     def test_bulk_reconstruction_matches_series(self):
@@ -360,16 +360,36 @@ class TestTauReconstruct:
         bexp = bulk_series(P_STD)
         sd = seed_bulk(P_STD, bexp, 0.005)
         traj = integrate(k, sd, [0.005, 0.12], tol=1e-10, max_step=0.002)
-        rec = tau_reconstruct(traj, k, 1.0)
+        rec = tau_reconstruct(traj, k, (0, 1.0))
         x, a = min(rec, key=lambda pair: abs(pair[0] - 0.05))
         assert abs(a - bexp.evaluate(x)) < 2e-4
+
+    def test_bulk_first_node_anchor(self):
+        k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
+        bexp = bulk_series(P_STD)
+        sd = seed_bulk(P_STD, bexp, 0.02)
+        traj = integrate(k, sd, [0.12], tol=1e-10, max_step=0.002)
+        anchor = (0.02, bexp.evaluate(0.02))
+        rec = tau_reconstruct(traj, k, anchor)
+        assert rec[0] == anchor
+        assert [t for t, _ in rec] == list(traj.path)
+        x, a = min(rec, key=lambda pair: abs(pair[0] - 0.05))
+        assert abs(a - bexp.evaluate(x)) < 2e-4
+
+    def test_anchor_off_the_trajectory_rejected(self):
+        k6 = OdeKind.pvi_sf(THETA6)
+        exp6 = _exp6()
+        traj = integrate(k6, seed_vi(THETA6, exp6, 0.01), [0.05], tol=1e-10)
+        for point in (0.03, 0.0):
+            with pytest.raises(ValueError, match="anchor point"):
+                tau_reconstruct(traj, k6, (point, 1.0))
 
     def test_sixth_reconstruction_consistent_with_series(self):
         k = OdeKind.pvi_sf(THETA6)
         exp6 = _exp6()
         sd = seed_vi(THETA6, exp6, 0.01)
         traj = integrate(k, sd, [0.01, 0.1], tol=1e-10, max_step=5e-4)
-        rec = tau_reconstruct(traj, k, exp6.evaluate(0.01))
+        rec = tau_reconstruct(traj, k, (0.01, exp6.evaluate(0.01)))
         t_end, a_end = rec[-1]
         assert t_end == traj.path[-1]
         assert abs(a_end - exp6.evaluate(0.1)) < 1.5e-3
@@ -379,7 +399,7 @@ class TestTauReconstruct:
         exp5 = _exp5()
         sd = seed_v(THETA5, exp5, 0.002)
         traj = integrate(k, sd, [0.002, 0.05], tol=1e-10, max_step=2e-4)
-        rec = tau_reconstruct(traj, k, exp5.evaluate(0.002))
+        rec = tau_reconstruct(traj, k, (0.002, exp5.evaluate(0.002)))
         a_end = rec[-1][1]
         ref = exp5.evaluate(0.05)
         assert abs(a_end - ref) / abs(ref) < 3e-3
@@ -391,7 +411,7 @@ class TestTauReconstruct:
         fake = SigmaTrajectory((0.1, 0.2), ((0.3 + 0j, 0j), (0.3 + 0j, 0j)),
                                (0j, 0j), (0.0, 0.0), 1e-10)
         with pytest.raises(NonIntegrableAnchorError):
-            tau_reconstruct(fake, k, 1.0)
+            tau_reconstruct(fake, k, (0, 1.0))
 
 
 class TestSeedHelpers:

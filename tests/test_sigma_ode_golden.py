@@ -125,6 +125,17 @@ def test_trajectory_is_bit_identical(name):
         assert got[field] == golden[field], field
 
 
+@pytest.mark.parametrize("name", ["pvi_sf_real", "pv_sf",
+                                  "jmo_pv_waypoints_max_step"])
+def test_series_seed_is_bit_identical(name):
+    """seed_vi, seed_v and seed_bulk, each through its family's sigma map,
+    still give the stored seeds."""
+    _, seed, _, _ = _cases()[name]
+    golden = json.loads(TRAJECTORIES.read_text())[name]["seed"]
+    assert [_hex(seed.t), _hex(seed.zeta), _hex(seed.dzeta),
+            _hex(seed.curvature)] == golden
+
+
 @pytest.mark.parametrize("fname", sorted(CLI_CASES))
 def test_cli_stdout_is_bit_identical(fname):
     assert _cli_stdout(CLI_CASES[fname]) == (GOLDEN / fname).read_text()

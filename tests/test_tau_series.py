@@ -29,8 +29,7 @@ from taurmt.tau_series import (
     h_to_u,
     pv_tau_series,
     pvi_tau_series,
-    sigma_from_logderiv_v,
-    sigma_from_logderiv_vi,
+    sigma_map,
     u_to_h,
     zeta0_series,
     zeta_truncated,
@@ -239,12 +238,12 @@ class TestSigmaMaps:
     def test_vi_constant_term(self):
         theta = ThetaVI(0.3, 0.4, 0.5, 0.6)
         expected = -(0.16 + 0.09 - 0.36 - 0.25) / 8
-        assert abs(sigma_from_logderiv_vi(0.0, 0.0, theta) - expected) < 1e-15
+        assert abs(sigma_map(theta).sigma(0.0, 0.0) - expected) < 1e-15
 
     def test_v_linear_slope(self):
         theta = ThetaV(0.3, 0.5, 0.7)
-        z0 = sigma_from_logderiv_v(0.0, 0.0, theta)
-        z1 = sigma_from_logderiv_v(1.0, 0.0, theta)
+        z0 = sigma_map(theta).sigma(0.0, 0.0)
+        z1 = sigma_map(theta).sigma(1.0, 0.0)
         assert abs((z1 - z0) - 0.5) < 1e-15
         assert abs(z0 - ((0.3 + 0.7) ** 2 - 0.25) / 4) < 1e-15
 
@@ -253,7 +252,7 @@ class TestSigmaMaps:
         t, d = 0.37, 1.2 - 0.4j
         expected = (t * (t - 1) * d + (0.16 - 0.36) / 4 * t
                     - (0.16 + 0.09 - 0.36 - 0.25) / 8)
-        assert abs(sigma_from_logderiv_vi(t, d, theta) - expected) < 1e-14
+        assert abs(sigma_map(theta).sigma(t, d) - expected) < 1e-14
 
 
 class TestBulkConversion:
@@ -265,6 +264,29 @@ class TestBulkConversion:
     def test_sum_constraint_enforced(self):
         with pytest.raises(ValueError):
             BulkParams(0.1, 0.2, 0.3, 0.1)
+        # far above rounding, though tiny
+        with pytest.raises(ValueError):
+            BulkParams(1.0, -1.0, 1e-14, 0.0)
+        with pytest.raises(ValueError):
+            BulkParams(float("nan"), 0.0, 0.0, 0.0)
+
+    def test_complex_weight_accepted_unchanged(self):
+        # the four roots of a complex (mu, omega2) sum to a few ulps, not to 0
+        p = SSEParams(N=2, mu=0.14 + 0.147j, omega1=0.045, omega2=0.217,
+                      xi_star=0.5)
+        half = 0.5j * p.omega2
+        v = bulk_okamoto_params(p)
+        assert v.v1 + v.v2 + v.v3 + v.v4 != 0
+        assert v.as_tuple() == (p.mu - half, -p.mu - half, p.omega1 + half,
+                                -p.omega1 + half)
+
+    def test_bulk_map_is_the_h_to_u_shift(self):
+        m = sigma_map(bulk_okamoto_params(P_STD))
+        assert m.slope == 0.15j
+        assert abs(m.intercept - (2 * 0.25 * 0.1 + 0.3 ** 2 / 2)) < 1e-16
+        x, h = 0.7 - 0.2j, 0.4 + 0.1j
+        assert h_to_u(x, h, P_STD) == m.from_sigma(x, h)
+        assert u_to_h(x, h, P_STD) == m.to_sigma(x, h)
 
     def test_trivial_at_zero_parameters(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
