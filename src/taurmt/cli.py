@@ -12,11 +12,16 @@ Exit codes: 0 success, 2 identity violation (monodromy-check or
 nonconvergence, 1 I/O failure. Every subcommand also accepts --selftest,
 which ignores the grid and runs that command's built-in property checks.
 
---tol (default 1e-10, finite and positive) means something different per
-command: monodromy-check reports every identity residual above it as a
-violation; ode integrates at min(tol, 1e-10) and toeplitz at
-min(tol, 1e-12), so a looser value is clamped without notice; series,
-fredholm, bulk and asymptotics ignore it and run at fixed accuracy.
+--tol must be finite and positive; each command that takes it has its own
+default and honours the value as given. monodromy-check reports every
+identity residual above it as a violation (default 1e-10). ode integrates
+the sigma-form flow at it (default 1e-10). toeplitz computes the Fourier
+coefficients to it as an absolute accuracy (default 1e-12). series,
+fredholm, bulk and asymptotics run at fixed accuracy and reject --tol as a
+usage error.
+
+--grid-path names the path the grid runs along: real for every command,
+and circle (t = e^{i g}, the default) for toeplitz as well.
 
 Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i.
@@ -102,21 +107,20 @@ EXIT_VIOLATION = 2
 EXIT_BAD_PARAMS = 3
 EXIT_NONCONVERGED = 4
 
-# command -> (default grid (start, end, count, path), what --tol does)
+# command -> (default grid (start, end, count), the grid paths it computes
+# on with its default first, and (--tol default, what --tol sets) or None
+# for a command that takes no --tol)
 _COMMANDS = {
-    "monodromy-check": ((0.0, 0.0, 1, "real"),
-                        "largest identity residual that passes"),
-    "series": ((0.9, 0.995, 20, "real"),
-               "ignored: the Toeplitz column runs at 1e-12"),
-    "ode": ((1e-3, 0.4, 2, "real"), "flow tolerance, clamped to at most 1e-10"),
-    "toeplitz": ((0.2, 3.0, 15, "circle"),
-                 "quadrature tolerance, clamped to at most 1e-12"),
-    "fredholm": ((0.1, 3.0, 30, "real"),
-                 "ignored: the node count sets the accuracy"),
-    "bulk": ((0.2, 0.8, 4, "real"),
-             "ignored: the flow runs at 1e-10, the Toeplitz limit at 1e-12"),
-    "asymptotics": ((2.0, 4.0, 5, "real"),
-                    "ignored: the node count sets the accuracy"),
+    "monodromy-check": ((0.0, 0.0, 1), ("real",),
+                        (1e-10, "the largest identity residual that passes")),
+    "series": ((0.9, 0.995, 20), ("real",), None),
+    "ode": ((1e-3, 0.4, 2), ("real",),
+            (1e-10, "the tolerance the flow is integrated at")),
+    "toeplitz": ((0.2, 3.0, 15), ("circle", "real"),
+                 (1e-12, "the absolute accuracy of the Fourier coefficients")),
+    "fredholm": ((0.1, 3.0, 30), ("real",), None),
+    "bulk": ((0.2, 0.8, 4), ("real",), None),
+    "asymptotics": ((2.0, 4.0, 5), ("real",), None),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -196,14 +200,14 @@ class RunConfig:
     """One resolved command invocation.
 
     params holds only the values the command will actually read, fully
-    converted; grid is (start, end, count, kind) or None for commands run
-    in selftest mode.
+    converted; grid is (start, end, count, path); tol is None for a command
+    that takes no --tol.
     """
 
     command: str
     params: dict
-    grid: tuple | None
-    tol: float
+    grid: tuple
+    tol: float | None
     fmt: str
     output: str | None
     selftest: bool = False
@@ -251,24 +255,24 @@ _COMMAND_FLAGS = {
     "dims": (("bulk",), str, {"help": "comma list of matrix dimensions"}),
 }
 
-_GRID_KINDS = ("real", "circle", "imag")
-
 
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="taurmt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, tol_help) in _COMMANDS.items():
+    for name, (_, paths, tol) in _COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
         for flag, (_, desc, _) in _PARAM_FLAGS.items():
             p.add_argument(f"--{flag}", default=None, help=desc)
         p.add_argument("--grid-start", default=None)
         p.add_argument("--grid-end", default=None)
         p.add_argument("--grid-count", default=None)
-        p.add_argument("--grid-path", default=None, choices=_GRID_KINDS)
-        p.add_argument("--tol", default=None,
-                       help=f"default 1e-10; {tol_help}")
+        p.add_argument("--grid-path", default=None,
+                       metavar="{" + ",".join(paths) + "}")
+        if tol is not None:
+            p.add_argument("--tol", default=None,
+                           help=f"{tol[1]} (default {tol[0]!r})")
         p.add_argument("--format", default=None, choices=("json", "csv"))
         p.add_argument("--output", default=None)
         p.add_argument("--config", default=None)
@@ -289,9 +293,12 @@ def _resolve(args) -> RunConfig:
         flag = key.replace("_", "-")
         if value is not None and flag not in ("command", "config"):
             raw[flag] = value
+    (g0, g1, cnt), paths, tol_spec = _COMMANDS[args.command]
     known = (set(_PARAM_FLAGS) | set(_COMMAND_FLAGS)
-             | {"grid-start", "grid-end", "grid-count", "grid-path", "tol",
+             | {"grid-start", "grid-end", "grid-count", "grid-path",
                 "format", "output", "selftest"})
+    if tol_spec is not None:
+        known.add("tol")
     for key in raw:
         if key not in known:
             raise UsageError(f"unknown configuration key {key!r}")
@@ -309,16 +316,20 @@ def _resolve(args) -> RunConfig:
         if extra in raw:
             params[extra] = conv(raw[extra])
 
-    (g0, g1, cnt, kind), _ = _COMMANDS[args.command]
     g0 = float(raw.get("grid-start", g0))
     g1 = float(raw.get("grid-end", g1))
     cnt = int(raw.get("grid-count", cnt))
-    kind = str(raw.get("grid-path", kind))
+    kind = str(raw.get("grid-path", paths[0]))
     if cnt < 1:
         raise UsageError("grid-count must be >= 1")
-    tol = float(raw.get("tol", 1e-10))
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"tol must be finite and positive, got {tol!r}")
+    if kind not in paths:
+        raise UsageError(f"{args.command} computes on grid-path "
+                         f"{' or '.join(paths)}, not {kind!r}")
+    tol = None
+    if tol_spec is not None:
+        tol = float(raw.get("tol", tol_spec[0]))
+        if not (math.isfinite(tol) and tol > 0):
+            raise UsageError(f"tol must be finite and positive, got {tol!r}")
     fmt = str(raw.get("format", "json"))
     if fmt not in ("json", "csv"):
         raise UsageError("format must be json or csv")
@@ -414,10 +425,11 @@ def _generic_residuals(theta: ThetaVI, sigma, s, r, corrupt) -> dict:
 
 
 def _sse_residuals(p: SSEParams, r, corrupt) -> dict:
-    mats = sse_monodromy(p, r).matrices
+    sse = sse_monodromy(p, r)
+    mats = sse.matrices
     _, cyclic, manifold = _corrupted(mats, corrupt)
     out = {"cyclic": cyclic,
-           "off_diagonal_relation": sse_offdiag_relation_residual(p, r),
+           "off_diagonal_relation": sse_offdiag_relation_residual(sse),
            "manifold": manifold}
 
     pv = sse_pv_matrices(p)
@@ -432,10 +444,9 @@ def _sse_residuals(p: SSEParams, r, corrupt) -> dict:
                              thv.theta_inf, mats.m_inf, mats.m1)
     for name, value in lt.residuals(mats.m0, mats.mt).items():
         out["limit_ii_" + name] = value
-    hat = pv.hatted
-    out["limit_ii_hat_m0"] = max_diff(lt.hat_m0v, hat[0])
-    out["limit_ii_hat_m1"] = max_diff(lt.hat_m1v, hat[1])
-    out["limit_ii_hat_m_inf"] = max_diff(lt.hat_m_inf_v(), hat[2])
+    out["limit_ii_hat_m0"] = max_diff(lt.hat_m0v, pv.data.hat_m0)
+    out["limit_ii_hat_m1"] = max_diff(lt.hat_m1v, pv.data.hat_m1)
+    out["limit_ii_hat_m_inf"] = max_diff(lt.hat_m_inf_v(), pv.data.hat_m_inf)
     return out
 
 
@@ -537,7 +548,7 @@ def cmd_ode(cfg: RunConfig) -> int:
         exp = bulk_series(p)
         seed = seed_bulk(p, exp, start)
         kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
-    traj = integrate(kind, seed, [end], tol=min(cfg.tol, 1e-10))
+    traj = integrate(kind, seed, [end], tol=cfg.tol)
     _emit_table(cfg, ("t_re", "t_im", "zeta_re", "zeta_im", "dzeta_re",
                       "dzeta_im", "residual"), _trajectory_rows(traj))
     return EXIT_OK
@@ -569,7 +580,7 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
         columns += ["oracle_re", "oracle_im", "rel_diff"]
     for g in cfg.grid_values():
         t = cmath.exp(1j * g) if kind == "circle" else complex(g)
-        v = toeplitz_an(p, t, tol=min(cfg.tol, 1e-12))
+        v = toeplitz_an(p, t, tol=cfg.tol)
         row = [t.real, t.imag, v.real, v.imag]
         if use_oracle:
             o = quad_oracle_an(p, t)

@@ -83,16 +83,14 @@ class ThetaV:
 
 @dataclass(frozen=True)
 class StokesData:
-    """Stokes multipliers in both conventions.
+    """Stokes multipliers, the same in both conventions.
 
-    The hatted multipliers coincide numerically with the unhatted ones (the
-    hat transform conjugates by a Stokes factor, which leaves the multipliers
-    alone); the matrices they decorate differ. s1 sits in the lower-left of
-    the first Stokes matrix, s2 in the upper-right of the second.
+    The hat transform conjugates by a Stokes factor, which leaves the
+    multipliers alone; only the matrices they decorate differ. s1 sits in
+    the lower-left of the first Stokes matrix, s2 in the upper-right of the
+    second.
     """
 
-    s_hat0: complex
-    s_hat1: complex
     s1: complex
     s2: complex
 
@@ -109,7 +107,7 @@ class StokesData:
 
     def constraint_residual(self, theta_inf: complex, sigma: complex) -> float:
         """Relative residual of the multiplier product constraint."""
-        lhs = self.s_hat0 * self.s_hat1 * exp_pi_i(-theta_inf)
+        lhs = self.s1 * self.s2 * exp_pi_i(-theta_inf)
         rhs = 4 * sin_pi((theta_inf + sigma) / 2) * sin_pi((theta_inf - sigma) / 2)
         return abs(lhs - rhs) / max(1.0, abs(rhs))
 
@@ -120,7 +118,6 @@ class MonodromyDataV:
 
     Both cyclic relations and the two-point trace identity are checked by
     residuals(); factories that promise a consistent set call validate().
-    Coefficient fields that a given construction does not determine are None.
     """
 
     theta: ThetaV
@@ -131,9 +128,6 @@ class MonodromyDataV:
     hat_m0: Mat2
     hat_m1: Mat2
     hat_m_inf: Mat2
-    s: complex | None = None
-    s_hat: complex | None = None
-    r: complex | None = None
 
     def residuals(self) -> dict:
         cyc_u = mul(self.m_inf, mul(self.m1, self.m0))
@@ -208,7 +202,7 @@ def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
     inv_g2 = gamma_ratio(GammaRatio((), (1 - (sigma + thi) / 2, (sigma - thi) / 2)))
     s1 = -2j * math.pi / r * inv_g1
     s2 = -exp_pi_i(thi) * 2j * math.pi * r * inv_g2
-    return StokesData(s_hat0=s1, s_hat1=s2, s1=s1, s2=s2)
+    return StokesData(s1=s1, s2=s2)
 
 
 def hat_transform(s1_matrix: Mat2, m0: Mat2, m1: Mat2, m_inf: Mat2):
@@ -270,8 +264,7 @@ class LimitIIResult:
 
     @property
     def stokes(self) -> StokesData:
-        return StokesData(s_hat0=self.s0_hat.a21, s_hat1=self.s1_hat.a12,
-                          s1=self.s0_hat.a21, s2=self.s1_hat.a12)
+        return StokesData(s1=self.s0_hat.a21, s2=self.s1_hat.a12)
 
     def hat_m_inf_v(self) -> Mat2:
         e_diag = Mat2.diag(exp_pi_i(self.theta_inf_v), exp_pi_i(-self.theta_inf_v))
@@ -419,10 +412,9 @@ def sse_theta_v(p: SSEParams) -> ThetaV:
 
 @dataclass(frozen=True)
 class SSEPVMatrices:
-    """Both explicit fifth-system matrix sets for the spectrum singularity."""
+    """Both explicit fifth-system matrix sets for the spectrum singularity,
+    held in data, and their Stokes multipliers."""
 
-    hatted: tuple  # (hat_m0, hat_m1, hat_m_inf)
-    unhatted: tuple  # (m0, m1, m_inf)
     stokes: StokesData
     data: MonodromyDataV
 
@@ -484,16 +476,15 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
         e(-(2 * mu - 2 * w1)),
     )
 
-    s_hat0 = 2j * math.pi * gamma_ratio(GammaRatio((), (1 - 2 * w1, 1 + 2 * mu)))
-    s_hat1 = -2j * math.pi * e(2 * mu - 2 * w1) * gamma_ratio(GammaRatio((), (2 * w1, -2 * mu)))
-    stokes = StokesData(s_hat0=s_hat0, s_hat1=s_hat1, s1=s_hat0, s2=s_hat1)
+    s1 = 2j * math.pi * gamma_ratio(GammaRatio((), (1 - 2 * w1, 1 + 2 * mu)))
+    s2 = -2j * math.pi * e(2 * mu - 2 * w1) * gamma_ratio(GammaRatio((), (2 * w1, -2 * mu)))
+    stokes = StokesData(s1=s1, s2=s2)
 
     theta = sse_theta_v(p)
     data = MonodromyDataV(
         theta=theta, sigma=2 * mu + 2 * w1,
         m0=m0, m1=m1, m_inf=m_inf,
         hat_m0=hat_m0, hat_m1=hat_m1, hat_m_inf=hat_m_inf,
-        r=-2 * mu,
     ).validate()
 
     # the two printed sets must be images of each other under the hat
@@ -504,7 +495,7 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
     if dev > _CONSISTENCY_TOL * max(1.0, max(m.norm_max() for m in ref)):
         raise InconsistentKError(f"printed matrix sets disagree under hat transform: {dev}")
 
-    return SSEPVMatrices(hatted=ref, unhatted=(m0, m1, m_inf), stokes=stokes, data=data)
+    return SSEPVMatrices(stokes=stokes, data=data)
 
 
 def beta0(mu: complex, omega1: complex, xi_star: complex) -> complex:

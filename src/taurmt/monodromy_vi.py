@@ -168,9 +168,6 @@ class MonodromyDataVI:
         s = 0.0 if degenerate_limit else s_from_s_hat_vi(theta, sigma_0t, s_hat)
         return cls(theta, sigma_0t, s, r, s_hat, s_degenerate_limit=degenerate_limit)
 
-    def genericity(self) -> GenericityReport:
-        return check_generic(self.theta, self.sigma_0t)
-
 
 @dataclass(frozen=True)
 class MonodromyMatricesVI:
@@ -363,12 +360,27 @@ class SSEParams:
     def sigma(self) -> complex:
         return 2 * self.mu + 2 * self.omega1
 
+    def branch_bracket(self) -> complex:
+        """The weight-dependent combination every branch coefficient carries,
+
+            sin 2 pi mu sin pi(mu + omega) / sin pi sigma
+            + xi* e^{-pi i (mu - omega_bar)} / 2i;
+
+        the boundary expansions' branch terms and the s_hat of sse_monodromy
+        are multiples of it.
+        """
+        return (self.xi_star * exp_pi_i(-(self.mu - self.omega_bar)) / 2j
+                + sin_pi(2 * self.mu) * sin_pi(self.mu + self.omega)
+                / sin_pi(self.sigma))
+
 
 @dataclass(frozen=True)
 class SSEMonodromyVI:
+    """The triangular monodromy matrices and their data; the off-diagonal
+    entries m0, mt, m1 are the matrices' a12."""
+
     matrices: MonodromyMatricesVI
     data: MonodromyDataVI
-    off_diagonals: tuple  # (m0, mt, m1) upper-right entries
 
 
 def sse_theta_vi(p: SSEParams) -> ThetaVI:
@@ -396,8 +408,7 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
     sin_2w1 = _require_nonzero("sin(2 pi omega1)", sin_pi(2 * p.omega1))
     sin_mo = _require_nonzero("sin(pi (mu + omega))", sin_pi(p.mu + p.omega))
 
-    s_hat = (sin_pi(2 * p.mu) * sin_mo / sin_sg
-             + p.xi_star * exp_pi_i(-(p.mu - p.omega_bar)) / 2j) / (sin_2w1 * sin_mo)
+    s_hat = p.branch_bracket() / (sin_2w1 * sin_mo)
     _require_nonzero("s_hat", s_hat)
 
     # all three entries scale linearly in r: the whole family over r is one
@@ -418,18 +429,17 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
 
     matrices = MonodromyMatricesVI(m0=mat0, mt=matt, m1=mat1, m_inf=mat_inf, d=IDENTITY)
     data = MonodromyDataVI.from_s_hat(theta, sg, s_hat, r, degenerate_limit=True)
-    return SSEMonodromyVI(matrices=matrices, data=data, off_diagonals=(m0, mt, m1))
+    return SSEMonodromyVI(matrices=matrices, data=data)
 
 
-def sse_offdiag_relation_residual(p: SSEParams, r: complex) -> float:
+def sse_offdiag_relation_residual(res: SSEMonodromyVI) -> float:
     """Residual of the linear identity tying the three upper-right entries.
 
     e^{-pi i theta0} m0 + e^{-pi i theta_t} mt + e^{-pi i (theta0+theta_t-
     theta_inf)} m1 = 0 holds independently of s_hat.
     """
-    res = sse_monodromy(p, r)
     theta = res.data.theta
-    m0, mt, m1 = res.off_diagonals
+    m0, mt, m1 = (m.a12 for m in (res.matrices.m0, res.matrices.mt, res.matrices.m1))
     value = (exp_pi_i(-theta.theta0) * m0
              + exp_pi_i(-theta.theta_t) * mt
              + exp_pi_i(-(theta.theta0 + theta.theta_t - theta.theta_inf)) * m1)

@@ -27,9 +27,8 @@ distances, so precision survives where the integrand varies fastest.
 
 The phase factors e^{-ik theta} of a coefficient table come from running
 products, not one complex exponential per entry: z = e^{-i theta} is
-formed once per node and the columns fill outward from k = 0 (or from the
-one requested k) by multiplying with powers of z and 1/z, a block of m
-columns at a time. Rounding grows with |k| either way: the products
+formed once per node and the columns fill outward from k = 0 by
+multiplying with powers of z and 1/z, a block of m columns at a time. Rounding grows with |k| either way: the products
 compound the rounding of z, while exp(-ik theta) rounds its argument to
 |k theta| ulps. Against a 40-digit reference at 300 nodes and |k| <= 63,
 the error of a column sum is at most 3.5e-16 (products) against 6.6e-16
@@ -76,8 +75,6 @@ __all__ = [
     "WeightSpec",
     "FredholmSpec",
     "BulkLimitResult",
-    "weight_eval",
-    "fourier_coeff",
     "fourier_table",
     "toeplitz_an",
     "quad_oracle_an",
@@ -234,35 +231,6 @@ def _integrate_01(f, tol: float, max_level: int = 11, min_level: int = 4):
 # weight and Fourier coefficients
 
 
-def weight_eval(w: WeightSpec, theta: float) -> complex:
-    """Pointwise weight at a real angle theta in (-pi, pi].
-
-    Moduli raised to principal powers, times e^{omega_2 theta}, times
-    (1 - xi*) on the subtracted arc (pi - phi, pi). A probe for plots and
-    the direct oracle; the Fourier path below never calls it.
-    """
-    return complex(_weight_values(w, np.asarray([float(theta)]))[0])
-
-
-def _weight_values(w: WeightSpec, theta: np.ndarray) -> np.ndarray:
-    p = w.p
-    phi = w.phase()
-    base1 = np.abs(2.0 * np.cos(0.5 * theta))
-    alpha = theta + phi.real
-    alpha = np.where(alpha > math.pi, alpha - _TWO_PI, alpha)
-    if phi.imag == 0.0:
-        base2 = np.abs(2.0 * np.cos(0.5 * alpha))
-    else:
-        base2 = np.abs(1.0 + complex(w.t) * np.exp(1j * theta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = (p.omega2 * theta
-                + (2.0 * p.omega1) * np.log(base1)
-                + (2.0 * p.mu) * np.log(base2))
-        vals = np.exp(logw)
-    jump = (theta > math.pi - phi.real) & (theta < math.pi)
-    return np.where(jump, (1.0 - p.xi_star) * vals, vals + 0j)
-
-
 def _fill_powers(rows: np.ndarray, step: np.ndarray) -> None:
     """Set rows[k] = rows[0] * step**k in place, for every k >= 1.
 
@@ -281,18 +249,17 @@ def _phase_table(vals: np.ndarray, theta: np.ndarray,
                  ks: np.ndarray) -> np.ndarray:
     """vals[:, None] * exp(-1j * outer(theta, ks)) by running products.
 
-    ks must be consecutive integers. Only the column of the k0 nearest 0
-    takes a direct exponential (none when k0 = 0); the columns above and
-    below it follow as products with z = e^{-i theta} and 1/z, which is
-    conj(z) for real theta and e^{+i theta} on a complex leg. Returns a
-    (nodes, K) view of one preallocated array.
+    ks must be consecutive integers that include 0. The k = 0 column is
+    vals itself; the columns above and below it follow as products with
+    z = e^{-i theta} and 1/z, which is conj(z) for real theta and
+    e^{+i theta} on a complex leg. Returns a (nodes, K) view of one
+    preallocated array.
     """
     z = np.exp(-1j * theta)
     zinv = np.exp(1j * theta) if np.iscomplexobj(theta) else z.conj()
     j0 = int(np.argmin(np.abs(ks)))
-    k0 = float(ks[j0])
     table = np.empty((len(ks), len(theta)), dtype=complex)
-    table[j0] = vals if k0 == 0.0 else vals * np.exp(-1j * k0 * theta)
+    table[j0] = vals
     _fill_powers(table[j0:], z)
     _fill_powers(table[j0::-1], zinv)
     return table.T
@@ -372,9 +339,18 @@ def _leg_integrand(p: SSEParams, phi: complex, ks: np.ndarray):
     return f
 
 
-def _fourier_block(w: WeightSpec, ks: np.ndarray, tol: float):
-    """All requested coefficients in one pass. Returns (values, error)."""
-    ks = np.asarray(ks, dtype=float)
+def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12,
+                  return_error: bool = False):
+    """Coefficients c_k = (2 pi)^{-1} (int - xi* int_leg) w(theta) e^{-ik theta}
+    for k = -kmax .. kmax in a single quadrature pass.
+
+    Absolute accuracy tol, by panel-split tanh-sinh refinement; raises
+    QuadratureError (with the achieved error attached) if stalled. With
+    return_error, returns (values, error estimate).
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
     p = w.p
     phi = w.phase()
     xi = complex(p.xi_star)
@@ -392,29 +368,9 @@ def _fourier_block(w: WeightSpec, ks: np.ndarray, tol: float):
         vals, err = _integrate_01(f, inner / max(abs(scale), 1e-3))
         total = total + scale * vals
         achieved += abs(scale) * err
-    return total, achieved
-
-
-def fourier_coeff(w: WeightSpec, k: int, tol: float = 1e-12) -> complex:
-    """Coefficient (2 pi)^{-1} (int - xi* int_leg) w(theta) e^{-ik theta}.
-
-    Absolute accuracy tol, by panel-split tanh-sinh refinement; raises
-    QuadratureError (with the achieved error attached) if stalled.
-    """
-    vals, _ = _fourier_block(w, np.array([float(k)]), tol)
-    return complex(vals[0])
-
-
-def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12,
-                  return_error: bool = False):
-    """Coefficients for k = -kmax .. kmax in a single quadrature pass."""
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    ks = np.arange(-kmax, kmax + 1, dtype=float)
-    vals, err = _fourier_block(w, ks, tol)
     if return_error:
-        return vals, err
-    return vals
+        return total, achieved
+    return total
 
 
 # ---------------------------------------------------------------------------

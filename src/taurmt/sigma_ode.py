@@ -31,7 +31,6 @@ does not see.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -292,24 +291,6 @@ class SigmaTrajectory:
     @property
     def final(self) -> tuple:
         return (self.path[-1], *self.values[-1])
-
-    def to_csv(self, dest) -> None:
-        """Write nodes to dest (path string or writable file object)."""
-        close = False
-        if isinstance(dest, (str, bytes)):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            writer = csv.writer(dest)
-            writer.writerow(["t_re", "t_im", "zeta_re", "zeta_im",
-                             "dzeta_re", "dzeta_im", "residual"])
-            for t, (z, z1), res in zip(self.path, self.values, self.residuals):
-                writer.writerow([repr(t.real), repr(t.imag), repr(z.real),
-                                 repr(z.imag), repr(z1.real), repr(z1.imag),
-                                 repr(res)])
-        finally:
-            if close:
-                dest.close()
 
 
 def _segment_distance(a: complex, b: complex, p: complex) -> float:

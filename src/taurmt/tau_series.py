@@ -47,8 +47,6 @@ __all__ = [
     "pv_tau_series",
     "sigma_map",
     "bulk_okamoto_params",
-    "h_to_u",
-    "u_to_h",
     "zeta0_series",
     "zeta_truncated",
     "gap_asymptotics",
@@ -124,9 +122,6 @@ class BoundaryExpansion:
     prefactor_exponent: complex = 0.0
     normalization: complex | None = None
 
-    def bracket(self, w: complex) -> complex:
-        return self.series.evaluate(w)
-
     def evaluate(self, w: complex) -> complex:
         const = 1.0 if self.normalization is None else self.normalization
         return const * _cpow(w, self.prefactor_exponent) * self.series.evaluate(w)
@@ -192,12 +187,6 @@ def pvi_tau_series(theta: ThetaVI, sigma: complex, s_hat: complex) -> BoundaryEx
     return BoundaryExpansion(series=series, prefactor_exponent=prefactor)
 
 
-def _xi_bracket(p: SSEParams) -> complex:
-    """The weight-dependent combination entering every branch coefficient."""
-    return (p.xi_star * exp_pi_i(-(p.mu - p.omega_bar)) / 2j
-            + sin_pi(2 * p.mu) * sin_pi(p.mu + p.omega) / sin_pi(p.sigma))
-
-
 def an_series(p: SSEParams) -> BoundaryExpansion:
     """Expansion of the size-N spectrum-singularity average about t = 1.
 
@@ -220,7 +209,7 @@ def an_series(p: SSEParams) -> BoundaryExpansion:
                     1 + p.mu + p.omega_bar),
         denominators=(sg + 2, sg + 2, sg + 1, complex(p.N), -p.N - sg),
     )
-    c_branch = sign / sin_pi(sg) * _xi_bracket(p) * gamma_ratio(ratio)
+    c_branch = sign / sin_pi(sg) * p.branch_bracket() * gamma_ratio(ratio)
     series = TauSeries(
         anchor=1.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sg, c_branch)),
@@ -251,7 +240,7 @@ def bulk_series(p: SSEParams) -> BoundaryExpansion:
                     1 + p.mu + p.omega_bar),
         denominators=(sg + 2, sg + 2, sg + 1),
     )
-    c_branch = _xi_bracket(p) * gamma_ratio(ratio) / math.pi
+    c_branch = p.branch_bracket() * gamma_ratio(ratio) / math.pi
     series = TauSeries(
         anchor=0.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sg, c_branch)),
@@ -387,17 +376,6 @@ def bulk_okamoto_params(p: SSEParams) -> BulkParams:
     return BulkParams(p.mu - half, -p.mu - half, p.omega1 + half, -p.omega1 + half)
 
 
-def h_to_u(x: complex, h: complex, p: SSEParams) -> complex:
-    """Map the sigma-form solution h(x) to u(x), the scaled log-derivative,
-    by sigma_map(bulk_okamoto_params(p))."""
-    return sigma_map(bulk_okamoto_params(p)).from_sigma(complex(x), complex(h))
-
-
-def u_to_h(x: complex, u: complex, p: SSEParams) -> complex:
-    """Inverse of h_to_u at the same point."""
-    return sigma_map(bulk_okamoto_params(p)).to_sigma(complex(x), complex(u))
-
-
 def zeta0_series(s: complex, p: SSEParams) -> complex:
     """Formal algebraic large-s expansion of the zeta-function, to order s^-2."""
     s = complex(s)
@@ -433,6 +411,11 @@ def zeta_truncated(s: complex, p: SSEParams) -> complex:
     return zeta0_series(s, p) + correction
 
 
+# the sine-kernel point mu = omega1 = omega2 = 0, where the bulk average is
+# the gap probability E(t) of the interval (-t, t)
+_GAP_POINT = SSEParams(N=0, mu=0.0, omega1=0.0, omega2=0.0)
+
+
 @dataclass(frozen=True)
 class GapAsymptotics:
     """Large-gap predictions: t (d/dt) log E and, at full weight, E itself."""
@@ -453,7 +436,8 @@ def gap_asymptotics(t: float, xi: float) -> GapAsymptotics:
     if not 0 < xi <= 1:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
     if xi == 1:
-        log_deriv = -t * t - 0.25 - 1 / (16 * t * t) - 5 / (32 * t ** 4)
+        # zeta0_series at the sine-kernel point, s = -4it, plus its next term
+        log_deriv = zeta0_series(-4j * t, _GAP_POINT).real - 5 / (32 * t ** 4)
         e_value = GAP_E_CONSTANT * t ** -0.25 * math.exp(-t * t / 2)
         return GapAsymptotics(log_derivative=log_deriv, gap_probability=e_value)
     log1m = math.log1p(-xi)

@@ -16,6 +16,10 @@ from taurmt.cli import COMMANDS, EXIT_BAD_PARAMS, EXIT_OK, main
 SRC = pathlib.Path(taurmt.__file__).resolve().parent.parent
 
 
+# the commands that read --tol; the others reject it as unrecognized
+TOL_COMMANDS = ("monodromy-check", "ode", "toeplitz")
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
 def test_out_of_range_tolerance_is_a_usage_error(command, tol, capsys):
@@ -23,7 +27,40 @@ def test_out_of_range_tolerance_is_a_usage_error(command, tol, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_BAD_PARAMS
     assert captured.out == ""
-    assert captured.err.startswith("error: tol must be finite and positive")
+    if command in TOL_COMMANDS:
+        assert captured.err.startswith("error: tol must be finite and positive")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_tolerance_only_where_it_is_read(command, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("tol=1e-8\n")
+    argv = [command, f"--config={config}", "--grid-count=1"]
+    if command == "ode":
+        argv.append("--grid-end=0.01")
+    code = main(argv)
+    captured = capsys.readouterr()
+    if command in TOL_COMMANDS:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_BAD_PARAMS
+        assert captured.out == ""
+        assert captured.err == "error: unknown configuration key 'tol'\n"
+        assert main([command, "--tol=1e-8"]) == EXIT_BAD_PARAMS
+        assert "unrecognized arguments: --tol=1e-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["toeplitz", "--grid-path=imag"],
+    ["fredholm", "--grid-path=circle"],
+    ["ode", "--grid-path=circle"],
+])
+def test_grid_path_outside_the_command_is_a_usage_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[0]} computes on grid-path")
 
 
 def test_in_range_tolerance_accepted(capsys):
@@ -106,13 +143,16 @@ def test_bulk_gap_point_reuses_the_seed_log_derivatives(monkeypatch, capsys):
     assert rows[0][5] == 0.0
 
 
-def test_looser_tolerance_is_clamped(capsys):
-    # ode integrates at min(--tol, 1e-10), so a looser --tol changes
-    # nothing; change this test together with the clamp
-    loose = main(["ode", "--tol=1e-6"]), capsys.readouterr().out
-    default = main(["ode", "--tol=1e-10"]), capsys.readouterr().out
-    assert loose == default
-    assert loose[0] == EXIT_OK
+def test_looser_tolerance_is_honoured(capsys):
+    # ode integrates at --tol as given: a looser value takes fewer steps and
+    # keeps every residual within its own 100 * tol budget
+    loose = _json_rows(["ode", "--tol=1e-6"], capsys)
+    default = _json_rows(["ode"], capsys)
+    assert _json_rows(["ode", "--tol=1e-10"], capsys) == default
+    assert len(loose) < len(default)
+    assert max(row[6] for row in loose) <= 100 * 1e-6
+    assert loose[0] == default[0]
+    assert abs(loose[-1][2] - default[-1][2]) <= 1e-4
 
 
 def test_parser_is_built_once():

@@ -153,7 +153,6 @@ class TestStokesFromSigma:
         sd = stokes_from_sigma(THETA_STD, SIGMA_STD, 1.0)
         assert abs(sd.s1 - S1_STD) < 1e-13
         assert abs(sd.s2 - S2_STD) < 1e-13
-        assert sd.s_hat0 == sd.s1 and sd.s_hat1 == sd.s2
 
     def test_multiplier_constraint(self):
         rng = random.Random(21)
@@ -232,15 +231,23 @@ class TestSHatV:
         assert abs(s_hat_v(THETA_STD, SIGMA_STD, 2.5j) - 2.5j * one) < 1e-12
 
 
+def _hatted(sp):
+    return sp.data.hat_m0, sp.data.hat_m1, sp.data.hat_m_inf
+
+
+def _unhatted(sp):
+    return sp.data.m0, sp.data.m1, sp.data.m_inf
+
+
 class TestSsePvMatrices:
     def test_standard_matrices(self):
         sp = sse_pv_matrices(P_STD)
-        for got, ref in zip(sp.hatted, (SSE_HAT_M0, SSE_HAT_M1, SSE_HAT_MINF)):
+        for got, ref in zip(_hatted(sp), (SSE_HAT_M0, SSE_HAT_M1, SSE_HAT_MINF)):
             assert max_diff(got, ref) < 1e-12
-        for got, ref in zip(sp.unhatted, (SSE_M0, SSE_M1, SSE_MINF)):
+        for got, ref in zip(_unhatted(sp), (SSE_M0, SSE_M1, SSE_MINF)):
             assert max_diff(got, ref) < 1e-12
-        assert abs(sp.stokes.s_hat0 - SSE_SHAT0) < 1e-12
-        assert abs(sp.stokes.s_hat1 - SSE_SHAT1) < 1e-12
+        assert abs(sp.stokes.s1 - SSE_SHAT0) < 1e-12
+        assert abs(sp.stokes.s2 - SSE_SHAT1) < 1e-12
 
     def test_consistency_residuals(self):
         res = sse_pv_matrices(P_STD).data.residuals()
@@ -248,8 +255,8 @@ class TestSsePvMatrices:
 
     def test_hat_transform_relates_both_sets(self):
         sp = sse_pv_matrices(P_STD)
-        ht = hat_transform(sp.stokes.stokes_matrix_lower(), *sp.unhatted)
-        for got, ref in zip(ht, sp.hatted):
+        ht = hat_transform(sp.stokes.stokes_matrix_lower(), *_unhatted(sp))
+        for got, ref in zip(ht, _hatted(sp)):
             assert max_diff(got, ref) < 1e-10
 
     def test_stokes_match_exponent_formulas_at_pinned_r(self):
@@ -257,18 +264,18 @@ class TestSsePvMatrices:
         # explicit ones
         sp = sse_pv_matrices(P_STD)
         sd = stokes_from_sigma(sse_theta_v(P_STD), P_STD.sigma, -2 * P_STD.mu)
-        assert abs(sd.s1 - sp.stokes.s_hat0) < 1e-12
-        assert abs(sd.s2 - sp.stokes.s_hat1) < 1e-12
+        assert abs(sd.s1 - sp.stokes.s1) < 1e-12
+        assert abs(sd.s2 - sp.stokes.s2) < 1e-12
 
     def test_full_weight_kills_upper_left(self):
         p = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3, xi_star=1.0)
         sp = sse_pv_matrices(p)
-        assert sp.unhatted[0].a11 == 0
+        assert sp.data.m0.a11 == 0
 
     def test_hat_m_inf_leading_entry(self):
         sp = sse_pv_matrices(P_STD)
         lead = exp_pi_i(2 * P_STD.mu - 2 * P_STD.omega1)
-        assert abs(sp.hatted[2].a11 - lead) < 1e-13
+        assert abs(sp.data.hat_m_inf.a11 - lead) < 1e-13
 
     def test_multiplier_constraint(self):
         sp = sse_pv_matrices(P_STD)

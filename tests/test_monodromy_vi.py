@@ -196,13 +196,18 @@ class TestSHatMap:
         assert b == pytest.approx(2 * a, rel=1e-13)
 
 
+def _off_diagonals(res):
+    """The upper-right entries (m0, mt, m1) of the triangular matrices."""
+    return tuple(m.a12 for m in (res.matrices.m0, res.matrices.mt, res.matrices.m1))
+
+
 class TestSSEMonodromy:
     P_STD = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
 
     def test_oracle_values(self):
         res = sse_monodromy(self.P_STD, 1.0)
         assert abs(res.data.s_hat_0t - complex(1.5301707389703977, -0.52362398492143275)) < 1e-13
-        m0, mt, m1 = res.off_diagonals
+        m0, mt, m1 = _off_diagonals(res)
         assert abs(m0 - complex(1.2991403250741809, -0.59914891569537317)) < 1e-13
         assert abs(mt - complex(-1.3854723442945708, -0.28933236762217626)) < 1e-13
         assert abs(m1 - complex(-0.73962105427312202, -0.80901699437494742)) < 1e-13
@@ -236,7 +241,7 @@ class TestSSEMonodromy:
         assert theta.theta_inf == p.mu + p.omega_bar
 
     def test_offdiag_relation(self):
-        assert sse_offdiag_relation_residual(self.P_STD, 1.0) <= 1e-12
+        assert sse_offdiag_relation_residual(sse_monodromy(self.P_STD, 1.0)) <= 1e-12
 
     def test_offdiag_relation_is_s_hat_independent(self):
         # the s_hat-dependent parts of m0 and mt cancel in the relation, so
@@ -248,8 +253,9 @@ class TestSSEMonodromy:
         for eps in (1e-3, 1e-6, 1e-9):
             p_eps = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3,
                               xi_star=xi_zero * (1 + eps))
-            assert abs(sse_monodromy(p_eps, 1.0).data.s_hat_0t) < 5 * eps
-            assert sse_offdiag_relation_residual(p_eps, 1.0) <= 1e-10
+            res = sse_monodromy(p_eps, 1.0)
+            assert abs(res.data.s_hat_0t) < 5 * eps
+            assert sse_offdiag_relation_residual(res) <= 1e-10
 
     def test_s_hat_exactly_zero_is_degenerate(self):
         p = self.P_STD
@@ -267,9 +273,9 @@ class TestSSEMonodromy:
     def test_r_is_pure_gauge(self):
         # the whole r family is a single diagonal-conjugation orbit: every
         # off-diagonal entry scales linearly in r
-        base = sse_monodromy(self.P_STD, 1.0).off_diagonals
+        base = _off_diagonals(sse_monodromy(self.P_STD, 1.0))
         for r in (2.0, 0.7 - 0.3j):
-            scaled = sse_monodromy(self.P_STD, r).off_diagonals
+            scaled = _off_diagonals(sse_monodromy(self.P_STD, r))
             for got, ref in zip(scaled, base):
                 assert abs(got - r * ref) < 1e-12 * max(1.0, abs(r * ref))
 

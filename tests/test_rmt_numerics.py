@@ -20,16 +20,17 @@ from taurmt.rmt_numerics import (
     FredholmSpec,
     QuadratureError,
     WeightSpec,
+    _arc_integrand,
+    _arc_panels,
+    _gl_rule,
+    _leg_integrand,
+    _phase_table,
     bulk_limit_an,
-    fourier_coeff,
     fourier_table,
     fredholm_log_derivatives,
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
-    _gl_rule,
-    _phase_table,
-    weight_eval,
 )
 
 P_STD = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
@@ -93,6 +94,25 @@ class TestWeightSpec:
         assert 0.0 <= phi.real < 2.0 * math.pi
 
 
+def weight_eval(w: WeightSpec, theta: float) -> complex:
+    """The weight fourier_table integrates, at a real angle theta, for t on
+    the circle: the arc panel holding theta gives the weight itself, and on
+    the subtracted arc (pi - phi, pi) the leg adds -xi* times it."""
+    phi = w.phase()
+    ks = np.zeros(1)
+    for a, b, wrapped in _arc_panels(phi):
+        if a < theta < b:
+            f = _arc_integrand(w.p, phi, (a, b, wrapped), ks)
+            value = f(np.array([(theta - a) / (b - a)]),
+                      np.array([(b - theta) / (b - a)]))[0, 0]
+    if w.p.xi_star != 0 and math.pi - phi.real < theta < math.pi:
+        d1 = (math.pi - theta) / phi.real
+        leg = _leg_integrand(w.p, phi, ks)(np.array([1.0 - d1]),
+                                           np.array([d1]))[0, 0]
+        value -= w.p.xi_star * leg
+    return complex(value)
+
+
 class TestWeightEval:
     def test_unit_weight(self):
         p0 = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
@@ -130,14 +150,14 @@ class TestWeightEval:
 class TestFourierCoefficients:
     def test_unit_weight_coefficients(self):
         p0 = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
-        w = WeightSpec(p0, T_STD)
-        assert abs(fourier_coeff(w, 0) - 1.0) <= 1e-13
+        c = fourier_table(WeightSpec(p0, T_STD), 5)
+        assert abs(c[5] - 1.0) <= 1e-13
         for k in (1, 2, 5):
-            assert abs(fourier_coeff(w, k)) <= 1e-13
+            assert abs(c[5 + k]) <= 1e-13
 
     @pytest.mark.parametrize("k,ref", sorted(FOURIER_ANCHORS.items()))
     def test_reference_coefficients(self, k, ref):
-        got = fourier_coeff(WeightSpec(P_STD, T_STD), k)
+        got = fourier_table(WeightSpec(P_STD, T_STD), 3)[3 + k]
         assert abs(got - ref) <= 1e-12
 
     def test_conjugate_symmetry_on_circle(self):
@@ -148,10 +168,12 @@ class TestFourierCoefficients:
             assert abs(c[3 - k] - np.conj(c[3 + k])) <= 1e-13
 
     def test_table_matches_single_coefficients(self):
+        # a coefficient does not depend on the width of its table
         w = WeightSpec(P_STD, T_STD)
         c = fourier_table(w, 2)
+        wide = fourier_table(w, 6)
         for k in (-2, -1, 0, 1, 2):
-            assert abs(c[2 + k] - fourier_coeff(w, k)) <= 1e-13
+            assert abs(c[2 + k] - wide[6 + k]) <= 1e-13
 
     def test_table_error_estimate(self):
         vals, err = fourier_table(WeightSpec(P_STD, T_STD), 1,
@@ -167,13 +189,13 @@ class TestFourierCoefficients:
         # both exponents zero except 2 mu = -0.7: the mean of the weight
         # over the circle is Gamma(1 + s) / Gamma(1 + s/2)^2 at s = 2 mu
         p = SSEParams(N=1, mu=-0.35, omega1=0.0, omega2=0.0, xi_star=0.0)
-        got = fourier_coeff(WeightSpec(p, T_STD), 0)
+        got = fourier_table(WeightSpec(p, T_STD), 0)[0]
         want = math.gamma(0.3) / math.gamma(0.65) ** 2
         assert abs(got - want) <= 1e-12
 
     def test_reference_singular_jump_weight(self):
         p = SSEParams(N=1, mu=-0.35, omega1=-0.2, omega2=0.1, xi_star=0.25)
-        got = fourier_coeff(WeightSpec(p, T_STD), 0)
+        got = fourier_table(WeightSpec(p, T_STD), 0)[0]
         assert abs(got - SINGULAR_C0) <= 5e-12
 
     def test_near_nonintegrable_exponent_refuses(self):
@@ -181,7 +203,7 @@ class TestFourierCoefficients:
         # refinement must raise rather than return a deficient value
         p = SSEParams(N=1, mu=-0.4998, omega1=0.1, omega2=0.0, xi_star=0.0)
         with pytest.raises(QuadratureError) as exc:
-            fourier_coeff(WeightSpec(p, T_STD), 0)
+            fourier_table(WeightSpec(p, T_STD), 0)
         assert exc.value.achieved > exc.value.target
 
     def test_deterministic(self):
@@ -208,7 +230,7 @@ class TestFourierClosedFormsHighK:
     """Closed forms out to the kmax the N = 64 Toeplitz route needs."""
 
     @pytest.mark.parametrize("leg", [False, True])
-    @pytest.mark.parametrize("ks", [np.arange(-63.0, 64.0), np.array([-40.0])])
+    @pytest.mark.parametrize("ks", [np.arange(-63.0, 64.0), np.arange(-40.0, 1.0)])
     def test_phase_table_matches_exponentials(self, leg, ks):
         # reference: one complex exponential per entry; both sides round
         # at most ~|k| pi ulps, so agreement to 1e-13 relative
@@ -251,8 +273,9 @@ class TestFourierClosedFormsHighK:
         kmax = 63
         w = WeightSpec(P_STD, t)
         c = fourier_table(w, kmax)
-        assert abs(fourier_coeff(w, kmax) - c[-1]) <= 1e-13
-        assert abs(fourier_coeff(w, -kmax) - c[0]) <= 1e-13
+        wide = fourier_table(w, kmax + 1)
+        assert abs(wide[-2] - c[-1]) <= 1e-13
+        assert abs(wide[1] - c[0]) <= 1e-13
 
 
 class TestToeplitzRoute:

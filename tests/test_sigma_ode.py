@@ -1,10 +1,9 @@
-import io
 import math
 import random
 
 import pytest
 
-from taurmt import sigma_ode, tau_series
+from taurmt import cli, sigma_ode, tau_series
 from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.sigma_ode import (
@@ -467,16 +466,19 @@ class TestSeedHelpers:
 
 
 class TestTrajectoryCsv:
-    def test_header_and_rows_parse(self):
+    def test_header_and_rows_parse(self, capsys):
+        # the CLI writes trajectories; its CSV rows read back as the nodes
         k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
         traj = integrate(k, sd, [0.05, 0.1], tol=1e-8)
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        assert cli.main(["ode", "--family=bulk", "--bigN=2", "--mu=0.25",
+                         "--omega1=0.1", "--omega2=0.3", "--xi=0.5",
+                         "--grid-start=0.05", "--grid-end=0.1", "--tol=1e-8",
+                         "--format=csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "t_re,t_im,zeta_re,zeta_im,dzeta_re,dzeta_im,residual"
         assert len(lines) == len(traj.path) + 1
-        first = [float(tok) for tok in lines[1].split(",")]
-        assert len(first) == 7
-        assert first[0] == traj.path[0].real
-        assert first[6] >= 0.0
+        for line, t, (z, z1), res in zip(lines[1:], traj.path, traj.values,
+                                         traj.residuals):
+            assert [float(tok) for tok in line.split(",")] == [
+                t.real, t.imag, z.real, z.imag, z1.real, z1.imag, res]

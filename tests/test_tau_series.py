@@ -15,7 +15,9 @@ from taurmt.monodromy_vi import (
     ThetaVI,
     s_from_s_hat_vi,
     s_hat_vi,
+    sse_monodromy,
 )
+from taurmt.rmt_numerics import fredholm_log_derivatives
 from taurmt.tau_series import (
     GAP_E_CONSTANT,
     ZETA_PRIME_MINUS_ONE,
@@ -26,11 +28,9 @@ from taurmt.tau_series import (
     bulk_okamoto_params,
     bulk_series,
     gap_asymptotics,
-    h_to_u,
     pv_tau_series,
     pvi_tau_series,
     sigma_map,
-    u_to_h,
     zeta0_series,
     zeta_truncated,
 )
@@ -284,23 +284,22 @@ class TestBulkConversion:
         m = sigma_map(bulk_okamoto_params(P_STD))
         assert m.slope == 0.15j
         assert abs(m.intercept - (2 * 0.25 * 0.1 + 0.3 ** 2 / 2)) < 1e-16
-        x, h = 0.7 - 0.2j, 0.4 + 0.1j
-        assert h_to_u(x, h, P_STD) == m.from_sigma(x, h)
-        assert u_to_h(x, h, P_STD) == m.to_sigma(x, h)
 
     def test_trivial_at_zero_parameters(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
-        assert h_to_u(1.3 + 0.4j, 0.27 - 0.1j, p) == 0.27 - 0.1j
+        m = sigma_map(bulk_okamoto_params(p))
+        assert m.from_sigma(1.3 + 0.4j, 0.27 - 0.1j) == 0.27 - 0.1j
 
     def test_reference_value(self):
         # shift is (omb-om)/4*x + (om-omb)^2/8 - mu*(om+omb)
         # = -0.15j*(1+0.2j) - 0.045 - 0.05 at the standard parameter point
-        u = h_to_u(1 + 0.2j, 0.3, P_STD)
+        u = sigma_map(bulk_okamoto_params(P_STD)).from_sigma(1 + 0.2j, 0.3)
         assert abs(u - (0.235 - 0.15j)) < 1e-14
 
     def test_round_trip(self):
+        m = sigma_map(bulk_okamoto_params(P_STD))
         x, h = 0.8 - 0.3j, 0.4 + 0.1j
-        assert abs(u_to_h(x, h_to_u(x, h, P_STD), P_STD) - h) < 1e-14
+        assert abs(m.to_sigma(x, m.from_sigma(x, h)) - h) < 1e-14
 
 
 class TestZetaSeries:
@@ -354,6 +353,65 @@ class TestGapAsymptotics:
             gap_asymptotics(2.0, 0.0)
         with pytest.raises(ValueError):
             gap_asymptotics(2.0, 1.5)
+
+
+class TestBranchBracket:
+    def test_series_and_monodromy_carry_one_bracket(self):
+        # the branch coefficients of an_series and bulk_series and the s_hat
+        # of sse_monodromy are xi*-free multiples of SSEParams.branch_bracket,
+        # so a change of its xi* term moves all three together
+        ratios = []
+        for xi in (0.0, 0.5, 1.0, 0.3 + 0.2j):
+            p = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=xi)
+            s_hat = sse_monodromy(p, 1.0).data.s_hat_0t
+            branch = 1 + p.sigma
+            ratios.append((an_series(p).series.coefficient(branch) / s_hat,
+                           bulk_series(p).series.coefficient(branch) / s_hat,
+                           p.branch_bracket() / s_hat))
+        for row in ratios[1:]:
+            for got, ref in zip(row, ratios[0]):
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+class TestGapPointCrossRoute:
+    """zeta0_series at the sine-kernel point against the Fredholm route.
+
+    There the bulk average is the gap probability E(t) of (-t, t) and the
+    zeta-function at s = -4it is t d/dt log E, which the resolvent traces
+    give to within 1e-9 at m = 300 nodes for t <= 5.
+    """
+
+    GAP = SSEParams(N=0, mu=0.0, omega1=0.0, omega2=0.0)
+    TS = (3.0, 4.0, 5.0)
+
+    def fredholm(self, t, m=300):
+        return (t * fredholm_log_derivatives(t, 1.0, m=m)[1]).real
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return {t: self.fredholm(t) for t in self.TS}
+
+    def zeta0_error(self, t, reference):
+        return abs(zeta0_series(-4j * t, self.GAP) - reference[t])
+
+    def test_reference_is_node_converged(self, reference):
+        # m doubling moves it 5.7e-12, 5.0e-11 and 4.1e-10 at t = 3, 4, 5:
+        # six orders below the errors measured against it
+        for t in self.TS:
+            assert abs(self.fredholm(t, m=600) - reference[t]) <= 1e-9
+
+    def test_zeta0_within_twice_its_first_omitted_term(self, reference):
+        for t in self.TS:
+            assert self.zeta0_error(t, reference) <= 2 * 5 / (32 * t ** 4)
+
+    def test_zeta0_error_decays_like_its_truncation(self, reference):
+        ratio = self.zeta0_error(5.0, reference) / self.zeta0_error(4.0, reference)
+        assert ratio <= (5.0 / 4.0) ** -3.5
+
+    def test_gap_asymptotics_adds_a_correct_term(self, reference):
+        for t in self.TS:
+            better = abs(gap_asymptotics(t, 1.0).log_derivative - reference[t])
+            assert better < self.zeta0_error(t, reference)
 
 
 class TestLogDerivatives:
