@@ -294,7 +294,10 @@ def _resolve(args) -> RunConfig:
         if value is not None and flag not in ("command", "config"):
             raw[flag] = value
     (g0, g1, cnt), paths, tol_spec = _COMMANDS[args.command]
-    known = (set(_PARAM_FLAGS) | set(_COMMAND_FLAGS)
+    # a config file may name only what this command's parser declares
+    extras = {flag: spec for flag, spec in _COMMAND_FLAGS.items()
+              if args.command in spec[0]}
+    known = (set(_PARAM_FLAGS) | set(extras)
              | {"grid-start", "grid-end", "grid-count", "grid-path",
                 "format", "output", "selftest"})
     if tol_spec is not None:
@@ -312,9 +315,13 @@ def _resolve(args) -> RunConfig:
                 raise UsageError(f"--{flag}: {exc}") from None
         elif default is not None:
             params[flag] = default
-    for extra, (_, conv, _) in _COMMAND_FLAGS.items():
+    for extra, (_, conv, kwargs) in extras.items():
         if extra in raw:
             params[extra] = conv(raw[extra])
+            choices = kwargs.get("choices")
+            if choices is not None and params[extra] not in choices:
+                raise UsageError(f"--{extra}: {params[extra]!r} is not one "
+                                 f"of {', '.join(choices)}")
 
     g0 = float(raw.get("grid-start", g0))
     g1 = float(raw.get("grid-end", g1))

@@ -50,6 +50,45 @@ def test_tolerance_only_where_it_is_read(command, tmp_path, capsys):
         assert "unrecognized arguments: --tol=1e-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("toeplitz", "nodes=5\n", "nodes"),
+    ("toeplitz", "family=bulk\n", "family"),
+    ("series", "dims=8,16\n", "dims"),
+    ("fredholm", "oracle=1\n", "oracle"),
+])
+def test_config_keys_of_other_commands_are_usage_errors(command, text, key,
+                                                         tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    code = main([command, f"--config={config}", "--grid-count=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err == f"error: unknown configuration key {key!r}\n"
+
+
+@pytest.mark.parametrize("command", ["series", "ode"])
+def test_config_value_outside_the_flag_choices_is_a_usage_error(
+        command, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("family=zzz\n")
+    code = main([command, f"--config={config}", "--grid-count=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err == ("error: --family: 'zzz' is not one of "
+                            "an, bulk, vi\n")
+    # the same value as a flag is refused by the parser itself
+    assert main([command, "--family=zzz"]) == EXIT_BAD_PARAMS
+
+
+def test_config_keys_of_the_command_itself_are_read(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("family=bulk\nformat=csv\n")
+    assert main(["series", f"--config={config}", "--grid-count=1"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("x,")
+
+
 @pytest.mark.parametrize("argv", [
     ["toeplitz", "--grid-path=imag"],
     ["fredholm", "--grid-path=circle"],

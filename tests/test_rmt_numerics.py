@@ -4,12 +4,15 @@ Frozen reference values were computed beforehand with a 40-digit
 arbitrary-precision oracle, independent of this implementation. Anchors
 marked self-consistent were instead pinned from this module's own first
 validated run and guard against regressions, not against the oracle.
+High-|k| Fourier coefficients are checked against an mpmath reference at
+test time (TestArbitraryPrecisionReference).
 """
 
 import cmath
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,6 +28,8 @@ from taurmt.rmt_numerics import (
     _gl_rule,
     _leg_integrand,
     _phase_table,
+    _quadrature_table,
+    _recurrence_table,
     bulk_limit_an,
     fourier_table,
     fredholm_log_derivatives,
@@ -276,6 +281,250 @@ class TestFourierClosedFormsHighK:
         wide = fourier_table(w, kmax + 1)
         assert abs(wide[-2] - c[-1]) <= 1e-13
         assert abs(wide[1] - c[0]) <= 1e-13
+
+
+def _recurrence_rows(p: SSEParams, t: complex, ks):
+    """(alpha, beta, gamma) of alpha c_k + beta c_{k-1} + gamma c_{k-2} = 0,
+    written out here from z(1+z)(1+tz) w'/w, apart from the library."""
+    mu, om1, om2 = complex(p.mu), complex(p.omega1), complex(p.omega2)
+    a0 = -1j * om2 - om1 - mu
+    a1 = -1j * om2 * (1 + t) + om1 * (1 - t) + mu * (t - 1)
+    a2 = t * (-1j * om2 + om1 + mu)
+    return ks - a0, (1 + t) * (ks - 1) - a1, t * (ks - 2) - a2
+
+
+def _row_residuals(w: WeightSpec, c: np.ndarray) -> np.ndarray:
+    """Residual of each recurrence row over a table, in units of c: every
+    row divided by its largest coefficient."""
+    kmax = len(c) // 2
+    t = cmath.exp(1j * w.phase())
+    alpha, beta, gamma = _recurrence_rows(w.p, t,
+                                          np.arange(2 - kmax, kmax + 1))
+    res = alpha * c[2:] + beta * c[1:-1] + gamma * c[:-2]
+    size = np.maximum(np.abs(alpha), np.maximum(np.abs(beta), np.abs(gamma)))
+    return np.abs(res) / size
+
+
+def _unguarded_recurrence(w: WeightSpec, seeds, kmax: int) -> np.ndarray:
+    """The table the recurrence gives from c_{-1}, c_0, c_1, with no guard."""
+    t = cmath.exp(1j * w.phase())
+    c = dict(zip((-1, 0, 1), seeds))
+    for k in range(2, kmax + 1):
+        a, b, g = _recurrence_rows(w.p, t, k)
+        c[k] = -(b * c[k - 1] + g * c[k - 2]) / a
+    for k in range(0, 1 - kmax, -1):
+        a, b, g = _recurrence_rows(w.p, t, k)
+        c[k - 2] = -(a * c[k] + b * c[k - 1]) / g
+    return np.array([c[k] for k in range(-kmax, kmax + 1)])
+
+
+def _coefficient_gate(ref: np.ndarray, tol: float = 1e-12) -> float:
+    return max(tol, 1e-13 * float(np.max(np.abs(ref))))
+
+
+P_COMPLEX_MU = SSEParams(N=1, mu=0.2 + 0.15j, omega1=0.1, omega2=0.3)
+
+
+class TestThreeTermRecurrence:
+    """c_k from three quadrature seeds and the weight's recurrence, checked
+    against the full quadrature table (_quadrature_table), which fills every
+    column by tanh-sinh and stays the reference."""
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("t", [cmath.exp(0.4j), cmath.exp(3.0j),
+                                   cmath.exp(5.9j), 0.8, 0.95])
+    def test_quadrature_tables_satisfy_the_identity(self, xi, t):
+        # independent of the recurrence code. The quadrature's accuracy is
+        # absolute, so a table whose coefficients cancel below 1 (xi* = 1
+        # nearly empties the circle at phi = 5.9) is held at that level
+        w = WeightSpec(replace(P_COMPLEX_MU, xi_star=xi), t)
+        c, _ = _quadrature_table(w, 40, 1e-12)
+        scale = max(float(np.max(np.abs(c))), 1.0)
+        assert np.max(_row_residuals(w, c)) <= 5e-13 * scale
+
+    @pytest.mark.parametrize("p,phi", [
+        (P_STD, 0.4),
+        (replace(P_COMPLEX_MU, xi_star=1.0), 3.0),
+        (replace(P_COMPLEX_MU, xi_star=0.5, omega1=-0.3), 1e-6),
+        (replace(P_COMPLEX_MU, xi_star=0.5, omega1=-0.3), 0.01),
+        (replace(P_COMPLEX_MU, xi_star=0.5), 2 * math.pi - 0.01),
+        (replace(P_COMPLEX_MU, xi_star=0.0), 2 * math.pi - 1e-6),
+        (SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=1.0), 1.0),
+        (SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.3), 5.0),
+    ])
+    def test_circle_matches_quadrature(self, p, phi):
+        w = WeightSpec(p, cmath.exp(1j * phi))
+        ref, _ = _quadrature_table(w, 63, 1e-12)
+        got = _recurrence_table(w, 63, 1e-12)
+        assert got is not None
+        assert np.max(np.abs(got[0] - ref)) <= _coefficient_gate(ref)
+        assert np.array_equal(fourier_table(w, 63), got[0])
+
+    def test_gap_point_matches_closed_form(self):
+        # mu = omega1 = omega2 = 0: the pure jump, c_k in closed form
+        p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=1.0)
+        w = WeightSpec(p, cmath.exp(2.3j))
+        got = _recurrence_table(w, 63, 1e-12)
+        assert got is not None
+        want = _pure_jump_coeffs(1.0, w.phase(), 63)
+        assert np.max(np.abs(got[0] - want)) <= 1e-13
+
+    def test_real_segment_near_one_recurs(self):
+        w = WeightSpec(replace(P_COMPLEX_MU, xi_star=0.5), 0.95)
+        ref, _ = _quadrature_table(w, 31, 1e-12)
+        got = _recurrence_table(w, 31, 1e-12)
+        assert got is not None
+        assert np.max(np.abs(got[0] - ref)) <= _coefficient_gate(ref)
+
+    def test_guard_fires_on_the_real_segment(self):
+        # t = 0.3: the backward direction grows the seeds' error like
+        # t^{-|k|}, far past tol, so the whole table stays quadrature
+        w = WeightSpec(replace(P_COMPLEX_MU, xi_star=0.0), 0.3)
+        ref, _ = _quadrature_table(w, 31, 1e-12)
+        assert _recurrence_table(w, 31, 1e-12) is None
+        assert np.array_equal(fourier_table(w, 31), ref)
+        unguarded = _unguarded_recurrence(w, ref[30:33], 31)
+        assert np.max(np.abs(unguarded[32:] - ref[32:])) <= 1e-13
+        assert np.max(np.abs(unguarded - ref)) > 1e-6
+
+    def test_interior_complex_t_keeps_quadrature(self):
+        # the wrap angle pi - Re phi lands inside the arc, where the
+        # continued weight jumps: the identity fails there
+        w = WeightSpec(replace(P_COMPLEX_MU, xi_star=0.5),
+                       0.7 * cmath.exp(0.5j))
+        ref, _ = _quadrature_table(w, 20, 1e-12)
+        assert np.max(_row_residuals(w, ref)) > 1e-3
+        assert _recurrence_table(w, 20, 1e-12) is None
+        assert np.array_equal(fourier_table(w, 20), ref)
+
+    def test_vanishing_leading_coefficient_keeps_quadrature(self):
+        # omega2 = 3i makes the weight e^{3i theta}: a0 = 3, so the row at
+        # k = 3 cannot give c_3, which is 1
+        p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=3j, xi_star=0.0)
+        w = WeightSpec(p, cmath.exp(1.0j))
+        assert _recurrence_table(w, 5, 1e-12) is None
+        c = fourier_table(w, 5)
+        assert abs(c[8] - 1.0) <= 1e-13
+        assert np.max(np.abs(np.delete(c, 8))) <= 1e-13
+
+    @pytest.mark.parametrize("kmax", [0, 1])
+    def test_small_tables_are_pure_quadrature(self, kmax):
+        w = WeightSpec(P_STD, T_STD)
+        ref, err = _quadrature_table(w, kmax, 1e-12)
+        vals, got_err = fourier_table(w, kmax, return_error=True)
+        assert np.array_equal(vals, ref) and got_err == err
+
+    def test_error_estimate_covers_the_seeds(self):
+        w = WeightSpec(P_STD, T_STD)
+        _, seed_err = _quadrature_table(w, 1, 1e-12)
+        vals, err = fourier_table(w, 40, return_error=True)
+        ref, _ = _quadrature_table(w, 40, 1e-12)
+        assert seed_err <= err <= 1e-12
+        assert np.max(np.abs(vals - ref)) <= _coefficient_gate(ref)
+
+
+# An arbitrary-precision reference. mpmath's tanh-sinh integrates each half
+# of each arc panel from its singular end. A plain mp.quad over the panels
+# misses the integrable tail next to a singular point, below its node
+# spacing at the working precision: about 1e-3 at 2 mu = -0.87, while it
+# estimates 2e-4. Here every node carries its exact distance s to the
+# singular end, so 2 sin(s/2) keeps full relative precision however small
+# s gets, and s = u^{1/(1+a)}, a the real part of the exponent there, turns
+# s^a ds into a bounded integrand in u. Each reference value asserts its
+# own error estimate.
+
+REFERENCE_DPS = 20
+REFERENCE_ERR = 1e-18
+
+
+def mp_coefficient(p: SSEParams, phi: float, k: int, pieces: int = 2):
+    """c_k of the weight on the circle t = e^{i phi}, 0 < phi < 2 pi, with
+    mpmath's error estimate: (value, error)."""
+    with mp.workdps(REFERENCE_DPS):
+        mu, omega1, omega2, xi, phi = (
+            mp.mpmathify(complex(v))
+            for v in (p.mu, p.omega1, p.omega2, p.xi_star, phi))
+        phi = mp.re(phi)
+        star = mp.pi - phi
+        long_half, short_half = (mp.pi + star) / 2, phi / 2
+        # (anchor, direction, half length, singular point at the anchor,
+        # jump factor); the singular point at the far end of the panel is
+        # 2 * half - s away
+        halves = [(-mp.pi, 1, long_half, "fixed", 1),
+                  (star, -1, long_half, "moving", 1),
+                  (star, 1, short_half, "moving", 1 - xi),
+                  (mp.pi, -1, short_half, "fixed", 1 - xi)]
+        total, err = mp.mpc(0), mp.mpf(0)
+        for anchor, sign, half, at, jump in halves:
+            a = mp.re(2 * (omega1 if at == "fixed" else mu))
+
+            def integrand(u, anchor=anchor, sign=sign, half=half, at=at,
+                          jump=jump, a=a):
+                if u == 0:
+                    return mp.mpc(0)
+                s = u ** (1 / (1 + a))
+                far = 2 * half - s
+                d_fixed, d_moving = (s, far) if at == "fixed" else (far, s)
+                theta = anchor + sign * s
+                value = (mp.exp((omega2 - 1j * k) * theta)
+                         * (2 * mp.sin(d_fixed / 2)) ** (2 * omega1)
+                         * (2 * mp.sin(d_moving / 2)) ** (2 * mu))
+                return jump * value * s / ((1 + a) * u)
+
+            cuts = [(half * j / pieces) ** (1 + a) for j in range(pieces + 1)]
+            v, e = mp.quad(integrand, cuts, error=True)
+            total += v
+            err += e
+        return complex(total / (2 * mp.pi)), float(err / (2 * mp.pi))
+
+
+# two singular points 0.062 apart, both exponents negative, and the jump
+P_TWO_SINGULAR = SSEParams(N=1, mu=-0.435, omega1=-0.26, omega2=0.3,
+                           xi_star=0.5)
+PHI_TWO_SINGULAR = 0.062
+
+
+class TestArbitraryPrecisionReference:
+    """mp_coefficient first against the gamma closed form, then against
+    high-|k| columns of the recurred and the quadrature tables."""
+
+    @pytest.mark.parametrize("omega1,k", [(0.35, 63), (-0.3, -63)])
+    def test_reproduces_root_singularity(self, omega1, k):
+        # the weight of test_root_singularity; phi only places a panel cut
+        p = SSEParams(N=1, mu=0.0, omega1=omega1, omega2=0.0, xi_star=0.0)
+        got, err = mp_coefficient(p, 0.4, k)
+        assert err <= REFERENCE_ERR
+        with mp.workdps(30):
+            w = mp.mpf(omega1)
+            want = complex(mp.gamma(1 + 2 * w)
+                           / (mp.gamma(1 + w + k) * mp.gamma(1 + w - k)))
+        assert abs(got - want) <= 1e-18
+
+    @pytest.mark.parametrize("k", [-63, 63])
+    def test_two_singular_points_high_k(self, k):
+        # the recurred and the quadrature tables differ by up to 7e-13
+        # here (max|c| = 16.7); the reference holds both within the gate.
+        # fourier_table itself returns the quadrature table: the rounding
+        # allowance of the recurrence exceeds tol at this amplification
+        w = WeightSpec(P_TWO_SINGULAR, cmath.exp(1j * PHI_TWO_SINGULAR))
+        quad, _ = _quadrature_table(w, 63, 1e-12)
+        recurred = _unguarded_recurrence(w, quad[62:65], 63)
+        want, err = mp_coefficient(P_TWO_SINGULAR, PHI_TWO_SINGULAR, k)
+        assert err <= REFERENCE_ERR
+        assert abs(recurred[63 + k] - want) <= _coefficient_gate(quad)
+        assert abs(quad[63 + k] - want) <= _coefficient_gate(quad)
+
+    def test_recurred_table_within_its_error_estimate(self):
+        p = SSEParams(N=1, mu=0.2 + 0.15j, omega1=-0.3, omega2=0.3,
+                      xi_star=0.5)
+        w = WeightSpec(p, cmath.exp(2.0j))
+        got = _recurrence_table(w, 63, 1e-12)
+        assert got is not None
+        vals, est = got
+        assert est <= 1e-12
+        want, err = mp_coefficient(p, 2.0, -63)
+        assert err <= REFERENCE_ERR
+        assert abs(vals[0] - want) <= est
 
 
 class TestToeplitzRoute:
