@@ -20,6 +20,15 @@ coefficients to it as an absolute accuracy (default 1e-12). series,
 fredholm, bulk and asymptotics run at fixed accuracy and reject --tol as a
 usage error.
 
+The parameter flags a command takes are the ones it reads, and any other
+is a usage error. monodromy-check takes all twelve: --bigN, --mu, --omega1,
+--omega2, --xi and --r on the SSE branch, --sigma, --s, --r and the four
+theta flags on the generic one. series and toeplitz take --bigN, --mu,
+--omega1, --omega2 and --xi. ode takes --mu, --omega1, --omega2 and --xi
+(family bulk) and --sigma, --s and the theta flags (family vi). bulk takes
+--mu, --omega1, --omega2 and --xi; fredholm and asymptotics take --xi.
+The JSON params block echoes the flags the command takes.
+
 --grid-path names the path the grid runs along: real for every command,
 and circle (t = e^{i g}, the default) for toeplitz as well.
 
@@ -199,9 +208,11 @@ def read_config(path: str) -> dict:
 class RunConfig:
     """One resolved command invocation.
 
-    params holds only the values the command will actually read, fully
-    converted; grid is (start, end, count, path); tol is None for a command
-    that takes no --tol.
+    params holds the command's declared flags, fully converted: the values
+    given and the defaults of the rest. Each is read by at least one branch
+    of the command (ode and monodromy-check pick theirs after parsing). grid
+    is (start, end, count, path); tol is None for a command that takes no
+    --tol.
     """
 
     command: str
@@ -229,31 +240,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_PARAM_FLAGS = {
-    # flag -> (converter, description, default or None)
-    "mu": (parse_complex, "singularity exponent parameter", 0.25 + 0j),
-    "omega1": (parse_complex, "first arc-end exponent parameter", 0.1 + 0j),
-    "omega2": (parse_complex, "rotation parameter", 0.3 + 0j),
-    "xi": (parse_complex, "jump coupling xi*", 0.5 + 0j),
-    "bigN": (int, "matrix dimension N", 2),
-    "sigma": (parse_complex, "two-point exponent sigma", 0.41 + 0j),
-    "s": (parse_complex, "parameterization coefficient s", 1.1 + 0j),
-    "r": (parse_complex, "gauge parameter r", 1.0 + 0j),
-    "theta0": (parse_complex, "exponent theta_0", None),
-    "thetat": (parse_complex, "exponent theta_t", None),
-    "theta1": (parse_complex, "exponent theta_1", None),
-    "thetainf": (parse_complex, "exponent theta_inf", None),
+# the commands that read the weight (mu, omega1, omega2, xi) and those that
+# read the generic sixth-system data (sigma, s and the theta flags)
+_SSE = ("monodromy-check", "series", "ode", "toeplitz", "bulk")
+_GENERIC = ("monodromy-check", "ode")
+
+# flag -> (commands that read it, converter, default or None, further
+# add_argument keywords); a command declares, accepts and echoes into its
+# params exactly the flags that name it here
+_FLAGS = {
+    "mu": (_SSE, parse_complex, 0.25 + 0j,
+           {"help": "singularity exponent parameter"}),
+    "omega1": (_SSE, parse_complex, 0.1 + 0j,
+               {"help": "first arc-end exponent parameter"}),
+    "omega2": (_SSE, parse_complex, 0.3 + 0j, {"help": "rotation parameter"}),
+    "xi": (_SSE + ("fredholm", "asymptotics"), parse_complex, 0.5 + 0j,
+           {"help": "jump coupling xi*"}),
+    "bigN": (("monodromy-check", "series", "toeplitz"), int, 2,
+             {"help": "matrix dimension N"}),
+    "sigma": (_GENERIC, parse_complex, 0.41 + 0j,
+              {"help": "two-point exponent sigma"}),
+    "s": (_GENERIC, parse_complex, 1.1 + 0j,
+          {"help": "parameterization coefficient s"}),
+    "r": (("monodromy-check",), parse_complex, 1.0 + 0j,
+          {"help": "gauge parameter r"}),
+    "theta0": (_GENERIC, parse_complex, None, {"help": "exponent theta_0"}),
+    "thetat": (_GENERIC, parse_complex, None, {"help": "exponent theta_t"}),
+    "theta1": (_GENERIC, parse_complex, None, {"help": "exponent theta_1"}),
+    "thetainf": (_GENERIC, parse_complex, None,
+                 {"help": "exponent theta_inf"}),
+    "corrupt-s": (("monodromy-check",), parse_complex, None,
+                  {"metavar": "FACTOR"}),
+    "family": (("series", "ode"), str, None,
+               {"choices": ("an", "bulk", "vi")}),
+    "oracle": (("toeplitz",), _as_bool, None,
+               {"action": "store_const", "const": True}),
+    "nodes": (("fredholm", "asymptotics"), int, None, {}),
+    "dims": (("bulk",), str, None,
+             {"help": "comma list of matrix dimensions"}),
 }
 
-# flag -> (commands that take it, converter, further add_argument keywords)
-_COMMAND_FLAGS = {
-    "corrupt-s": (("monodromy-check",), parse_complex, {"metavar": "FACTOR"}),
-    "family": (("series", "ode"), str, {"choices": ("an", "bulk", "vi")}),
-    "oracle": (("toeplitz",), _as_bool,
-               {"action": "store_const", "const": True}),
-    "nodes": (("fredholm", "asymptotics"), int, {}),
-    "dims": (("bulk",), str, {"help": "comma list of matrix dimensions"}),
-}
+
+def _flags_of(command: str) -> dict:
+    return {flag: spec for flag, spec in _FLAGS.items() if command in spec[0]}
 
 
 @functools.cache
@@ -263,8 +292,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, paths, tol) in _COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
-        for flag, (_, desc, _) in _PARAM_FLAGS.items():
-            p.add_argument(f"--{flag}", default=None, help=desc)
+        for flag, (_, _, _, kwargs) in _flags_of(name).items():
+            p.add_argument(f"--{flag}", default=None, **kwargs)
         p.add_argument("--grid-start", default=None)
         p.add_argument("--grid-end", default=None)
         p.add_argument("--grid-count", default=None)
@@ -278,9 +307,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None)
         p.add_argument("--selftest", action="store_const", const=True,
                        default=None)
-        for flag, (commands, _, kwargs) in _COMMAND_FLAGS.items():
-            if name in commands:
-                p.add_argument(f"--{flag}", default=None, **kwargs)
     return parser
 
 
@@ -295,11 +321,9 @@ def _resolve(args) -> RunConfig:
             raw[flag] = value
     (g0, g1, cnt), paths, tol_spec = _COMMANDS[args.command]
     # a config file may name only what this command's parser declares
-    extras = {flag: spec for flag, spec in _COMMAND_FLAGS.items()
-              if args.command in spec[0]}
-    known = (set(_PARAM_FLAGS) | set(extras)
-             | {"grid-start", "grid-end", "grid-count", "grid-path",
-                "format", "output", "selftest"})
+    flags = _flags_of(args.command)
+    known = set(flags) | {"grid-start", "grid-end", "grid-count", "grid-path",
+                          "format", "output", "selftest"}
     if tol_spec is not None:
         known.add("tol")
     for key in raw:
@@ -307,21 +331,19 @@ def _resolve(args) -> RunConfig:
             raise UsageError(f"unknown configuration key {key!r}")
 
     params = {}
-    for flag, (conv, _, default) in _PARAM_FLAGS.items():
-        if flag in raw:
-            try:
-                params[flag] = conv(raw[flag])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"--{flag}: {exc}") from None
-        elif default is not None:
-            params[flag] = default
-    for extra, (_, conv, kwargs) in extras.items():
-        if extra in raw:
-            params[extra] = conv(raw[extra])
-            choices = kwargs.get("choices")
-            if choices is not None and params[extra] not in choices:
-                raise UsageError(f"--{extra}: {params[extra]!r} is not one "
-                                 f"of {', '.join(choices)}")
+    for flag, (_, conv, default, kwargs) in flags.items():
+        if flag not in raw:
+            if default is not None:
+                params[flag] = default
+            continue
+        try:
+            params[flag] = conv(raw[flag])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"--{flag}: {exc}") from None
+        choices = kwargs.get("choices")
+        if choices is not None and params[flag] not in choices:
+            raise UsageError(f"--{flag}: {params[flag]!r} is not one "
+                             f"of {', '.join(choices)}")
 
     g0 = float(raw.get("grid-start", g0))
     g1 = float(raw.get("grid-end", g1))
@@ -348,8 +370,10 @@ def _resolve(args) -> RunConfig:
 
 
 def _sse_params(cfg: RunConfig) -> SSEParams:
+    # N = 0 for a command that does not declare --bigN: none of its calls
+    # reads N
     p = cfg.params
-    return SSEParams(N=p["bigN"], mu=p["mu"], omega1=p["omega1"],
+    return SSEParams(N=p.get("bigN", 0), mu=p["mu"], omega1=p["omega1"],
                      omega2=p["omega2"], xi_star=p["xi"])
 
 
@@ -694,14 +718,17 @@ def cmd_bulk(cfg: RunConfig) -> int:
     exp = bulk_series(p)
     x0 = xs[0]
     kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
-    # the reconstruction integrates u/y by the trapezoid rule over the
-    # accepted nodes, so cap the step well below what the flow tolerance
-    # alone would allow
-    traj = integrate(kind, seed_bulk(p, exp, x0),
-                     xs[1:] if len(xs) > 1 else [x0], tol=1e-10,
-                     max_step=0.004)
-    # segment ends land exactly on the requested nodes
-    a_ode = dict(tau_reconstruct(traj, kind, (x0, exp.evaluate(x0))))
+    # a one-point grid is the anchor alone
+    anchor = (x0, exp.evaluate(x0))
+    a_ode = dict([anchor])
+    if len(xs) > 1:
+        # the reconstruction integrates u/y by the trapezoid rule over the
+        # accepted nodes, so cap the step well below what the flow
+        # tolerance alone would allow
+        traj = integrate(kind, seed_bulk(p, exp, x0), xs[1:], tol=1e-10,
+                         max_step=0.004)
+        # segment ends land exactly on the requested nodes
+        a_ode = dict(tau_reconstruct(traj, kind, anchor))
     rows = []
     for x in xs:
         a_series = exp.evaluate(x)

@@ -127,56 +127,25 @@ class GammaRatio:
         object.__setattr__(self, "denominators", tuple(complex(a) for a in self.denominators))
 
 
-def gamma_ratio(ratio: GammaRatio, allow_pole_pairs: bool = False) -> complex:
+def gamma_ratio(ratio: GammaRatio) -> complex:
     """Evaluate a gamma ratio in log space.
 
-    Pole arguments are never cancelled silently. If a numerator pole can be
-    matched with a denominator pole the finite limit
-    Gamma(-n+eps)/Gamma(-m+eps) -> (-1)^(n-m) m!/n! exists, but it is only
-    taken when allow_pole_pairs=True; otherwise the pair is reported by the
-    raised error.
+    Poles are never cancelled: an argument at a pole raises GammaPoleError
+    naming its side, even where a numerator pole and a denominator pole
+    have a finite limit together. The log-gammas are summed numerators
+    first, then denominators.
     """
-    num_poles = [(i, _near_nonpositive_integer(a)) for i, a in enumerate(ratio.numerators)]
-    den_poles = [(i, _near_nonpositive_integer(a)) for i, a in enumerate(ratio.denominators)]
-    num_poles = [(i, n) for i, n in num_poles if n is not None]
-    den_poles = [(i, n) for i, n in den_poles if n is not None]
-
-    if num_poles and not den_poles:
-        raise GammaPoleError(ratio.numerators[num_poles[0][0]], "numerator argument")
-    if den_poles and not num_poles:
-        raise GammaPoleError(ratio.denominators[den_poles[0][0]], "denominator argument")
-    if num_poles or den_poles:
-        if len(num_poles) != len(den_poles):
-            side, idx = (
-                ("numerator", num_poles[len(den_poles)][0])
-                if len(num_poles) > len(den_poles)
-                else ("denominator", den_poles[len(num_poles)][0])
-            )
-            args = ratio.numerators if side == "numerator" else ratio.denominators
-            raise GammaPoleError(args[idx], f"unmatched {side} argument")
-        if not allow_pole_pairs:
-            pairs = ", ".join(
-                f"G({ratio.numerators[i]})/G({ratio.denominators[j]})"
-                for (i, _), (j, _) in zip(num_poles, den_poles)
-            )
-            raise GammaPoleError(
-                ratio.denominators[den_poles[0][0]],
-                f"pole/pole pair(s) {pairs}; pass allow_pole_pairs=True to take the limit at",
-            )
-
+    for where, args in (("numerator argument", ratio.numerators),
+                        ("denominator argument", ratio.denominators)):
+        for a in args:
+            if _near_nonpositive_integer(a) is not None:
+                raise GammaPoleError(a, where)
     acc = 0.0 + 0.0j
-    paired_num = {i for i, _ in num_poles}
-    paired_den = {i for i, _ in den_poles}
-    for i, a in enumerate(ratio.numerators):
-        if i not in paired_num:
-            acc += ln_gamma(a)
-    for i, a in enumerate(ratio.denominators):
-        if i not in paired_den:
-            acc -= ln_gamma(a)
-    value = cmath.exp(acc)
-    for (_, n), (_, m) in zip(num_poles, den_poles):
-        value *= (-1.0) ** (n - m) * math.factorial(m) / math.factorial(n)
-    return value
+    for a in ratio.numerators:
+        acc += ln_gamma(a)
+    for a in ratio.denominators:
+        acc -= ln_gamma(a)
+    return cmath.exp(acc)
 
 
 def _reduce_mod_two(x: float) -> float:

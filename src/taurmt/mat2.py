@@ -14,13 +14,10 @@ __all__ = [
     "SingularMatrixError",
     "Mat2",
     "IDENTITY",
-    "SIGMA3",
     "mul",
     "inv",
     "tr",
     "det",
-    "conjugate",
-    "approx_eq",
     "max_diff",
 ]
 
@@ -46,18 +43,11 @@ class Mat2:
     def diag(cls, d1: complex, d2: complex) -> "Mat2":
         return cls(d1, 0.0, 0.0, d2)
 
-    def rows(self):
-        return ((self.a11, self.a12), (self.a21, self.a22))
-
     def norm_max(self) -> float:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return mul(self, other)
-
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
-SIGMA3 = Mat2(1.0, 0.0, 0.0, -1.0)
 
 
 def mul(a: Mat2, b: Mat2) -> Mat2:
@@ -85,11 +75,6 @@ def inv(a: Mat2) -> Mat2:
     return Mat2(a.a22 / d, -a.a12 / d, -a.a21 / d, a.a11 / d)
 
 
-def conjugate(a: Mat2, p: Mat2) -> Mat2:
-    """Similarity transform P A P^{-1}."""
-    return mul(p, mul(a, inv(p)))
-
-
 def max_diff(a: Mat2, b: Mat2) -> float:
     """Largest entrywise absolute difference."""
     return max(
@@ -98,9 +83,3 @@ def max_diff(a: Mat2, b: Mat2) -> float:
         abs(a.a21 - b.a21),
         abs(a.a22 - b.a22),
     )
-
-
-def approx_eq(a: Mat2, b: Mat2, tol: float) -> tuple[bool, float]:
-    """Entrywise comparison in the max norm; returns (ok, max difference)."""
-    d = max_diff(a, b)
-    return d <= tol, d

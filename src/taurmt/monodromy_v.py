@@ -44,8 +44,6 @@ __all__ = [
     "limit_transition_ii",
     "sse_pv_matrices",
     "sse_theta_v",
-    "beta0",
-    "truncated_params",
     "s_hat_v",
     "s_from_s_hat_v",
 ]
@@ -75,10 +73,6 @@ class ThetaV:
 
     def as_tuple(self):
         return (self.theta0, self.theta1, self.theta_inf)
-
-    def theta_inf_integer(self) -> bool:
-        """Flag for the non-generic case theta_inf in Z."""
-        return near_integer(self.theta_inf)
 
 
 @dataclass(frozen=True)
@@ -261,10 +255,6 @@ class LimitIIResult:
     hat_m1v: Mat2
     theta6: complex
     theta_inf_v: complex
-
-    @property
-    def stokes(self) -> StokesData:
-        return StokesData(s1=self.s0_hat.a21, s2=self.s1_hat.a12)
 
     def hat_m_inf_v(self) -> Mat2:
         e_diag = Mat2.diag(exp_pi_i(self.theta_inf_v), exp_pi_i(-self.theta_inf_v))
@@ -496,28 +486,3 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
         raise InconsistentKError(f"printed matrix sets disagree under hat transform: {dev}")
 
     return SSEPVMatrices(stokes=stokes, data=data)
-
-
-def beta0(mu: complex, omega1: complex, xi_star: complex) -> complex:
-    """Winding coefficient of the jump strength, principal branch.
-
-    (1/2 pi i) log{ xi* [1 - e^{pi i(-2 mu + 2 omega1)} (1 - xi*)] }.
-    Vanishes at xi* = 1; undefined at xi* = 0.
-    """
-    arg = complex(xi_star) * (1 - exp_pi_i(-2 * complex(mu) + 2 * complex(omega1))
-                              * (1 - complex(xi_star)))
-    if arg == 0:
-        raise ValueError("log of zero: beta0 is undefined (xi* = 0 or resonant argument)")
-    return cmath.log(arg) / (2j * math.pi)
-
-
-def truncated_params(mu: complex, omega1: complex, omega2: complex):
-    """Coefficients (i u-hat, i v-hat) of the truncated-solution normal form."""
-    mu = complex(mu)
-    om_bar = complex(omega1) - 1j * complex(omega2)
-    i_u_hat = (2.0 ** (2 * (2 * mu - 2 * complex(omega1)))
-               * exp_pi_i(-(mu - om_bar))
-               * gamma_ratio(GammaRatio((1 + 2 * mu,), (2 * complex(omega1),))))
-    i_v_hat = (math.sqrt(2.0 / math.pi) * exp_pi_i(mu + complex(omega1))
-               * cos_pi(mu - om_bar))
-    return i_u_hat, i_v_hat

@@ -12,8 +12,7 @@ upper triangular form.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexfn import GammaRatio, cos_pi, exp_pi_i, gamma_ratio, near_integer, sin_pi
 from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr

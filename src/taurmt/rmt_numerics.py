@@ -550,15 +550,16 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b.view(float)).view(b.dtype)
 
 
-def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
+def quad_oracle_an(p: SSEParams, t: complex) -> complex:
     """Literal N fold angular integral, N <= 3, on the defining circle.
 
     Tensor-product tanh-sinh rule over the real angles with the modified
     measure applied per coordinate and the squared Vandermonde factor
     2 - 2 cos(theta_j - theta_k) written in. Two refinement levels must
-    agree to rtol before a value is accepted; one escalation is tried,
-    then QuadratureError. Kept independent of the Fourier machinery: no
-    complex legs, no continued weight, just the real-modulus integrand.
+    agree to 1e-9 relative before a value is accepted; one escalation is
+    tried, then QuadratureError. Kept independent of the Fourier
+    machinery: no complex legs, no continued weight, just the real-modulus
+    integrand.
     For N = 3 the real Vandermonde matrix multiplies the complex weighted
     one through _matmul, as one real product.
     """
@@ -613,6 +614,7 @@ def quad_oracle_an(p: SSEParams, t: complex, rtol: float = 1e-9) -> complex:
         diag = np.einsum("ac,ac->c", v, dv)
         return complex((u @ diag) / 6.0)
 
+    rtol = 1e-9
     v_low = value(5)
     for high in (6, 7):
         v_high = value(high)
@@ -806,8 +808,7 @@ class BulkLimitResult:
     richardson_diff: float
 
 
-def bulk_limit_an(x: complex, p: SSEParams, n_list,
-                  tol: float = 1e-12) -> BulkLimitResult:
+def bulk_limit_an(x: complex, p: SSEParams, n_list) -> BulkLimitResult:
     """Drive the Toeplitz route toward the bulk scaling limit.
 
     For each N the average at t = exp(-x/N) is divided by its own t -> 1
@@ -817,7 +818,8 @@ def bulk_limit_an(x: complex, p: SSEParams, n_list,
     assumed. observed_order reports the empirical leading power fitted
     from successive differences (nan with fewer than three dimensions),
     and richardson_diff the change from the table's last column, as a
-    stability handle.
+    stability handle. Each determinant is toeplitz_an at its default
+    accuracy; p.N is not read.
     """
     ns = sorted({int(n) for n in n_list})
     if not ns:
@@ -829,7 +831,7 @@ def bulk_limit_an(x: complex, p: SSEParams, n_list,
     for n in ns:
         pn = replace(p, N=n)
         tn = cmath.exp(-xx / n)
-        det = toeplitz_an(pn, tn, tol=tol)
+        det = toeplitz_an(pn, tn)
         vals.append(det / barnes_prefactor(n, p.mu, p.omega1, p.omega2))
     hs = [1.0 / n for n in ns]
     work = list(vals)

@@ -41,7 +41,6 @@ from .tau_series import (
     BoundaryExpansion,
     BulkParams,
     SigmaMap,
-    TauSeries,
     bulk_okamoto_params,
     sigma_map,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "seed_vi",
     "seed_v",
     "seed_bulk",
-    "suggest_seed_radius",
 ]
 
 
@@ -317,13 +315,12 @@ _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 0.25)
 
 
 def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
-              zeta2_hint: complex | None = None,
               max_step: float | None = None) -> SigmaTrajectory:
     """Integrate the third-order flow along straight segments through path.
 
     seed is an OdeSeed or a (t0, zeta0, zeta0') triple; the z'' branch at the
-    seed is the second-degree root nearest zeta2_hint (or seed.curvature),
-    defaulting to the principal root. path lists the waypoints to visit after
+    seed is the second-degree root nearest seed.curvature, or the principal
+    root when the seed carries none. path lists the waypoints to visit after
     t0; each segment must stay clear of the fixed singularities. tol must be
     finite and positive. The second-degree relation is re-checked at every
     accepted node and z'' re-projected onto the nearest root when the scaled
@@ -341,12 +338,9 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if isinstance(seed, OdeSeed):
-        t0, z0, z10 = seed.t, seed.zeta, seed.dzeta
-        if zeta2_hint is None:
-            zeta2_hint = seed.curvature
-    else:
-        t0, z0, z10 = (complex(v) for v in seed)
+    if not isinstance(seed, OdeSeed):
+        seed = OdeSeed(*(complex(v) for v in seed))
+    t0, z0, z10, hint = seed.t, seed.zeta, seed.dzeta, seed.curvature
     waypoints = [complex(w) for w in path]
     if not waypoints:
         raise ValueError("path must contain at least one waypoint")
@@ -365,10 +359,10 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
     third, scaled, roots = rel.third, rel.scaled, rel.roots
     y0, y1 = complex(z0), complex(z10)
     pair = roots(complex(t0), y0, y1)
-    if zeta2_hint is None:
+    if hint is None:
         y2 = pair[0]
     else:
-        y2 = min(pair, key=lambda r: abs(r - complex(zeta2_hint)))
+        y2 = min(pair, key=lambda r: abs(r - complex(hint)))
 
     nodes = [t0]
     values = [(z0, z10)]
@@ -522,7 +516,7 @@ def tau_reconstruct(trajectory: SigmaTrajectory, kind: OdeKind,
 
 def _seed(amap: SigmaMap, expansion: BoundaryExpansion, t: complex) -> OdeSeed:
     t = complex(t)
-    return OdeSeed(t, *amap.jet(t, *expansion.log_derivatives(t, 3)))
+    return OdeSeed(t, *amap.jet(t, *expansion.log_derivatives(t)))
 
 
 def seed_vi(theta: ThetaVI, expansion: BoundaryExpansion, t: complex) -> OdeSeed:
@@ -542,18 +536,3 @@ def seed_v(theta: ThetaV, expansion: BoundaryExpansion, t: complex) -> OdeSeed:
 def seed_bulk(p: SSEParams, expansion: BoundaryExpansion, x: complex) -> OdeSeed:
     """Seed the alternative fifth form from the bulk expansion at x."""
     return _seed(sigma_map(bulk_okamoto_params(p)), expansion, x)
-
-
-def suggest_seed_radius(series: TauSeries, target: float = 1e-10) -> float:
-    """Radius where the next-term magnitude estimate reaches target.
-
-    The first omitted coefficient is estimated by the largest kept one from
-    a positive-exponent term, so this is a balance heuristic, not a bound.
-    """
-    rem = series.remainder_exponent.real
-    if rem <= 0:
-        raise ValueError("series remainder exponent must have positive real part")
-    scale = max((abs(c) for e, c in series.terms if e.real > 0), default=1.0)
-    if scale == 0:
-        scale = 1.0
-    return float((target / scale) ** (1.0 / rem))

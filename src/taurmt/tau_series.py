@@ -18,14 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
     GammaRatio,
     barnes_prefactor,
-    exp_pi_i,
     gamma_ratio,
     near_integer,
     sin_pi,
@@ -48,7 +46,6 @@ __all__ = [
     "sigma_map",
     "bulk_okamoto_params",
     "zeta0_series",
-    "zeta_truncated",
     "gap_asymptotics",
 ]
 
@@ -114,8 +111,7 @@ class BoundaryExpansion:
     """A tau-function boundary form: normalization * w**p * (series in w).
 
     normalization None marks the overall constant the expansion theorems
-    leave undetermined; with_normalization pins it after matching one value
-    against an independent evaluation.
+    leave undetermined; evaluate then takes it as 1.
     """
 
     series: TauSeries
@@ -126,29 +122,21 @@ class BoundaryExpansion:
         const = 1.0 if self.normalization is None else self.normalization
         return const * _cpow(w, self.prefactor_exponent) * self.series.evaluate(w)
 
-    def with_normalization(self, const: complex) -> "BoundaryExpansion":
-        return replace(self, normalization=complex(const))
-
-    def log_derivatives(self, w: complex, orders: int = 3) -> tuple:
-        """(d/dw)^k log(w**p * series) for k = 1..orders (max 3).
+    def log_derivatives(self, w: complex) -> tuple:
+        """(d/dw)^k log(w**p * series) for k = 1, 2, 3: the jet a sigma-form
+        seed needs.
 
         The undetermined normalization drops out of every log-derivative.
         """
-        if not 1 <= orders <= 3:
-            raise ValueError("orders must be 1, 2 or 3")
         p = self.prefactor_exponent
-        s = self.series
-        s1 = s.derivative()
-        v, v1 = s.evaluate(w), s1.evaluate(w)
-        out = [p / w + v1 / v]
-        if orders >= 2:
-            v2 = s1.derivative().evaluate(w)
-            out.append(-p / w ** 2 + (v2 * v - v1 * v1) / v ** 2)
-        if orders >= 3:
-            v3 = s1.derivative().derivative().evaluate(w)
-            out.append(2 * p / w ** 3
-                       + (v3 * v * v - 3 * v2 * v1 * v + 2 * v1 ** 3) / v ** 3)
-        return tuple(out)
+        s1 = self.series.derivative()
+        s2 = s1.derivative()
+        v, v1 = self.series.evaluate(w), s1.evaluate(w)
+        v2, v3 = s2.evaluate(w), s2.derivative().evaluate(w)
+        return (p / w + v1 / v,
+                -p / w ** 2 + (v2 * v - v1 * v1) / v ** 2,
+                2 * p / w ** 3
+                + (v3 * v * v - 3 * v2 * v1 * v + 2 * v1 ** 3) / v ** 3)
 
 
 def _require_nondegenerate_sigma(sigma: complex) -> complex:
@@ -391,24 +379,6 @@ def zeta0_series(s: complex, p: SSEParams) -> complex:
            - 16 * w1 ** 2 * w2 ** 2
            + (4 * w1 ** 2 - 1) * (4 * w1 ** 2 - 4 * w2 ** 2 - 1)) / s ** 2
     return c2 + c1 + c0 + cm1 + cm2
-
-
-def zeta_truncated(s: complex, p: SSEParams) -> complex:
-    """Algebraic expansion plus the leading exponentially small correction.
-
-    The correction term is established for -pi <= arg(s) <= 0; outside that
-    sector the value is still returned but flagged, since the beyond-all-
-    orders term changes across anti-Stokes lines.
-    """
-    s = complex(s)
-    arg = cmath.phase(s)
-    if not (-math.pi <= arg <= 0) and abs(arg - math.pi) > 1e-12:
-        warnings.warn("zeta_truncated evaluated outside the sector "
-                      "-pi <= arg(s) <= 0; the correction term is not "
-                      "controlled there", stacklevel=2)
-    correction = (-1j * exp_pi_i(p.mu + p.omega1) * cmath.cos(math.pi * (p.mu - p.omega_bar))
-                  * cmath.sqrt(abs(s) / (4 * math.pi)) * cmath.exp(-1j * s / 2))
-    return zeta0_series(s, p) + correction
 
 
 # the sine-kernel point mu = omega1 = omega2 = 0, where the bulk average is

@@ -219,3 +219,61 @@ def test_complex_weight_is_accepted(command, capsys):
                        "--omega2=0.217"], capsys)
     assert len(rows) >= 2
     assert all(math.isfinite(v) for row in rows for v in row)
+
+
+PARAMETER_FLAGS = ("mu", "omega1", "omega2", "xi", "bigN", "sigma", "s", "r",
+                   "theta0", "thetat", "theta1", "thetainf")
+SSE_FLAGS = {"mu", "omega1", "omega2", "xi"}
+THETA_FLAGS = {"theta0", "thetat", "theta1", "thetainf"}
+VI_FLAGS = {"sigma", "s"} | THETA_FLAGS
+# the parameter flags each command reads, on any of its branches: 38 slots
+READS = {
+    "monodromy-check": set(PARAMETER_FLAGS),
+    "series": SSE_FLAGS | {"bigN"},
+    "ode": SSE_FLAGS | VI_FLAGS,
+    "toeplitz": SSE_FLAGS | {"bigN"},
+    "fredholm": {"xi"},
+    "bulk": SSE_FLAGS,
+    "asymptotics": {"xi"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", PARAMETER_FLAGS)
+def test_parameter_flag_only_where_it_is_read(command, flag, tmp_path,
+                                              capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag}=1\n")
+    if flag in READS[command]:
+        for given in (f"--{flag}=1", f"--config={config}"):
+            cfg = cli._resolve(cli._build_parser().parse_args([command,
+                                                                given]))
+            assert cfg.params[flag] == 1
+        return
+    assert main([command, f"--{flag}=1", "--grid-count=1"]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().out == ""
+    assert main([command, f"--config={config}", "--grid-count=1"]) \
+        == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown configuration key {flag!r}\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_default_params_are_the_read_flags_with_defaults(command, capsys):
+    argv = [command, "--grid-count=1"]
+    if command == "ode":
+        argv.append("--grid-end=0.01")
+    assert main(argv) == EXIT_OK
+    params = json.loads(capsys.readouterr().out)["params"]
+    # the theta flags have no default: giving one picks the generic branch
+    assert set(params) == READS[command] - THETA_FLAGS
+
+
+def test_one_point_bulk_grid_prints_the_anchor_row(capsys):
+    rows = _json_rows(["bulk", "--grid-count=1", "--dims=8"], capsys)
+    assert len(rows) == 1
+    x, ode_re, ode_im, series_re, series_im = rows[0][:5]
+    assert x == 0.2
+    assert (ode_re, ode_im) == (series_re, series_im)
+    assert rows[0][7] == rows[0][8]

@@ -115,15 +115,6 @@ class TestGammaRatio:
         with pytest.raises(GammaPoleError):
             gamma_ratio(ratio)
 
-    def test_pole_pair_limit_on_request(self):
-        # Gamma(-3+eps)/Gamma(-1+eps) -> (-1)^(3-1) 1!/3! = 1/6
-        got = gamma_ratio(GammaRatio((-3.0,), (-1.0,)), allow_pole_pairs=True)
-        assert got == pytest.approx(1.0 / 6.0, rel=1e-12)
-
-    def test_unmatched_pole_still_raises_with_pairs_allowed(self):
-        with pytest.raises(GammaPoleError):
-            gamma_ratio(GammaRatio((0.5,), (-2.0,)), allow_pole_pairs=True)
-
 
 class TestSinCosPi:
     def test_exact_integer_zeros(self):

@@ -7,11 +7,8 @@ import pytest
 
 from taurmt.mat2 import (
     IDENTITY,
-    SIGMA3,
     Mat2,
     SingularMatrixError,
-    approx_eq,
-    conjugate,
     det,
     inv,
     max_diff,
@@ -25,7 +22,7 @@ def random_mat(rng):
 
 
 def to_array(m):
-    return np.array(m.rows(), dtype=complex)
+    return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
 
 
 class TestBasics:
@@ -33,7 +30,7 @@ class TestBasics:
         assert max_diff(inv(IDENTITY), IDENTITY) == 0.0
 
     def test_sigma3_trace(self):
-        assert tr(SIGMA3) == 0.0
+        assert tr(Mat2.diag(1.0, -1.0)) == 0.0
 
     def test_mul_matches_numpy(self):
         rng = random.Random(5)
@@ -62,46 +59,3 @@ class TestBasics:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inv(Mat2(1.0, 2.0, 2.0, 4.0))
-
-
-class TestConjugate:
-    def test_identity_frame(self):
-        a = Mat2(1.0, 2.0 + 1j, 0.5, -3.0)
-        assert max_diff(conjugate(a, IDENTITY), a) == 0.0
-
-    def test_trace_det_preserved(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            a, p = random_mat(rng), random_mat(rng)
-            if abs(det(p)) < 1e-3:
-                continue
-            c = conjugate(a, p)
-            assert abs(tr(c) - tr(a)) < 1e-12 * max(1.0, abs(tr(a)))
-            assert abs(det(c) - det(a)) < 1e-10 * max(1.0, abs(det(a)))
-
-    def test_random_case_matches_numpy(self):
-        rng = random.Random(10)
-        a, p = random_mat(rng), random_mat(rng)
-        ref = to_array(p) @ to_array(a) @ np.linalg.inv(to_array(p))
-        assert np.max(np.abs(to_array(conjugate(a, p)) - ref)) < 1e-12
-
-
-class TestApproxEq:
-    def test_self_equal(self):
-        a = Mat2(1.0, 2.0, 3.0, 4.0)
-        ok, diff = approx_eq(a, a, 0.0)
-        assert ok and diff == 0.0
-
-    def test_identity_vs_sigma3(self):
-        ok, diff = approx_eq(IDENTITY, SIGMA3, 1e-9)
-        assert not ok
-        assert diff == pytest.approx(2.0)
-
-    def test_boundary_report(self):
-        a = Mat2(1.0, 0.0, 0.0, 1.0)
-        b = Mat2(1.0 + 3e-7, 0.0, 0.0, 1.0)
-        ok, diff = approx_eq(a, b, 1e-7)
-        assert not ok
-        assert diff == pytest.approx(3e-7, rel=1e-6)
-        ok2, _ = approx_eq(a, b, 1e-6)
-        assert ok2

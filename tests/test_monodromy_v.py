@@ -14,7 +14,6 @@ from taurmt.monodromy_v import (
     SSEPVMatrices,
     StokesData,
     ThetaV,
-    beta0,
     hat_transform,
     limit_transition_ii,
     pv_matrices,
@@ -23,7 +22,6 @@ from taurmt.monodromy_v import (
     sse_pv_matrices,
     sse_theta_v,
     stokes_from_sigma,
-    truncated_params,
 )
 from taurmt.monodromy_vi import (
     DegenerateParameterError,
@@ -95,13 +93,6 @@ def random_theta_sigma(rng):
 
 def random_unit(rng, lo=0.5, hi=2.0):
     return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-3.0, 3.0))
-
-
-class TestThetaV:
-    def test_integer_flag(self):
-        assert ThetaV(0.3, 0.5, 2.0).theta_inf_integer()
-        assert not ThetaV(0.3, 0.5, 0.7).theta_inf_integer()
-        assert not ThetaV(0.3, 0.5, 2.0 + 0.1j).theta_inf_integer()
 
 
 class TestPvMatrices:
@@ -368,31 +359,3 @@ class TestLimitTransitionII:
         with pytest.raises(InconsistentKError):
             limit_transition_ii(self.mats.m0, self.mats.mt, self.theta6 + 0.13,
                                 self.theta_inf_v, self.mats.m_inf, self.mats.m1)
-
-
-class TestBeta0:
-    def test_reference_value(self):
-        got = beta0(0.25, 0.1, 0.5)
-        assert abs(got - (0.082797633076183423 + 0.14311687914140824j)) < 1e-14
-
-    def test_full_weight_gives_zero(self):
-        assert beta0(0.25, 0.1, 1.0) == 0
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            beta0(0.25, 0.1, 0.0)
-
-
-class TestTruncatedParams:
-    def test_reference_values(self):
-        iu, iv = truncated_params(0.25, 0.1, 0.3)
-        assert abs(iu - (0.66905869661013467 - 0.34090243312843554j)) < 1e-13
-        assert abs(iv - (0.82828656404746838 + 0.75723771688425872j)) < 1e-13
-
-    def test_zero_omega1_hits_pole(self):
-        with pytest.raises(GammaPoleError):
-            truncated_params(0.25, 0.0, 0.3)
-
-    def test_half_integer_offset_kills_v(self):
-        _, iv = truncated_params(0.6, 0.1, 0.0)
-        assert iv == 0

@@ -90,14 +90,6 @@ def test_check_generic_resonance_in_two_z():
     assert check_generic(ThetaVI(0.6, 0.1, 0.3, 0.2), 0.3).ok
 
 
-def test_theta_inf_integer():
-    tol = INPUT_INTEGER_TOL
-    assert ThetaV(0.3, 0.5, 2 + INSIDE * tol).theta_inf_integer()
-    assert not ThetaV(0.3, 0.5, 2 + OUTSIDE * tol).theta_inf_integer()
-    assert ThetaV(0.3, 0.5, complex(2, INSIDE * tol)).theta_inf_integer()
-    assert not ThetaV(0.3, 0.5, complex(2, OUTSIDE * tol)).theta_inf_integer()
-
-
 def test_an_series_integer_sigma():
     tol = COMPUTED_INTEGER_TOL
 

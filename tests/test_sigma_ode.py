@@ -21,7 +21,6 @@ from taurmt.sigma_ode import (
     seed_v,
     seed_vi,
     solve_second_degree,
-    suggest_seed_radius,
     tau_reconstruct,
     third_derivative,
 )
@@ -452,18 +451,6 @@ class TestSeedHelpers:
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.01)
         assert residual_scaled(k, 0.01, sd.zeta, sd.dzeta, sd.curvature) < 1e-4
 
-    def test_suggest_seed_radius_values(self):
-        r_bulk = suggest_seed_radius(bulk_series(P_STD).series)
-        assert math.isclose(r_bulk, 2.1602468994692865e-05, rel_tol=1e-9)
-        r_vi = suggest_seed_radius(_exp6().series)
-        assert math.isclose(r_vi, 3.954825948450465e-09, rel_tol=1e-9)
-
-    def test_suggest_seed_radius_monotone_in_target(self):
-        s = bulk_series(P_STD).series
-        assert (suggest_seed_radius(s, 1e-12)
-                < suggest_seed_radius(s, 1e-10)
-                < suggest_seed_radius(s, 1e-8))
-
 
 class TestTrajectoryCsv:
     def test_header_and_rows_parse(self, capsys):
@@ -471,7 +458,7 @@ class TestTrajectoryCsv:
         k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
         traj = integrate(k, sd, [0.05, 0.1], tol=1e-8)
-        assert cli.main(["ode", "--family=bulk", "--bigN=2", "--mu=0.25",
+        assert cli.main(["ode", "--family=bulk", "--mu=0.25",
                          "--omega1=0.1", "--omega2=0.3", "--xi=0.5",
                          "--grid-start=0.05", "--grid-end=0.1", "--tol=1e-8",
                          "--format=csv"]) == 0
