@@ -236,6 +236,16 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on bad input; a flag must be spelled in full.
+
+    Without allow_abbrev a unique prefix (--x for --xi) would be a silent
+    alias on the command line although the same key in a config file is
+    rejected. Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

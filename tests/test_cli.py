@@ -277,3 +277,18 @@ def test_one_point_bulk_grid_prints_the_anchor_row(capsys):
     assert x == 0.2
     assert (ode_re, ode_im) == (series_re, series_im)
     assert rows[0][7] == rows[0][8]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fredholm", "--x=1", "--grid-count=1"],
+    ["bulk", "--dim=8,16", "--grid-count=1"],
+    ["toeplitz", "--s=1"],
+])
+def test_flag_prefix_is_not_an_alias(argv, capsys):
+    # a unique prefix of --xi, --dims or --selftest is rejected on the
+    # command line as its config-file key would be
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {argv[1]}\n"

@@ -27,9 +27,11 @@ from taurmt.rmt_numerics import (
     _arc_panels,
     _gl_rule,
     _leg_integrand,
+    _oracle_rule,
     _phase_table,
     _quadrature_table,
     _recurrence_table,
+    _vandermonde_sum,
     bulk_limit_an,
     fourier_table,
     fredholm_log_derivatives,
@@ -605,6 +607,107 @@ class TestDirectOracle:
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             quad_oracle_an(replace(P_STD, N=4), T_STD)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stalled_levels_raise(self, n):
+        # mu near -1/2 puts a strong singularity at the wrap angle: levels
+        # 6 and 7 still disagree by ~1.5e-7, past the 1e-9 acceptance
+        p = SSEParams(N=n, mu=-0.49, omega1=0.1, omega2=0.0, xi_star=0.5)
+        with pytest.raises(QuadratureError) as exc:
+            quad_oracle_an(p, cmath.exp(0.7j))
+        assert exc.value.target == 1e-9
+        assert exc.value.achieved > exc.value.target
+
+
+def _literal_sum(theta, u, n):
+    """sum over a_1..a_n of u_a1..u_an prod_{j<k} D_{aj ak} / n!, with
+    D = |e^{i theta_a} - e^{i theta_b}|^2 formed pairwise as
+    (2 sin((theta_a - theta_b)/2))^2, accurate to rounding at any
+    separation."""
+    d = (2.0 * np.sin(0.5 * (theta[:, None] - theta[None, :]))) ** 2
+    if n == 1:
+        return complex(np.sum(u))
+    if n == 2:
+        return complex(np.einsum("a,b,ab->", u, u, d) / 2.0)
+    return complex(np.einsum("a,b,c,ab,bc,ca->", u, u, u, d, d, d,
+                             optimize=True) / 6.0)
+
+
+def _mp_literal_sum(theta, u, n):
+    """_literal_sum term by term in 30-digit arithmetic."""
+    with mp.workdps(30):
+        z = [mp.expj(mp.mpf(float(x))) for x in theta]
+        w = [mp.mpc(complex(x)) for x in u]
+        m = len(z)
+        d = [[abs(z[a] - z[b]) ** 2 for b in range(m)] for a in range(m)]
+        if n == 1:
+            total = mp.fsum(w)
+        elif n == 2:
+            total = mp.fsum(w[a] * w[b] * d[a][b]
+                            for a in range(m) for b in range(m)) / 2
+        else:
+            wd = [[w[a] * d[a][b] for b in range(m)] for a in range(m)]
+            total = mp.fsum(wd[a][b] * wd[b][c] * wd[c][a]
+                            for a in range(m) for b in range(m)
+                            for c in range(m)) / 6
+        return complex(total)
+
+
+LAYOUTS = ["spread", "clustered", "clustered_across_pi"]
+
+
+def _sample_nodes(layout, m, weights, seed):
+    """m nodes over the whole circle, or on an arc of width 0.2 centred at
+    2.4 rad or straddling the cut at +-pi, with real positive or complex
+    weights."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(m)
+    if layout == "spread":
+        theta = math.pi * (2.0 * x - 1.0)
+    else:
+        centre = 2.4 if layout == "clustered" else math.pi - 0.05
+        theta = np.remainder(centre + 0.2 * (x - 0.5) + math.pi,
+                             2.0 * math.pi) - math.pi
+    u = rng.uniform(0.5, 1.5, m)
+    if weights == "complex":
+        u = u * np.exp(1j * rng.uniform(-0.5, 0.5, m))
+    return theta, u
+
+
+class TestVandermondeSum:
+    """The rank-3 evaluation of the oracle's tensor-product sum against
+    the literal pairwise sum it replaces."""
+
+    @pytest.mark.parametrize("weights", ["real", "complex"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_literal_sum(self, n, layout, weights):
+        theta, u = _sample_nodes(layout, 200, weights, seed=10 * n)
+        got = _vandermonde_sum(theta, u, n)
+        want = _literal_sum(theta, u, n)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("weights", ["real", "complex"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_30_digit_literal_sum(self, n, layout, weights):
+        theta, u = _sample_nodes(layout, 32, weights, seed=10 * n + 1)
+        got = _vandermonde_sum(theta, u, n)
+        want = _mp_literal_sum(theta, u, n)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_short_arc_oracle_case(self):
+        # xi* = 1 removes the arc beyond the wrap angle pi - 6.1, leaving
+        # nodes on an arc of width 0.18 where the factor is small; the
+        # oracle converges at level 6 (levels 5 and 6 agree)
+        p = SSEParams(N=3, mu=-0.3, omega1=0.5, omega2=0.0, xi_star=1.0)
+        t = cmath.exp(6.1j)
+        theta, u = _oracle_rule(p, t, 6)
+        got = _vandermonde_sum(theta, u, 3)
+        assert quad_oracle_an(p, t) == got
+        live = u != 0.0  # zero weights add exact zeros to the literal sum
+        want = _literal_sum(theta[live], u[live], 3)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestFredholm:
