@@ -30,6 +30,10 @@ integrable exponent. Nodes are never formed by subtracting nearly equal
 angles: every node carries exact distances to both panel ends, and the
 singular factors are evaluated as trigonometric functions of those
 distances, so precision survives where the integrand varies fastest.
+No tanh-sinh answer is accepted before level 4, so levels 0..4 are
+sampled in one call of the integrand on their concatenated nodes and
+summed level by level from those rows; the endpoint-decay check of a
+level-4 answer reuses the same samples.
 
 The phase factors e^{-ik theta} of a coefficient table come from running
 products, not one complex exponential per entry: z = e^{-i theta} is
@@ -127,6 +131,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _TS_TAU_MAX = 6.0
+_TS_MIN_LEVEL = 4
+_TS_MAX_LEVEL = 11
 _CHUNK_ROWS = 8192
 _EPS = float(np.finfo(float).eps)
 
@@ -192,9 +198,16 @@ def _wrap_angle(a: float) -> float:
 # tanh-sinh machinery
 
 
+def _locked(*arrays):
+    """Mark cached arrays read-only and return them as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _ts_new_nodes(level: int):
-    """Nodes joining the tanh-sinh rule on (0, 1) at this level.
+    """Nodes joining the tanh-sinh rule on (0, 1) at this level, read-only.
 
     Returns (d0, d1, w): distances to the endpoints 0 and 1, each formed
     without cancellation, and the substitution weight. Level 0 is the
@@ -216,50 +229,72 @@ def _ts_new_nodes(level: int):
     d0 = np.where(tau < 0.0, near, far)
     d1 = np.where(tau < 0.0, far, near)
     w = math.pi * np.cosh(tau) * near * far
-    return d0, d1, w
+    return _locked(d0, d1, w)
 
 
+@lru_cache(maxsize=None)
 def _ts_full_rule(level: int):
-    """Complete tanh-sinh rule at the given level, weights included."""
+    """Complete tanh-sinh rule at the given level, read-only.
+
+    Returns (d0, d1, w, slices): the nodes of levels 0..level
+    concatenated in level order, the weights scaled by 2^-level, and for
+    each level k the slice of the concatenation holding its new nodes.
+    """
     parts = [_ts_new_nodes(k) for k in range(level + 1)]
     d0 = np.concatenate([p[0] for p in parts])
     d1 = np.concatenate([p[1] for p in parts])
     w = np.concatenate([p[2] for p in parts]) * (0.5 ** level)
-    return d0, d1, w
+    stops = np.cumsum([len(p[2]) for p in parts]).tolist()
+    slices = tuple(slice(lo, hi) for lo, hi in zip([0] + stops, stops))
+    return (*_locked(d0, d1, w), slices)
 
 
-def _integrate_01(f, tol: float, max_level: int = 11, min_level: int = 4):
+def _integrate_01(f, tol: float):
     """Adaptive tanh-sinh integration of a vector integrand over (0, 1).
 
     f(d0, d1) -> (len(d0), K) samples, with d0 and d1 the nodes' exact
     distances to the interval ends. Halves the step until the level to
-    level change falls below tol (absolute, max over components).
+    level change falls below tol (absolute, max over components), from
+    level _TS_MIN_LEVEL up to _TS_MAX_LEVEL. No answer is accepted before
+    _TS_MIN_LEVEL, so levels 0.._TS_MIN_LEVEL are sampled in one call of
+    f on their concatenated nodes (_ts_full_rule) and summed level by
+    level from those rows; each later level is one call, in chunks of
+    _CHUNK_ROWS nodes.
 
     The substitution reaches endpoint distances ~exp(-pi sinh(tau_max)),
     which is plenty for any fixed integrable exponent, but exponents
     within a few hundredths of -1 decay so slowly that the tail past the
     node range would go missing silently. The outermost summand is
-    checked before a converged value is reported; a non-negligible edge
-    turns into QuadratureError instead of a quiet deficit.
+    checked before a converged value is reported (at _TS_MIN_LEVEL from
+    the rows already sampled); a non-negligible edge turns into
+    QuadratureError instead of a quiet deficit.
     """
+    d0, d1, _, slices = _ts_full_rule(_TS_MIN_LEVEL)
+    head = f(d0, d1)
+    ends = np.array([0, -1])
     total = None
     prev = None
     err = math.inf
-    for level in range(max_level + 1):
+    for level in range(_TS_MAX_LEVEL + 1):
         d0, d1, w = _ts_new_nodes(level)
-        part = None
-        for lo in range(0, len(w), _CHUNK_ROWS):
-            sl = slice(lo, lo + _CHUNK_ROWS)
-            block = w[sl] @ f(d0[sl], d1[sl])
-            part = block if part is None else part + block
+        if level <= _TS_MIN_LEVEL:
+            part = w @ head[slices[level]]
+        else:
+            part = None
+            for lo in range(0, len(w), _CHUNK_ROWS):
+                sl = slice(lo, lo + _CHUNK_ROWS)
+                block = w[sl] @ f(d0[sl], d1[sl])
+                part = block if part is None else part + block
         total = part if total is None else total + part
         cur = (0.5 ** level) * total
-        if prev is not None:
+        if level >= _TS_MIN_LEVEL:
             err = float(np.max(np.abs(cur - prev)))
-            if level >= min_level and err <= tol:
-                ends = np.array([0, -1])
-                edge = float(np.max(np.abs(
-                    w[ends, None] * f(d0[ends], d1[ends]))))
+            if err <= tol:
+                if level == _TS_MIN_LEVEL:
+                    rows = head[slices[level]][ends]
+                else:
+                    rows = f(d0[ends], d1[ends])
+                edge = float(np.max(np.abs(w[ends, None] * rows)))
                 if edge > 1e3 * tol:
                     raise QuadratureError(
                         "endpoint decay too slow for the node range",
@@ -584,7 +619,7 @@ def _oracle_rule(p: SSEParams, t: complex, level: int):
     jump = 1.0 - p.xi_star
     thetas, weights = [], []
     for a, b, wrapped in _arc_panels(phi_r + 0j):
-        d0, d1, wq = _ts_full_rule(level)
+        d0, d1, wq, _ = _ts_full_rule(level)
         width = b - a
         da, db = width * d0, width * d1
         theta = a + da
@@ -709,10 +744,7 @@ def _gl_rule(m: int):
     writes. numpy returns the rule symmetrized: x[m-1-i] == -x[i] and
     w[m-1-i] == w[i] exactly, with x = 0 at the centre of an odd rule.
     """
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _locked(*np.polynomial.legendre.leggauss(m))
 
 
 def _sine_kernel_blocks(t, m: int, derivatives: bool = False):

@@ -23,14 +23,18 @@ from taurmt.rmt_numerics import (
     FredholmSpec,
     QuadratureError,
     WeightSpec,
+    _CHUNK_ROWS,
     _arc_integrand,
     _arc_panels,
     _gl_rule,
+    _integrate_01,
     _leg_integrand,
     _oracle_rule,
     _phase_table,
     _quadrature_table,
     _recurrence_table,
+    _ts_full_rule,
+    _ts_new_nodes,
     _vandermonde_sum,
     bulk_limit_an,
     fourier_table,
@@ -218,6 +222,139 @@ class TestFourierCoefficients:
         a = fourier_table(w, 2)
         b = fourier_table(w, 2)
         assert np.array_equal(a, b)
+
+
+def _level_by_level(f, tol, max_level=11, min_level=4):
+    """Reference tanh-sinh refinement, one call of f per level (in chunks
+    of _CHUNK_ROWS) and one on the two outermost nodes for the edge
+    check. _integrate_01 must reproduce it bit for bit."""
+    total = prev = None
+    err = math.inf
+    for level in range(max_level + 1):
+        d0, d1, w = _ts_new_nodes(level)
+        part = None
+        for lo in range(0, len(w), _CHUNK_ROWS):
+            sl = slice(lo, lo + _CHUNK_ROWS)
+            block = w[sl] @ f(d0[sl], d1[sl])
+            part = block if part is None else part + block
+        total = part if total is None else total + part
+        cur = (0.5 ** level) * total
+        if prev is not None:
+            err = float(np.max(np.abs(cur - prev)))
+            if level >= min_level and err <= tol:
+                ends = np.array([0, -1])
+                edge = float(np.max(np.abs(
+                    w[ends, None] * f(d0[ends], d1[ends]))))
+                if edge > 1e3 * tol:
+                    raise QuadratureError(
+                        "endpoint decay too slow for the node range",
+                        edge, tol)
+                return cur, err
+        prev = cur
+    raise QuadratureError("tanh-sinh refinement stalled", err, tol)
+
+
+def _outcome(integrate, f, tol):
+    try:
+        vals, err = integrate(f, tol)
+    except QuadratureError as exc:
+        return str(exc), exc.achieved
+    return vals, err
+
+
+def _counted(f):
+    """f, and the list of node counts it is called with."""
+    sizes = []
+
+    def g(d0, d1):
+        sizes.append(len(d0))
+        return f(d0, d1)
+
+    return g, sizes
+
+
+def _power_integrand(a):
+    return lambda d0, d1: (d0 ** a)[:, None]
+
+
+def _cosine_summand(d0, d1):
+    # tanh-sinh summand w f = 1 + cos(pi tau / 6) at the node's tau,
+    # recovered from min/max = exp(-pi |sinh tau|); it vanishes at
+    # tau = +-6, so every level sums to exactly 12
+    lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
+    tau = np.sign(d0 - d1) * np.arcsinh(-np.log(lo / hi) / math.pi)
+    w = math.pi * np.cosh(tau) * d0 * d1
+    return ((1.0 + np.cos(math.pi * tau / 6.0)) / w)[:, None]
+
+
+def _quadrature_parts(t, kmax):
+    """The integrands _quadrature_table integrates: arcs, then the leg."""
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    phi = WeightSpec(P_STD, t).phase()
+    parts = [("arc", _arc_integrand(P_STD, phi, panel, ks))
+             for panel in _arc_panels(phi)]
+    return parts + [("leg", _leg_integrand(P_STD, phi, ks))]
+
+
+class TestTanhSinhRule:
+
+    @pytest.mark.parametrize("a,calls,ref_calls", [
+        (-0.9, [193], 6),                                   # level 4
+        (-0.955, [193, 192, 384, 768, 2], 9),               # level 7
+        (-0.96, [193, 192, 384, 768, 1536, 3072, 6144,
+                 _CHUNK_ROWS, 12288 - _CHUNK_ROWS], 13),    # stalls
+    ])
+    def test_levels_0_to_4_take_one_call(self, a, calls, ref_calls):
+        # d0^a at tol 1e-12: levels 0-4 are 13 + 12 + 24 + 48 + 96 = 193
+        # nodes, sampled in one call; the level-by-level rule makes
+        # ref_calls calls for the same answer
+        f, sizes = _counted(_power_integrand(a))
+        ref, ref_sizes = _counted(_power_integrand(a))
+        got = _outcome(_integrate_01, f, 1e-12)
+        want = _outcome(_level_by_level, ref, 1e-12)
+        assert sizes == calls
+        assert len(ref_sizes) == ref_calls
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_endpoint_decay_at_the_head(self):
+        # converges at level 4 with the outermost new node's summand
+        # 1 + cos(pi 95/96) = 5.35e-4 still on the edge: refused from the
+        # head's own samples, with no further call of f
+        f, sizes = _counted(_cosine_summand)
+        with pytest.raises(QuadratureError,
+                           match="endpoint decay too slow") as exc:
+            _integrate_01(f, 1e-10)
+        assert sizes == [193]
+        assert exc.value.achieved == pytest.approx(5.354e-4, rel=1e-3)
+        with pytest.raises(QuadratureError) as ref:
+            _level_by_level(_cosine_summand, 1e-10)
+        assert exc.value.achieved == ref.value.achieved
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-13])
+    @pytest.mark.parametrize("kmax", [1, 40])
+    @pytest.mark.parametrize("t", [T_STD, 0.95, 0.7 * cmath.exp(0.5j)])
+    def test_bit_identical_to_level_by_level(self, t, kmax, tol):
+        for kind, f in _quadrature_parts(t, kmax):
+            got = _outcome(_integrate_01, f, tol)
+            want = _outcome(_level_by_level, f, tol)
+            assert np.array_equal(got[0], want[0]), kind
+            assert got[1] == want[1], kind
+
+    def test_full_rule_concatenates_the_levels(self):
+        d0, d1, w, slices = _ts_full_rule(5)
+        assert slices[0].start == 0 and slices[-1].stop == len(w)
+        for k, sl in enumerate(slices):
+            n0, n1, nw = _ts_new_nodes(k)
+            assert np.array_equal(d0[sl], n0) and np.array_equal(d1[sl], n1)
+            assert np.array_equal(w[sl], nw * 0.5 ** 5)
+
+    @pytest.mark.parametrize("arrays", [
+        _ts_new_nodes(3), _ts_full_rule(4)[:3], _gl_rule(12)],
+        ids=["new_nodes", "full_rule", "gauss_legendre"])
+    def test_cached_rules_are_read_only(self, arrays):
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
 
 def _pure_jump_coeffs(xi: float, phi: complex, kmax: int) -> np.ndarray:
