@@ -27,7 +27,9 @@ theta flags on the generic one. series and toeplitz take --bigN, --mu,
 --omega1, --omega2 and --xi. ode takes --mu, --omega1, --omega2 and --xi
 (family bulk) and --sigma, --s and the theta flags (family vi). bulk takes
 --mu, --omega1, --omega2 and --xi; fredholm and asymptotics take --xi.
-The JSON params block echoes the flags the command takes.
+The JSON params block echoes the flags the command takes. --family picks
+the branch: an (the default) or bulk for series, vi (the default) or bulk
+for ode; any other value is a usage error.
 
 --grid-path names the path the grid runs along: real for every command,
 and circle (t = e^{i g}, the default) for toeplitz as well.
@@ -83,6 +85,7 @@ from .rmt_numerics import (
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
+    toeplitz_grid,
 )
 from .sigma_ode import (
     OdeKind,
@@ -257,7 +260,8 @@ _GENERIC = ("monodromy-check", "ode")
 
 # flag -> (commands that read it, converter, default or None, further
 # add_argument keywords); a command declares, accepts and echoes into its
-# params exactly the flags that name it here
+# params exactly the flags that name it here. choices given per command
+# apply to that command alone
 _FLAGS = {
     "mu": (_SSE, parse_complex, 0.25 + 0j,
            {"help": "singularity exponent parameter"}),
@@ -282,7 +286,7 @@ _FLAGS = {
     "corrupt-s": (("monodromy-check",), parse_complex, None,
                   {"metavar": "FACTOR"}),
     "family": (("series", "ode"), str, None,
-               {"choices": ("an", "bulk", "vi")}),
+               {"choices": {"series": ("an", "bulk"), "ode": ("vi", "bulk")}}),
     "oracle": (("toeplitz",), _as_bool, None,
                {"action": "store_const", "const": True}),
     "nodes": (("fredholm", "asymptotics"), int, None, {}),
@@ -292,7 +296,14 @@ _FLAGS = {
 
 
 def _flags_of(command: str) -> dict:
-    return {flag: spec for flag, spec in _FLAGS.items() if command in spec[0]}
+    flags = {}
+    for flag, (commands, conv, default, kwargs) in _FLAGS.items():
+        if command in commands:
+            choices = kwargs.get("choices")
+            if isinstance(choices, dict):
+                kwargs = {**kwargs, "choices": choices[command]}
+            flags[flag] = (commands, conv, default, kwargs)
+    return flags
 
 
 @functools.cache
@@ -531,14 +542,13 @@ def _selftest_monodromy(cfg: RunConfig):
 def cmd_series(cfg: RunConfig) -> int:
     family = cfg.params.get("family", "an")
     p = _sse_params(cfg)
-    if family in ("an", "vi"):
+    if family == "an":
         # expansion about t = 1, compared against the Toeplitz evaluation
         exp = an_series(p)
+        ts = cfg.grid_values()
         rows = []
-        for t in cfg.grid_values():
-            w = 1.0 - t
-            sv = exp.evaluate(w)
-            tv = toeplitz_an(p, t)
+        for t, tv in zip(ts, toeplitz_grid(p, ts)):
+            sv = exp.evaluate(1.0 - t)
             rows.append((t, sv.real, sv.imag, tv.real, tv.imag,
                          abs(sv - tv)))
         _emit_table(cfg, ("t", "series_re", "series_im", "toeplitz_re",
@@ -579,7 +589,7 @@ def _trajectory_rows(traj):
 def cmd_ode(cfg: RunConfig) -> int:
     family = cfg.params.get("family", "vi")
     start, end, _, _ = cfg.grid
-    if family in ("vi",):
+    if family == "vi":
         theta = _theta_from(cfg)
         exp = pvi_tau_series(theta, cfg.params["sigma"], cfg.params["s"])
         seed = seed_vi(theta, exp, start)
@@ -614,20 +624,23 @@ def _selftest_ode(cfg: RunConfig):
 def cmd_toeplitz(cfg: RunConfig) -> int:
     p = _sse_params(cfg)
     _, _, _, kind = cfg.grid
-    use_oracle = bool(cfg.params.get("oracle", False))
-    rows = []
+    ts = [cmath.exp(1j * g) if kind == "circle" else complex(g)
+          for g in cfg.grid_values()]
     columns = ["t_re", "t_im", "det_re", "det_im"]
-    if use_oracle:
-        columns += ["oracle_re", "oracle_im", "rel_diff"]
-    for g in cfg.grid_values():
-        t = cmath.exp(1j * g) if kind == "circle" else complex(g)
+    if not cfg.params.get("oracle", False):
+        rows = [(t.real, t.imag, v.real, v.imag)
+                for t, v in zip(ts, toeplitz_grid(p, ts, tol=cfg.tol))]
+        _emit_table(cfg, columns, rows)
+        return EXIT_OK
+    # point by point, so that whichever route fails first in grid order is
+    # the failure reported
+    rows = []
+    for t in ts:
         v = toeplitz_an(p, t, tol=cfg.tol)
-        row = [t.real, t.imag, v.real, v.imag]
-        if use_oracle:
-            o = quad_oracle_an(p, t)
-            row += [o.real, o.imag, abs(v - o) / max(abs(o), 1e-30)]
-        rows.append(tuple(row))
-    _emit_table(cfg, columns, rows)
+        o = quad_oracle_an(p, t)
+        rows.append((t.real, t.imag, v.real, v.imag, o.real, o.imag,
+                     abs(v - o) / max(abs(o), 1e-30)))
+    _emit_table(cfg, columns + ["oracle_re", "oracle_im", "rel_diff"], rows)
     return EXIT_OK
 
 

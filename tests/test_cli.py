@@ -1,5 +1,6 @@
 """CLI behaviour outside the numerics: parameter checks and entry points."""
 
+import cmath
 import json
 import math
 import os
@@ -11,7 +12,10 @@ import pytest
 
 import taurmt
 from taurmt import cli
-from taurmt.cli import COMMANDS, EXIT_BAD_PARAMS, EXIT_OK, main
+from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
+                        main)
+from taurmt.monodromy_vi import SSEParams
+from taurmt.rmt_numerics import QuadratureError, toeplitz_an
 
 SRC = pathlib.Path(taurmt.__file__).resolve().parent.parent
 
@@ -67,9 +71,10 @@ def test_config_keys_of_other_commands_are_usage_errors(command, text, key,
     assert captured.err == f"error: unknown configuration key {key!r}\n"
 
 
-@pytest.mark.parametrize("command", ["series", "ode"])
+@pytest.mark.parametrize("command,choices", [("series", "an, bulk"),
+                                             ("ode", "vi, bulk")])
 def test_config_value_outside_the_flag_choices_is_a_usage_error(
-        command, tmp_path, capsys):
+        command, choices, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("family=zzz\n")
     code = main([command, f"--config={config}", "--grid-count=1"])
@@ -77,9 +82,29 @@ def test_config_value_outside_the_flag_choices_is_a_usage_error(
     assert code == EXIT_BAD_PARAMS
     assert captured.out == ""
     assert captured.err == ("error: --family: 'zzz' is not one of "
-                            "an, bulk, vi\n")
+                            f"{choices}\n")
     # the same value as a flag is refused by the parser itself
     assert main([command, "--family=zzz"]) == EXIT_BAD_PARAMS
+
+
+@pytest.mark.parametrize("argv", [["series", "--family=vi"],
+                                  ["ode", "--family=an"]])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_family_of_the_other_command_is_a_usage_error(argv, via_config,
+                                                       tmp_path, capsys):
+    # series once printed the an table for vi, and ode ran the bulk flow
+    # for an
+    command, flag = argv
+    if via_config:
+        config = tmp_path / "run.cfg"
+        config.write_text(flag[2:] + "\n")
+        argv = [command, f"--config={config}"]
+    code = main(argv + ["--grid-count=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert flag.split("=")[1] in captured.err
 
 
 def test_config_keys_of_the_command_itself_are_read(tmp_path, capsys):
@@ -149,6 +174,59 @@ def test_bad_fredholm_arguments_are_parameter_errors(argv, capsys):
 def _json_rows(argv, capsys):
     assert main(argv) == EXIT_OK
     return json.loads(capsys.readouterr().out)["rows"]
+
+
+# the weight flag defaults of series and toeplitz
+DEFAULT_WEIGHT = dict(mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
+
+
+@pytest.mark.parametrize("argv,t_of_row,det_at", [
+    (["toeplitz", "--bigN=8", "--grid-count=6"],
+     lambda row: complex(row[0], row[1]), 2),
+    (["toeplitz", "--bigN=4", "--grid-path=real", "--grid-start=0.05",
+      "--grid-end=0.99", "--grid-count=6"], lambda row: row[0], 2),
+    (["series", "--bigN=6", "--grid-count=7"], lambda row: row[0], 3),
+])
+def test_grid_rows_equal_single_point_calls(argv, t_of_row, det_at, capsys):
+    p = SSEParams(N=int(argv[1].split("=")[1]), **DEFAULT_WEIGHT)
+    rows = _json_rows(argv, capsys)
+    assert len(rows) == int(argv[-1].split("=")[1])
+    for row in rows:
+        v = toeplitz_an(p, t_of_row(row))
+        assert (row[det_at].hex(), row[det_at + 1].hex()) == (
+            v.real.hex(), v.imag.hex())
+
+
+@pytest.mark.parametrize("grid,message", [
+    # the Toeplitz route succeeds at 0.95 and the oracle refuses it there,
+    # before the Toeplitz route refuses 1.5
+    (["--grid-start=0.95", "--grid-end=1.5"],
+     "direct oracle is defined on the unit circle only"),
+    # the Toeplitz route refuses 1.5 before the oracle sees it
+    (["--grid-start=1.5", "--grid-end=0.95"],
+     "t must lie in the closed unit disc, not at 0"),
+])
+def test_oracle_grid_reports_the_first_failure_in_grid_order(grid, message,
+                                                             capsys):
+    code = main(["toeplitz", "--oracle", "--bigN=3", "--grid-path=real",
+                 *grid, "--grid-count=2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err == f"parameter error: {message}\n"
+
+
+def test_oracle_grid_reports_a_toeplitz_stall_first(capsys):
+    # 2 mu = -0.96 is refused by the Toeplitz route at the first point
+    p = SSEParams(N=3, mu=-0.48, omega1=0.1, omega2=0.3, xi_star=0.5)
+    with pytest.raises(QuadratureError) as exc:
+        toeplitz_an(p, cmath.exp(0.4j))
+    code = main(["toeplitz", "--oracle", "--bigN=3", "--mu=-0.48",
+                 "--grid-start=0.4", "--grid-end=1.4", "--grid-count=2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NONCONVERGED
+    assert captured.out == ""
+    assert captured.err == f"nonconvergence: {exc.value}\n"
 
 
 def test_odd_node_counts(capsys):

@@ -11,11 +11,13 @@ test time (TestArbitraryPrecisionReference).
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import taurmt.rmt_numerics as rmt
 from taurmt.complexfn import barnes_prefactor
 from taurmt.monodromy_vi import SSEParams
 from taurmt.rmt_numerics import (
@@ -26,12 +28,14 @@ from taurmt.rmt_numerics import (
     _CHUNK_ROWS,
     _arc_integrand,
     _arc_panels,
+    _fill_powers,
     _gl_rule,
-    _integrate_01,
+    _integrate_rows,
     _leg_integrand,
     _oracle_rule,
     _phase_table,
     _quadrature_table,
+    _quadrature_tables,
     _recurrence_table,
     _ts_full_rule,
     _ts_new_nodes,
@@ -42,6 +46,7 @@ from taurmt.rmt_numerics import (
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
+    toeplitz_grid,
 )
 
 P_STD = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
@@ -105,6 +110,18 @@ class TestWeightSpec:
         assert 0.0 <= phi.real < 2.0 * math.pi
 
 
+def _lone(f):
+    """The single row of a row-batched integrand, as f(d0, d1) ->
+    (nodes, K)."""
+    return lambda d0, d1: f(slice(0, 1), d0, d1)[0]
+
+
+def _integrate_one(f, tol):
+    """_integrate_rows on the single integrand f(d0, d1) -> (nodes, K)."""
+    (row,) = _integrate_rows(lambda rows, d0, d1: f(d0, d1)[None], [tol])
+    return row()
+
+
 def weight_eval(w: WeightSpec, theta: float) -> complex:
     """The weight fourier_table integrates, at a real angle theta, for t on
     the circle: the arc panel holding theta gives the weight itself, and on
@@ -113,13 +130,13 @@ def weight_eval(w: WeightSpec, theta: float) -> complex:
     ks = np.zeros(1)
     for a, b, wrapped in _arc_panels(phi):
         if a < theta < b:
-            f = _arc_integrand(w.p, phi, (a, b, wrapped), ks)
+            f = _lone(_arc_integrand(w.p, [(phi, (a, b, wrapped))], ks))
             value = f(np.array([(theta - a) / (b - a)]),
                       np.array([(b - theta) / (b - a)]))[0, 0]
     if w.p.xi_star != 0 and math.pi - phi.real < theta < math.pi:
         d1 = (math.pi - theta) / phi.real
-        leg = _leg_integrand(w.p, phi, ks)(np.array([1.0 - d1]),
-                                           np.array([d1]))[0, 0]
+        leg = _lone(_leg_integrand(w.p, [phi], ks))(np.array([1.0 - d1]),
+                                                    np.array([d1]))[0, 0]
         value -= w.p.xi_star * leg
     return complex(value)
 
@@ -227,7 +244,7 @@ class TestFourierCoefficients:
 def _level_by_level(f, tol, max_level=11, min_level=4):
     """Reference tanh-sinh refinement, one call of f per level (in chunks
     of _CHUNK_ROWS) and one on the two outermost nodes for the edge
-    check. _integrate_01 must reproduce it bit for bit."""
+    check. _integrate_rows must reproduce it bit for bit, row by row."""
     total = prev = None
     err = math.inf
     for level in range(max_level + 1):
@@ -291,9 +308,9 @@ def _quadrature_parts(t, kmax):
     """The integrands _quadrature_table integrates: arcs, then the leg."""
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     phi = WeightSpec(P_STD, t).phase()
-    parts = [("arc", _arc_integrand(P_STD, phi, panel, ks))
+    parts = [("arc", _lone(_arc_integrand(P_STD, [(phi, panel)], ks)))
              for panel in _arc_panels(phi)]
-    return parts + [("leg", _leg_integrand(P_STD, phi, ks))]
+    return parts + [("leg", _lone(_leg_integrand(P_STD, [phi], ks)))]
 
 
 class TestTanhSinhRule:
@@ -310,7 +327,7 @@ class TestTanhSinhRule:
         # ref_calls calls for the same answer
         f, sizes = _counted(_power_integrand(a))
         ref, ref_sizes = _counted(_power_integrand(a))
-        got = _outcome(_integrate_01, f, 1e-12)
+        got = _outcome(_integrate_one, f, 1e-12)
         want = _outcome(_level_by_level, ref, 1e-12)
         assert sizes == calls
         assert len(ref_sizes) == ref_calls
@@ -323,7 +340,7 @@ class TestTanhSinhRule:
         f, sizes = _counted(_cosine_summand)
         with pytest.raises(QuadratureError,
                            match="endpoint decay too slow") as exc:
-            _integrate_01(f, 1e-10)
+            _integrate_one(f, 1e-10)
         assert sizes == [193]
         assert exc.value.achieved == pytest.approx(5.354e-4, rel=1e-3)
         with pytest.raises(QuadratureError) as ref:
@@ -335,7 +352,7 @@ class TestTanhSinhRule:
     @pytest.mark.parametrize("t", [T_STD, 0.95, 0.7 * cmath.exp(0.5j)])
     def test_bit_identical_to_level_by_level(self, t, kmax, tol):
         for kind, f in _quadrature_parts(t, kmax):
-            got = _outcome(_integrate_01, f, tol)
+            got = _outcome(_integrate_one, f, tol)
             want = _outcome(_level_by_level, f, tol)
             assert np.array_equal(got[0], want[0]), kind
             assert got[1] == want[1], kind
@@ -653,6 +670,18 @@ class TestArbitraryPrecisionReference:
         assert abs(recurred[63 + k] - want) <= _coefficient_gate(quad)
         assert abs(quad[63 + k] - want) <= _coefficient_gate(quad)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the full quadrature pass leaves its own rounding out "
+        "of the error it reports, 2.8e-14 here against columns 3.0e-13 off "
+        "the reference"))
+    @pytest.mark.parametrize("k", [-63, 63])
+    def test_quadrature_table_within_its_error_estimate(self, k):
+        w = WeightSpec(P_TWO_SINGULAR, cmath.exp(1j * PHI_TWO_SINGULAR))
+        quad, achieved = _quadrature_table(w, 63, 1e-12)
+        want, err = mp_coefficient(P_TWO_SINGULAR, PHI_TWO_SINGULAR, k)
+        assert err <= REFERENCE_ERR
+        assert abs(quad[63 + k] - want) <= achieved
+
     def test_recurred_table_within_its_error_estimate(self):
         p = SSEParams(N=1, mu=0.2 + 0.15j, omega1=-0.3, omega2=0.3,
                       xi_star=0.5)
@@ -664,6 +693,229 @@ class TestArbitraryPrecisionReference:
         want, err = mp_coefficient(p, 2.0, -63)
         assert err <= REFERENCE_ERR
         assert abs(vals[0] - want) <= est
+
+
+# The per-panel quadrature pass as it was before panels were batched into
+# rows: one integrand closure per panel, sampled on levels 0-4 in one call
+# and summed level by level, and the panels summed in order. The
+# row-batched pass (_quadrature_tables) must reproduce it bit for bit.
+
+
+def _per_panel_phase_table(vals, theta, ks):
+    z = np.exp(-1j * theta)
+    zinv = np.exp(1j * theta) if np.iscomplexobj(theta) else z.conj()
+    j0 = int(np.argmin(np.abs(ks)))
+    table = np.empty((len(ks), len(theta)), dtype=complex)
+    table[j0] = vals
+    _fill_powers(table[j0:], z)
+    _fill_powers(table[j0::-1], zinv)
+    return table.T
+
+
+def _per_panel_arc(p, phi, panel, ks):
+    a, b, wrapped = panel
+    width = b - a
+    gap_pi = math.pi - b
+    gap_mpi = a + math.pi
+    re_phi, im_phi = phi.real, phi.imag
+    two_w1 = 2.0 * p.omega1
+    two_mu = 2.0 * p.mu
+    om2 = p.omega2
+
+    def f(d0, d1):
+        da = width * d0
+        db = width * d1
+        theta = a + da
+        dist_pi = db + gap_pi
+        dist_mpi = da + gap_mpi
+        base1 = 2.0 * np.sin(0.5 * np.minimum(dist_pi, dist_mpi))
+        if wrapped:
+            prim = 0.5 * (da + 1j * im_phi)
+            alt = 0.5 * ((dist_pi + (2.0 * math.pi - re_phi)) - 1j * im_phi)
+        else:
+            prim = 0.5 * (db - 1j * im_phi)
+            alt = 0.5 * ((dist_mpi + re_phi) + 1j * im_phi)
+        zeta = np.where(prim.real > 0.5 * math.pi, alt, prim)
+        base2 = 2.0 * np.sin(zeta)
+        logw = om2 * theta + two_w1 * np.log(base1) + two_mu * np.log(base2)
+        return _per_panel_phase_table(np.exp(logw), theta, ks)
+
+    return f
+
+
+def _per_panel_leg(p, phi, ks):
+    two_w1 = 2.0 * p.omega1
+    two_mu = 2.0 * p.mu
+    om2 = p.omega2
+
+    def f(d0, d1):
+        theta = math.pi - d1 * phi
+        base1 = 2.0 * np.sin((0.5 * d1) * phi)
+        base2 = 2.0 * np.sin((0.5 * d0) * phi)
+        logw = om2 * theta + two_w1 * np.log(base1) + two_mu * np.log(base2)
+        return _per_panel_phase_table(np.exp(logw), theta, ks)
+
+    return f
+
+
+def _per_panel_integrate(f, tol):
+    d0, d1, _, slices = _ts_full_rule(4)
+    head = f(d0, d1)
+    ends = np.array([0, -1])
+    total = None
+    prev = None
+    err = math.inf
+    for level in range(12):
+        d0, d1, w = _ts_new_nodes(level)
+        if level <= 4:
+            part = w @ head[slices[level]]
+        else:
+            part = None
+            for lo in range(0, len(w), _CHUNK_ROWS):
+                sl = slice(lo, lo + _CHUNK_ROWS)
+                block = w[sl] @ f(d0[sl], d1[sl])
+                part = block if part is None else part + block
+        total = part if total is None else total + part
+        cur = (0.5 ** level) * total
+        if level >= 4:
+            err = float(np.max(np.abs(cur - prev)))
+            if err <= tol:
+                if level == 4:
+                    rows = head[slices[level]][ends]
+                else:
+                    rows = f(d0[ends], d1[ends])
+                edge = float(np.max(np.abs(w[ends, None] * rows)))
+                if edge > 1e3 * tol:
+                    raise QuadratureError(
+                        "endpoint decay too slow for the node range",
+                        edge, tol)
+                return cur, err
+        prev = cur
+    raise QuadratureError("tanh-sinh refinement stalled", err, tol)
+
+
+def _per_panel_quadrature_table(w, kmax, tol):
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    p = w.p
+    phi = w.phase()
+    xi = complex(p.xi_star)
+    parts = []
+    for panel in _arc_panels(phi):
+        scale = complex((panel[1] - panel[0]) / (2.0 * math.pi))
+        parts.append((scale, _per_panel_arc(p, phi, panel, ks)))
+    if xi != 0 and phi != 0:
+        scale = -xi * phi / (2.0 * math.pi)
+        parts.append((scale, _per_panel_leg(p, phi, ks)))
+    total = np.zeros(ks.shape, dtype=complex)
+    achieved = 0.0
+    inner = tol / len(parts)
+    for scale, f in parts:
+        vals, err = _per_panel_integrate(f, inner / max(abs(scale), 1e-3))
+        total = total + scale * vals
+        achieved += abs(scale) * err
+    return total, achieved
+
+
+def _table_outcome(table):
+    """A table's bytes and error estimate, or its QuadratureError's text."""
+    try:
+        vals, err = table()
+    except QuadratureError as exc:
+        return str(exc)
+    return vals.tobytes(), err
+
+
+def _spy_refine(monkeypatch):
+    """Count the rows that refine past level 4 from now on."""
+    calls = []
+    refine = rmt._refine
+
+    def counted(*args):
+        calls.append(args[1])
+        return refine(*args)
+
+    monkeypatch.setattr(rmt, "_refine", counted)
+    return calls
+
+
+# 2 mu = -0.96 decays too slowly for the node range: at tol 1e-12 the
+# panels at the singular point converge at a level whose edge is refused
+P_SLOW_DECAY = SSEParams(N=3, mu=-0.48, omega1=0.1, omega2=0.0, xi_star=0.5)
+# the circle, the real segment, complex t inside the disc, t = 1 (one
+# panel, no leg), and wrap angles snapped onto either arc end (one panel)
+BATCH_POINTS = (T_STD, 0.7, 0.7 * cmath.exp(0.5j), 1.0, cmath.exp(1e-13j),
+                cmath.exp(-1e-13j))
+BATCH_WEIGHTS = {"standard": P_STD, "no_leg": replace(P_STD, xi_star=0.0),
+                 "two_singular": P_TWO_SINGULAR, "slow_decay": P_SLOW_DECAY}
+# at t = 1 and at the snapped wraps the singular points of P_TWO_SINGULAR
+# merge into one of exponent 2 mu + 2 omega_1 = -1.39: the weight is not
+# integrable there, its samples overflow and the refinement stalls
+DIVERGENT_SAMPLES = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+class TestRowBatchedQuadrature:
+
+    @DIVERGENT_SAMPLES
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-13])
+    @pytest.mark.parametrize("kmax", [1, 24])
+    @pytest.mark.parametrize("name", sorted(BATCH_WEIGHTS))
+    def test_bit_identical_to_per_panel_pass(self, name, kmax, tol):
+        p = BATCH_WEIGHTS[name]
+        ws = [WeightSpec(p, t) for t in BATCH_POINTS]
+        batch = _quadrature_tables(p, [w.phase() for w in ws], kmax, tol)
+        for w, table in zip(ws, batch):
+            want = partial(_per_panel_quadrature_table, w, kmax, tol)
+            assert _table_outcome(table) == _table_outcome(want), w.t
+
+    @DIVERGENT_SAMPLES
+    def test_cases_refine_and_refuse(self, monkeypatch):
+        # the batch above holds rows that go past level 4 and rows whose
+        # endpoint decay is refused
+        calls = _spy_refine(monkeypatch)
+        phis = [WeightSpec(P_TWO_SINGULAR, t).phase() for t in BATCH_POINTS]
+        for table in _quadrature_tables(P_TWO_SINGULAR, phis, 24, 1e-13):
+            _table_outcome(table)
+        assert calls
+        phis = [WeightSpec(P_SLOW_DECAY, t).phase() for t in BATCH_POINTS]
+        refused = [_table_outcome(table) for table
+                   in _quadrature_tables(P_SLOW_DECAY, phis, 1, 1e-12)]
+        assert any("endpoint decay" in str(r) for r in refused)
+
+    @DIVERGENT_SAMPLES
+    def test_unsettled_rows_refine_only_when_asked(self, monkeypatch):
+        calls = _spy_refine(monkeypatch)
+        phis = [WeightSpec(P_TWO_SINGULAR, t).phase() for t in BATCH_POINTS]
+        tables = _quadrature_tables(P_TWO_SINGULAR, phis, 24, 1e-13)
+        assert calls == []
+        _table_outcome(tables[0])
+        assert calls and calls == sorted(calls)
+
+    def test_integrand_calls_stay_within_the_chunk(self, monkeypatch):
+        sizes = []
+
+        def spy(factory):
+            def make(p, rows, ks):
+                f = factory(p, rows, ks)
+
+                def counted(sel, d0, d1):
+                    out = f(sel, d0, d1)
+                    sizes.append(out.shape[0] * out.shape[1])
+                    return out
+
+                return counted
+
+            return make
+
+        monkeypatch.setattr(rmt, "_arc_integrand", spy(rmt._arc_integrand))
+        monkeypatch.setattr(rmt, "_leg_integrand", spy(rmt._leg_integrand))
+        ts = [cmath.exp(1j * g) for g in np.linspace(0.2, 6.0, 30)]
+        toeplitz_grid(replace(P_STD, N=64), ts)
+        head = len(_ts_full_rule(4)[2])
+        assert max(sizes) <= _CHUNK_ROWS
+        # 60 arc panels need two head calls, the first one full
+        assert (_CHUNK_ROWS // head) * head in sizes
 
 
 class TestToeplitzRoute:
@@ -706,6 +958,82 @@ class TestToeplitzRoute:
         assert toeplitz_an(P_STD, T_STD) == toeplitz_an(P_STD, T_STD)
 
 
+def _hex(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+def _grid_matches_points(p, ts, tol=1e-12):
+    """toeplitz_grid against toeplitz_an at each t, bit for bit, up to and
+    including the first failure; returns that failure or None."""
+    want = []
+    for t in ts:
+        try:
+            want.append(_hex(toeplitz_an(p, t, tol=tol)))
+        except (QuadratureError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                toeplitz_grid(p, ts, tol=tol)
+            assert str(got.value) == str(exc)
+            return exc
+    assert [_hex(v) for v in toeplitz_grid(p, ts, tol=tol)] == want
+    return None
+
+
+class TestToeplitzGrid:
+    """Every row of a grid is the single-point call at its t, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    def test_circle_grid(self, n):
+        ts = [cmath.exp(1j * g) for g in np.linspace(0.2, 6.2, 15)]
+        assert _grid_matches_points(replace(P_STD, N=n), ts) is None
+
+    def test_real_segment_with_quadrature_fallback(self):
+        p = replace(P_STD, N=4)
+        ts = [0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.99]
+        # the recurrence cannot meet tol at the first two points
+        assert _recurrence_table(WeightSpec(p, 0.05), 3, 1e-12) is None
+        assert _recurrence_table(WeightSpec(p, 0.95), 3, 1e-12) is not None
+        assert _grid_matches_points(p, ts) is None
+
+    def test_mixed_grid(self):
+        # repeated points, recurred and quadrature tables, the interior of
+        # the disc, t = 1 and a wrap angle snapped onto an arc end
+        ts = [T_STD, 0.05, 0.7 * cmath.exp(0.5j), T_STD, 1.0, 0.05, 0.95,
+              cmath.exp(-1e-13j), -0.5]
+        assert _grid_matches_points(replace(P_STD, N=4), ts) is None
+
+    def test_row_past_level_four(self, monkeypatch):
+        calls = _spy_refine(monkeypatch)
+        p = replace(P_TWO_SINGULAR, N=8)
+        ts = [cmath.exp(1j * g) for g in (PHI_TWO_SINGULAR, 0.5, 3.0)]
+        assert _grid_matches_points(p, ts) is None
+        assert calls
+
+    def test_endpoint_decay_refusal(self):
+        exc = _grid_matches_points(P_SLOW_DECAY, [T_STD, cmath.exp(1j)])
+        assert "endpoint decay" in str(exc)
+
+    def test_first_failing_point_is_reported(self):
+        p = replace(P_STD, N=12)
+        exc = _grid_matches_points(p, [0.6, 0.2, 0.05])
+        assert isinstance(exc, QuadratureError)
+        with pytest.raises(QuadratureError) as later:
+            toeplitz_an(p, 0.05)
+        assert str(later.value) != str(exc)
+
+    @pytest.mark.parametrize("ts,kind", [([0.6, 0.2, 1.5], QuadratureError),
+                                         ([0.6, 1.5, 0.2], ValueError)])
+    def test_invalid_point_raises_in_grid_order(self, ts, kind):
+        exc = _grid_matches_points(replace(P_STD, N=12), ts)
+        assert isinstance(exc, kind)
+
+    def test_dimension_zero_reads_no_point(self):
+        got = toeplitz_grid(replace(P_STD, N=0), [0.0, T_STD])
+        assert got == [1.0 + 0.0j, 1.0 + 0.0j]
+
+    def test_empty_grid(self):
+        assert toeplitz_grid(P_STD, []) == []
+
+
 class TestDirectOracle:
     def test_unit_weight_normalization(self):
         p0 = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
@@ -731,6 +1059,15 @@ class TestDirectOracle:
         b = toeplitz_an(p, T_STD)
         assert abs(b.imag) > 1e-3
         assert abs(a - b) <= 1e-9 * abs(b)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the Toeplitz route at N = 3 on a short arc is 2.1e-7 "
+        "off the direct oracle, whose error is far smaller"))
+    def test_matches_toeplitz_on_a_short_arc(self):
+        p = SSEParams(N=3, mu=0.5, omega1=0.5, omega2=0.0, xi_star=1.0)
+        t = cmath.exp(6.1j)
+        a = quad_oracle_an(p, t)
+        assert abs(toeplitz_an(p, t) - a) <= 1e-8 * abs(a)
 
     def test_singular_weight(self):
         p = SSEParams(N=1, mu=-0.35, omega1=-0.2, omega2=0.1, xi_star=0.25)
