@@ -27,6 +27,11 @@ theta flags on the generic one. series and toeplitz take --bigN, --mu,
 --omega1, --omega2 and --xi. ode takes --mu, --omega1, --omega2 and --xi
 (family bulk) and --sigma, --s and the theta flags (family vi). bulk takes
 --mu, --omega1, --omega2 and --xi; fredholm and asymptotics take --xi.
+--s is read two ways: monodromy-check takes it as the parameterization
+coefficient s_0t of the sixth-system data (MonodromyDataVI.create), ode
+--family=vi and its selftest as the expansion coefficient s-hat of the
+small-t series (pvi_tau_series). The two are tied by s_hat_vi, which ode
+does not apply.
 The JSON params block echoes the flags the command takes. --family picks
 the branch: an (the default) or bulk for series, vi (the default) or bulk
 for ode; any other value is a usage error.
@@ -260,8 +265,8 @@ _GENERIC = ("monodromy-check", "ode")
 
 # flag -> (commands that read it, converter, default or None, further
 # add_argument keywords); a command declares, accepts and echoes into its
-# params exactly the flags that name it here. choices given per command
-# apply to that command alone
+# params exactly the flags that name it here. A keyword given as a dict
+# keyed by command (choices, help) applies per command
 _FLAGS = {
     "mu": (_SSE, parse_complex, 0.25 + 0j,
            {"help": "singularity exponent parameter"}),
@@ -275,7 +280,8 @@ _FLAGS = {
     "sigma": (_GENERIC, parse_complex, 0.41 + 0j,
               {"help": "two-point exponent sigma"}),
     "s": (_GENERIC, parse_complex, 1.1 + 0j,
-          {"help": "parameterization coefficient s"}),
+          {"help": {"monodromy-check": "parameterization coefficient s_0t",
+                    "ode": "expansion coefficient s-hat (family vi)"}}),
     "r": (("monodromy-check",), parse_complex, 1.0 + 0j,
           {"help": "gauge parameter r"}),
     "theta0": (_GENERIC, parse_complex, None, {"help": "exponent theta_0"}),
@@ -299,9 +305,8 @@ def _flags_of(command: str) -> dict:
     flags = {}
     for flag, (commands, conv, default, kwargs) in _FLAGS.items():
         if command in commands:
-            choices = kwargs.get("choices")
-            if isinstance(choices, dict):
-                kwargs = {**kwargs, "choices": choices[command]}
+            kwargs = {key: value[command] if isinstance(value, dict) else value
+                      for key, value in kwargs.items()}
             flags[flag] = (commands, conv, default, kwargs)
     return flags
 
@@ -627,20 +632,16 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
     ts = [cmath.exp(1j * g) if kind == "circle" else complex(g)
           for g in cfg.grid_values()]
     columns = ["t_re", "t_im", "det_re", "det_im"]
-    if not cfg.params.get("oracle", False):
-        rows = [(t.real, t.imag, v.real, v.imag)
-                for t, v in zip(ts, toeplitz_grid(p, ts, tol=cfg.tol))]
-        _emit_table(cfg, columns, rows)
-        return EXIT_OK
-    # point by point, so that whichever route fails first in grid order is
-    # the failure reported
-    rows = []
-    for t in ts:
-        v = toeplitz_an(p, t, tol=cfg.tol)
-        o = quad_oracle_an(p, t)
-        rows.append((t.real, t.imag, v.real, v.imag, o.real, o.imag,
-                     abs(v - o) / max(abs(o), 1e-30)))
-    _emit_table(cfg, columns + ["oracle_re", "oracle_im", "rel_diff"], rows)
+    vs = toeplitz_grid(p, ts, tol=cfg.tol)
+    rows = [(t.real, t.imag, v.real, v.imag) for t, v in zip(ts, vs)]
+    if cfg.params.get("oracle", False):
+        # the whole Toeplitz column comes first, so where both routes fail
+        # the Toeplitz failure is the one reported
+        oracle = [quad_oracle_an(p, t) for t in ts]
+        columns += ["oracle_re", "oracle_im", "rel_diff"]
+        rows = [row + (o.real, o.imag, abs(v - o) / max(abs(o), 1e-30))
+                for row, v, o in zip(rows, vs, oracle)]
+    _emit_table(cfg, columns, rows)
     return EXIT_OK
 
 

@@ -5,11 +5,14 @@ at infinity carrying two Stokes matrices. Two equivalent packagings of the
 monodromy data circulate: an unhatted set (M0, M1, Minf) with the cyclic
 relation Minf M1 M0 = I, and a hatted set related to it by conjugation with
 the first Stokes matrix, whose cyclic relation reads in the reversed order
-hat-M0 hat-M1 hat-Minf = I. This module builds both, converts between them,
-computes Stokes multipliers from the exponent data, carries out the
-coalescence limit that degenerates sixth-system monodromy into fifth-system
-Stokes data, and instantiates the explicit matrices of the spectrum-
-singularity ensemble's bulk limit.
+hat-M0 hat-M1 hat-Minf = I. This module bundles and checks both
+(MonodromyDataV), converts between them (hat_transform), computes Stokes
+multipliers from the exponent data, carries out the coalescence limit that
+degenerates sixth-system monodromy into fifth-system Stokes data, and
+instantiates the explicit matrices of the spectrum-singularity ensemble's
+bulk limit, the one place both sets are built. There is no generic
+fifth-system parameterization and no s <-> s-hat map: the fifth system is
+reached only through that limit and those matrices.
 """
 
 from __future__ import annotations
@@ -38,14 +41,11 @@ __all__ = [
     "MonodromyDataV",
     "LimitIIResult",
     "SSEPVMatrices",
-    "pv_matrices",
     "stokes_from_sigma",
     "hat_transform",
     "limit_transition_ii",
     "sse_pv_matrices",
     "sse_theta_v",
-    "s_hat_v",
-    "s_from_s_hat_v",
 ]
 
 _CONSISTENCY_TOL = 1e-10
@@ -140,48 +140,6 @@ class MonodromyDataV:
         return self
 
 
-def pv_matrices(theta: ThetaV, sigma: complex, s: complex, r: complex):
-    """Explicit unhatted M0, M1 plus the frame matrix D.
-
-    The conjugated frames carry the product r*s; r itself only relabels the
-    torus gauge, so every trace invariant depends on (theta, sigma, s) alone.
-    """
-    th0, th1, thi = theta.as_tuple()
-    sigma = complex(sigma)
-    s = complex(s)
-    r = complex(r)
-
-    sin_sg = _require_nonzero("sin(pi sigma)", sin_pi(sigma))
-    rs = _require_nonzero("r*s", r * s)
-
-    pref = 1.0 / (1j * sin_sg)
-    m0_frame = Mat2(
-        pref * (exp_pi_i(sigma) * cos_pi(th0) - cos_pi(th1)),
-        pref * (-2 * rs * exp_pi_i(-sigma)
-                * sin_pi((th1 - th0 - sigma) / 2) * sin_pi((th1 + th0 - sigma) / 2)),
-        pref * (2 / rs * exp_pi_i(sigma)
-                * sin_pi((th1 - th0 + sigma) / 2) * sin_pi((th1 + th0 + sigma) / 2)),
-        pref * (-exp_pi_i(-sigma) * cos_pi(th0) + cos_pi(th1)),
-    )
-    m1_frame = Mat2(
-        pref * (exp_pi_i(sigma) * cos_pi(th1) - cos_pi(th0)),
-        pref * (2 * rs
-                * sin_pi((th1 - th0 - sigma) / 2) * sin_pi((th0 + th1 - sigma) / 2)),
-        pref * (-2 / rs
-                * sin_pi((th1 - th0 + sigma) / 2) * sin_pi((th0 + th1 + sigma) / 2)),
-        pref * (-exp_pi_i(-sigma) * cos_pi(th1) + cos_pi(th0)),
-    )
-    d = Mat2(
-        exp_pi_i(-sigma / 2), r * sin_pi((thi + sigma) / 2),
-        1 / r * exp_pi_i(sigma / 2), sin_pi((thi - sigma) / 2),
-    )
-    _require_nonzero("det D", det(d))
-    d_inv = inv(d)
-    m0 = mul(d_inv, mul(m0_frame, d))
-    m1 = mul(d_inv, mul(m1_frame, d))
-    return m0, m1, d
-
-
 def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
     """Stokes multipliers from the exponent pair (theta_inf, sigma).
 
@@ -211,33 +169,6 @@ def hat_transform(s1_matrix: Mat2, m0: Mat2, m1: Mat2, m_inf: Mat2):
     hat_m1 = mul(s1_matrix, mul(m1, s1_inv))
     hat_m_inf = mul(s1_matrix, mul(m_inf, s1_inv))
     return hat_m0, hat_m1, hat_m_inf
-
-
-def s_hat_v(theta: ThetaV, sigma: complex, s: complex) -> complex:
-    """Map the fifth-system coefficient s to the expansion coefficient s-hat."""
-    return complex(s) * _s_hat_ratio_v(theta, complex(sigma))
-
-
-def s_from_s_hat_v(theta: ThetaV, sigma: complex, s_hat: complex) -> complex:
-    """Inverse of s_hat_v."""
-    return complex(s_hat) / _s_hat_ratio_v(theta, complex(sigma))
-
-
-def _s_hat_ratio_v(theta: ThetaV, sg: complex) -> complex:
-    th0, th1, thi = theta.as_tuple()
-    ratio = GammaRatio(
-        numerators=(
-            1 - sg, 1 - sg,
-            1 + (th1 + th0 + sg) / 2, 1 + (th1 - th0 + sg) / 2,
-            1 + (thi + sg) / 2,
-        ),
-        denominators=(
-            1 + sg, 1 + sg,
-            1 + (th1 + th0 - sg) / 2, 1 + (th1 - th0 - sg) / 2,
-            1 + (thi - sg) / 2,
-        ),
-    )
-    return gamma_ratio(ratio)
 
 
 @dataclass(frozen=True)

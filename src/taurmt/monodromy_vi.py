@@ -3,11 +3,14 @@
 The four regular singular points carry SL(2,C) monodromy matrices M0, Mt, M1,
 Minf tied together by the cyclic relation Minf M1 Mt M0 = I. Given the formal
 exponents theta_nu, the two-point exponent sigma_0t and the coefficients
-(s_0t, r), this module builds the standard explicit parameterization, checks
-its trace/determinant/cyclic identities, solves the connection relations for
+(s_0t, r), this module builds the standard explicit parameterization, maps
+s_0t forward to the expansion coefficient s-hat (s_hat_vi), checks its
+trace/determinant/cyclic identities, solves the connection relations for
 the remaining two-point cosines, and instantiates the whole structure for the
 spectrum-singularity ensemble, where all monodromy matrices degenerate to
-upper triangular form.
+upper triangular form and s_0t exists only as the degenerate limit 0. No
+inverse s-hat -> s map is kept: that limit is the one place data starts
+from s-hat.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "manifold_residual",
     "connection_sigmas",
     "s_hat_vi",
-    "s_from_s_hat_vi",
     "sse_monodromy",
 ]
 
@@ -112,11 +114,6 @@ def s_hat_vi(theta: ThetaVI, sigma_0t: complex, s_0t: complex) -> complex:
     return complex(s_0t) * _s_hat_ratio(theta, complex(sigma_0t))
 
 
-def s_from_s_hat_vi(theta: ThetaVI, sigma_0t: complex, s_hat: complex) -> complex:
-    """Inverse of s_hat_vi; round-trips to relative 1e-12."""
-    return complex(s_hat) / _s_hat_ratio(theta, complex(sigma_0t))
-
-
 def _s_hat_ratio(theta: ThetaVI, sg: complex) -> complex:
     th0, tht, th1, thi = theta.as_tuple()
     ratio = GammaRatio(
@@ -138,10 +135,9 @@ def _s_hat_ratio(theta: ThetaVI, sg: complex) -> complex:
 class MonodromyDataVI:
     """Monodromy data (theta, sigma_0t, s_0t, r) defining a unique solution.
 
-    s_hat_0t is the induced boundary-expansion coefficient. For data defined
-    only through a degenerate limit (the spectrum-singularity case, where
-    s_0t -> 0 while s_hat stays finite) s_degenerate_limit is set and s_hat_0t
-    is stored directly.
+    s_hat_0t is the induced boundary-expansion coefficient. s_0t = 0 marks
+    the degenerate limit of the spectrum-singularity case, where s_hat_0t
+    stays finite and is stored directly.
     """
 
     theta: ThetaVI
@@ -149,7 +145,6 @@ class MonodromyDataVI:
     s_0t: complex
     r: complex
     s_hat_0t: complex
-    s_degenerate_limit: bool = False
 
     def __post_init__(self):
         for name in ("sigma_0t", "s_0t", "r", "s_hat_0t"):
@@ -161,22 +156,15 @@ class MonodromyDataVI:
     def create(cls, theta: ThetaVI, sigma_0t: complex, s_0t: complex, r: complex) -> "MonodromyDataVI":
         return cls(theta, sigma_0t, s_0t, r, s_hat_vi(theta, sigma_0t, s_0t))
 
-    @classmethod
-    def from_s_hat(cls, theta: ThetaVI, sigma_0t: complex, s_hat: complex, r: complex,
-                   degenerate_limit: bool = False) -> "MonodromyDataVI":
-        s = 0.0 if degenerate_limit else s_from_s_hat_vi(theta, sigma_0t, s_hat)
-        return cls(theta, sigma_0t, s, r, s_hat, s_degenerate_limit=degenerate_limit)
-
 
 @dataclass(frozen=True)
 class MonodromyMatricesVI:
-    """The four monodromy matrices plus the conjugating frame matrix."""
+    """The four monodromy matrices M0, Mt, M1 and Minf."""
 
     m0: Mat2
     mt: Mat2
     m1: Mat2
     m_inf: Mat2
-    d: Mat2
 
     def cyclic_residual(self) -> float:
         """max |Minf M1 Mt M0 - I| over the entries."""
@@ -267,7 +255,7 @@ def pvi_matrices(data: MonodromyDataVI) -> MonodromyMatricesVI:
     d_inv = inv(d)
     mt = mul(d_inv, mul(mt_frame, d))
     m0 = mul(d_inv, mul(m0_frame, d))
-    return MonodromyMatricesVI(m0=m0, mt=mt, m1=m1, m_inf=m_inf, d=d)
+    return MonodromyMatricesVI(m0=m0, mt=mt, m1=m1, m_inf=m_inf)
 
 
 def manifold_residual(p0: complex, pt: complex, p1: complex, p_inf: complex,
@@ -398,7 +386,7 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
     All of M0, Mt, M1 come out upper triangular with unit-phase diagonals;
     Minf follows from the cyclic relation and is upper triangular as well.
     The parameterization coefficient s_0t only exists as a degenerate limit,
-    so the data object stores the finite s_hat instead.
+    so the data object stores s_0t = 0 and the finite s_hat.
     """
     r = _require_nonzero("r", r)
     theta = sse_theta_vi(p)
@@ -426,8 +414,8 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
     mat1 = Mat2(exp_pi_i(-theta.theta1), m1, 0.0, exp_pi_i(theta.theta1))
     mat_inf = inv(mul(mat1, mul(matt, mat0)))
 
-    matrices = MonodromyMatricesVI(m0=mat0, mt=matt, m1=mat1, m_inf=mat_inf, d=IDENTITY)
-    data = MonodromyDataVI.from_s_hat(theta, sg, s_hat, r, degenerate_limit=True)
+    matrices = MonodromyMatricesVI(m0=mat0, mt=matt, m1=mat1, m_inf=mat_inf)
+    data = MonodromyDataVI(theta, sg, 0.0, r, s_hat)
     return SSEMonodromyVI(matrices=matrices, data=data)
 
 

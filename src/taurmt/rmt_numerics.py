@@ -175,9 +175,12 @@ class WeightSpec:
 
     t = e^{i phi} places the movable point; |t| = 1 is the defining
     circle and |t| < 1 is read as the radial analytic continuation into
-    the disc. Integrability of the exponents is enforced by SSEParams
-    itself, so constructing the parameter set is the error path for
-    non-integrable weights.
+    the disc. SSEParams enforces the integrability of each exponent on
+    its own. Where t sits on the circle and the wrap angle snaps onto the
+    arc end (_arc_panels), the two singular points merge into one of
+    exponent 2 mu + 2 omega_1, and a weight with Re(2 mu + 2 omega_1) <= -1
+    is refused here: every route to its coefficients starts from a
+    WeightSpec.
     """
 
     p: SSEParams
@@ -187,6 +190,13 @@ class WeightSpec:
         tt = complex(self.t)
         if tt == 0 or abs(tt) > 1.0 + 1e-12:
             raise ValueError("t must lie in the closed unit disc, not at 0")
+        merged = self.p.sigma.real
+        if merged <= -1:
+            phi = self.phase()
+            if phi.imag == 0.0 and len(_arc_panels(phi)) == 1:
+                raise ValueError(
+                    f"the singular points merge at t = {tt} into exponent "
+                    f"Re(2 mu + 2 omega1) = {merged!r} <= -1: not integrable")
 
     def phase(self) -> complex:
         """Angle phi with t = e^{i phi}, Re phi in [0, 2 pi), Im phi >= 0

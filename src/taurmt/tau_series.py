@@ -127,7 +127,12 @@ class BoundaryExpansion:
         seed needs.
 
         The undetermined normalization drops out of every log-derivative.
+        The expansion point w = 0 itself is refused: the jet is singular
+        there.
         """
+        if w == 0:
+            raise ValueError("a seed needs w != 0: the log-derivatives are "
+                             "singular at the expansion point")
         p = self.prefactor_exponent
         s1 = self.series.derivative()
         s2 = s1.derivative()

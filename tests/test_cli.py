@@ -7,13 +7,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import taurmt
 from taurmt import cli
 from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
-                        main)
+                        EXIT_VIOLATION, main)
 from taurmt.monodromy_vi import SSEParams
 from taurmt.rmt_numerics import QuadratureError, toeplitz_an
 
@@ -198,13 +199,16 @@ def test_grid_rows_equal_single_point_calls(argv, t_of_row, det_at, capsys):
 
 
 @pytest.mark.parametrize("grid,message", [
-    # the Toeplitz route succeeds at 0.95 and the oracle refuses it there,
-    # before the Toeplitz route refuses 1.5
+    # the oracle would refuse 0.95, but the whole Toeplitz column runs
+    # first and refuses 1.5
     (["--grid-start=0.95", "--grid-end=1.5"],
-     "direct oracle is defined on the unit circle only"),
+     "t must lie in the closed unit disc, not at 0"),
     # the Toeplitz route refuses 1.5 before the oracle sees it
     (["--grid-start=1.5", "--grid-end=0.95"],
      "t must lie in the closed unit disc, not at 0"),
+    # the Toeplitz route takes both points and the oracle refuses the first
+    (["--grid-start=0.95", "--grid-end=0.9"],
+     "direct oracle is defined on the unit circle only"),
 ])
 def test_oracle_grid_reports_the_first_failure_in_grid_order(grid, message,
                                                              capsys):
@@ -370,3 +374,62 @@ def test_flag_prefix_is_not_an_alias(argv, capsys):
     assert code == EXIT_BAD_PARAMS
     assert captured.out == ""
     assert captured.err == f"error: unrecognized arguments: {argv[1]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--grid-start=0"],
+    ["ode", "--family=bulk", "--grid-start=0"],
+    ["bulk", "--grid-start=0", "--grid-count=2"],
+])
+def test_seed_at_the_expansion_point_is_a_parameter_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert "expansion point" in captured.err
+
+
+# t = 1 on the circle, where the singular points merge into exponent
+# 2 mu + 2 omega_1 = -1.39, which is not integrable
+MERGED_SINGULARITY = [
+    ["toeplitz", "--bigN=1", "--mu=-0.435", "--omega1=-0.26",
+     "--grid-start=0", "--grid-count=1"],
+    ["toeplitz", "--bigN=1", "--mu=-0.435", "--omega1=-0.26",
+     "--grid-path=real", "--grid-start=1", "--grid-count=1"],
+    ["toeplitz", "--bigN=1", "--mu=-0.435", "--omega1=-0.26",
+     "--grid-start=0", "--grid-count=1", "--oracle"],
+]
+
+
+@pytest.mark.parametrize("argv", MERGED_SINGULARITY)
+def test_merged_non_integrable_singularity_is_a_parameter_error(argv,
+                                                                capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert "not integrable" in captured.err
+    assert caught == []
+
+
+# every command and branch: both ode families, both toeplitz paths and the
+# oracle, and bulk at the gap point
+SWEEP_COMMANDS = [
+    ["monodromy-check"], ["series"], ["series", "--family=bulk"], ["ode"],
+    ["ode", "--family=bulk"], ["toeplitz"], ["toeplitz", "--grid-path=real"],
+    ["toeplitz", "--oracle"], ["fredholm"], ["bulk"],
+    ["bulk", "--mu=0", "--omega1=0", "--omega2=0"], ["asymptotics"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    [*command, f"--grid-start={start}", f"--grid-end={end}", "--grid-count=2"]
+    for command in SWEEP_COMMANDS
+    for start in ("0", "1", "-0.5", "2")
+    for end in ("0.5", "1")
+] + MERGED_SINGULARITY)
+def test_no_command_escapes_its_exit_codes(argv, capsys):
+    assert main(argv) in (EXIT_OK, EXIT_VIOLATION, EXIT_BAD_PARAMS,
+                          EXIT_NONCONVERGED)

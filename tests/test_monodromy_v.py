@@ -16,9 +16,6 @@ from taurmt.monodromy_v import (
     ThetaV,
     hat_transform,
     limit_transition_ii,
-    pv_matrices,
-    s_from_s_hat_v,
-    s_hat_v,
     sse_pv_matrices,
     sse_theta_v,
     stokes_from_sigma,
@@ -35,19 +32,6 @@ from taurmt.monodromy_vi import (
 THETA_STD = ThetaV(0.3, 0.5, 0.7)
 SIGMA_STD = 0.4
 
-# frozen reference matrices for the standard parameter set, s = 1.1, r = 1
-M0_STD = Mat2(
-    0.27245618115893185 - 1.2300137656980373j, 0.46087201210256468 - 1.4728406447928904j,
-    0.62658241700511135 + 0.31925968766983499j, 0.90311432342601441 + 1.2300137656980373j,
-)
-M1_STD = Mat2(
-    0.8349563145836904 - 0.943405632374111j, 0.74395152370634343 + 0.37906223451853985j,
-    -0.0047262414103238748 + 2.1200259281700163j, -0.8349563145836904 + 0.943405632374111j,
-)
-D_STD = Mat2(
-    0.80901699437494742 - 0.58778525229247313j, 0.98768834059513773,
-    0.80901699437494742 + 0.58778525229247313j, 0.45399049973954679,
-)
 S1_STD = -4.1668169332475429j
 S2_STD = -0.34824100495440436 - 0.25301190009470035j
 
@@ -95,48 +79,11 @@ def random_unit(rng, lo=0.5, hi=2.0):
     return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-3.0, 3.0))
 
 
-class TestPvMatrices:
-    def test_standard_set(self):
-        m0, m1, d = pv_matrices(THETA_STD, SIGMA_STD, 1.1, 1.0)
-        assert max_diff(m0, M0_STD) < 1e-13
-        assert max_diff(m1, M1_STD) < 1e-13
-        assert max_diff(d, D_STD) < 1e-13
-
-    def test_determinant_and_trace(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            theta, sigma = random_theta_sigma(rng)
-            m0, m1, _ = pv_matrices(theta, sigma, random_unit(rng), random_unit(rng))
-            assert abs(det(m0) - 1.0) < 1e-11
-            assert abs(det(m1) - 1.0) < 1e-11
-            assert abs(tr(m0) - 2 * cmath.cos(math.pi * theta.theta0)) < 1e-10
-            assert abs(tr(m1) - 2 * cmath.cos(math.pi * theta.theta1)) < 1e-10
-
-    def test_product_carries_exponent_at_infinity(self):
-        # the (1,1) entry of M1 M0 equals e^{-pi i theta_inf} in this gauge
-        rng = random.Random(12)
-        for _ in range(50):
-            theta, sigma = random_theta_sigma(rng)
-            m0, m1, _ = pv_matrices(theta, sigma, random_unit(rng), random_unit(rng))
-            assert abs(mul(m1, m0).a11 - exp_pi_i(-theta.theta_inf)) < 1e-10
-
-    def test_traces_do_not_depend_on_r(self):
-        rng = random.Random(13)
-        theta, sigma = random_theta_sigma(rng)
-        s = random_unit(rng)
-        base = pv_matrices(theta, sigma, s, 1.0)
-        for _ in range(10):
-            r = random_unit(rng, 0.2, 5.0)
-            m0, m1, _ = pv_matrices(theta, sigma, s, r)
-            assert abs(tr(mul(m0, m1)) - tr(mul(base[0], base[1]))) < 1e-10
-
-    def test_integer_sigma_rejected(self):
-        with pytest.raises(DegenerateParameterError):
-            pv_matrices(THETA_STD, 1.0, 1.1, 1.0)
-
-    def test_zero_s_rejected(self):
-        with pytest.raises(DegenerateParameterError):
-            pv_matrices(THETA_STD, SIGMA_STD, 0.0, 1.0)
+def random_sl2(rng):
+    """A random SL(2,C) matrix: three random entries, the fourth solved
+    from det = 1."""
+    m = Mat2(random_unit(rng), random_unit(rng), random_unit(rng), 0.0)
+    return Mat2(m.a11, m.a12, m.a21, (1.0 + m.a12 * m.a21) / m.a11)
 
 
 class TestStokesFromSigma:
@@ -171,8 +118,7 @@ class TestStokesFromSigma:
 class TestHatTransform:
     def test_identity_frame_reorders_only(self):
         rng = random.Random(31)
-        theta, sigma = random_theta_sigma(rng)
-        m0, m1, _ = pv_matrices(theta, sigma, 1.3, 1.0)
+        m0, m1 = random_sl2(rng), random_sl2(rng)
         h0, h1, hi = hat_transform(IDENTITY, m0, m1, IDENTITY)
         assert max_diff(h0, mul(m1, mul(m0, inv(m1)))) < 1e-13
         assert max_diff(h1, m1) < 1e-13
@@ -182,7 +128,7 @@ class TestHatTransform:
         rng = random.Random(32)
         for _ in range(30):
             theta, sigma = random_theta_sigma(rng)
-            m0, m1, _ = pv_matrices(theta, sigma, random_unit(rng), 1.0)
+            m0, m1 = random_sl2(rng), random_sl2(rng)
             sd = stokes_from_sigma(theta, sigma, random_unit(rng))
             h0, h1, hi = hat_transform(sd.stokes_matrix_lower(), m0, m1,
                                        sd.m_inf(theta.theta_inf))
@@ -195,31 +141,11 @@ class TestHatTransform:
         # the reversed order
         rng = random.Random(33)
         for _ in range(30):
-            m0 = Mat2(random_unit(rng), random_unit(rng), random_unit(rng), 0.0)
-            m0 = Mat2(m0.a11, m0.a12, m0.a21, (1.0 + m0.a12 * m0.a21) / m0.a11)
-            m1 = Mat2(random_unit(rng), random_unit(rng), random_unit(rng), 0.0)
-            m1 = Mat2(m1.a11, m1.a12, m1.a21, (1.0 + m1.a12 * m1.a21) / m1.a11)
+            m0, m1 = random_sl2(rng), random_sl2(rng)
             m_inf = inv(mul(m1, m0))
             s1 = Mat2(1.0, 0.0, random_unit(rng), 1.0)
             h0, h1, hi = hat_transform(s1, m0, m1, m_inf)
             assert max_diff(mul(h0, mul(h1, hi)), IDENTITY) < 1e-10
-
-
-class TestSHatV:
-    def test_reference_value(self):
-        assert abs(s_hat_v(THETA_STD, SIGMA_STD, 1.0) - 2.1933386563505602) < 1e-12
-
-    def test_round_trip(self):
-        rng = random.Random(41)
-        for _ in range(50):
-            theta, sigma = random_theta_sigma(rng)
-            s = random_unit(rng)
-            back = s_from_s_hat_v(theta, sigma, s_hat_v(theta, sigma, s))
-            assert abs(back - s) < 1e-12 * abs(s)
-
-    def test_linearity_in_s(self):
-        one = s_hat_v(THETA_STD, SIGMA_STD, 1.0)
-        assert abs(s_hat_v(THETA_STD, SIGMA_STD, 2.5j) - 2.5j * one) < 1e-12
 
 
 def _hatted(sp):

@@ -109,6 +109,19 @@ class TestWeightSpec:
         phi = WeightSpec(P_STD, cmath.exp(-0.3j)).phase()
         assert 0.0 <= phi.real < 2.0 * math.pi
 
+    @pytest.mark.parametrize("t", [1.0, cmath.exp(1e-13j), cmath.exp(-1e-13j)])
+    def test_rejects_merged_non_integrable_singularity(self, t):
+        # each exponent of P_TWO_SINGULAR is integrable on its own, but at
+        # t = 1 and at the wraps snapped onto the arc end they merge into
+        # 2 mu + 2 omega_1 = -1.39
+        with pytest.raises(ValueError, match="not integrable"):
+            WeightSpec(P_TWO_SINGULAR, t)
+
+    @pytest.mark.parametrize("t", [0.999, cmath.exp(1e-11j)])
+    def test_unmerged_points_of_the_same_weight_accepted(self, t):
+        # inside the disc, or past the snap, the two points stay apart
+        WeightSpec(P_TWO_SINGULAR, t)
+
 
 def _lone(f):
     """The single row of a row-batched integrand, as f(d0, d1) ->
@@ -794,10 +807,8 @@ def _per_panel_integrate(f, tol):
     raise QuadratureError("tanh-sinh refinement stalled", err, tol)
 
 
-def _per_panel_quadrature_table(w, kmax, tol):
+def _per_panel_quadrature_table(p, phi, kmax, tol):
     ks = np.arange(-kmax, kmax + 1, dtype=float)
-    p = w.p
-    phi = w.phase()
     xi = complex(p.xi_star)
     parts = []
     for panel in _arc_panels(phi):
@@ -849,7 +860,11 @@ BATCH_WEIGHTS = {"standard": P_STD, "no_leg": replace(P_STD, xi_star=0.0),
                  "two_singular": P_TWO_SINGULAR, "slow_decay": P_SLOW_DECAY}
 # at t = 1 and at the snapped wraps the singular points of P_TWO_SINGULAR
 # merge into one of exponent 2 mu + 2 omega_1 = -1.39: the weight is not
-# integrable there, its samples overflow and the refinement stalls
+# integrable there, its samples overflow and the refinement stalls.
+# WeightSpec refuses that weight at those points, so the phases, which
+# depend on t alone, are taken from P_STD's and handed to the quadrature
+# directly: these rows are what covers a stalled refinement
+BATCH_PHIS = [WeightSpec(P_STD, t).phase() for t in BATCH_POINTS]
 DIVERGENT_SAMPLES = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning")
@@ -863,31 +878,28 @@ class TestRowBatchedQuadrature:
     @pytest.mark.parametrize("name", sorted(BATCH_WEIGHTS))
     def test_bit_identical_to_per_panel_pass(self, name, kmax, tol):
         p = BATCH_WEIGHTS[name]
-        ws = [WeightSpec(p, t) for t in BATCH_POINTS]
-        batch = _quadrature_tables(p, [w.phase() for w in ws], kmax, tol)
-        for w, table in zip(ws, batch):
-            want = partial(_per_panel_quadrature_table, w, kmax, tol)
-            assert _table_outcome(table) == _table_outcome(want), w.t
+        batch = _quadrature_tables(p, BATCH_PHIS, kmax, tol)
+        for t, phi, table in zip(BATCH_POINTS, BATCH_PHIS, batch):
+            want = partial(_per_panel_quadrature_table, p, phi, kmax, tol)
+            assert _table_outcome(table) == _table_outcome(want), t
 
     @DIVERGENT_SAMPLES
     def test_cases_refine_and_refuse(self, monkeypatch):
         # the batch above holds rows that go past level 4 and rows whose
         # endpoint decay is refused
         calls = _spy_refine(monkeypatch)
-        phis = [WeightSpec(P_TWO_SINGULAR, t).phase() for t in BATCH_POINTS]
-        for table in _quadrature_tables(P_TWO_SINGULAR, phis, 24, 1e-13):
+        for table in _quadrature_tables(P_TWO_SINGULAR, BATCH_PHIS, 24,
+                                        1e-13):
             _table_outcome(table)
         assert calls
-        phis = [WeightSpec(P_SLOW_DECAY, t).phase() for t in BATCH_POINTS]
         refused = [_table_outcome(table) for table
-                   in _quadrature_tables(P_SLOW_DECAY, phis, 1, 1e-12)]
+                   in _quadrature_tables(P_SLOW_DECAY, BATCH_PHIS, 1, 1e-12)]
         assert any("endpoint decay" in str(r) for r in refused)
 
     @DIVERGENT_SAMPLES
     def test_unsettled_rows_refine_only_when_asked(self, monkeypatch):
         calls = _spy_refine(monkeypatch)
-        phis = [WeightSpec(P_TWO_SINGULAR, t).phase() for t in BATCH_POINTS]
-        tables = _quadrature_tables(P_TWO_SINGULAR, phis, 24, 1e-13)
+        tables = _quadrature_tables(P_TWO_SINGULAR, BATCH_PHIS, 24, 1e-13)
         assert calls == []
         _table_outcome(tables[0])
         assert calls and calls == sorted(calls)
@@ -940,6 +952,20 @@ class TestToeplitzRoute:
         got = toeplitz_an(replace(P_STD, N=n), 1.0)
         want = barnes_prefactor(n, P_STD.mu, P_STD.omega1, P_STD.omega2)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gamma_product_at_merged_integrable_singularity(self, n):
+        # 2 mu + 2 omega_1 = -0.8 > -1: the merged point stays integrable
+        # and both routes still meet the gamma product at t = 1
+        p = SSEParams(N=n, mu=-0.2, omega1=-0.2, omega2=0.3, xi_star=0.5)
+        want = barnes_prefactor(n, p.mu, p.omega1, p.omega2)
+        assert abs(toeplitz_an(p, 1.0) - want) <= 1e-12 * abs(want)
+        assert abs(quad_oracle_an(p, 1.0) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("route", [toeplitz_an, quad_oracle_an])
+    def test_merged_non_integrable_singularity_refused(self, route):
+        with pytest.raises(ValueError, match="not integrable"):
+            route(P_TWO_SINGULAR, 1.0)
 
     def test_real_for_symmetric_weight(self):
         p = replace(P_STD, omega2=0.0, xi_star=0.0)

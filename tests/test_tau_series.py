@@ -3,19 +3,16 @@
 import cmath
 import json
 import math
-import random
 from dataclasses import replace
 
 import pytest
 
 from taurmt.complexfn import GammaPoleError
-from taurmt.monodromy_v import ThetaV, s_from_s_hat_v, s_hat_v
+from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import (
     DegenerateParameterError,
     SSEParams,
     ThetaVI,
-    s_from_s_hat_vi,
-    s_hat_vi,
     sse_monodromy,
 )
 from taurmt.rmt_numerics import fredholm_log_derivatives
@@ -216,24 +213,6 @@ class TestPvTauSeries:
             pv_tau_series(ThetaV(0.8, 0.8, 0.7), 0.4, 1.5)
 
 
-class TestSHatRoundTrips:
-    def test_vi(self):
-        rng = random.Random(61)
-        theta = ThetaVI(0.3, 0.4, 0.5, 0.6)
-        for _ in range(20):
-            s = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(-3, 3))
-            back = s_from_s_hat_vi(theta, 0.45, s_hat_vi(theta, 0.45, s))
-            assert abs(back - s) < 1e-12 * abs(s)
-
-    def test_v(self):
-        rng = random.Random(62)
-        theta = ThetaV(0.3, 0.5, 0.7)
-        for _ in range(20):
-            s = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(-3, 3))
-            back = s_from_s_hat_v(theta, 0.4, s_hat_v(theta, 0.4, s))
-            assert abs(back - s) < 1e-12 * abs(s)
-
-
 class TestSigmaMaps:
     def test_vi_constant_term(self):
         theta = ThetaVI(0.3, 0.4, 0.5, 0.6)
@@ -417,3 +396,11 @@ class TestLogDerivatives:
         exp = pvi_tau_series(ThetaVI(0.3, 0.4, 0.5, 0.6), 0.45, 2.0)
         pinned = replace(exp, normalization=5.0)
         assert exp.log_derivatives(0.1) == pinned.log_derivatives(0.1)
+
+    @pytest.mark.parametrize("exp", [
+        pvi_tau_series(ThetaVI(0.3, 0.4, 0.5, 0.6), 0.45, 2.0),
+        bulk_series(P_STD),
+    ])
+    def test_expansion_point_refused(self, exp):
+        with pytest.raises(ValueError, match="expansion point"):
+            exp.log_derivatives(0.0)
