@@ -9,8 +9,14 @@ repr, JSON keys are sorted, and nothing records clocks or machine state.
 
 Exit codes: 0 success, 2 identity violation (monodromy-check or
 --selftest), 3 degenerate or invalid parameters, 4 numerical
-nonconvergence, 1 I/O failure. Every subcommand also accepts --selftest,
-which ignores the grid and runs that command's built-in property checks.
+nonconvergence, 1 I/O failure. Exit 3 covers a usage error (a bad flag,
+key or value, printed as "error: ...") and every ValueError and
+ArithmeticError a computation raises (printed as "parameter error: ...").
+Every subcommand also accepts --selftest, which ignores the grid and runs
+that command's built-in property checks.
+
+--grid-start and --grid-end must be finite numbers and --grid-count an
+integer >= 1; each command checks its own range of grid values.
 
 --tol must be finite and positive; each command that takes it has its own
 default and honours the value as given. monodromy-check reports every
@@ -61,18 +67,14 @@ import random
 import sys
 from dataclasses import dataclass, replace
 
-from .complexfn import GammaPoleError
 from .mat2 import Mat2, det, max_diff
 from .monodromy_v import (
-    InconsistentKError,
-    NonGenericError,
     limit_transition_ii,
     sse_pv_matrices,
     sse_theta_v,
     stokes_from_sigma,
 )
 from .monodromy_vi import (
-    DegenerateParameterError,
     MonodromyDataVI,
     SSEParams,
     ThetaVI,
@@ -371,9 +373,17 @@ def _resolve(args) -> RunConfig:
             raise UsageError(f"--{flag}: {params[flag]!r} is not one "
                              f"of {', '.join(choices)}")
 
-    g0 = float(raw.get("grid-start", g0))
-    g1 = float(raw.get("grid-end", g1))
-    cnt = int(raw.get("grid-count", cnt))
+    def number(key, default, conv=float):
+        try:
+            return conv(raw.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"--{key}: {exc}") from None
+
+    g0, g1 = number("grid-start", g0), number("grid-end", g1)
+    for key, value in (("grid-start", g0), ("grid-end", g1)):
+        if not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {value!r}")
+    cnt = number("grid-count", cnt, int)
     kind = str(raw.get("grid-path", paths[0]))
     if cnt < 1:
         raise UsageError("grid-count must be >= 1")
@@ -382,7 +392,7 @@ def _resolve(args) -> RunConfig:
                          f"{' or '.join(paths)}, not {kind!r}")
     tol = None
     if tol_spec is not None:
-        tol = float(raw.get("tol", tol_spec[0]))
+        tol = number("tol", tol_spec[0])
         if not (math.isfinite(tol) and tol > 0):
             raise UsageError(f"tol must be finite and positive, got {tol!r}")
     fmt = str(raw.get("format", "json"))
@@ -466,10 +476,9 @@ def _corrupted(mats, corrupt):
 
 
 def _generic_residuals(theta: ThetaVI, sigma, s, r, corrupt) -> dict:
-    report = check_generic(theta, sigma)
-    if not report.ok:
-        raise ValueError("non-generic exponents: "
-                         + "; ".join(report.violations))
+    violations = check_generic(theta, sigma)
+    if violations:
+        raise ValueError("non-generic exponents: " + "; ".join(violations))
     mats, cyclic, manifold = _corrupted(
         pvi_matrices(MonodromyDataVI.create(theta, sigma, s, r)), corrupt)
     *_, p0t, pt1, p01 = mats.trace_coordinates()
@@ -856,8 +865,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except (DegenerateParameterError, NonGenericError, InconsistentKError,
-            GammaPoleError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except (QuadratureError, TurningPointError,

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
     "GammaPoleError",
-    "GammaRatio",
     "INPUT_INTEGER_TOL",
     "COMPUTED_INTEGER_TOL",
     "near_integer",
@@ -115,35 +113,25 @@ def ln_gamma(z: complex) -> complex:
     return ln_gamma(z.conjugate()).conjugate()
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """A product of gamma factors over another: prod G(num) / prod G(den)."""
+def gamma_ratio(numerators: tuple, denominators: tuple) -> complex:
+    """prod Gamma(numerators) / prod Gamma(denominators), in log space.
 
-    numerators: tuple = field(default_factory=tuple)
-    denominators: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(complex(a) for a in self.numerators))
-        object.__setattr__(self, "denominators", tuple(complex(a) for a in self.denominators))
-
-
-def gamma_ratio(ratio: GammaRatio) -> complex:
-    """Evaluate a gamma ratio in log space.
-
-    Poles are never cancelled: an argument at a pole raises GammaPoleError
-    naming its side, even where a numerator pole and a denominator pole
-    have a finite limit together. The log-gammas are summed numerators
-    first, then denominators.
+    Every argument is taken as complex() first. Poles are never cancelled:
+    an argument at a pole raises GammaPoleError naming its side, even where
+    a numerator pole and a denominator pole have a finite limit together.
+    The log-gammas are summed numerators first, then denominators.
     """
-    for where, args in (("numerator argument", ratio.numerators),
-                        ("denominator argument", ratio.denominators)):
+    numerators = tuple(complex(a) for a in numerators)
+    denominators = tuple(complex(a) for a in denominators)
+    for where, args in (("numerator argument", numerators),
+                        ("denominator argument", denominators)):
         for a in args:
             if _near_nonpositive_integer(a) is not None:
                 raise GammaPoleError(a, where)
     acc = 0.0 + 0.0j
-    for a in ratio.numerators:
+    for a in numerators:
         acc += ln_gamma(a)
-    for a in ratio.denominators:
+    for a in denominators:
         acc -= ln_gamma(a)
     return cmath.exp(acc)
 

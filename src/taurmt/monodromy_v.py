@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
-    GammaRatio,
     cos_pi,
     exp_pi_i,
     gamma_ratio,
@@ -150,8 +149,8 @@ def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
     thi = theta.theta_inf
     sigma = complex(sigma)
     r = _require_nonzero("r", r)
-    inv_g1 = gamma_ratio(GammaRatio((), (1 - (sigma - thi) / 2, (sigma + thi) / 2)))
-    inv_g2 = gamma_ratio(GammaRatio((), (1 - (sigma + thi) / 2, (sigma - thi) / 2)))
+    inv_g1 = gamma_ratio((), (1 - (sigma - thi) / 2, (sigma + thi) / 2))
+    inv_g2 = gamma_ratio((), (1 - (sigma + thi) / 2, (sigma - thi) / 2))
     s1 = -2j * math.pi / r * inv_g1
     s2 = -exp_pi_i(thi) * 2j * math.pi * r * inv_g2
     return StokesData(s1=s1, s2=s2)
@@ -278,8 +277,8 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
             or near_integer(beta, tol=COMPUTED_INTEGER_TOL)):
         raise NonGenericError(f"alpha = {alpha} or beta = {beta} is an integer")
 
-    s_hat0 = 2j * math.pi * gamma_ratio(GammaRatio((), (1 - alpha, 1 - beta)))
-    s_hat1 = -2j * math.pi * exp_pi_i(theta_inf_v) * gamma_ratio(GammaRatio((), (alpha, beta)))
+    s_hat0 = 2j * math.pi * gamma_ratio((), (1 - alpha, 1 - beta))
+    s_hat1 = -2j * math.pi * exp_pi_i(theta_inf_v) * gamma_ratio((), (alpha, beta))
     s0_mat = Mat2(1.0, 0.0, s_hat0, 1.0)
     s1_mat = Mat2(1.0, s_hat1, 0.0, 1.0)
 
@@ -354,10 +353,10 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
     xi = p.xi_star
     e = exp_pi_i
 
-    g_up = gamma_ratio(GammaRatio((1 + 2 * mu,), (2 * w1,)))
+    g_up = gamma_ratio((1 + 2 * mu,), (2 * w1,))
     g_dn = 1.0 / g_up
-    inv_g_neg = gamma_ratio(GammaRatio((), (-2 * mu, 2 * w1)))
-    inv_g_pos = gamma_ratio(GammaRatio((), (1 + 2 * mu, 1 - 2 * w1)))
+    inv_g_neg = gamma_ratio((), (-2 * mu, 2 * w1))
+    inv_g_pos = gamma_ratio((), (1 + 2 * mu, 1 - 2 * w1))
 
     hat_m0 = Mat2(
         e(mu + omb) * (1 - xi) - e(mu - omb) * 2j * sin_pi(2 * mu),
@@ -397,8 +396,8 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
         e(-(2 * mu - 2 * w1)),
     )
 
-    s1 = 2j * math.pi * gamma_ratio(GammaRatio((), (1 - 2 * w1, 1 + 2 * mu)))
-    s2 = -2j * math.pi * e(2 * mu - 2 * w1) * gamma_ratio(GammaRatio((), (2 * w1, -2 * mu)))
+    s1 = 2j * math.pi * gamma_ratio((), (1 - 2 * w1, 1 + 2 * mu))
+    s2 = -2j * math.pi * e(2 * mu - 2 * w1) * gamma_ratio((), (2 * w1, -2 * mu))
     stokes = StokesData(s1=s1, s2=s2)
 
     theta = sse_theta_v(p)

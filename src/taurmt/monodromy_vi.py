@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexfn import GammaRatio, cos_pi, exp_pi_i, gamma_ratio, near_integer, sin_pi
+from .complexfn import cos_pi, exp_pi_i, gamma_ratio, near_integer, sin_pi
 from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
 
 __all__ = [
     "DegenerateParameterError",
     "ThetaVI",
-    "GenericityReport",
     "MonodromyDataVI",
     "MonodromyMatricesVI",
     "SSEParams",
@@ -72,14 +71,8 @@ class ThetaVI:
         return (self.theta0, self.theta_t, self.theta1, self.theta_inf)
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    ok: bool
-    violations: tuple = ()
-
-
-def check_generic(theta: ThetaVI, sigma_0t: complex) -> GenericityReport:
-    """List every violated genericity condition.
+def check_generic(theta: ThetaVI, sigma_0t: complex) -> tuple:
+    """The violated genericity conditions, one message each; () when generic.
 
     (a) no exponent theta_nu may be an integer, (b) 0 < Re sigma_0t < 1,
     (c) no resonance theta_0 +- theta_t +- sigma or theta_inf +- theta_1 +-
@@ -102,7 +95,7 @@ def check_generic(theta: ThetaVI, sigma_0t: complex) -> GenericityReport:
                         f"(c) {label} resonance: {base} {'+' if s1 > 0 else '-'} "
                         f"{other} {'+' if s2 > 0 else '-'} sigma in 2Z (value {combo})"
                     )
-    return GenericityReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def s_hat_vi(theta: ThetaVI, sigma_0t: complex, s_0t: complex) -> complex:
@@ -116,19 +109,13 @@ def s_hat_vi(theta: ThetaVI, sigma_0t: complex, s_0t: complex) -> complex:
 
 def _s_hat_ratio(theta: ThetaVI, sg: complex) -> complex:
     th0, tht, th1, thi = theta.as_tuple()
-    ratio = GammaRatio(
-        numerators=(
-            1 - sg, 1 - sg,
-            1 + (th0 + tht + sg) / 2, 1 + (-th0 + tht + sg) / 2,
-            1 + (thi + th1 + sg) / 2, 1 + (-thi + th1 + sg) / 2,
-        ),
-        denominators=(
-            1 + sg, 1 + sg,
-            1 + (th0 + tht - sg) / 2, 1 + (-th0 + tht - sg) / 2,
-            1 + (thi + th1 - sg) / 2, 1 + (-thi + th1 - sg) / 2,
-        ),
-    )
-    return gamma_ratio(ratio)
+    return gamma_ratio(
+        (1 - sg, 1 - sg,
+         1 + (th0 + tht + sg) / 2, 1 + (-th0 + tht + sg) / 2,
+         1 + (thi + th1 + sg) / 2, 1 + (-thi + th1 + sg) / 2),
+        (1 + sg, 1 + sg,
+         1 + (th0 + tht - sg) / 2, 1 + (-th0 + tht - sg) / 2,
+         1 + (thi + th1 - sg) / 2, 1 + (-thi + th1 - sg) / 2))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ is regular wherever L != 0; inflection points of the solution need no special
 handling. The only genuine turning points are zeros of the leading
 coefficient L: z' = 0 for the sixth-system form, t = 0 for the other two.
 
-Each relation is written once, in _sixth_form or _fifth_form; _relation binds
-a kind's parameters to it, and the public residual, gradient, z''' and root
-functions as well as the integrator all evaluate it from there.
+Each relation is written once, in _sixth_form or _fifth_form; relation(kind)
+binds a kind's parameters to it once and returns its residual, scaled
+residual, gradient, z''' and roots, which the integrator and every other
+caller evaluate.
 
 The integrator steps this third-order system with an adaptive embedded
 Runge-Kutta pair and monitors the original second-degree relation as a
@@ -48,15 +49,10 @@ from .tau_series import (
 __all__ = [
     "TurningPointError",
     "StepSizeUnderflowError",
-    "NonIntegrableAnchorError",
     "OdeKind",
     "OdeSeed",
     "SigmaTrajectory",
-    "residual",
-    "residual_scaled",
-    "residual_gradient",
-    "solve_second_degree",
-    "third_derivative",
+    "relation",
     "integrate",
     "tau_reconstruct",
     "seed_vi",
@@ -79,10 +75,6 @@ class StepSizeUnderflowError(RuntimeError):
     def __init__(self, t: complex):
         self.t = complex(t)
         super().__init__(f"step size underflow near t = {t}")
-
-
-class NonIntegrableAnchorError(ValueError):
-    """The reconstruction integrand does not vanish fast enough at the anchor."""
 
 
 _KINDS = ("pvi_sf", "pv_sf", "jmo_pv")
@@ -177,15 +169,20 @@ def _fifth_form(shift: complex, roots: tuple):
     return pieces, r_tz, turning
 
 
-def _relation(kind: OdeKind) -> SimpleNamespace:
-    """kind's relation with its parameters bound once.
+def relation(kind: OdeKind) -> SimpleNamespace:
+    """kind's relation F = L z''^2 + R, with its parameters bound once.
 
-    pieces(t, z, z1) gives (L, R, R_p, L_t, L_p, parts, b): R_p = dR/dz',
-    L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
-    scaling, b the polynomial R is built from. r_tz(z1, b) gives
-    (dR/dt, dR/dz). third, scaled and roots give z''', the scaled residual
-    and both z'' roots. All take complex arguments.
+    residual(t, z, z1, z2) is F itself, zero on true solutions;
+    scaled(t, z, z1, z2) is |F| over its largest term magnitude (floored
+    at 1); gradient(t, z, z1, z2) is (dF/dt, dF/dz, dF/dz', dF/dz'');
+    third(t, z, z1, z2) is the explicit z''' of the module docstring;
+    roots(t, z, z1) are both z'' roots. third and roots raise
+    TurningPointError at a zero of L. All take complex arguments.
     """
+    # pieces(t, z, z1) gives (L, R, R_p, L_t, L_p, parts, b): R_p = dR/dz',
+    # L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
+    # scaling, b the polynomial R is built from; r_tz(z1, b) gives
+    # (dR/dt, dR/dz)
     if kind.name == "pvi_sf":
         pieces, r_tz, turning = _sixth_form(kind.params)
     elif kind.name == "pv_sf":
@@ -215,40 +212,17 @@ def _relation(kind: OdeKind) -> SimpleNamespace:
         root = cmath.sqrt(-r / lead)
         return (root, -root)
 
-    return SimpleNamespace(pieces=pieces, r_tz=r_tz, third=third,
-                           scaled=scaled, roots=roots)
+    def residual(t, z, z1, z2):
+        lead, r, *_ = pieces(t, z, z1)
+        return lead * z2 ** 2 + r
 
+    def gradient(t, z, z1, z2):
+        lead, _, rp, lt, lp, _, b = pieces(t, z, z1)
+        rt, rz = r_tz(z1, b)
+        return (lt * z2 ** 2 + rt, rz, lp * z2 ** 2 + rp, 2 * lead * z2)
 
-def residual(kind: OdeKind, t: complex, z: complex, z1: complex, z2: complex) -> complex:
-    """The printed polynomial relation, exactly; zero on true solutions."""
-    lead, r, *_ = _relation(kind).pieces(complex(t), complex(z), complex(z1))
-    return lead * complex(z2) ** 2 + r
-
-
-def residual_scaled(kind: OdeKind, t, z, z1, z2) -> float:
-    """|relation| divided by the largest term magnitude (floored at 1)."""
-    return _relation(kind).scaled(complex(t), complex(z), complex(z1),
-                                  complex(z2))
-
-
-def residual_gradient(kind: OdeKind, t, z, z1, z2) -> tuple:
-    """(dF/dt, dF/dz, dF/dz', dF/dz'') of the second-degree relation."""
-    t, z, z1, z2 = complex(t), complex(z), complex(z1), complex(z2)
-    rel = _relation(kind)
-    lead, _, rp, lt, lp, _, b = rel.pieces(t, z, z1)
-    rt, rz = rel.r_tz(z1, b)
-    return (lt * z2 ** 2 + rt, rz, lp * z2 ** 2 + rp, 2 * lead * z2)
-
-
-def third_derivative(kind: OdeKind, t, z, z1, z2) -> complex:
-    """Explicit z''' of the once-differentiated relation; see module docstring."""
-    return _relation(kind).third(complex(t), complex(z), complex(z1),
-                                 complex(z2))
-
-
-def solve_second_degree(kind: OdeKind, t, z, z1) -> tuple:
-    """Both roots of the relation viewed as a quadratic in z''."""
-    return _relation(kind).roots(complex(t), complex(z), complex(z1))
+    return SimpleNamespace(residual=residual, scaled=scaled, gradient=gradient,
+                           third=third, roots=roots)
 
 
 @dataclass(frozen=True)
@@ -324,11 +298,13 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
     t0; each segment must stay clear of the fixed singularities. tol must be
     finite and positive. The second-degree relation is re-checked at every
     accepted node and z'' re-projected onto the nearest root when the scaled
-    residual exceeds tol.
+    residual exceeds tol. A step whose error estimate overflows or is nan is
+    rejected and shrunk, so a flow that goes nan ends in
+    StepSizeUnderflowError.
 
     The state, the six Cash-Karp stages and the 5th- and 4th-order updates
     are carried as three scalar complexes each; the stages evaluate z'''
-    through kind's relation as bound once by _relation, which also supplies
+    through kind's relation as bound once by relation(), which also supplies
     the per-node residual and roots. Weighted stage sums add their terms in
     tableau order, skipping the zero weights of the two updates, onto a
     leading 0 as sum() does: that sets the sign of exactly-zero parts,
@@ -355,7 +331,7 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
                 raise ValueError(f"path segment {a} -> {b} passes within 1e-9 "
                                  f"of the fixed singularity {s}")
 
-    rel = _relation(kind)
+    rel = relation(kind)
     third, scaled, roots = rel.third, rel.scaled, rel.roots
     y0, y1 = complex(z0), complex(z10)
     pair = roots(complex(t0), y0, y1)
@@ -459,7 +435,9 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
                 residuals.append(res)
             else:
                 rejected += 1
-            grow = 0.9 * err ** -0.2 if err > 0 else 5.0
+            # a nan err gives a nan grow, and max() below keeps its first
+            # argument against nan: the step shrinks as on overflow
+            grow = 5.0 if err == 0 else 0.9 * err ** -0.2
             h *= min(5.0, max(0.2, grow))
             if max_step is not None:
                 h = min(h, max_step / adt)
@@ -481,31 +459,16 @@ def tau_reconstruct(trajectory: SigmaTrajectory, kind: OdeKind,
     anchor is (point, value) with tau(point) = value. The integrand is the
     log-derivative recovered from each node by the sigma map of kind's
     family (tau_series.sigma_map), summed by the trapezoid rule onto
-    log(value) and exponentiated node by node. point is the trajectory's
-    first node, or, for jmo_pv, the origin: there u = y d/dy log tau must
-    vanish (the average is 1 at y = 0), and the integrand u/y takes its
-    limit u'(0), estimated at the first node. Returns (t, tau) pairs from
-    the anchor on.
+    log(value) and exponentiated node by node. point must be the
+    trajectory's first node. Returns (t, tau) pairs from the anchor on.
     """
     point, value = complex(anchor[0]), complex(anchor[1])
     amap = sigma_map(kind.params)
     ts = [complex(t) for t in trajectory.path]
-    scaled = [amap.from_sigma(t, z) for t, (z, _) in zip(ts, trajectory.values)]
-    fs = [w / amap.scale(t) for t, w in zip(ts, scaled)]
-    if point == 0 and kind.name == "jmo_pv":
-        du0 = trajectory.values[0][1] - amap.slope
-        # Linear extrapolation of u back to 0; for an integrable anchor it
-        # vanishes up to the curvature of u over the first node, so this is a
-        # coarse relative guard against u(0) != 0, not a precision check.
-        u_at_zero = scaled[0] - ts[0] * du0
-        if abs(u_at_zero) > 0.05 * max(abs(scaled[0]), abs(ts[0] * du0)):
-            raise NonIntegrableAnchorError(
-                f"u(0) ~ {u_at_zero} != 0: integrand u/y is not integrable "
-                "at the anchor")
-        ts, fs = [point] + ts, [du0] + fs
-    elif point != ts[0]:
-        raise ValueError(f"anchor point {point} is neither the first node "
-                         f"{ts[0]} nor, for jmo_pv, the origin")
+    if point != ts[0]:
+        raise ValueError(f"anchor point {point} is not the first node {ts[0]}")
+    fs = [amap.from_sigma(t, z) / amap.scale(t)
+          for t, (z, _) in zip(ts, trajectory.values)]
     out = [(point, value)]
     log_a = cmath.log(value)
     for i in range(1, len(ts)):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
-    GammaRatio,
     barnes_prefactor,
     gamma_ratio,
     near_integer,
@@ -197,12 +196,11 @@ def an_series(p: SSEParams) -> BoundaryExpansion:
 
     c1 = p.N * p.mu * (p.omega_bar - p.omega) / sg
     sign = -1.0 if p.N % 2 == 0 else 1.0  # (-1)**(N+1)
-    ratio = GammaRatio(
-        numerators=(1 + 2 * p.mu, 1 + 2 * p.omega1, 1 + p.mu + p.omega,
-                    1 + p.mu + p.omega_bar),
-        denominators=(sg + 2, sg + 2, sg + 1, complex(p.N), -p.N - sg),
-    )
-    c_branch = sign / sin_pi(sg) * p.branch_bracket() * gamma_ratio(ratio)
+    ratio = gamma_ratio(
+        (1 + 2 * p.mu, 1 + 2 * p.omega1, 1 + p.mu + p.omega,
+         1 + p.mu + p.omega_bar),
+        (sg + 2, sg + 2, sg + 1, complex(p.N), -p.N - sg))
+    c_branch = sign / sin_pi(sg) * p.branch_bracket() * ratio
     series = TauSeries(
         anchor=1.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sg, c_branch)),
@@ -228,12 +226,11 @@ def bulk_series(p: SSEParams) -> BoundaryExpansion:
         raise DegenerateParameterError("Re(2 mu + 2 omega1) < 1 required", sg)
 
     c1 = p.mu * (p.omega_bar - p.omega) / sg
-    ratio = GammaRatio(
-        numerators=(1 + 2 * p.mu, 1 + 2 * p.omega1, 1 + p.mu + p.omega,
-                    1 + p.mu + p.omega_bar),
-        denominators=(sg + 2, sg + 2, sg + 1),
-    )
-    c_branch = p.branch_bracket() * gamma_ratio(ratio) / math.pi
+    ratio = gamma_ratio(
+        (1 + 2 * p.mu, 1 + 2 * p.omega1, 1 + p.mu + p.omega,
+         1 + p.mu + p.omega_bar),
+        (sg + 2, sg + 2, sg + 1))
+    c_branch = p.branch_bracket() * ratio / math.pi
     series = TauSeries(
         anchor=0.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sg, c_branch)),
@@ -317,9 +314,6 @@ class SigmaMap:
 
     def scale(self, t: complex) -> complex:
         return t * (t - 1) if self.sixth else t
-
-    def sigma(self, t: complex, dlog_tau: complex) -> complex:
-        return self.to_sigma(t, self.scale(t) * dlog_tau)
 
     def to_sigma(self, t: complex, scaled: complex) -> complex:
         """sigma from scaled = scale(t) * d/dt log tau."""

@@ -161,7 +161,7 @@ def test_package_import_leaves_cli_unloaded():
     ["asymptotics", "--nodes=3"],
     ["fredholm", "--nodes=3"],
     ["fredholm", "--xi=nan"],
-    ["fredholm", "--grid-start=inf", "--grid-count=1"],
+    ["fredholm", "--grid-start=-1", "--grid-count=1"],
 ])
 def test_bad_fredholm_arguments_are_parameter_errors(argv, capsys):
     code = main(argv)
@@ -424,12 +424,83 @@ SWEEP_COMMANDS = [
 ]
 
 
+# (command, grid start) pairs whose samples underflow or overflow on the
+# way to their exit code, so numpy prints a RuntimeWarning; the sweep pins
+# the exit code, and the warning is shown in the summary, not raised
+WARNS_AT_EXTREME_START = {
+    ("series", "1e-300"), ("series", "-1e-300"),
+    ("toeplitz", "1e-300"), ("toeplitz --oracle", "1e-300"),
+    ("toeplitz --grid-path=real", "1e-300"),
+    ("toeplitz --grid-path=real", "-1e-300"),
+    ("fredholm", "1e300"),
+    ("bulk --mu=0 --omega1=0 --omega2=0", "1e-300"),
+    ("bulk --mu=0 --omega1=0 --omega2=0", "1e300"),
+}
+
+
+def _sweep_case(command, start, end):
+    argv = [*command, f"--grid-start={start}", f"--grid-end={end}",
+            "--grid-count=2"]
+    if (" ".join(command), start) in WARNS_AT_EXTREME_START:
+        return pytest.param(argv, marks=pytest.mark.filterwarnings(
+            "default::RuntimeWarning"))
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     [*command, f"--grid-start={start}", f"--grid-end={end}", "--grid-count=2"]
     for command in SWEEP_COMMANDS
     for start in ("0", "1", "-0.5", "2")
     for end in ("0.5", "1")
-] + MERGED_SINGULARITY)
+] + MERGED_SINGULARITY + [
+    _sweep_case(command, start, end)
+    for command in SWEEP_COMMANDS
+    for start in ("nan", "inf", "-inf", "1e-300", "-1e-300", "1e300")
+    for end in ("0.5", "1")
+])
 def test_no_command_escapes_its_exit_codes(argv, capsys):
     assert main(argv) in (EXIT_OK, EXIT_VIOLATION, EXIT_BAD_PARAMS,
                           EXIT_NONCONVERGED)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", ["--grid-start", "--grid-end"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_grid_point_is_a_usage_error(command, flag, value,
+                                                capsys):
+    code = main([command, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag[2:]} must be finite, "
+                            f"got {float(value)!r}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["series", "--grid-count=2.5"], "--grid-count"),
+    (["fredholm", "--grid-start=abc"], "--grid-start"),
+    (["bulk", "--grid-end=0.5x"], "--grid-end"),
+    (["ode", "--tol=abc"], "--tol"),
+])
+def test_unparsable_grid_or_tol_value_is_a_usage_error(argv, flag, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--grid-start=1e-300"],
+    ["ode", "--grid-start=1e300"],
+    ["ode", "--family=bulk", "--grid-start=1e-300"],
+    ["series", "--family=bulk", "--grid-start=1e300"],
+])
+def test_extreme_grid_point_is_a_parameter_error(argv, capsys):
+    # the boundary expansion overflows there; OverflowError is a parameter
+    # error like every ArithmeticError
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error: ")

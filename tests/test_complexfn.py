@@ -12,7 +12,6 @@ import pytest
 
 from taurmt.complexfn import (
     GammaPoleError,
-    GammaRatio,
     barnes_prefactor,
     cos_pi,
     gamma_ratio,
@@ -79,14 +78,14 @@ class TestLnGamma:
 
 class TestGammaRatio:
     def test_unit(self):
-        assert gamma_ratio(GammaRatio((1.0,), (1.0,))) == pytest.approx(1.0)
+        assert gamma_ratio((1.0,), (1.0,)) == pytest.approx(1.0)
 
     def test_twelve(self):
-        assert gamma_ratio(GammaRatio((5.0,), (3.0,))) == pytest.approx(12.0, rel=1e-13)
+        assert gamma_ratio((5.0,), (3.0,)) == pytest.approx(12.0, rel=1e-13)
 
     def test_oracle_anchor(self):
         # Gamma(1 + 2 mu)/Gamma(2 omega1) at mu = 0.25, omega1 = 0.1
-        got = gamma_ratio(GammaRatio((1.5,), (0.2,)))
+        got = gamma_ratio((1.5,), (0.2,))
         assert got == pytest.approx(0.19304227742200889, rel=1e-12)
 
     def test_matches_direct_quotient(self):
@@ -99,21 +98,22 @@ class TestGammaRatio:
                 direct *= cmath.exp(ln_gamma(a))
             for a in dens:
                 direct /= cmath.exp(ln_gamma(a))
-            got = gamma_ratio(GammaRatio(nums, dens))
+            got = gamma_ratio(nums, dens)
             assert abs(got - direct) <= 1e-12 * abs(direct)
 
     def test_denominator_pole_raises(self):
         with pytest.raises(GammaPoleError):
-            gamma_ratio(GammaRatio((1.5,), (-2.0,)))
+            gamma_ratio((1.5,), (-2.0,))
 
     def test_numerator_pole_raises(self):
-        with pytest.raises(GammaPoleError):
-            gamma_ratio(GammaRatio((-1.0,), (2.5,)))
+        with pytest.raises(GammaPoleError) as info:
+            gamma_ratio((-1.0,), (2.5,))
+        assert str(info.value) == ("numerator argument (-1+0j) is a pole of "
+                                   "the gamma function")
 
     def test_pole_pair_reported_not_cancelled(self):
-        ratio = GammaRatio((-3.0,), (-1.0,))
         with pytest.raises(GammaPoleError):
-            gamma_ratio(ratio)
+            gamma_ratio((-3.0,), (-1.0,))
 
 
 class TestSinCosPi:

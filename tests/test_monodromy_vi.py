@@ -43,23 +43,20 @@ def random_generic_draw(rng):
 
 class TestCheckGeneric:
     def test_standard_set_passes(self):
-        rep = check_generic(ThetaVI(0.3, 0.4, 0.5, 0.6 + 0.1j), 0.45)
-        assert rep.ok
-        assert rep.violations == ()
+        assert check_generic(ThetaVI(0.3, 0.4, 0.5, 0.6 + 0.1j), 0.45) == ()
 
     def test_integer_exponent_flagged(self):
-        rep = check_generic(ThetaVI(1.0, 0.4, 0.5, 0.6), 0.45)
-        assert not rep.ok
-        assert any("theta0" in v and "(a)" in v for v in rep.violations)
+        violations = check_generic(ThetaVI(1.0, 0.4, 0.5, 0.6), 0.45)
+        assert violations
+        assert any("theta0" in v and "(a)" in v for v in violations)
 
     def test_sigma_range_flagged(self):
-        rep = check_generic(THETA_STD, 1.2)
-        assert any("(b)" in v for v in rep.violations)
+        assert any("(b)" in v for v in check_generic(THETA_STD, 1.2))
 
     def test_resonance_flagged(self):
         # theta0 + theta_t + sigma = 2
-        rep = check_generic(ThetaVI(0.3, 0.4, 0.5, 0.6), 1.3)
-        assert any("(c)" in v and "theta0/theta_t" in v for v in rep.violations)
+        violations = check_generic(ThetaVI(0.3, 0.4, 0.5, 0.6), 1.3)
+        assert any("(c)" in v and "theta0/theta_t" in v for v in violations)
 
 
 class TestPviMatrices:

@@ -7,22 +7,16 @@ from taurmt import cli, sigma_ode, tau_series
 from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.sigma_ode import (
-    NonIntegrableAnchorError,
     OdeKind,
     OdeSeed,
-    SigmaTrajectory,
     StepSizeUnderflowError,
     TurningPointError,
     integrate,
-    residual,
-    residual_gradient,
-    residual_scaled,
+    relation,
     seed_bulk,
     seed_v,
     seed_vi,
-    solve_second_degree,
     tau_reconstruct,
-    third_derivative,
 )
 from taurmt.tau_series import BulkParams, bulk_okamoto_params, bulk_series
 
@@ -68,11 +62,11 @@ class TestResidual:
         # collapses to -h^2 for a constant h
         k = OdeKind.jmo_pv(V_ZERO)
         c = 0.3 + 0.1j
-        assert residual(k, 0.7, c, 0.0, 0.0) == -c * c
+        assert relation(k).residual(0.7, c, 0.0, 0.0) == -c * c
 
     def test_zero_state_is_exact(self):
         k = OdeKind.jmo_pv(V_ZERO)
-        assert residual(k, 0.7, 0.0, 0.0, 0.0) == 0
+        assert relation(k).residual(0.7, 0.0, 0.0, 0.0) == 0
 
     def test_sixth_series_scaled_residual_decays(self):
         # seeded from the boundary expansion the scaled defect must fall at
@@ -82,7 +76,7 @@ class TestResidual:
         vals = []
         for t in (1e-3, 1e-4, 1e-5):
             sd = seed_vi(THETA6, exp6, t)
-            vals.append(residual_scaled(k, t, sd.zeta, sd.dzeta, sd.curvature))
+            vals.append(relation(k).scaled(t, sd.zeta, sd.dzeta, sd.curvature))
         slopes = [math.log10(vals[i] / vals[i + 1]) for i in range(2)]
         assert min(slopes) > 0.9
         assert vals[-1] < 1e-5
@@ -93,7 +87,7 @@ class TestResidual:
         vals = []
         for t in (1e-3, 1e-4, 1e-5):
             sd = seed_v(THETA5, exp5, t)
-            vals.append(residual_scaled(k, t, sd.zeta, sd.dzeta, sd.curvature))
+            vals.append(relation(k).scaled(t, sd.zeta, sd.dzeta, sd.curvature))
         slopes = [math.log10(vals[i] / vals[i + 1]) for i in range(2)]
         assert min(slopes) > 1.0
         assert vals[-1] < 1e-8
@@ -104,7 +98,8 @@ class TestResidual:
         vals = []
         for x in (0.2, 0.02, 0.002):
             sd = seed_bulk(P_STD, bexp, x)
-            vals.append(abs(residual(k, x, sd.zeta, sd.dzeta, sd.curvature)))
+            vals.append(abs(relation(k).residual(x, sd.zeta, sd.dzeta,
+                                                 sd.curvature)))
         slopes = [math.log10(vals[i] / vals[i + 1]) for i in range(2)]
         assert min(slopes) > 1.5
         assert vals[-1] < 2e-6
@@ -114,20 +109,21 @@ class TestResidual:
         h = 1e-6
         for k in (OdeKind.pvi_sf(THETA6), OdeKind.pv_sf(THETA5),
                   OdeKind.jmo_pv(bulk_okamoto_params(P_STD))):
-            grad = residual_gradient(k, *state)
+            rel = relation(k)
+            grad = rel.gradient(*state)
             for slot in range(4):
                 up = list(state)
                 dn = list(state)
                 up[slot] += h
                 dn[slot] -= h
-                fd = (residual(k, *up) - residual(k, *dn)) / (2 * h)
+                fd = (rel.residual(*up) - rel.residual(*dn)) / (2 * h)
                 assert abs(fd - grad[slot]) < 1e-6 * max(1.0, abs(grad[slot]))
 
     def test_scaled_residual_is_relative(self):
         k = OdeKind.pvi_sf(THETA6)
         t, z, z1, z2 = 0.4, 0.3 + 0.1j, 5.0 + 2.0j, 1.0 - 0.5j
-        raw = abs(residual(k, t, z, z1, z2))
-        assert residual_scaled(k, t, z, z1, z2) < raw
+        raw = abs(relation(k).residual(t, z, z1, z2))
+        assert relation(k).scaled(t, z, z1, z2) < raw
 
 
 class TestThirdDerivative:
@@ -137,22 +133,22 @@ class TestThirdDerivative:
         # the structural identity, leaving the closed form used by the flow
         k = OdeKind.pv_sf(THETA5)
         t, z, z1 = 0.37, 0.21 - 0.4j, 0.5 + 0.12j
-        z2 = solve_second_degree(k, t, z, z1)[0]
-        ft, fz, fp, fpp = residual_gradient(k, t, z, z1, z2)
+        z2 = relation(k).roots(t, z, z1)[0]
+        ft, fz, fp, fpp = relation(k).gradient(t, z, z1, z2)
         expected = -(ft + z1 * fz + z2 * fp) / fpp
-        got = third_derivative(k, t, z, z1, z2)
+        got = relation(k).third(t, z, z1, z2)
         assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
 
     def test_turning_point_raises(self):
         k = OdeKind.pvi_sf(THETA6)
         with pytest.raises(TurningPointError):
-            third_derivative(k, 0.3, 0.2, 0.0, 1.0)
+            relation(k).third(0.3, 0.2, 0.0, 1.0)
 
 
 class TestSolveSecondDegree:
     def test_double_root_at_origin_state(self):
         k = OdeKind.jmo_pv(V_ZERO)
-        r1, r2 = solve_second_degree(k, 0.7, 0.0, 0.0)
+        r1, r2 = relation(k).roots(0.7, 0.0, 0.0)
         assert r1 == 0 and r2 == 0
 
     def test_roots_satisfy_relation(self):
@@ -164,15 +160,15 @@ class TestSolveSecondDegree:
                 t = complex(rng.uniform(0.2, 0.8), rng.uniform(-0.4, 0.4))
                 z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                 z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for root in solve_second_degree(k, t, z, z1):
-                    assert residual_scaled(k, t, z, z1, root) < 1e-10
+                for root in relation(k).roots(t, z, z1):
+                    assert relation(k).scaled(t, z, z1, root) < 1e-10
 
     def test_sixth_series_seed_matches_root(self):
         # deep inside the seed radius one quadratic root reproduces the
         # series curvature to 1e-8
         k = OdeKind.pvi_sf(THETA6)
         sd = seed_vi(THETA6, _exp6(), 1e-9)
-        roots = solve_second_degree(k, 1e-9, sd.zeta, sd.dzeta)
+        roots = relation(k).roots(1e-9, sd.zeta, sd.dzeta)
         rel = min(abs(r - sd.curvature) for r in roots) / abs(sd.curvature)
         assert rel < 1e-8
 
@@ -181,21 +177,21 @@ class TestSolveSecondDegree:
         # curvature at O(1); the match is correspondingly coarse
         k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
         sd = seed_bulk(P_STD, bulk_series(P_STD), 2e-5)
-        roots = solve_second_degree(k, 2e-5, sd.zeta, sd.dzeta)
+        roots = relation(k).roots(2e-5, sd.zeta, sd.dzeta)
         rel = min(abs(r - sd.curvature) for r in roots) / abs(sd.curvature)
         assert rel < 2e-2
 
     def test_zero_slope_is_turning_point(self):
         k = OdeKind.pvi_sf(THETA6)
         with pytest.raises(TurningPointError) as info:
-            solve_second_degree(k, 0.3, 0.2, 0.0)
+            relation(k).roots(0.3, 0.2, 0.0)
         assert info.value.t == 0.3
 
     def test_fifth_forms_turn_at_origin(self):
         with pytest.raises(TurningPointError):
-            solve_second_degree(OdeKind.pv_sf(THETA5), 0.0, 0.2, 0.1)
+            relation(OdeKind.pv_sf(THETA5)).roots(0.0, 0.2, 0.1)
         with pytest.raises(TurningPointError):
-            solve_second_degree(OdeKind.jmo_pv(V_ZERO), 0.0, 0.2, 0.1)
+            relation(OdeKind.jmo_pv(V_ZERO)).roots(0.0, 0.2, 0.1)
 
 
 class TestCrossFormIdentity:
@@ -216,8 +212,9 @@ class TestCrossFormIdentity:
             x = complex(rng.uniform(0.2, 0.8), rng.uniform(-0.3, 0.3))
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             z1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for z2 in solve_second_degree(kv, x, z, z1):
-                f = residual(kb, x, z + a_lin * x + b_const, z1 + a_lin, z2)
+            for z2 in relation(kv).roots(x, z, z1):
+                f = relation(kb).residual(x, z + a_lin * x + b_const,
+                                          z1 + a_lin, z2)
                 assert abs(f) < 1e-12
 
 
@@ -295,6 +292,12 @@ class TestIntegrate:
         with pytest.raises(TurningPointError):
             integrate(k, (0.3, 0.2 + 0j, 0j), [0.3, 0.5], tol=1e-10)
 
+    def test_nan_seed_ends_in_step_size_underflow(self):
+        # every error estimate is nan, so every step is rejected and shrunk
+        k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
+        with pytest.raises(StepSizeUnderflowError):
+            integrate(k, (0.1, math.nan, 0.2), [0.5], tol=1e-10)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_out_of_range_tolerance_rejected(self, tol):
         k = OdeKind.pvi_sf(THETA6)
@@ -342,25 +345,16 @@ class TestTauReconstruct:
     def test_zero_solution_gives_anchor_everywhere(self):
         k = OdeKind.jmo_pv(V_ZERO)
         traj = integrate(k, (0.1, 0j, 0j), [0.1, 1.0], tol=1e-10)
-        rec = tau_reconstruct(traj, k, (0, 2.0))
-        assert rec[0] == (0j, 2.0 + 0j)
+        rec = tau_reconstruct(traj, k, (0.1, 2.0))
+        assert rec[0] == (0.1 + 0j, 2.0 + 0j)
         assert all(a == 2.0 for _, a in rec)
 
     def test_zero_parameter_average_is_unity(self):
         p0 = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
         k = OdeKind.jmo_pv(bulk_okamoto_params(p0))
         traj = integrate(k, (0.1, 0j, 0j), [0.1, 1.0], tol=1e-10)
-        rec = tau_reconstruct(traj, k, (0, 1.0))
+        rec = tau_reconstruct(traj, k, (0.1, 1.0))
         assert all(a == 1.0 for _, a in rec)
-
-    def test_bulk_reconstruction_matches_series(self):
-        k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
-        bexp = bulk_series(P_STD)
-        sd = seed_bulk(P_STD, bexp, 0.005)
-        traj = integrate(k, sd, [0.005, 0.12], tol=1e-10, max_step=0.002)
-        rec = tau_reconstruct(traj, k, (0, 1.0))
-        x, a = min(rec, key=lambda pair: abs(pair[0] - 0.05))
-        assert abs(a - bexp.evaluate(x)) < 2e-4
 
     def test_bulk_first_node_anchor(self):
         k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
@@ -381,6 +375,12 @@ class TestTauReconstruct:
         for point in (0.03, 0.0):
             with pytest.raises(ValueError, match="anchor point"):
                 tau_reconstruct(traj, k6, (point, 1.0))
+        # the bulk form, too, anchors only at a node, not at the origin
+        kb = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
+        traj = integrate(kb, seed_bulk(P_STD, bulk_series(P_STD), 0.02),
+                         [0.05], tol=1e-10)
+        with pytest.raises(ValueError, match="anchor point"):
+            tau_reconstruct(traj, kb, (0.0, 1.0))
 
     def test_sixth_reconstruction_consistent_with_series(self):
         k = OdeKind.pvi_sf(THETA6)
@@ -401,15 +401,6 @@ class TestTauReconstruct:
         a_end = rec[-1][1]
         ref = exp5.evaluate(0.05)
         assert abs(a_end - ref) / abs(ref) < 3e-3
-
-    def test_non_vanishing_anchor_rejected(self):
-        # a constant h with zero roots means u == h != 0 at the origin, so
-        # the integrand u/y has a pole there
-        k = OdeKind.jmo_pv(V_ZERO)
-        fake = SigmaTrajectory((0.1, 0.2), ((0.3 + 0j, 0j), (0.3 + 0j, 0j)),
-                               (0j, 0j), (0.0, 0.0), 1e-10)
-        with pytest.raises(NonIntegrableAnchorError):
-            tau_reconstruct(fake, k, (0, 1.0))
 
 
 class TestSeedHelpers:
@@ -449,7 +440,7 @@ class TestSeedHelpers:
     def test_seed_bulk_sits_near_relation_manifold(self):
         k = OdeKind.jmo_pv(bulk_okamoto_params(P_STD))
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.01)
-        assert residual_scaled(k, 0.01, sd.zeta, sd.dzeta, sd.curvature) < 1e-4
+        assert relation(k).scaled(0.01, sd.zeta, sd.dzeta, sd.curvature) < 1e-4
 
 
 class TestTrajectoryCsv:

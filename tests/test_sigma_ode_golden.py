@@ -36,12 +36,11 @@ from taurmt.sigma_ode import (
     OdeKind,
     OdeSeed,
     TurningPointError,
-    _relation,
     integrate,
+    relation,
     seed_bulk,
     seed_v,
     seed_vi,
-    third_derivative,
 )
 from taurmt.tau_series import bulk_okamoto_params, bulk_series
 
@@ -212,11 +211,11 @@ def _reference_third(kind, t, z, z1, z2):
 
 @pytest.mark.parametrize("name", ["pvi_sf", "pv_sf", "jmo_pv"])
 def test_stage_function_matches_third_derivative(name):
-    """The loop's stage function, the public z''' and the reference agree
-    bit for bit, and turn at the same states."""
+    """The loop's stage function agrees with the reference bit for bit and
+    turns exactly at the turning states."""
     kind = {"pvi_sf": OdeKind.pvi_sf(THETA6), "pv_sf": OdeKind.pv_sf(THETA5),
             "jmo_pv": OdeKind.jmo_pv(bulk_okamoto_params(P_STD))}[name]
-    stage = _relation(kind).third
+    stage = relation(kind).third
     rng = random.Random(20261018)
     states = list(_random_states(rng, 400))
     # states on the turning locus: z' = 0 (sixth form), t = 0 (fifth forms)
@@ -224,19 +223,15 @@ def test_stage_function_matches_third_derivative(name):
         states += [(t, z, 0j, z2) for t, z, _, z2 in states[:20]]
     else:
         states += [(0j, z, z1, z2) for _, z, z1, z2 in states[:20]]
-    turned = 0
-    for t, z, z1, z2 in states:
+    turned = []
+    for i, (t, z, z1, z2) in enumerate(states):
         try:
-            want = third_derivative(kind, t, z, z1, z2)
+            got = stage(t, z, z1, z2)
         except TurningPointError:
-            with pytest.raises(TurningPointError):
-                stage(t, z, z1, z2)
-            turned += 1
+            turned.append(i)
             continue
-        got = stage(t, z, z1, z2)
-        assert _hex(got) == _hex(want)
         assert _hex(got) == _hex(_reference_third(kind, t, z, z1, z2))
-    assert turned == 20
+    assert turned == list(range(400, 420))
 
 
 if __name__ == "__main__":

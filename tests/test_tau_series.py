@@ -217,12 +217,12 @@ class TestSigmaMaps:
     def test_vi_constant_term(self):
         theta = ThetaVI(0.3, 0.4, 0.5, 0.6)
         expected = -(0.16 + 0.09 - 0.36 - 0.25) / 8
-        assert abs(sigma_map(theta).sigma(0.0, 0.0) - expected) < 1e-15
+        assert abs(sigma_map(theta).to_sigma(0.0, 0.0) - expected) < 1e-15
 
     def test_v_linear_slope(self):
         theta = ThetaV(0.3, 0.5, 0.7)
-        z0 = sigma_map(theta).sigma(0.0, 0.0)
-        z1 = sigma_map(theta).sigma(1.0, 0.0)
+        z0 = sigma_map(theta).to_sigma(0.0, 0.0)
+        z1 = sigma_map(theta).to_sigma(1.0, 0.0)
         assert abs((z1 - z0) - 0.5) < 1e-15
         assert abs(z0 - ((0.3 + 0.7) ** 2 - 0.25) / 4) < 1e-15
 
@@ -231,7 +231,8 @@ class TestSigmaMaps:
         t, d = 0.37, 1.2 - 0.4j
         expected = (t * (t - 1) * d + (0.16 - 0.36) / 4 * t
                     - (0.16 + 0.09 - 0.36 - 0.25) / 8)
-        assert abs(sigma_map(theta).sigma(t, d) - expected) < 1e-14
+        m = sigma_map(theta)
+        assert abs(m.to_sigma(t, m.scale(t) * d) - expected) < 1e-14
 
 
 class TestBulkConversion:
