@@ -16,7 +16,9 @@ Every subcommand also accepts --selftest, which ignores the grid and runs
 that command's built-in property checks.
 
 --grid-start and --grid-end must be finite numbers and --grid-count an
-integer >= 1; each command checks its own range of grid values.
+integer >= 1; each command checks its own range of grid values. The grid
+holds --grid-count evenly spaced points that begin at --grid-start and,
+when there are two or more, end exactly at --grid-end.
 
 --tol must be finite and positive; each command that takes it has its own
 default and honours the value as given. monodromy-check reports every
@@ -95,7 +97,6 @@ from .rmt_numerics import (
     toeplitz_grid,
 )
 from .sigma_ode import (
-    OdeKind,
     OdeSeed,
     StepSizeUnderflowError,
     TurningPointError,
@@ -234,11 +235,12 @@ class RunConfig:
     selftest: bool = False
 
     def grid_values(self):
+        """start, count - 2 points start + i * step between, then end."""
         start, end, count, _ = self.grid
         if count == 1:
             return [start]
         step = (end - start) / (count - 1)
-        return [start + i * step for i in range(count)]
+        return [start, *(start + i * step for i in range(1, count - 1)), end]
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +609,13 @@ def cmd_ode(cfg: RunConfig) -> int:
         theta = _theta_from(cfg)
         exp = pvi_tau_series(theta, cfg.params["sigma"], cfg.params["s"])
         seed = seed_vi(theta, exp, start)
-        kind = OdeKind.pvi_sf(theta)
+        params = theta
     else:
         p = _sse_params(cfg)
         exp = bulk_series(p)
         seed = seed_bulk(p, exp, start)
-        kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
-    traj = integrate(kind, seed, [end], tol=cfg.tol)
+        params = bulk_okamoto_params(p)
+    traj = integrate(params, seed, [end], tol=cfg.tol)
     _emit_table(cfg, ("t_re", "t_im", "zeta_re", "zeta_im", "dzeta_re",
                       "dzeta_im", "residual"), _trajectory_rows(traj))
     return EXIT_OK
@@ -623,8 +625,7 @@ def _selftest_ode(cfg: RunConfig):
     theta = _theta_from(cfg)
     exp = pvi_tau_series(theta, cfg.params["sigma"], cfg.params["s"])
     seed = seed_vi(theta, exp, 1e-3)
-    kind = OdeKind.pvi_sf(theta)
-    traj = integrate(kind, seed, [0.01], tol=1e-12)
+    traj = integrate(theta, seed, [0.01], tol=1e-12)
     z_end = traj.values[-1][0]
     z_series = seed_vi(theta, exp, 0.01).zeta
     yield "pvi flow rejoins its series", abs(z_end - z_series) <= 1e-8
@@ -714,7 +715,6 @@ def cmd_bulk(cfg: RunConfig) -> int:
         # side and checked against both independent routes
         xi = p.xi_star
         ts = cfg.grid_values()
-        kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
         t = ts[0]
         _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
         seed = OdeSeed(-4j * t, t * l1, (1j / 4) * (l1 + t * l2),
@@ -725,7 +725,8 @@ def cmd_bulk(cfg: RunConfig) -> int:
             if i == 0:
                 z = seed.zeta  # and l1 is the seed's
             else:
-                traj = integrate(kind, state, [-4j * t], tol=1e-10)
+                traj = integrate(bulk_okamoto_params(p), state, [-4j * t],
+                                 tol=1e-10)
                 tend, z, dz = traj.final
                 state = OdeSeed(tend, z, dz, traj.curvatures[-1])
                 _, l1, _, _ = fredholm_log_derivatives(t, xi)
@@ -750,7 +751,6 @@ def cmd_bulk(cfg: RunConfig) -> int:
     xs = cfg.grid_values()
     exp = bulk_series(p)
     x0 = xs[0]
-    kind = OdeKind.jmo_pv(bulk_okamoto_params(p))
     # a one-point grid is the anchor alone
     anchor = (x0, exp.evaluate(x0))
     a_ode = dict([anchor])
@@ -758,10 +758,10 @@ def cmd_bulk(cfg: RunConfig) -> int:
         # the reconstruction integrates u/y by the trapezoid rule over the
         # accepted nodes, so cap the step well below what the flow
         # tolerance alone would allow
-        traj = integrate(kind, seed_bulk(p, exp, x0), xs[1:], tol=1e-10,
-                         max_step=0.004)
+        traj = integrate(bulk_okamoto_params(p), seed_bulk(p, exp, x0), xs[1:],
+                         tol=1e-10, max_step=0.004)
         # segment ends land exactly on the requested nodes
-        a_ode = dict(tau_reconstruct(traj, kind, anchor))
+        a_ode = dict(tau_reconstruct(traj, bulk_okamoto_params(p), anchor))
     rows = []
     for x in xs:
         a_series = exp.evaluate(x)

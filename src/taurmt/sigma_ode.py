@@ -15,10 +15,14 @@ is regular wherever L != 0; inflection points of the solution need no special
 handling. The only genuine turning points are zeros of the leading
 coefficient L: z' = 0 for the sixth-system form, t = 0 for the other two.
 
-Each relation is written once, in _sixth_form or _fifth_form; relation(kind)
-binds a kind's parameters to it once and returns its residual, scaled
-residual, gradient, z''' and roots, which the integrator and every other
-caller evaluate.
+Each equation is fixed by its family's parameter object, the types
+tau_series.sigma_map takes: ThetaVI gives the sixth-system form, ThetaV the
+fifth-system form and BulkParams the Jimbo-Miwa-Mori-Sato bulk form. Each
+relation is written once, in _sixth_form or _fifth_form; relation(params)
+binds the parameters to it once and returns its residual, scaled residual,
+gradient, z''', roots and fixed singular points, which the integrator and
+every other caller evaluate. relation, integrate and tau_reconstruct raise
+TypeError for any other parameter object.
 
 The integrator steps this third-order system with an adaptive embedded
 Runge-Kutta pair and monitors the original second-degree relation as a
@@ -49,7 +53,6 @@ from .tau_series import (
 __all__ = [
     "TurningPointError",
     "StepSizeUnderflowError",
-    "OdeKind",
     "OdeSeed",
     "SigmaTrajectory",
     "relation",
@@ -77,45 +80,8 @@ class StepSizeUnderflowError(RuntimeError):
         super().__init__(f"step size underflow near t = {t}")
 
 
-_KINDS = ("pvi_sf", "pv_sf", "jmo_pv")
-
-
-@dataclass(frozen=True)
-class OdeKind:
-    """Which second-degree relation, together with its parameters."""
-
-    name: str
-    params: object
-
-    def __post_init__(self):
-        if self.name not in _KINDS:
-            raise ValueError(f"unknown kind {self.name!r}; expected one of {_KINDS}")
-        wanted = {"pvi_sf": ThetaVI, "pv_sf": ThetaV, "jmo_pv": BulkParams}[self.name]
-        if not isinstance(self.params, wanted):
-            raise TypeError(f"{self.name} needs {wanted.__name__} parameters, "
-                            f"got {type(self.params).__name__}")
-
-    @classmethod
-    def pvi_sf(cls, theta: ThetaVI) -> "OdeKind":
-        return cls("pvi_sf", theta)
-
-    @classmethod
-    def pv_sf(cls, theta: ThetaV) -> "OdeKind":
-        return cls("pv_sf", theta)
-
-    @classmethod
-    def jmo_pv(cls, v: BulkParams) -> "OdeKind":
-        return cls("jmo_pv", v)
-
-    @property
-    def singularities(self) -> tuple:
-        if self.name == "pvi_sf":
-            return (0j, 1 + 0j)
-        return (0j,)
-
-
 def _sixth_form(theta: ThetaVI):
-    """(pieces, r_tz, turning) of the sixth-system sigma form."""
+    """(pieces, r_tz, turning, singular points) of the sixth-system form."""
     th0, tht, th1, thi = theta.as_tuple()
     c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
     e0, e1, e2, e3 = (0.25 * (tht + thi) ** 2, 0.25 * (tht - thi) ** 2,
@@ -143,11 +109,12 @@ def _sixth_form(theta: ThetaVI):
     def turning(t, z, z1):
         return abs(z1) <= 1e-12 * max(1.0, abs(z))
 
-    return pieces, r_tz, turning
+    return pieces, r_tz, turning, (0j, 1 + 0j)
 
 
 def _fifth_form(shift: complex, roots: tuple):
-    """(pieces, r_tz, turning) of a fifth form with quartic roots roots."""
+    """(pieces, r_tz, turning, singular points) of a fifth form with
+    quartic roots roots."""
     r0, r1, r2, r3 = roots
 
     def pieces(t, z, z1):
@@ -166,33 +133,39 @@ def _fifth_form(shift: complex, roots: tuple):
     def turning(t, z, z1):
         return abs(t) <= 1e-12
 
-    return pieces, r_tz, turning
+    return pieces, r_tz, turning, (0j,)
 
 
-def relation(kind: OdeKind) -> SimpleNamespace:
-    """kind's relation F = L z''^2 + R, with its parameters bound once.
+def relation(params) -> SimpleNamespace:
+    """The relation F = L z''^2 + R of params' family, parameters bound once.
 
+    params is a ThetaVI (sixth-system form), a ThetaV (fifth-system form)
+    or a BulkParams (bulk form); any other object raises TypeError.
     residual(t, z, z1, z2) is F itself, zero on true solutions;
     scaled(t, z, z1, z2) is |F| over its largest term magnitude (floored
     at 1); gradient(t, z, z1, z2) is (dF/dt, dF/dz, dF/dz', dF/dz'');
     third(t, z, z1, z2) is the explicit z''' of the module docstring;
     roots(t, z, z1) are both z'' roots. third and roots raise
     TurningPointError at a zero of L. All take complex arguments.
+    singularities are the fixed singular points: 0 and 1 for the sixth
+    form, 0 for the fifth forms.
     """
     # pieces(t, z, z1) gives (L, R, R_p, L_t, L_p, parts, b): R_p = dR/dz',
     # L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
     # scaling, b the polynomial R is built from; r_tz(z1, b) gives
     # (dR/dt, dR/dz)
-    if kind.name == "pvi_sf":
-        pieces, r_tz, turning = _sixth_form(kind.params)
-    elif kind.name == "pv_sf":
-        th0, th1, thi = kind.params.as_tuple()
-        pieces, r_tz, turning = _fifth_form(
+    if isinstance(params, ThetaVI):
+        pieces, r_tz, turning, singularities = _sixth_form(params)
+    elif isinstance(params, ThetaV):
+        th0, th1, thi = params.as_tuple()
+        pieces, r_tz, turning, singularities = _fifth_form(
             2 * th0 + thi,
             (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2))
+    elif isinstance(params, BulkParams):
+        pieces, r_tz, turning, singularities = _fifth_form(
+            0j, tuple(-v for v in params.as_tuple()))
     else:
-        pieces, r_tz, turning = _fifth_form(
-            0j, tuple(-v for v in kind.params.as_tuple()))
+        raise TypeError(f"no sigma-form relation for {type(params).__name__}")
 
     def third(t, z, z1, z2):
         lead, _, rp, lt, lp, _, _ = pieces(t, z, z1)
@@ -222,7 +195,8 @@ def relation(kind: OdeKind) -> SimpleNamespace:
         return (lt * z2 ** 2 + rt, rz, lp * z2 ** 2 + rp, 2 * lead * z2)
 
     return SimpleNamespace(residual=residual, scaled=scaled, gradient=gradient,
-                           third=third, roots=roots)
+                           third=third, roots=roots,
+                           singularities=singularities)
 
 
 @dataclass(frozen=True)
@@ -288,23 +262,24 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 0.25)
 
 
-def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
+def integrate(params, seed: OdeSeed, path, tol: float = 1e-10,
               max_step: float | None = None) -> SigmaTrajectory:
     """Integrate the third-order flow along straight segments through path.
 
-    seed is an OdeSeed or a (t0, zeta0, zeta0') triple; the z'' branch at the
-    seed is the second-degree root nearest seed.curvature, or the principal
-    root when the seed carries none. path lists the waypoints to visit after
-    t0; each segment must stay clear of the fixed singularities. tol must be
-    finite and positive. The second-degree relation is re-checked at every
-    accepted node and z'' re-projected onto the nearest root when the scaled
-    residual exceeds tol. A step whose error estimate overflows or is nan is
-    rejected and shrunk, so a flow that goes nan ends in
-    StepSizeUnderflowError.
+    params picks the relation as in relation(): ThetaVI, ThetaV or
+    BulkParams, and any other object raises TypeError. The z'' branch at
+    the seed is the second-degree root nearest seed.curvature, or the
+    principal root when the seed carries none. path lists the waypoints to
+    visit after seed.t; each segment must stay clear of the relation's fixed
+    singular points. tol must be finite and positive. The second-degree
+    relation is re-checked at every accepted node and z'' re-projected onto
+    the nearest root when the scaled residual exceeds tol. A step whose
+    error estimate overflows or is nan is rejected and shrunk, so a flow
+    that goes nan ends in StepSizeUnderflowError.
 
     The state, the six Cash-Karp stages and the 5th- and 4th-order updates
     are carried as three scalar complexes each; the stages evaluate z'''
-    through kind's relation as bound once by relation(), which also supplies
+    through the relation as bound once by relation(), which also supplies
     the per-node residual and roots. Weighted stage sums add their terms in
     tableau order, skipping the zero weights of the two updates, onto a
     leading 0 as sum() does: that sets the sign of exactly-zero parts,
@@ -314,9 +289,9 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if not isinstance(seed, OdeSeed):
-        seed = OdeSeed(*(complex(v) for v in seed))
-    t0, z0, z10, hint = seed.t, seed.zeta, seed.dzeta, seed.curvature
+    rel = relation(params)
+    third, scaled, roots = rel.third, rel.scaled, rel.roots
+    t0, y0, y1 = complex(seed.t), complex(seed.zeta), complex(seed.dzeta)
     waypoints = [complex(w) for w in path]
     if not waypoints:
         raise ValueError("path must contain at least one waypoint")
@@ -326,24 +301,21 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
             raise ValueError("path reduces to the seed point")
     legs = list(zip([t0] + waypoints[:-1], waypoints))
     for a, b in legs:
-        for s in kind.singularities:
+        for s in rel.singularities:
             if _segment_distance(a, b, s) < 1e-9:
                 raise ValueError(f"path segment {a} -> {b} passes within 1e-9 "
                                  f"of the fixed singularity {s}")
 
-    rel = relation(kind)
-    third, scaled, roots = rel.third, rel.scaled, rel.roots
-    y0, y1 = complex(z0), complex(z10)
-    pair = roots(complex(t0), y0, y1)
-    if hint is None:
+    pair = roots(t0, y0, y1)
+    if seed.curvature is None:
         y2 = pair[0]
     else:
-        y2 = min(pair, key=lambda r: abs(r - complex(hint)))
+        y2 = min(pair, key=lambda r: abs(r - complex(seed.curvature)))
 
     nodes = [t0]
-    values = [(z0, z10)]
+    values = [(y0, y1)]
     curvatures = [y2]
-    residuals = [scaled(complex(t0), y0, y1, y2)]
+    residuals = [scaled(t0, y0, y1, y2)]
     accepted = rejected = reprojected = 0
     min_step = math.inf
 
@@ -452,18 +424,20 @@ def integrate(kind: OdeKind, seed, path, tol: float = 1e-10,
                            reprojected=reprojected, min_step=min_step)
 
 
-def tau_reconstruct(trajectory: SigmaTrajectory, kind: OdeKind,
+def tau_reconstruct(trajectory: SigmaTrajectory, params,
                     anchor: tuple) -> list:
     """Rebuild tau along the trajectory by log-integration from anchor.
 
-    anchor is (point, value) with tau(point) = value. The integrand is the
-    log-derivative recovered from each node by the sigma map of kind's
-    family (tau_series.sigma_map), summed by the trapezoid rule onto
-    log(value) and exponentiated node by node. point must be the
-    trajectory's first node. Returns (t, tau) pairs from the anchor on.
+    params is the trajectory's ThetaVI, ThetaV or BulkParams; any other
+    object raises TypeError. anchor is (point, value) with tau(point) =
+    value. The integrand is the log-derivative recovered from each node by
+    the sigma map of params' family (tau_series.sigma_map), summed by the
+    trapezoid rule onto log(value) and exponentiated node by node. point
+    must be the trajectory's first node. Returns (t, tau) pairs from the
+    anchor on.
     """
     point, value = complex(anchor[0]), complex(anchor[1])
-    amap = sigma_map(kind.params)
+    amap = sigma_map(params)
     ts = [complex(t) for t in trajectory.path]
     if point != ts[0]:
         raise ValueError(f"anchor point {point} is not the first node {ts[0]}")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -504,3 +505,37 @@ def test_extreme_grid_point_is_a_parameter_error(argv, capsys):
     assert code == EXIT_BAD_PARAMS
     assert captured.out == ""
     assert captured.err.startswith("parameter error: ")
+
+
+def _grid(start, end, count):
+    return cli.RunConfig("fredholm", {}, (start, end, count, "real"), None,
+                         "json", None).grid_values()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grid_runs_from_start_to_end(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        start, end = (rng.choice((1, -1)) * rng.uniform(0.1, 10.0)
+                      * 10.0 ** rng.randint(-8, 8) for _ in range(2))
+        count = rng.randint(2, 40)
+        step = (end - start) / (count - 1)
+        values = _grid(start, end, count)
+        assert len(values) == count
+        assert values[0] == start and values[-1] == end
+        # interior points as start + i * step, bit for bit
+        assert values[1:-1] == [start + i * step for i in range(1, count - 1)]
+
+
+def test_grid_end_is_met_when_the_ends_differ_in_magnitude():
+    # start + 1 * step rounds to 0.0 here
+    assert _grid(1e300, 0.5, 2) == [1e300, 0.5]
+    assert _grid(0.3, 0.7, 1) == [0.3]
+
+
+def test_last_grid_row_is_the_grid_end(capsys):
+    # start + 1 * step is 2.9000000000000004
+    assert main(["fredholm", "--grid-start=0.7", "--grid-end=2.9",
+                 "--grid-count=2"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row[0] for row in rows] == [0.7, 2.9]

@@ -33,7 +33,6 @@ from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.rmt_numerics import fredholm_log_derivatives
 from taurmt.sigma_ode import (
-    OdeKind,
     OdeSeed,
     TurningPointError,
     integrate,
@@ -42,7 +41,7 @@ from taurmt.sigma_ode import (
     seed_v,
     seed_vi,
 )
-from taurmt.tau_series import bulk_okamoto_params, bulk_series
+from taurmt.tau_series import BulkParams, bulk_okamoto_params, bulk_series
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 TRAJECTORIES = GOLDEN / "sigma_ode_trajectories.json"
@@ -63,25 +62,25 @@ def _gap_seed(t, xi):
 
 
 def _cases():
-    """name -> (kind, seed derivation, path, integrate keyword
-    arguments); the derivation is a function of no arguments."""
+    """name -> (family parameters, seed derivation, path, integrate
+    keyword arguments); the derivation is a function of no arguments."""
     return {
         "pvi_sf_real": (
-            OdeKind.pvi_sf(THETA6),
+            THETA6,
             lambda: seed_vi(THETA6, tau_series.pvi_tau_series(THETA6, 0.45,
                                                                2.0), 1e-3),
             [0.4], {"tol": 1e-10}),
         "pv_sf": (
-            OdeKind.pv_sf(THETA5),
+            THETA5,
             lambda: seed_v(THETA5, tau_series.pv_tau_series(THETA5, 0.4,
                                                             1.5), 2e-3),
             [0.05], {"tol": 1e-10}),
         "jmo_pv_waypoints_max_step": (
-            OdeKind.jmo_pv(bulk_okamoto_params(P_STD)),
+            bulk_okamoto_params(P_STD),
             lambda: seed_bulk(P_STD, bulk_series(P_STD), 0.05), [0.2, 0.4],
             {"tol": 1e-10, "max_step": 0.01}),
         "jmo_pv_imaginary_leg": (
-            OdeKind.jmo_pv(bulk_okamoto_params(P_GAP)),
+            bulk_okamoto_params(P_GAP),
             lambda: _gap_seed(0.2, 0.5), [-4j * 0.6], {"tol": 1e-10}),
     }
 
@@ -127,11 +126,11 @@ def write_golden(directory: pathlib.Path = GOLDEN):
               if TRAJECTORIES.exists() else {})
     directory.mkdir(exist_ok=True)
     data = {}
-    for name, (kind, derive, path, kw) in _cases().items():
+    for name, (params, derive, path, kw) in _cases().items():
         seed = _stored_seed(stored[name]) if name in stored else derive()
         data[name] = {
             "seed": _record_seed(seed),
-            **_record_trajectory(integrate(kind, seed, path, **kw)),
+            **_record_trajectory(integrate(params, seed, path, **kw)),
         }
     (directory / TRAJECTORIES.name).write_text(json.dumps(data, indent=1)
                                                + "\n")
@@ -142,8 +141,8 @@ def write_golden(directory: pathlib.Path = GOLDEN):
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_trajectory_is_bit_identical(name):
     golden = json.loads(TRAJECTORIES.read_text())[name]
-    kind, _, path, kw = _cases()[name]
-    traj = integrate(kind, _stored_seed(golden), path, **kw)
+    params, _, path, kw = _cases()[name]
+    traj = integrate(params, _stored_seed(golden), path, **kw)
     got = _record_trajectory(traj)
     for field in ("path", "values", "curvatures", "residuals"):
         assert got[field] == golden[field], field
@@ -180,10 +179,11 @@ def _random_states(rng, count):
                     for _ in range(4))
 
 
-def _reference_third(kind, t, z, z1, z2):
+def _reference_third(params, t, z, z1, z2):
     """z''' written out with generator sums over the quartic's factors."""
-    if kind.name == "pvi_sf":
-        th0, tht, th1, thi = kind.params.as_tuple()
+    sixth = isinstance(params, ThetaVI)
+    if sixth:
+        th0, tht, th1, thi = params.as_tuple()
         c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
         roots = (-0.25 * (tht + thi) ** 2, -0.25 * (tht - thi) ** 2,
                  -0.25 * (th0 + th1) ** 2, -0.25 * (th0 - th1) ** 2)
@@ -192,20 +192,21 @@ def _reference_third(kind, t, z, z1, z2):
         bp = 4 * t * z1 - 2 * z - 2 * z1
         lead, lt, lp = z1 * a ** 2, 2 * a * (2 * t - 1) * z1, a ** 2
     else:
-        if kind.name == "pv_sf":
-            th0, th1, thi = kind.params.as_tuple()
+        if isinstance(params, ThetaV):
+            th0, th1, thi = params.as_tuple()
             shift = 2 * th0 + thi
             roots = (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2)
         else:
+            assert isinstance(params, BulkParams)
             shift = 0j
-            roots = tuple(-v for v in kind.params.as_tuple())
+            roots = tuple(-v for v in params.as_tuple())
         b = z - t * z1 + 2 * z1 ** 2 - shift * z1
         bp = -t + 4 * z1 - shift
         lead, lt, lp = t ** 2, 2 * t, 0j
     factors = [z1 - r for r in roots]
     pp = sum(math.prod(factors[j] for j in range(4) if j != k)
              for k in range(4))
-    rp = 2 * b * bp - pp if kind.name == "pvi_sf" else -2 * b * bp + 4 * pp
+    rp = 2 * b * bp - pp if sixth else -2 * b * bp + 4 * pp
     return -(lt * z2 + lp * z2 ** 2 + rp) / (2 * lead)
 
 
@@ -213,9 +214,9 @@ def _reference_third(kind, t, z, z1, z2):
 def test_stage_function_matches_third_derivative(name):
     """The loop's stage function agrees with the reference bit for bit and
     turns exactly at the turning states."""
-    kind = {"pvi_sf": OdeKind.pvi_sf(THETA6), "pv_sf": OdeKind.pv_sf(THETA5),
-            "jmo_pv": OdeKind.jmo_pv(bulk_okamoto_params(P_STD))}[name]
-    stage = relation(kind).third
+    params = {"pvi_sf": THETA6, "pv_sf": THETA5,
+              "jmo_pv": bulk_okamoto_params(P_STD)}[name]
+    stage = relation(params).third
     rng = random.Random(20261018)
     states = list(_random_states(rng, 400))
     # states on the turning locus: z' = 0 (sixth form), t = 0 (fifth forms)
@@ -230,7 +231,7 @@ def test_stage_function_matches_third_derivative(name):
         except TurningPointError:
             turned.append(i)
             continue
-        assert _hex(got) == _hex(_reference_third(kind, t, z, z1, z2))
+        assert _hex(got) == _hex(_reference_third(params, t, z, z1, z2))
     assert turned == list(range(400, 420))
 
 
