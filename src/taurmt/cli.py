@@ -15,10 +15,10 @@ ArithmeticError a computation raises (printed as "parameter error: ...").
 Every subcommand also accepts --selftest, which ignores the grid and runs
 that command's built-in property checks.
 
---grid-start and --grid-end must be finite numbers and --grid-count an
-integer >= 1; each command checks its own range of grid values. The grid
-holds --grid-count evenly spaced points that begin at --grid-start and,
-when there are two or more, end exactly at --grid-end.
+--grid-start and --grid-end must be finite numbers a finite step apart and
+--grid-count an integer >= 1; each command checks its own range of grid
+values. The grid holds --grid-count evenly spaced points from --grid-start
+that, when there are two or more, end exactly at --grid-end.
 
 --tol must be finite and positive; each command that takes it has its own
 default and honours the value as given. monodromy-check reports every
@@ -389,6 +389,8 @@ def _resolve(args) -> RunConfig:
     kind = str(raw.get("grid-path", paths[0]))
     if cnt < 1:
         raise UsageError("grid-count must be >= 1")
+    if cnt >= 3 and not math.isfinite((g1 - g0) / (cnt - 1)):
+        raise UsageError("grid-end - grid-start overflows the grid step")
     if kind not in paths:
         raise UsageError(f"{args.command} computes on grid-path "
                          f"{' or '.join(paths)}, not {kind!r}")

@@ -122,6 +122,21 @@ two blocks of order m/2, a quarter of the work, with the same
 exponential convergence in m. An odd rule's centre node belongs to the
 even block. The determinant, its log and the resolvent traces are sums
 or products over the two blocks.
+
+The kernel is integrable (Its, Izergin, Korepin and Slavnov, Int. J.
+Mod. Phys. B 4 (1990) 1003): by the addition theorem both blocks come
+from sin tp and cos tp on the m/2 positive nodes p, O(m) trig values,
+and the t-derivative kernels have rank 1, 2 and 3 in three vectors V
+per block. Every resolvent trace of the log-derivatives is then a
+polynomial in the 3 x 3 bilinear Gram matrix V^T (I - xi A0)^{-1} V, from
+one solve against three columns per block. Against a 40-digit
+evaluation of the same blocks with dense traces the results agree
+within 1e-13: the division by p_i^2 - p_j^2 this takes loses nothing.
+
+The rule resolves the kernel only while |t| <= m/2, and every entry
+point refuses a larger half-width: at xi = 0.5, |E(m) - E(2m)| / E stays
+below 8e-14 up to t = 25 at m = 40 and t = 60 at m = 80, but reaches
+1e-9 at t = 30, m = 40, and overflows far past the bound.
 """
 
 from __future__ import annotations
@@ -768,20 +783,6 @@ def toeplitz_an(p: SSEParams, t: complex, tol: float = 1e-12) -> complex:
     return toeplitz_grid(p, [t], tol=tol)[0]
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; a real a times a complex b runs as one real product.
-
-    Used for the Fredholm resolvent products A_k R, where A_k is real and
-    R is complex for complex t or xi. The C-contiguous complex b is read
-    as a real matrix of twice the width, its real and imaginary parts
-    interleaved: half the work of the complex product numpy would
-    otherwise form. For real b both views are no-ops.
-    """
-    if np.iscomplexobj(a):
-        return a @ b
-    return (a @ b.view(float)).view(b.dtype)
-
-
 # Bilinear form of the squared Vandermonde factor in the centred basis
 # f(theta) = (1, sin d, 2 sin^2(d/2)), d = theta - theta_0:
 # |e^{i theta_a} - e^{i theta_b}|^2 = f(theta_a)^T _VDM_FORM f(theta_b).
@@ -894,6 +895,9 @@ def _check_fredholm(t, xi, m) -> None:
         raise ValueError("need at least 10 quadrature nodes")
     if not (cmath.isfinite(complex(t)) and cmath.isfinite(complex(xi))):
         raise ValueError("half-width and coupling must be finite")
+    if abs(complex(t)) > 0.5 * int(m):
+        raise ValueError(f"half-width t = {t!r} needs more than m = {int(m)} "
+                         f"nodes: the rule resolves |t| <= m/2")
 
 
 def _narrow(z):
@@ -904,7 +908,7 @@ def _narrow(z):
 
 @dataclass(frozen=True)
 class FredholmSpec:
-    """Gap determinant request: interval (-t, t), coupling xi, m nodes."""
+    """Gap determinant request: interval (-t, t), coupling xi, m >= 2t nodes."""
 
     t: float
     xi: complex = 1.0
@@ -928,61 +932,51 @@ def _gl_rule(m: int):
     return _locked(*np.polynomial.legendre.leggauss(m))
 
 
-def _sine_kernel_blocks(t, m: int, derivatives: bool = False):
+def _sine_kernel_blocks(t, m: int):
     """Parity blocks of the Nystrom matrix of the sine kernel on (-1, 1).
 
-    The kernel is sin(t d)/(pi d) in d = u - v, with diagonal t/pi; with
-    derivatives its t-derivatives cos(t d)/pi, -d sin(t d)/pi and
-    -d^2 cos(t d)/pi follow it. Each is even in d, so on the positive
-    half p of the m-node rule the even block is
+    The kernel is sin(t d)/(pi d) in d = u - v, with diagonal t/pi. On
+    the positive half p of the m-node rule the even block is
     (K(p_i - p_j) + K(p_i + p_j)) sqrt(w_i w_j) and the odd block has the
-    minus sign. The centre node of an odd rule joins the even block at
-    half its weight, which reproduces its row exactly, and drops out of
-    the odd one. Returns (even, odd), each a tuple of one (or four)
-    symmetric matrices; real for real t.
+    minus sign. With s = sin(t p) and c = cos(t p) the addition theorem
+    makes these 2 (p_i s_i c_j - p_j c_i s_j) and
+    2 (p_j s_i c_j - p_i c_i s_j), over pi (p_i^2 - p_j^2), with
+    diagonals (t +- s_i c_i / p_i) w_i / pi. The centre node of an odd
+    rule joins the even block at half its weight, which reproduces its
+    row exactly, and drops out of the odd one.
 
-    Both K(p_i - p_j) and K(p_i + p_j) are symmetric in (i, j), so one
-    matrix g holds every value needed: the differences below its
-    diagonal, the sums on and above it. Each block is then g plus or
-    minus its transpose with the diagonal set apart, and the kernel is
-    evaluated at m^2/4 points, not the m^2 of the full matrix.
+    Returns (even, odd), each a pair (A0, V): the symmetric block and the
+    n x 3 columns V = sqrt(w) (c, p s, p^2 c), or sqrt(w) (s, p c, p^2 s)
+    for the odd block. The blocks of the t-derivative kernels
+    cos(t d)/pi, -d sin(t d)/pi and -d^2 cos(t d)/pi are 2/pi times
+    V0 V0^T, -+(V0 V1^T + V1 V0^T) and -(V0 V2^T + V2 V0^T - 2 V1 V1^T),
+    upper sign even. Real for real t.
     """
     x, w = _gl_rule(m)
     half = m // 2
     p = x[half:]
     sq = np.sqrt(w[half:])
+    sin_p, cos_p = np.sin(t * p), np.cos(t * p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sc = sin_p * cos_p / p
     c = m % 2
     if c:
         sq[0] = math.sqrt(0.5 * w[half])
-    scale = np.outer(sq, sq / math.pi)
-    below = np.where(np.tri(len(p), k=-1, dtype=bool), -1.0, 1.0)
-    arg = below * p
-    arg += p[:, None]
-    targ = t * arg
-    sin_g = np.sin(targ)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k0 = sin_g / arg
-    if c:
-        k0[0, 0] = t
-    # each kernel with its value at d = 0
-    kernels = [(k0, t)]
-    if derivatives:
-        cos_g = np.cos(targ)
-        kernels += [(cos_g, 1.0), (-arg * sin_g, 0.0),
-                    (-(arg * arg) * cos_g, 0.0)]
-    even, odd = [], []
-    for g, at_zero in kernels:
-        k_sum = np.diagonal(g)
-        e = g + g.T
-        np.fill_diagonal(e, at_zero + k_sum)
-        e *= scale
-        o = g.T - g
-        o *= below
-        np.fill_diagonal(o, at_zero - k_sum)
-        o *= scale
-        even.append(e)
-        odd.append(o[c:, c:])
-    return tuple(even), tuple(odd)
+        sc[0] = t
+    s, co = sq * sin_p, sq * cos_p
+    ps, pc = p * s, p * co
+    # (pi/2)(p_i^2 - p_j^2), antisymmetric like each block's numerator
+    den = np.subtract.outer(p * p, p * p) * _HALF_PI
+    np.fill_diagonal(den, 1.0)
+    blocks = []
+    for a, b, v, sign, lo in ((ps, co, (co, ps, p * pc), 1.0, 0),
+                              (s, pc, (s, pc, p * ps), -1.0, c)):
+        k = np.outer(a, b)
+        k = k - k.T
+        k /= den
+        np.fill_diagonal(k, (t + sign * sc) * sq * sq / math.pi)
+        blocks.append((k[lo:, lo:], np.stack(v, axis=1)[lo:]))
+    return tuple(blocks)
 
 
 def _identity_minus(xi, a: np.ndarray) -> np.ndarray:
@@ -1004,7 +998,7 @@ def fredholm_sine(spec: FredholmSpec):
     """
     xi = _narrow(spec.xi)
     e = 1.0
-    for (a,) in _sine_kernel_blocks(float(spec.t), int(spec.m)):
+    for a, _ in _sine_kernel_blocks(float(spec.t), int(spec.m)):
         e = e * np.linalg.det(_identity_minus(xi, a))
     return float(e) if isinstance(xi, float) else complex(e)
 
@@ -1015,31 +1009,35 @@ def fredholm_log_derivatives(t: complex, xi: complex = 1.0, m: int = 140):
     Resolvent-trace identities rather than finite differences, per
     parity block with R = (I - xi A0)^{-1} and C_k = A_k R:
     d log E/dt = -xi tr C1, the second derivative adds tr C1^2 and tr C2,
-    the third tr C1^3, tr C1 C2 and tr R A3, each trace an elementwise
-    sum (tr XY = sum X * Y^T, and every A_k is symmetric). log E sums
-    the blocks' log moduli and takes the principal log of the product
-    of their signs. Real arithmetic throughout for real t and xi. The
-    half-width may be complex here (the determinant is entire in t, and
-    the sigma-form chain needs it on the imaginary axis); the gap
-    wrapper above keeps its positive-real contract. Raises ValueError
-    for fewer than 10 nodes or a non-finite t or xi.
+    the third tr C1^3, tr C1 C2 and tr R A3. In the rank forms of the A_k
+    (_sine_kernel_blocks) each trace is a polynomial in the bilinear Gram
+    matrix G = V^T R V (R is complex-symmetric, so no conjugate): with
+    a = 2/pi, upper sign even, tr C1 = a G00, tr C2 = -+2a G01, and
+    tr R A3 = -2a (G02 - G11); tr C1^2, tr C1^3 and tr C1 C2 are products
+    of these. log E sums the blocks' log moduli and takes the principal
+    log of the product of their signs. Real arithmetic throughout for
+    real t and xi. The half-width may be complex here (the determinant is
+    entire in t, and the sigma-form chain needs it on the imaginary
+    axis); the gap wrapper above keeps its positive-real contract. Raises
+    ValueError for fewer than 10 nodes, a non-finite t or xi, or
+    |t| > m/2.
     """
     _check_fredholm(t, xi, m)
     t, xi = _narrow(t), _narrow(xi)
     logabs, sign = 0.0, 1.0
     tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
-    for a0, a1, a2, a3 in _sine_kernel_blocks(t, int(m), derivatives=True):
+    for (a0, v), parity in zip(_sine_kernel_blocks(t, int(m)), (1.0, -1.0)):
         mat = _identity_minus(xi, a0)
         block_sign, block_logabs = np.linalg.slogdet(mat)
         sign, logabs = sign * block_sign, logabs + block_logabs
-        r = np.linalg.inv(mat)
-        c1, c2 = _matmul(a1, r), _matmul(a2, r)
-        tr1 += np.trace(c1)
-        tr2 += np.trace(c2)
-        tr3 += np.sum(r * a3)
-        tr11 += np.sum(c1 * c1.T)
-        tr12 += np.sum(c1 * c2.T)
-        tr111 += np.sum((c1 @ c1) * c1.T)
+        g = v.T @ np.linalg.solve(mat, v)
+        c1, c2 = g[0, 0] / _HALF_PI, -parity * 2.0 * g[0, 1] / _HALF_PI
+        tr1 += c1
+        tr2 += c2
+        tr3 -= 2.0 * (g[0, 2] - g[1, 1]) / _HALF_PI
+        tr11 += c1 * c1
+        tr12 += c1 * c2
+        tr111 += c1 * c1 * c1
     loge = complex(logabs) + cmath.log(complex(sign))
     l1 = -xi * tr1
     l2 = -xi * (xi * tr11 + tr2)

@@ -11,7 +11,7 @@ test time (TestArbitraryPrecisionReference).
 import cmath
 import math
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
@@ -37,6 +37,7 @@ from taurmt.rmt_numerics import (
     _quadrature_table,
     _quadrature_tables,
     _recurrence_table,
+    _sine_kernel_blocks,
     _ts_full_rule,
     _ts_new_nodes,
     _vandermonde_sum,
@@ -1269,6 +1270,14 @@ class TestFredholm:
         with pytest.raises(ValueError):
             FredholmSpec(1.0, 1.0, m=5)
 
+    def test_half_width_up_to_half_the_node_count(self):
+        # the rule resolves the kernel for |t| <= m/2
+        assert math.isfinite(fredholm_sine(FredholmSpec(40.0, 1.0, m=80)))
+        with pytest.raises(ValueError, match="t = 40.5 needs more than m = 80"):
+            FredholmSpec(40.5, 1.0, m=80)
+        with pytest.raises(ValueError, match="needs more than m = 80"):
+            fredholm_log_derivatives(30.0 + 30.0j, 0.5, 80)
+
 
 class TestLogDerivatives:
     def test_reference_value_xi_one(self):
@@ -1407,6 +1416,166 @@ class TestParitySplit:
     def test_spec_rejects_non_finite(self, t, xi):
         with pytest.raises(ValueError):
             FredholmSpec(t, xi)
+
+
+def _parity_fold(a, m):
+    """The even and odd blocks of a full m x m Nystrom matrix: a in the
+    orthonormal bases of reflection-symmetric and -antisymmetric node
+    pairs, an odd rule's centre node in the even one."""
+    half, c = m // 2, m % 2
+    pos = np.arange(half, m)
+    cols = np.arange(len(pos))
+    even = np.zeros((m, len(pos)))
+    even[pos, cols] = even[m - 1 - pos, cols] = math.sqrt(0.5)
+    if c:
+        even[half, 0] = 1.0
+    odd = np.zeros((m, len(pos)))
+    odd[pos, cols], odd[m - 1 - pos, cols] = math.sqrt(0.5), -math.sqrt(0.5)
+    odd = odd[:, c:]
+    return even.T @ a @ even, odd.T @ a @ odd
+
+
+@pytest.mark.parametrize("m", [80, 81])
+@pytest.mark.parametrize("t", [0.7, 4.0, 1.2j, 2.0 - 1.0j])
+def test_rank_forms_match_the_folded_full_kernels(m, t):
+    """Each block and the rank-1, -2 and -3 forms its V gives against the
+    full matrices of the kernel and its t-derivatives, folded by parity."""
+    # (even blocks, odd blocks) of the four full matrices
+    folded = zip(*(_parity_fold(a, m) for a in _full_kernels(t, m)))
+    for (a0, v), sign, wants in zip(_sine_kernel_blocks(t, m), (1.0, -1.0),
+                                    folded):
+        v0, v1, v2 = v.T
+        got = (a0, 2.0 / math.pi * np.outer(v0, v0),
+               -sign * 2.0 / math.pi * (np.outer(v0, v1) + np.outer(v1, v0)),
+               -2.0 / math.pi * (np.outer(v0, v2) + np.outer(v2, v0)
+                                 - 2.0 * np.outer(v1, v1)))
+        for k, (g, want) in enumerate(zip(got, wants)):
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(g - want)) <= 1e-14 * scale, (k, sign)
+
+
+# A 40-digit reference for E and l1..l3 on the same parity blocks: each
+# entry straight from sin(t d)/(pi d) and its t-derivatives at
+# d = p_i -+ p_j, on the float64 rule taken exactly; no addition theorem,
+# and the resolvent traces are formed as dense products, not from the
+# rank forms. That is about 4 (m/2)^3 multiplications per block, which
+# mpmath's own numbers take seconds over, so the linear algebra runs in
+# fixed point: Python integers scaled by 2^_FIX_BITS (48 digits), exact in
+# every sum and rounded once per product.
+_FIX_BITS = 160
+_FIX_ONE = 1 << _FIX_BITS
+
+
+def _to_fix(x):
+    return int(mp.ldexp(x, _FIX_BITS))
+
+
+@lru_cache(maxsize=None)
+def _mp_parity_blocks(t, m):
+    """(even, odd): the blocks of the kernel and its first three
+    t-derivatives, each a (4, n, n) object array in fixed point."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    half, c = m // 2, m % 2
+    with mp.workprec(_FIX_BITS + 32):
+        p = [mp.mpf(v) for v in x[half:]]
+        sq = [mp.sqrt(mp.mpf(v) / mp.pi) for v in w[half:]]
+        if c:
+            sq[0] = mp.sqrt(mp.mpf(w[half]) / (2 * mp.pi))
+        tt = mp.mpf(t)
+
+        def kernels(d):
+            if d == 0:
+                return (tt, 1, 0, 0)
+            cos, sin = mp.cos_sin(tt * d)
+            return (sin / d, cos, -d * sin, -d * d * cos)
+
+        n = len(p)
+        even = np.empty((4, n, n), dtype=object)
+        odd = np.empty((4, n, n), dtype=object)
+        for i in range(n):
+            for j in range(i + 1):
+                f = sq[i] * sq[j]
+                pairs = zip(kernels(p[i] - p[j]), kernels(p[i] + p[j]))
+                for k, (kd, ks) in enumerate(pairs):
+                    even[k, i, j] = even[k, j, i] = _to_fix((kd + ks) * f)
+                    odd[k, i, j] = odd[k, j, i] = _to_fix((kd - ks) * f)
+    return even, odd[:, c:, c:]
+
+
+def _fix_mul(a, b):
+    """Product of complex fixed-point matrices, each a (re, im) pair."""
+    (ar, ai), (br, bi) = a, b
+    return ((ar @ br - ai @ bi) >> _FIX_BITS,
+            (ar @ bi + ai @ br) >> _FIX_BITS)
+
+
+def _fix_trace(a, b):
+    """tr(a b) of complex fixed-point matrices, as an mpc."""
+    (ar, ai), (br, bi) = a, b
+    re = np.sum(ar * br.T) - np.sum(ai * bi.T)
+    im = np.sum(ar * bi.T) + np.sum(ai * br.T)
+    return mp.mpc(re, im) / _FIX_ONE ** 2
+
+
+def _fix_inverse_det(mat):
+    """Inverse and determinant of a complex fixed-point matrix by
+    Gauss-Jordan elimination; no pivoting, since I - xi A0 has a positive
+    definite real part for these xi."""
+    mr, mi = mat
+    n = len(mr)
+    eye = np.zeros((n, n), dtype=object)
+    eye.flat[::n + 1] = _FIX_ONE
+    ar = np.concatenate([mr, eye], axis=1)
+    ai = np.concatenate([mi, np.zeros((n, n), dtype=object)], axis=1)
+    det = mp.mpc(1)
+    for k in range(n):
+        pr, pi = ar[k, k], ai[k, k]
+        det *= mp.mpc(pr, pi) / _FIX_ONE
+        norm = pr * pr + pi * pi
+        rr = ((ar[k] * pr + ai[k] * pi) << _FIX_BITS) // norm
+        ri = ((ai[k] * pr - ar[k] * pi) << _FIX_BITS) // norm
+        fr, fi = ar[:, k].copy(), ai[:, k].copy()
+        fr[k] = fi[k] = 0
+        ar -= (np.outer(fr, rr) - np.outer(fi, ri)) >> _FIX_BITS
+        ai -= (np.outer(fr, ri) + np.outer(fi, rr)) >> _FIX_BITS
+        ar[k], ai[k] = rr, ri
+    return (ar[:, n:], ai[:, n:]), det
+
+
+def _mp_reference(t, xi, m):
+    """(E, log E, l1, l2, l3) from the dense traces of
+    fredholm_log_derivatives' docstring, at 40 digits."""
+    with mp.workdps(40):
+        xi = mp.mpc(xi)
+        xr, xim = _to_fix(xi.real), _to_fix(xi.imag)
+        e = mp.mpc(1)
+        tr = [0] * 6
+        for a0, a1, a2, a3 in _mp_parity_blocks(t, m):
+            zero = np.zeros_like(a0)
+            mat = (-((a0 * xr) >> _FIX_BITS), -((a0 * xim) >> _FIX_BITS))
+            mat[0].flat[::len(a0) + 1] += _FIX_ONE
+            r, det = _fix_inverse_det(mat)
+            e *= det
+            # A1 and A2 are real: two integer products each
+            c1, c2 = ([(a @ part) >> _FIX_BITS for part in r] for a in (a1, a2))
+            pairs = (((a1, zero), r), ((a2, zero), r), ((a3, zero), r),
+                     (c1, c1), (c1, c2), (_fix_mul(c1, c1), c1))
+            tr = [s + _fix_trace(*pair) for s, pair in zip(tr, pairs)]
+        l1 = -xi * tr[0]
+        l2 = -xi * (xi * tr[3] + tr[1])
+        l3 = -xi * (2 * xi ** 2 * tr[5] + 3 * xi * tr[4] + tr[2])
+        return tuple(complex(v) for v in (e, mp.log(e), l1, l2, l3))
+
+
+@pytest.mark.parametrize("m", [40, 41])
+@pytest.mark.parametrize("t", [0.7, 2.5, 4.0])
+@pytest.mark.parametrize("xi", [1.0, 0.5, 0.5 + 0.5j])
+def test_matches_the_40_digit_parity_blocks(m, t, xi):
+    want = _mp_reference(t, xi, m)
+    got = (complex(fredholm_sine(FredholmSpec(t, xi, m=m))),
+           *fredholm_log_derivatives(t, xi, m))
+    for g, v in zip(got, want):
+        assert abs(g - v) <= 1e-12 * max(1.0, abs(v))
 
 
 class TestBulkLimit:
