@@ -299,7 +299,11 @@ _FLAGS = {
                {"choices": {"series": ("an", "bulk"), "ode": ("vi", "bulk")}}),
     "oracle": (("toeplitz",), _as_bool, None,
                {"action": "store_const", "const": True}),
-    "nodes": (("fredholm", "asymptotics"), int, None, {}),
+    "nodes": (("fredholm", "asymptotics"), int, None,
+              {"help": {"fredholm": "Nystrom nodes m (default 80); "
+                                    "needs |t| <= m/2",
+                        "asymptotics": "Nystrom nodes m (default 140); "
+                                       "needs |t| <= m/2"}}),
     "dims": (("bulk",), str, None,
              {"help": "comma list of matrix dimensions"}),
 }

@@ -34,6 +34,7 @@ from taurmt.rmt_numerics import (
     _leg_integrand,
     _oracle_rule,
     _phase_table,
+    _pivoted_cholesky,
     _quadrature_table,
     _quadrature_tables,
     _recurrence_table,
@@ -931,6 +932,22 @@ class TestRowBatchedQuadrature:
         assert (_CHUNK_ROWS // head) * head in sizes
 
 
+def test_leg_at_a_vanishing_phase_keeps_the_circle_value():
+    # the leg's half-angles underflow at its deepest nodes below a phase of
+    # about 1e-33, and its share vanishes like phase^(1 + 2 omega1 + 2 mu)
+    got = toeplitz_an(P_STD, complex(1.0, 1e-300))
+    assert abs(got - toeplitz_an(P_STD, 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("t,kmax", [(1e-300, 0), (-1e-200, 1), (1e-100, 5)])
+def test_weight_too_close_to_zero_is_refused(t, kmax):
+    # the leg's factors |t|^{-k} would leave the float range
+    with pytest.raises(ValueError, match="too close to 0"):
+        fourier_table(WeightSpec(P_STD, t), kmax)
+    with pytest.raises(ValueError, match="too close to 0"):
+        toeplitz_grid(replace(P_STD, N=kmax + 1), [0.5, t])
+
+
 class TestToeplitzRoute:
     def test_dimension_zero_is_one(self):
         assert toeplitz_an(replace(P_STD, N=0), T_STD) == 1.0 + 0.0j
@@ -1271,8 +1288,11 @@ class TestFredholm:
             FredholmSpec(1.0, 1.0, m=5)
 
     def test_half_width_up_to_half_the_node_count(self):
-        # the rule resolves the kernel for |t| <= m/2
-        assert math.isfinite(fredholm_sine(FredholmSpec(40.0, 1.0, m=80)))
+        # the rule resolves the kernel for |t| <= m/2; at xi = 1 the value
+        # there, near 1e-350, has no correct digit and is refused
+        assert math.isfinite(fredholm_sine(FredholmSpec(40.0, 0.5, m=80)))
+        with pytest.raises(ValueError, match="no correct digit"):
+            fredholm_sine(FredholmSpec(40.0, 1.0, m=80))
         with pytest.raises(ValueError, match="t = 40.5 needs more than m = 80"):
             FredholmSpec(40.5, 1.0, m=80)
         with pytest.raises(ValueError, match="needs more than m = 80"):
@@ -1347,6 +1367,27 @@ def _full_log_derivatives(t, xi, m):
     return loge, complex(l1), complex(l2), complex(l3)
 
 
+def _rounding_bound(t, xi, m):
+    """m eps sum |xi lambda| / |1 - xi lambda| over the eigenvalues of
+    the full Nystrom matrix: the relative rounding bound fredholm_sine
+    refuses at 1."""
+    lam = complex(xi) * np.linalg.eigvalsh(_full_kernels(t, m)[0])
+    return m * np.finfo(float).eps * np.sum(np.abs(lam) / np.abs(1.0 - lam))
+
+
+# det(I - K) at xi = 1 on the 600-node float64 Gauss-Legendre rule taken
+# exactly, to 50 digits. Each parity block (K(p_i - p_j) +- K(p_i + p_j))
+# sqrt(w_i w_j), K(d) = sin(t d)/(pi d), was formed entry by entry in
+# mpmath at 60 digits, with no addition theorem, and its determinant
+# det(I - A) taken by unpivoted elimination of the positive definite
+# I - A at the same precision; a rerun at 80 digits agreed to 50.
+GAP_E_600 = {
+    4.0: "1.5333152941021094126940289561554497154868828097671e-4",
+    6.0: "6.2822506159175364144670942657402859546728982927157e-9",
+    8.0: "4.8593926495719785392702193417481147360856887357980e-15",
+}
+
+
 # real half-widths (the gap determinant), an imaginary one (the bulk
 # chain's -4it leg) and oblique ones
 SPLIT_HALFWIDTHS = (0.7, 2.5, 4.0, 1.2j, 0.8 + 0.6j, 2.0 - 1.0j)
@@ -1370,6 +1411,29 @@ class TestParitySplit:
             want = _full_log_derivatives(t, xi, m)
             for g, v in zip(got, want):
                 assert abs(g - v) <= 1e-12 * max(1.0, abs(v)), t
+
+    @pytest.mark.parametrize("xi", [1.0, 0.5 + 0.5j])
+    @pytest.mark.parametrize("t", [0.05, 6.0])
+    def test_factor_matches_full_matrix_at_600_nodes(self, t, xi):
+        # at t = 6 and xi = 1 both sides carry the rounding the guard
+        # bounds, about 1e-9 relative
+        got = complex(fredholm_sine(FredholmSpec(t, xi, m=600)))
+        want = _full_determinant(t, xi, 600)
+        tol = max(1e-12, _rounding_bound(t, xi, 600))
+        assert abs(got - want) <= tol * abs(want)
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 3.0, 6.0, 15.0])
+    def test_factor_rank_does_not_grow_with_the_node_count(self, t):
+        coarse, fine = ([len(_pivoted_cholesky(block))
+                         for block in _sine_kernel_blocks(t, m)]
+                        for m in (160, 600))
+        assert all(f <= c + 1 for c, f in zip(coarse, fine)), (coarse, fine)
+
+    @pytest.mark.parametrize("t", sorted(GAP_E_600))
+    def test_matches_the_50_digit_parity_blocks_at_600_nodes(self, t):
+        want = mp.mpf(GAP_E_600[t])
+        got = fredholm_sine(FredholmSpec(t, 1.0, m=600))
+        assert abs(got - want) <= _rounding_bound(t, 1.0, 600) * want
 
     @pytest.mark.parametrize("m", [80, 81])
     @pytest.mark.parametrize("xi", [0.5, 0.5 + 0.5j, -0.9 + 0.2j, 1.8])
@@ -1442,10 +1506,11 @@ def test_rank_forms_match_the_folded_full_kernels(m, t):
     full matrices of the kernel and its t-derivatives, folded by parity."""
     # (even blocks, odd blocks) of the four full matrices
     folded = zip(*(_parity_fold(a, m) for a in _full_kernels(t, m)))
-    for (a0, v), sign, wants in zip(_sine_kernel_blocks(t, m), (1.0, -1.0),
-                                    folded):
-        v0, v1, v2 = v.T
-        got = (a0, 2.0 / math.pi * np.outer(v0, v0),
+    for block, sign, wants in zip(_sine_kernel_blocks(t, m), (1.0, -1.0),
+                                  folded):
+        v0, v1, v2 = block.v.T
+        got = (block.columns(np.arange(len(block.diag))),
+               2.0 / math.pi * np.outer(v0, v0),
                -sign * 2.0 / math.pi * (np.outer(v0, v1) + np.outer(v1, v0)),
                -2.0 / math.pi * (np.outer(v0, v2) + np.outer(v2, v0)
                                  - 2.0 * np.outer(v1, v1)))
