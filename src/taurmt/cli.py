@@ -90,6 +90,7 @@ from .rmt_numerics import (
     FredholmSpec,
     QuadratureError,
     bulk_limit_an,
+    bulk_limit_grid,
     fredholm_log_derivatives,
     fredholm_sine,
     quad_oracle_an,
@@ -721,13 +722,14 @@ def cmd_bulk(cfg: RunConfig) -> int:
         # side and checked against both independent routes
         xi = p.xi_star
         ts = cfg.grid_values()
+        limits = bulk_limit_grid([-4j * t for t in ts], p, dims)
         t = ts[0]
         _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
         seed = OdeSeed(-4j * t, t * l1, (1j / 4) * (l1 + t * l2),
                        -(2 * l2 + t * l3) / 16.0)
         rows = []
         state = seed
-        for i, t in enumerate(ts):
+        for i, (t, r) in enumerate(zip(ts, limits)):
             if i == 0:
                 z = seed.zeta  # and l1 is the seed's
             else:
@@ -737,7 +739,6 @@ def cmd_bulk(cfg: RunConfig) -> int:
                 state = OdeSeed(tend, z, dz, traj.curvatures[-1])
                 _, l1, _, _ = fredholm_log_derivatives(t, xi)
             h_fred = t * l1
-            r = bulk_limit_an(-4j * t, p, dims)
             e_fred = complex(fredholm_sine(FredholmSpec(t, xi, m=120)))
             rows.append((t, z.real, z.imag, h_fred.real, h_fred.imag,
                          abs(z - h_fred), r.extrapolant.real,
@@ -769,9 +770,8 @@ def cmd_bulk(cfg: RunConfig) -> int:
         # segment ends land exactly on the requested nodes
         a_ode = dict(tau_reconstruct(traj, bulk_okamoto_params(p), anchor))
     rows = []
-    for x in xs:
+    for x, r in zip(xs, bulk_limit_grid(xs, p, dims)):
         a_series = exp.evaluate(x)
-        r = bulk_limit_an(x, p, dims)
         rows.append((x, a_ode[x].real, a_ode[x].imag, a_series.real,
                      a_series.imag, r.extrapolant.real, r.extrapolant.imag,
                      abs(a_ode[x] - r.extrapolant),

@@ -22,6 +22,7 @@ __all__ = [
     "sin_pi",
     "cos_pi",
     "barnes_prefactor",
+    "barnes_prefactors",
 ]
 
 _LN_PI = math.log(math.pi)
@@ -170,23 +171,40 @@ def exp_pi_i(z: complex) -> complex:
     return cmath.exp(1j * math.pi * complex(z))
 
 
-def barnes_prefactor(N: int, mu: complex, omega1: complex, omega2: complex) -> complex:
-    """Finite-N normalization product of the boundary expansion.
+def barnes_prefactors(n_max: int, mu: complex, omega1: complex,
+                      omega2: complex) -> list:
+    """Finite-N normalization products of the boundary expansion, N = 0..n_max.
 
-    prod_{k=0}^{N-1} k! G(2 mu + 2 omega1 + k + 1)
-                      / (G(1 + k + mu + omega) G(1 + k + mu + conj-omega))
-    with omega = omega1 + i omega2. Its reciprocal normalizes the bulk
-    scaling limit. Raises GammaPoleError if any factor is at a pole.
+    Entry N is
+    prod_{k=0}^{N-1} k! Gamma(2 mu + 2 omega1 + k + 1)
+                      / (Gamma(1 + k + mu + omega) Gamma(1 + k + mu + conj-omega))
+    = G(N+1) G(N+1+a) G(1+b) G(1+c) / (G(1+a) G(N+1+b) G(N+1+c)) in Barnes G,
+    with a = 2 mu + 2 omega1, b = mu + omega, c = mu + conj-omega and
+    omega = omega1 + i omega2. Its reciprocal normalizes the bulk scaling
+    limit. All entries come from one running sum of log-gammas, 4 n_max
+    calls; entry N is the sum of the first N terms in the same order for
+    every n_max, so it has the same bits whichever sweep it comes from.
+    Raises GammaPoleError if any factor up to n_max is at a pole.
     """
-    if N < 0 or N != int(N):
-        raise ValueError(f"N must be a non-negative integer, got {N}")
+    if n_max < 0 or n_max != int(n_max):
+        raise ValueError(f"N must be a non-negative integer, got {n_max}")
     mu = complex(mu)
     om = complex(omega1) + 1j * complex(omega2)
     omb = complex(omega1) - 1j * complex(omega2)
     acc = 0.0 + 0.0j
-    for k in range(int(N)):
+    out = [cmath.exp(acc)]
+    for k in range(int(n_max)):
         acc += ln_gamma(k + 1)
         acc += ln_gamma(2 * mu + complex(omega1) * 2 + k + 1)
         acc -= ln_gamma(1 + k + mu + om)
         acc -= ln_gamma(1 + k + mu + omb)
-    return cmath.exp(acc)
+        out.append(cmath.exp(acc))
+    return out
+
+
+def barnes_prefactor(N: int, mu: complex, omega1: complex, omega2: complex) -> complex:
+    """Finite-N normalization product of the boundary expansion: the last
+    entry of barnes_prefactors(N, ...). Raises GammaPoleError if any factor
+    is at a pole.
+    """
+    return barnes_prefactors(N, mu, omega1, omega2)[-1]

@@ -47,7 +47,10 @@ stacked product over rows laid out as a lone panel's would be, so each
 row's value, error and refusal are bit for bit those of the panel on its
 own. Convergence and the edge check are per row; a row that needs
 levels past 4 continues alone, and only when its table is asked for.
-toeplitz_grid batches the seeds of a whole grid of t this way.
+toeplitz_grid batches the seeds of a whole grid of t this way, and
+bulk_limit_grid, over a grid of x, makes one toeplitz_grid call per
+dimension N at t = exp(-x/N), with every normalization from one sweep
+of barnes_prefactors.
 
 The phase factors e^{-ik theta} of a coefficient table come from running
 products, not one complex exponential per entry: z = e^{-i theta} is
@@ -170,7 +173,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexfn import barnes_prefactor
+from .complexfn import barnes_prefactors
 from .monodromy_vi import SSEParams
 
 __all__ = [
@@ -185,6 +188,7 @@ __all__ = [
     "fredholm_sine",
     "fredholm_log_derivatives",
     "bulk_limit_an",
+    "bulk_limit_grid",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -1186,8 +1190,9 @@ class BulkLimitResult:
     richardson_diff: float
 
 
-def bulk_limit_an(x: complex, p: SSEParams, n_list) -> BulkLimitResult:
-    """Drive the Toeplitz route toward the bulk scaling limit.
+def bulk_limit_grid(xs, p: SSEParams, n_list) -> list:
+    """Drive the Toeplitz route toward the bulk scaling limit at every x of
+    a grid: one BulkLimitResult per x, in grid order.
 
     For each N the average at t = exp(-x/N) is divided by its own t -> 1
     value (the product of gamma factors), so x = 0 normalizes to exactly 1
@@ -1196,21 +1201,42 @@ def bulk_limit_an(x: complex, p: SSEParams, n_list) -> BulkLimitResult:
     assumed. observed_order reports the empirical leading power fitted
     from successive differences (nan with fewer than three dimensions),
     and richardson_diff the change from the table's last column, as a
-    stability handle. Each determinant is toeplitz_an at its default
-    accuracy; p.N is not read.
+    stability handle. p.N is not read.
+
+    The dimensions are checked once and every normalization comes from one
+    sweep of barnes_prefactors up to the largest N, so a gamma pole raises
+    before any determinant. Then, N by N in ascending order, the averages
+    at the whole grid are one toeplitz_grid call at its default accuracy,
+    which batches the grid's seed quadrature. Every value is the one that
+    toeplitz_an and barnes_prefactor give at its (x, N), bit for bit. A
+    failure raises the first failing (N, x) in that order, dimension
+    ascending, then grid order.
     """
     ns = sorted({int(n) for n in n_list})
     if not ns:
         raise ValueError("need at least one matrix dimension")
     if ns[0] < 1 or ns[-1] > 64:
         raise ValueError("dimensions must lie in 1..64")
-    xx = complex(x)
-    vals = []
+    xs = [complex(x) for x in xs]
+    norms = barnes_prefactors(ns[-1], p.mu, p.omega1, p.omega2)
+    rows = []
     for n in ns:
-        pn = replace(p, N=n)
-        tn = cmath.exp(-xx / n)
-        det = toeplitz_an(pn, tn)
-        vals.append(det / barnes_prefactor(n, p.mu, p.omega1, p.omega2))
+        dets = toeplitz_grid(replace(p, N=n), [cmath.exp(-x / n) for x in xs])
+        rows.append([det / norms[n] for det in dets])
+    return [_extrapolate(x, ns, [row[i] for row in rows])
+            for i, x in enumerate(xs)]
+
+
+def bulk_limit_an(x: complex, p: SSEParams, n_list) -> BulkLimitResult:
+    """Drive the Toeplitz route toward the bulk scaling limit at one x: the
+    one-point case of bulk_limit_grid."""
+    return bulk_limit_grid([x], p, n_list)[0]
+
+
+def _extrapolate(x: complex, ns: list, vals: list) -> BulkLimitResult:
+    """Neville table in 1/N at 0 over the normalized averages vals at the
+    sorted dimensions ns, with the fitted order and the last column's
+    change."""
     hs = [1.0 / n for n in ns]
     work = list(vals)
     diag = [work[-1]]
@@ -1231,7 +1257,7 @@ def bulk_limit_an(x: complex, p: SSEParams, n_list) -> BulkLimitResult:
         if fits:
             order = sum(fits) / len(fits)
     return BulkLimitResult(
-        x=xx,
+        x=x,
         n_values=tuple(ns),
         normalized=tuple(complex(v) for v in vals),
         extrapolant=complex(diag[-1]),

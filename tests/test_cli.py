@@ -556,3 +556,56 @@ def test_last_grid_row_is_the_grid_end(capsys):
                  "--grid-count=2"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row[0] for row in rows] == [0.7, 2.9]
+
+
+def test_bulk_batches_each_dimension_and_sweeps_the_prefactors_once(
+        monkeypatch, capsys):
+    # one toeplitz_grid call per dimension over the whole grid, and one
+    # running log-gamma sum up to the largest dimension for every
+    # normalization, where a loop over (x, N) made |xs| |dims| of each
+    from taurmt import complexfn
+    from taurmt import rmt_numerics as rmt
+
+    grids, sweeps, ln_calls = [], [], []
+    real_grid, real_sweep = rmt.toeplitz_grid, rmt.barnes_prefactors
+    real_ln_gamma = complexfn.ln_gamma
+
+    def counted_grid(p, ts, *args, **kwargs):
+        grids.append((p.N, len(ts)))
+        return real_grid(p, ts, *args, **kwargs)
+
+    def counted_sweep(n_max, *args):
+        before = len(ln_calls)
+        out = real_sweep(n_max, *args)
+        sweeps.append((n_max, len(ln_calls) - before))
+        return out
+
+    def counted_ln_gamma(z):
+        ln_calls.append(z)
+        return real_ln_gamma(z)
+
+    monkeypatch.setattr(rmt, "toeplitz_grid", counted_grid)
+    monkeypatch.setattr(rmt, "barnes_prefactors", counted_sweep)
+    monkeypatch.setattr(complexfn, "ln_gamma", counted_ln_gamma)
+    rows = _json_rows(["bulk", "--dims=8,16,32", "--grid-count=4"], capsys)
+    assert len(rows) == 4
+    assert grids == [(8, 4), (16, 4), (32, 4)]
+    assert sweeps == [(32, 4 * 32)]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the largest grid point's N = 8 seeds stall
+    (["bulk", "--dims=8,16", "--grid-start=0.2", "--grid-end=40",
+      "--grid-count=2"], EXIT_NONCONVERGED,
+     "nonconvergence: tanh-sinh refinement stalled"),
+    # every limit succeeds; the Fredholm value at t = 65 is refused
+    (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--dims=8,16",
+      "--grid-start=0.2", "--grid-end=65", "--grid-count=2"],
+     EXIT_BAD_PARAMS,
+     "parameter error: half-width t = 65.0 needs more than m = 120 nodes"),
+])
+def test_bulk_failing_grid_exit_codes(argv, code, message, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)

@@ -8,11 +8,13 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from taurmt.complexfn import (
     GammaPoleError,
     barnes_prefactor,
+    barnes_prefactors,
     cos_pi,
     gamma_ratio,
     ln_gamma,
@@ -156,6 +158,33 @@ class TestBarnesPrefactor:
     def test_oracle_anchor(self):
         got = barnes_prefactor(2, 0.25, 0.1, 0.3)
         assert got == pytest.approx(complex(1.408783256220043, 0.0), rel=1e-12)
+
+    @pytest.mark.parametrize("mu, omega1, omega2", [
+        (0.25, 0.1, 0.3),
+        (0.25 + 0.15j, 0.1, 0.3),
+        (-0.2 - 0.1j, -0.2, -0.4),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+    def test_barnes_g_reference(self, n, mu, omega1, omega2):
+        # G(N+1) G(N+1+a) G(1+b) G(1+c) / (G(1+a) G(N+1+b) G(N+1+c)) with
+        # a = 2 mu + 2 omega1, b = mu + omega, c = mu + conj-omega, at 30
+        # digits; the log-gamma sum drifts to about 1e-12 by N = 64
+        with mp.workdps(30):
+            a = 2 * mp.mpc(mu) + 2 * mp.mpf(omega1)
+            b = mp.mpc(mu) + mp.mpc(omega1, omega2)
+            c = mp.mpc(mu) + mp.mpc(omega1, -omega2)
+            g = mp.barnesg
+            want = complex(g(n + 1) * g(n + 1 + a) * g(1 + b) * g(1 + c)
+                           / (g(1 + a) * g(n + 1 + b) * g(n + 1 + c)))
+        got = barnes_prefactor(n, mu, omega1, omega2)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("mu", [0.25, 0.25 + 0.15j])
+    def test_sweep_entries_are_the_single_products(self, mu):
+        sweep = barnes_prefactors(64, mu, 0.1, 0.3)
+        assert len(sweep) == 65
+        for n, v in enumerate(sweep):
+            assert v == barnes_prefactor(n, mu, 0.1, 0.3)
 
     def test_pole_propagates(self):
         # 2 mu + 2 omega1 + 1 = 0 puts the k = 0 numerator factor at a pole

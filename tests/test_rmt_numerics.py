@@ -43,6 +43,7 @@ from taurmt.rmt_numerics import (
     _ts_new_nodes,
     _vandermonde_sum,
     bulk_limit_an,
+    bulk_limit_grid,
     fourier_table,
     fredholm_log_derivatives,
     fredholm_sine,
@@ -1684,3 +1685,83 @@ class TestBulkLimit:
         a = bulk_limit_an(0.3, P_STD, [4, 8])
         b = bulk_limit_an(0.3, P_STD, [4, 8])
         assert a.extrapolant == b.extrapolant
+
+
+def _bulk_reference(x, p, n_list):
+    """The bulk limit as a loop of one-point calls: toeplitz_an and
+    barnes_prefactor at each N, then the Neville table in 1/N at 0, the
+    fitted order and the last column's change."""
+    ns = sorted({int(n) for n in n_list})
+    x = complex(x)
+    vals = [toeplitz_an(replace(p, N=n), cmath.exp(-x / n))
+            / barnes_prefactor(n, p.mu, p.omega1, p.omega2) for n in ns]
+    hs = [1.0 / n for n in ns]
+    work = list(vals)
+    diag = [work[-1]]
+    for mcol in range(1, len(ns)):
+        for i in range(len(ns) - 1, mcol - 1, -1):
+            work[i] = ((hs[i - mcol] * work[i] - hs[i] * work[i - 1])
+                       / (hs[i - mcol] - hs[i]))
+        diag.append(work[-1])
+    rich = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else math.nan
+    fits = [math.log(abs(vals[i + 1] - vals[i]) / abs(vals[i + 2] - vals[i + 1]))
+            / math.log(hs[i] / hs[i + 1]) for i in range(len(ns) - 2)
+            if abs(vals[i + 1] - vals[i]) > 0.0
+            and abs(vals[i + 2] - vals[i + 1]) > 0.0]
+    order = sum(fits) / len(fits) if fits else math.nan
+    return BulkLimitResult(x=x, n_values=tuple(ns), normalized=tuple(vals),
+                           extrapolant=complex(diag[-1]),
+                           observed_order=float(order),
+                           richardson_diff=float(rich))
+
+
+def _same_result(got, want):
+    """Every field equal with ==, a nan field matching only a nan."""
+    for field in ("x", "n_values", "normalized", "extrapolant"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("observed_order", "richardson_diff"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g == w or (math.isnan(g) and math.isnan(w)), field
+
+
+P_GAP = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
+
+
+class TestBulkLimitGrid:
+    @pytest.mark.parametrize("p, xs, dims", [
+        # the gap point along x = -4 i t, real and complex coupling
+        (P_GAP, [-4j * t for t in (0.2, 0.5, 1.0)], [8, 16, 32]),
+        (replace(P_GAP, xi_star=0.5 + 0.25j), [-4j * t for t in (0.2, 0.7)],
+         [8, 16, 32]),
+        # a generic weight at real x
+        (P_STD, [0.2, 0.5, 0.8], [4, 8, 16]),
+        # complex mu
+        (replace(P_STD, mu=0.25 + 0.15j), [0.3, 0.2 - 0.4j], [4, 8, 16]),
+        # unsorted dimensions with duplicates
+        (P_STD, [0.5, 0.1], [16, 4, 8, 4]),
+        # a one-point grid, one and two dimensions
+        (P_STD, [0.5], [8]),
+        (P_GAP, [-2.0j], [16, 8]),
+    ])
+    def test_grid_equals_points_bit_for_bit(self, p, xs, dims):
+        got = bulk_limit_grid(xs, p, dims)
+        assert len(got) == len(xs)
+        for x, r in zip(xs, got):
+            _same_result(r, _bulk_reference(x, p, dims))
+
+    def test_empty_grid(self):
+        assert bulk_limit_grid([], P_STD, [4, 8]) == []
+
+    def test_first_failure_in_dimension_then_grid_order(self):
+        # N = 16 fails at x = 16 and 20, N = 4 only at x = 20: the error
+        # raised is N = 4's at x = 20, not N = 16's at the earlier x = 16
+        # that a loop over the grid would meet first
+        xs = [0.2, 16.0, 20.0]
+        with pytest.raises(QuadratureError) as want:
+            toeplitz_an(replace(P_STD, N=4), cmath.exp(-20.0 / 4))
+        with pytest.raises(QuadratureError) as grid_first:
+            bulk_limit_an(16.0, P_STD, [4, 16])
+        assert str(grid_first.value) != str(want.value)
+        with pytest.raises(QuadratureError) as got:
+            bulk_limit_grid(xs, P_STD, [16, 4])
+        assert str(got.value) == str(want.value)
