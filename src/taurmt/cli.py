@@ -51,9 +51,10 @@ Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i.
 
 The commands compose library calls and re-derive none: the tau <-> sigma
-maps are tau_series.sigma_map, the rebuilt average of bulk is
-sigma_ode.tau_reconstruct, the monodromy residuals come from monodromy_vi
-and monodromy_v.
+maps are tau_series.sigma_map, bulk's seed at the sine-kernel point
+(_gap_seed) is the bulk sigma map's jet of the Fredholm log-derivatives,
+the rebuilt average of bulk is sigma_ode.tau_reconstruct, the monodromy
+residuals come from monodromy_vi and monodromy_v.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ from .tau_series import (
     bulk_series,
     gap_asymptotics,
     pvi_tau_series,
+    sigma_map,
 )
 
 __all__ = [
@@ -712,33 +714,44 @@ def _parse_dims(cfg: RunConfig):
     return dims
 
 
+def _gap_seed(p: SSEParams, t: float, l1: complex, l2: complex,
+              l3: complex) -> OdeSeed:
+    """The bulk flow's seed at x = -4it from l_k = (d/dt)^k log E(t), the
+    log-derivatives of the sine-kernel determinant on (-t, t).
+
+    d/dx = (i/4) d/dt, so the x-jet is the t-jet scaled by (i/4)^k, taken
+    through the bulk sigma map of p.
+    """
+    x, d = -4j * t, 0.25j
+    return OdeSeed(x, *sigma_map(bulk_okamoto_params(p)).jet(
+        x, d * l1, d ** 2 * l2, d ** 3 * l3))
+
+
 def cmd_bulk(cfg: RunConfig) -> int:
     p = _sse_params(cfg)
     dims = _parse_dims(cfg)
     gap_point = (abs(p.mu) + abs(p.omega1) + abs(p.omega2)) < 1e-14
     if gap_point:
         # pure jump weight: the boundary series is not defined at the
-        # sine-kernel point, so the chain is seeded from the Fredholm
-        # side and checked against both independent routes
+        # sine-kernel point, so the flow is seeded from the Fredholm side
+        # at the first grid point and checked against both independent
+        # routes
         xi = p.xi_star
         ts = cfg.grid_values()
-        limits = bulk_limit_grid([-4j * t for t in ts], p, dims)
-        t = ts[0]
-        _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
-        seed = OdeSeed(-4j * t, t * l1, (1j / 4) * (l1 + t * l2),
-                       -(2 * l2 + t * l3) / 16.0)
+        xs = [-4j * t for t in ts]
+        limits = bulk_limit_grid(xs, p, dims)
+        _, l1, l2, l3 = fredholm_log_derivatives(ts[0], xi)
+        seed = _gap_seed(p, ts[0], l1, l2, l3)
+        h_ode = {seed.t: seed.zeta}
+        if len(xs) > 1:
+            traj = integrate(bulk_okamoto_params(p), seed, xs[1:], tol=1e-10)
+            # segment ends land exactly on the requested nodes
+            h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
-        state = seed
-        for i, (t, r) in enumerate(zip(ts, limits)):
-            if i == 0:
-                z = seed.zeta  # and l1 is the seed's
-            else:
-                traj = integrate(bulk_okamoto_params(p), state, [-4j * t],
-                                 tol=1e-10)
-                tend, z, dz = traj.final
-                state = OdeSeed(tend, z, dz, traj.curvatures[-1])
+        for i, (t, x, r) in enumerate(zip(ts, xs, limits)):
+            if i:  # the first row's l1 is the seed's
                 _, l1, _, _ = fredholm_log_derivatives(t, xi)
-            h_fred = t * l1
+            z, h_fred = h_ode[x], t * l1
             e_fred = complex(fredholm_sine(FredholmSpec(t, xi, m=120)))
             rows.append((t, z.real, z.imag, h_fred.real, h_fred.imag,
                          abs(z - h_fred), r.extrapolant.real,

@@ -131,9 +131,9 @@ class MonodromyDataV:
             "trace_sigma": abs(tr(mul(self.hat_m0, self.hat_m1)) - 2 * cos_pi(self.sigma)),
         }
 
-    def validate(self, tol: float = _CONSISTENCY_TOL) -> "MonodromyDataV":
+    def validate(self) -> "MonodromyDataV":
         res = self.residuals()
-        bad = {k: v for k, v in res.items() if v > tol}
+        bad = {k: v for k, v in res.items() if v > _CONSISTENCY_TOL}
         if bad:
             raise InconsistentKError(f"monodromy data fails consistency checks: {bad}")
         return self

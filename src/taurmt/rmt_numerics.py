@@ -754,10 +754,11 @@ def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
     return table, err
 
 
-def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12,
-                  return_error: bool = False, *, _prepared=None):
-    """Coefficients c_k = (2 pi)^{-1} (int - xi* int_leg) w(theta) e^{-ik theta}
-    for k = -kmax .. kmax.
+def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
+                  _prepared=None):
+    """(values, error estimate): the coefficients
+    c_k = (2 pi)^{-1} (int - xi* int_leg) w(theta) e^{-ik theta} for
+    k = -kmax .. kmax, and the absolute error they carry.
 
     Absolute accuracy tol. c_{-1}, c_0 and c_1 always come from
     panel-split tanh-sinh refinement; on the circle and on the real
@@ -766,9 +767,9 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12,
     recurrence's measured amplification, plus its rounding, stays within
     tol. Elsewhere, and wherever that bound fails, the whole table comes
     from one quadrature pass. Raises QuadratureError (with the achieved
-    error attached) if the quadrature stalls. With return_error, returns
-    (values, error estimate); for a recurred table the estimate is the
-    seed error times the amplification plus a rounding allowance.
+    error attached) if the quadrature stalls. For a recurred table the
+    error estimate is the seed error times the amplification plus a
+    rounding allowance.
 
     _prepared is toeplitz_grid's: the recurrence steps and seeds its
     batched pass already made for w (see _recurrence_table). The table
@@ -780,7 +781,7 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12,
     got = _recurrence_table(w, kmax, tol, _prepared)
     if got is None:
         got = _quadrature_table(w, kmax, tol)
-    return got if return_error else got[0]
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +834,7 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     dets = []
     for w, s in zip(ws, steps):
         prepared = s, None if s is None else next(seeds)
-        c = fourier_table(w, kmax, tol, _prepared=prepared)
+        c = fourier_table(w, kmax, tol, _prepared=prepared)[0]
         dets.append(complex(np.linalg.det(c[idx])))
     if stop is not None:
         raise stop
@@ -1144,10 +1145,11 @@ def fredholm_log_derivatives(t: complex, xi: complex = 1.0, m: int = 140):
     of these. log E sums the blocks' log moduli and takes the principal
     log of the product of their signs. Real arithmetic throughout for
     real t and xi. The half-width may be complex here (the determinant is
-    entire in t, and the sigma-form chain needs it on the imaginary
-    axis); the gap wrapper above keeps its positive-real contract. Raises
-    ValueError for fewer than 10 nodes, a non-finite t or xi, or
-    |t| > m/2.
+    entire in t), though no command passes one: the bulk sigma-form chain
+    runs on imaginary x = -4it at real t, and only a flow along real x
+    would take t imaginary. The gap wrapper above keeps its positive-real
+    contract. Raises ValueError for fewer than 10 nodes, a non-finite t or
+    xi, or |t| > m/2.
     """
     _check_fredholm(t, xi, m)
     t, xi = _narrow(t), _narrow(xi)

@@ -17,7 +17,8 @@ from taurmt import cli
 from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
                         EXIT_VIOLATION, main)
 from taurmt.monodromy_vi import SSEParams
-from taurmt.rmt_numerics import QuadratureError, toeplitz_an
+from taurmt.rmt_numerics import (QuadratureError, fredholm_log_derivatives,
+                                  toeplitz_an)
 
 SRC = pathlib.Path(taurmt.__file__).resolve().parent.parent
 
@@ -252,19 +253,42 @@ def test_odd_node_counts(capsys):
         assert abs(a[5] - b[5]) <= 1e-12
 
 
-def test_bulk_gap_point_reuses_the_seed_log_derivatives(monkeypatch, capsys):
-    calls = []
-    real = cli.fredholm_log_derivatives
+@pytest.mark.parametrize("count, flows", [(3, 1), (1, 0)])
+def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, flows,
+                                                        monkeypatch, capsys):
+    # one Fredholm jet per row, the first also seeding the flow, and one
+    # flow over the whole grid
+    calls, integrations = [], []
+    real, real_integrate = cli.fredholm_log_derivatives, cli.integrate
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
+    def counted_integrate(*args, **kwargs):
+        integrations.append(args[2])
+        return real_integrate(*args, **kwargs)
+
     monkeypatch.setattr(cli, "fredholm_log_derivatives", counted)
+    monkeypatch.setattr(cli, "integrate", counted_integrate)
     rows = _json_rows(["bulk", "--mu=0", "--omega1=0", "--omega2=0",
-                       "--dims=4,8", "--grid-count=3"], capsys)
+                       "--dims=4,8", f"--grid-count={count}"], capsys)
+    assert len(rows) == count
     assert calls == [row[0] for row in rows]
+    assert integrations == [[-4j * row[0] for row in rows[1:]]] * flows
     assert rows[0][5] == 0.0
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0, 3.0])
+@pytest.mark.parametrize("xi", [0.5, 1.0, 0.5 + 0.5j])
+def test_gap_seed_is_the_bulk_sigma_map_jet(t, xi):
+    # with d/dx = (i/4) d/dt at x = -4it, the bulk sigma map's jet is this
+    # closed form in the t-derivatives, bit for bit
+    _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
+    p = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=xi)
+    seed = cli._gap_seed(p, t, l1, l2, l3)
+    assert (seed.t, seed.zeta, seed.dzeta, seed.curvature) == (
+        -4j * t, t * l1, (1j / 4) * (l1 + t * l2), -(2 * l2 + t * l3) / 16.0)
 
 
 def test_looser_tolerance_is_honoured(capsys):

@@ -194,34 +194,33 @@ class TestWeightEval:
 class TestFourierCoefficients:
     def test_unit_weight_coefficients(self):
         p0 = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
-        c = fourier_table(WeightSpec(p0, T_STD), 5)
+        c, _ = fourier_table(WeightSpec(p0, T_STD), 5)
         assert abs(c[5] - 1.0) <= 1e-13
         for k in (1, 2, 5):
             assert abs(c[5 + k]) <= 1e-13
 
     @pytest.mark.parametrize("k,ref", sorted(FOURIER_ANCHORS.items()))
     def test_reference_coefficients(self, k, ref):
-        got = fourier_table(WeightSpec(P_STD, T_STD), 3)[3 + k]
+        got = fourier_table(WeightSpec(P_STD, T_STD), 3)[0][3 + k]
         assert abs(got - ref) <= 1e-12
 
     def test_conjugate_symmetry_on_circle(self):
         # real parameters and |t| = 1 make the weight real, so
         # c_{-k} = conj(c_k)
-        c = fourier_table(WeightSpec(P_STD, T_STD), 3)
+        c, _ = fourier_table(WeightSpec(P_STD, T_STD), 3)
         for k in range(1, 4):
             assert abs(c[3 - k] - np.conj(c[3 + k])) <= 1e-13
 
     def test_table_matches_single_coefficients(self):
         # a coefficient does not depend on the width of its table
         w = WeightSpec(P_STD, T_STD)
-        c = fourier_table(w, 2)
-        wide = fourier_table(w, 6)
+        c, _ = fourier_table(w, 2)
+        wide, _ = fourier_table(w, 6)
         for k in (-2, -1, 0, 1, 2):
             assert abs(c[2 + k] - wide[6 + k]) <= 1e-13
 
     def test_table_error_estimate(self):
-        vals, err = fourier_table(WeightSpec(P_STD, T_STD), 1,
-                                  return_error=True)
+        vals, err = fourier_table(WeightSpec(P_STD, T_STD), 1)
         assert vals.shape == (3,)
         assert 0.0 <= err <= 1e-10
 
@@ -233,13 +232,13 @@ class TestFourierCoefficients:
         # both exponents zero except 2 mu = -0.7: the mean of the weight
         # over the circle is Gamma(1 + s) / Gamma(1 + s/2)^2 at s = 2 mu
         p = SSEParams(N=1, mu=-0.35, omega1=0.0, omega2=0.0, xi_star=0.0)
-        got = fourier_table(WeightSpec(p, T_STD), 0)[0]
+        got = fourier_table(WeightSpec(p, T_STD), 0)[0][0]
         want = math.gamma(0.3) / math.gamma(0.65) ** 2
         assert abs(got - want) <= 1e-12
 
     def test_reference_singular_jump_weight(self):
         p = SSEParams(N=1, mu=-0.35, omega1=-0.2, omega2=0.1, xi_star=0.25)
-        got = fourier_table(WeightSpec(p, T_STD), 0)[0]
+        got = fourier_table(WeightSpec(p, T_STD), 0)[0][0]
         assert abs(got - SINGULAR_C0) <= 5e-12
 
     def test_near_nonintegrable_exponent_refuses(self):
@@ -252,9 +251,9 @@ class TestFourierCoefficients:
 
     def test_deterministic(self):
         w = WeightSpec(P_STD, T_STD)
-        a = fourier_table(w, 2)
-        b = fourier_table(w, 2)
-        assert np.array_equal(a, b)
+        a, a_err = fourier_table(w, 2)
+        b, b_err = fourier_table(w, 2)
+        assert np.array_equal(a, b) and a_err == b_err
 
 
 def _level_by_level(f, tol, max_level=11, min_level=4):
@@ -427,7 +426,7 @@ class TestFourierClosedFormsHighK:
         # c_k = Gamma(1 + 2 w) / (Gamma(1 + w + k) Gamma(1 + w - k))
         kmax = 63
         p = SSEParams(N=1, mu=0.0, omega1=omega1, omega2=0.0, xi_star=0.0)
-        got = fourier_table(WeightSpec(p, T_STD), kmax)
+        got, _ = fourier_table(WeightSpec(p, T_STD), kmax)
         want = [math.gamma(1 + 2 * omega1)
                 / (math.gamma(1 + omega1 + k) * math.gamma(1 + omega1 - k))
                 for k in range(-kmax, kmax + 1)]
@@ -441,7 +440,7 @@ class TestFourierClosedFormsHighK:
     def test_pure_jump(self, t, kmax):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.7)
         w = WeightSpec(p, t)
-        got = fourier_table(w, kmax)
+        got, _ = fourier_table(w, kmax)
         want = _pure_jump_coeffs(0.7, w.phase(), kmax)
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -449,8 +448,8 @@ class TestFourierClosedFormsHighK:
     def test_single_coefficient_matches_table_ends(self, t):
         kmax = 63
         w = WeightSpec(P_STD, t)
-        c = fourier_table(w, kmax)
-        wide = fourier_table(w, kmax + 1)
+        c, _ = fourier_table(w, kmax)
+        wide, _ = fourier_table(w, kmax + 1)
         assert abs(wide[-2] - c[-1]) <= 1e-13
         assert abs(wide[1] - c[0]) <= 1e-13
 
@@ -530,7 +529,7 @@ class TestThreeTermRecurrence:
         got = _recurrence_table(w, 63, 1e-12)
         assert got is not None
         assert np.max(np.abs(got[0] - ref)) <= _coefficient_gate(ref)
-        assert np.array_equal(fourier_table(w, 63), got[0])
+        assert np.array_equal(fourier_table(w, 63)[0], got[0])
 
     def test_gap_point_matches_closed_form(self):
         # mu = omega1 = omega2 = 0: the pure jump, c_k in closed form
@@ -554,7 +553,7 @@ class TestThreeTermRecurrence:
         w = WeightSpec(replace(P_COMPLEX_MU, xi_star=0.0), 0.3)
         ref, _ = _quadrature_table(w, 31, 1e-12)
         assert _recurrence_table(w, 31, 1e-12) is None
-        assert np.array_equal(fourier_table(w, 31), ref)
+        assert np.array_equal(fourier_table(w, 31)[0], ref)
         unguarded = _unguarded_recurrence(w, ref[30:33], 31)
         assert np.max(np.abs(unguarded[32:] - ref[32:])) <= 1e-13
         assert np.max(np.abs(unguarded - ref)) > 1e-6
@@ -567,7 +566,7 @@ class TestThreeTermRecurrence:
         ref, _ = _quadrature_table(w, 20, 1e-12)
         assert np.max(_row_residuals(w, ref)) > 1e-3
         assert _recurrence_table(w, 20, 1e-12) is None
-        assert np.array_equal(fourier_table(w, 20), ref)
+        assert np.array_equal(fourier_table(w, 20)[0], ref)
 
     def test_vanishing_leading_coefficient_keeps_quadrature(self):
         # omega2 = 3i makes the weight e^{3i theta}: a0 = 3, so the row at
@@ -575,7 +574,7 @@ class TestThreeTermRecurrence:
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=3j, xi_star=0.0)
         w = WeightSpec(p, cmath.exp(1.0j))
         assert _recurrence_table(w, 5, 1e-12) is None
-        c = fourier_table(w, 5)
+        c, _ = fourier_table(w, 5)
         assert abs(c[8] - 1.0) <= 1e-13
         assert np.max(np.abs(np.delete(c, 8))) <= 1e-13
 
@@ -583,13 +582,13 @@ class TestThreeTermRecurrence:
     def test_small_tables_are_pure_quadrature(self, kmax):
         w = WeightSpec(P_STD, T_STD)
         ref, err = _quadrature_table(w, kmax, 1e-12)
-        vals, got_err = fourier_table(w, kmax, return_error=True)
+        vals, got_err = fourier_table(w, kmax)
         assert np.array_equal(vals, ref) and got_err == err
 
     def test_error_estimate_covers_the_seeds(self):
         w = WeightSpec(P_STD, T_STD)
         _, seed_err = _quadrature_table(w, 1, 1e-12)
-        vals, err = fourier_table(w, 40, return_error=True)
+        vals, err = fourier_table(w, 40)
         ref, _ = _quadrature_table(w, 40, 1e-12)
         assert seed_err <= err <= 1e-12
         assert np.max(np.abs(vals - ref)) <= _coefficient_gate(ref)
@@ -1389,8 +1388,9 @@ GAP_E_600 = {
 }
 
 
-# real half-widths (the gap determinant), an imaginary one (the bulk
-# chain's -4it leg) and oblique ones
+# real half-widths (the gap determinant, and the bulk chain, which runs on
+# imaginary x = -4it at real t), an imaginary one (what a flow along real x
+# would take) and oblique ones
 SPLIT_HALFWIDTHS = (0.7, 2.5, 4.0, 1.2j, 0.8 + 0.6j, 2.0 - 1.0j)
 
 

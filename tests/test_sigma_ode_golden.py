@@ -54,13 +54,6 @@ P_STD = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
 P_GAP = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
 
 
-def _gap_seed(t, xi):
-    # the h-form seed of the CLI's bulk gap branch, on the imaginary axis
-    _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
-    return OdeSeed(-4j * t, t * l1, (1j / 4) * (l1 + t * l2),
-                   -(2 * l2 + t * l3) / 16.0)
-
-
 def _cases():
     """name -> (family parameters, seed derivation, path, integrate
     keyword arguments); the derivation is a function of no arguments."""
@@ -81,7 +74,10 @@ def _cases():
             {"tol": 1e-10, "max_step": 0.01}),
         "jmo_pv_imaginary_leg": (
             bulk_okamoto_params(P_GAP),
-            lambda: _gap_seed(0.2, 0.5), [-4j * 0.6], {"tol": 1e-10}),
+            # the CLI's bulk gap seed, on the imaginary axis
+            lambda: cli._gap_seed(P_GAP, 0.2,
+                                  *fredholm_log_derivatives(0.2, 0.5)[1:]),
+            [-4j * 0.6], {"tol": 1e-10}),
     }
 
 
