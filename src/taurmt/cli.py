@@ -740,7 +740,7 @@ def cmd_bulk(cfg: RunConfig) -> int:
         ts = cfg.grid_values()
         xs = [-4j * t for t in ts]
         limits = bulk_limit_grid(xs, p, dims)
-        _, l1, l2, l3 = fredholm_log_derivatives(ts[0], xi)
+        loge, l1, l2, l3 = fredholm_log_derivatives(ts[0], xi)
         seed = _gap_seed(p, ts[0], l1, l2, l3)
         h_ode = {seed.t: seed.zeta}
         if len(xs) > 1:
@@ -749,10 +749,9 @@ def cmd_bulk(cfg: RunConfig) -> int:
             h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
         for i, (t, x, r) in enumerate(zip(ts, xs, limits)):
-            if i:  # the first row's l1 is the seed's
-                _, l1, _, _ = fredholm_log_derivatives(t, xi)
-            z, h_fred = h_ode[x], t * l1
-            e_fred = complex(fredholm_sine(FredholmSpec(t, xi, m=120)))
+            if i:  # the first row's log E and l1 are the seed's
+                loge, l1, _, _ = fredholm_log_derivatives(t, xi)
+            z, h_fred, e_fred = h_ode[x], t * l1, cmath.exp(loge)
             rows.append((t, z.real, z.imag, h_fred.real, h_fred.imag,
                          abs(z - h_fred), r.extrapolant.real,
                          r.extrapolant.imag, e_fred.real,
@@ -817,12 +816,12 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     rows = []
     for t in cfg.grid_values():
         pred = gap_asymptotics(t, xi.real)
-        _, l1, _, _ = fredholm_log_derivatives(t, xi.real, m=m)
+        loge, l1, _, _ = fredholm_log_derivatives(t, xi.real, m=m)
         computed = (t * l1).real
         row = [t, pred.log_derivative, computed,
                abs(pred.log_derivative - computed)]
         if pred.gap_probability is not None:
-            e = fredholm_sine(FredholmSpec(t, xi.real, m=m))
+            e = cmath.exp(loge).real
             row += [pred.gap_probability, e,
                     abs(pred.gap_probability - e) / abs(e)]
         rows.append(tuple(row))

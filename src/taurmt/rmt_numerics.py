@@ -18,11 +18,11 @@ integrals, sharing no code with those layers. Three routes:
     against.
   * Fredholm: det(I - xi K) for the sine kernel sin(x-y)/(pi (x-y)) on
     (-t, t) by Gauss-Legendre Nystrom discretization, the expected bulk
-    scaling limit of the normalized average, from a pivoted Cholesky
-    factor of each parity block of rank r: O(m r^2) work, stopped at a
-    residual trace of eps times the block's, and refused when its
-    rounding bound leaves no correct digit (see the Fredholm notes). A
-    Richardson harness in 1/N connects the two.
+    scaling limit of the normalized average, and its log-derivatives in
+    t, from one pivoted Cholesky factor of each parity block of rank r:
+    O(m r^2) work, stopped at a residual trace of eps times the block's,
+    and refused when its rounding bound leaves no correct digit (see the
+    Fredholm notes). A Richardson harness in 1/N connects the two.
 
 Quadrature notes. The weight has algebraic singularities at the arc ends
 theta = +-pi (exponent 2 omega_1) and at the angle where 1 + t z vanishes
@@ -131,31 +131,30 @@ over the two blocks.
 The kernel is integrable (Its, Izergin, Korepin and Slavnov, Int. J.
 Mod. Phys. B 4 (1990) 1003): by the addition theorem both blocks come
 from sin tp and cos tp on the m/2 positive nodes p, O(m) trig values,
-so any one column of a block costs O(m) (_ParityBlock.columns), and
+so any one column of a block costs O(m) (_ParityBlock.column), and
 the t-derivative kernels have rank 1, 2 and 3 in three vectors V per
 block.
 
 For real t both blocks are positive semidefinite with eigenvalues in
 [0, 1), and they are numerically of low rank: at a residual trace of
 eps times the block's, the rank is 2 to 12 for t <= 15 and does not
-grow with m. fredholm_sine therefore factors each block by diagonally
+grow with m. _factor_blocks factors each block once by diagonally
 pivoted Cholesky, generating only the r pivot columns (Harbrecht,
 Peters and Schneider, Appl. Numer. Math. 62 (2012) 428; for the
 Nystrom route, Bornemann, Math. Comp. 79 (2010) 871): O(m r^2) work in
 place of an O(m^3) LU, 0.37 ms against 3.1 ms per call at m = 600 and
-xi = 1 (one core, x86_64). Against a 50-digit evaluation of the same
-blocks its relative error stays within a few times the LU's (1.3e-13,
-6.0e-12 and 7.0e-11 against 1.2e-14, 6.4e-13 and 3.5e-11 at t = 4, 6,
-8 and m = 600); both are set by the eigenvalues nearest 1/xi, which is
-what the refusal bound of fredholm_sine measures.
-
-A complex half-width makes the blocks indefinite, so
-fredholm_log_derivatives keeps the dense blocks (all of their columns)
-and LU. Each of its resolvent traces is a polynomial in the 3 x 3
-bilinear Gram matrix V^T (I - xi A0)^{-1} V, from one solve against
-three columns per block. Against a 40-digit evaluation of the same
-blocks with dense traces the results agree within 1e-13: the division
-by p_i^2 - p_j^2 this takes loses nothing.
+xi = 1 (one core, x86_64). Both entry points read that factor and its
+one rounding guard. Against a 50-digit evaluation of the same blocks
+the determinant's relative error stays within a few times a dense LU's
+(1.3e-13, 6.0e-12 and 7.0e-11 against 1.2e-14, 6.4e-13 and 3.5e-11 at
+t = 4, 6, 8 and m = 600); both are set by the eigenvalues nearest
+1/xi, which is what the guard measures. The log-derivatives, from the
+same factor by Woodbury, agree with a 40-digit evaluation of the same
+blocks with dense traces within 2.2e-13, and with the dense traces of
+the whole m-node matrix within 7.4e-13 (m <= 300): rounding in the
+generated columns, which a tighter stop of the factor does not move.
+For complex t the blocks are complex symmetric, not semidefinite, so
+the half-width is a positive real at every entry point.
 
 The rule resolves the kernel only while |t| <= m/2, and every entry
 point refuses a larger half-width: at xi = 0.5, |E(m) - E(2m)| / E stays
@@ -953,17 +952,6 @@ def quad_oracle_an(p: SSEParams, t: complex) -> complex:
 # sine-kernel Fredholm determinant
 
 
-def _check_fredholm(t, xi, m) -> None:
-    """Argument check shared by every sine-kernel entry point."""
-    if int(m) < 10:
-        raise ValueError("need at least 10 quadrature nodes")
-    if not (cmath.isfinite(complex(t)) and cmath.isfinite(complex(xi))):
-        raise ValueError("half-width and coupling must be finite")
-    if abs(complex(t)) > 0.5 * int(m):
-        raise ValueError(f"half-width t = {t!r} needs more than m = {int(m)} "
-                         f"nodes: the rule resolves |t| <= m/2")
-
-
 def _narrow(z):
     """z as a float when its imaginary part is exactly 0, else complex."""
     z = complex(z)
@@ -981,7 +969,14 @@ class FredholmSpec:
     def __post_init__(self):
         if isinstance(self.t, complex) or not (float(self.t) > 0.0):
             raise ValueError("half-width t must be a positive real")
-        _check_fredholm(self.t, self.xi, self.m)
+        m = int(self.m)
+        if m < 10:
+            raise ValueError("need at least 10 quadrature nodes")
+        if not (math.isfinite(self.t) and cmath.isfinite(complex(self.xi))):
+            raise ValueError("half-width and coupling must be finite")
+        if self.t > 0.5 * m:
+            raise ValueError(f"half-width t = {self.t!r} needs more than "
+                             f"m = {m} nodes: the rule resolves |t| <= m/2")
 
 
 @lru_cache(maxsize=64)
@@ -1010,19 +1005,14 @@ class _ParityBlock(NamedTuple):
     diag: np.ndarray
     v: np.ndarray
 
-    def columns(self, js) -> np.ndarray:
-        """Columns js of the block, O(n) work each; all n of them make the
-        dense block."""
-        js = np.asarray(js)
-        at = (js, np.arange(len(js)))
-        # a_j b_i, not b_i a_j: complex products may round differently
-        # with their factors swapped, and the dense block must keep its bits
-        k = np.outer(self.a, self.b[js]) - np.outer(self.a[js], self.b).T
-        den = np.subtract.outer(self.pp, self.pp[js]) * _HALF_PI
-        den[at] = 1.0
-        k /= den
-        k[at] = self.diag[js]
-        return k
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the block, O(n) work."""
+        col = self.a * self.b[j] - self.a[j] * self.b
+        den = (self.pp - self.pp[j]) * _HALF_PI
+        den[j] = 1.0
+        col /= den
+        col[j] = self.diag[j]
+        return col
 
 
 def _sine_kernel_blocks(t, m: int):
@@ -1084,11 +1074,42 @@ def _pivoted_cholesky(block: _ParityBlock) -> np.ndarray:
     r = 0
     while r < n and resid.sum() > stop:
         j = int(np.argmax(resid))
-        col = block.columns([j])[:, 0] - rows[:r].T @ rows[:r, j]
+        col = block.column(j) - rows[:r].T @ rows[:r, j]
         rows[r] = col / math.sqrt(resid[j])
         resid -= rows[r] * rows[r]
         r += 1
     return rows[:r]
+
+
+def _factor_blocks(spec: FredholmSpec) -> list:
+    """(block, R, R R^T, lam) for the even and the odd block of spec:
+    the pivoted Cholesky rows R of A ~ R^T R, their r x r Gram matrix
+    and lam = xi times its eigenvalues, so det(I - xi A) =
+    prod (1 - lam_j) by Sylvester's identity.
+
+    Each eigenvalue may carry an absolute error of m eps, so
+    m eps sum |lam_j| / |1 - lam_j| over both blocks bounds the relative
+    error of the product; where it reaches 1 no digit is correct and
+    ValueError is raised. At xi = 1 and m = 600 it reads 3.4e-11, 1.4e-9
+    and 6.4e-8 at t = 4, 6 and 8, and passes 1 before t = 20.
+    """
+    xi = _narrow(spec.xi)
+    m = int(spec.m)
+    out, cond = [], 0.0
+    for block in _sine_kernel_blocks(float(spec.t), m):
+        rows = _pivoted_cholesky(block)
+        gram = rows @ rows.T
+        lam = xi * np.linalg.eigvalsh(gram)
+        # a factor of exactly 0 makes the bound infinite: refused below
+        with np.errstate(divide="ignore"):
+            cond += float(np.sum(np.abs(lam) / np.abs(1.0 - lam)))
+        out.append((block, rows, gram, lam))
+    bound = m * _EPS * cond
+    if not bound < 1.0:
+        raise ValueError(
+            f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no correct "
+            f"digit at m = {m} nodes: its rounding bound reads {bound:.3g}")
+    return out
 
 
 def fredholm_sine(spec: FredholmSpec):
@@ -1096,72 +1117,48 @@ def fredholm_sine(spec: FredholmSpec):
 
     Rescaled to (-1, 1), where the kernel is sin(t(u-v))/(pi(u-v)) with
     diagonal t/pi, and factored by parity: det(I - xi A+) det(I - xi A-)
-    over the even and odd blocks of the whole m-node Nystrom matrix. Each
-    block comes from its pivoted Cholesky factor A ~ R^T R
-    (_pivoted_cholesky), stopped once the residual trace is at most
-    eps tr(A); by Sylvester's identity det(I - xi A) = det(I - xi R R^T)
-    = prod (1 - xi lambda_j) over the eigenvalues of the r x r Gram
-    matrix R R^T (see the Fredholm notes for rank, cost and accuracy).
-
-    The bound m eps sum |xi lambda_j| / |1 - xi lambda_j| over both
-    blocks allows each lambda_j an absolute error of m eps; it bounds the
-    relative error of the product, and where it reaches 1 no digit is
-    correct and ValueError is raised. At xi = 1 and m = 600 it reads
-    3.4e-11, 1.4e-9 and 6.4e-8 at t = 4, 6 and 8, and passes 1 before
-    t = 20. Convergence in m is exponential; the check of it, a second
-    evaluation at doubled m, belongs to the caller (the fredholm selftest
-    runs it). Returns float for real xi.
+    over the even and odd blocks of the whole m-node Nystrom matrix, each
+    the product of its factors 1 - lam_j (_factor_blocks, which raises
+    ValueError where no digit is correct; see the Fredholm notes).
+    Convergence in m is exponential; the check of it, a second evaluation
+    at doubled m, belongs to the caller (the fredholm selftest runs it).
+    Returns float for real xi.
     """
-    xi = _narrow(spec.xi)
-    m = int(spec.m)
-    e, cond = 1.0, 0.0
-    for block in _sine_kernel_blocks(float(spec.t), m):
-        r = _pivoted_cholesky(block)
-        lam = xi * np.linalg.eigvalsh(r @ r.T)
-        factors = 1.0 - lam
-        e = e * np.prod(factors)
-        # a factor of exactly 0 makes the bound infinite: refused below
-        with np.errstate(divide="ignore"):
-            cond += float(np.sum(np.abs(lam) / np.abs(factors)))
-    bound = m * _EPS * cond
-    if not bound < 1.0:
-        raise ValueError(
-            f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no correct "
-            f"digit at m = {m} nodes: its rounding bound reads {bound:.3g}")
-    return float(e) if isinstance(xi, float) else complex(e)
+    e = 1.0
+    for *_, lam in _factor_blocks(spec):
+        e = e * np.prod(1.0 - lam)
+    return float(e) if isinstance(_narrow(spec.xi), float) else complex(e)
 
 
-def fredholm_log_derivatives(t: complex, xi: complex = 1.0, m: int = 140):
+def fredholm_log_derivatives(t: float, xi: complex = 1.0, m: int = 140):
     """(log E, d log E/dt, d2, d3) for the sine-kernel determinant.
 
-    Resolvent-trace identities rather than finite differences, per
-    parity block with R = (I - xi A0)^{-1} and C_k = A_k R:
-    d log E/dt = -xi tr C1, the second derivative adds tr C1^2 and tr C2,
-    the third tr C1^3, tr C1 C2 and tr R A3. In the rank forms of the A_k
-    (_sine_kernel_blocks) each trace is a polynomial in the bilinear Gram
-    matrix G = V^T R V (R is complex-symmetric, so no conjugate): with
-    a = 2/pi, upper sign even, tr C1 = a G00, tr C2 = -+2a G01, and
-    tr R A3 = -2a (G02 - G11); tr C1^2, tr C1^3 and tr C1 C2 are products
-    of these. log E sums the blocks' log moduli and takes the principal
-    log of the product of their signs. Real arithmetic throughout for
-    real t and xi. The half-width may be complex here (the determinant is
-    entire in t), though no command passes one: the bulk sigma-form chain
-    runs on imaginary x = -4it at real t, and only a flow along real x
-    would take t imaginary. The gap wrapper above keeps its positive-real
-    contract. Raises ValueError for fewer than 10 nodes, a non-finite t or
-    xi, or |t| > m/2.
+    From the factors fredholm_sine multiplies, under the same argument
+    check (FredholmSpec) and guard: log E sums log |1 - lam_j| over both
+    blocks and takes the principal log of the product of their signs.
+    The derivatives are resolvent-trace identities rather than finite
+    differences, per parity block with Q = (I - xi A0)^{-1} and
+    C_k = A_k Q: d log E/dt = -xi tr C1, the second derivative adds
+    tr C1^2 and tr C2, the third tr C1^3, tr C1 C2 and tr Q A3. In the
+    rank forms of the A_k (_sine_kernel_blocks) each trace is a
+    polynomial in the bilinear Gram matrix G = V^T Q V (no conjugate for
+    complex xi): with a = 2/pi, upper sign even, tr C1 = a G00,
+    tr C2 = -+2a G01 and tr Q A3 = -2a (G02 - G11). Woodbury on A0 ~ R^T R
+    gives G = V^T V + xi (R V)^T (I - xi R R^T)^{-1} (R V), one r x r
+    solve per block. Real arithmetic throughout for real xi.
     """
-    _check_fredholm(t, xi, m)
-    t, xi = _narrow(t), _narrow(xi)
+    blocks = _factor_blocks(FredholmSpec(t, xi, m))
+    xi = _narrow(xi)
     logabs, sign = 0.0, 1.0
     tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
-    for block, parity in zip(_sine_kernel_blocks(t, int(m)), (1.0, -1.0)):
-        n = len(block.diag)
-        mat = block.columns(np.arange(n)) * -xi
-        mat.flat[::n + 1] += 1.0
-        block_sign, block_logabs = np.linalg.slogdet(mat)
-        sign, logabs = sign * block_sign, logabs + block_logabs
-        g = block.v.T @ np.linalg.solve(mat, block.v)
+    for (block, rows, gram, lam), parity in zip(blocks, (1.0, -1.0)):
+        factors = 1.0 - lam
+        logabs += float(np.sum(np.log(np.abs(factors))))
+        sign *= np.prod(factors / np.abs(factors))
+        rv = rows @ block.v
+        mat = gram * -xi
+        mat.flat[::len(mat) + 1] += 1.0
+        g = block.v.T @ block.v + xi * (rv.T @ np.linalg.solve(mat, rv))
         c1, c2 = g[0, 0] / _HALF_PI, -parity * 2.0 * g[0, 1] / _HALF_PI
         tr1 += c1
         tr2 += c2

@@ -164,8 +164,9 @@ def test_package_import_leaves_cli_unloaded():
     ["fredholm", "--nodes=3"],
     ["fredholm", "--xi=nan"],
     ["fredholm", "--grid-start=-1", "--grid-count=1"],
-    # E near 1e-173 there, with no correct digit
+    # E near 1e-196 there, with no correct digit
     ["fredholm", "--xi=1", "--grid-start=30", "--grid-count=1"],
+    ["asymptotics", "--xi=1", "--grid-start=30", "--grid-count=1"],
 ])
 def test_bad_fredholm_arguments_are_parameter_errors(argv, capsys):
     code = main(argv)
@@ -256,10 +257,11 @@ def test_odd_node_counts(capsys):
 @pytest.mark.parametrize("count, flows", [(3, 1), (1, 0)])
 def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, flows,
                                                         monkeypatch, capsys):
-    # one Fredholm jet per row, the first also seeding the flow, and one
-    # flow over the whole grid
-    calls, integrations = [], []
+    # one Fredholm jet per row, the first also seeding the flow, each
+    # row's E from its own jet, and one flow over the whole grid
+    calls, integrations, determinants = [], [], []
     real, real_integrate = cli.fredholm_log_derivatives, cli.integrate
+    real_sine = cli.fredholm_sine
 
     def counted(*args, **kwargs):
         calls.append(args[0])
@@ -269,12 +271,18 @@ def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, flows,
         integrations.append(args[2])
         return real_integrate(*args, **kwargs)
 
+    def counted_sine(spec):
+        determinants.append(spec)
+        return real_sine(spec)
+
     monkeypatch.setattr(cli, "fredholm_log_derivatives", counted)
     monkeypatch.setattr(cli, "integrate", counted_integrate)
+    monkeypatch.setattr(cli, "fredholm_sine", counted_sine)
     rows = _json_rows(["bulk", "--mu=0", "--omega1=0", "--omega2=0",
                        "--dims=4,8", f"--grid-count={count}"], capsys)
     assert len(rows) == count
     assert calls == [row[0] for row in rows]
+    assert determinants == []
     assert integrations == [[-4j * row[0] for row in rows[1:]]] * flows
     assert rows[0][5] == 0.0
 
@@ -622,11 +630,11 @@ def test_bulk_batches_each_dimension_and_sweeps_the_prefactors_once(
     (["bulk", "--dims=8,16", "--grid-start=0.2", "--grid-end=40",
       "--grid-count=2"], EXIT_NONCONVERGED,
      "nonconvergence: tanh-sinh refinement stalled"),
-    # every limit succeeds; the Fredholm value at t = 65 is refused
+    # every limit succeeds; the Fredholm value at t = 75 is refused
     (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--dims=8,16",
-      "--grid-start=0.2", "--grid-end=65", "--grid-count=2"],
+      "--grid-start=0.2", "--grid-end=75", "--grid-count=2"],
      EXIT_BAD_PARAMS,
-     "parameter error: half-width t = 65.0 needs more than m = 120 nodes"),
+     "parameter error: half-width t = 75.0 needs more than m = 140 nodes"),
 ])
 def test_bulk_failing_grid_exit_codes(argv, code, message, capsys):
     assert main(argv) == code

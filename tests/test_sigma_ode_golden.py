@@ -154,6 +154,17 @@ def test_series_seed_is_bit_identical(name):
     assert _record_seed(derive()) == golden
 
 
+def test_imaginary_leg_seed_is_its_derivation():
+    """The stored bulk gap seed is the CLI's, from today's Fredholm
+    log-derivatives, to rounding: each component within 1e-12 relative."""
+    _, derive, _, _ = _cases()["jmo_pv_imaginary_leg"]
+    golden = json.loads(TRAJECTORIES.read_text())["jmo_pv_imaginary_leg"]
+    got, want = derive(), _stored_seed(golden)
+    for field in ("t", "zeta", "dzeta", "curvature"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert abs(g - w) <= 1e-12 * abs(w), field
+
+
 @pytest.mark.parametrize("fname", sorted(CLI_CASES))
 def test_cli_stdout_is_bit_identical(fname):
     assert _cli_stdout(CLI_CASES[fname]) == (GOLDEN / fname).read_text()
