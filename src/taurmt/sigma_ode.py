@@ -30,7 +30,8 @@ conserved constraint, re-projecting z'' onto the nearest root whenever the
 scaled residual drifts above the tolerance. Solutions that ride a double
 root of the quadratic identically (linear-in-t solutions other than fixed
 points) are not followed; they form a measure-zero family the flow above
-does not see.
+does not see. tau_reconstruct rebuilds tau on the integrator's own nodes
+by a fourth-order rule that reads the sigma' each node stores.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 0.25)
 
 
-def integrate(params, seed: OdeSeed, path, tol: float = 1e-10,
-              max_step: float | None = None) -> SigmaTrajectory:
+def integrate(params, seed: OdeSeed, path,
+              tol: float = 1e-10) -> SigmaTrajectory:
     """Integrate the third-order flow along straight segments through path.
 
     params picks the relation as in relation(): ThetaVI, ThetaV or
@@ -271,11 +272,13 @@ def integrate(params, seed: OdeSeed, path, tol: float = 1e-10,
     the seed is the second-degree root nearest seed.curvature, or the
     principal root when the seed carries none. path lists the waypoints to
     visit after seed.t; each segment must stay clear of the relation's fixed
-    singular points. tol must be finite and positive. The second-degree
-    relation is re-checked at every accepted node and z'' re-projected onto
-    the nearest root when the scaled residual exceeds tol. A step whose
-    error estimate overflows or is nan is rejected and shrunk, so a flow
-    that goes nan ends in StepSizeUnderflowError.
+    singular points; every waypoint is a node of the result. tol must be
+    finite and positive, and it alone sets the step, which starts each leg
+    at a twentieth of its length. The second-degree relation is re-checked
+    at every accepted node and z'' re-projected onto the nearest root when
+    the scaled residual exceeds tol. A step whose error estimate overflows
+    or is nan is rejected and shrunk, so a flow that goes nan ends in
+    StepSizeUnderflowError.
 
     The state, the six Cash-Karp stages and the 5th- and 4th-order updates
     are carried as three scalar complexes each; the stages evaluate z'''
@@ -329,11 +332,8 @@ def integrate(params, seed: OdeSeed, path, tol: float = 1e-10,
         if a == b:
             continue
         dt = b - a
-        adt = abs(dt)
         s = 0.0
         h = 0.05
-        if max_step is not None:
-            h = min(h, max_step / adt)
         while s < 1.0:
             last = h >= 1.0 - s
             if last:
@@ -391,7 +391,7 @@ def integrate(params, seed: OdeSeed, path, tol: float = 1e-10,
                 err = math.inf
             if err <= 1.0:
                 accepted += 1
-                min_step = min(min_step, h * adt)
+                min_step = min(min_step, h * abs(dt))
                 s = 1.0 if last else s + h
                 y0, y1, y2 = n0, n1, n2
                 t_node = b if last else a + s * dt
@@ -411,8 +411,6 @@ def integrate(params, seed: OdeSeed, path, tol: float = 1e-10,
             # argument against nan: the step shrinks as on overflow
             grow = 5.0 if err == 0 else 0.9 * err ** -0.2
             h *= min(5.0, max(0.2, grow))
-            if max_step is not None:
-                h = min(h, max_step / adt)
             # the completed-leg dust step may legitimately leave h tiny
             if h < 1e-14 and s < 1.0:
                 raise StepSizeUnderflowError(a + s * dt)
@@ -430,24 +428,27 @@ def tau_reconstruct(trajectory: SigmaTrajectory, params,
 
     params is the trajectory's ThetaVI, ThetaV or BulkParams; any other
     object raises TypeError. anchor is (point, value) with tau(point) =
-    value. The integrand is the log-derivative recovered from each node by
-    the sigma map of params' family (tau_series.sigma_map), summed by the
-    trapezoid rule onto log(value) and exponentiated node by node. point
-    must be the trajectory's first node. Returns (t, tau) pairs from the
-    anchor on.
+    value; point must be the trajectory's first node. The sigma map of
+    params' family turns each node's (sigma, sigma') into l1 = d/dt log tau
+    and l2 = dl1/dt, and each step h adds the end-corrected trapezoid rule
+
+        (h/2) (l1_i + l1_i+1) + (h^2/12) (l2_i - l2_i+1),
+
+    fourth order in h, onto log(value). Returns (t, tau) from the anchor on.
     """
     point, value = complex(anchor[0]), complex(anchor[1])
     amap = sigma_map(params)
     ts = [complex(t) for t in trajectory.path]
     if point != ts[0]:
         raise ValueError(f"anchor point {point} is not the first node {ts[0]}")
-    fs = [amap.from_sigma(t, z) / amap.scale(t)
-          for t, (z, _) in zip(ts, trajectory.values)]
+    ls = [(t, *amap.log_derivatives(t, z, z1))
+          for t, (z, z1) in zip(ts, trajectory.values)]
     out = [(point, value)]
     log_a = cmath.log(value)
-    for i in range(1, len(ts)):
-        log_a += 0.5 * (fs[i] + fs[i - 1]) * (ts[i] - ts[i - 1])
-        out.append((ts[i], cmath.exp(log_a)))
+    for (t0, f0, d0), (t1, f1, d1) in zip(ls, ls[1:]):
+        h = t1 - t0
+        log_a += 0.5 * h * (f0 + f1) + h * h / 12 * (d0 - d1)
+        out.append((t1, cmath.exp(log_a)))
     return out
 
 

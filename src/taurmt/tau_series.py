@@ -319,9 +319,11 @@ class SigmaMap:
         """sigma from scaled = scale(t) * d/dt log tau."""
         return scaled + self.slope * t + self.intercept
 
-    def from_sigma(self, t: complex, sigma: complex) -> complex:
-        """scale(t) * d/dt log tau from sigma."""
-        return sigma - self.slope * t - self.intercept
+    def log_derivatives(self, t: complex, z: complex, z1: complex) -> tuple:
+        """(l1, l2) at t from (sigma, sigma') = (z, z1): jet inverted."""
+        a, da = self.scale(t), (2 * t - 1 if self.sixth else 1)
+        l1 = (z - self.slope * t - self.intercept) / a
+        return l1, (z1 - da * l1 - self.slope) / a
 
     def jet(self, t: complex, l1: complex, l2: complex, l3: complex) -> tuple:
         """(sigma, sigma', sigma'') at t from l_k = (d/dt)^k log tau."""

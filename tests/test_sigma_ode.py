@@ -1,3 +1,7 @@
+import cmath
+import contextlib
+import io
+import json
 import math
 import random
 
@@ -8,6 +12,7 @@ from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.sigma_ode import (
     OdeSeed,
+    SigmaTrajectory,
     StepSizeUnderflowError,
     TurningPointError,
     integrate,
@@ -254,13 +259,6 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="fixed singularity 0j"):
             integrate(V_STD, seed, [-0.1, 0.1], tol=1e-8)
 
-    def test_max_step_caps_node_spacing(self):
-        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
-        traj = integrate(V_STD, sd, [0.05, 0.4], tol=1e-8, max_step=0.01)
-        gaps = [abs(traj.path[i + 1] - traj.path[i])
-                for i in range(len(traj.path) - 1)]
-        assert max(gaps) <= 0.01 + 1e-12
-
     def test_waypoints_land_exactly(self):
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
         traj = integrate(V_STD, sd, [0.05, 0.2, 0.2, 0.4], tol=1e-8)
@@ -302,12 +300,6 @@ class TestWorkCounters:
         assert traj.rejected > 0
         assert traj.reprojected > 0
 
-    def test_max_step_bounds_min_step(self):
-        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
-        traj = integrate(V_STD, sd, [0.05, 0.4], tol=1e-8, max_step=0.01)
-        assert traj.accepted == len(traj) - 1 >= 35
-        assert 0 < traj.min_step <= 0.01 + 1e-12
-
     def test_no_step_taken(self):
         traj = integrate(V_ZERO, OdeSeed(0.1, 0j, 0j), [0.1, 0.1], tol=1e-10)
         assert len(traj) == 1
@@ -332,7 +324,7 @@ class TestTauReconstruct:
     def test_bulk_first_node_anchor(self):
         bexp = bulk_series(P_STD)
         sd = seed_bulk(P_STD, bexp, 0.02)
-        traj = integrate(V_STD, sd, [0.12], tol=1e-10, max_step=0.002)
+        traj = integrate(V_STD, sd, [0.12], tol=1e-10)
         anchor = (0.02, bexp.evaluate(0.02))
         rec = tau_reconstruct(traj, V_STD, anchor)
         assert rec[0] == anchor
@@ -356,7 +348,7 @@ class TestTauReconstruct:
     def test_sixth_reconstruction_consistent_with_series(self):
         exp6 = _exp6()
         sd = seed_vi(THETA6, exp6, 0.01)
-        traj = integrate(THETA6, sd, [0.01, 0.1], tol=1e-10, max_step=5e-4)
+        traj = integrate(THETA6, sd, [0.01, 0.1], tol=1e-10)
         rec = tau_reconstruct(traj, THETA6, (0.01, exp6.evaluate(0.01)))
         t_end, a_end = rec[-1]
         assert t_end == traj.path[-1]
@@ -365,11 +357,90 @@ class TestTauReconstruct:
     def test_fifth_reconstruction_consistent_with_series(self):
         exp5 = _exp5()
         sd = seed_v(THETA5, exp5, 0.002)
-        traj = integrate(THETA5, sd, [0.002, 0.05], tol=1e-10, max_step=2e-4)
+        traj = integrate(THETA5, sd, [0.002, 0.05], tol=1e-10)
         rec = tau_reconstruct(traj, THETA5, (0.002, exp5.evaluate(0.002)))
         a_end = rec[-1][1]
         ref = exp5.evaluate(0.05)
         assert abs(a_end - ref) / abs(ref) < 3e-3
+
+
+# a closed-form log tau and its first three derivatives
+_KAPPA = 0.3 - 0.2j
+
+
+def _log_tau(t):
+    return _KAPPA * cmath.log(1 + t) + cmath.exp(t / 2)
+
+
+def _log_tau_derivatives(t):
+    e = cmath.exp(t / 2)
+    return (_KAPPA / (1 + t) + e / 2, -_KAPPA / (1 + t) ** 2 + e / 4,
+            2 * _KAPPA / (1 + t) ** 3 + e / 8)
+
+
+def _synthetic_rebuild_error(params, steps):
+    """|rebuilt - exact| log tau at t = 0.6, rebuilt over steps equal steps
+    from 0.2 on a trajectory taken from _log_tau through params' sigma map."""
+    amap = tau_series.sigma_map(params)
+    ts = [0.2 + 0.4 * k / steps for k in range(steps + 1)]
+    jets = [amap.jet(t, *_log_tau_derivatives(t)) for t in ts]
+    traj = SigmaTrajectory(path=tuple(ts),
+                           values=tuple((z, z1) for z, z1, _ in jets),
+                           curvatures=tuple(z2 for _, _, z2 in jets),
+                           residuals=(0.0,) * len(ts), tolerance=1e-10)
+    rec = tau_reconstruct(traj, params, (ts[0], cmath.exp(_log_tau(ts[0]))))
+    return abs(cmath.log(rec[-1][1]) - _log_tau(ts[-1]))
+
+
+def _bulk_output(argv):
+    """(SSEParams, rows) of a bulk run, the parameters read off its echo."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["bulk", *argv]) == cli.EXIT_OK
+    data = json.loads(out.getvalue())
+    mu, omega1, omega2, xi = (cli.parse_complex(data["params"][k])
+                              for k in ("mu", "omega1", "omega2", "xi"))
+    p = SSEParams(N=0, mu=mu, omega1=omega1, omega2=omega2, xi_star=xi)
+    return p, data["rows"]
+
+
+def _dense_bulk_reference(p, xs, spacing=1e-3):
+    """The bulk average rebuilt at the grid xs from a flow at tol 1e-13
+    whose waypoints lie at most spacing apart, seeded and anchored as
+    cmd_bulk does."""
+    exp = bulk_series(p)
+    path = []
+    for a, b in zip(xs, xs[1:]):
+        n = math.ceil((b - a) / spacing)
+        path += [a + (b - a) * k / n for k in range(1, n)] + [b]
+    v = bulk_okamoto_params(p)
+    traj = integrate(v, seed_bulk(p, exp, xs[0]), path, tol=1e-13)
+    return dict(tau_reconstruct(traj, v, (xs[0], exp.evaluate(xs[0]))))
+
+
+class TestReconstructionAccuracy:
+    @pytest.mark.parametrize("params", [THETA6, THETA5, V_STD],
+                             ids=["ThetaVI", "ThetaV", "BulkParams"])
+    def test_rule_is_fourth_order(self, params):
+        # halving the step divides the error by 16 at fourth order, by 4
+        # for the plain trapezoid rule
+        coarse = _synthetic_rebuild_error(params, 8)
+        fine = _synthetic_rebuild_error(params, 16)
+        assert coarse / fine >= 12
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--dims=8,16,32,48,64", "--mu=0.847071", "--omega1=-0.381373",
+         "--omega2=0.327522", "--xi=1", "--grid-start=0.241118",
+         "--grid-end=0.533939", "--grid-count=4"],
+    ], ids=["defaults", "finite_n_op"])
+    def test_bulk_rebuild_meets_a_dense_reference(self, argv):
+        # the flow's own steps suffice: ode_re/ode_im within 1e-8 relative
+        # (1.6e-9 and 3.1e-9 today) of a flow held to 1e-3 spacing
+        p, rows = _bulk_output(argv)
+        ref = _dense_bulk_reference(p, [row[0] for row in rows])
+        for x, ode_re, ode_im, *_ in rows:
+            assert abs(complex(ode_re, ode_im) - ref[x]) <= 1e-8 * abs(ref[x])
 
 
 class TestSeedHelpers:

@@ -1,8 +1,8 @@
 """Bit-exact regression of the sigma-form integrator and the ode CLI.
 
 golden/sigma_ode_trajectories.json holds four integrate trajectories (the
-sixth form on a real path, the fifth form, the bulk form with max_step and
-two waypoints, and the bulk form on an imaginary-axis leg) and golden/*.out
+sixth form on a real path, the fifth form, the bulk form through two
+waypoints, and the bulk form on an imaginary-axis leg) and golden/*.out
 the stdout of `taurmt ode --family vi|bulk` at their defaults, all written
 with float.hex or repr. Every sum of the stepping loop keeps a fixed order,
 so the output must match bit for bit, signs of zero included. Seeds are
@@ -68,10 +68,10 @@ def _cases():
             lambda: seed_v(THETA5, tau_series.pv_tau_series(THETA5, 0.4,
                                                             1.5), 2e-3),
             [0.05], {"tol": 1e-10}),
-        "jmo_pv_waypoints_max_step": (
+        "jmo_pv_waypoints": (
             bulk_okamoto_params(P_STD),
             lambda: seed_bulk(P_STD, bulk_series(P_STD), 0.05), [0.2, 0.4],
-            {"tol": 1e-10, "max_step": 0.01}),
+            {"tol": 1e-10}),
         "jmo_pv_imaginary_leg": (
             bulk_okamoto_params(P_GAP),
             # the CLI's bulk gap seed, on the imaginary axis
@@ -145,7 +145,7 @@ def test_trajectory_is_bit_identical(name):
 
 
 @pytest.mark.parametrize("name", ["pvi_sf_real", "pv_sf",
-                                  "jmo_pv_waypoints_max_step"])
+                                  "jmo_pv_waypoints"])
 def test_series_seed_is_bit_identical(name):
     """seed_vi, seed_v and seed_bulk, each through its family's sigma map,
     still give the stored seeds."""

@@ -234,6 +234,18 @@ class TestSigmaMaps:
         m = sigma_map(theta)
         assert abs(m.to_sigma(t, m.scale(t) * d) - expected) < 1e-14
 
+    @pytest.mark.parametrize("params", [ThetaVI(0.3, 0.4, 0.5, 0.6),
+                                        ThetaV(0.3, 0.5, 0.7),
+                                        bulk_okamoto_params(P_STD)],
+                             ids=["ThetaVI", "ThetaV", "BulkParams"])
+    def test_log_derivatives_invert_the_jet(self, params):
+        m = sigma_map(params)
+        t, l1, l2 = 0.37 + 0.1j, 1.2 - 0.4j, -0.3 + 0.7j
+        z, dz, _ = m.jet(t, l1, l2, 0.0)
+        got = m.log_derivatives(t, z, dz)
+        assert abs(got[0] - l1) < 1e-14
+        assert abs(got[1] - l2) < 1e-13
+
 
 class TestBulkConversion:
     def test_okamoto_parameters(self):
@@ -268,18 +280,23 @@ class TestBulkConversion:
     def test_trivial_at_zero_parameters(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
         m = sigma_map(bulk_okamoto_params(p))
-        assert m.from_sigma(1.3 + 0.4j, 0.27 - 0.1j) == 0.27 - 0.1j
+        x, h, dh = 1.3 + 0.4j, 0.27 - 0.1j, 0.5 + 0.2j
+        assert m.log_derivatives(x, h, dh) == (h / x, (dh - h / x) / x)
 
     def test_reference_value(self):
         # shift is (omb-om)/4*x + (om-omb)^2/8 - mu*(om+omb)
         # = -0.15j*(1+0.2j) - 0.045 - 0.05 at the standard parameter point
-        u = sigma_map(bulk_okamoto_params(P_STD)).from_sigma(1 + 0.2j, 0.3)
-        assert abs(u - (0.235 - 0.15j)) < 1e-14
+        x = 1 + 0.2j
+        l1, _ = sigma_map(bulk_okamoto_params(P_STD)).log_derivatives(x, 0.3,
+                                                                      0.0)
+        assert abs(x * l1 - (0.235 - 0.15j)) < 1e-14
 
     def test_round_trip(self):
         m = sigma_map(bulk_okamoto_params(P_STD))
-        x, h = 0.8 - 0.3j, 0.4 + 0.1j
-        assert abs(m.to_sigma(x, m.from_sigma(x, h)) - h) < 1e-14
+        x, h, dh = 0.8 - 0.3j, 0.4 + 0.1j, -0.2 + 0.3j
+        got_h, got_dh, _ = m.jet(x, *m.log_derivatives(x, h, dh), 0.0)
+        assert abs(got_h - h) < 1e-14
+        assert abs(got_dh - dh) < 1e-14
 
 
 class TestZetaSeries:
