@@ -50,11 +50,16 @@ and circle (t = e^{i g}, the default) for toeplitz as well.
 Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i.
 
-The commands compose library calls and re-derive none: the tau <-> sigma
-maps are tau_series.sigma_map, bulk's seed at the sine-kernel point
-(_gap_seed) is the bulk sigma map's jet of the Fredholm log-derivatives,
-the rebuilt average of bulk is sigma_ode.tau_reconstruct, the monodromy
-residuals come from monodromy_vi and monodromy_v.
+The commands compose library calls and re-derive none. The tau <-> sigma
+maps are tau_series.sigma_map. ode and bulk seed one flow at the first
+grid point and pass it through the rest, so a one-point grid prints the
+seed row. bulk takes the sine-kernel point when mu, omega1 and omega2 are
+each within complexfn.INPUT_INTEGER_TOL of 0; its seed there (_gap_seed)
+is the bulk sigma map's jet of the Fredholm log-derivatives. The rebuilt
+average of bulk is sigma_ode.tau_reconstruct. The monodromy residuals come
+from monodromy_vi and monodromy_v, labelled by the exponents and Stokes
+multipliers sse_pv_matrices returns; the one label given by hand is the
+coalescence limit's theta6 = -2 omega1.
 """
 
 from __future__ import annotations
@@ -70,13 +75,9 @@ import random
 import sys
 from dataclasses import dataclass, replace
 
+from .complexfn import INPUT_INTEGER_TOL
 from .mat2 import Mat2, det, max_diff
-from .monodromy_v import (
-    limit_transition_ii,
-    sse_pv_matrices,
-    sse_theta_v,
-    stokes_from_sigma,
-)
+from .monodromy_v import limit_transition_ii, sse_pv_matrices
 from .monodromy_vi import (
     MonodromyDataVI,
     SSEParams,
@@ -512,10 +513,9 @@ def _sse_residuals(p: SSEParams, r, corrupt) -> dict:
     pv = sse_pv_matrices(p)
     for name, value in pv.data.residuals().items():
         out["pv_" + name] = value
-    thv = sse_theta_v(p)
-    stokes = stokes_from_sigma(thv, p.sigma, -2 * p.mu)
-    out["stokes_constraint"] = stokes.constraint_residual(thv.theta_inf,
-                                                          p.sigma)
+    thv = pv.data.theta
+    out["stokes_constraint"] = pv.stokes.constraint_residual(thv.theta_inf,
+                                                             pv.data.sigma)
 
     lt = limit_transition_ii(mats.m0, mats.mt, -2 * p.omega1,
                              thv.theta_inf, mats.m_inf, mats.m1)
@@ -613,18 +613,18 @@ def _trajectory_rows(traj):
 
 def cmd_ode(cfg: RunConfig) -> int:
     family = cfg.params.get("family", "vi")
-    start, end, _, _ = cfg.grid
+    ts = cfg.grid_values()
     if family == "vi":
         theta = _theta_from(cfg)
         exp = pvi_tau_series(theta, cfg.params["sigma"], cfg.params["s"])
-        seed = seed_vi(theta, exp, start)
+        seed = seed_vi(theta, exp, ts[0])
         params = theta
     else:
         p = _sse_params(cfg)
         exp = bulk_series(p)
-        seed = seed_bulk(p, exp, start)
+        seed = seed_bulk(p, exp, ts[0])
         params = bulk_okamoto_params(p)
-    traj = integrate(params, seed, [end], tol=cfg.tol)
+    traj = integrate(params, seed, ts, tol=cfg.tol)
     _emit_table(cfg, ("t_re", "t_im", "zeta_re", "zeta_im", "dzeta_re",
                       "dzeta_im", "residual"), _trajectory_rows(traj))
     return EXIT_OK
@@ -730,8 +730,7 @@ def _gap_seed(p: SSEParams, t: float, l1: complex, l2: complex,
 def cmd_bulk(cfg: RunConfig) -> int:
     p = _sse_params(cfg)
     dims = _parse_dims(cfg)
-    gap_point = (abs(p.mu) + abs(p.omega1) + abs(p.omega2)) < 1e-14
-    if gap_point:
+    if max(abs(p.mu), abs(p.omega1), abs(p.omega2)) <= INPUT_INTEGER_TOL:
         # pure jump weight: the boundary series is not defined at the
         # sine-kernel point, so the flow is seeded from the Fredholm side
         # at the first grid point and checked against both independent
@@ -741,12 +740,10 @@ def cmd_bulk(cfg: RunConfig) -> int:
         xs = [-4j * t for t in ts]
         limits = bulk_limit_grid(xs, p, dims)
         loge, l1, l2, l3 = fredholm_log_derivatives(ts[0], xi)
-        seed = _gap_seed(p, ts[0], l1, l2, l3)
-        h_ode = {seed.t: seed.zeta}
-        if len(xs) > 1:
-            traj = integrate(bulk_okamoto_params(p), seed, xs[1:], tol=1e-10)
-            # segment ends land exactly on the requested nodes
-            h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
+        traj = integrate(bulk_okamoto_params(p),
+                         _gap_seed(p, ts[0], l1, l2, l3), xs, tol=1e-10)
+        # segment ends land exactly on the requested nodes
+        h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
         for i, (t, x, r) in enumerate(zip(ts, xs, limits)):
             if i:  # the first row's log E and l1 are the seed's
@@ -769,15 +766,10 @@ def cmd_bulk(cfg: RunConfig) -> int:
     # the boundary series, not by the flow
     xs = cfg.grid_values()
     exp = bulk_series(p)
-    x0 = xs[0]
-    # a one-point grid is the anchor alone
-    anchor = (x0, exp.evaluate(x0))
-    a_ode = dict([anchor])
-    if len(xs) > 1:
-        traj = integrate(bulk_okamoto_params(p), seed_bulk(p, exp, x0), xs[1:],
-                         tol=1e-10)
-        # grid points are nodes; the fourth-order rebuild needs no finer step
-        a_ode = dict(tau_reconstruct(traj, bulk_okamoto_params(p), anchor))
+    params = bulk_okamoto_params(p)
+    traj = integrate(params, seed_bulk(p, exp, xs[0]), xs, tol=1e-10)
+    # grid points are nodes; the fourth-order rebuild needs no finer step
+    a_ode = dict(tau_reconstruct(traj, params, (xs[0], exp.evaluate(xs[0]))))
     rows = []
     for x, r in zip(xs, bulk_limit_grid(xs, p, dims)):
         a_series = exp.evaluate(x)

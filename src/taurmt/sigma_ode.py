@@ -271,10 +271,13 @@ def integrate(params, seed: OdeSeed, path,
     BulkParams, and any other object raises TypeError. The z'' branch at
     the seed is the second-degree root nearest seed.curvature, or the
     principal root when the seed carries none. path lists the waypoints to
-    visit after seed.t; each segment must stay clear of the relation's fixed
-    singular points; every waypoint is a node of the result. tol must be
-    finite and positive, and it alone sets the step, which starts each leg
-    at a twentieth of its length. The second-degree relation is re-checked
+    visit after seed.t, and may begin with seed.t itself; a path that is
+    seed.t alone gives the seed's one-node trajectory, no step taken, and
+    an empty path raises ValueError. Each segment, and the seed point,
+    must stay clear of the relation's fixed singular points; every
+    waypoint is a node of the result. tol must be finite and positive,
+    and it alone sets the step, which starts each leg at a twentieth of
+    its length. The second-degree relation is re-checked
     at every accepted node and z'' re-projected onto the nearest root when
     the scaled residual exceeds tol. A step whose error estimate overflows
     or is nan is rejected and shrunk, so a flow that goes nan ends in
@@ -300,9 +303,9 @@ def integrate(params, seed: OdeSeed, path,
         raise ValueError("path must contain at least one waypoint")
     if waypoints[0] == t0:
         waypoints = waypoints[1:]
-        if not waypoints:
-            raise ValueError("path reduces to the seed point")
-    legs = list(zip([t0] + waypoints[:-1], waypoints))
+    # the seed point alone is one zero-length leg: the guard below still
+    # sees it, and no step is taken
+    legs = list(zip([t0] + waypoints[:-1], waypoints)) or [(t0, t0)]
     for a, b in legs:
         for s in rel.singularities:
             if _segment_distance(a, b, s) < 1e-9:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
+    INPUT_INTEGER_TOL,
     barnes_prefactor,
     gamma_ratio,
     near_integer,
@@ -217,10 +218,10 @@ def bulk_series(p: SSEParams) -> BoundaryExpansion:
     a pure gamma/pi coefficient times the weight bracket.
     """
     sg = p.sigma
-    if abs(sg) < 1e-12 or sg.real <= 0:
-        # the sine-kernel point 2 mu + 2 omega1 = 0 sits outside the series
-        # hypotheses; that case is only reachable through the ODE/determinant
-        # route
+    if abs(sg) < INPUT_INTEGER_TOL or sg.real <= 0:
+        # the sine-kernel point 2 mu + 2 omega1 = 0, to the input tolerance,
+        # sits outside the series hypotheses; bulk reaches it through the
+        # Fredholm-seeded flow when mu, omega1 and omega2 are all within it
         raise DegenerateParameterError("2 mu + 2 omega1", sg)
     if sg.real >= 1:
         raise DegenerateParameterError("Re(2 mu + 2 omega1) < 1 required", sg)

@@ -1,6 +1,7 @@
 """CLI behaviour outside the numerics: parameter checks and entry points."""
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -254,12 +255,13 @@ def test_odd_node_counts(capsys):
         assert abs(a[5] - b[5]) <= 1e-12
 
 
-@pytest.mark.parametrize("count, flows", [(3, 1), (1, 0)])
-def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, flows,
+@pytest.mark.parametrize("count, steps", [(3, 1), (1, 0)])
+def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, steps,
                                                         monkeypatch, capsys):
     # one Fredholm jet per row, the first also seeding the flow, each
-    # row's E from its own jet, and one flow over the whole grid
-    calls, integrations, determinants = [], [], []
+    # row's E from its own jet, and one flow over the whole grid, which on
+    # a one-point grid takes no step
+    calls, integrations, trajectories, determinants = [], [], [], []
     real, real_integrate = cli.fredholm_log_derivatives, cli.integrate
     real_sine = cli.fredholm_sine
 
@@ -269,7 +271,8 @@ def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, flows,
 
     def counted_integrate(*args, **kwargs):
         integrations.append(args[2])
-        return real_integrate(*args, **kwargs)
+        trajectories.append(real_integrate(*args, **kwargs))
+        return trajectories[-1]
 
     def counted_sine(spec):
         determinants.append(spec)
@@ -283,8 +286,26 @@ def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, flows,
     assert len(rows) == count
     assert calls == [row[0] for row in rows]
     assert determinants == []
-    assert integrations == [[-4j * row[0] for row in rows[1:]]] * flows
+    assert integrations == [[-4j * row[0] for row in rows]]
+    assert [min(traj.accepted, 1) for traj in trajectories] == [steps]
     assert rows[0][5] == 0.0
+
+
+def test_bulk_within_the_input_tolerance_of_the_gap_point_takes_it(capsys):
+    # mu, omega1 and omega2 are each tested against INPUT_INTEGER_TOL, so
+    # mu = 1e-13 runs the sine-kernel branch rather than exiting 3 in the
+    # boundary series
+    argv = ["bulk", "--omega1=0", "--omega2=0", "--dims=4,8",
+            "--grid-count=2"]
+    tables = []
+    for mu in ("0", "1e-13"):
+        assert main([*argv, f"--mu={mu}"]) == EXIT_OK
+        tables.append(json.loads(capsys.readouterr().out))
+    gap, near = tables
+    assert near["columns"] == gap["columns"]
+    assert len(near["rows"]) == len(gap["rows"])
+    assert max(abs(a - b) for ra, rb in zip(near["rows"], gap["rows"])
+               for a, b in zip(ra, rb)) <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -312,6 +333,22 @@ def test_gap_seed_is_the_bulk_sigma_map_jet(t, xi):
     seed = cli._gap_seed(p, t, l1, l2, l3)
     assert (seed.t, seed.zeta, seed.dzeta, seed.curvature) == (
         -4j * t, t * l1, (1j / 4) * (l1 + t * l2), -(2 * l2 + t * l3) / 16.0)
+
+
+@pytest.mark.parametrize("family", ["vi", "bulk"])
+def test_ode_passes_through_every_grid_point(family, capsys):
+    # one flow seeded at the first grid point: an interior grid point is a
+    # node and moves the end only by the integration error, and a one-point
+    # grid is the seed row
+    argv = ["ode", f"--family={family}"]
+    two = _json_rows([*argv, "--grid-count=2"], capsys)
+    three = _json_rows([*argv, "--grid-count=3"], capsys)
+    middle = 1e-3 + (0.4 - 1e-3) / 2
+    assert [middle, 0.0] in [row[:2] for row in three]
+    assert three[0] == two[0] and three[-1][:2] == two[-1][:2] == [0.4, 0.0]
+    assert max(abs(a - b)
+               for a, b in zip(three[-1][2:6], two[-1][2:6])) <= 1e-8
+    assert _json_rows([*argv, "--grid-count=1"], capsys) == two[:1]
 
 
 def test_looser_tolerance_is_honoured(capsys):
@@ -656,3 +693,36 @@ def test_bulk_failing_grid_exit_codes(argv, code, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+
+
+def test_stokes_constraint_checks_the_printed_multipliers(monkeypatch, capsys):
+    # the row reads the multipliers sse_pv_matrices returns, so a skewed s2
+    # shows in it and nowhere else
+    real = cli.sse_pv_matrices
+
+    def skewed(p):
+        pv = real(p)
+        return dataclasses.replace(pv, stokes=dataclasses.replace(
+            pv.stokes, s2=pv.stokes.s2 * (1 + 1e-6)))
+
+    monkeypatch.setattr(cli, "sse_pv_matrices", skewed)
+    assert main(["monodromy-check"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert dict(json.loads(captured.out)["rows"])["stokes_constraint"] >= 1e-7
+    assert captured.err == "violated: stokes_constraint\n"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect (ROADMAP items 1 and 10): _sse_residuals passes "
+    "theta6 = -2 omega1 to "
+    "limit_transition_ii, while the SSE data carry theta_t = -N - 2 omega1; "
+    "at odd N e^{+-i pi theta6} has the wrong sign, no matching K exists "
+    "and the check exits 3. The one-argument fix waits on "
+    "perfbench/test_perfbench.py, which asserts that monodromy-check "
+    "--bigN=3 exits 3"))
+def test_sse_monodromy_check_passes_at_odd_n(capsys):
+    for n in (1, 3):
+        assert main(["monodromy-check", f"--bigN={n}"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        limit = [value for name, value in rows if name.startswith("limit_ii_")]
+        assert limit and max(limit) <= 1e-10

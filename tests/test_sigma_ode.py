@@ -259,6 +259,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="fixed singularity 0j"):
             integrate(V_STD, seed, [-0.1, 0.1], tol=1e-8)
 
+    @pytest.mark.parametrize("path", [[0.05], [0.05, 0.05]])
+    def test_seed_point_alone_is_the_seed(self, path):
+        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
+        traj = integrate(V_STD, sd, path, tol=1e-10)
+        assert traj.path == (0.05,) and traj.accepted == 0
+        assert traj.values == ((sd.zeta, sd.dzeta),)
+        assert traj.residuals[0] <= 1e-10
+        with pytest.raises(ValueError, match="at least one waypoint"):
+            integrate(V_STD, sd, [], tol=1e-10)
+
+    def test_seed_point_on_a_singularity_rejected(self):
+        with pytest.raises(ValueError, match="fixed singularity 0j"):
+            integrate(V_STD, OdeSeed(0.0, 0.1 + 0j, 0.2 + 0j), [0.0])
+
     def test_waypoints_land_exactly(self):
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
         traj = integrate(V_STD, sd, [0.05, 0.2, 0.2, 0.4], tol=1e-8)
