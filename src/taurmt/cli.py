@@ -459,7 +459,22 @@ def _render(cfg: RunConfig, columns, rows, extra=None) -> str:
     }
     if extra:
         payload.update(extra)
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    # json's C encoder runs only without indent. The rows go through it in
+    # one call, with the separator indent=1 puts between the cells of a row;
+    # the rows are flat, so "],\n   [" (a line break cannot sit in a cell)
+    # marks each row boundary and "[\n   \n  ]" an empty row once those are
+    # re-broken. The result is spliced in at the one key indented by a
+    # single space, the top-level "rows": the bytes equal json.dumps(payload,
+    # sort_keys=True, indent=1).
+    rows, payload["rows"] = payload["rows"], []
+    text = json.dumps(payload, sort_keys=True, indent=1)
+    if rows:
+        flat = json.dumps(rows, separators=(",\n   ", ": "))
+        block = ("[\n  [\n   "
+                 + flat[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
+                 + "\n  ]\n ]").replace("[\n   \n  ]", "[]")
+        text = text.replace('\n "rows": []', '\n "rows": ' + block, 1)
+    return text + "\n"
 
 
 def _write(cfg: RunConfig, text: str):

@@ -18,11 +18,14 @@ coefficient L: z' = 0 for the sixth-system form, t = 0 for the other two.
 Each equation is fixed by its family's parameter object, the types
 tau_series.sigma_map takes: ThetaVI gives the sixth-system form, ThetaV the
 fifth-system form and BulkParams the Jimbo-Miwa-Mori-Sato bulk form. Each
-relation is written once, in _sixth_form or _fifth_form; relation(params)
-binds the parameters to it once and returns its residual, scaled residual,
-gradient, z''', roots and fixed singular points, which the integrator and
-every other caller evaluate. relation, integrate and tau_reconstruct raise
-TypeError for any other parameter object.
+relation is written in _sixth_form or _fifth_form, whose pieces forms every
+term of F. Beside pieces sits third, the closure the integrator's
+Runge-Kutta stages call: it forms only the flow's terms L, L_t, L_z' and
+R_z', in the same operations as pieces, and z''' from them. relation(params)
+binds the parameters to a form once and returns its residual, scaled
+residual, gradient, z''', roots and fixed singular points, which the
+integrator and every other caller evaluate. relation, integrate and
+tau_reconstruct raise TypeError for any other parameter object.
 
 The integrator steps this third-order system with an adaptive embedded
 Runge-Kutta pair and monitors the original second-degree relation as a
@@ -82,7 +85,8 @@ class StepSizeUnderflowError(RuntimeError):
 
 
 def _sixth_form(theta: ThetaVI):
-    """(pieces, r_tz, turning, singular points) of the sixth-system form."""
+    """(pieces, third, r_tz, turning, singular points) of the sixth-system
+    form."""
     th0, tht, th1, thi = theta.as_tuple()
     c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
     e0, e1, e2, e3 = (0.25 * (tht + thi) ** 2, 0.25 * (tht - thi) ** 2,
@@ -100,6 +104,25 @@ def _sixth_form(theta: ThetaVI):
                 2 * a * (2 * t - 1) * z1, a2,
                 (abs(b) ** 2, abs(p)), b)
 
+    # The stage kernel: pieces' L, L_t, L_p and R_p in pieces' own
+    # operations, on which the bits depend, then z'''. It forms nothing
+    # else, and tests for the turning point once L is formed.
+    def third(t, z, z1, z2):
+        a = t * (t - 1)
+        a2 = a ** 2
+        b = 2 * z1 * (t * z1 - z) - z1 ** 2 - c0
+        f0 = z1 + e0
+        f1 = z1 + e1
+        f2 = z1 + e2
+        f3 = z1 + e3
+        pp = f1 * f2 * f3 + f0 * f2 * f3 + f0 * f1 * f3 + f0 * f1 * f2
+        lead = z1 * a2
+        if abs(z1) <= 1e-12 * max(1.0, abs(z)):
+            raise TurningPointError(t, lead)
+        rp = 2 * b * (4 * t * z1 - 2 * z - 2 * z1) - pp
+        return (-(2 * a * (2 * t - 1) * z1 * z2 + a2 * z2 ** 2 + rp)
+                / (2 * lead))
+
     def r_tz(z1, b):
         return 4 * b * z1 ** 2, -4 * b * z1
 
@@ -110,11 +133,11 @@ def _sixth_form(theta: ThetaVI):
     def turning(t, z, z1):
         return abs(z1) <= 1e-12 * max(1.0, abs(z))
 
-    return pieces, r_tz, turning, (0j, 1 + 0j)
+    return pieces, third, r_tz, turning, (0j, 1 + 0j)
 
 
 def _fifth_form(shift: complex, roots: tuple):
-    """(pieces, r_tz, turning, singular points) of a fifth form with
+    """(pieces, third, r_tz, turning, singular points) of a fifth form with
     quartic roots roots."""
     r0, r1, r2, r3 = roots
 
@@ -128,13 +151,42 @@ def _fifth_form(shift: complex, roots: tuple):
                 2 * t, 0j,
                 (abs(b) ** 2, 4 * abs(p)), b)
 
+    # the stage kernel as in _sixth_form; L_p = 0j still multiplies z''^2
+    def third(t, z, z1, z2):
+        b = z - t * z1 + 2 * z1 ** 2 - shift * z1
+        f0 = z1 - r0
+        f1 = z1 - r1
+        f2 = z1 - r2
+        f3 = z1 - r3
+        pp = f1 * f2 * f3 + f0 * f2 * f3 + f0 * f1 * f3 + f0 * f1 * f2
+        lead = t ** 2
+        if abs(t) <= 1e-12:
+            raise TurningPointError(t, lead)
+        rp = -2 * b * (-t + 4 * z1 - shift) + 4 * pp
+        return -(2 * t * z2 + 0j * z2 ** 2 + rp) / (2 * lead)
+
     def r_tz(z1, b):
         return 2 * b * z1, -2 * b
 
     def turning(t, z, z1):
         return abs(t) <= 1e-12
 
-    return pieces, r_tz, turning, (0j,)
+    return pieces, third, r_tz, turning, (0j,)
+
+
+def _form(params):
+    """The form of params' family, parameters bound: ThetaVI the sixth,
+    ThetaV and BulkParams a fifth; any other object raises TypeError."""
+    if isinstance(params, ThetaVI):
+        return _sixth_form(params)
+    if isinstance(params, ThetaV):
+        th0, th1, thi = params.as_tuple()
+        return _fifth_form(
+            2 * th0 + thi,
+            (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2))
+    if isinstance(params, BulkParams):
+        return _fifth_form(0j, tuple(-v for v in params.as_tuple()))
+    raise TypeError(f"no sigma-form relation for {type(params).__name__}")
 
 
 def relation(params) -> SimpleNamespace:
@@ -145,9 +197,10 @@ def relation(params) -> SimpleNamespace:
     residual(t, z, z1, z2) is F itself, zero on true solutions;
     scaled(t, z, z1, z2) is |F| over its largest term magnitude (floored
     at 1); gradient(t, z, z1, z2) is (dF/dt, dF/dz, dF/dz', dF/dz'');
-    third(t, z, z1, z2) is the explicit z''' of the module docstring;
-    roots(t, z, z1) are both z'' roots. third and roots raise
-    TurningPointError at a zero of L. All take complex arguments.
+    third(t, z, z1, z2) is the explicit z''' of the module docstring, the
+    closure the integrator's stages call: it forms L, L_t, L_z' and R_z'
+    and nothing else; roots(t, z, z1) are both z'' roots. third and roots
+    raise TurningPointError at a zero of L. All take complex arguments.
     singularities are the fixed singular points: 0 and 1 for the sixth
     form, 0 for the fifth forms.
     """
@@ -155,24 +208,7 @@ def relation(params) -> SimpleNamespace:
     # L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
     # scaling, b the polynomial R is built from; r_tz(z1, b) gives
     # (dR/dt, dR/dz)
-    if isinstance(params, ThetaVI):
-        pieces, r_tz, turning, singularities = _sixth_form(params)
-    elif isinstance(params, ThetaV):
-        th0, th1, thi = params.as_tuple()
-        pieces, r_tz, turning, singularities = _fifth_form(
-            2 * th0 + thi,
-            (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2))
-    elif isinstance(params, BulkParams):
-        pieces, r_tz, turning, singularities = _fifth_form(
-            0j, tuple(-v for v in params.as_tuple()))
-    else:
-        raise TypeError(f"no sigma-form relation for {type(params).__name__}")
-
-    def third(t, z, z1, z2):
-        lead, _, rp, lt, lp, _, _ = pieces(t, z, z1)
-        if turning(t, z, z1):
-            raise TurningPointError(t, lead)
-        return -(lt * z2 + lp * z2 ** 2 + rp) / (2 * lead)
+    pieces, third, r_tz, turning, singularities = _form(params)
 
     def scaled(t, z, z1, z2):
         lead, r, _, _, _, parts, _ = pieces(t, z, z1)
@@ -285,13 +321,14 @@ def integrate(params, seed: OdeSeed, path,
 
     The state, the six Cash-Karp stages and the 5th- and 4th-order updates
     are carried as three scalar complexes each; the stages evaluate z'''
-    through the relation as bound once by relation(), which also supplies
-    the per-node residual and roots. Weighted stage sums add their terms in
-    tableau order, skipping the zero weights of the two updates, onto a
-    leading 0 as sum() does: that sets the sign of exactly-zero parts,
-    which flows on the real or the imaginary axis carry and the output
-    prints. The result counts its accepted, rejected and re-projected steps
-    and its shortest step (see SigmaTrajectory).
+    through relation(params).third, the form's stage kernel bound once,
+    and the same relation supplies the per-node residual and roots.
+    Weighted stage sums add their terms in tableau order, skipping the
+    zero weights of the two updates, onto a leading 0 as sum() does: that
+    sets the sign of exactly-zero parts, which flows on the real or the
+    imaginary axis carry and the output prints. The result counts its
+    accepted, rejected and re-projected steps and its shortest step (see
+    SigmaTrajectory).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")

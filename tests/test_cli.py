@@ -726,3 +726,54 @@ def test_sse_monodromy_check_passes_at_odd_n(capsys):
         rows = json.loads(capsys.readouterr().out)["rows"]
         limit = [value for name, value in rows if name.startswith("limit_ii_")]
         assert limit and max(limit) <= 1e-10
+
+
+def _indent1_render(cfg, columns, rows, extra=None):
+    # the JSON table as json's indented encoder writes it
+    payload = {
+        "schema": 1,
+        "command": cfg.command,
+        "params": {k: (cli.format_complex(v) if isinstance(v, complex) else v)
+                   for k, v in sorted(cfg.params.items())},
+        "columns": list(columns),
+        "rows": [[v if isinstance(v, str) else float(v) for v in row]
+                 for row in rows],
+    }
+    if extra:
+        payload.update(extra)
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+_RENDER_CFG = cli.RunConfig("ode", {"mu": 0.25 - 0.5j, "note": "ä \"q\" \\"},
+                            (0.1, 0.2, 2, "real"), 1e-10, "json", None)
+_SERIES_EXTRA = {"series": {"anchor": {"re": 1.0, "im": -0.0},
+                            "rows": [[1.0, "x"], []], "terms": []}}
+
+
+@pytest.mark.parametrize("rows, extra", [
+    ([[math.nan, math.inf, -math.inf], [-0.0, 5e-324, 1e300]], None),
+    ([[0.1, 2, -3.5e-17]], _SERIES_EXTRA),
+    ([["héllo wörld", "☃ \U0001d11e"], ['say "hi"', "back\\slash\n"]],
+     None),
+    ([("k_equation_1", 1.5e-13), ("limit_ii_hat_m0", math.nan)], {}),
+    ([], _SERIES_EXTRA),
+    ([[], [1.0], []], None),
+    ([[]], {"series": {"rows": []}}),
+])
+def test_json_render_matches_the_indented_encoder(rows, extra):
+    columns = ("identity", "residual")
+    assert (cli._render(_RENDER_CFG, columns, rows, extra)
+            == _indent1_render(_RENDER_CFG, columns, rows, extra))
+
+
+def test_json_render_matches_the_indented_encoder_on_random_tables():
+    rng = random.Random(23)
+    pool = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, "",
+            "a\"b\\c", "ünï©ødé", "x\ny\tz")
+    for _ in range(300):
+        rows = [[rng.choice(pool) if rng.random() < 0.4
+                 else rng.uniform(-1e5, 1e5) for _ in range(rng.randint(0, 6))]
+                for _ in range(rng.randint(0, 5))]
+        extra = rng.choice((None, _SERIES_EXTRA))
+        assert (cli._render(_RENDER_CFG, ("a", "b"), rows, extra)
+                == _indent1_render(_RENDER_CFG, ("a", "b"), rows, extra))

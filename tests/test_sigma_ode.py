@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -127,21 +128,107 @@ class TestResidual:
         assert relation(THETA6).scaled(t, z, z1, z2) < raw
 
 
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _reference_third(params, t, z, z1, z2):
+    # the flow's closed form from the full term set of the form's pieces
+    lead, _, rp, lt, lp, _, _ = sigma_ode._form(params)[0](t, z, z1)
+    return -(lt * z2 + lp * z2 ** 2 + rp) / (2 * lead)
+
+
+def _kernel_states(seed):
+    """Seeded (t, z, z', z'') states: generic complex ones, then ones on the
+    real and on the imaginary axis whose zero parts carry random signs and
+    whose z and z'' may be zero."""
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        return complex(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+    states = [(complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5)),
+               draw(-2, 2), draw(-2, 2), draw(-3, 3)) for _ in range(40)]
+    for _ in range(300):
+        t, z1 = rng.uniform(0.1, 0.9), rng.uniform(-2, 2)
+        z, z2 = (rng.choice((rng.uniform(-2, 2), 0.0, -0.0))
+                 for _ in range(2))
+        signs = [rng.choice((0.0, -0.0)) for _ in range(4)]
+        for axis in ((lambda v, s: complex(v, s)),
+                     (lambda v, s: complex(s, v))):
+            states.append(tuple(map(axis, (t, z, z1, z2), signs)))
+    return states
+
+
 class TestThirdDerivative:
-    def test_consistent_with_gradient(self):
+    @pytest.mark.parametrize("params", [THETA6, THETA5, V_STD],
+                             ids=["vi", "v", "bulk"])
+    def test_consistent_with_gradient(self, params):
         # z''' = -(F_t + z' F_z + z'' F_z') / F_z'' once F and F' vanish;
         # on the relation manifold F_z contributes z'*F_z which cancels by
         # the structural identity, leaving the closed form used by the flow
         t, z, z1 = 0.37, 0.21 - 0.4j, 0.5 + 0.12j
-        z2 = relation(THETA5).roots(t, z, z1)[0]
-        ft, fz, fp, fpp = relation(THETA5).gradient(t, z, z1, z2)
+        z2 = relation(params).roots(t, z, z1)[0]
+        ft, fz, fp, fpp = relation(params).gradient(t, z, z1, z2)
         expected = -(ft + z1 * fz + z2 * fp) / fpp
-        got = relation(THETA5).third(t, z, z1, z2)
+        got = relation(params).third(t, z, z1, z2)
         assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("params", [THETA6, THETA5, V_STD],
+                             ids=["vi", "v", "bulk"])
+    def test_bit_for_bit_with_the_full_term_set(self, params):
+        # the stage kernel forms the flow's terms apart from pieces; every
+        # trajectory and golden depends on its bits, signed zeros included
+        third = relation(params).third
+        for state in _kernel_states(17):
+            got = third(*state)
+            want = _reference_third(params, *state)
+            assert _bits(got) == _bits(want), state
+
+    @pytest.mark.parametrize("params", [THETA6, THETA5, V_STD],
+                             ids=["vi", "v", "bulk"])
+    @pytest.mark.parametrize("z1, z2", [(1e160 + 0j, 0.3j),
+                                        (0.5 + 0.1j, 1e160j)])
+    def test_overflow_raises_as_with_the_full_term_set(self, params, z1, z2):
+        # complex ** raises OverflowError where * returns inf; the kernel
+        # keeps every ** that feeds the flow's terms
+        state = (0.4 + 0.1j, 0.2 - 0.3j, z1, z2)
+        with pytest.raises(OverflowError):
+            _reference_third(params, *state)
+        with pytest.raises(OverflowError):
+            relation(params).third(*state)
 
     def test_turning_point_raises(self):
         with pytest.raises(TurningPointError):
             relation(THETA6).third(0.3, 0.2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t, z, z1", [
+        (0.3 + 0.1j, 0.2 - 0.1j, 0j),
+        (0.3 + 0.1j, 0.2 - 0.1j, complex(-0.0, 0.0)),
+        (0.6 + 0j, 0.5 + 0.5j, 7e-13 + 0j),
+        (0.6 + 0j, 10 + 0j, 5e-12j),
+    ])
+    def test_sixth_form_turns_at_vanishing_derivative(self, t, z, z1):
+        lead = sigma_ode._form(THETA6)[0](t, z, z1)[0]
+        with pytest.raises(TurningPointError) as info:
+            relation(THETA6).third(t, z, z1, 0.4 + 0.2j)
+        assert _bits(info.value.t) == _bits(t)
+        assert _bits(info.value.leading) == _bits(lead)
+
+    def test_sixth_form_factor_above_the_turning_threshold(self):
+        # |z'| against 1e-12 max(1, |z|): 2e-12 passes at |z| <= 1
+        got = relation(THETA6).third(0.6, 0.5 + 0.5j, 2e-12, 0.4 + 0.2j)
+        assert cmath.isfinite(got)
+
+    @pytest.mark.parametrize("params", [THETA5, V_STD], ids=["v", "bulk"])
+    @pytest.mark.parametrize("t", [0j, complex(-0.0, 0.0), 5e-13 + 5e-13j])
+    def test_fifth_forms_turn_at_the_origin(self, params, t):
+        z, z1 = 0.2 - 0.1j, 0.5 + 0.3j
+        lead = sigma_ode._form(params)[0](t, z, z1)[0]
+        with pytest.raises(TurningPointError) as info:
+            relation(params).third(t, z, z1, 0.4 + 0.2j)
+        assert _bits(info.value.t) == _bits(t)
+        assert _bits(info.value.leading) == _bits(lead)
 
 
 class TestSolveSecondDegree:
