@@ -126,7 +126,11 @@ even and odd node pairs it is block diagonal (Gaudin's factorization
 E = E+ E-), each block about half the order, with the same exponential
 convergence in m. An odd rule's centre node belongs to the even block.
 The determinant, its log and the resolvent traces are sums or products
-over the two blocks.
+over the two blocks. The rule itself comes from Newton on the Legendre
+three-term recurrence (_gl_rule), in O(m) memory and O(m^2) work: at
+m = 600 it takes 3.8 ms in a fresh interpreter against 58 ms for numpy's
+companion-matrix eigensolve, and its weights are within 4.4e-13 of the
+exact rule where numpy's are 2e-10 off.
 
 The kernel is integrable (Its, Izergin, Korepin and Slavnov, Int. J.
 Mod. Phys. B 4 (1990) 1003): by the addition theorem both blocks come
@@ -166,6 +170,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -197,6 +202,9 @@ _TS_MIN_LEVEL = 4
 _TS_MAX_LEVEL = 11
 _CHUNK_ROWS = 8192
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
+# j_{0,k}, k = 1, 2, 3: McMahon's series is too short for the first zeros
+_BESSEL_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013)
 _TINY = float(np.finfo(float).tiny)
 _LOG_MAX = math.log(float(np.finfo(float).max))
 
@@ -969,7 +977,12 @@ class FredholmSpec:
     def __post_init__(self):
         if isinstance(self.t, complex) or not (float(self.t) > 0.0):
             raise ValueError("half-width t must be a positive real")
-        m = int(self.m)
+        try:
+            m = operator.index(self.m)
+        except TypeError:
+            raise ValueError(f"the node count m must be an integer, "
+                             f"not {self.m!r}") from None
+        object.__setattr__(self, "m", m)
         if m < 10:
             raise ValueError("need at least 10 quadrature nodes")
         if not (math.isfinite(self.t) and cmath.isfinite(complex(self.xi))):
@@ -979,16 +992,98 @@ class FredholmSpec:
                              f"m = {m} nodes: the rule resolves |t| <= m/2")
 
 
+def _legendre_pair(m: int, x: np.ndarray):
+    """(P_m(x), P_{m-1}(x)) for m >= 1 by the three-term recurrence
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, one pass over the degree
+    for every x at once."""
+    prev, cur, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(1, m):
+        np.multiply(x, cur, out=nxt)
+        nxt *= (2 * k + 1) / (k + 1)
+        prev *= k / (k + 1)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+    return cur, prev
+
+
 @lru_cache(maxsize=64)
 def _gl_rule(m: int):
     """Gauss-Legendre nodes and weights on (-1, 1), read-only.
 
-    The cache hands the same arrays to every caller, and the parity
-    blocks are built from views of them, so they are locked against
-    writes. numpy returns the rule symmetrized: x[m-1-i] == -x[i] and
-    w[m-1-i] == w[i] exactly, with x = 0 at the centre of an odd rule.
+    Newton on the three-term recurrence in O(m) memory, with no
+    eigensolver (Hale and Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+    Only the positive nodes x = cos(theta) are computed, in theta. The
+    guesses are asymptotic: Olver's theta ~ psi + (psi cot psi - 1) /
+    (8 psi v^2), psi = j_{0,k}/v, v = m + 1/2, on the half nearer x = 1,
+    with j_{0,k} from McMahon's expansion (tabulated for k <= 3, where the
+    series is too short), and Tricomi's formula on the half nearer 0; they
+    are within 5e-6 relative at m = 10 and 2e-9 from m = 80 on. Each sweep
+    evaluates P_m and P_{m-1} at every node in one vectorized pass of the
+    recurrence (_legendre_pair). The Newton step in theta also takes back
+    the rounding of x = cos(theta), cos(theta) - x = (1 - x) -
+    2 sin^2(theta/2), exact where x >= 1/2, so that theta keeps its
+    relative precision near x = 1; without that the weights there are off
+    by about eps / theta^2, 1.6e-11 at m = 1000. Newton leaves a relative
+    error of at most half the square of its relative step, so the sweeps
+    stop once that is below eps: after one sweep from m = 80 on, two or
+    three below.
+
+    The weights come from one more sweep at the final nodes, through the
+    derivative: w = 2 / ((1 - x^2) P_m'(x)^2), P_m' = m (x P_m - P_{m-1})
+    / (x^2 - 1), with 1 - x^2 taken as sin^2(theta). x P_m - P_{m-1} is
+    stationary in x at a root, so the rounding of a node does not reach
+    its weight at first order, as it does in the P_{m-1}-only form
+    2 (1 - x^2) / (m P_{m-1})^2. An odd rule's centre is 0.0 exactly,
+    with weight 2 / (m P_{m-1}(0))^2, P_{m-1}(0) = +-C(m-1, (m-1)/2) /
+    2^(m-1).
+
+    Against 35-digit rules the nodes are within 1.4e-16 absolute and the
+    weights within 4.4e-13 relative near x = +-1 and 3.3e-14 inside for
+    m <= 600, 3.5e-12 near the ends at m = 2000; numpy's leggauss, a dense
+    eigensolve of the companion matrix, is 2e-10 off near the ends at
+    m = 600. The rules of m = 80, 140, 160, 280, 300 and 600 take 9.5 ms
+    together in a fresh interpreter, against 100 ms for leggauss (one
+    core, x86_64).
+
+    The positive half is mirrored, so x[m-1-i] == -x[i] and
+    w[m-1-i] == w[i] exactly. The cache hands the same arrays to every
+    caller, and the parity blocks are built from views of them, so they
+    are locked against writes.
     """
-    return _locked(*np.polynomial.legendre.leggauss(m))
+    half = m // 2
+    k = np.arange(1, half + 1)
+    beta = (k - 0.25) * math.pi
+    e = 0.125 / beta
+    e2 = e * e
+    j0 = beta + e * (1.0 + e2 * (-124.0 / 3.0 + e2 * (
+        120928.0 / 15.0 + e2 * (-401743168.0 / 105.0
+                                + e2 * 1071187749376.0 / 315.0))))
+    j0[:3] = _BESSEL_J0_ZEROS[:half]
+    v = m + 0.5
+    psi = j0 / v
+    olver = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * v * v)
+    tricomi = np.arccos((1.0 - (m - 1) / (8.0 * m ** 3))
+                        * np.cos((4 * k - 1) * math.pi / (4 * m + 2)))
+    theta = np.where(k <= half // 2, olver, tricomi)
+    while True:
+        x = np.cos(theta)
+        pm, pm1 = _legendre_pair(m, x)
+        sin_t = np.sin(theta)
+        rounding = np.where(
+            x >= 0.5, (1.0 - x) - 2.0 * np.sin(0.5 * theta) ** 2, 0.0)
+        step = pm * sin_t / (m * (x * pm - pm1)) - rounding / sin_t
+        theta -= step
+        if np.max(np.abs(step) / theta, initial=0.0) <= _SQRT_EPS:
+            break
+    x = np.cos(theta)
+    pm, pm1 = _legendre_pair(m, x)
+    w = 2.0 * (np.sin(theta) / (m * (x * pm - pm1))) ** 2
+    mid_x, mid_w = [], []
+    if m % 2:
+        mid_x = [0.0]
+        mid_w = [2.0 / (m * math.comb(m - 1, half) / 2 ** (m - 1)) ** 2]
+    return _locked(np.concatenate((-x, mid_x, x[::-1])),
+                   np.concatenate((w, mid_w, w[::-1])))
 
 
 class _ParityBlock(NamedTuple):
@@ -1094,7 +1189,7 @@ def _factor_blocks(spec: FredholmSpec) -> list:
     and 6.4e-8 at t = 4, 6 and 8, and passes 1 before t = 20.
     """
     xi = _narrow(spec.xi)
-    m = int(spec.m)
+    m = spec.m
     out, cond = [], 0.0
     for block in _sine_kernel_blocks(float(spec.t), m):
         rows = _pivoted_cholesky(block)

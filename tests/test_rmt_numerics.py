@@ -1229,6 +1229,74 @@ class TestVandermondeSum:
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def _mp_legendre_pair(m, x):
+    p0, p1 = mp.mpf(1), x
+    for k in range(1, m):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, p0
+
+
+def _mp_gauss_legendre(m, x0):
+    """(node, weight) of the m-point Gauss-Legendre rule at 35 digits: the
+    root of P_m by Newton on the recurrence from x0, and
+    2 / ((1 - x^2) P_m'(x)^2)."""
+    with mp.workdps(35):
+        x = mp.mpf(x0)
+        for _ in range(4):
+            pm, pm1 = _mp_legendre_pair(m, x)
+            x -= pm * (x * x - 1) / (m * (x * pm - pm1))
+        pm, pm1 = _mp_legendre_pair(m, x)
+        dp = m * (x * pm - pm1) / (x * x - 1)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("m", [10, 11, 80, 81, 281, 600, 1000])
+    def test_matches_the_35_digit_rule(self, m):
+        # the 12 nodes nearest x = 1, where the weights are hardest, and
+        # interior ones down to the centre; the mirror test covers x < 0.
+        # At m = 1000 the weights near x = 1 miss 1e-11 unless Newton takes
+        # back the rounding of x = cos(theta)
+        x, w = _gl_rule(m)
+        half = m // 2
+        picks = sorted(set(range(max(half, m - 12), m))
+                       | set(range(half, m, max(1, half // 8))))
+        for i in picks:
+            node, weight = _mp_gauss_legendre(m, x[i])
+            assert abs(x[i] - node) <= 2.3e-16, (m, i)
+            assert abs(w[i] - weight) <= 1e-11 * weight, (m, i)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 11, 80, 81, 281, 600, 601])
+    def test_is_mirrored_and_ordered(self, m):
+        x, w = _gl_rule(m)
+        assert x.dtype == w.dtype == np.float64
+        assert len(x) == len(w) == m
+        assert np.array_equal(x[::-1], -x)
+        assert np.array_equal(w[::-1], w)
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and np.all(w > 0.0)
+        if m % 2:
+            assert x[m // 2] == 0.0
+
+    def test_integrates_even_monomials_at_600_nodes(self):
+        m = 600
+        x, w = _gl_rule(m)
+        for j in range(m):
+            want = 2.0 / (2 * j + 1)
+            got = np.sum(w * x ** (2 * j))
+            assert abs(got - want) <= 2e-13 * want, j
+
+    def test_needs_no_eigensolver(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        _gl_rule.cache_clear()
+        x, w = _gl_rule(81)
+        assert abs(np.sum(w) - 2.0) <= 1e-14
+        assert 0.0 < fredholm_sine(FredholmSpec(2.0, 1.0, m=80)) < 1.0
+        assert fredholm_log_derivatives(2.0, 0.5, 81)[1].real < 0.0
+
+
 class TestFredholm:
     def test_xi_zero_is_one(self):
         assert fredholm_sine(FredholmSpec(1.0, 0.0)) == 1.0
@@ -1287,6 +1355,16 @@ class TestFredholm:
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError):
             FredholmSpec(1.0, 1.0, m=5)
+
+    @pytest.mark.parametrize("m", [80.7, "80", 80.0])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, m):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FredholmSpec(1.0, 1.0, m=m)
+
+    def test_numpy_integer_node_count_is_stored_as_int(self):
+        spec = FredholmSpec(1.0, 1.0, m=np.int64(80))
+        assert type(spec.m) is int and spec.m == 80
+        assert fredholm_sine(spec) == fredholm_sine(FredholmSpec(1.0, 1.0))
 
     def test_half_width_up_to_half_the_node_count(self):
         # the rule resolves the kernel for |t| <= m/2; at xi = 1 the value
@@ -1368,9 +1446,9 @@ class TestLogDerivatives:
 
 def _full_kernels(t, m):
     """The whole m x m Nystrom matrices of the sine kernel and its first
-    three t-derivatives, as the library formed them before the parity
-    split."""
-    x, w = np.polynomial.legendre.leggauss(m)
+    three t-derivatives on the library's rule, as the library formed them
+    before the parity split."""
+    x, w = _gl_rule(m)
     d = x[:, None] - x[None, :]
     sq = np.outer(np.sqrt(w), np.sqrt(w))
     td = t * d
@@ -1500,6 +1578,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("t,xi,m", [
         (1.0, 1.0, 9),
         (1.0, 1.0, 3),
+        (1.0, 1.0, 10.9),
         (math.nan, 1.0, 80),
         (complex(1.0, math.inf), 1.0, 80),
         (1.0, math.nan, 80),
@@ -1556,9 +1635,9 @@ def test_rank_forms_match_the_folded_full_kernels(m, t):
 
 # A 40-digit reference for E and l1..l3 on the same parity blocks: each
 # entry straight from sin(t d)/(pi d) and its t-derivatives at
-# d = p_i -+ p_j, on the float64 rule taken exactly; no addition theorem,
-# and the resolvent traces are formed as dense products, not from the
-# rank forms. That is about 4 (m/2)^3 multiplications per block, which
+# d = p_i -+ p_j, on the library's float64 rule taken exactly; no addition
+# theorem, and the resolvent traces are formed as dense products, not from
+# the rank forms. That is about 4 (m/2)^3 multiplications per block, which
 # mpmath's own numbers take seconds over, so the linear algebra runs in
 # fixed point: Python integers scaled by 2^_FIX_BITS (48 digits), exact in
 # every sum and rounded once per product.
@@ -1574,7 +1653,7 @@ def _to_fix(x):
 def _mp_parity_blocks(t, m):
     """(even, odd): the blocks of the kernel and its first three
     t-derivatives, each a (4, n, n) object array in fixed point."""
-    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = _gl_rule(m)
     half, c = m // 2, m % 2
     with mp.workprec(_FIX_BITS + 32):
         p = [mp.mpf(v) for v in x[half:]]
