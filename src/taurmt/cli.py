@@ -51,12 +51,15 @@ Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i.
 
 The commands compose library calls and re-derive none. The tau <-> sigma
-maps are tau_series.sigma_map. ode and bulk seed one flow at the first
+maps are sigma_ode.sigma_map. ode and bulk seed one flow at the first
 grid point and pass it through the rest, so a one-point grid prints the
 seed row. bulk takes the sine-kernel point when mu, omega1 and omega2 are
 each within complexfn.INPUT_INTEGER_TOL of 0; its seed there (_gap_seed)
-is the bulk sigma map's jet of the Fredholm log-derivatives. The rebuilt
-average of bulk is sigma_ode.tau_reconstruct. The monodromy residuals come
+is the bulk sigma map's jet of the Fredholm log-derivatives, and the same
+jet at each grid point gives the h_fredholm column. The rebuilt average
+of bulk is sigma_ode.tau_reconstruct of the flow, from the series value
+at the first grid point. _COMMANDS holds each command's grid defaults,
+grid paths, --tol, runner and selftest. The monodromy residuals come
 from monodromy_vi and monodromy_v, labelled by the exponents and Stokes
 multipliers sse_pv_matrices returns; the one label given by hand is the
 coalescence limit's theta6 = -2 omega1.
@@ -106,6 +109,7 @@ from .sigma_ode import (
     integrate,
     seed_bulk,
     seed_vi,
+    sigma_map,
     tau_reconstruct,
 )
 from .tau_series import (
@@ -114,7 +118,6 @@ from .tau_series import (
     bulk_series,
     gap_asymptotics,
     pvi_tau_series,
-    sigma_map,
 )
 
 __all__ = [
@@ -130,24 +133,6 @@ EXIT_IO = 1
 EXIT_VIOLATION = 2
 EXIT_BAD_PARAMS = 3
 EXIT_NONCONVERGED = 4
-
-# command -> (default grid (start, end, count), the grid paths it computes
-# on with its default first, and (--tol default, what --tol sets) or None
-# for a command that takes no --tol)
-_COMMANDS = {
-    "monodromy-check": ((0.0, 0.0, 1), ("real",),
-                        (1e-10, "the largest identity residual that passes")),
-    "series": ((0.9, 0.995, 20), ("real",), None),
-    "ode": ((1e-3, 0.4, 2), ("real",),
-            (1e-10, "the tolerance the flow is integrated at")),
-    "toeplitz": ((0.2, 3.0, 15), ("circle", "real"),
-                 (1e-12, "the absolute accuracy of the Fourier coefficients")),
-    "fredholm": ((0.1, 3.0, 30), ("real",), None),
-    "bulk": ((0.2, 0.8, 4), ("real",), None),
-    "asymptotics": ((2.0, 4.0, 5), ("real",), None),
-}
-COMMANDS = tuple(_COMMANDS)
-
 
 class UsageError(Exception):
     """Bad flags, bad config keys, or missing required parameters."""
@@ -328,7 +313,7 @@ def _build_parser() -> _Parser:
     """The parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="taurmt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, paths, tol) in _COMMANDS.items():
+    for name, (_, paths, tol, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
         for flag, (_, _, _, kwargs) in _flags_of(name).items():
             p.add_argument(f"--{flag}", default=None, **kwargs)
@@ -357,7 +342,7 @@ def _resolve(args) -> RunConfig:
         flag = key.replace("_", "-")
         if value is not None and flag not in ("command", "config"):
             raw[flag] = value
-    (g0, g1, cnt), paths, tol_spec = _COMMANDS[args.command]
+    (g0, g1, cnt), paths, tol_spec, _, _ = _COMMANDS[args.command]
     # a config file may name only what this command's parser declares
     flags = _flags_of(args.command)
     known = set(flags) | {"grid-start", "grid-end", "grid-count", "grid-path",
@@ -754,16 +739,17 @@ def cmd_bulk(cfg: RunConfig) -> int:
         ts = cfg.grid_values()
         xs = [-4j * t for t in ts]
         limits = bulk_limit_grid(xs, p, dims)
-        loge, l1, l2, l3 = fredholm_log_derivatives(ts[0], xi)
-        traj = integrate(bulk_okamoto_params(p),
-                         _gap_seed(p, ts[0], l1, l2, l3), xs, tol=1e-10)
+        loge, *jet = fredholm_log_derivatives(ts[0], xi)
+        seed = _gap_seed(p, ts[0], *jet)
+        traj = integrate(bulk_okamoto_params(p), seed, xs, tol=1e-10)
         # segment ends land exactly on the requested nodes
         h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
         for i, (t, x, r) in enumerate(zip(ts, xs, limits)):
-            if i:  # the first row's log E and l1 are the seed's
-                loge, l1, _, _ = fredholm_log_derivatives(t, xi)
-            z, h_fred, e_fred = h_ode[x], t * l1, cmath.exp(loge)
+            if i:  # the first row's log E and h are the seed's
+                loge, *jet = fredholm_log_derivatives(t, xi)
+                seed = _gap_seed(p, t, *jet)
+            z, h_fred, e_fred = h_ode[x], seed.zeta, cmath.exp(loge)
             rows.append((t, z.real, z.imag, h_fred.real, h_fred.imag,
                          abs(z - h_fred), r.extrapolant.real,
                          r.extrapolant.imag, e_fred.real,
@@ -781,10 +767,10 @@ def cmd_bulk(cfg: RunConfig) -> int:
     # the boundary series, not by the flow
     xs = cfg.grid_values()
     exp = bulk_series(p)
-    params = bulk_okamoto_params(p)
-    traj = integrate(params, seed_bulk(p, exp, xs[0]), xs, tol=1e-10)
+    traj = integrate(bulk_okamoto_params(p), seed_bulk(p, exp, xs[0]), xs,
+                     tol=1e-10)
     # grid points are nodes; the fourth-order rebuild needs no finer step
-    a_ode = dict(tau_reconstruct(traj, params, (xs[0], exp.evaluate(xs[0]))))
+    a_ode = dict(tau_reconstruct(traj, exp.evaluate(xs[0])))
     rows = []
     for x, r in zip(xs, bulk_limit_grid(xs, p, dims)):
         a_series = exp.evaluate(x)
@@ -849,19 +835,32 @@ def _selftest_asymptotics(cfg: RunConfig):
 # dispatch
 
 
-_RUNNERS = {
-    "monodromy-check": (cmd_monodromy_check, _selftest_monodromy),
-    "series": (cmd_series, _selftest_series),
-    "ode": (cmd_ode, _selftest_ode),
-    "toeplitz": (cmd_toeplitz, _selftest_toeplitz),
-    "fredholm": (cmd_fredholm, _selftest_fredholm),
-    "bulk": (cmd_bulk, _selftest_bulk),
-    "asymptotics": (cmd_asymptotics, _selftest_asymptotics),
+# command -> (default grid (start, end, count), the grid paths it computes
+# on with its default first, (--tol default, what --tol sets) or None for a
+# command that takes no --tol, its runner, and its selftest's checks)
+_COMMANDS = {
+    "monodromy-check": ((0.0, 0.0, 1), ("real",),
+                        (1e-10, "the largest identity residual that passes"),
+                        cmd_monodromy_check, _selftest_monodromy),
+    "series": ((0.9, 0.995, 20), ("real",), None, cmd_series,
+               _selftest_series),
+    "ode": ((1e-3, 0.4, 2), ("real",),
+            (1e-10, "the tolerance the flow is integrated at"), cmd_ode,
+            _selftest_ode),
+    "toeplitz": ((0.2, 3.0, 15), ("circle", "real"),
+                 (1e-12, "the absolute accuracy of the Fourier coefficients"),
+                 cmd_toeplitz, _selftest_toeplitz),
+    "fredholm": ((0.1, 3.0, 30), ("real",), None, cmd_fredholm,
+                 _selftest_fredholm),
+    "bulk": ((0.2, 0.8, 4), ("real",), None, cmd_bulk, _selftest_bulk),
+    "asymptotics": ((2.0, 4.0, 5), ("real",), None, cmd_asymptotics,
+                    _selftest_asymptotics),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _run_selftest(cfg: RunConfig) -> int:
-    _, checks = _RUNNERS[cfg.command]
+    *_, checks = _COMMANDS[cfg.command]
     failed = False
     lines = []
     for name, ok in checks(cfg):
@@ -882,7 +881,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         if cfg.selftest:
             return _run_selftest(cfg)
-        runner, _ = _RUNNERS[cfg.command]
+        *_, runner, _ = _COMMANDS[cfg.command]
         return runner(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

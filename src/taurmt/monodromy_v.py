@@ -226,19 +226,16 @@ def _eigenvector(m: Mat2, lam: complex):
 
 
 def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: complex,
-                        m_inf_vi: Mat2, m1_vi: Mat2,
-                        l_branch: str = "im_nonneg") -> LimitIIResult:
+                        m_inf_vi: Mat2, m1_vi: Mat2) -> LimitIIResult:
     """Degenerate a sixth-system monodromy pair into fifth-system Stokes data.
 
     T is the trace of the product of shifted matrices; l solves
     2 cos(pi l) = 2 cos(pi theta_inf_v) + T, with the branch chosen so that
     Im(l) >= 0 (ties at real l broken toward Re(l) <= 0, which reproduces the
-    spectrum-singularity labeling); l_branch="other" picks the opposite root.
-    The matching matrix K is built by aligning the eigenvectors of m0_vi and
-    mt_vi with the triangular right-hand sides, scaled so the lower-left
-    Stokes entry comes out right, normalized to det K = 1, and sign-fixed by
-    Re(K11) >= 0. The result's alpha and beta swap under the other l branch;
-    the Stokes multipliers and all conjugation outputs do not change.
+    spectrum-singularity labeling). The matching matrix K is built by
+    aligning the eigenvectors of m0_vi and mt_vi with the triangular
+    right-hand sides, scaled so the lower-left Stokes entry comes out right,
+    normalized to det K = 1, and sign-fixed by Re(K11) >= 0.
     """
     theta6 = complex(theta6)
     theta_inf_v = complex(theta_inf_v)
@@ -262,10 +259,6 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
         take_first = l.real <= 0
     else:
         take_first = l.imag > 0
-    if l_branch == "other":
-        take_first = not take_first
-    elif l_branch != "im_nonneg":
-        raise ValueError(f"unknown l_branch {l_branch!r}")
     if not take_first:
         l = -l
 

@@ -15,17 +15,19 @@ is regular wherever L != 0; inflection points of the solution need no special
 handling. The only genuine turning points are zeros of the leading
 coefficient L: z' = 0 for the sixth-system form, t = 0 for the other two.
 
-Each equation is fixed by its family's parameter object, the types
-tau_series.sigma_map takes: ThetaVI gives the sixth-system form, ThetaV the
-fifth-system form and BulkParams the Jimbo-Miwa-Mori-Sato bulk form. Each
+Each equation is fixed by its family's parameter object: ThetaVI gives the
+sixth-system form, ThetaV the fifth-system form and BulkParams the
+Jimbo-Miwa-Mori-Sato bulk form. _family tells the three apart, here and
+nowhere else, and binds the parameters to the family's form and to its
+tau <-> sigma map, the tau_series.SigmaMap that sigma_map returns. Each
 relation is written in _sixth_form or _fifth_form, whose pieces forms every
 term of F. Beside pieces sits third, the closure the integrator's
 Runge-Kutta stages call: it forms only the flow's terms L, L_t, L_z' and
 R_z', in the same operations as pieces, and z''' from them. relation(params)
 binds the parameters to a form once and returns its residual, scaled
 residual, gradient, z''', roots and fixed singular points, which the
-integrator and every other caller evaluate. relation, integrate and
-tau_reconstruct raise TypeError for any other parameter object.
+integrator and every other caller evaluate. sigma_map, relation, integrate
+and the seeds raise TypeError for any other parameter object.
 
 The integrator steps this third-order system with an adaptive embedded
 Runge-Kutta pair and monitors the original second-degree relation as a
@@ -33,8 +35,10 @@ conserved constraint, re-projecting z'' onto the nearest root whenever the
 scaled residual drifts above the tolerance. Solutions that ride a double
 root of the quadratic identically (linear-in-t solutions other than fixed
 points) are not followed; they form a measure-zero family the flow above
-does not see. tau_reconstruct rebuilds tau on the integrator's own nodes
-by a fourth-order rule that reads the sigma' each node stores.
+does not see. A trajectory records its parameter object, so
+tau_reconstruct needs only tau at the first node: it rebuilds tau on the
+integrator's own nodes, through the trajectory's own sigma map, by a
+fourth-order rule that reads the sigma' each node stores.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .tau_series import (
     BulkParams,
     SigmaMap,
     bulk_okamoto_params,
-    sigma_map,
 )
 
 __all__ = [
@@ -60,6 +63,7 @@ __all__ = [
     "OdeSeed",
     "SigmaTrajectory",
     "relation",
+    "sigma_map",
     "integrate",
     "tau_reconstruct",
     "seed_vi",
@@ -174,19 +178,41 @@ def _fifth_form(shift: complex, roots: tuple):
     return pieces, third, r_tz, turning, (0j,)
 
 
-def _form(params):
-    """The form of params' family, parameters bound: ThetaVI the sixth,
-    ThetaV and BulkParams a fifth; any other object raises TypeError."""
+def _family(params) -> tuple:
+    """(form, SigmaMap) of params' family, parameters bound: ThetaVI the
+    sixth, ThetaV and BulkParams a fifth; any other object raises
+    TypeError. This is the one place a family is told apart."""
     if isinstance(params, ThetaVI):
-        return _sixth_form(params)
+        th0, tht, th1, thi = params.as_tuple()
+        return _sixth_form(params), SigmaMap(
+            (tht ** 2 - thi ** 2) / 4,
+            -((tht ** 2 + th0 ** 2 - thi ** 2 - th1 ** 2) / 8),
+            sixth=True)
     if isinstance(params, ThetaV):
         th0, th1, thi = params.as_tuple()
-        return _fifth_form(
+        form = _fifth_form(
             2 * th0 + thi,
             (0j, th0, (th0 - th1 + thi) / 2, (th0 + th1 + thi) / 2))
+        return form, SigmaMap((th0 + thi) / 2,
+                              ((th0 + thi) ** 2 - th1 ** 2) / 4)
     if isinstance(params, BulkParams):
-        return _fifth_form(0j, tuple(-v for v in params.as_tuple()))
-    raise TypeError(f"no sigma-form relation for {type(params).__name__}")
+        v1, v2, v3, v4 = params.as_tuple()
+        form = _fifth_form(0j, tuple(-v for v in params.as_tuple()))
+        return form, SigmaMap((v3 + v4) / 2,
+                              (v1 - v2) * (v3 - v4) / 2 - (v3 + v4) ** 2 / 2)
+    raise TypeError(f"no sigma form for {type(params).__name__}")
+
+
+def sigma_map(params) -> SigmaMap:
+    """The tau <-> sigma map of the family params belong to.
+
+    ThetaVI: the sixth-system sigma of Jimbo. ThetaV: the fifth-system one.
+    BulkParams, ordered as bulk_okamoto_params emits them (mu-pair first):
+    the bulk h(x) = x d/dx log tau + (i omega2 / 2) x + 2 mu omega1
+    + omega2^2 / 2 of Jimbo-Miwa-Mori-Sato. Any other object raises
+    TypeError.
+    """
+    return _family(params)[1]
 
 
 def relation(params) -> SimpleNamespace:
@@ -208,7 +234,7 @@ def relation(params) -> SimpleNamespace:
     # L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
     # scaling, b the polynomial R is built from; r_tz(z1, b) gives
     # (dR/dt, dR/dz)
-    pieces, third, r_tz, turning, singularities = _form(params)
+    (pieces, third, r_tz, turning, singularities), _ = _family(params)
 
     def scaled(t, z, z1, z2):
         lead, r, _, _, _, parts, _ = pieces(t, z, z1)
@@ -255,7 +281,8 @@ class SigmaTrajectory:
     re-projection. Every accepted node obeys residual <= 100 * tolerance.
     The work counters: accepted and rejected steps, accepted nodes whose
     z'' was re-projected, and the shortest accepted step |dt| (inf when no
-    step was taken); accepted == len(path) - 1.
+    step was taken); accepted == len(path) - 1. params is the parameter
+    object of the flow's family, which tau_reconstruct maps through.
     """
 
     path: tuple
@@ -267,6 +294,7 @@ class SigmaTrajectory:
     rejected: int = 0
     reprojected: int = 0
     min_step: float = math.inf
+    params: object = None
 
     def __len__(self) -> int:
         return len(self.path)
@@ -304,12 +332,12 @@ def integrate(params, seed: OdeSeed, path,
     """Integrate the third-order flow along straight segments through path.
 
     params picks the relation as in relation(): ThetaVI, ThetaV or
-    BulkParams, and any other object raises TypeError. The z'' branch at
-    the seed is the second-degree root nearest seed.curvature, or the
-    principal root when the seed carries none. path lists the waypoints to
-    visit after seed.t, and may begin with seed.t itself; a path that is
-    seed.t alone gives the seed's one-node trajectory, no step taken, and
-    an empty path raises ValueError. Each segment, and the seed point,
+    BulkParams, and any other object raises TypeError; the result records
+    it. The z'' branch at the seed is the second-degree root nearest
+    seed.curvature, or the principal root when the seed carries none.
+    path lists the waypoints to visit after seed.t, and may begin with
+    seed.t itself; a path that is seed.t alone gives the seed's one-node
+    trajectory, no step taken, and an empty path raises ValueError. Each segment, and the seed point,
     must stay clear of the relation's fixed singular points; every
     waypoint is a node of the result. tol must be finite and positive,
     and it alone sets the step, which starts each leg at a twentieth of
@@ -459,31 +487,28 @@ def integrate(params, seed: OdeSeed, path,
                            curvatures=tuple(curvatures),
                            residuals=tuple(residuals), tolerance=tol,
                            accepted=accepted, rejected=rejected,
-                           reprojected=reprojected, min_step=min_step)
+                           reprojected=reprojected, min_step=min_step,
+                           params=params)
 
 
-def tau_reconstruct(trajectory: SigmaTrajectory, params,
-                    anchor: tuple) -> list:
-    """Rebuild tau along the trajectory by log-integration from anchor.
+def tau_reconstruct(trajectory: SigmaTrajectory, value: complex) -> list:
+    """Rebuild tau along the trajectory by log-integration from its first
+    node, where tau = value.
 
-    params is the trajectory's ThetaVI, ThetaV or BulkParams; any other
-    object raises TypeError. anchor is (point, value) with tau(point) =
-    value; point must be the trajectory's first node. The sigma map of
-    params' family turns each node's (sigma, sigma') into l1 = d/dt log tau
-    and l2 = dl1/dt, and each step h adds the end-corrected trapezoid rule
+    The sigma map of the trajectory's own family (trajectory.params) turns
+    each node's (sigma, sigma') into l1 = d/dt log tau and l2 = dl1/dt, and
+    each step h adds the end-corrected trapezoid rule
 
         (h/2) (l1_i + l1_i+1) + (h^2/12) (l2_i - l2_i+1),
 
-    fourth order in h, onto log(value). Returns (t, tau) from the anchor on.
+    fourth order in h, onto log(value). Returns (t, tau) at every node.
     """
-    point, value = complex(anchor[0]), complex(anchor[1])
-    amap = sigma_map(params)
+    amap = sigma_map(trajectory.params)
     ts = [complex(t) for t in trajectory.path]
-    if point != ts[0]:
-        raise ValueError(f"anchor point {point} is not the first node {ts[0]}")
     ls = [(t, *amap.log_derivatives(t, z, z1))
           for t, (z, z1) in zip(ts, trajectory.values)]
-    out = [(point, value)]
+    value = complex(value)
+    out = [(ts[0], value)]
     log_a = cmath.log(value)
     for (t0, f0, d0), (t1, f1, d1) in zip(ls, ls[1:]):
         h = t1 - t0

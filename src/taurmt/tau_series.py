@@ -8,9 +8,11 @@ log-derivatives of tau to the sigma-functions, and the large-gap asymptotic
 forms. Series objects evaluate on the principal branch and know their own
 remainder order so integration routines can pick seed points responsibly.
 
-Each family's tau <-> sigma map (sixth, fifth and bulk) lives here and
-nowhere else, as the SigmaMap that sigma_map builds; the seeds and the tau
-reconstruction of sigma_ode, and through them the CLI, use it.
+SigmaMap is the shape of each family's tau <-> sigma map (sixth, fifth and
+bulk). Its coefficients for a given parameter object come from
+sigma_ode.sigma_map, which tells the families apart beside their sigma
+forms; the seeds and the tau reconstruction of sigma_ode, and through them
+the CLI, use it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "an_series",
     "bulk_series",
     "pv_tau_series",
-    "sigma_map",
     "bulk_okamoto_params",
     "zeta0_series",
     "gap_asymptotics",
@@ -306,7 +307,7 @@ class SigmaMap:
         sigma(t) = scale(t) * d/dt log tau(t) + slope * t + intercept,
 
     scale(t) = t (t - 1) for the sixth family (sixth=True), t for the fifth
-    and the bulk ones. sigma_map builds it.
+    and the bulk ones. sigma_ode.sigma_map builds it.
     """
 
     slope: complex
@@ -334,29 +335,6 @@ class SigmaMap:
                     2 * l1 + 2 * da * l2 + a * l3)
         return (self.to_sigma(t, t * l1), l1 + t * l2 + self.slope,
                 2 * l2 + t * l3)
-
-
-def sigma_map(params) -> SigmaMap:
-    """The tau <-> sigma map of the family params belong to.
-
-    ThetaVI: the sixth-system sigma of Jimbo. ThetaV: the fifth-system one.
-    BulkParams, ordered as bulk_okamoto_params emits them (mu-pair first):
-    the bulk h(x) = x d/dx log tau + (i omega2 / 2) x + 2 mu omega1
-    + omega2^2 / 2 of Jimbo-Miwa-Mori-Sato.
-    """
-    if isinstance(params, ThetaVI):
-        th0, tht, th1, thi = params.as_tuple()
-        return SigmaMap((tht ** 2 - thi ** 2) / 4,
-                        -((tht ** 2 + th0 ** 2 - thi ** 2 - th1 ** 2) / 8),
-                        sixth=True)
-    if isinstance(params, ThetaV):
-        th0, th1, thi = params.as_tuple()
-        return SigmaMap((th0 + thi) / 2, ((th0 + thi) ** 2 - th1 ** 2) / 4)
-    if isinstance(params, BulkParams):
-        v1, v2, v3, v4 = params.as_tuple()
-        return SigmaMap((v3 + v4) / 2,
-                        (v1 - v2) * (v3 - v4) / 2 - (v3 + v4) ** 2 / 2)
-    raise TypeError(f"no sigma map for {type(params).__name__}")
 
 
 def bulk_okamoto_params(p: SSEParams) -> BulkParams:

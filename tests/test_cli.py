@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -327,12 +328,32 @@ def test_bulk_gap_point_limit_is_a_probability_or_refused(capsys):
 @pytest.mark.parametrize("xi", [0.5, 1.0, 0.5 + 0.5j])
 def test_gap_seed_is_the_bulk_sigma_map_jet(t, xi):
     # with d/dx = (i/4) d/dt at x = -4it, the bulk sigma map's jet is this
-    # closed form in the t-derivatives, bit for bit
+    # closed form in the t-derivatives, equal in value (the sign of a zero
+    # imaginary part of sigma' or sigma'' may differ)
     _, l1, l2, l3 = fredholm_log_derivatives(t, xi)
     p = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=xi)
     seed = cli._gap_seed(p, t, l1, l2, l3)
     assert (seed.t, seed.zeta, seed.dzeta, seed.curvature) == (
         -4j * t, t * l1, (1j / 4) * (l1 + t * l2), -(2 * l2 + t * l3) / 16.0)
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0, 3.0])
+@pytest.mark.parametrize("xi", ["0.5", "1", "0.5+0.5i"])
+def test_bulk_gap_point_h_fredholm_is_the_seed_jet(t, xi, capsys):
+    # h_fredholm at each grid point is the sigma value of _gap_seed's jet,
+    # bit for bit: the seed's at the first point (so its h_diff is exactly
+    # 0), its own Fredholm jet's at the second
+    rows = _json_rows(["bulk", "--mu=0", "--omega1=0", "--omega2=0",
+                       f"--xi={xi}", "--dims=4", f"--grid-start={t / 2}",
+                       f"--grid-end={t}", "--grid-count=2"], capsys)
+    p = SSEParams(N=0, mu=0j, omega1=0j, omega2=0j,
+                  xi_star=cli.parse_complex(xi))
+    assert rows[0][5] == 0.0
+    for row in rows:
+        _, *jet = fredholm_log_derivatives(row[0], p.xi_star)
+        zeta = cli._gap_seed(p, row[0], *jet).zeta
+        assert struct.pack("<dd", row[3], row[4]) == struct.pack(
+            "<dd", zeta.real, zeta.imag)
 
 
 @pytest.mark.parametrize("family", ["vi", "bulk"])

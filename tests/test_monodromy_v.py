@@ -207,10 +207,10 @@ class TestLimitTransitionII:
         self.theta6 = -2 - 2 * P_EVEN.omega1
         self.theta_inf_v = 2 * P_EVEN.mu - 2 * P_EVEN.omega1
 
-    def run_limit(self, **kw):
+    def run_limit(self):
         m = self.mats
         return limit_transition_ii(m.m0, m.mt, self.theta6, self.theta_inf_v,
-                                   m.m_inf, m.m1, **kw)
+                                   m.m_inf, m.m1)
 
     def test_scalar_invariants(self):
         res = self.run_limit()
@@ -246,15 +246,6 @@ class TestLimitTransitionII:
                                   m.m_inf, m.m1)
         assert max_diff(res.hat_m0v, SSE_HAT_M0) < 1e-9
         assert max_diff(res.hat_m1v, SSE_HAT_M1) < 1e-9
-
-    def test_other_branch_swaps_alpha_beta_only(self):
-        res_a = self.run_limit()
-        res_b = self.run_limit(l_branch="other")
-        assert abs(res_b.l + res_a.l) < 1e-12
-        assert abs(res_b.alpha - res_a.beta) < 1e-12
-        assert abs(res_b.beta - res_a.alpha) < 1e-12
-        assert abs(res_b.s0_hat.a21 - res_a.s0_hat.a21) < 1e-12
-        assert max_diff(res_b.hat_m0v, res_a.hat_m0v) < 1e-12
 
     def test_generic_sixth_system_data_closes(self):
         rng = random.Random(53)

@@ -16,6 +16,7 @@ from taurmt.monodromy_vi import (
     sse_monodromy,
 )
 from taurmt.rmt_numerics import fredholm_log_derivatives
+from taurmt.sigma_ode import sigma_map
 from taurmt.tau_series import (
     GAP_E_CONSTANT,
     ZETA_PRIME_MINUS_ONE,
@@ -28,7 +29,6 @@ from taurmt.tau_series import (
     gap_asymptotics,
     pv_tau_series,
     pvi_tau_series,
-    sigma_map,
     zeta0_series,
 )
 
