@@ -69,8 +69,12 @@ class GammaPoleError(ValueError):
 
 
 def _near_nonpositive_integer(z: complex) -> int | None:
-    """Return the pole index n >= 0 with z ~ -n, or None."""
+    """Return the pole index n >= 0 with z ~ -n, or None. A non-finite z
+    raises ValueError: it has no nearest integer, and a nan would recurse in
+    ln_gamma's reflection without end."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"gamma argument {z} is not finite")
     if not near_integer(z):
         return None
     n = round(z.real)
@@ -92,7 +96,8 @@ def ln_gamma(z: complex) -> complex:
 
     Matches the analytic continuation from the positive real axis (the usual
     loggamma convention: the imaginary part is not clamped to (-pi, pi]).
-    Raises GammaPoleError within 1e-12 of a non-positive integer.
+    Raises GammaPoleError within 1e-12 of a non-positive integer and
+    ValueError at a non-finite argument.
     """
     z = complex(z)
     if _near_nonpositive_integer(z) is not None:
@@ -117,7 +122,8 @@ def ln_gamma(z: complex) -> complex:
 def gamma_ratio(numerators: tuple, denominators: tuple) -> complex:
     """prod Gamma(numerators) / prod Gamma(denominators), in log space.
 
-    Every argument is taken as complex() first. Poles are never cancelled:
+    Every argument is taken as complex() first; a non-finite one raises
+    ValueError. Poles are never cancelled:
     an argument at a pole raises GammaPoleError naming its side, even where
     a numerator pole and a denominator pole have a finite limit together.
     The log-gammas are summed numerators first, then denominators.

@@ -4,11 +4,15 @@ Monodromy and Stokes matrices are always 2x2, so the library carries them as
 an exact-shape immutable type with closed-form inverse instead of pulling in
 a general linear-algebra layer. Determinants and traces come out in closed
 form, which keeps the SL(2) checks sharp.
+
+Mat2 is a named tuple that converts nothing: its entries are complex by
+construction (1 + 0j and 0j, never 1.0 and 0.0). Tuple + and * concatenate
+and repeat; they are not matrix algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SingularMatrixError",
@@ -26,8 +30,7 @@ class SingularMatrixError(ZeroDivisionError):
     """Raised when inverting a numerically singular 2x2 matrix."""
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Immutable 2x2 complex matrix with entries a11, a12, a21, a22."""
 
     a11: complex
@@ -35,19 +38,15 @@ class Mat2:
     a21: complex
     a22: complex
 
-    def __post_init__(self):
-        for name in ("a11", "a12", "a21", "a22"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-
     @classmethod
     def diag(cls, d1: complex, d2: complex) -> "Mat2":
-        return cls(d1, 0.0, 0.0, d2)
+        return cls(d1, 0j, 0j, d2)
 
     def norm_max(self) -> float:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 
 
-IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
+IDENTITY = Mat2(1 + 0j, 0j, 0j, 1 + 0j)
 
 
 def mul(a: Mat2, b: Mat2) -> Mat2:

@@ -88,10 +88,10 @@ class StokesData:
     s2: complex
 
     def stokes_matrix_lower(self) -> Mat2:
-        return Mat2(1.0, 0.0, self.s1, 1.0)
+        return Mat2(1 + 0j, 0j, self.s1, 1 + 0j)
 
     def stokes_matrix_upper(self) -> Mat2:
-        return Mat2(1.0, self.s2, 0.0, 1.0)
+        return Mat2(1 + 0j, self.s2, 0j, 1 + 0j)
 
     def m_inf(self, theta_inf: complex) -> Mat2:
         """Monodromy at infinity, S2 e^{pi i theta_inf sigma3} S1."""
@@ -240,13 +240,10 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
     theta6 = complex(theta6)
     theta_inf_v = complex(theta_inf_v)
 
-    shift_t = Mat2.diag(exp_pi_i(theta6), exp_pi_i(theta6))
-    shift_0 = Mat2.diag(exp_pi_i(-(theta_inf_v - theta6)), exp_pi_i(-(theta_inf_v - theta6)))
-    prod = mul(_mat_sub(mt_vi, shift_t), _mat_sub(m0_vi, shift_0))
-    T = tr(prod)
+    m0_shifted = _minus_scalar(m0_vi, exp_pi_i(-(theta_inf_v - theta6)))
+    T = tr(mul(_minus_scalar(mt_vi, exp_pi_i(theta6)), m0_shifted))
 
-    cond2 = mul(_mat_sub(mt_vi, Mat2.diag(exp_pi_i(-theta6), exp_pi_i(-theta6))),
-                _mat_sub(m0_vi, shift_0))
+    cond2 = mul(_minus_scalar(mt_vi, exp_pi_i(-theta6)), m0_shifted)
     scale = max(mt_vi.norm_max(), m0_vi.norm_max(), 1.0)
     if cond2.norm_max() <= 1e-12 * scale:
         raise NonGenericError("shifted product vanishes; coalescence condition fails")
@@ -272,8 +269,8 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
 
     s_hat0 = 2j * math.pi * gamma_ratio((), (1 - alpha, 1 - beta))
     s_hat1 = -2j * math.pi * exp_pi_i(theta_inf_v) * gamma_ratio((), (alpha, beta))
-    s0_mat = Mat2(1.0, 0.0, s_hat0, 1.0)
-    s1_mat = Mat2(1.0, s_hat1, 0.0, 1.0)
+    s0_mat = Mat2(1 + 0j, 0j, s_hat0, 1 + 0j)
+    s1_mat = Mat2(1 + 0j, s_hat1, 0j, 1 + 0j)
 
     # K^-1 columns: eigenvector of m0_vi at e^{pi i (theta_inf_v - theta6)}
     # (the leading entry of the second right side) and eigenvector of mt_vi
@@ -313,8 +310,9 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
     return result
 
 
-def _mat_sub(a: Mat2, b: Mat2) -> Mat2:
-    return Mat2(a.a11 - b.a11, a.a12 - b.a12, a.a21 - b.a21, a.a22 - b.a22)
+def _minus_scalar(m: Mat2, e: complex) -> Mat2:
+    """m - e I."""
+    return Mat2(m.a11 - e, m.a12, m.a21, m.a22 - e)
 
 
 def sse_theta_v(p: SSEParams) -> ThetaV:

@@ -396,9 +396,9 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
              + sin_sg * sin_2w1 * sin_mo))
     m1 = -2j * r * exp_pi_i(-(p.mu + p.omega_bar)) * sin_mo
 
-    mat0 = Mat2(exp_pi_i(-theta.theta0), m0, 0.0, exp_pi_i(theta.theta0))
-    matt = Mat2(exp_pi_i(theta.theta_t), mt, 0.0, exp_pi_i(-theta.theta_t))
-    mat1 = Mat2(exp_pi_i(-theta.theta1), m1, 0.0, exp_pi_i(theta.theta1))
+    mat0 = Mat2(exp_pi_i(-theta.theta0), m0, 0j, exp_pi_i(theta.theta0))
+    matt = Mat2(exp_pi_i(theta.theta_t), mt, 0j, exp_pi_i(-theta.theta_t))
+    mat1 = Mat2(exp_pi_i(-theta.theta1), m1, 0j, exp_pi_i(theta.theta1))
     mat_inf = inv(mul(mat1, mul(matt, mat0)))
 
     matrices = MonodromyMatricesVI(m0=mat0, mt=matt, m1=mat1, m_inf=mat_inf)

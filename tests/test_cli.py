@@ -164,7 +164,6 @@ def test_package_import_leaves_cli_unloaded():
 @pytest.mark.parametrize("argv", [
     ["asymptotics", "--nodes=3"],
     ["fredholm", "--nodes=3"],
-    ["fredholm", "--xi=nan"],
     ["fredholm", "--grid-start=-1", "--grid-count=1"],
     # E near 1e-196 there, with no correct digit
     ["fredholm", "--xi=1", "--grid-start=30", "--grid-count=1"],
@@ -731,6 +730,75 @@ def test_stokes_constraint_checks_the_printed_multipliers(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert dict(json.loads(captured.out)["rows"])["stokes_constraint"] >= 1e-7
     assert captured.err == "violated: stokes_constraint\n"
+
+
+def _skewed_m0(mats):
+    # M0's upper-right entry scaled by 1.001
+    m0 = mats.m0
+    return dataclasses.replace(mats, m0=m0._replace(a12=m0.a12 * 1.001))
+
+
+def _skewed_sse(real):
+    def skewed(p, r):
+        sse = real(p, r)
+        return dataclasses.replace(sse, matrices=_skewed_m0(sse.matrices))
+    return skewed
+
+
+def _skewed_pvi(real):
+    return lambda data: _skewed_m0(real(data))
+
+
+@pytest.mark.parametrize("argv, target, skew, violated", [
+    # the SSE matrices are upper triangular, so their trace coordinates,
+    # and with them the manifold row, do not see the upper-right entry;
+    # the skewed M0 also reaches the off-diagonal relation and the limit
+    (["monodromy-check"], "sse_monodromy", _skewed_sse,
+     ["cyclic", "off_diagonal_relation", "limit_ii_cyclic_hatted",
+      "limit_ii_hat_m0", "limit_ii_hat_m1"]),
+    (["monodromy-check", "--theta0=0.21", "--thetat=0.33", "--theta1=0.4",
+      "--thetainf=0.17", "--sigma=0.45", "--s=0.8", "--r=1.3"],
+     "pvi_matrices", _skewed_pvi,
+     ["cyclic", "det_m0", "manifold", "two_point_0t", "connection_01"]),
+])
+def test_corrupted_m0_is_a_violation(argv, target, skew, violated,
+                                     monkeypatch, capsys):
+    monkeypatch.setattr(cli, target, skew(getattr(cli, target)))
+    assert main([*argv, "--tol=1e-10"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.err == "violated: " + ", ".join(violated) + "\n"
+    rows = dict(json.loads(captured.out)["rows"])
+    assert {name for name, value in rows.items() if value > 1e-10} \
+        == set(violated)
+
+
+def test_corrupt_s_is_not_a_flag(tmp_path, capsys):
+    assert main(["monodromy-check", "--corrupt-s=1.001"]) == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unrecognized arguments: "
+                            "--corrupt-s=1.001\n")
+    config = tmp_path / "run.cfg"
+    config.write_text("corrupt-s=1.001\n")
+    assert main(["monodromy-check", f"--config={config}"]) == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown configuration key 'corrupt-s'\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0.1+infi"])
+@pytest.mark.parametrize("flag, command", [
+    (flag, command)
+    for flag in ("mu", "omega2", "xi", "r", "sigma", "theta0")
+    for command in COMMANDS if flag in READS[command]])
+def test_non_finite_parameter_is_a_usage_error(flag, command, value, capsys):
+    # a nan that reached ln_gamma's reflection would recurse without end
+    code = main([command, f"--{flag}={value}", "--grid-count=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --{flag}: ")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -35,6 +35,13 @@ LOGGAMMA_ANCHORS = [
     (complex(-25.3, 40.0), complex(-158.68693195096143, 59.20685357694142)),
 ]
 
+# a nan in the left half-plane would recurse through the reflection
+# without end (Im nan >= 0 is False), an inf has no nearest integer for the
+# pole check, and a nan with Re z >= 0.5 would come back as nan
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.5, math.nan),
+              complex(-1.5, math.nan), complex(0.3, math.inf),
+              complex(-math.inf, 1.0)]
+
 
 class TestLnGamma:
     def test_at_one(self):
@@ -52,6 +59,11 @@ class TestLnGamma:
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7, complex(-3.0, 1e-13)])
     def test_pole_error(self, z):
         with pytest.raises(GammaPoleError):
+            ln_gamma(z)
+
+    @pytest.mark.parametrize("z", NON_FINITE)
+    def test_non_finite_argument_raises(self, z):
+        with pytest.raises(ValueError, match="is not finite"):
             ln_gamma(z)
 
     def test_exp_matches_gamma_on_reals(self):
@@ -112,6 +124,12 @@ class TestGammaRatio:
             gamma_ratio((-1.0,), (2.5,))
         assert str(info.value) == ("numerator argument (-1+0j) is a pole of "
                                    "the gamma function")
+
+    @pytest.mark.parametrize("z", NON_FINITE)
+    def test_non_finite_argument_raises(self, z):
+        for args in (((z,), ()), ((), (z,)), ((1.5, z), (2.5,))):
+            with pytest.raises(ValueError, match="is not finite"):
+                gamma_ratio(*args)
 
     def test_pole_pair_reported_not_cancelled(self):
         with pytest.raises(GammaPoleError):

@@ -276,3 +276,36 @@ class TestLimitTransitionII:
         with pytest.raises(InconsistentKError):
             limit_transition_ii(self.mats.m0, self.mats.mt, self.theta6 + 0.13,
                                 self.theta_inf_v, self.mats.m_inf, self.mats.m1)
+
+
+def test_every_built_matrix_holds_complex_entries():
+    # Mat2 converts nothing, so a float literal at a construction site
+    # would reach the residuals as a float; checked at the CLI defaults
+    # and on three even-N SSE and three generic-theta draws
+    rng = random.Random(26)
+    sse_draws = [P_EVEN] + [
+        SSEParams(N=2 * rng.randint(1, 4), mu=rng.uniform(0.1, 0.4),
+                  omega1=rng.uniform(0.05, 0.3), omega2=rng.uniform(-0.4, 0.4),
+                  xi_star=rng.uniform(0.0, 1.0))
+        for _ in range(3)]
+    generic_draws = [(ThetaVI(0.31, 0.27, 0.38, 0.52), 0.41, 1.1, 1.0)] + [
+        (ThetaVI(*(0.1 + 0.35 * rng.random() for _ in range(4))),
+         0.3 + 0.3 * rng.random(), 0.5 + rng.random(), 0.5 + rng.random())
+        for _ in range(3)]
+    mats = [IDENTITY]
+    for p in sse_draws:
+        sse = sse_monodromy(p, 1.0).matrices
+        pv = sse_pv_matrices(p)
+        d = pv.data
+        lt = limit_transition_ii(sse.m0, sse.mt, -2 * p.omega1,
+                                 d.theta.theta_inf, sse.m_inf, sse.m1)
+        mats += [sse.m0, sse.mt, sse.m1, sse.m_inf,
+                 d.m0, d.m1, d.m_inf, d.hat_m0, d.hat_m1, d.hat_m_inf,
+                 pv.stokes.stokes_matrix_lower(),
+                 pv.stokes.stokes_matrix_upper(),
+                 lt.K, lt.s0_hat, lt.s1_hat, lt.hat_m0v, lt.hat_m1v,
+                 lt.hat_m_inf_v()]
+    for theta, sigma, s, r in generic_draws:
+        m = pvi_matrices(MonodromyDataVI.create(theta, sigma, s, r))
+        mats += [m.m0, m.mt, m.m1, m.m_inf]
+    assert all(type(x) is complex for m in mats for x in m)
