@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 identity violation (monodromy-check or
 --selftest), 3 degenerate or invalid parameters, 4 numerical
 nonconvergence, 1 I/O failure. Exit 3 covers a usage error (a bad flag,
 key or value, printed as "error: ...") and every ValueError and
-ArithmeticError a computation raises (printed as "parameter error: ...").
+ArithmeticError a computation raises (printed as "parameter error: ..."),
+among them a weight or a determinant whose values would leave the float
+range.
 Every subcommand also accepts --selftest, which ignores the grid and runs
 that command's built-in property checks.
 

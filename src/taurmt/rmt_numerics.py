@@ -87,9 +87,9 @@ column. Per regime:
     snapped phase so that it names the weight the quadrature integrates;
   * on the real segment 0 < t < 1 forward stepping is stable, but
     backward stepping multiplies the seeds' error by about t^{-|k|}; the
-    amplification is measured per table, and a table it would carry past
-    tol comes from quadrature (near t = 1 most recur, t = 0.3 at
-    kmax = 31 does not);
+    march measures that amplification as it goes (_march), and a table it
+    would carry past tol comes from quadrature (near t = 1 most recur,
+    t = 0.3 at kmax = 31 does not);
   * for complex t strictly inside the disc the continued weight jumps at
     the wrap angle, the identity gains a boundary term it does not carry,
     and the whole table comes from quadrature.
@@ -97,14 +97,15 @@ column. Per regime:
 Tables with kmax <= 1 are the quadrature's own. Three-term recurrences and
 the stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 
-Over a grid of t (toeplitz_grid) the work is split in three: the steps
-and amplification at every t (_recurrence_steps), so that a t they
-refuse skips its seeds; one batched quadrature pass for the seeds of the
-rest (_quadrature_tables at kmax = 1); then, t by t, the scalar march
-or the t's own full quadrature pass. The march and the amplification
-stay scalar Python: over 15 t at kmax = 31 (2-core x86_64), running the
-same steps as numpy arrays across t took 1.14 ms against 1.01 ms,
-counting the conversion of the steps to arrays, and 0.84 ms without it.
+Over a grid of t (toeplitz_grid) the work is split in four: the leg
+range and the recurrence steps at every t, so that a t near 0 never
+reaches a quadrature; one batched pass for the seeds of every t with
+steps (_quadrature_tables at kmax = 1); t by t, the scalar march, which
+measures its own amplification, or the t's own full quadrature pass;
+one determinant call on the grid's stacked matrices. The march stays
+scalar Python: over 15 t at kmax = 31 (2-core x86_64), running the same
+steps as numpy arrays across t took 1.14 ms against 1.01 ms, counting
+the conversion of the steps to arrays, and 0.84 ms without it.
 
 Oracle notes. |e^{i a} - e^{i b}|^2 = 2 - 2 cos(a - b) is a bilinear form
 of rank 3 in f(theta) = (1, sin d, 2 sin^2(d/2)), d = theta - theta_0, so
@@ -230,7 +231,9 @@ class WeightSpec:
     arc end (_arc_panels), the two singular points merge into one of
     exponent 2 mu + 2 omega_1, and a weight with Re(2 mu + 2 omega_1) <= -1
     is refused here: every route to its coefficients starts from a
-    WeightSpec.
+    WeightSpec. So is a weight that may leave the float range on the
+    contour: with s = -ln|t| every base there has modulus at most
+    2 cosh(s/2) and argument at most pi/2, which bounds ln|w|.
     """
 
     p: SSEParams
@@ -240,6 +243,15 @@ class WeightSpec:
         tt = complex(self.t)
         if tt == 0 or abs(tt) > 1.0 + 1e-12:
             raise ValueError("t must lie in the closed unit disc, not at 0")
+        p, s = self.p, self.phase().imag
+        bound = (math.pi * abs(p.omega2.real) + s * abs(p.omega2.imag)
+                 + math.log(2.0 * math.cosh(0.5 * s))
+                 * (max(2.0 * p.mu.real, 0.0) + max(2.0 * p.omega1.real, 0.0))
+                 + math.pi * (abs(p.mu.imag) + abs(p.omega1.imag)))
+        if bound > _LOG_MAX:
+            raise ValueError(
+                f"the weight at t = {tt} leaves the float range: its log "
+                f"modulus on the contour may reach {bound:.6g}")
         merged = self.p.sigma.real
         if merged <= -1:
             phi = self.phase()
@@ -646,37 +658,30 @@ def _quadrature_table(w: WeightSpec, kmax: int, tol: float):
 
 
 def _march(far, near, steps):
-    """Values of x_new = f1 x_near + f2 x_far over steps of (f1, f2), and
-    the sum of |f1 x_near| + |f2 x_far|, the scale each step rounds at.
+    """(values, scale, amplification) of x_new = f1 x_near + f2 x_far
+    over steps of (f1, f2). scale sums |f1 x_near| + |f2 x_far|, what each
+    step rounds at; amplification is max |u| + |v| for the solutions u, v
+    started from (far, near) = (1, 0) and (0, 1): an error of at most e in
+    each start value moves every marched value by at most e times it.
     """
     vals = []
     scale = 0.0
+    uf, un, vf, vn = 1.0, 0.0, 0.0, 1.0
+    amp = 1.0
     for f1, f2 in steps:
         a, b = f1 * near, f2 * far
         far, near = near, a + b
         scale += abs(a) + abs(b)
         vals.append(near)
-    return vals, scale
-
-
-def _amplification(steps) -> float:
-    """max |u| + |v| over the steps, for the solutions u and v started from
-    (far, near) = (1, 0) and (0, 1): an error of at most e in each start
-    value moves every marched value by at most e times this.
-    """
-    uf, un, vf, vn = 1.0, 0.0, 0.0, 1.0
-    amp = 1.0
-    for f1, f2 in steps:
         uf, un = un, f1 * un + f2 * uf
         vf, vn = vn, f1 * vn + f2 * vf
         amp = max(amp, abs(un) + abs(vn))
-    return amp
+    return vals, scale, amp
 
 
-def _recurrence_steps(w: WeightSpec, kmax: int, tol: float):
-    """(forward steps, backward steps, amplification) of the weight's
-    three-term recurrence out to |k| = kmax, or None where it cannot meet
-    tol whatever its seeds.
+def _recurrence_steps(w: WeightSpec, kmax: int):
+    """(forward steps, backward steps) of the weight's three-term
+    recurrence out to |k| = kmax, or None where it does not hold.
 
     The k-th Fourier coefficient of z(1 + z)(1 + tz) w' = (a0 + a1 z +
     a2 z^2) w gives, for every k,
@@ -688,9 +693,7 @@ def _recurrence_steps(w: WeightSpec, kmax: int, tol: float):
     allow, and analytic continuation in the exponents covers the rest.
     k >= 2 follow forward and k <= -2 backward from c_{-1}, c_0 and c_1.
     None for kmax < 2, when t is neither on the circle nor on the real
-    segment 0 < t < 1, when a leading coefficient vanishes, and when the
-    amplification (_amplification) would carry even rounding-level seeds
-    past tol.
+    segment 0 < t < 1, and when a leading coefficient vanishes.
     """
     if kmax < 2:
         return None
@@ -717,12 +720,7 @@ def _recurrence_steps(w: WeightSpec, kmax: int, tol: float):
         bwd = [(-b / g, -a / g) for a, b, g in rows(range(0, 1 - kmax, -1))]
     except ZeroDivisionError:
         return None
-    # the amplification depends on (p, t) alone: a table the seeds could
-    # not meet even at the rounding level skips their quadrature
-    amp = max(_amplification(fwd), _amplification(bwd))
-    if not amp * _EPS <= tol:
-        return None
-    return fwd, bwd, amp
+    return fwd, bwd
 
 
 def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
@@ -731,34 +729,34 @@ def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
 
     The seeds come from the panel quadrature at tol, and the steps
     (_recurrence_steps) march them out to |k| = kmax. prepared is (steps,
-    seeds) when a grid pass has already made them; otherwise the steps,
-    and the seeds where the steps allow, are made here for w alone. The
-    error estimate is the seed error times the measured amplification
-    (_amplification), plus 4 eps times the amplification times the summed
-    magnitudes each step rounds at. Against a 40-digit run of the same
-    steps from the same seeds, the rounding of 500 random tables on the
-    circle and near t = 1 stayed below 1.6 eps times that product. None
-    where _recurrence_steps refuses, when the estimate exceeds tol, or
-    when the seeds' quadrature stalls (the full pass then reports it).
+    seeds) when a grid pass has already made them; otherwise both are
+    made here for w alone. The error estimate is the seed error times the
+    amplification the march measures (_march), plus 4 eps times it times
+    the summed magnitudes each step rounds at. Against a 40-digit run of
+    the same steps from the same seeds, the rounding of 500 random tables
+    on the circle and near t = 1 stayed below 1.6 eps times that product.
+    None where _recurrence_steps refuses, when the seeds' quadrature
+    stalls (the full pass then reports it), or when the amplification
+    times eps, or the estimate, exceeds tol.
     """
-    steps, seeds = prepared or (_recurrence_steps(w, kmax, tol), None)
+    steps, seeds = prepared or (_recurrence_steps(w, kmax), None)
     if steps is None:
         return None
     if seeds is None:
         seeds = _quadrature_tables(w.p, [w.phase()], 1, tol)[0]
-    fwd, bwd, amp = steps
+    fwd, bwd = steps
     try:
         seed_vals, seed_err = seeds()
     except QuadratureError:
         return None
     c_m1, c_0, c_1 = (complex(c) for c in seed_vals)
-    up, up_scale = _march(c_0, c_1, fwd)
-    down, down_scale = _march(c_0, c_m1, bwd)
-    table = np.array(down[::-1] + [c_m1, c_0, c_1] + up)
+    up, up_scale, up_amp = _march(c_0, c_1, fwd)
+    down, down_scale, down_amp = _march(c_0, c_m1, bwd)
+    amp = max(up_amp, down_amp)
     err = amp * (seed_err + 4.0 * _EPS * (up_scale + down_scale))
-    if not err <= tol:
+    if not (amp * _EPS <= tol and err <= tol):
         return None
-    return table, err
+    return np.array(down[::-1] + [c_m1, c_0, c_1] + up), err
 
 
 def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
@@ -807,15 +805,15 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     capped at 64: beyond it that quadrature's cost and the determinant's
     conditioning buy nothing this library needs.
 
-    The grid's seeds are one batched pass. First the recurrence steps and
-    amplification at every t, so that a t they refuse skips its seeds;
-    then the seeds of all the others, all arc panels through one
-    integrand call and all legs through another (_quadrature_tables);
-    then, t by t, the march from those seeds, or a quadrature pass of the
-    t's own where the recurrence cannot meet tol. Every value is the one
-    toeplitz_an returns at its t, bit for bit, and a failure raises at
-    the first t that fails, once every earlier t is done, as a loop of
-    toeplitz_an calls would.
+    The grid's seeds are one batched pass. First the weight, its leg
+    range (_check_leg_range) and its recurrence steps at every t; then
+    the seeds of every t with steps, all arc panels through one integrand
+    call and all legs through another (_quadrature_tables); then, t by t,
+    the march from those seeds, or a quadrature pass of the t's own where
+    the recurrence cannot meet tol; then one determinant call on the
+    stacked matrices. Every value is the one toeplitz_an returns at its
+    t, bit for bit, and a failure raises at the first t that fails, once
+    every earlier t is done, as a loop of toeplitz_an calls would.
     """
     n = int(p.N)
     if n < 0:
@@ -829,7 +827,9 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     for t in ts:
         try:
             w = WeightSpec(p=p, t=t)
-            steps.append(_recurrence_steps(w, kmax, tol))
+            # keeps a t near 0 out of the seed pass
+            _check_leg_range(w, kmax)
+            steps.append(_recurrence_steps(w, kmax))
         except (ValueError, ArithmeticError) as exc:
             # raised once every earlier t has its value
             stop = exc
@@ -838,11 +838,11 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     seeds = iter(_quadrature_tables(
         p, [w.phase() for w, s in zip(ws, steps) if s is not None], 1, tol))
     idx = kmax + (np.arange(n)[:, None] - np.arange(n)[None, :])
-    dets = []
-    for w, s in zip(ws, steps):
+    mats = np.empty((len(ws), n, n), dtype=complex)
+    for mat, w, s in zip(mats, ws, steps):
         prepared = s, None if s is None else next(seeds)
-        c = fourier_table(w, kmax, tol, _prepared=prepared)[0]
-        dets.append(complex(np.linalg.det(c[idx])))
+        mat[:] = fourier_table(w, kmax, tol, _prepared=prepared)[0][idx]
+    dets = [complex(d) for d in np.linalg.det(mats)]
     if stop is not None:
         raise stop
     return dets
@@ -1214,13 +1214,20 @@ def fredholm_sine(spec: FredholmSpec):
     diagonal t/pi, and factored by parity: det(I - xi A+) det(I - xi A-)
     over the even and odd blocks of the whole m-node Nystrom matrix, each
     the product of its factors 1 - lam_j (_factor_blocks, which raises
-    ValueError where no digit is correct; see the Fredholm notes).
-    Convergence in m is exponential; the check of it, a second evaluation
-    at doubled m, belongs to the caller (the fredholm selftest runs it).
-    Returns float for real xi.
+    ValueError where no digit is correct; see the Fredholm notes), and
+    ValueError where the sum of log |1 - lam_j| over both blocks says the
+    product leaves the float range. Convergence in m is exponential; the
+    check of it, a second evaluation at doubled m, belongs to the caller
+    (the fredholm selftest runs it). Returns float for real xi.
     """
+    lams = [lam for *_, lam in _factor_blocks(spec)]
+    logabs = sum(float(np.sum(np.log(np.abs(1.0 - lam)))) for lam in lams)
+    if logabs > _LOG_MAX:
+        raise ValueError(
+            f"det(I - xi K) at t = {spec.t!r}, xi = {_narrow(spec.xi)!r} "
+            f"leaves the float range: log |det| reads {logabs:.6g}")
     e = 1.0
-    for *_, lam in _factor_blocks(spec):
+    for lam in lams:
         e = e * np.prod(1.0 - lam)
     return float(e) if isinstance(_narrow(spec.xi), float) else complex(e)
 

@@ -610,6 +610,41 @@ def test_half_width_past_the_node_resolution_is_a_parameter_error(argv,
     assert "needs more than m = " in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fredholm", "--xi=1e300", "--grid-count=1"], "det(I - xi K)"),
+    (["toeplitz", "--omega2=1e300", "--grid-count=1"], "the weight"),
+    (["toeplitz", "--omega2=300", "--grid-count=1"], "the weight"),
+    (["toeplitz", "--mu=700", "--grid-count=1"], "the weight"),
+])
+def test_value_past_the_float_range_is_a_parameter_error(argv, message,
+                                                         capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert "Infinity" not in captured.out
+    assert captured.err.startswith(f"parameter error: {message}")
+    assert "leaves the float range" in captured.err
+    assert caught == []
+
+
+def test_values_just_inside_the_float_range_are_kept(capsys):
+    # the determinant is printed bit for bit; the weight passes the check
+    # and its quadrature stalls as before
+    assert main(["fredholm", "--xi=1e30", "--grid-count=1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        [0.1, -2.545532881538893e+108, 0.0]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["toeplitz", "--omega2=225", "--grid-count=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NONCONVERGED
+    assert captured.out == ""
+    assert captured.err.startswith("nonconvergence: ")
+    assert caught == []
+
+
 @pytest.mark.parametrize("count", [3, 4])
 def test_overflowing_grid_step_is_a_usage_error(count, capsys):
     code = main(["toeplitz", "--grid-start=-1e308", "--grid-end=1e308",
