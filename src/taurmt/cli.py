@@ -13,7 +13,7 @@ nonconvergence, 1 I/O failure. Exit 3 covers a usage error (a bad flag,
 key or value, printed as "error: ...") and every ValueError and
 ArithmeticError a computation raises (printed as "parameter error: ..."),
 among them a weight or a determinant whose values would leave the float
-range.
+range; an OverflowError prints as "a value leaves the float range (...)".
 Every subcommand also accepts --selftest, which ignores the grid and runs
 that command's built-in property checks.
 
@@ -38,10 +38,9 @@ theta flags on the generic one. series and toeplitz take --bigN, --mu,
 (family bulk) and --sigma, --s and the theta flags (family vi). bulk takes
 --mu, --omega1, --omega2 and --xi; fredholm and asymptotics take --xi.
 --s is read two ways: monodromy-check takes it as the parameterization
-coefficient s_0t of the sixth-system data (MonodromyDataVI.create), ode
+coefficient s_0t of the sixth-system monodromy (pvi_matrices), ode
 --family=vi and its selftest as the expansion coefficient s-hat of the
-small-t series (pvi_tau_series). The two are tied by s_hat_vi, which ode
-does not apply.
+small-t series (pvi_tau_series). No map between the two is applied.
 The JSON params block echoes the flags the command takes. --family picks
 the branch: an (the default) or bulk for series, vi (the default) or bulk
 for ode; any other value is a usage error.
@@ -89,7 +88,6 @@ from .complexfn import INPUT_INTEGER_TOL
 from .mat2 import det, max_diff
 from .monodromy_v import limit_transition_ii, sse_pv_matrices
 from .monodromy_vi import (
-    MonodromyDataVI,
     SSEParams,
     ThetaVI,
     check_generic,
@@ -487,7 +485,7 @@ def _generic_residuals(theta: ThetaVI, sigma, s, r) -> dict:
     violations = check_generic(theta, sigma)
     if violations:
         raise ValueError("non-generic exponents: " + "; ".join(violations))
-    mats = pvi_matrices(MonodromyDataVI.create(theta, sigma, s, r))
+    mats = pvi_matrices(theta, sigma, s, r)
     *_, p0t, pt1, p01 = mats.trace_coordinates()
     cos_t1, cos_01 = connection_sigmas(theta, sigma, s)
     return {"cyclic": mats.cyclic_residual(),
@@ -879,6 +877,10 @@ def main(argv=None) -> int:
         return runner(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    except OverflowError as exc:
+        print(f"parameter error: a value leaves the float range ({exc})",
+              file=sys.stderr)
         return EXIT_BAD_PARAMS
     except (ValueError, ArithmeticError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -3,27 +3,26 @@
 The four regular singular points carry SL(2,C) monodromy matrices M0, Mt, M1,
 Minf tied together by the cyclic relation Minf M1 Mt M0 = I. Given the formal
 exponents theta_nu, the two-point exponent sigma_0t and the coefficients
-(s_0t, r), this module builds the standard explicit parameterization, maps
-s_0t forward to the expansion coefficient s-hat (s_hat_vi), checks its
-trace/determinant/cyclic identities, solves the connection relations for
-the remaining two-point cosines, and instantiates the whole structure for the
-spectrum-singularity ensemble, where all monodromy matrices degenerate to
-upper triangular form and s_0t exists only as the degenerate limit 0. No
-inverse s-hat -> s map is kept: that limit is the one place data starts
-from s-hat.
+(s_0t, r), this module builds the standard explicit parameterization
+(pvi_matrices), checks its trace/determinant/cyclic identities, solves the
+connection relations for the remaining two-point cosines, and instantiates
+the whole structure for the spectrum-singularity ensemble, where all
+monodromy matrices degenerate to upper triangular form and s_0t exists only
+as the degenerate limit 0. There the matrices are built from the expansion
+coefficient s-hat instead, a multiple of SSEParams.branch_bracket
+(sse_monodromy), and no map between s_0t and s-hat is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexfn import cos_pi, exp_pi_i, gamma_ratio, near_integer, sin_pi
+from .complexfn import cos_pi, exp_pi_i, near_integer, sin_pi
 from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
 
 __all__ = [
     "DegenerateParameterError",
     "ThetaVI",
-    "MonodromyDataVI",
     "MonodromyMatricesVI",
     "SSEParams",
     "SSEMonodromyVI",
@@ -31,7 +30,6 @@ __all__ = [
     "pvi_matrices",
     "manifold_residual",
     "connection_sigmas",
-    "s_hat_vi",
     "sse_monodromy",
 ]
 
@@ -98,52 +96,6 @@ def check_generic(theta: ThetaVI, sigma_0t: complex) -> tuple:
     return tuple(violations)
 
 
-def s_hat_vi(theta: ThetaVI, sigma_0t: complex, s_0t: complex) -> complex:
-    """Map the parameterization coefficient s to the expansion coefficient s-hat.
-
-    The map is linear in s with a coefficient made of eight gamma factors;
-    a GammaPoleError from any factor propagates.
-    """
-    return complex(s_0t) * _s_hat_ratio(theta, complex(sigma_0t))
-
-
-def _s_hat_ratio(theta: ThetaVI, sg: complex) -> complex:
-    th0, tht, th1, thi = theta.as_tuple()
-    return gamma_ratio(
-        (1 - sg, 1 - sg,
-         1 + (th0 + tht + sg) / 2, 1 + (-th0 + tht + sg) / 2,
-         1 + (thi + th1 + sg) / 2, 1 + (-thi + th1 + sg) / 2),
-        (1 + sg, 1 + sg,
-         1 + (th0 + tht - sg) / 2, 1 + (-th0 + tht - sg) / 2,
-         1 + (thi + th1 - sg) / 2, 1 + (-thi + th1 - sg) / 2))
-
-
-@dataclass(frozen=True)
-class MonodromyDataVI:
-    """Monodromy data (theta, sigma_0t, s_0t, r) defining a unique solution.
-
-    s_hat_0t is the induced boundary-expansion coefficient. s_0t = 0 marks
-    the degenerate limit of the spectrum-singularity case, where s_hat_0t
-    stays finite and is stored directly.
-    """
-
-    theta: ThetaVI
-    sigma_0t: complex
-    s_0t: complex
-    r: complex
-    s_hat_0t: complex
-
-    def __post_init__(self):
-        for name in ("sigma_0t", "s_0t", "r", "s_hat_0t"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if abs(self.r) == 0.0:
-            raise DegenerateParameterError("r", self.r)
-
-    @classmethod
-    def create(cls, theta: ThetaVI, sigma_0t: complex, s_0t: complex, r: complex) -> "MonodromyDataVI":
-        return cls(theta, sigma_0t, s_0t, r, s_hat_vi(theta, sigma_0t, s_0t))
-
-
 @dataclass(frozen=True)
 class MonodromyMatricesVI:
     """The four monodromy matrices M0, Mt, M1 and Minf."""
@@ -184,22 +136,21 @@ class MonodromyMatricesVI:
         return {"cyclic": self.cyclic_residual(), **dets, **traces}
 
 
-def pvi_matrices(data: MonodromyDataVI) -> MonodromyMatricesVI:
-    """Build the explicit monodromy matrices from the data.
+def pvi_matrices(theta: ThetaVI, sigma_0t: complex, s_0t: complex,
+                 r: complex) -> MonodromyMatricesVI:
+    """The monodromy matrices of the data (theta, sigma_0t, s_0t, r).
 
     M1 and Minf are written down directly; M0 and Mt are conjugated into
     place by the frame matrix D. Raises DegenerateParameterError when a
     vanishing sine or coefficient would make the formulas meaningless.
     """
-    th0, tht, th1, thi = data.theta.as_tuple()
-    sg = data.sigma_0t
-    s = data.s_0t
-    r = data.r
+    th0, tht, th1, thi = theta.as_tuple()
+    sg = complex(sigma_0t)
 
     sin_sg = _require_nonzero("sin(pi sigma_0t)", sin_pi(sg))
     sin_thi = _require_nonzero("sin(pi theta_inf)", sin_pi(thi))
-    _require_nonzero("s_0t", s)
-    _require_nonzero("r", r)
+    s = _require_nonzero("s_0t", s_0t)
+    r = _require_nonzero("r", r)
 
     m_inf = Mat2.diag(exp_pi_i(thi), exp_pi_i(-thi))
 
@@ -350,11 +301,12 @@ class SSEParams:
 
 @dataclass(frozen=True)
 class SSEMonodromyVI:
-    """The triangular monodromy matrices and their data; the off-diagonal
-    entries m0, mt, m1 are the matrices' a12."""
+    """Triangular matrices built from exponents theta and coefficient s_hat;
+    the off-diagonal entries m0, mt, m1 are the matrices' a12."""
 
     matrices: MonodromyMatricesVI
-    data: MonodromyDataVI
+    theta: ThetaVI
+    s_hat: complex
 
 
 def sse_theta_vi(p: SSEParams) -> ThetaVI:
@@ -373,7 +325,7 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
     All of M0, Mt, M1 come out upper triangular with unit-phase diagonals;
     Minf follows from the cyclic relation and is upper triangular as well.
     The parameterization coefficient s_0t only exists as a degenerate limit,
-    so the data object stores s_0t = 0 and the finite s_hat.
+    so the matrices are built from the finite s_hat alone.
     """
     r = _require_nonzero("r", r)
     theta = sse_theta_vi(p)
@@ -402,8 +354,7 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
     mat_inf = inv(mul(mat1, mul(matt, mat0)))
 
     matrices = MonodromyMatricesVI(m0=mat0, mt=matt, m1=mat1, m_inf=mat_inf)
-    data = MonodromyDataVI(theta, sg, 0.0, r, s_hat)
-    return SSEMonodromyVI(matrices=matrices, data=data)
+    return SSEMonodromyVI(matrices, theta, s_hat)
 
 
 def sse_offdiag_relation_residual(res: SSEMonodromyVI) -> float:
@@ -412,7 +363,7 @@ def sse_offdiag_relation_residual(res: SSEMonodromyVI) -> float:
     e^{-pi i theta0} m0 + e^{-pi i theta_t} mt + e^{-pi i (theta0+theta_t-
     theta_inf)} m1 = 0 holds independently of s_hat.
     """
-    theta = res.data.theta
+    theta = res.theta
     m0, mt, m1 = (m.a12 for m in (res.matrices.m0, res.matrices.mt, res.matrices.m1))
     value = (exp_pi_i(-theta.theta0) * m0
              + exp_pi_i(-theta.theta_t) * mt

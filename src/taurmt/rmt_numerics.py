@@ -45,8 +45,9 @@ rows are one call. A row's panel data is a column broadcast across its
 nodes, as a scalar is across a lone panel's, and its level sums are one
 stacked product over rows laid out as a lone panel's would be, so each
 row's value, error and refusal are bit for bit those of the panel on its
-own. Convergence and the edge check are per row; a row that needs
-levels past 4 continues alone, and only when its table is asked for.
+own. Each row finishes in _finish, only when its table is asked for:
+convergence and the edge check are per row, and a row that needs levels
+past 4 continues alone.
 toeplitz_grid batches the seeds of a whole grid of t this way, and
 bulk_limit_grid, over a grid of x, makes one toeplitz_grid call per
 dimension N at t = exp(-x/N), with every normalization from one sweep
@@ -233,7 +234,10 @@ class WeightSpec:
     is refused here: every route to its coefficients starts from a
     WeightSpec. So is a weight that may leave the float range on the
     contour: with s = -ln|t| every base there has modulus at most
-    2 cosh(s/2) and argument at most pi/2, which bounds ln|w|.
+    2 cosh(s/2) and argument at most pi/2, which bounds ln|w|. A negative
+    exponent meets its base at the deepest tanh-sinh node, a distance
+    exp(-pi sinh(_TS_TAU_MAX)) = e^{-633.7} times the shortest panel or
+    leg length l, so its size times 633.7 + max(0, -ln l) joins the bound.
     """
 
     p: SSEParams
@@ -243,22 +247,25 @@ class WeightSpec:
         tt = complex(self.t)
         if tt == 0 or abs(tt) > 1.0 + 1e-12:
             raise ValueError("t must lie in the closed unit disc, not at 0")
-        p, s = self.p, self.phase().imag
+        p, phi = self.p, self.phase()
+        s, panels = phi.imag, _arc_panels(phi)
+        # t = 1 has no leg
+        short = min([abs(phi) or _TWO_PI] + [b - a for a, b, _ in panels])
+        depth = math.pi * math.sinh(_TS_TAU_MAX) - min(0.0, math.log(short))
         bound = (math.pi * abs(p.omega2.real) + s * abs(p.omega2.imag)
                  + math.log(2.0 * math.cosh(0.5 * s))
                  * (max(2.0 * p.mu.real, 0.0) + max(2.0 * p.omega1.real, 0.0))
-                 + math.pi * (abs(p.mu.imag) + abs(p.omega1.imag)))
+                 + math.pi * (abs(p.mu.imag) + abs(p.omega1.imag))
+                 + max(-2.0 * p.mu.real, -2.0 * p.omega1.real, 0.0) * depth)
         if bound > _LOG_MAX:
             raise ValueError(
                 f"the weight at t = {tt} leaves the float range: its log "
                 f"modulus on the contour may reach {bound:.6g}")
-        merged = self.p.sigma.real
-        if merged <= -1:
-            phi = self.phase()
-            if phi.imag == 0.0 and len(_arc_panels(phi)) == 1:
-                raise ValueError(
-                    f"the singular points merge at t = {tt} into exponent "
-                    f"Re(2 mu + 2 omega1) = {merged!r} <= -1: not integrable")
+        merged = p.sigma.real
+        if merged <= -1 and s == 0.0 and len(panels) == 1:
+            raise ValueError(
+                f"the singular points merge at t = {tt} into exponent "
+                f"Re(2 mu + 2 omega1) = {merged!r} <= -1: not integrable")
 
     def phase(self) -> complex:
         """Angle phi with t = e^{i phi}, Re phi in [0, 2 pi), Im phi >= 0
@@ -343,26 +350,22 @@ def _ts_full_rule(level: int):
     return (*_locked(d0, d1, w), slices)
 
 
-def _accepted(vals, err: float, edge: float, tol: float):
-    """(vals, err) for a converged row whose outermost summand is edge;
-    a non-negligible edge raises QuadratureError instead."""
-    if edge > 1e3 * tol:
-        raise QuadratureError("endpoint decay too slow for the node range",
-                              edge, tol)
-    return vals, err
+def _finish(f, row: int, total, cur, err: float, edge: float, tol: float):
+    """(values, error) of one row of f, from its running total, value,
+    level-to-level change and outermost summand at _TS_MIN_LEVEL.
 
-
-def _refine(f, row: int, total, prev, tol: float):
-    """Levels _TS_MIN_LEVEL + 1 .. _TS_MAX_LEVEL of one row of f, from its
-    running total and its value at the level before.
-
-    Each level is one call of f on that row, in chunks of _CHUNK_ROWS
-    nodes, and the edge check of a converged level one more call on its
-    two outermost nodes.
+    While the change exceeds tol, each level up to _TS_MAX_LEVEL is one
+    call of f on that row, in chunks of _CHUNK_ROWS nodes, and the edge
+    check of a converged level past _TS_MIN_LEVEL one more call on its two
+    outermost nodes. A stalled refinement or a non-negligible edge raises
+    QuadratureError.
     """
     rows = slice(row, row + 1)
-    err = math.inf
-    for level in range(_TS_MIN_LEVEL + 1, _TS_MAX_LEVEL + 1):
+    level = _TS_MIN_LEVEL
+    while not err <= tol:
+        if level == _TS_MAX_LEVEL:
+            raise QuadratureError("tanh-sinh refinement stalled", err, tol)
+        level += 1
         d0, d1, w = _ts_new_nodes(level)
         part = None
         for lo in range(0, len(w), _CHUNK_ROWS):
@@ -370,15 +373,16 @@ def _refine(f, row: int, total, prev, tol: float):
             block = w[sl] @ f(rows, d0[sl], d1[sl])[0]
             part = block if part is None else part + block
         total = total + part
-        cur = (0.5 ** level) * total
+        prev, cur = cur, (0.5 ** level) * total
         err = float(np.max(np.abs(cur - prev)))
         if err <= tol:
             ends = [0, -1]
             edge = float(np.max(np.abs(
                 w[ends, None] * f(rows, d0[ends], d1[ends])[0])))
-            return _accepted(cur, err, edge, tol)
-        prev = cur
-    raise QuadratureError("tanh-sinh refinement stalled", err, tol)
+    if edge > 1e3 * tol:
+        raise QuadratureError("endpoint decay too slow for the node range",
+                              edge, tol)
+    return cur, err
 
 
 def _integrate_rows(f, tols):
@@ -395,10 +399,10 @@ def _integrate_rows(f, tols):
     of as many rows as fit in _CHUNK_ROWS nodes are sampled in one call of
     f on the concatenated nodes (_ts_full_rule), and each level's sums of
     all those rows are one stacked product. Convergence and the edge check
-    are then decided per row; a row that has not converged continues from
-    its own running total through _refine when its result is first asked
-    for. Every row runs the arithmetic of a lone row, so its result does
-    not depend on the rows batched with it.
+    are then decided per row in _finish, when the row's result is first
+    asked for; a row that has not converged continues there from its own
+    running total. Every row runs the arithmetic of a lone row, so its
+    result does not depend on the rows batched with it.
 
     The substitution reaches endpoint distances ~exp(-pi sinh(tau_max)),
     which is plenty for any fixed integrable exponent, but exponents
@@ -428,14 +432,9 @@ def _integrate_rows(f, tols):
         errs = np.max(np.abs(cur - prev), axis=1)
         edges = np.max(np.abs(w_edge * head[:, slices[-1]][:, [0, -1]]),
                        axis=(1, 2))
-        for j, row in enumerate(range(lo, hi)):
-            err, tol = float(errs[j]), tols[row]
-            if err <= tol:
-                results.append(partial(
-                    _accepted, cur[j], err, float(edges[j]), tol))
-            else:
-                results.append(partial(
-                    _refine, f, row, total[j], cur[j], tol))
+        results += [partial(_finish, f, row, total[j], cur[j],
+                            float(errs[j]), float(edges[j]), tols[row])
+                    for j, row in enumerate(range(lo, hi))]
     return results
 
 

@@ -308,7 +308,8 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
     d = b - a
     if d == 0:
         return abs(p - a)
-    s = ((p - a) * d.conjugate()).real / abs(d) ** 2
+    n = abs(d)
+    s = ((p - a) * d.conjugate()).real / n / n
     s = min(1.0, max(0.0, s))
     return abs(a + s * d - p)
 

@@ -615,6 +615,14 @@ def test_half_width_past_the_node_resolution_is_a_parameter_error(argv,
     (["toeplitz", "--omega2=1e300", "--grid-count=1"], "the weight"),
     (["toeplitz", "--omega2=300", "--grid-count=1"], "the weight"),
     (["toeplitz", "--mu=700", "--grid-count=1"], "the weight"),
+    # the endpoint factor at the deepest tanh-sinh node overflows
+    (["toeplitz", "--omega2=60", "--omega1=-0.45", "--grid-count=1"],
+     "the weight"),
+    (["toeplitz", "--mu=0", "--omega2=-44.3", "--omega1=-0.45",
+      "--grid-start=6.28318530716", "--grid-count=1"], "the weight"),
+    (["ode", "--family=bulk", "--grid-end=1e300", "--grid-count=2"],
+     "a value"),
+    (["bulk", "--grid-end=1e300", "--grid-count=2"], "a value"),
 ])
 def test_value_past_the_float_range_is_a_parameter_error(argv, message,
                                                          capsys):
@@ -627,6 +635,30 @@ def test_value_past_the_float_range_is_a_parameter_error(argv, message,
     assert captured.err.startswith(f"parameter error: {message}")
     assert "leaves the float range" in captured.err
     assert caught == []
+
+
+def test_weight_within_the_float_range_is_not_refused(capsys):
+    # 2 omega_1 = -0.4 keeps the deepest node's factor in range: the
+    # quadrature runs, and stalls without a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["toeplitz", "--omega2=60", "--omega1=-0.2",
+                     "--grid-count=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NONCONVERGED
+    assert captured.err.startswith("nonconvergence: tanh-sinh refinement")
+    assert caught == []
+
+
+def test_huge_ode_grid_end_names_the_singularity(capsys):
+    # the path from 1e-3 to 1e300 crosses the fixed singularity t = 1
+    assert main(["ode", "--grid-end=1e300", "--grid-count=2"]) \
+        == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parameter error: path segment (0.001+0j) -> "
+                            "(1e+300+0j) passes within 1e-9 of the fixed "
+                            "singularity (1+0j)\n")
 
 
 def test_values_just_inside_the_float_range_are_kept(capsys):
@@ -781,7 +813,7 @@ def _skewed_sse(real):
 
 
 def _skewed_pvi(real):
-    return lambda data: _skewed_m0(real(data))
+    return lambda *args: _skewed_m0(real(*args))
 
 
 @pytest.mark.parametrize("argv, target, skew, violated", [
@@ -805,6 +837,21 @@ def test_corrupted_m0_is_a_violation(argv, target, skew, violated,
     rows = dict(json.loads(captured.out)["rows"])
     assert {name for name, value in rows.items() if value > 1e-10} \
         == set(violated)
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--r=0", "degenerate parameter: r = 0j"),
+    ("--s=0", "degenerate parameter: s_0t = 0j"),
+])
+def test_generic_monodromy_check_refuses_a_vanishing_coefficient(
+        flag, message, capsys):
+    argv = ["monodromy-check", "--theta0=0.21", "--thetat=0.33",
+            "--theta1=0.4", "--thetainf=0.17", "--sigma=0.45", "--s=0.8",
+            "--r=1.3", flag]
+    assert main(argv) == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parameter error: {message}\n"
 
 
 def test_corrupt_s_is_not_a_flag(tmp_path, capsys):

@@ -22,7 +22,6 @@ from taurmt.monodromy_v import (
 )
 from taurmt.monodromy_vi import (
     DegenerateParameterError,
-    MonodromyDataVI,
     SSEParams,
     ThetaVI,
     pvi_matrices,
@@ -255,9 +254,8 @@ class TestLimitTransitionII:
 
             theta = ThetaVI(draw(0.15, 0.85), draw(0.15, 0.85),
                             draw(0.15, 0.85), draw(0.15, 0.85))
-            data = MonodromyDataVI.create(theta, draw(0.25, 0.75),
-                                          random_unit(rng), random_unit(rng))
-            mats = pvi_matrices(data)
+            mats = pvi_matrices(theta, draw(0.25, 0.75),
+                                random_unit(rng), random_unit(rng))
             res = limit_transition_ii(mats.m0, mats.mt, theta.theta_t,
                                       theta.theta0 + theta.theta_t,
                                       mats.m_inf, mats.m1)
@@ -306,6 +304,6 @@ def test_every_built_matrix_holds_complex_entries():
                  lt.K, lt.s0_hat, lt.s1_hat, lt.hat_m0v, lt.hat_m1v,
                  lt.hat_m_inf_v()]
     for theta, sigma, s, r in generic_draws:
-        m = pvi_matrices(MonodromyDataVI.create(theta, sigma, s, r))
+        m = pvi_matrices(theta, sigma, s, r)
         mats += [m.m0, m.mt, m.m1, m.m_inf]
     assert all(type(x) is complex for m in mats for x in m)

@@ -15,14 +15,12 @@ from taurmt.complexfn import cos_pi, exp_pi_i, sin_pi
 from taurmt.mat2 import Mat2, max_diff, mul, tr
 from taurmt.monodromy_vi import (
     DegenerateParameterError,
-    MonodromyDataVI,
     SSEParams,
     ThetaVI,
     check_generic,
     connection_sigmas,
     manifold_residual,
     pvi_matrices,
-    s_hat_vi,
     sse_monodromy,
     sse_offdiag_relation_residual,
     sse_theta_vi,
@@ -61,8 +59,7 @@ class TestCheckGeneric:
 
 class TestPviMatrices:
     def test_oracle_matrices(self):
-        data = MonodromyDataVI.create(THETA_STD, SIGMA_STD, 1.2, 1.0)
-        mats = pvi_matrices(data)
+        mats = pvi_matrices(THETA_STD, SIGMA_STD, 1.2, 1.0)
         m0_ref = Mat2(complex(0.58778525229247313, 0.77476454824083846),
                       complex(0.0, -0.44331594587728249),
                       complex(0.0, -0.12236959324639341),
@@ -80,8 +77,7 @@ class TestPviMatrices:
         assert max_diff(mats.m1, m1_ref) < 1e-13
 
     def test_m_inf_diagonal(self):
-        data = MonodromyDataVI.create(THETA_STD, SIGMA_STD, 1.2, 1.0)
-        mats = pvi_matrices(data)
+        mats = pvi_matrices(THETA_STD, SIGMA_STD, 1.2, 1.0)
         assert mats.m_inf.a12 == 0 and mats.m_inf.a21 == 0
         assert abs(mats.m_inf.a11 - exp_pi_i(0.6)) < 1e-15
         assert abs(mats.m_inf.a22 - exp_pi_i(-0.6)) < 1e-15
@@ -90,8 +86,7 @@ class TestPviMatrices:
         rng = random.Random(42)
         for _ in range(100):
             theta, sigma, s, r = random_generic_draw(rng)
-            data = MonodromyDataVI(theta, sigma, s, r, 0.0)
-            mats = pvi_matrices(data)
+            mats = pvi_matrices(theta, sigma, s, r)
             res = mats.residuals(theta)
             assert res["cyclic"] <= 1e-10
             for name in ("det_m0", "det_mt", "det_m1", "det_m_inf"):
@@ -109,8 +104,8 @@ class TestPviMatrices:
         rng = random.Random(43)
         for _ in range(20):
             theta, sigma, s, _ = random_generic_draw(rng)
-            mats_a = pvi_matrices(MonodromyDataVI(theta, sigma, s, 0.7 + 0.2j, 0.0))
-            mats_b = pvi_matrices(MonodromyDataVI(theta, sigma, s, 1.9 - 1.1j, 0.0))
+            mats_a = pvi_matrices(theta, sigma, s, 0.7 + 0.2j)
+            mats_b = pvi_matrices(theta, sigma, s, 1.9 - 1.1j)
             for pair in (("m0", "mt"), ("mt", "m1"), ("m0", "m1"), ("m0", "m_inf"),
                          ("mt", "m_inf"), ("m1", "m_inf")):
                 ta = tr(mul(getattr(mats_a, pair[0]), getattr(mats_a, pair[1])))
@@ -119,21 +114,24 @@ class TestPviMatrices:
 
     @pytest.mark.parametrize("sigma,factor", [(1.0, "sin(pi sigma_0t)"), (0.0, "sin(pi sigma_0t)")])
     def test_degenerate_sigma(self, sigma, factor):
-        data = MonodromyDataVI(THETA_STD, sigma, 1.2, 1.0, 0.0)
         with pytest.raises(DegenerateParameterError) as exc:
-            pvi_matrices(data)
+            pvi_matrices(THETA_STD, sigma, 1.2, 1.0)
         assert factor in str(exc.value)
 
     def test_degenerate_theta_inf(self):
-        data = MonodromyDataVI(ThetaVI(0.3, 0.4, 0.5, 1.0), SIGMA_STD, 1.2, 1.0, 0.0)
         with pytest.raises(DegenerateParameterError) as exc:
-            pvi_matrices(data)
+            pvi_matrices(ThetaVI(0.3, 0.4, 0.5, 1.0), SIGMA_STD, 1.2, 1.0)
         assert "theta_inf" in str(exc.value)
 
     def test_zero_s_rejected(self):
-        data = MonodromyDataVI(THETA_STD, SIGMA_STD, 0.0, 1.0, 0.0)
         with pytest.raises(DegenerateParameterError):
-            pvi_matrices(data)
+            pvi_matrices(THETA_STD, SIGMA_STD, 0.0, 1.0)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-13j])
+    def test_vanishing_r_rejected(self, r):
+        with pytest.raises(DegenerateParameterError) as exc:
+            pvi_matrices(THETA_STD, SIGMA_STD, 1.2, r)
+        assert exc.value.factor == "r"
 
 
 class TestManifold:
@@ -157,7 +155,7 @@ class TestConnectionSigmas:
         rng = random.Random(44)
         for _ in range(50):
             theta, sigma, s, r = random_generic_draw(rng)
-            mats = pvi_matrices(MonodromyDataVI(theta, sigma, s, r, 0.0))
+            mats = pvi_matrices(theta, sigma, s, r)
             ct1, c01 = connection_sigmas(theta, sigma, s)
             assert abs(ct1 - tr(mul(mats.mt, mats.m1)) / 2) <= 1e-9
             assert abs(c01 - tr(mul(mats.m0, mats.m1)) / 2) <= 1e-9
@@ -173,17 +171,6 @@ class TestConnectionSigmas:
             connection_sigmas(THETA_STD, 0.0, 1.2)
 
 
-class TestSHatMap:
-    def test_oracle_value(self):
-        got = s_hat_vi(THETA_STD, SIGMA_STD, 1.0)
-        assert got == pytest.approx(complex(1.8970806484271328, 0.0), rel=1e-12)
-
-    def test_linear_in_s(self):
-        a = s_hat_vi(THETA_STD, SIGMA_STD, 1.3)
-        b = s_hat_vi(THETA_STD, SIGMA_STD, 2.6)
-        assert b == pytest.approx(2 * a, rel=1e-13)
-
-
 def _off_diagonals(res):
     """The upper-right entries (m0, mt, m1) of the triangular matrices."""
     return tuple(m.a12 for m in (res.matrices.m0, res.matrices.mt, res.matrices.m1))
@@ -194,15 +181,22 @@ class TestSSEMonodromy:
 
     def test_oracle_values(self):
         res = sse_monodromy(self.P_STD, 1.0)
-        assert abs(res.data.s_hat_0t - complex(1.5301707389703977, -0.52362398492143275)) < 1e-13
+        assert abs(res.s_hat - complex(1.5301707389703977, -0.52362398492143275)) < 1e-13
         m0, mt, m1 = _off_diagonals(res)
         assert abs(m0 - complex(1.2991403250741809, -0.59914891569537317)) < 1e-13
         assert abs(mt - complex(-1.3854723442945708, -0.28933236762217626)) < 1e-13
         assert abs(m1 - complex(-0.73962105427312202, -0.80901699437494742)) < 1e-13
 
+    def test_result_carries_its_exponents_and_s_hat(self):
+        p = self.P_STD
+        res = sse_monodromy(p, 0.7 - 0.3j)
+        assert res.theta == sse_theta_vi(p)
+        assert res.s_hat == p.branch_bracket() / (sin_pi(2 * p.omega1)
+                                                  * sin_pi(p.mu + p.omega))
+
     def test_upper_triangular_with_unit_diagonals(self):
         res = sse_monodromy(self.P_STD, 1.0)
-        theta = res.data.theta
+        theta = res.theta
         for mat, th, sign in ((res.matrices.m0, theta.theta0, -1),
                               (res.matrices.mt, theta.theta_t, 1),
                               (res.matrices.m1, theta.theta1, -1)):
@@ -212,10 +206,10 @@ class TestSSEMonodromy:
 
     def test_cyclic_and_m_inf_structure(self):
         res = sse_monodromy(self.P_STD, 1.0)
-        inv_res = res.matrices.residuals(res.data.theta)
+        inv_res = res.matrices.residuals(res.theta)
         assert inv_res["cyclic"] <= 1e-10
         mi = res.matrices.m_inf
-        theta = res.data.theta
+        theta = res.theta
         assert abs(mi.a21) <= 1e-13
         assert abs(mi.a11 - exp_pi_i(theta.theta_inf)) < 1e-12
         assert abs(mi.a22 - exp_pi_i(-theta.theta_inf)) < 1e-12
@@ -242,7 +236,7 @@ class TestSSEMonodromy:
             p_eps = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3,
                               xi_star=xi_zero * (1 + eps))
             res = sse_monodromy(p_eps, 1.0)
-            assert abs(res.data.s_hat_0t) < 5 * eps
+            assert abs(res.s_hat) < 5 * eps
             assert sse_offdiag_relation_residual(res) <= 1e-10
 
     def test_s_hat_exactly_zero_is_degenerate(self):
@@ -256,7 +250,7 @@ class TestSSEMonodromy:
     def test_even_n_phases(self):
         # N enters through (-1)^N and integer exponent shifts only
         res2 = sse_monodromy(SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5), 1.0)
-        assert res2.matrices.residuals(res2.data.theta)["cyclic"] <= 1e-10
+        assert res2.matrices.residuals(res2.theta)["cyclic"] <= 1e-10
 
     def test_r_is_pure_gauge(self):
         # the whole r family is a single diagonal-conjugation orbit: every
@@ -273,13 +267,13 @@ class TestSSEMonodromy:
         # the triangular set is the limit, at every gauge r
         p = self.P_STD
         theta = sse_theta_vi(p)
-        s_hat = sse_monodromy(p, 1.0).data.s_hat_0t
+        s_hat = sse_monodromy(p, 1.0).s_hat
         for r in (1.0, 0.7 - 0.3j):
             tri = sse_monodromy(p, r)
             eps = 1e-7
             sigma = p.sigma + eps
             s = eps * math.pi * s_hat / 2
-            mats = pvi_matrices(MonodromyDataVI.create(theta, sigma, s, r))
+            mats = pvi_matrices(theta, sigma, s, r)
             for m, ref in zip((mats.m0, mats.mt, mats.m1),
                               (tri.matrices.m0, tri.matrices.mt, tri.matrices.m1)):
                 assert abs(m.a21) < 1e-5

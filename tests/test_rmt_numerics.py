@@ -129,16 +129,27 @@ class TestWeightSpec:
 
     @pytest.mark.parametrize("change,t", [
         (dict(omega2=1e300), T_STD), (dict(omega2=300.0), T_STD),
-        (dict(mu=700.0), T_STD), (dict(omega2=70j), 1e-5)])
+        (dict(mu=700.0), T_STD), (dict(omega2=70j), 1e-5),
+        (dict(omega1=-0.45, omega2=60.0), T_STD),
+        # a short arc panel (width 2e-11) next to the arc end at -pi
+        (dict(mu=0.0, omega1=-0.45, omega2=-44.3), cmath.exp(-2e-11j))])
     def test_rejects_a_weight_past_the_float_range(self, change, t):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves the float range"):
                 WeightSpec(replace(P_STD, **change), t)
 
-    def test_weight_within_the_float_range_accepted(self):
+    @pytest.mark.parametrize("change,t", [
         # pi * 225 = 706.9, just inside log(float max) = 709.8
-        WeightSpec(replace(P_STD, omega2=225.0), T_STD)
+        (dict(omega2=225.0), T_STD),
+        # pi * 60 + 0.4 * (633.7 - ln 0.4) = 442.7 with the deepest node;
+        # at 2 omega_1 = -0.9 it reaches 760.0 and is refused above
+        (dict(omega1=-0.2, omega2=60.0), T_STD),
+        # pi * 44.3 + 0.9 * 633.7 = 709.5 while every panel is longer than
+        # 1; refused above next to a 2e-11 panel
+        (dict(mu=0.0, omega1=-0.45, omega2=-44.3), cmath.exp(3j))])
+    def test_weight_within_the_float_range_accepted(self, change, t):
+        WeightSpec(replace(P_STD, **change), t)
 
 
 def _lone(f):
@@ -922,13 +933,14 @@ def _table_outcome(table):
 def _spy_refine(monkeypatch):
     """Count the rows that refine past level 4 from now on."""
     calls = []
-    refine = rmt._refine
+    finish = rmt._finish
 
-    def counted(*args):
-        calls.append(args[1])
-        return refine(*args)
+    def counted(f, row, total, cur, err, edge, tol):
+        if not err <= tol:
+            calls.append(row)
+        return finish(f, row, total, cur, err, edge, tol)
 
-    monkeypatch.setattr(rmt, "_refine", counted)
+    monkeypatch.setattr(rmt, "_finish", counted)
     return calls
 
 

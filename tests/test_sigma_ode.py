@@ -350,6 +350,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="fixed singularity 0j"):
             integrate(V_STD, seed, [-0.1, 0.1], tol=1e-8)
 
+    def test_huge_leg_through_singularity_rejected(self):
+        # the leg's length squared would overflow the projection onto it
+        seed = OdeSeed(0.5, 0.1 + 0j, 0.2 + 0j)
+        with pytest.raises(ValueError, match=r"fixed singularity \(1\+0j\)"):
+            integrate(THETA6, seed, [0.5, 1e300], tol=1e-8)
+
     @pytest.mark.parametrize("path", [[0.05], [0.05, 0.05]])
     def test_seed_point_alone_is_the_seed(self, path):
         sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)

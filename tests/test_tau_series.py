@@ -348,7 +348,7 @@ class TestBranchBracket:
         ratios = []
         for xi in (0.0, 0.5, 1.0, 0.3 + 0.2j):
             p = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=xi)
-            s_hat = sse_monodromy(p, 1.0).data.s_hat_0t
+            s_hat = sse_monodromy(p, 1.0).s_hat
             branch = 1 + p.sigma
             ratios.append((an_series(p).series.coefficient(branch) / s_hat,
                            bulk_series(p).series.coefficient(branch) / s_hat,
