@@ -5,12 +5,13 @@ at infinity carrying two Stokes matrices. Two equivalent packagings of the
 monodromy data circulate: an unhatted set (M0, M1, Minf) with the cyclic
 relation Minf M1 M0 = I, and a hatted set related to it by conjugation with
 the first Stokes matrix, whose cyclic relation reads in the reversed order
-hat-M0 hat-M1 hat-Minf = I. This module bundles and checks both
-(MonodromyDataV), converts between them (hat_transform), computes Stokes
-multipliers from the exponent data, carries out the coalescence limit that
-degenerates sixth-system monodromy into fifth-system Stokes data, and
-instantiates the explicit matrices of the spectrum-singularity ensemble's
-bulk limit, the one place both sets are built. There is no generic
+hat-M0 hat-M1 hat-Minf = I. This module bundles and checks both, with the
+Stokes multipliers they share (MonodromyDataV), converts between them
+(hat_transform), computes Stokes multipliers from the exponent data,
+carries out the coalescence limit that degenerates sixth-system monodromy
+into fifth-system Stokes data, and instantiates the explicit matrices of
+the spectrum-singularity ensemble's bulk limit, the one place both sets
+are built. There is no generic
 fifth-system parameterization and no s <-> s-hat map: the fifth system is
 reached only through that limit and those matrices.
 """
@@ -39,7 +40,6 @@ __all__ = [
     "StokesData",
     "MonodromyDataV",
     "LimitIIResult",
-    "SSEPVMatrices",
     "stokes_from_sigma",
     "hat_transform",
     "limit_transition_ii",
@@ -107,7 +107,8 @@ class StokesData:
 
 @dataclass(frozen=True)
 class MonodromyDataV:
-    """Bundled fifth-system monodromy data in both conventions.
+    """Bundled fifth-system monodromy data in both conventions, with the
+    Stokes multipliers both share.
 
     Both cyclic relations and the two-point trace identity are checked by
     residuals(); factories that promise a consistent set call validate().
@@ -115,6 +116,7 @@ class MonodromyDataV:
 
     theta: ThetaV
     sigma: complex
+    stokes: StokesData
     m0: Mat2
     m1: Mat2
     m_inf: Mat2
@@ -321,16 +323,7 @@ def sse_theta_v(p: SSEParams) -> ThetaV:
                   theta_inf=2 * p.mu - 2 * p.omega1)
 
 
-@dataclass(frozen=True)
-class SSEPVMatrices:
-    """Both explicit fifth-system matrix sets for the spectrum singularity,
-    held in data, and their Stokes multipliers."""
-
-    stokes: StokesData
-    data: MonodromyDataV
-
-
-def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
+def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
     """Explicit fifth-system monodromy matrices of the bulk limit.
 
     Returns the hatted and unhatted sets together with the Stokes
@@ -391,9 +384,8 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
     s2 = -2j * math.pi * e(2 * mu - 2 * w1) * gamma_ratio((), (2 * w1, -2 * mu))
     stokes = StokesData(s1=s1, s2=s2)
 
-    theta = sse_theta_v(p)
     data = MonodromyDataV(
-        theta=theta, sigma=2 * mu + 2 * w1,
+        theta=sse_theta_v(p), sigma=2 * mu + 2 * w1, stokes=stokes,
         m0=m0, m1=m1, m_inf=m_inf,
         hat_m0=hat_m0, hat_m1=hat_m1, hat_m_inf=hat_m_inf,
     ).validate()
@@ -406,4 +398,4 @@ def sse_pv_matrices(p: SSEParams) -> SSEPVMatrices:
     if dev > _CONSISTENCY_TOL * max(1.0, max(m.norm_max() for m in ref)):
         raise InconsistentKError(f"printed matrix sets disagree under hat transform: {dev}")
 
-    return SSEPVMatrices(stokes=stokes, data=data)
+    return data

@@ -16,18 +16,20 @@ handling. The only genuine turning points are zeros of the leading
 coefficient L: z' = 0 for the sixth-system form, t = 0 for the other two.
 
 Each equation is fixed by its family's parameter object: ThetaVI gives the
-sixth-system form, ThetaV the fifth-system form and BulkParams the
+sixth-system form, ThetaV the fifth-system form and BulkParams, this
+module's record of the weight (mu, omega1, omega2), the
 Jimbo-Miwa-Mori-Sato bulk form. _family tells the three apart, here and
 nowhere else, and binds the parameters to the family's form and to its
-tau <-> sigma map, the tau_series.SigmaMap that sigma_map returns. Each
-relation is written in _sixth_form or _fifth_form, whose pieces forms every
-term of F. Beside pieces sits third, the closure the integrator's
-Runge-Kutta stages call: it forms only the flow's terms L, L_t, L_z' and
-R_z', in the same operations as pieces, and z''' from them. relation(params)
-binds the parameters to a form once and returns its residual, scaled
-residual, gradient, z''', roots and fixed singular points, which the
-integrator and every other caller evaluate. sigma_map, relation, integrate
-and the seeds raise TypeError for any other parameter object.
+tau <-> sigma map: the SigmaMap, also defined here, that sigma_map
+returns. Each relation is written in _sixth_form or _fifth_form, whose
+pieces forms every term of F. Beside pieces sits third, the closure the
+integrator's Runge-Kutta stages call: it forms only the flow's terms L,
+L_t, L_z' and R_z', in the same operations as pieces, and z''' from them.
+relation(params) binds the parameters to a form once and returns its
+residual, scaled residual, gradient, z''', roots and fixed singular
+points, which the integrator and every other caller evaluate. sigma_map,
+relation, integrate and the seeds raise TypeError for any other parameter
+object.
 
 The integrator steps this third-order system with an adaptive embedded
 Runge-Kutta pair and monitors the original second-degree relation as a
@@ -50,18 +52,16 @@ from types import SimpleNamespace
 
 from .monodromy_v import ThetaV
 from .monodromy_vi import SSEParams, ThetaVI
-from .tau_series import (
-    BoundaryExpansion,
-    BulkParams,
-    SigmaMap,
-    bulk_okamoto_params,
-)
+from .tau_series import BoundaryExpansion
 
 __all__ = [
     "TurningPointError",
     "StepSizeUnderflowError",
     "OdeSeed",
     "SigmaTrajectory",
+    "SigmaMap",
+    "BulkParams",
+    "bulk_okamoto_params",
     "relation",
     "sigma_map",
     "integrate",
@@ -178,6 +178,74 @@ def _fifth_form(shift: complex, roots: tuple):
     return pieces, third, r_tz, turning, (0j,)
 
 
+@dataclass(frozen=True)
+class SigmaMap:
+    """One family's affine map between tau and its sigma-function,
+
+        sigma(t) = scale(t) * d/dt log tau(t) + slope * t + intercept,
+
+    scale(t) = t (t - 1) for the sixth family (sixth=True), t for the fifth
+    and the bulk ones. sigma_map builds it.
+    """
+
+    slope: complex
+    intercept: complex
+    sixth: bool = False
+
+    def scale(self, t: complex) -> complex:
+        return t * (t - 1) if self.sixth else t
+
+    def to_sigma(self, t: complex, scaled: complex) -> complex:
+        """sigma from scaled = scale(t) * d/dt log tau."""
+        return scaled + self.slope * t + self.intercept
+
+    def log_derivatives(self, t: complex, z: complex, z1: complex) -> tuple:
+        """(l1, l2) at t from (sigma, sigma') = (z, z1): jet inverted."""
+        a, da = self.scale(t), (2 * t - 1 if self.sixth else 1)
+        l1 = (z - self.slope * t - self.intercept) / a
+        return l1, (z1 - da * l1 - self.slope) / a
+
+    def jet(self, t: complex, l1: complex, l2: complex, l3: complex) -> tuple:
+        """(sigma, sigma', sigma'') at t from l_k = (d/dt)^k log tau."""
+        if self.sixth:
+            a, da = t * (t - 1), 2 * t - 1
+            return (self.to_sigma(t, a * l1), da * l1 + a * l2 + self.slope,
+                    2 * l1 + 2 * da * l2 + a * l3)
+        return (self.to_sigma(t, t * l1), l1 + t * l2 + self.slope,
+                2 * l2 + t * l3)
+
+
+@dataclass(frozen=True)
+class BulkParams:
+    """The weight (mu, omega1, omega2) that fixes the bulk sigma-form.
+
+    as_tuple gives the form's four Okamoto roots, the formal monodromy
+    exponents of the associated fifth Painleve system, mu-pair then
+    omega1-pair; they sum to zero by construction. Non-finite roots are
+    refused.
+    """
+
+    mu: complex
+    omega1: complex
+    omega2: complex
+
+    def __post_init__(self):
+        for name in ("mu", "omega1", "omega2"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        if not all(map(cmath.isfinite, self.as_tuple())):
+            raise ValueError(f"Okamoto parameters must be finite, got {self}")
+
+    def as_tuple(self):
+        half = 0.5j * self.omega2
+        return (self.mu - half, -self.mu - half, self.omega1 + half,
+                -self.omega1 + half)
+
+
+def bulk_okamoto_params(p: SSEParams) -> BulkParams:
+    """The bulk sigma-form's parameters for the weight of p."""
+    return BulkParams(p.mu, p.omega1, p.omega2)
+
+
 def _family(params) -> tuple:
     """(form, SigmaMap) of params' family, parameters bound: ThetaVI the
     sixth, ThetaV and BulkParams a fifth; any other object raises
@@ -197,7 +265,7 @@ def _family(params) -> tuple:
                               ((th0 + thi) ** 2 - th1 ** 2) / 4)
     if isinstance(params, BulkParams):
         v1, v2, v3, v4 = params.as_tuple()
-        form = _fifth_form(0j, tuple(-v for v in params.as_tuple()))
+        form = _fifth_form(0j, (-v1, -v2, -v3, -v4))
         return form, SigmaMap((v3 + v4) / 2,
                               (v1 - v2) * (v3 - v4) / 2 - (v3 + v4) ** 2 / 2)
     raise TypeError(f"no sigma form for {type(params).__name__}")
@@ -207,10 +275,9 @@ def sigma_map(params) -> SigmaMap:
     """The tau <-> sigma map of the family params belong to.
 
     ThetaVI: the sixth-system sigma of Jimbo. ThetaV: the fifth-system one.
-    BulkParams, ordered as bulk_okamoto_params emits them (mu-pair first):
-    the bulk h(x) = x d/dx log tau + (i omega2 / 2) x + 2 mu omega1
-    + omega2^2 / 2 of Jimbo-Miwa-Mori-Sato. Any other object raises
-    TypeError.
+    BulkParams: the bulk h(x) = x d/dx log tau + (i omega2 / 2) x
+    + 2 mu omega1 + omega2^2 / 2 of Jimbo-Miwa-Mori-Sato. Any other object
+    raises TypeError.
     """
     return _family(params)[1]
 

@@ -3,23 +3,21 @@
 Everything here is a small-variable or large-variable series with explicitly
 known coefficients: the two-term-plus-branch expansions of the sixth and
 fifth tau-functions near a regular point, the finite-size and bulk-scaled
-expansions of the spectrum-singularity average, the affine maps from
-log-derivatives of tau to the sigma-functions, and the large-gap asymptotic
-forms. Series objects evaluate on the principal branch and know their own
-remainder order so integration routines can pick seed points responsibly.
+expansions of the spectrum-singularity average, and the large-gap
+asymptotic forms. Series objects evaluate on the principal branch and know
+their own remainder order so integration routines can pick seed points
+responsibly.
 
-SigmaMap is the shape of each family's tau <-> sigma map (sixth, fifth and
-bulk). Its coefficients for a given parameter object come from
-sigma_ode.sigma_map, which tells the families apart beside their sigma
-forms; the seeds and the tau reconstruction of sigma_ode, and through them
-the CLI, use it.
+BoundaryExpansion is the one record of a boundary expansion: its terms,
+its remainder order, its prefactor exponent and its normalization. The
+affine maps from log-derivatives of tau to the sigma-functions, and the
+bulk form's parameters, live beside the sigma forms in sigma_ode.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 from .complexfn import (
@@ -34,10 +32,7 @@ from .monodromy_v import ThetaV
 from .monodromy_vi import DegenerateParameterError, SSEParams, ThetaVI, _require_nonzero
 
 __all__ = [
-    "TauSeries",
     "BoundaryExpansion",
-    "BulkParams",
-    "SigmaMap",
     "GapAsymptotics",
     "ZETA_PRIME_MINUS_ONE",
     "GAP_E_CONSTANT",
@@ -45,7 +40,6 @@ __all__ = [
     "an_series",
     "bulk_series",
     "pv_tau_series",
-    "bulk_okamoto_params",
     "zeta0_series",
     "gap_asymptotics",
 ]
@@ -64,17 +58,32 @@ def _cpow(w: complex, e: complex) -> complex:
     return cmath.exp(e * cmath.log(w))
 
 
-@dataclass(frozen=True)
-class TauSeries:
-    """Finite sum of c * w**e terms plus a known remainder order.
+def _derivative(terms: tuple) -> tuple:
+    """The terms of d/dw of sum c * w**e, in the order of terms."""
+    return tuple((e - 1, c * e) for e, c in terms if e != 0)
 
-    The expansion variable w is the deviation from the anchor (t itself for
-    anchor 0, 1-t for anchor 1, the scaled variable x for the bulk series).
+
+def _sum_terms(terms: tuple, w: complex) -> complex:
+    return sum(c * _cpow(w, e) for e, c in terms)
+
+
+@dataclass(frozen=True)
+class BoundaryExpansion:
+    """A tau-function boundary form, normalization * w**p * sum c * w**e
+    plus a remainder of order w**remainder_exponent.
+
+    terms holds the (e, c) pairs, sorted by Re e; p is prefactor_exponent.
+    w is the deviation from the anchor (t itself for anchor 0, 1-t for
+    anchor 1, the scaled variable x for the bulk series). normalization
+    None marks the overall constant the expansion theorems leave
+    undetermined; evaluate then takes it as 1.
     """
 
     anchor: complex
-    terms: tuple  # of (exponent, coefficient) pairs
+    terms: tuple
     remainder_exponent: complex
+    prefactor_exponent: complex = 0.0
+    normalization: complex | None = None
 
     def __post_init__(self):
         fixed = tuple(sorted(((complex(e), complex(c)) for e, c in self.terms),
@@ -84,44 +93,8 @@ class TauSeries:
         object.__setattr__(self, "remainder_exponent", complex(self.remainder_exponent))
 
     def evaluate(self, w: complex) -> complex:
-        return sum(c * _cpow(w, e) for e, c in self.terms)
-
-    def derivative(self) -> "TauSeries":
-        terms = tuple((e - 1, c * e) for e, c in self.terms if e != 0)
-        return TauSeries(self.anchor, terms, self.remainder_exponent - 1)
-
-    def coefficient(self, exponent: complex, tol: float = 1e-12) -> complex:
-        for e, c in self.terms:
-            if abs(e - exponent) <= tol:
-                return c
-        return 0.0
-
-    def to_json_dict(self) -> dict:
-        def c2d(z):
-            return {"re": z.real, "im": z.imag}
-
-        return {
-            "anchor": c2d(self.anchor),
-            "terms": [{"exp": c2d(e), "coef": c2d(c)} for e, c in self.terms],
-            "remainder_exp": c2d(self.remainder_exponent),
-        }
-
-
-@dataclass(frozen=True)
-class BoundaryExpansion:
-    """A tau-function boundary form: normalization * w**p * (series in w).
-
-    normalization None marks the overall constant the expansion theorems
-    leave undetermined; evaluate then takes it as 1.
-    """
-
-    series: TauSeries
-    prefactor_exponent: complex = 0.0
-    normalization: complex | None = None
-
-    def evaluate(self, w: complex) -> complex:
         const = 1.0 if self.normalization is None else self.normalization
-        return const * _cpow(w, self.prefactor_exponent) * self.series.evaluate(w)
+        return const * _cpow(w, self.prefactor_exponent) * _sum_terms(self.terms, w)
 
     def log_derivatives(self, w: complex) -> tuple:
         """(d/dw)^k log(w**p * series) for k = 1, 2, 3: the jet a sigma-form
@@ -135,14 +108,31 @@ class BoundaryExpansion:
             raise ValueError("a seed needs w != 0: the log-derivatives are "
                              "singular at the expansion point")
         p = self.prefactor_exponent
-        s1 = self.series.derivative()
-        s2 = s1.derivative()
-        v, v1 = self.series.evaluate(w), s1.evaluate(w)
-        v2, v3 = s2.evaluate(w), s2.derivative().evaluate(w)
+        d1 = _derivative(self.terms)
+        d2 = _derivative(d1)
+        v, v1 = _sum_terms(self.terms, w), _sum_terms(d1, w)
+        v2, v3 = _sum_terms(d2, w), _sum_terms(_derivative(d2), w)
         return (p / w + v1 / v,
                 -p / w ** 2 + (v2 * v - v1 * v1) / v ** 2,
                 2 * p / w ** 3
                 + (v3 * v * v - 3 * v2 * v1 * v + 2 * v1 ** 3) / v ** 3)
+
+    def coefficient(self, exponent: complex) -> complex:
+        """The coefficient of the term whose exponent is within 1e-12, or 0."""
+        for e, c in self.terms:
+            if abs(e - exponent) <= 1e-12:
+                return c
+        return 0.0
+
+    def to_json_dict(self) -> dict:
+        def c2d(z):
+            return {"re": z.real, "im": z.imag}
+
+        return {
+            "anchor": c2d(self.anchor),
+            "terms": [{"exp": c2d(e), "coef": c2d(c)} for e, c in self.terms],
+            "remainder_exp": c2d(self.remainder_exponent),
+        }
 
 
 def _require_nondegenerate_sigma(sigma: complex) -> complex:
@@ -161,9 +151,7 @@ def pvi_tau_series(theta: ThetaVI, sigma: complex, s_hat: complex) -> BoundaryEx
     with remainder order 2(1 - Re sigma).
     """
     sigma = _require_nondegenerate_sigma(sigma)
-    s_hat = complex(s_hat)
-    if s_hat == 0:
-        raise DegenerateParameterError("s_hat", s_hat)
+    s_hat = _require_nonzero("s_hat", s_hat)
     th0, tht, th1, thi = theta.as_tuple()
 
     c1 = ((th0 ** 2 - tht ** 2 - sigma ** 2) * (thi ** 2 - th1 ** 2 - sigma ** 2)
@@ -172,13 +160,12 @@ def pvi_tau_series(theta: ThetaVI, sigma: complex, s_hat: complex) -> BoundaryEx
               / (16 * sigma ** 2 * (1 + sigma) ** 2))
     c_minus = (-(th0 ** 2 - (tht + sigma) ** 2) * (thi ** 2 - (th1 + sigma) ** 2)
                / (s_hat * 16 * sigma ** 2 * (1 - sigma) ** 2))
-    series = TauSeries(
+    return BoundaryExpansion(
         anchor=0.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sigma, c_plus), (1 - sigma, c_minus)),
         remainder_exponent=2 * (1 - sigma.real),
+        prefactor_exponent=(sigma ** 2 - th0 ** 2 - tht ** 2) / 4,
     )
-    prefactor = (sigma ** 2 - th0 ** 2 - tht ** 2) / 4
-    return BoundaryExpansion(series=series, prefactor_exponent=prefactor)
 
 
 def an_series(p: SSEParams) -> BoundaryExpansion:
@@ -203,13 +190,12 @@ def an_series(p: SSEParams) -> BoundaryExpansion:
          1 + p.mu + p.omega_bar),
         (sg + 2, sg + 2, sg + 1, complex(p.N), -p.N - sg))
     c_branch = sign / sin_pi(sg) * p.branch_bracket() * ratio
-    series = TauSeries(
+    return BoundaryExpansion(
         anchor=1.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sg, c_branch)),
         remainder_exponent=2.0,
+        normalization=barnes_prefactor(p.N, p.mu, p.omega1, p.omega2),
     )
-    norm = barnes_prefactor(p.N, p.mu, p.omega1, p.omega2)
-    return BoundaryExpansion(series=series, normalization=norm)
 
 
 def bulk_series(p: SSEParams) -> BoundaryExpansion:
@@ -233,12 +219,12 @@ def bulk_series(p: SSEParams) -> BoundaryExpansion:
          1 + p.mu + p.omega_bar),
         (sg + 2, sg + 2, sg + 1))
     c_branch = p.branch_bracket() * ratio / math.pi
-    series = TauSeries(
+    return BoundaryExpansion(
         anchor=0.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sg, c_branch)),
         remainder_exponent=2.0,
+        normalization=1.0,
     )
-    return BoundaryExpansion(series=series, normalization=1.0)
 
 
 def pv_tau_series(theta: ThetaV, sigma: complex, s_hat: complex) -> BoundaryExpansion:
@@ -248,9 +234,7 @@ def pv_tau_series(theta: ThetaV, sigma: complex, s_hat: complex) -> BoundaryExpa
     (sigma^2 - theta_inf^2)/4 and branch denominators 8 sigma^2 (1 +/- sigma)^2.
     """
     sigma = _require_nondegenerate_sigma(sigma)
-    s_hat = complex(s_hat)
-    if s_hat == 0:
-        raise DegenerateParameterError("s_hat", s_hat)
+    s_hat = _require_nonzero("s_hat", s_hat)
     th0, th1, thi = theta.as_tuple()
     for name, value in (("theta0", th0), ("theta1", th1)):
         if near_integer(value, tol=COMPUTED_INTEGER_TOL):
@@ -270,78 +254,12 @@ def pv_tau_series(theta: ThetaV, sigma: complex, s_hat: complex) -> BoundaryExpa
               / (8 * sigma ** 2 * (1 + sigma) ** 2))
     c_minus = (-(thi + sigma) * (th0 ** 2 - (th1 + sigma) ** 2)
                / (s_hat * 8 * sigma ** 2 * (1 - sigma) ** 2))
-    series = TauSeries(
+    return BoundaryExpansion(
         anchor=0.0,
         terms=((0.0, 1.0), (1.0, c1), (1 + sigma, c_plus), (1 - sigma, c_minus)),
         remainder_exponent=2 * (1 - sigma.real),
+        prefactor_exponent=(sigma ** 2 - thi ** 2) / 4,
     )
-    return BoundaryExpansion(series=series, prefactor_exponent=(sigma ** 2 - thi ** 2) / 4)
-
-
-@dataclass(frozen=True)
-class BulkParams:
-    """Okamoto-style root parameters of the alternative fifth sigma-form."""
-
-    v1: complex
-    v2: complex
-    v3: complex
-    v4: complex
-
-    def __post_init__(self):
-        for name in ("v1", "v2", "v3", "v4"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        # forming the roots from complex (mu, omega2) and summing them leaves
-        # at most 1.5 eps * max|v_i| (2e5 draws); allow 8
-        total = abs(self.v1 + self.v2 + self.v3 + self.v4)
-        if not total <= 8 * sys.float_info.epsilon * max(map(abs, self.as_tuple())):
-            raise ValueError(f"Okamoto parameters must sum to zero, got |sum| = {total!r}")
-
-    def as_tuple(self):
-        return (self.v1, self.v2, self.v3, self.v4)
-
-
-@dataclass(frozen=True)
-class SigmaMap:
-    """One family's affine map between tau and its sigma-function,
-
-        sigma(t) = scale(t) * d/dt log tau(t) + slope * t + intercept,
-
-    scale(t) = t (t - 1) for the sixth family (sixth=True), t for the fifth
-    and the bulk ones. sigma_ode.sigma_map builds it.
-    """
-
-    slope: complex
-    intercept: complex
-    sixth: bool = False
-
-    def scale(self, t: complex) -> complex:
-        return t * (t - 1) if self.sixth else t
-
-    def to_sigma(self, t: complex, scaled: complex) -> complex:
-        """sigma from scaled = scale(t) * d/dt log tau."""
-        return scaled + self.slope * t + self.intercept
-
-    def log_derivatives(self, t: complex, z: complex, z1: complex) -> tuple:
-        """(l1, l2) at t from (sigma, sigma') = (z, z1): jet inverted."""
-        a, da = self.scale(t), (2 * t - 1 if self.sixth else 1)
-        l1 = (z - self.slope * t - self.intercept) / a
-        return l1, (z1 - da * l1 - self.slope) / a
-
-    def jet(self, t: complex, l1: complex, l2: complex, l3: complex) -> tuple:
-        """(sigma, sigma', sigma'') at t from l_k = (d/dt)^k log tau."""
-        if self.sixth:
-            a, da = t * (t - 1), 2 * t - 1
-            return (self.to_sigma(t, a * l1), da * l1 + a * l2 + self.slope,
-                    2 * l1 + 2 * da * l2 + a * l3)
-        return (self.to_sigma(t, t * l1), l1 + t * l2 + self.slope,
-                2 * l2 + t * l3)
-
-
-def bulk_okamoto_params(p: SSEParams) -> BulkParams:
-    # The roots are the formal monodromy exponents of the associated fifth
-    # Painleve system, split as mu-pair then omega1-pair.
-    half = 0.5j * p.omega2
-    return BulkParams(p.mu - half, -p.mu - half, p.omega1 + half, -p.omega1 + half)
 
 
 def zeta0_series(s: complex, p: SSEParams) -> complex:

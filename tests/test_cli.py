@@ -854,6 +854,44 @@ def test_generic_monodromy_check_refuses_a_vanishing_coefficient(
     assert captured.err == f"parameter error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, violated", [
+    (["--s=1e100", "--sigma=0.5+200i"],
+     ["cyclic", "det_m0", "manifold", "two_point_0t", "connection_t1",
+      "connection_01"]),
+    (["--s=1e160"],
+     ["cyclic", "det_m0", "manifold", "two_point_0t", "connection_t1"]),
+])
+def test_nan_residual_is_a_violation(flags, violated, capsys):
+    # a nan is never above the tolerance, yet it is no pass either
+    assert main(["monodromy-check", "--thetat=0.3", *flags]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.err == "violated: " + ", ".join(violated) + "\n"
+    rows = dict(json.loads(captured.out)["rows"])
+    assert {name for name, value in rows.items() if not value <= 1e-10} \
+        == set(violated)
+    assert any(math.isnan(value) for value in rows.values())
+
+
+@pytest.mark.parametrize("s, code, err", [
+    ("1e-13", EXIT_BAD_PARAMS,
+     "parameter error: degenerate parameter: s_hat = (1e-13+0j)\n"),
+    ("1e-300", EXIT_BAD_PARAMS,
+     "parameter error: degenerate parameter: s_hat = (1e-300+0j)\n"),
+    ("0", EXIT_BAD_PARAMS, "parameter error: degenerate parameter: "
+                           "s_hat = 0j\n"),
+    ("1e-12", EXIT_OK, ""),
+])
+def test_ode_refuses_s_hat_below_the_degeneracy_tolerance(s, code, err,
+                                                          capsys):
+    # s-hat meets the |x| < 1e-12 test sigma, s_0t and r meet, not a step
+    # size underflow or a float-range error further on; at 1e-12 the series
+    # is built and seeds the one-point grid
+    assert main(["ode", f"--s={s}", "--grid-count=1"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (captured.out == "") == (code != EXIT_OK)
+
+
 def test_corrupt_s_is_not_a_flag(tmp_path, capsys):
     assert main(["monodromy-check", "--corrupt-s=1.001"]) == EXIT_BAD_PARAMS
     captured = capsys.readouterr()

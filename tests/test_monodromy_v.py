@@ -11,7 +11,6 @@ from taurmt.mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
 from taurmt.monodromy_v import (
     InconsistentKError,
     NonGenericError,
-    SSEPVMatrices,
     StokesData,
     ThetaV,
     hat_transform,
@@ -148,11 +147,11 @@ class TestHatTransform:
 
 
 def _hatted(sp):
-    return sp.data.hat_m0, sp.data.hat_m1, sp.data.hat_m_inf
+    return sp.hat_m0, sp.hat_m1, sp.hat_m_inf
 
 
 def _unhatted(sp):
-    return sp.data.m0, sp.data.m1, sp.data.m_inf
+    return sp.m0, sp.m1, sp.m_inf
 
 
 class TestSsePvMatrices:
@@ -166,7 +165,7 @@ class TestSsePvMatrices:
         assert abs(sp.stokes.s2 - SSE_SHAT1) < 1e-12
 
     def test_consistency_residuals(self):
-        res = sse_pv_matrices(P_STD).data.residuals()
+        res = sse_pv_matrices(P_STD).residuals()
         assert all(v < 1e-10 for v in res.values())
 
     def test_hat_transform_relates_both_sets(self):
@@ -186,12 +185,12 @@ class TestSsePvMatrices:
     def test_full_weight_kills_upper_left(self):
         p = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3, xi_star=1.0)
         sp = sse_pv_matrices(p)
-        assert sp.data.m0.a11 == 0
+        assert sp.m0.a11 == 0
 
     def test_hat_m_inf_leading_entry(self):
         sp = sse_pv_matrices(P_STD)
         lead = exp_pi_i(2 * P_STD.mu - 2 * P_STD.omega1)
-        assert abs(sp.data.hat_m_inf.a11 - lead) < 1e-13
+        assert abs(sp.hat_m_inf.a11 - lead) < 1e-13
 
     def test_multiplier_constraint(self):
         sp = sse_pv_matrices(P_STD)
@@ -294,11 +293,10 @@ def test_every_built_matrix_holds_complex_entries():
     for p in sse_draws:
         sse = sse_monodromy(p, 1.0).matrices
         pv = sse_pv_matrices(p)
-        d = pv.data
         lt = limit_transition_ii(sse.m0, sse.mt, -2 * p.omega1,
-                                 d.theta.theta_inf, sse.m_inf, sse.m1)
+                                 pv.theta.theta_inf, sse.m_inf, sse.m1)
         mats += [sse.m0, sse.mt, sse.m1, sse.m_inf,
-                 d.m0, d.m1, d.m_inf, d.hat_m0, d.hat_m1, d.hat_m_inf,
+                 pv.m0, pv.m1, pv.m_inf, pv.hat_m0, pv.hat_m1, pv.hat_m_inf,
                  pv.stokes.stokes_matrix_lower(),
                  pv.stokes.stokes_matrix_upper(),
                  lt.K, lt.s0_hat, lt.s1_hat, lt.hat_m0v, lt.hat_m1v,

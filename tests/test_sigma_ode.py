@@ -13,10 +13,12 @@ from taurmt import cli, sigma_ode, tau_series
 from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.sigma_ode import (
+    BulkParams,
     OdeSeed,
     SigmaTrajectory,
     StepSizeUnderflowError,
     TurningPointError,
+    bulk_okamoto_params,
     integrate,
     relation,
     seed_bulk,
@@ -25,14 +27,14 @@ from taurmt.sigma_ode import (
     sigma_map,
     tau_reconstruct,
 )
-from taurmt.tau_series import BulkParams, bulk_okamoto_params, bulk_series
+from taurmt.tau_series import bulk_series
 
 P_STD = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
 
 THETA6 = ThetaVI(0.3, 0.4, 0.5, 0.6)
 THETA5 = ThetaV(0.3, 0.5, 0.7)
 
-V_ZERO = BulkParams(0, 0, 0, 0)
+V_ZERO = BulkParams(0, 0, 0)
 V_STD = bulk_okamoto_params(P_STD)
 
 

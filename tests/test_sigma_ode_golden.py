@@ -33,15 +33,17 @@ from taurmt.monodromy_v import ThetaV
 from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.rmt_numerics import fredholm_log_derivatives
 from taurmt.sigma_ode import (
+    BulkParams,
     OdeSeed,
     TurningPointError,
+    bulk_okamoto_params,
     integrate,
     relation,
     seed_bulk,
     seed_v,
     seed_vi,
 )
-from taurmt.tau_series import BulkParams, bulk_okamoto_params, bulk_series
+from taurmt.tau_series import bulk_series
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 TRAJECTORIES = GOLDEN / "sigma_ode_trajectories.json"

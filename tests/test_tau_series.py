@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -16,15 +17,13 @@ from taurmt.monodromy_vi import (
     sse_monodromy,
 )
 from taurmt.rmt_numerics import fredholm_log_derivatives
-from taurmt.sigma_ode import sigma_map
+from taurmt.sigma_ode import BulkParams, bulk_okamoto_params, sigma_map
 from taurmt.tau_series import (
     GAP_E_CONSTANT,
     ZETA_PRIME_MINUS_ONE,
     BoundaryExpansion,
-    BulkParams,
-    TauSeries,
+    _cpow,
     an_series,
-    bulk_okamoto_params,
     bulk_series,
     gap_asymptotics,
     pv_tau_series,
@@ -35,29 +34,29 @@ from taurmt.tau_series import (
 P_STD = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
 
 
-class TestTauSeries:
+class TestBoundaryExpansionRecord:
     def test_terms_sorted_by_real_exponent(self):
-        s = TauSeries(0.0, ((1.45, 2.0), (0.0, 1.0), (0.55, 3.0)), 1.1)
+        s = BoundaryExpansion(0.0, ((1.45, 2.0), (0.0, 1.0), (0.55, 3.0)), 1.1)
         assert [e.real for e, _ in s.terms] == [0.0, 0.55, 1.45]
 
     def test_evaluate_principal_branch(self):
-        s = TauSeries(0.0, ((0.5j, 1.0),), 1.0)
+        s = BoundaryExpansion(0.0, ((0.5j, 1.0),), 1.0)
         w = -0.3 + 0.0j
         # principal log of a negative real has +i pi
         expected = cmath.exp(0.5j * (math.log(0.3) + 1j * math.pi))
         assert abs(s.evaluate(w) - expected) < 1e-14
 
     def test_integer_exponents_exact(self):
-        s = TauSeries(0.0, ((2.0, 1.0),), 3.0)
+        s = BoundaryExpansion(0.0, ((2.0, 1.0),), 3.0)
         assert s.evaluate(-0.5) == 0.25
 
     def test_derivative(self):
-        s = TauSeries(0.0, ((0.0, 1.0), (1.0, 3.0), (1.5, 2.0)), 2.0)
-        d = s.derivative()
-        assert abs(d.evaluate(0.25) - (3.0 + 3.0 * 0.25 ** 0.5)) < 1e-14
+        s = BoundaryExpansion(0.0, ((0.0, 1.0), (1.0, 3.0), (1.5, 2.0)), 2.0)
+        d = s.log_derivatives(0.25)[0] * s.evaluate(0.25)
+        assert abs(d - (3.0 + 3.0 * 0.25 ** 0.5)) < 1e-14
 
     def test_json_round_trip_shape(self):
-        s = TauSeries(1.0, ((0.0, 1.0), (1.7, 0.5 - 0.25j)), 2.0)
+        s = BoundaryExpansion(1.0, ((0.0, 1.0), (1.7, 0.5 - 0.25j)), 2.0)
         doc = json.loads(json.dumps(s.to_json_dict()))
         assert doc["anchor"]["re"] == 1.0
         assert doc["terms"][1]["exp"]["re"] == 1.7
@@ -71,20 +70,20 @@ class TestPviTauSeries:
     def test_reference_coefficients(self):
         exp = pvi_tau_series(self.THETA, 0.45, 2.0)
         assert abs(exp.prefactor_exponent - (-0.011875)) < 1e-15
-        assert abs(exp.series.coefficient(1.0) - 0.015559413580246914) < 1e-14
-        assert abs(exp.series.coefficient(1.45) - (-0.0091840254840651194)) < 1e-14
-        assert abs(exp.series.coefficient(0.55) - (-0.17504910213243547)) < 1e-13
-        assert abs(exp.series.remainder_exponent - 1.1) < 1e-14
+        assert abs(exp.coefficient(1.0) - 0.015559413580246914) < 1e-14
+        assert abs(exp.coefficient(1.45) - (-0.0091840254840651194)) < 1e-14
+        assert abs(exp.coefficient(0.55) - (-0.17504910213243547)) < 1e-13
+        assert abs(exp.remainder_exponent - 1.1) < 1e-14
 
     def test_branch_coefficient_vanishes_at_printed_zero(self):
         # theta0 = theta_t - sigma kills the s_hat term
         exp = pvi_tau_series(ThetaVI(0.3, 0.75, 0.5, 0.6), 0.45, 2.0)
-        assert abs(exp.series.coefficient(1.45)) < 1e-15
+        assert abs(exp.coefficient(1.45)) < 1e-15
 
     def test_inverse_branch_vanishes_symmetrically(self):
         # theta_inf = theta1 + sigma kills the 1/s_hat term
         exp = pvi_tau_series(ThetaVI(0.3, 0.4, 0.2, 0.65), 0.45, 2.0)
-        assert abs(exp.series.coefficient(0.55)) < 1e-15
+        assert abs(exp.coefficient(0.55)) < 1e-15
 
     def test_degenerate_sigma_rejected(self):
         with pytest.raises(DegenerateParameterError):
@@ -103,8 +102,8 @@ class TestAnSeries:
     def test_reference_coefficients(self):
         exp = an_series(P_STD)
         assert abs(exp.normalization - 1.408783256220043) < 1e-12
-        assert abs(exp.series.coefficient(1.0) - (-0.42857142857142857j)) < 1e-14
-        assert abs(exp.series.coefficient(1.7)
+        assert abs(exp.coefficient(1.0) - (-0.42857142857142857j)) < 1e-14
+        assert abs(exp.coefficient(1.7)
                    - (0.48063501972259318 + 0.014053588990369434j)) < 1e-12
 
     def test_reference_partial_sum(self):
@@ -113,7 +112,7 @@ class TestAnSeries:
 
     def test_real_weight_kills_linear_term(self):
         p = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.0, xi_star=0.5)
-        assert an_series(p).series.coefficient(1.0) == 0
+        assert an_series(p).coefficient(1.0) == 0
 
     def test_n_zero_rejected(self):
         with pytest.raises(DegenerateParameterError):
@@ -124,7 +123,7 @@ class TestAnSeries:
         # exponent sums, for any N
         for n in (1, 2, 5, 9):
             p = SSEParams(N=n, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
-            c = an_series(p).series.coefficient(1.7)
+            c = an_series(p).coefficient(1.7)
             assert c == c  # finite, not nan
 
     def test_integer_exponent_sum_rejected(self):
@@ -136,15 +135,15 @@ class TestBulkSeries:
     def test_reference_coefficients(self):
         exp = bulk_series(P_STD)
         assert exp.normalization == 1.0
-        assert abs(exp.series.coefficient(1.0) - (-0.21428571428571429j)) < 1e-14
-        assert abs(exp.series.coefficient(1.7)
+        assert abs(exp.coefficient(1.0) - (-0.21428571428571429j)) < 1e-14
+        assert abs(exp.coefficient(1.7)
                    - (0.11524218386917556 + 0.0033696385406638417j)) < 1e-13
 
     def test_zero_weight_leaves_sine_product(self):
         from taurmt.complexfn import sin_pi
         p = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.0)
-        base = bulk_series(p).series.coefficient(1.7)
-        full = bulk_series(P_STD).series.coefficient(1.7)
+        base = bulk_series(p).coefficient(1.7)
+        full = bulk_series(P_STD).coefficient(1.7)
         bracket0 = sin_pi(2 * p.mu) * sin_pi(p.mu + p.omega) / sin_pi(p.sigma)
         # at xi*=0 the coefficient is the pure sine product times the gammas
         ratio = base / bracket0
@@ -153,7 +152,7 @@ class TestBulkSeries:
 
     def test_zero_mu_kills_linear_term(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.1, omega2=0.3, xi_star=0.5)
-        assert bulk_series(p).series.coefficient(1.0) == 0
+        assert bulk_series(p).coefficient(1.0) == 0
 
     def test_sine_kernel_point_rejected(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
@@ -170,10 +169,10 @@ class TestBulkSeries:
             p = SSEParams(N=n, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
             fin = an_series(p)
             # analytic term: N mu (omega_bar - omega)/sigma * (x/N) is N-exact
-            assert abs(fin.series.coefficient(1.0) / n
-                       - bulk.series.coefficient(1.0)) < 1e-14 * n
-            ratio = (fin.series.coefficient(1 + sg)
-                     / (n ** (1 + sg) * bulk.series.coefficient(1 + sg)))
+            assert abs(fin.coefficient(1.0) / n
+                       - bulk.coefficient(1.0)) < 1e-14 * n
+            ratio = (fin.coefficient(1 + sg)
+                     / (n ** (1 + sg) * bulk.coefficient(1 + sg)))
             errs.append(abs(ratio - 1))
         assert errs[1] < 0.2 * errs[0]
         assert errs[2] < 0.2 * errs[1]
@@ -185,9 +184,9 @@ class TestPvTauSeries:
     def test_reference_coefficients(self):
         exp = pv_tau_series(self.THETA, 0.4, 1.5)
         assert abs(exp.prefactor_exponent - (-0.0825)) < 1e-15
-        assert abs(exp.series.coefficient(1.0) - (-0.35)) < 1e-14
-        assert abs(exp.series.coefficient(1.4) - (-0.014349489795918367)) < 1e-14
-        assert abs(exp.series.coefficient(0.6) - 1.1458333333333333) < 1e-13
+        assert abs(exp.coefficient(1.0) - (-0.35)) < 1e-14
+        assert abs(exp.coefficient(1.4) - (-0.014349489795918367)) < 1e-14
+        assert abs(exp.coefficient(0.6) - 1.1458333333333333) < 1e-13
 
     def test_theta_inf_equal_sigma_is_resonant(self):
         # every zero of a branch coefficient sits on a resonance line, so the
@@ -251,16 +250,30 @@ class TestBulkConversion:
     def test_okamoto_parameters(self):
         v = bulk_okamoto_params(P_STD)
         assert v.as_tuple() == (0.25 - 0.15j, -0.25 - 0.15j, 0.1 + 0.15j, -0.1 + 0.15j)
-        assert v.v1 + v.v2 + v.v3 + v.v4 == 0
+        assert sum(v.as_tuple()) == 0
 
-    def test_sum_constraint_enforced(self):
+    def test_non_finite_refused(self):
         with pytest.raises(ValueError):
-            BulkParams(0.1, 0.2, 0.3, 0.1)
-        # far above rounding, though tiny
-        with pytest.raises(ValueError):
-            BulkParams(1.0, -1.0, 1e-14, 0.0)
-        with pytest.raises(ValueError):
-            BulkParams(float("nan"), 0.0, 0.0, 0.0)
+            BulkParams(float("nan"), 0.0, 0.0)
+        # an infinite weight, and finite ones whose roots overflow
+        for draw in [(float("inf"), 0.0, 0.0), (1.5e308, 0.0, 1.5e308j)]:
+            with pytest.raises(ValueError, match="finite"):
+                BulkParams(*draw)
+
+    def test_roots_equal_the_okamoto_expressions_by_repr(self):
+        # the roots as bulk_okamoto_params formed them from (mu, omega2),
+        # signed zeros included
+        rng = random.Random(29)
+        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0),
+                 complex(-0.0, -0.0)]
+        for _ in range(300):
+            draw = [rng.choice(zeros) if rng.random() < 0.3
+                    else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                    for _ in range(3)]
+            mu, omega1, omega2 = map(complex, draw)
+            half = 0.5j * omega2
+            assert repr(BulkParams(*draw).as_tuple()) == repr(
+                (mu - half, -mu - half, omega1 + half, -omega1 + half))
 
     def test_complex_weight_accepted_unchanged(self):
         # the four roots of a complex (mu, omega2) sum to a few ulps, not to 0
@@ -268,7 +281,7 @@ class TestBulkConversion:
                       xi_star=0.5)
         half = 0.5j * p.omega2
         v = bulk_okamoto_params(p)
-        assert v.v1 + v.v2 + v.v3 + v.v4 != 0
+        assert sum(v.as_tuple()) != 0
         assert v.as_tuple() == (p.mu - half, -p.mu - half, p.omega1 + half,
                                 -p.omega1 + half)
 
@@ -350,8 +363,8 @@ class TestBranchBracket:
             p = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=xi)
             s_hat = sse_monodromy(p, 1.0).s_hat
             branch = 1 + p.sigma
-            ratios.append((an_series(p).series.coefficient(branch) / s_hat,
-                           bulk_series(p).series.coefficient(branch) / s_hat,
+            ratios.append((an_series(p).coefficient(branch) / s_hat,
+                           bulk_series(p).coefficient(branch) / s_hat,
                            p.branch_bracket() / s_hat))
         for row in ratios[1:]:
             for got, ref in zip(row, ratios[0]):
@@ -422,3 +435,88 @@ class TestLogDerivatives:
     def test_expansion_point_refused(self, exp):
         with pytest.raises(ValueError, match="expansion point"):
             exp.log_derivatives(0.0)
+
+
+class _ChainSeries:
+    """The two-record form of an expansion: the series alone, re-sorted on
+    every derivative. The reference BoundaryExpansion must equal bit for
+    bit."""
+
+    def __init__(self, terms):
+        self.terms = tuple(sorted(((complex(e), complex(c)) for e, c in terms),
+                                  key=lambda ec: ec[0].real))
+
+    def evaluate(self, w):
+        return sum(c * _cpow(w, e) for e, c in self.terms)
+
+    def derivative(self):
+        return _ChainSeries((e - 1, c * e) for e, c in self.terms if e != 0)
+
+
+def _chain_evaluate(exp, w):
+    const = 1.0 if exp.normalization is None else exp.normalization
+    return (const * _cpow(w, exp.prefactor_exponent)
+            * _ChainSeries(exp.terms).evaluate(w))
+
+
+def _chain_log_derivatives(exp, w):
+    p = exp.prefactor_exponent
+    series = _ChainSeries(exp.terms)
+    s1 = series.derivative()
+    s2 = s1.derivative()
+    v, v1 = series.evaluate(w), s1.evaluate(w)
+    v2, v3 = s2.evaluate(w), s2.derivative().evaluate(w)
+    return (p / w + v1 / v,
+            -p / w ** 2 + (v2 * v - v1 * v1) / v ** 2,
+            2 * p / w ** 3
+            + (v3 * v * v - 3 * v2 * v1 * v + 2 * v1 ** 3) / v ** 3)
+
+
+def _random_expansions(rng):
+    u = rng.uniform
+    theta6 = ThetaVI(*(0.3 + u(-0.05, 0.05) + 0.1 * k for k in range(4)))
+    theta5 = ThetaV(0.3 + u(-0.05, 0.05), 0.5 + u(-0.05, 0.05),
+                    0.7 + u(-0.05, 0.05))
+    sigma = complex(u(0.3, 0.5), u(-0.1, 0.1))
+    s_hat = complex(u(0.5, 2.0), u(-1.0, 1.0))
+    p = SSEParams(N=rng.randint(1, 6), mu=complex(u(0.05, 0.25), u(-0.1, 0.1)),
+                  omega1=u(0.0, 0.15), omega2=u(-0.5, 0.5),
+                  xi_star=complex(u(0.0, 1.0), u(-0.2, 0.2)))
+    return [pvi_tau_series(theta6, sigma, s_hat),
+            pv_tau_series(theta5, sigma, s_hat),
+            an_series(p), bulk_series(p),
+            # integer exponents only, the exact-power path of _cpow
+            BoundaryExpansion(0.0, ((2.0, u(-1, 1)), (0.0, 1.0), (1.0, u(-1, 1)),
+                                    (3.0, complex(u(-1, 1), u(-1, 1)))),
+                              4.0, prefactor_exponent=-1.0)]
+
+
+class TestOneRecordMatchesTheSeriesChain:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_evaluate_and_log_derivatives_bit_identical(self, seed):
+        rng = random.Random(seed)
+        points = [-rng.uniform(0.01, 0.9),
+                  complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+                  rng.uniform(0.01, 0.9)]
+        for exp in _random_expansions(rng):
+            for w in points:
+                assert exp.evaluate(w) == _chain_evaluate(exp, w)
+                assert exp.log_derivatives(w) == _chain_log_derivatives(exp, w)
+
+    def test_coefficient_within_the_fixed_tolerance(self):
+        exp = BoundaryExpansion(0.0, ((0.0, 1.0), (1.5, 2.0)), 2.0)
+        assert exp.coefficient(1.5 + 5e-13) == 2.0
+        assert exp.coefficient(1.5 + 5e-12) == 0.0
+
+
+class TestSHatDegeneracy:
+    @pytest.mark.parametrize("build, theta", [
+        (pvi_tau_series, ThetaVI(0.3, 0.4, 0.5, 0.6)),
+        (pv_tau_series, ThetaV(0.3, 0.5, 0.7)),
+    ])
+    def test_s_hat_below_the_degeneracy_tolerance_refused(self, build, theta):
+        for s_hat in (1e-13, -1e-13j, 0.0):
+            with pytest.raises(DegenerateParameterError, match="s_hat"):
+                build(theta, 0.4, s_hat)
+        exp = build(theta, 0.4, 1e-12)
+        assert exp.coefficient(1.4) != 0
