@@ -66,9 +66,12 @@ grid paths, --tol, runner and selftest. The monodromy residuals come
 from monodromy_vi and monodromy_v, labelled by the exponents and Stokes
 multipliers sse_pv_matrices returns; the one label given by hand is the
 coalescence limit's theta6 = -2 omega1. That label is the known odd-N
-defect: the SSE data carry theta_t = -N - 2 omega1, so at odd N no matching
-K exists and the check exits 3. The strict xfail
-test_sse_monodromy_check_passes_at_odd_n pins it (ROADMAP items 1 and 10).
+defect: the SSE data carry theta_t = -N - 2 omega1, so at odd N no valid
+matching K exists and the check exits 3 in one of three ways: "no common K
+solves both matching equations", "lower-left matching entry vanished" or
+"matched eigenvectors are parallel". Passing theta_t should end all three.
+The strict xfail test_sse_monodromy_check_passes_at_odd_n pins the defect
+(ROADMAP items 1 and 10).
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ from .monodromy_vi import (
     ThetaVI,
     check_generic,
     connection_sigmas,
+    manifold_residual,
     pvi_matrices,
     sse_monodromy,
     sse_offdiag_relation_residual,
@@ -481,11 +485,12 @@ def _generic_residuals(theta: ThetaVI, sigma, s, r) -> dict:
     if violations:
         raise ValueError("non-generic exponents: " + "; ".join(violations))
     mats = pvi_matrices(theta, sigma, s, r)
-    *_, p0t, pt1, p01 = mats.trace_coordinates()
+    coords = mats.trace_coordinates()
+    *_, p0t, pt1, p01 = coords
     cos_t1, cos_01 = connection_sigmas(theta, sigma, s)
     return {"cyclic": mats.cyclic_residual(),
             "det_m0": abs(det(mats.m0) - 1.0),
-            "manifold": abs(mats.manifold()),
+            "manifold": abs(manifold_residual(*coords)),
             "two_point_0t": abs(p0t - 2 * cmath.cos(math.pi * sigma)),
             "connection_t1": abs(pt1 - 2 * cos_t1),
             "connection_01": abs(p01 - 2 * cos_01)}
@@ -496,22 +501,21 @@ def _sse_residuals(p: SSEParams, r) -> dict:
     mats = sse.matrices
     out = {"cyclic": mats.cyclic_residual(),
            "off_diagonal_relation": sse_offdiag_relation_residual(sse),
-           "manifold": abs(mats.manifold())}
+           "manifold": abs(manifold_residual(*mats.trace_coordinates()))}
 
     pv = sse_pv_matrices(p)
-    for name, value in pv.residuals().items():
+    for name, value in pv.residuals.items():
         out["pv_" + name] = value
     thv = pv.theta
     out["stokes_constraint"] = pv.stokes.constraint_residual(thv.theta_inf,
                                                              pv.sigma)
 
-    lt = limit_transition_ii(mats.m0, mats.mt, -2 * p.omega1,
-                             thv.theta_inf, mats.m_inf, mats.m1)
-    for name, value in lt.residuals(mats.m0, mats.mt).items():
+    lt = limit_transition_ii(mats, -2 * p.omega1, thv.theta_inf)
+    for name, value in lt.residuals.items():
         out["limit_ii_" + name] = value
     out["limit_ii_hat_m0"] = max_diff(lt.hat_m0v, pv.hat_m0)
     out["limit_ii_hat_m1"] = max_diff(lt.hat_m1v, pv.hat_m1)
-    out["limit_ii_hat_m_inf"] = max_diff(lt.hat_m_inf_v(), pv.hat_m_inf)
+    out["limit_ii_hat_m_inf"] = max_diff(lt.hat_m_inf_v, pv.hat_m_inf)
     return out
 
 

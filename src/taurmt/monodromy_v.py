@@ -5,22 +5,22 @@ at infinity carrying two Stokes matrices. Two equivalent packagings of the
 monodromy data circulate: an unhatted set (M0, M1, Minf) with the cyclic
 relation Minf M1 M0 = I, and a hatted set related to it by conjugation with
 the first Stokes matrix, whose cyclic relation reads in the reversed order
-hat-M0 hat-M1 hat-Minf = I. This module bundles and checks both, with the
-Stokes multipliers they share (MonodromyDataV), converts between them
-(hat_transform), computes Stokes multipliers from the exponent data,
-carries out the coalescence limit that degenerates sixth-system monodromy
-into fifth-system Stokes data, and instantiates the explicit matrices of
-the spectrum-singularity ensemble's bulk limit, the one place both sets
-are built. There is no generic
-fifth-system parameterization and no s <-> s-hat map: the fifth system is
-reached only through that limit and those matrices.
+hat-M0 hat-M1 hat-Minf = I. This module bundles both, with the Stokes
+multipliers they share and their residuals (MonodromyDataV), converts
+between them (hat_transform), computes Stokes multipliers from the exponent
+data, degenerates a sixth-system record into fifth-system Stokes data with
+its residuals (limit_transition_ii), and instantiates the explicit matrices
+of the spectrum-singularity ensemble's bulk limit, the one place both sets
+are built. Each record forms its residuals once, when it is built. There is
+no generic fifth-system parameterization and no s <-> s-hat map: the fifth
+system is reached only through that limit and those matrices.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
@@ -31,7 +31,7 @@ from .complexfn import (
     sin_pi,
 )
 from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
-from .monodromy_vi import SSEParams, _require_nonzero
+from .monodromy_vi import MonodromyMatricesVI, SSEParams, _require_nonzero
 
 __all__ = [
     "NonGenericError",
@@ -110,8 +110,8 @@ class MonodromyDataV:
     """Bundled fifth-system monodromy data in both conventions, with the
     Stokes multipliers both share.
 
-    Both cyclic relations and the two-point trace identity are checked by
-    residuals(); factories that promise a consistent set call validate().
+    residuals, formed on construction and ignored by equality and hashing,
+    measures both cyclic relations and the two-point trace identity.
     """
 
     theta: ThetaV
@@ -123,22 +123,16 @@ class MonodromyDataV:
     hat_m0: Mat2
     hat_m1: Mat2
     hat_m_inf: Mat2
+    residuals: dict = field(init=False, compare=False)
 
-    def residuals(self) -> dict:
+    def __post_init__(self):
         cyc_u = mul(self.m_inf, mul(self.m1, self.m0))
         cyc_h = mul(self.hat_m0, mul(self.hat_m1, self.hat_m_inf))
-        return {
+        object.__setattr__(self, "residuals", {
             "cyclic_unhatted": max_diff(cyc_u, IDENTITY),
             "cyclic_hatted": max_diff(cyc_h, IDENTITY),
             "trace_sigma": abs(tr(mul(self.hat_m0, self.hat_m1)) - 2 * cos_pi(self.sigma)),
-        }
-
-    def validate(self) -> "MonodromyDataV":
-        res = self.residuals()
-        bad = {k: v for k, v in res.items() if v > _CONSISTENCY_TOL}
-        if bad:
-            raise InconsistentKError(f"monodromy data fails consistency checks: {bad}")
-        return self
+        })
 
 
 def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
@@ -174,7 +168,9 @@ def hat_transform(s1_matrix: Mat2, m0: Mat2, m1: Mat2, m_inf: Mat2):
 
 @dataclass(frozen=True)
 class LimitIIResult:
-    """Output of the coalescence limit from the sixth to the fifth system."""
+    """Output of the coalescence limit from the sixth to the fifth system:
+    Stokes data, K, the hatted set and residuals (k_equation_1, k_equation_2,
+    cyclic_hatted), which equality and hashing ignore."""
 
     T: complex
     l: complex
@@ -185,28 +181,8 @@ class LimitIIResult:
     K: Mat2
     hat_m0v: Mat2
     hat_m1v: Mat2
-    theta6: complex
-    theta_inf_v: complex
-
-    def hat_m_inf_v(self) -> Mat2:
-        e_diag = Mat2.diag(exp_pi_i(self.theta_inf_v), exp_pi_i(-self.theta_inf_v))
-        return mul(self.s0_hat, mul(self.s1_hat, e_diag))
-
-    def residuals(self, m0_vi: Mat2, mt_vi: Mat2) -> dict:
-        """Deviation of K from both of its defining equations, plus cyclic."""
-        k_inv = inv(self.K)
-        lhs1 = mul(self.K, mul(mt_vi, k_inv))
-        rhs1 = mul(self.s0_hat, Mat2.diag(exp_pi_i(self.theta6), exp_pi_i(-self.theta6)))
-        lhs2 = mul(self.K, mul(m0_vi, k_inv))
-        rhs2 = mul(Mat2.diag(exp_pi_i(-self.theta6), exp_pi_i(self.theta6)),
-                   mul(self.s1_hat,
-                       Mat2.diag(exp_pi_i(self.theta_inf_v), exp_pi_i(-self.theta_inf_v))))
-        cyc = mul(self.hat_m0v, mul(self.hat_m1v, self.hat_m_inf_v()))
-        return {
-            "k_equation_1": max_diff(lhs1, rhs1),
-            "k_equation_2": max_diff(lhs2, rhs2),
-            "cyclic_hatted": max_diff(cyc, IDENTITY),
-        }
+    hat_m_inf_v: Mat2
+    residuals: dict = field(compare=False)
 
 
 def _eigenvector(m: Mat2, lam: complex):
@@ -227,18 +203,21 @@ def _eigenvector(m: Mat2, lam: complex):
     return (-rb / ra, 1.0 + 0.0j)
 
 
-def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: complex,
-                        m_inf_vi: Mat2, m1_vi: Mat2) -> LimitIIResult:
-    """Degenerate a sixth-system monodromy pair into fifth-system Stokes data.
+def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
+                        theta_inf_v: complex) -> LimitIIResult:
+    """Degenerate sixth-system monodromy matrices into fifth-system Stokes data.
 
-    T is the trace of the product of shifted matrices; l solves
+    T is the trace of the product of shifted mats.mt and mats.m0; l solves
     2 cos(pi l) = 2 cos(pi theta_inf_v) + T, with the branch chosen so that
     Im(l) >= 0 (ties at real l broken toward Re(l) <= 0, which reproduces the
     spectrum-singularity labeling). The matching matrix K is built by
-    aligning the eigenvectors of m0_vi and mt_vi with the triangular
+    aligning the eigenvectors of mats.m0 and mats.mt with the triangular
     right-hand sides, scaled so the lower-left Stokes entry comes out right,
-    normalized to det K = 1, and sign-fixed by Re(K11) >= 0.
+    normalized to det K = 1, and sign-fixed by Re(K11) >= 0; it carries
+    mats.m_inf and mats.m1 into the hatted set. A K residual above 1e-10,
+    or nan, is refused.
     """
+    m0_vi, mt_vi = mats.m0, mats.mt
     theta6 = complex(theta6)
     theta_inf_v = complex(theta_inf_v)
 
@@ -299,17 +278,24 @@ def limit_transition_ii(m0_vi: Mat2, mt_vi: Mat2, theta6: complex, theta_inf_v: 
     if pivot.real < 0 or (pivot.real == 0 and pivot.imag < 0):
         k = Mat2(-k.a11, -k.a12, -k.a21, -k.a22)
 
-    hat_m0v = mul(k, mul(m_inf_vi, inv(k)))
-    hat_m1v = mul(k, mul(m1_vi, inv(k)))
-
-    result = LimitIIResult(T=T, l=l, alpha=alpha, beta=beta, s0_hat=s0_mat, s1_hat=s1_mat,
-                           K=k, hat_m0v=hat_m0v, hat_m1v=hat_m1v, theta6=theta6,
-                           theta_inf_v=theta_inf_v)
-    res = result.residuals(m0_vi, mt_vi)
-    if res["k_equation_1"] > _CONSISTENCY_TOL or res["k_equation_2"] > _CONSISTENCY_TOL:
+    k_inv = inv(k)
+    hat_m0v = mul(k, mul(mats.m_inf, k_inv))
+    hat_m1v = mul(k, mul(mats.m1, k_inv))
+    s1_e_inf = mul(s1_mat, Mat2.diag(exp_pi_i(theta_inf_v), exp_pi_i(-theta_inf_v)))
+    hat_m_inf_v = mul(s0_mat, s1_e_inf)
+    rhs1 = mul(s0_mat, Mat2.diag(exp_pi_i(theta6), exp_pi_i(-theta6)))
+    rhs2 = mul(Mat2.diag(exp_pi_i(-theta6), exp_pi_i(theta6)), s1_e_inf)
+    res = {
+        "k_equation_1": max_diff(mul(k, mul(mt_vi, k_inv)), rhs1),
+        "k_equation_2": max_diff(mul(k, mul(m0_vi, k_inv)), rhs2),
+        "cyclic_hatted": max_diff(mul(hat_m0v, mul(hat_m1v, hat_m_inf_v)), IDENTITY),
+    }
+    if not (res["k_equation_1"] <= _CONSISTENCY_TOL and res["k_equation_2"] <= _CONSISTENCY_TOL):
         raise InconsistentKError(
             f"no common K solves both matching equations: residuals {res}")
-    return result
+    return LimitIIResult(T=T, l=l, alpha=alpha, beta=beta, s0_hat=s0_mat, s1_hat=s1_mat,
+                         K=k, hat_m0v=hat_m0v, hat_m1v=hat_m1v, hat_m_inf_v=hat_m_inf_v,
+                         residuals=res)
 
 
 def _minus_scalar(m: Mat2, e: complex) -> Mat2:
@@ -330,7 +316,7 @@ def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
     multipliers; the unhatted set is pinned to the gauge r = -2 mu, which is
     the value that makes its Stokes multipliers match the explicit ones. The
     two sets are verified to be hat-transform images of each other and to
-    satisfy their cyclic relations.
+    satisfy their cyclic relations; a residual above 1e-10, or nan, is refused.
     """
     mu, w1 = p.mu, p.omega1
     om, omb = p.omega, p.omega_bar
@@ -388,14 +374,17 @@ def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
         theta=sse_theta_v(p), sigma=2 * mu + 2 * w1, stokes=stokes,
         m0=m0, m1=m1, m_inf=m_inf,
         hat_m0=hat_m0, hat_m1=hat_m1, hat_m_inf=hat_m_inf,
-    ).validate()
+    )
+    bad = {k: v for k, v in data.residuals.items() if not v <= _CONSISTENCY_TOL}
+    if bad:
+        raise InconsistentKError(f"monodromy data fails consistency checks: {bad}")
 
     # the two printed sets must be images of each other under the hat
     # transform built from the lower Stokes matrix
     ht = hat_transform(stokes.stokes_matrix_lower(), m0, m1, m_inf)
     ref = (hat_m0, hat_m1, hat_m_inf)
     dev = max(max_diff(a, b) for a, b in zip(ht, ref))
-    if dev > _CONSISTENCY_TOL * max(1.0, max(m.norm_max() for m in ref)):
+    if not dev <= _CONSISTENCY_TOL * max(1.0, max(m.norm_max() for m in ref)):
         raise InconsistentKError(f"printed matrix sets disagree under hat transform: {dev}")
 
     return data

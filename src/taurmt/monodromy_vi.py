@@ -98,7 +98,7 @@ def check_generic(theta: ThetaVI, sigma_0t: complex) -> tuple:
 
 @dataclass(frozen=True)
 class MonodromyMatricesVI:
-    """The four monodromy matrices M0, Mt, M1 and Minf."""
+    """The four monodromy matrices M0, Mt, M1, Minf: the coalescence limit's input."""
 
     m0: Mat2
     mt: Mat2
@@ -114,10 +114,6 @@ class MonodromyMatricesVI:
         m0, mt, m1 = self.m0, self.mt, self.m1
         return (tr(m0), tr(mt), tr(m1), tr(self.m_inf),
                 tr(mul(mt, m0)), tr(mul(m1, mt)), tr(mul(m1, m0)))
-
-    def manifold(self) -> complex:
-        """manifold_residual of these matrices' trace coordinates."""
-        return manifold_residual(*self.trace_coordinates())
 
     def residuals(self, theta: ThetaVI) -> dict:
         """Deviations from the defining identities (all should be ~0)."""

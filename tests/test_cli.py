@@ -892,6 +892,17 @@ def test_ode_refuses_s_hat_below_the_degeneracy_tolerance(s, code, err,
     assert (captured.out == "") == (code != EXIT_OK)
 
 
+def test_nan_fifth_system_residuals_are_a_consistency_failure(capsys):
+    # at xi = 1e200 every fifth-system residual is nan; the data are refused
+    # for it, as xi = 1e150 is for its huge ones, before the coalescence limit
+    assert main(["monodromy-check", "--xi=1e200"]) == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parameter error: monodromy data fails consistency checks: "
+        "{'cyclic_unhatted': nan, 'cyclic_hatted': nan, 'trace_sigma': nan}\n")
+
+
 def test_corrupt_s_is_not_a_flag(tmp_path, capsys):
     assert main(["monodromy-check", "--corrupt-s=1.001"]) == EXIT_BAD_PARAMS
     captured = capsys.readouterr()

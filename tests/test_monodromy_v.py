@@ -1,12 +1,15 @@
 """Tests for the fifth-system monodromy and Stokes machinery."""
 
 import cmath
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 
 from taurmt.complexfn import GammaPoleError, exp_pi_i
+from taurmt import monodromy_v
 from taurmt.mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
 from taurmt.monodromy_v import (
     InconsistentKError,
@@ -165,7 +168,7 @@ class TestSsePvMatrices:
         assert abs(sp.stokes.s2 - SSE_SHAT1) < 1e-12
 
     def test_consistency_residuals(self):
-        res = sse_pv_matrices(P_STD).residuals()
+        res = sse_pv_matrices(P_STD).residuals
         assert all(v < 1e-10 for v in res.values())
 
     def test_hat_transform_relates_both_sets(self):
@@ -181,6 +184,27 @@ class TestSsePvMatrices:
         sd = stokes_from_sigma(sse_theta_v(P_STD), P_STD.sigma, -2 * P_STD.mu)
         assert abs(sd.s1 - sp.stokes.s1) < 1e-12
         assert abs(sd.s2 - sp.stokes.s2) < 1e-12
+
+    def test_nan_residuals_refused(self):
+        # a nan is never at or below the tolerance, so it is no pass
+        p = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=1e200)
+        with pytest.raises(InconsistentKError, match=re.escape(
+                "monodromy data fails consistency checks: {'cyclic_unhatted': "
+                "nan, 'cyclic_hatted': nan, 'trace_sigma': nan}")):
+            sse_pv_matrices(p)
+
+    def test_rebuilt_record_forms_its_own_residuals(self):
+        sp = sse_pv_matrices(P_STD)
+        skewed = dataclasses.replace(sp, m0=sp.m0._replace(a12=sp.m0.a12 * 1.001))
+        cyc = mul(skewed.m_inf, mul(skewed.m1, skewed.m0))
+        assert skewed.residuals["cyclic_unhatted"] == max_diff(cyc, IDENTITY)
+        assert skewed.residuals["cyclic_unhatted"] > 1e-4
+        assert skewed.residuals["cyclic_hatted"] == sp.residuals["cyclic_hatted"]
+
+    def test_record_hashes_and_compares_by_its_matrices(self):
+        sp, again = sse_pv_matrices(P_STD), sse_pv_matrices(P_STD)
+        assert sp == again and hash(sp) == hash(again)
+        assert sp != dataclasses.replace(sp, m0=sp.m0._replace(a12=sp.m0.a12 * 1.001))
 
     def test_full_weight_kills_upper_left(self):
         p = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3, xi_star=1.0)
@@ -207,8 +231,7 @@ class TestLimitTransitionII:
 
     def run_limit(self):
         m = self.mats
-        return limit_transition_ii(m.m0, m.mt, self.theta6, self.theta_inf_v,
-                                   m.m_inf, m.m1)
+        return limit_transition_ii(m, self.theta6, self.theta_inf_v)
 
     def test_scalar_invariants(self):
         res = self.run_limit()
@@ -226,22 +249,38 @@ class TestLimitTransitionII:
         res = self.run_limit()
         assert max_diff(res.hat_m0v, SSE_HAT_M0) < 1e-9
         assert max_diff(res.hat_m1v, SSE_HAT_M1) < 1e-9
-        assert max_diff(res.hat_m_inf_v(), SSE_HAT_MINF) < 1e-9
+        assert max_diff(res.hat_m_inf_v, SSE_HAT_MINF) < 1e-9
 
     def test_k_solves_both_equations(self):
         res = self.run_limit()
-        rr = res.residuals(self.mats.m0, self.mats.mt)
+        rr = res.residuals
         assert rr["k_equation_1"] < 1e-10
         assert rr["k_equation_2"] < 1e-10
         assert rr["cyclic_hatted"] < 1e-10
         assert abs(det(res.K) - 1.0) < 1e-12
         assert res.K.a11.real >= 0
 
+    def test_hat_m_inf_is_the_stokes_product(self):
+        res = self.run_limit()
+        e_diag = Mat2.diag(exp_pi_i(self.theta_inf_v), exp_pi_i(-self.theta_inf_v))
+        # bit for bit: repr tells -0.0 from 0.0 as well
+        assert repr(res.hat_m_inf_v) == repr(mul(res.s0_hat, mul(res.s1_hat, e_diag)))
+
+    def test_result_hashes_and_compares_by_its_matrices(self):
+        res, again = self.run_limit(), self.run_limit()
+        assert res == again and hash(res) == hash(again)
+        assert res != dataclasses.replace(res, K=IDENTITY)
+
+    def test_nan_k_residual_refused(self, monkeypatch):
+        # the K equations are measured by max_diff; a nan there is no pass
+        monkeypatch.setattr(monodromy_v, "max_diff", lambda a, b: math.nan)
+        with pytest.raises(InconsistentKError, match="k_equation_1': nan"):
+            self.run_limit()
+
     def test_result_independent_of_vi_gauge(self):
         sm2 = sse_monodromy(P_EVEN, r=0.7 - 0.3j)
         m = sm2.matrices
-        res = limit_transition_ii(m.m0, m.mt, self.theta6, self.theta_inf_v,
-                                  m.m_inf, m.m1)
+        res = limit_transition_ii(m, self.theta6, self.theta_inf_v)
         assert max_diff(res.hat_m0v, SSE_HAT_M0) < 1e-9
         assert max_diff(res.hat_m1v, SSE_HAT_M1) < 1e-9
 
@@ -255,10 +294,9 @@ class TestLimitTransitionII:
                             draw(0.15, 0.85), draw(0.15, 0.85))
             mats = pvi_matrices(theta, draw(0.25, 0.75),
                                 random_unit(rng), random_unit(rng))
-            res = limit_transition_ii(mats.m0, mats.mt, theta.theta_t,
-                                      theta.theta0 + theta.theta_t,
-                                      mats.m_inf, mats.m1)
-            rr = res.residuals(mats.m0, mats.mt)
+            res = limit_transition_ii(mats, theta.theta_t,
+                                      theta.theta0 + theta.theta_t)
+            rr = res.residuals
             assert rr["cyclic_hatted"] < 1e-10
             assert rr["k_equation_1"] < 1e-10
             assert rr["k_equation_2"] < 1e-10
@@ -266,13 +304,15 @@ class TestLimitTransitionII:
     def test_vanishing_shifted_product_rejected(self):
         lam = exp_pi_i(-self.theta6)
         with pytest.raises(NonGenericError):
-            limit_transition_ii(self.mats.m0, Mat2.diag(lam, lam), self.theta6,
-                                self.theta_inf_v, self.mats.m_inf, self.mats.m1)
+            limit_transition_ii(dataclasses.replace(self.mats, mt=Mat2.diag(lam, lam)),
+                                self.theta6, self.theta_inf_v)
 
     def test_mismatched_exponent_rejected(self):
-        with pytest.raises(InconsistentKError):
-            limit_transition_ii(self.mats.m0, self.mats.mt, self.theta6 + 0.13,
-                                self.theta_inf_v, self.mats.m_inf, self.mats.m1)
+        with pytest.raises(InconsistentKError, match=
+                           r"^no common K solves both matching equations: residuals "
+                           r"\{'k_equation_1': \S+, 'k_equation_2': \S+, "
+                           r"'cyclic_hatted': \S+\}$"):
+            limit_transition_ii(self.mats, self.theta6 + 0.13, self.theta_inf_v)
 
 
 def test_every_built_matrix_holds_complex_entries():
@@ -293,14 +333,13 @@ def test_every_built_matrix_holds_complex_entries():
     for p in sse_draws:
         sse = sse_monodromy(p, 1.0).matrices
         pv = sse_pv_matrices(p)
-        lt = limit_transition_ii(sse.m0, sse.mt, -2 * p.omega1,
-                                 pv.theta.theta_inf, sse.m_inf, sse.m1)
+        lt = limit_transition_ii(sse, -2 * p.omega1, pv.theta.theta_inf)
         mats += [sse.m0, sse.mt, sse.m1, sse.m_inf,
                  pv.m0, pv.m1, pv.m_inf, pv.hat_m0, pv.hat_m1, pv.hat_m_inf,
                  pv.stokes.stokes_matrix_lower(),
                  pv.stokes.stokes_matrix_upper(),
                  lt.K, lt.s0_hat, lt.s1_hat, lt.hat_m0v, lt.hat_m1v,
-                 lt.hat_m_inf_v()]
+                 lt.hat_m_inf_v]
     for theta, sigma, s, r in generic_draws:
         m = pvi_matrices(theta, sigma, s, r)
         mats += [m.m0, m.mt, m.m1, m.m_inf]
