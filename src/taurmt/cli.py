@@ -6,6 +6,10 @@ key=value config file, and flags (flags win), runs one computation, and
 writes one table to --output or stdout as JSON or CSV. Identical
 configurations produce byte-identical bytes: numbers are written through
 repr, JSON keys are sorted, and nothing records clocks or machine state.
+The JSON of ode also carries the flow's work counters under a top-level
+diagnostics key: accepted, rejected and re-projected steps, detours round
+a turning point, and the shortest step (null when no step was taken);
+the CSV holds the table alone.
 
 Exit codes: 0 success, 2 identity violation (monodromy-check or
 --selftest), 3 degenerate or invalid parameters, 4 numerical
@@ -56,12 +60,14 @@ the flag.
 The commands compose library calls and re-derive none. The tau <-> sigma
 maps are sigma_ode.sigma_map. ode and bulk seed one flow at the first
 grid point and pass it through the rest, so a one-point grid prints the
-seed row. bulk takes the sine-kernel point when mu, omega1 and omega2 are
-each within complexfn.INPUT_INTEGER_TOL of 0; its seed there (_gap_seed)
-is the bulk sigma map's jet of the Fredholm log-derivatives, and the same
-jet at each grid point gives the h_fredholm column. The rebuilt average
-of bulk is sigma_ode.tau_reconstruct of the flow, from the series value
-at the first grid point. _COMMANDS holds each command's grid defaults,
+seed row; ode prints every node of the flow, those of its detours off
+the real axis included. bulk takes the sine-kernel point when mu, omega1
+and omega2 are each within complexfn.INPUT_INTEGER_TOL of 0; its seed
+there (_gap_seed) is the bulk sigma map's jet of the Fredholm
+log-derivatives, and the same jet at each grid point gives the
+h_fredholm column. The rebuilt average of bulk is
+sigma_ode.tau_reconstruct of the flow, from the series value at the
+first grid point. _COMMANDS holds each command's grid defaults,
 grid paths, --tol, runner and selftest. The monodromy residuals come
 from monodromy_vi and monodromy_v, labelled by the exponents and Stokes
 multipliers sse_pv_matrices returns; the one label given by hand is the
@@ -618,8 +624,13 @@ def cmd_ode(cfg: RunConfig) -> int:
         seed = seed_bulk(p, exp, ts[0])
         params = bulk_okamoto_params(p)
     traj = integrate(params, seed, ts, tol=cfg.tol)
+    # min_step is inf when no step was taken, which JSON cannot hold
+    diagnostics = {"accepted": traj.accepted, "rejected": traj.rejected,
+                   "reprojected": traj.reprojected, "detours": traj.detours,
+                   "min_step": (traj.min_step if traj.accepted else None)}
     _emit_table(cfg, ("t_re", "t_im", "zeta_re", "zeta_im", "dzeta_re",
-                      "dzeta_im", "residual"), _trajectory_rows(traj))
+                      "dzeta_im", "residual"), _trajectory_rows(traj),
+                extra={"diagnostics": diagnostics})
     return EXIT_OK
 
 
@@ -762,7 +773,7 @@ def cmd_bulk(cfg: RunConfig) -> int:
     exp = bulk_series(p)
     traj = integrate(bulk_okamoto_params(p), seed_bulk(p, exp, xs[0]), xs,
                      tol=1e-10)
-    # grid points are nodes; the fourth-order rebuild needs no finer step
+    # grid points are nodes; the sixth-order rebuild needs no finer step
     a_ode = dict(tau_reconstruct(traj, exp.evaluate(xs[0])))
     rows = []
     for x, r in zip(xs, bulk_limit_grid(xs, p, dims)):

@@ -266,7 +266,7 @@ def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
     # scales (K mt K^-1)_21 by 1/x... fix x so that entry equals s_hat0 e^{pi i theta6}
     probe = mul(k, mul(mt_vi, k_inv))
     target = s_hat0 * exp_pi_i(theta6)
-    if abs(probe.a21) < 1e-300:
+    if not abs(probe.a21) >= 1e-300:  # nan too
         raise InconsistentKError("lower-left matching entry vanished; no valid K")
     x = target / probe.a21
     k_inv = Mat2(x * v0[0], vt[0], x * v0[1], vt[1])

@@ -47,7 +47,7 @@ class DegenerateParameterError(ValueError):
 
 def _require_nonzero(name: str, value: complex) -> complex:
     value = complex(value)
-    if abs(value) < _DEGEN_TOL:
+    if not abs(value) >= _DEGEN_TOL:  # nan too
         raise DegenerateParameterError(name, value)
     return value
 

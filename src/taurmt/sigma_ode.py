@@ -31,16 +31,28 @@ points, which the integrator and every other caller evaluate. sigma_map,
 relation, integrate and the seeds raise TypeError for any other parameter
 object.
 
-The integrator steps this third-order system with an adaptive embedded
-Runge-Kutta pair and monitors the original second-degree relation as a
-conserved constraint, re-projecting z'' onto the nearest root whenever the
-scaled residual drifts above the tolerance. Solutions that ride a double
-root of the quadratic identically (linear-in-t solutions other than fixed
-points) are not followed; they form a measure-zero family the flow above
-does not see. A trajectory records its parameter object, so
+The integrator steps this third-order system with the Dormand-Prince
+8(5,3) pair of Hairer, Norsett and Wanner (Solving Ordinary Differential
+Equations I, 2nd ed., Springer 1993: the code DOP853) and monitors the
+original second-degree relation as a conserved constraint, re-projecting
+z'' onto the nearest root whenever the scaled residual drifts above the
+tolerance. Solutions that ride a double root of the quadratic identically
+(linear-in-t solutions other than fixed points) are not followed; they
+form a measure-zero family the flow above does not see.
+
+The sixth-system turning points z' = 0 are movable: the leading
+coefficient vanishes there, but sigma is analytic. A straight path
+through one meets a singular point of the flow, not of sigma, and the
+flow may leave it on the reflected solution that the second-degree
+relation also admits (z' -> -z'), with no error raised. So the integrator
+goes round each one it sees ahead, on a fixed polygon in the complex
+plane, and rejoins the path (Fornberg and Weideman's pole vaulting,
+J. Comput. Phys. 230 (2011) 5957, applied to the zeros of the leading
+coefficient). A trajectory records its parameter object, so
 tau_reconstruct needs only tau at the first node: it rebuilds tau on the
-integrator's own nodes, through the trajectory's own sigma map, by a
-fourth-order rule that reads the sigma' each node stores.
+integrator's own nodes, detours included, through the trajectory's own
+sigma map, by a sixth-order rule that reads the sigma' and sigma'' each
+node stores.
 """
 
 from __future__ import annotations
@@ -89,8 +101,8 @@ class StepSizeUnderflowError(RuntimeError):
 
 
 def _sixth_form(theta: ThetaVI):
-    """(pieces, third, r_tz, turning, singular points) of the sixth-system
-    form."""
+    """(pieces, third, r_tz, turning, turning estimate, singular points) of
+    the sixth-system form."""
     th0, tht, th1, thi = theta.as_tuple()
     c0 = (tht ** 2 - thi ** 2) * (th0 ** 2 - th1 ** 2) / 16
     e0, e1, e2, e3 = (0.25 * (tht + thi) ** 2, 0.25 * (tht - thi) ** 2,
@@ -137,12 +149,17 @@ def _sixth_form(theta: ThetaVI):
     def turning(t, z, z1):
         return abs(z1) <= 1e-12 * max(1.0, abs(z))
 
-    return pieces, third, r_tz, turning, (0j, 1 + 0j)
+    # the Newton estimate of the zero of z' nearest t
+    def turning_estimate(t, z1, z2):
+        return t - z1 / z2
+
+    return pieces, third, r_tz, turning, turning_estimate, (0j, 1 + 0j)
 
 
 def _fifth_form(shift: complex, roots: tuple):
-    """(pieces, third, r_tz, turning, singular points) of a fifth form with
-    quartic roots roots."""
+    """(pieces, third, r_tz, turning, turning estimate, singular points) of
+    a fifth form with quartic roots roots; its leading coefficient vanishes
+    only at the fixed singular point, so it has no turning estimate."""
     r0, r1, r2, r3 = roots
 
     def pieces(t, z, z1):
@@ -175,7 +192,7 @@ def _fifth_form(shift: complex, roots: tuple):
     def turning(t, z, z1):
         return abs(t) <= 1e-12
 
-    return pieces, third, r_tz, turning, (0j,)
+    return pieces, third, r_tz, turning, None, (0j,)
 
 
 @dataclass(frozen=True)
@@ -199,11 +216,18 @@ class SigmaMap:
         """sigma from scaled = scale(t) * d/dt log tau."""
         return scaled + self.slope * t + self.intercept
 
-    def log_derivatives(self, t: complex, z: complex, z1: complex) -> tuple:
-        """(l1, l2) at t from (sigma, sigma') = (z, z1): jet inverted."""
-        a, da = self.scale(t), (2 * t - 1 if self.sixth else 1)
+    def log_derivatives(self, t: complex, z: complex, z1: complex,
+                        z2: complex) -> tuple:
+        """(l1, l2, l3) at t from (sigma, sigma', sigma'') = (z, z1, z2):
+        jet inverted."""
+        a = self.scale(t)
         l1 = (z - self.slope * t - self.intercept) / a
-        return l1, (z1 - da * l1 - self.slope) / a
+        if self.sixth:
+            da = 2 * t - 1
+            l2 = (z1 - da * l1 - self.slope) / a
+            return l1, l2, (z2 - 2 * l1 - 2 * da * l2) / a
+        l2 = (z1 - l1 - self.slope) / a
+        return l1, l2, (z2 - 2 * l2) / a
 
     def jet(self, t: complex, l1: complex, l2: complex, l3: complex) -> tuple:
         """(sigma, sigma', sigma'') at t from l_k = (d/dt)^k log tau."""
@@ -294,6 +318,9 @@ def relation(params) -> SimpleNamespace:
     closure the integrator's stages call: it forms L, L_t, L_z' and R_z'
     and nothing else; roots(t, z, z1) are both z'' roots. third and roots
     raise TurningPointError at a zero of L. All take complex arguments.
+    turning_estimate(t, z1, z2) is the Newton estimate t - z'/z'' of the
+    movable zero of L nearest t, for the sixth form, whose L vanishes with
+    z'; it is None for the fifth forms, whose L vanishes only at t = 0.
     singularities are the fixed singular points: 0 and 1 for the sixth
     form, 0 for the fifth forms.
     """
@@ -301,7 +328,8 @@ def relation(params) -> SimpleNamespace:
     # L_t = dL/dt, L_p = dL/dz', parts the term magnitudes used for residual
     # scaling, b the polynomial R is built from; r_tz(z1, b) gives
     # (dR/dt, dR/dz)
-    (pieces, third, r_tz, turning, singularities), _ = _family(params)
+    ((pieces, third, r_tz, turning, turning_estimate, singularities),
+     _) = _family(params)
 
     def scaled(t, z, z1, z2):
         lead, r, _, _, _, parts, _ = pieces(t, z, z1)
@@ -326,6 +354,7 @@ def relation(params) -> SimpleNamespace:
 
     return SimpleNamespace(residual=residual, scaled=scaled, gradient=gradient,
                            third=third, roots=roots,
+                           turning_estimate=turning_estimate,
                            singularities=singularities)
 
 
@@ -347,9 +376,11 @@ class SigmaTrajectory:
     carried; residuals the scaled second-degree defect after any
     re-projection. Every accepted node obeys residual <= 100 * tolerance.
     The work counters: accepted and rejected steps, accepted nodes whose
-    z'' was re-projected, and the shortest accepted step |dt| (inf when no
-    step was taken); accepted == len(path) - 1. params is the parameter
-    object of the flow's family, which tau_reconstruct maps through.
+    z'' was re-projected, detours taken round a turning point (see
+    integrate), and the shortest accepted step |dt| (inf when no step was
+    taken); accepted == len(path) - 1, the nodes of the detours included.
+    params is the parameter object of the flow's family, which
+    tau_reconstruct maps through.
     """
 
     path: tuple
@@ -360,6 +391,7 @@ class SigmaTrajectory:
     accepted: int = 0
     rejected: int = 0
     reprojected: int = 0
+    detours: int = 0
     min_step: float = math.inf
     params: object = None
 
@@ -381,18 +413,209 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
     return abs(a + s * d - p)
 
 
-# Cash-Karp embedded 4(5) tableau
-_CK_C = (0.0, 0.2, 0.3, 0.6, 1.0, 0.875)
-_CK_A = (
-    (),
-    (0.2,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+# The Dormand-Prince 8(5,3) pair of Hairer, Norsett and Wanner (Solving
+# Ordinary Differential Equations I, 2nd ed., Springer 1993; their code
+# DOP853), each constant the double nearest the published one: the
+# abscissae c_0..c_11, rows 1..11 of A in full, the 8th-order weights b
+# (A's row 12), the weights of the 5th-order error estimate, and those of
+# the 3rd-order update on stages 0, 8 and 11.
+_DOP_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_DOP_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
 )
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 0.25)
+_DOP_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_DOP_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_DOP_BHH = (
+    0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+
+
+def _dop853(third):
+    """The DOP853 step of the flow whose stage kernel is third.
+
+    step(a, dt, s, h, y0, y1, y2, f0) advances (z, z', z'') = (y0, y1, y2)
+    along the leg t = a + u dt from u = s to u = s + h; f0 is z''' at the
+    step's start. It returns three triples: the 8th-order update, and the
+    5th- and 3rd-order error estimates, each the difference between the
+    update and a lower-order one. Stage k_i is dt (z', z'', z''') at the
+    stage's abscissa and state, all scalar complexes. Weighted stage sums
+    add their terms in tableau order, skipping the zero weights, onto a
+    leading 0 as sum() does: that sets the sign of exactly-zero parts,
+    which flows on the real or the imaginary axis carry and the output
+    prints.
+    """
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _DOP_C
+    ((a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
+     (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
+     (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
+     (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9,
+      a11_10)) = _DOP_A
+    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _DOP_B
+    e0, _, _, _, _, e5, e6, e7, e8, e9, e10, e11 = _DOP_E5
+    bh0, bh8, bh11 = _DOP_BHH
+
+    def step(a, dt, s, h, y0, y1, y2, f0):
+        k0_0, k0_1, k0_2 = dt * y1, dt * y2, dt * f0
+        u0 = y0 + h * (0 + a1_0 * k0_0)
+        u1 = y1 + h * (0 + a1_0 * k0_1)
+        u2 = y2 + h * (0 + a1_0 * k0_2)
+        k1_0, k1_1, k1_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c1 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a2_0 * k0_0 + a2_1 * k1_0)
+        u1 = y1 + h * (0 + a2_0 * k0_1 + a2_1 * k1_1)
+        u2 = y2 + h * (0 + a2_0 * k0_2 + a2_1 * k1_2)
+        k2_0, k2_1, k2_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c2 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a3_0 * k0_0 + a3_2 * k2_0)
+        u1 = y1 + h * (0 + a3_0 * k0_1 + a3_2 * k2_1)
+        u2 = y2 + h * (0 + a3_0 * k0_2 + a3_2 * k2_2)
+        k3_0, k3_1, k3_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c3 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a4_0 * k0_0 + a4_2 * k2_0 + a4_3 * k3_0)
+        u1 = y1 + h * (0 + a4_0 * k0_1 + a4_2 * k2_1 + a4_3 * k3_1)
+        u2 = y2 + h * (0 + a4_0 * k0_2 + a4_2 * k2_2 + a4_3 * k3_2)
+        k4_0, k4_1, k4_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c4 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a5_0 * k0_0 + a5_3 * k3_0 + a5_4 * k4_0)
+        u1 = y1 + h * (0 + a5_0 * k0_1 + a5_3 * k3_1 + a5_4 * k4_1)
+        u2 = y2 + h * (0 + a5_0 * k0_2 + a5_3 * k3_2 + a5_4 * k4_2)
+        k5_0, k5_1, k5_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c5 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a6_0 * k0_0 + a6_3 * k3_0 + a6_4 * k4_0
+                       + a6_5 * k5_0)
+        u1 = y1 + h * (0 + a6_0 * k0_1 + a6_3 * k3_1 + a6_4 * k4_1
+                       + a6_5 * k5_1)
+        u2 = y2 + h * (0 + a6_0 * k0_2 + a6_3 * k3_2 + a6_4 * k4_2
+                       + a6_5 * k5_2)
+        k6_0, k6_1, k6_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c6 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a7_0 * k0_0 + a7_3 * k3_0 + a7_4 * k4_0
+                       + a7_5 * k5_0 + a7_6 * k6_0)
+        u1 = y1 + h * (0 + a7_0 * k0_1 + a7_3 * k3_1 + a7_4 * k4_1
+                       + a7_5 * k5_1 + a7_6 * k6_1)
+        u2 = y2 + h * (0 + a7_0 * k0_2 + a7_3 * k3_2 + a7_4 * k4_2
+                       + a7_5 * k5_2 + a7_6 * k6_2)
+        k7_0, k7_1, k7_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c7 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a8_0 * k0_0 + a8_3 * k3_0 + a8_4 * k4_0
+                       + a8_5 * k5_0 + a8_6 * k6_0 + a8_7 * k7_0)
+        u1 = y1 + h * (0 + a8_0 * k0_1 + a8_3 * k3_1 + a8_4 * k4_1
+                       + a8_5 * k5_1 + a8_6 * k6_1 + a8_7 * k7_1)
+        u2 = y2 + h * (0 + a8_0 * k0_2 + a8_3 * k3_2 + a8_4 * k4_2
+                       + a8_5 * k5_2 + a8_6 * k6_2 + a8_7 * k7_2)
+        k8_0, k8_1, k8_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c8 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a9_0 * k0_0 + a9_3 * k3_0 + a9_4 * k4_0
+                       + a9_5 * k5_0 + a9_6 * k6_0 + a9_7 * k7_0 + a9_8 * k8_0)
+        u1 = y1 + h * (0 + a9_0 * k0_1 + a9_3 * k3_1 + a9_4 * k4_1
+                       + a9_5 * k5_1 + a9_6 * k6_1 + a9_7 * k7_1 + a9_8 * k8_1)
+        u2 = y2 + h * (0 + a9_0 * k0_2 + a9_3 * k3_2 + a9_4 * k4_2
+                       + a9_5 * k5_2 + a9_6 * k6_2 + a9_7 * k7_2 + a9_8 * k8_2)
+        k9_0, k9_1, k9_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c9 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a10_0 * k0_0 + a10_3 * k3_0 + a10_4 * k4_0
+                       + a10_5 * k5_0 + a10_6 * k6_0 + a10_7 * k7_0
+                       + a10_8 * k8_0 + a10_9 * k9_0)
+        u1 = y1 + h * (0 + a10_0 * k0_1 + a10_3 * k3_1 + a10_4 * k4_1
+                       + a10_5 * k5_1 + a10_6 * k6_1 + a10_7 * k7_1
+                       + a10_8 * k8_1 + a10_9 * k9_1)
+        u2 = y2 + h * (0 + a10_0 * k0_2 + a10_3 * k3_2 + a10_4 * k4_2
+                       + a10_5 * k5_2 + a10_6 * k6_2 + a10_7 * k7_2
+                       + a10_8 * k8_2 + a10_9 * k9_2)
+        k10_0, k10_1, k10_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c10 * h) * dt, u0, u1, u2))
+        u0 = y0 + h * (0 + a11_0 * k0_0 + a11_3 * k3_0 + a11_4 * k4_0
+                       + a11_5 * k5_0 + a11_6 * k6_0 + a11_7 * k7_0
+                       + a11_8 * k8_0 + a11_9 * k9_0 + a11_10 * k10_0)
+        u1 = y1 + h * (0 + a11_0 * k0_1 + a11_3 * k3_1 + a11_4 * k4_1
+                       + a11_5 * k5_1 + a11_6 * k6_1 + a11_7 * k7_1
+                       + a11_8 * k8_1 + a11_9 * k9_1 + a11_10 * k10_1)
+        u2 = y2 + h * (0 + a11_0 * k0_2 + a11_3 * k3_2 + a11_4 * k4_2
+                       + a11_5 * k5_2 + a11_6 * k6_2 + a11_7 * k7_2
+                       + a11_8 * k8_2 + a11_9 * k9_2 + a11_10 * k10_2)
+        k11_0, k11_1, k11_2 = (
+            dt * u1, dt * u2, dt * third(a + (s + c11 * h) * dt, u0, u1, u2))
+        w0 = (0 + b0 * k0_0 + b5 * k5_0 + b6 * k6_0 + b7 * k7_0 + b8 * k8_0
+              + b9 * k9_0 + b10 * k10_0 + b11 * k11_0)
+        w1 = (0 + b0 * k0_1 + b5 * k5_1 + b6 * k6_1 + b7 * k7_1 + b8 * k8_1
+              + b9 * k9_1 + b10 * k10_1 + b11 * k11_1)
+        w2 = (0 + b0 * k0_2 + b5 * k5_2 + b6 * k6_2 + b7 * k7_2 + b8 * k8_2
+              + b9 * k9_2 + b10 * k10_2 + b11 * k11_2)
+        x0 = h * (0 + e0 * k0_0 + e5 * k5_0 + e6 * k6_0 + e7 * k7_0 + e8 * k8_0
+                  + e9 * k9_0 + e10 * k10_0 + e11 * k11_0)
+        x1 = h * (0 + e0 * k0_1 + e5 * k5_1 + e6 * k6_1 + e7 * k7_1 + e8 * k8_1
+                  + e9 * k9_1 + e10 * k10_1 + e11 * k11_1)
+        x2 = h * (0 + e0 * k0_2 + e5 * k5_2 + e6 * k6_2 + e7 * k7_2 + e8 * k8_2
+                  + e9 * k9_2 + e10 * k10_2 + e11 * k11_2)
+        return ((y0 + h * w0, y1 + h * w1, y2 + h * w2), (x0, x1, x2),
+                (h * (w0 - bh0 * k0_0 - bh8 * k8_0 - bh11 * k11_0),
+                 h * (w1 - bh0 * k0_1 - bh8 * k8_1 - bh11 * k11_1),
+                 h * (w2 - bh0 * k0_2 - bh8 * k8_2 - bh11 * k11_2)))
+
+    return step
+
+
+def _detour(t, b, dt, rest, ahead, depth, singularities) -> tuple:
+    """The waypoints (v1, v2, rejoin) of a detour that leaves the leg
+    toward b, of direction dt, at t and goes round the point t + ahead dt.
+
+    The leg coordinate u counts in units of dt from t, and rest is b's.
+    The detour steps out at a right angle to v1 = t + i depth dt, runs
+    parallel to the leg to u = ahead.real + depth, and returns to the leg
+    there, or at b when rest is nearer. It takes the side away from the
+    point, unless one of the fixed singular points lies within its reach
+    there: going round one of those would change the branch, so it takes
+    the other side.
+    """
+    side = -1 if ahead.imag > 0 else 1
+    span = min(ahead.real + depth, rest)
+    for p in singularities:
+        u = (p - t) / dt
+        if (-depth <= u.real <= span + depth
+                and 0 < side * u.imag <= 2 * depth):
+            side = -side
+            break
+    out = 1j * side * depth * dt
+    rejoin = b if span == rest else t + span * dt
+    return t + out, rejoin + out, rejoin
+
+
+# How many accepted steps ahead a turning point is gone round. The flow's
+# z''' grows like 1 / (t - t*) off the relation, so as a straight path
+# nears t* its steps shrink in proportion to the distance left: to a
+# quarter of it at tol 1e-13, and they never reach t*. A detour opened
+# while t* is still several steps away needs no such steps.
+_REACH = 8
 
 
 def integrate(params, seed: OdeSeed, path,
@@ -405,31 +628,47 @@ def integrate(params, seed: OdeSeed, path,
     seed.curvature, or the principal root when the seed carries none.
     path lists the waypoints to visit after seed.t, and may begin with
     seed.t itself; a path that is seed.t alone gives the seed's one-node
-    trajectory, no step taken, and an empty path raises ValueError. Each segment, and the seed point,
-    must stay clear of the relation's fixed singular points; every
-    waypoint is a node of the result. tol must be finite and positive,
-    and it alone sets the step, which starts each leg at a twentieth of
-    its length. The second-degree relation is re-checked
-    at every accepted node and z'' re-projected onto the nearest root when
-    the scaled residual exceeds tol. A step whose error estimate overflows
-    or is nan is rejected and shrunk, so a flow that goes nan ends in
+    trajectory, no step taken, and an empty path raises ValueError. Each
+    segment, and the seed point, must stay clear of the relation's fixed
+    singular points; every waypoint is a node of the result. tol must be
+    finite and positive, and it alone sets the step, which starts the
+    first leg at a twentieth of its length and every later leg, a
+    detour's included, at the length the step control last proposed. The
+    second-degree relation is re-checked
+    at every accepted node and z'' re-projected onto the nearest root
+    unless the scaled residual is at or below tol (a nan residual is
+    re-projected too). A step whose error estimate overflows or is nan is
+    rejected and shrunk, so a flow that goes nan ends in
     StepSizeUnderflowError.
 
-    The state, the six Cash-Karp stages and the 5th- and 4th-order updates
-    are carried as three scalar complexes each; the stages evaluate z'''
-    through relation(params).third, the form's stage kernel bound once,
-    and the same relation supplies the per-node residual and roots.
-    Weighted stage sums add their terms in tableau order, skipping the
-    zero weights of the two updates, onto a leading 0 as sum() does: that
-    sets the sign of exactly-zero parts, which flows on the real or the
-    imaginary axis carry and the output prints. The result counts its
-    accepted, rejected and re-projected steps and its shortest step (see
+    Each step is one DOP853 step (_dop853): twelve stages, the 8th-order
+    update, and Hairer's error measure |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100)
+    from the 5th- and 3rd-order estimates, each the largest of the three
+    components relative to tol (1 + |z|). The first stage, z''' at the
+    node, is the stage DOP853 adds at the end of the step that reached
+    the node (first same as last), formed after any re-projection of z'':
+    it is evaluated once per node and serves every trial step from it,
+    rejected ones included. The stages
+    evaluate z''' through relation(params).third, the form's stage kernel
+    bound once, and the same relation supplies the per-node residual and
+    roots.
+
+    Sixth family: from the second node on, before each trial step the
+    Newton estimate t* = t - z'/z'' of the turning point nearest the node
+    is taken. When t* lies ahead, before the leg's end and within _REACH
+    accepted steps of the node, the flow takes a detour round it
+    (_detour), as deep as t* is far, and rejoins the leg; the detour's own
+    legs look for no turning point, nor does a flow's first step. The
+    waypoints stay nodes. The result counts its accepted, rejected and
+    re-projected steps, its detours and its shortest step (see
     SigmaTrajectory).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     rel = relation(params)
     third, scaled, roots = rel.third, rel.scaled, rel.roots
+    estimate = rel.turning_estimate
+    step = _dop853(third)
     t0, y0, y1 = complex(seed.t), complex(seed.zeta), complex(seed.dzeta)
     waypoints = [complex(w) for w in path]
     if not waypoints:
@@ -455,84 +694,63 @@ def integrate(params, seed: OdeSeed, path,
     values = [(y0, y1)]
     curvatures = [y2]
     residuals = [scaled(t0, y0, y1, y2)]
-    accepted = rejected = reprojected = 0
+    accepted = rejected = reprojected = detours = 0
     min_step = math.inf
+    last_step = 0.0  # |dt| of the last accepted step
+    proposed = 0.0  # |dt| the step control proposed at the last leg's end
+    f = None  # z''' at the last node, once evaluated
 
-    _, c1, c2, c3, c4, c5 = _CK_C
-    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54)) = _CK_A
-    p0, _, p2, p3, _, p5 = _CK_B5
-    q0, _, q2, q3, q4, q5 = _CK_B4
-
-    for a, b in legs:
+    # (start, end, on a detour) of the legs still to run, the next one last
+    pending = [(a, b, False) for a, b in reversed(legs)]
+    while pending:
+        a, b, detour = pending.pop()
         if a == b:
             continue
         dt = b - a
         s = 0.0
-        h = 0.05
+        h = min(1.0, proposed / abs(dt)) if proposed else 0.05
         while s < 1.0:
             last = h >= 1.0 - s
             if last:
                 h = 1.0 - s
-            # k<i><c>: component c of stage i (numbered as in _CK_A), that is
-            # dt (z', z'', z''') at the stage's abscissa and state u (y
-            # itself for stage 0)
-            k00, k01, k02 = (dt * y1, dt * y2,
-                             dt * third(a + s * dt, y0, y1, y2))
-            u0 = y0 + h * (0 + a10 * k00)
-            u1 = y1 + h * (0 + a10 * k01)
-            u2 = y2 + h * (0 + a10 * k02)
-            k10, k11, k12 = (dt * u1, dt * u2,
-                             dt * third(a + (s + c1 * h) * dt, u0, u1, u2))
-            u0 = y0 + h * (0 + a20 * k00 + a21 * k10)
-            u1 = y1 + h * (0 + a20 * k01 + a21 * k11)
-            u2 = y2 + h * (0 + a20 * k02 + a21 * k12)
-            k20, k21, k22 = (dt * u1, dt * u2,
-                             dt * third(a + (s + c2 * h) * dt, u0, u1, u2))
-            u0 = y0 + h * (0 + a30 * k00 + a31 * k10 + a32 * k20)
-            u1 = y1 + h * (0 + a30 * k01 + a31 * k11 + a32 * k21)
-            u2 = y2 + h * (0 + a30 * k02 + a31 * k12 + a32 * k22)
-            k30, k31, k32 = (dt * u1, dt * u2,
-                             dt * third(a + (s + c3 * h) * dt, u0, u1, u2))
-            u0 = y0 + h * (0 + a40 * k00 + a41 * k10 + a42 * k20 + a43 * k30)
-            u1 = y1 + h * (0 + a40 * k01 + a41 * k11 + a42 * k21 + a43 * k31)
-            u2 = y2 + h * (0 + a40 * k02 + a41 * k12 + a42 * k22 + a43 * k32)
-            k40, k41, k42 = (dt * u1, dt * u2,
-                             dt * third(a + (s + c4 * h) * dt, u0, u1, u2))
-            u0 = y0 + h * (0 + a50 * k00 + a51 * k10 + a52 * k20 + a53 * k30
-                           + a54 * k40)
-            u1 = y1 + h * (0 + a50 * k01 + a51 * k11 + a52 * k21 + a53 * k31
-                           + a54 * k41)
-            u2 = y2 + h * (0 + a50 * k02 + a51 * k12 + a52 * k22 + a53 * k32
-                           + a54 * k42)
-            k50, k51, k52 = (dt * u1, dt * u2,
-                             dt * third(a + (s + c5 * h) * dt, u0, u1, u2))
-            # 5th- and 4th-order updates
-            n0 = y0 + h * (0 + p0 * k00 + p2 * k20 + p3 * k30 + p5 * k50)
-            n1 = y1 + h * (0 + p0 * k01 + p2 * k21 + p3 * k31 + p5 * k51)
-            n2 = y2 + h * (0 + p0 * k02 + p2 * k22 + p3 * k32 + p5 * k52)
-            m0 = y0 + h * (0 + q0 * k00 + q2 * k20 + q3 * k30 + q4 * k40
-                           + q5 * k50)
-            m1 = y1 + h * (0 + q0 * k01 + q2 * k21 + q3 * k31 + q4 * k41
-                           + q5 * k51)
-            m2 = y2 + h * (0 + q0 * k02 + q2 * k22 + q3 * k32 + q4 * k42
-                           + q5 * k52)
+            t = nodes[-1]
+            if f is None:
+                f = third(t, y0, y1, y2)
+            if last_step and estimate is not None and not detour and y2:
+                ahead = (estimate(t, y1, y2) - t) / dt
+                if (0 < ahead.real <= 1.0 - s
+                        and abs(ahead) * abs(dt) <= _REACH * last_step):
+                    v1, v2, rejoin = _detour(t, b, dt, 1.0 - s, ahead,
+                                             abs(ahead), rel.singularities)
+                    pending += [(rejoin, b, False), (v2, rejoin, True),
+                                (v1, v2, True), (t, v1, True)]
+                    detours += 1
+                    break
+            (n0, n1, n2), (e0, e1, e2), (d0, d1, d2) = step(
+                a, dt, s, h, y0, y1, y2, f)
             try:
-                err = max(abs(n0 - m0) / (tol + tol * max(abs(y0), abs(n0))),
-                          abs(n1 - m1) / (tol + tol * max(abs(y1), abs(n1))),
-                          abs(n2 - m2) / (tol + tol * max(abs(y2), abs(n2))))
+                w0 = tol + tol * max(abs(y0), abs(n0))
+                w1 = tol + tol * max(abs(y1), abs(n1))
+                w2 = tol + tol * max(abs(y2), abs(n2))
+                r5 = max(abs(e0) / w0, abs(e1) / w1, abs(e2) / w2)
+                r3 = max(abs(d0) / w0, abs(d1) / w1, abs(d2) / w2)
             except OverflowError:
                 # complex abs raises when the modulus overflows; reject the
                 # step and shrink it
-                err = math.inf
+                r5 = r3 = math.inf
+            den = r5 * r5 + 0.01 * r3 * r3
+            # inf / inf is nan, which the test below rejects
+            err = r5 * r5 / math.sqrt(den) if den else 0.0
             if err <= 1.0:
                 accepted += 1
-                min_step = min(min_step, h * abs(dt))
+                last_step = h * abs(dt)
+                min_step = min(min_step, last_step)
                 s = 1.0 if last else s + h
                 y0, y1, y2 = n0, n1, n2
+                f = None
                 t_node = b if last else a + s * dt
                 res = scaled(t_node, y0, y1, y2)
-                if res > tol:
+                if not res <= tol:
                     root, neg = roots(t_node, y0, y1)
                     y2 = neg if abs(neg - y2) < abs(root - y2) else root
                     res = scaled(t_node, y0, y1, y2)
@@ -545,18 +763,19 @@ def integrate(params, seed: OdeSeed, path,
                 rejected += 1
             # a nan err gives a nan grow, and max() below keeps its first
             # argument against nan: the step shrinks as on overflow
-            grow = 5.0 if err == 0 else 0.9 * err ** -0.2
+            grow = 5.0 if err == 0 else 0.9 * err ** -0.125
             h *= min(5.0, max(0.2, grow))
             # the completed-leg dust step may legitimately leave h tiny
             if h < 1e-14 and s < 1.0:
                 raise StepSizeUnderflowError(a + s * dt)
+        proposed = h * abs(dt)
 
     return SigmaTrajectory(path=tuple(nodes), values=tuple(values),
                            curvatures=tuple(curvatures),
                            residuals=tuple(residuals), tolerance=tol,
                            accepted=accepted, rejected=rejected,
-                           reprojected=reprojected, min_step=min_step,
-                           params=params)
+                           reprojected=reprojected, detours=detours,
+                           min_step=min_step, params=params)
 
 
 def tau_reconstruct(trajectory: SigmaTrajectory, value: complex) -> list:
@@ -564,23 +783,27 @@ def tau_reconstruct(trajectory: SigmaTrajectory, value: complex) -> list:
     node, where tau = value.
 
     The sigma map of the trajectory's own family (trajectory.params) turns
-    each node's (sigma, sigma') into l1 = d/dt log tau and l2 = dl1/dt, and
-    each step h adds the end-corrected trapezoid rule
+    each node's (sigma, sigma', sigma'') into l1 = d/dt log tau, l2 = dl1/dt
+    and l3 = dl2/dt, and each step h adds the two-point Hermite rule
 
-        (h/2) (l1_i + l1_i+1) + (h^2/12) (l2_i - l2_i+1),
+        (h/2) (l1_i + l1_i+1) + (h^2/10) (l2_i - l2_i+1)
+            + (h^3/120) (l3_i + l3_i+1),
 
-    fourth order in h, onto log(value). Returns (t, tau) at every node.
+    sixth order in h, onto log(value). The steps are the trajectory's own,
+    detours included. Returns (t, tau) at every node.
     """
     amap = sigma_map(trajectory.params)
     ts = [complex(t) for t in trajectory.path]
-    ls = [(t, *amap.log_derivatives(t, z, z1))
-          for t, (z, z1) in zip(ts, trajectory.values)]
+    ls = [(t, *amap.log_derivatives(t, z, z1, z2))
+          for t, (z, z1), z2 in zip(ts, trajectory.values,
+                                    trajectory.curvatures)]
     value = complex(value)
     out = [(ts[0], value)]
     log_a = cmath.log(value)
-    for (t0, f0, d0), (t1, f1, d1) in zip(ls, ls[1:]):
+    for (t0, f0, d0, g0), (t1, f1, d1, g1) in zip(ls, ls[1:]):
         h = t1 - t0
-        log_a += 0.5 * h * (f0 + f1) + h * h / 12 * (d0 - d1)
+        log_a += (0.5 * h * (f0 + f1) + h * h / 10 * (d0 - d1)
+                  + h * h * h / 120 * (g0 + g1))
         out.append((t1, cmath.exp(log_a)))
     return out
 

@@ -180,7 +180,7 @@ def an_series(p: SSEParams) -> BoundaryExpansion:
     sg = p.sigma
     if near_integer(sg, tol=COMPUTED_INTEGER_TOL):
         raise DegenerateParameterError("2 mu + 2 omega1", sg)
-    if sg.real <= 0:
+    if not sg.real > 0:  # nan too
         raise DegenerateParameterError("Re(2 mu + 2 omega1)", sg)
 
     c1 = p.N * p.mu * (p.omega_bar - p.omega) / sg
@@ -205,7 +205,7 @@ def bulk_series(p: SSEParams) -> BoundaryExpansion:
     a pure gamma/pi coefficient times the weight bracket.
     """
     sg = p.sigma
-    if abs(sg) < INPUT_INTEGER_TOL or sg.real <= 0:
+    if not (abs(sg) >= INPUT_INTEGER_TOL and sg.real > 0):  # nan too
         # the sine-kernel point 2 mu + 2 omega1 = 0, to the input tolerance,
         # sits outside the series hypotheses; bulk reaches it through the
         # Fredholm-seeded flow when mu, omega1 and omega2 are all within it

@@ -277,6 +277,15 @@ class TestLimitTransitionII:
         with pytest.raises(InconsistentKError, match="k_equation_1': nan"):
             self.run_limit()
 
+    def test_nan_matching_entry_refused(self, monkeypatch):
+        # a nan K makes the lower-left matching entry nan, which is no
+        # nonzero entry to scale by
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(monodromy_v, "inv", lambda m: Mat2(nan, nan,
+                                                               nan, nan))
+        with pytest.raises(InconsistentKError, match="lower-left"):
+            self.run_limit()
+
     def test_result_independent_of_vi_gauge(self):
         sm2 = sse_monodromy(P_EVEN, r=0.7 - 0.3j)
         m = sm2.matrices

@@ -134,6 +134,15 @@ class TestPviMatrices:
         assert exc.value.factor == "r"
 
 
+@pytest.mark.parametrize("s, r", [(math.nan, 1.3),
+                                  (0.8, complex(0, math.nan))])
+def test_nan_parameterization_refused(s, r):
+    # a nan factor is not nonzero: refused by name, not carried into nan
+    # matrices
+    with pytest.raises(DegenerateParameterError, match="s_0t|r ="):
+        pvi_matrices(THETA_STD, SIGMA_STD, s, r)
+
+
 class TestManifold:
     def test_identity_monodromy_point(self):
         # all matrices = identity: every p = 2, the constraint sums to zero

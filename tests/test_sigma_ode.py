@@ -6,6 +6,7 @@ import json
 import math
 import random
 import struct
+import types
 
 import pytest
 
@@ -302,6 +303,133 @@ class TestCrossFormIdentity:
                 assert abs(f) < 1e-12
 
 
+# A sigma_flow op (seed 7, pass 30, op 3) whose straight path meets a zero
+# of sigma' near t = 0.0303: without a detour the flow came back reflected
+# with sigma(0.658857) = 0.0233755, or raised TurningPointError at tol 1e-13.
+# Paths round the zero, above and below, at tol 1e-14 give the reference.
+_SEED7_OP = ["--family=vi", "--theta0=0.292159", "--thetat=0.130458",
+             "--theta1=0.145706", "--thetainf=0.344445", "--sigma=0.345072",
+             "--s=1.36925", "--grid-start=0.00165838", "--grid-end=0.658857",
+             "--grid-count=2", "--tol=1e-12"]
+_SEED7_SIGMA = -0.0065104915513463
+
+
+def _vi_flow(theta, sigma, s, start):
+    """(ThetaVI, its series seed at start) of a sixth-system ode op."""
+    theta = ThetaVI(*theta)
+    return theta, seed_vi(theta, tau_series.pvi_tau_series(theta, sigma, s),
+                          start)
+
+
+def _seed7_trajectory():
+    theta, sd = _vi_flow((0.292159, 0.130458, 0.145706, 0.344445), 0.345072,
+                         1.36925, 0.00165838)
+    return integrate(theta, sd, [0.00165838, 0.658857], tol=1e-12)
+
+
+class TestTurningPointDetours:
+    def test_reflected_op_meets_the_reference(self, capsys):
+        assert cli.main(["ode", *_SEED7_OP]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        *_, (t_re, t_im, z_re, z_im, *_) = data["rows"]
+        assert (t_re, t_im) == (0.658857, 0.0)
+        assert abs(complex(z_re, z_im) - _SEED7_SIGMA) <= 1e-8
+        assert data["diagnostics"]["detours"] == 1
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-14])
+    def test_every_tolerance_goes_round(self, tol):
+        # at 1e-13 the straight path's steps shrank toward the zero until
+        # the turning test raised
+        theta, sd = _vi_flow((0.292159, 0.130458, 0.145706, 0.344445),
+                             0.345072, 1.36925, 0.00165838)
+        traj = integrate(theta, sd, [0.658857], tol=tol)
+        assert abs(traj.final[1] - _SEED7_SIGMA) <= 1e-8
+
+    def test_detours_are_counted_and_leave_the_grid_nodes(self):
+        traj = _seed7_trajectory()
+        assert traj.detours == 1
+        assert traj.accepted == len(traj) - 1
+        assert traj.path[0] == 0.00165838 and traj.path[-1] == 0.658857
+        off = [t for t in traj.path if t.imag != 0]
+        # the detour's nodes lie on one side, and its depth is the
+        # distance to the zero, a few steps
+        assert off and all(t.imag > 0 for t in off)
+        assert max(t.imag for t in off) < 0.01
+
+    @pytest.mark.parametrize("theta, sigma, s, start, end, straight", [
+        ((0.425817, 0.215363, 0.197378, 0.403575), 0.377366, 1.49409,
+         0.000859445, 0.482706, 0.0833701),
+        ((0.441081, 0.191881, 0.214073, 0.185446), 0.318864, 0.821517,
+         0.000848692, 0.481542, 0.0181906),
+        ((0.381992, 0.379919, 0.121123, 0.351605), 0.329689, 0.944725,
+         0.00182406, 0.681448, 0.0468684),
+    ], ids=["seed2_pass31_op13", "seed1_pass5_op1", "seed5_pass22_op1"])
+    def test_both_sides_agree(self, theta, sigma, s, start, end, straight):
+        # sigma is single-valued round a zero of sigma' (the Painleve
+        # property): the straight path's detour and polygons above and
+        # below all meet, away from the reflected value the straight flow
+        # returned before
+        theta, sd = _vi_flow(theta, sigma, s, start)
+        ends = [integrate(theta, sd, path, tol=1e-12).final[1] for path in (
+            [end], [(start + end) / 2 + 0.1j * (end - start), end],
+            [(start + end) / 2 - 0.1j * (end - start), end])]
+        assert max(abs(z - ends[0]) for z in ends) <= 1e-9
+        assert abs(ends[0] - straight) > 1e-3
+
+    def test_a_detour_leaves_a_fixed_singularity_outside(self):
+        # the point sits on the leg, so the upper side is preferred; the
+        # fixed singularity 1, 0.01 above the leg, sends it below
+        t, b = 0.5 - 0.01j, 1.5 - 0.01j
+        v1, v2, rejoin = sigma_ode._detour(t, b, b - t, 1.0, 0.3 + 0j, 0.3,
+                                           (0j, 1 + 0j))
+        assert v1.imag < t.imag and v2.imag < t.imag
+        assert rejoin == t + 0.6
+        up = sigma_ode._detour(t, b, b - t, 1.0, 0.3 + 0j, 0.3, (0j,))
+        assert up[0].imag > t.imag
+
+    def test_a_detour_rejoins_at_the_leg_end(self):
+        v1, v2, rejoin = sigma_ode._detour(0.2, 0.4, 0.2 + 0j, 0.5,
+                                           0.4 + 0.1j, 0.4, ())
+        assert rejoin == 0.4
+        # away from the point, which lies above the leg
+        assert v1.imag < 0 and v2 == rejoin + (v1 - 0.2)
+
+    def test_fifth_forms_have_no_movable_turning_point(self):
+        assert relation(THETA5).turning_estimate is None
+        assert relation(V_STD).turning_estimate is None
+        assert relation(THETA6).turning_estimate(0.3, 0.2, 0.4) == 0.3 - 0.5
+
+
+class TestDop853:
+    """The tableau transcription, pinned by its order conditions through
+    the stepping code itself."""
+
+    def test_quadrature_exact_through_degree_seven(self):
+        # a flow whose z''' is t^k: the z'' update is the pair's quadrature
+        for k in range(9):
+            step = sigma_ode._dop853(lambda t, z, z1, z2, k=k: t ** k)
+            (_, _, z2), _, _ = step(0j, 1 + 0j, 0.0, 1.0, 0j, 0j, 0j,
+                                    0j if k else 1 + 0j)
+            err = abs(z2 - 1 / (k + 1))
+            assert err <= 1e-15 if k <= 7 else err > 1e-6, k
+
+    def test_orders_on_a_linear_problem(self):
+        # a flow whose z''' is lam z'': one step of the z'' component
+        # against exp(lam h); a local error of order p falls as h^(p + 1)
+        lam = -2.0 + 1.0j
+        step = sigma_ode._dop853(lambda t, z, z1, z2: lam * z2)
+
+        def errors(h):
+            (_, _, z2), e5, e3 = step(0j, 1 + 0j, 0.0, h, 0j, 0j, 1 + 0j,
+                                      lam)
+            return abs(z2 - cmath.exp(lam * h)), abs(e5[2]), abs(e3[2])
+
+        orders = [math.log2(a / b) - 1
+                  for a, b in zip(errors(0.2), errors(0.1))]
+        for got, want in zip(orders, (8, 5, 3)):
+            assert abs(got - want) <= 0.3, orders
+
+
 class TestIntegrate:
     def test_zero_solution_stays_zero(self):
         traj = integrate(V_ZERO, OdeSeed(0.1, 0j, 0j), [0.1, 1.0], tol=1e-10)
@@ -405,10 +533,13 @@ class TestWorkCounters:
         assert traj.min_step == pytest.approx(min(gaps), rel=1e-12)
 
     def test_tight_tolerance_rejects_and_reprojects(self):
-        # from 1e-3 to 0.4 at tol 1e-12 the flow rejects 5 trial steps and
+        # a sigma_flow op (seed 1, pass 6, op 2): from 0.00186552 to
+        # 0.408702 at tol 1e-10 the flow rejects 4 trial steps and
         # re-projects z'' once
-        sd = seed_vi(THETA6, _exp6(), 1e-3)
-        traj = integrate(THETA6, sd, [0.4], tol=1e-12)
+        theta = ThetaVI(0.100175, 0.199438, 0.302643, 0.315343)
+        exp = tau_series.pvi_tau_series(theta, 0.580059, 0.747862)
+        sd = seed_vi(theta, exp, 0.00186552)
+        traj = integrate(theta, sd, [0.408702], tol=1e-10)
         assert traj.accepted == len(traj) - 1
         assert traj.rejected > 0
         assert traj.reprojected > 0
@@ -416,8 +547,40 @@ class TestWorkCounters:
     def test_no_step_taken(self):
         traj = integrate(V_ZERO, OdeSeed(0.1, 0j, 0j), [0.1, 0.1], tol=1e-10)
         assert len(traj) == 1
-        assert (traj.accepted, traj.rejected, traj.reprojected) == (0, 0, 0)
+        assert (traj.accepted, traj.rejected, traj.reprojected,
+                traj.detours) == (0, 0, 0, 0)
         assert traj.min_step == math.inf
+
+    def test_nan_residual_is_reprojected(self, monkeypatch):
+        # a node whose scaled residual is nan is not at or below tol
+        def nan_scaled(params):
+            return types.SimpleNamespace(**{
+                **vars(relation(params)),
+                "scaled": lambda t, z, z1, z2: math.nan})
+
+        monkeypatch.setattr(sigma_ode, "relation", nan_scaled)
+        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
+        traj = integrate(V_STD, sd, [0.05, 0.2], tol=1e-10)
+        assert traj.accepted > 0
+        assert traj.reprojected == traj.accepted
+
+    def test_ode_prints_the_counters(self, capsys):
+        # under a top-level diagnostics key of the JSON, not in the CSV
+        argv = ["ode", *_SEED7_OP]
+        assert cli.main(argv) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        traj = _seed7_trajectory()
+        assert data["diagnostics"] == {
+            "accepted": traj.accepted, "rejected": traj.rejected,
+            "reprojected": traj.reprojected, "detours": traj.detours,
+            "min_step": traj.min_step}
+        assert len(data["rows"]) == len(traj)
+        assert cli.main([*argv, "--format=csv"]) == cli.EXIT_OK
+        assert "detours" not in capsys.readouterr().out
+        assert cli.main(["ode", "--grid-count=1"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["diagnostics"] == {
+            "accepted": 0, "rejected": 0, "reprojected": 0, "detours": 0,
+            "min_step": None}
 
 
 class TestTauReconstruct:
@@ -528,17 +691,17 @@ def _dense_bulk_reference(p, xs, spacing=1e-3):
 class TestReconstructionAccuracy:
     @pytest.mark.parametrize("params", [THETA6, THETA5, V_STD],
                              ids=["ThetaVI", "ThetaV", "BulkParams"])
-    def test_rule_is_fourth_order(self, params):
-        # halving the step divides the error by 16 at fourth order, by 4
-        # for the plain trapezoid rule
+    def test_rule_is_sixth_order(self, params):
+        # halving the step divides the error by 64 at sixth order (64.8
+        # here), by 16 for the end-corrected trapezoid rule
         coarse = _rebuild_error(_synthetic_trajectory(params, 8))
         fine = _rebuild_error(_synthetic_trajectory(params, 16))
-        assert coarse / fine >= 12
+        assert coarse / fine >= 48
 
     def test_a_hand_built_trajectory_is_read_through_its_params(self):
         # the rebuild takes the family from the trajectory: the same nodes
         # labelled with another family are read through that family's map
-        # (errors 0.31 to 1.6 here, against 3.9e-10 under their own)
+        # (errors 0.31 to 1.6 here, against 2.8e-14 under their own)
         families = (THETA6, THETA5, V_STD)
         for params in families:
             traj = _synthetic_trajectory(params, 16)

@@ -118,6 +118,12 @@ class TestAnSeries:
         with pytest.raises(DegenerateParameterError):
             an_series(SSEParams(N=0, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5))
 
+    def test_nan_sigma_rejected(self):
+        # SSEParams takes a nan mu; the branch exponent check refuses it
+        p = SSEParams(N=2, mu=math.nan, omega1=0.1, omega2=0.3, xi_star=0.5)
+        with pytest.raises(DegenerateParameterError, match="Re"):
+            an_series(p)
+
     def test_branch_gamma_argument_off_pole(self):
         # the 1/Gamma(-N - 2mu - 2omega1) factor is regular for non-integer
         # exponent sums, for any N
@@ -157,6 +163,11 @@ class TestBulkSeries:
     def test_sine_kernel_point_rejected(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
         with pytest.raises(DegenerateParameterError):
+            bulk_series(p)
+
+    def test_nan_sigma_rejected(self):
+        p = SSEParams(N=1, mu=0.0, omega1=math.nan, omega2=0.0, xi_star=0.5)
+        with pytest.raises(DegenerateParameterError, match="2 mu"):
             bulk_series(p)
 
     def test_agrees_with_an_series_under_scaling(self):
@@ -239,11 +250,11 @@ class TestSigmaMaps:
                              ids=["ThetaVI", "ThetaV", "BulkParams"])
     def test_log_derivatives_invert_the_jet(self, params):
         m = sigma_map(params)
-        t, l1, l2 = 0.37 + 0.1j, 1.2 - 0.4j, -0.3 + 0.7j
-        z, dz, _ = m.jet(t, l1, l2, 0.0)
-        got = m.log_derivatives(t, z, dz)
+        t, l1, l2, l3 = 0.37 + 0.1j, 1.2 - 0.4j, -0.3 + 0.7j, 0.5 + 0.2j
+        got = m.log_derivatives(t, *m.jet(t, l1, l2, l3))
         assert abs(got[0] - l1) < 1e-14
         assert abs(got[1] - l2) < 1e-13
+        assert abs(got[2] - l3) < 1e-12
 
 
 class TestBulkConversion:
@@ -293,23 +304,26 @@ class TestBulkConversion:
     def test_trivial_at_zero_parameters(self):
         p = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.5)
         m = sigma_map(bulk_okamoto_params(p))
-        x, h, dh = 1.3 + 0.4j, 0.27 - 0.1j, 0.5 + 0.2j
-        assert m.log_derivatives(x, h, dh) == (h / x, (dh - h / x) / x)
+        x, h, dh, d2h = 1.3 + 0.4j, 0.27 - 0.1j, 0.5 + 0.2j, -0.3 + 0.6j
+        l2 = (dh - h / x) / x
+        assert m.log_derivatives(x, h, dh, d2h) == (h / x, l2,
+                                                    (d2h - 2 * l2) / x)
 
     def test_reference_value(self):
         # shift is (omb-om)/4*x + (om-omb)^2/8 - mu*(om+omb)
         # = -0.15j*(1+0.2j) - 0.045 - 0.05 at the standard parameter point
         x = 1 + 0.2j
-        l1, _ = sigma_map(bulk_okamoto_params(P_STD)).log_derivatives(x, 0.3,
-                                                                      0.0)
+        l1, _, _ = sigma_map(bulk_okamoto_params(P_STD)).log_derivatives(
+            x, 0.3, 0.0, 0.0)
         assert abs(x * l1 - (0.235 - 0.15j)) < 1e-14
 
     def test_round_trip(self):
         m = sigma_map(bulk_okamoto_params(P_STD))
-        x, h, dh = 0.8 - 0.3j, 0.4 + 0.1j, -0.2 + 0.3j
-        got_h, got_dh, _ = m.jet(x, *m.log_derivatives(x, h, dh), 0.0)
+        x, h, dh, d2h = 0.8 - 0.3j, 0.4 + 0.1j, -0.2 + 0.3j, 0.1 - 0.5j
+        got_h, got_dh, got_d2h = m.jet(x, *m.log_derivatives(x, h, dh, d2h))
         assert abs(got_h - h) < 1e-14
         assert abs(got_dh - dh) < 1e-14
+        assert abs(got_d2h - d2h) < 1e-14
 
 
 class TestZetaSeries:
