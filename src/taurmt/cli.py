@@ -29,7 +29,10 @@ that, when there are two or more, end exactly at --grid-end.
 --tol must be finite and positive; each command that takes it has its own
 default and honours the value as given. monodromy-check reports every
 identity residual that is not at or below it, nan included, as a
-violation (default 1e-10). ode integrates the sigma-form flow at it
+violation (default 1e-10): --tol is the largest backward error that
+passes, each residual being divided by the size of what cancels in it
+(complexfn.backward_error), so it reads the same at xi = 0.5 and at
+xi = 1e4. ode integrates the sigma-form flow at it
 (default 1e-10). toeplitz computes the Fourier coefficients to it as an
 absolute accuracy (default 1e-12). series, fredholm, bulk and asymptotics
 run at fixed accuracy and reject --tol as a usage error.
@@ -93,8 +96,8 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .complexfn import INPUT_INTEGER_TOL
-from .mat2 import det, max_diff
+from .complexfn import CONSISTENCY_TOL, INPUT_INTEGER_TOL, backward_error, exp_pi_i
+from .mat2 import Mat2, det_residual, max_diff, norm_product
 from .monodromy_v import limit_transition_ii, sse_pv_matrices
 from .monodromy_vi import (
     SSEParams,
@@ -494,12 +497,19 @@ def _generic_residuals(theta: ThetaVI, sigma, s, r) -> dict:
     coords = mats.trace_coordinates()
     *_, p0t, pt1, p01 = coords
     cos_t1, cos_01 = connection_sigmas(theta, sigma, s)
+
+    def two_point(trace, factors, cos):
+        # tr(M_mu M_nu) = 2 cos, sized by the product's factors
+        return backward_error(abs(trace - 2 * cos), norm_product(*factors),
+                              abs(2 * cos))
+
     return {"cyclic": mats.cyclic_residual(),
-            "det_m0": abs(det(mats.m0) - 1.0),
-            "manifold": abs(manifold_residual(*coords)),
-            "two_point_0t": abs(p0t - 2 * cmath.cos(math.pi * sigma)),
-            "connection_t1": abs(pt1 - 2 * cos_t1),
-            "connection_01": abs(p01 - 2 * cos_01)}
+            "det_m0": det_residual(mats.m0),
+            "manifold": manifold_residual(*coords),
+            "two_point_0t": two_point(p0t, (mats.mt, mats.m0),
+                                      cmath.cos(math.pi * sigma)),
+            "connection_t1": two_point(pt1, (mats.m1, mats.mt), cos_t1),
+            "connection_01": two_point(p01, (mats.m1, mats.m0), cos_01)}
 
 
 def _sse_residuals(p: SSEParams, r) -> dict:
@@ -507,7 +517,7 @@ def _sse_residuals(p: SSEParams, r) -> dict:
     mats = sse.matrices
     out = {"cyclic": mats.cyclic_residual(),
            "off_diagonal_relation": sse_offdiag_relation_residual(sse),
-           "manifold": abs(manifold_residual(*mats.trace_coordinates()))}
+           "manifold": manifold_residual(*mats.trace_coordinates())}
 
     pv = sse_pv_matrices(p)
     for name, value in pv.residuals.items():
@@ -519,9 +529,18 @@ def _sse_residuals(p: SSEParams, r) -> dict:
     lt = limit_transition_ii(mats, -2 * p.omega1, thv.theta_inf)
     for name, value in lt.residuals.items():
         out["limit_ii_" + name] = value
-    out["limit_ii_hat_m0"] = max_diff(lt.hat_m0v, pv.hat_m0)
-    out["limit_ii_hat_m1"] = max_diff(lt.hat_m1v, pv.hat_m1)
-    out["limit_ii_hat_m_inf"] = max_diff(lt.hat_m_inf_v, pv.hat_m_inf)
+    # each limit matrix is sized by its factors: K M K^-1, where det K = 1
+    # gives K^-1 the max-norm of K, and S0 S1 e^{pi i theta_inf sigma3}
+    n_k = lt.K.norm_max()
+    e_inf = Mat2.diag(exp_pi_i(thv.theta_inf), exp_pi_i(-thv.theta_inf))
+    for name, ours, size, theirs in (
+            ("hat_m0", lt.hat_m0v, n_k * mats.m_inf.norm_max() * n_k,
+             pv.hat_m0),
+            ("hat_m1", lt.hat_m1v, n_k * mats.m1.norm_max() * n_k, pv.hat_m1),
+            ("hat_m_inf", lt.hat_m_inf_v,
+             norm_product(lt.s0_hat, lt.s1_hat, e_inf), pv.hat_m_inf)):
+        out["limit_ii_" + name] = backward_error(
+            max_diff(ours, theirs), size, theirs.norm_max())
     return out
 
 
@@ -546,7 +565,7 @@ def cmd_monodromy_check(cfg: RunConfig) -> int:
 
 def _selftest_monodromy(cfg: RunConfig):
     yield "sse defaults", max(_sse_residuals(
-        _sse_params(cfg), cfg.params["r"]).values()) <= 1e-10
+        _sse_params(cfg), cfg.params["r"]).values()) <= CONSISTENCY_TOL
     rng = random.Random(7)
     worst = 0.0
     for _ in range(3):
@@ -556,7 +575,7 @@ def _selftest_monodromy(cfg: RunConfig):
         r = 0.5 + rng.random()
         worst = max(worst, max(_generic_residuals(
             theta, sigma, s, r).values()))
-    yield "generic draws", worst <= 1e-9
+    yield "generic draws", worst <= CONSISTENCY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +863,8 @@ def _selftest_asymptotics(cfg: RunConfig):
 # command that takes no --tol, its runner, and its selftest's checks)
 _COMMANDS = {
     "monodromy-check": ((0.0, 0.0, 1), ("real",),
-                        (1e-10, "the largest identity residual that passes"),
+                        (CONSISTENCY_TOL,
+                         "the largest backward error that passes"),
                         cmd_monodromy_check, _selftest_monodromy),
     "series": ((0.9, 0.995, 20), ("real",), None, cmd_series,
                _selftest_series),

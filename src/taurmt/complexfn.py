@@ -1,10 +1,19 @@
-"""Complex special functions used by the monodromy and expansion formulas.
+"""Complex special functions used by the monodromy and expansion formulas,
+and the library's one tolerance policy.
 
 Everything here is scalar, pure and deterministic. The log-gamma routine is a
 Lanczos approximation with reflection into the left half-plane, accurate to
 about 1e-13 relative for |z| <= 50, which is all the library needs. Gamma
 ratios are evaluated in log space so that products of many gamma factors never
 overflow, and poles are detected up front instead of surfacing as inf/nan.
+
+The tolerance policy names each meaning once. INPUT_INTEGER_TOL and
+COMPUTED_INTEGER_TOL say when a value counts as an integer (near_integer),
+DEGENERACY_TOL when a factor counts as zero (require_nonzero), and
+CONSISTENCY_TOL how large a backward error an identity may carry. Every
+residual the monodromy layer forms is a backward error (backward_error):
+the residual over the size of what cancels in it, so that it reads the same
+whether the matrix entries are of order 1 or of order 1e4.
 """
 
 from __future__ import annotations
@@ -14,9 +23,14 @@ import math
 
 __all__ = [
     "GammaPoleError",
+    "DegenerateParameterError",
     "INPUT_INTEGER_TOL",
     "COMPUTED_INTEGER_TOL",
+    "DEGENERACY_TOL",
+    "CONSISTENCY_TOL",
     "near_integer",
+    "require_nonzero",
+    "backward_error",
     "ln_gamma",
     "gamma_ratio",
     "sin_pi",
@@ -44,6 +58,8 @@ _LANCZOS_C = (
 
 INPUT_INTEGER_TOL = 1e-12
 COMPUTED_INTEGER_TOL = 1e-9
+DEGENERACY_TOL = 1e-12
+CONSISTENCY_TOL = 1e-10
 
 
 def near_integer(z: complex, step: float = 1.0,
@@ -58,6 +74,43 @@ def near_integer(z: complex, step: float = 1.0,
     z = complex(z)
     return (abs(z.imag) <= tol
             and abs(z.real / step - round(z.real / step)) * step <= tol)
+
+
+class DegenerateParameterError(ValueError):
+    """Raised when a parameterization factor vanishes to working precision."""
+
+    def __init__(self, factor: str, value: complex):
+        self.factor = factor
+        self.value = complex(value)
+        super().__init__(f"degenerate parameter: {factor} = {value}")
+
+
+def require_nonzero(name: str, value: complex) -> complex:
+    """value as a complex, or DegenerateParameterError naming it when
+    |value| < DEGENERACY_TOL or value is nan."""
+    value = complex(value)
+    if not abs(value) >= DEGENERACY_TOL:  # nan too
+        raise DegenerateParameterError(name, value)
+    return value
+
+
+def backward_error(residual: float, *sizes: float) -> float:
+    """residual / max(sizes): a residual over the size of what cancels in it.
+
+    The sizes are, for an identity between matrix products, the product of
+    the factors' max-norms (each side's, for a comparison of two products),
+    and for a scalar identity the moduli of its terms. A zero residual stays
+    0. A nan residual or size gives nan, and so does a size past the float
+    range, which vouches for no digit; neither is ever at or below a bound.
+    """
+    if residual == 0:
+        return 0.0
+    if not math.isfinite(sum(sizes)):  # sizes are >= 0: a nan or inf shows
+        return math.nan
+    scale = max(sizes)
+    if scale == 0:
+        return math.inf
+    return residual / scale
 
 
 class GammaPoleError(ValueError):
@@ -102,6 +155,11 @@ def ln_gamma(z: complex) -> complex:
     z = complex(z)
     if _near_nonpositive_integer(z) is not None:
         raise GammaPoleError(z)
+    return _ln_gamma_off_poles(z)
+
+
+def _ln_gamma_off_poles(z: complex) -> complex:
+    # ln_gamma at a finite z that the caller has found off the poles
     if z.real >= 0.5:
         return _lanczos_right(z)
     if z.imag >= 0.0:
@@ -116,7 +174,7 @@ def ln_gamma(z: complex) -> complex:
             + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
         )
         return _LN_PI - log_sin - _lanczos_right(1.0 - z)
-    return ln_gamma(z.conjugate()).conjugate()
+    return _ln_gamma_off_poles(z.conjugate()).conjugate()
 
 
 def gamma_ratio(numerators: tuple, denominators: tuple) -> complex:
@@ -137,9 +195,9 @@ def gamma_ratio(numerators: tuple, denominators: tuple) -> complex:
                 raise GammaPoleError(a, where)
     acc = 0.0 + 0.0j
     for a in numerators:
-        acc += ln_gamma(a)
+        acc += _ln_gamma_off_poles(a)
     for a in denominators:
-        acc -= ln_gamma(a)
+        acc -= _ln_gamma_off_poles(a)
     return cmath.exp(acc)
 
 

@@ -14,6 +14,12 @@ of the spectrum-singularity ensemble's bulk limit, the one place both sets
 are built. Each record forms its residuals once, when it is built. There is
 no generic fifth-system parameterization and no s <-> s-hat map: the fifth
 system is reached only through that limit and those matrices.
+
+Every residual is a complexfn.backward_error: a cyclic relation's over the
+product of its factors' max-norms, a comparison of two matrices over the
+larger of the two sides' such products, and a scalar identity's over its
+largest term. A residual above complexfn.CONSISTENCY_TOL, or nan, is
+refused where the data are built.
 """
 
 from __future__ import annotations
@@ -24,14 +30,18 @@ from dataclasses import dataclass, field
 
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
+    CONSISTENCY_TOL,
+    DEGENERACY_TOL,
+    backward_error,
     cos_pi,
     exp_pi_i,
     gamma_ratio,
     near_integer,
+    require_nonzero,
     sin_pi,
 )
-from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
-from .monodromy_vi import MonodromyMatricesVI, SSEParams, _require_nonzero
+from .mat2 import Mat2, det, identity_residual, inv, max_diff, mul, norm_product, tr
+from .monodromy_vi import MonodromyMatricesVI, SSEParams
 
 __all__ = [
     "NonGenericError",
@@ -46,9 +56,6 @@ __all__ = [
     "sse_pv_matrices",
     "sse_theta_v",
 ]
-
-_CONSISTENCY_TOL = 1e-10
-
 
 class NonGenericError(ValueError):
     """Raised when the coalescence limit hits a non-generic configuration."""
@@ -99,10 +106,10 @@ class StokesData:
         return mul(self.stokes_matrix_upper(), mul(e_diag, self.stokes_matrix_lower()))
 
     def constraint_residual(self, theta_inf: complex, sigma: complex) -> float:
-        """Relative residual of the multiplier product constraint."""
+        """Backward error of the multiplier product constraint."""
         lhs = self.s1 * self.s2 * exp_pi_i(-theta_inf)
         rhs = 4 * sin_pi((theta_inf + sigma) / 2) * sin_pi((theta_inf - sigma) / 2)
-        return abs(lhs - rhs) / max(1.0, abs(rhs))
+        return backward_error(abs(lhs - rhs), abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -126,12 +133,13 @@ class MonodromyDataV:
     residuals: dict = field(init=False, compare=False)
 
     def __post_init__(self):
-        cyc_u = mul(self.m_inf, mul(self.m1, self.m0))
-        cyc_h = mul(self.hat_m0, mul(self.hat_m1, self.hat_m_inf))
+        two_cos = 2 * cos_pi(self.sigma)
         object.__setattr__(self, "residuals", {
-            "cyclic_unhatted": max_diff(cyc_u, IDENTITY),
-            "cyclic_hatted": max_diff(cyc_h, IDENTITY),
-            "trace_sigma": abs(tr(mul(self.hat_m0, self.hat_m1)) - 2 * cos_pi(self.sigma)),
+            "cyclic_unhatted": identity_residual(self.m_inf, self.m1, self.m0),
+            "cyclic_hatted": identity_residual(self.hat_m0, self.hat_m1, self.hat_m_inf),
+            "trace_sigma": backward_error(
+                abs(tr(mul(self.hat_m0, self.hat_m1)) - two_cos),
+                norm_product(self.hat_m0, self.hat_m1), abs(two_cos)),
         })
 
 
@@ -144,7 +152,7 @@ def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
     """
     thi = theta.theta_inf
     sigma = complex(sigma)
-    r = _require_nonzero("r", r)
+    r = require_nonzero("r", r)
     inv_g1 = gamma_ratio((), (1 - (sigma - thi) / 2, (sigma + thi) / 2))
     inv_g2 = gamma_ratio((), (1 - (sigma + thi) / 2, (sigma - thi) / 2))
     s1 = -2j * math.pi / r * inv_g1
@@ -194,7 +202,7 @@ def _eigenvector(m: Mat2, lam: complex):
     else:
         row = (c, d)
     ra, rb = row
-    if abs(ra) < 1e-300 and abs(rb) < 1e-300:
+    if not (abs(ra) >= 1e-300 or abs(rb) >= 1e-300):  # nan too
         raise NonGenericError(
             "monodromy matrix acts as a scalar at the matched eigenvalue; "
             "the coalescence data is non-generic")
@@ -214,19 +222,23 @@ def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
     aligning the eigenvectors of mats.m0 and mats.mt with the triangular
     right-hand sides, scaled so the lower-left Stokes entry comes out right,
     normalized to det K = 1, and sign-fixed by Re(K11) >= 0; it carries
-    mats.m_inf and mats.m1 into the hatted set. A K residual above 1e-10,
-    or nan, is refused.
+    mats.m_inf and mats.m1 into the hatted set. A shifted product whose
+    backward error is not above DEGENERACY_TOL is non-generic, and a K
+    residual above CONSISTENCY_TOL is refused; nan is refused at both.
     """
     m0_vi, mt_vi = mats.m0, mats.mt
     theta6 = complex(theta6)
     theta_inf_v = complex(theta_inf_v)
 
+    e6, e6_neg = exp_pi_i(theta6), exp_pi_i(-theta6)
+    e_inf, e_inf_neg = exp_pi_i(theta_inf_v), exp_pi_i(-theta_inf_v)
     m0_shifted = _minus_scalar(m0_vi, exp_pi_i(-(theta_inf_v - theta6)))
-    T = tr(mul(_minus_scalar(mt_vi, exp_pi_i(theta6)), m0_shifted))
+    T = tr(mul(_minus_scalar(mt_vi, e6), m0_shifted))
 
-    cond2 = mul(_minus_scalar(mt_vi, exp_pi_i(-theta6)), m0_shifted)
-    scale = max(mt_vi.norm_max(), m0_vi.norm_max(), 1.0)
-    if cond2.norm_max() <= 1e-12 * scale:
+    mt_shifted = _minus_scalar(mt_vi, e6_neg)
+    cond2 = mul(mt_shifted, m0_shifted)
+    if not backward_error(cond2.norm_max(), norm_product(mt_shifted, m0_shifted)) \
+            > DEGENERACY_TOL:  # nan too
         raise NonGenericError("shifted product vanishes; coalescence condition fails")
 
     w = cos_pi(theta_inf_v) + T / 2
@@ -249,7 +261,7 @@ def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
         raise NonGenericError(f"alpha = {alpha} or beta = {beta} is an integer")
 
     s_hat0 = 2j * math.pi * gamma_ratio((), (1 - alpha, 1 - beta))
-    s_hat1 = -2j * math.pi * exp_pi_i(theta_inf_v) * gamma_ratio((), (alpha, beta))
+    s_hat1 = -2j * math.pi * e_inf * gamma_ratio((), (alpha, beta))
     s0_mat = Mat2(1 + 0j, 0j, s_hat0, 1 + 0j)
     s1_mat = Mat2(1 + 0j, s_hat1, 0j, 1 + 0j)
 
@@ -257,15 +269,15 @@ def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
     # (the leading entry of the second right side) and eigenvector of mt_vi
     # at e^{-pi i theta6} (the trailing entry of the first right side)
     v0 = _eigenvector(m0_vi, exp_pi_i(theta_inf_v - theta6))
-    vt = _eigenvector(mt_vi, exp_pi_i(-theta6))
+    vt = _eigenvector(mt_vi, e6_neg)
     k_inv = Mat2(v0[0], vt[0], v0[1], vt[1])
-    if abs(det(k_inv)) < 1e-12:
+    if not abs(det(k_inv)) >= DEGENERACY_TOL:  # nan too
         raise InconsistentKError("matched eigenvectors are parallel; no valid K")
     k = inv(k_inv)
     # scaling the first column of K^-1 by x leaves K's second row alone and
     # scales (K mt K^-1)_21 by 1/x... fix x so that entry equals s_hat0 e^{pi i theta6}
     probe = mul(k, mul(mt_vi, k_inv))
-    target = s_hat0 * exp_pi_i(theta6)
+    target = s_hat0 * e6
     if not abs(probe.a21) >= 1e-300:  # nan too
         raise InconsistentKError("lower-left matching entry vanished; no valid K")
     x = target / probe.a21
@@ -281,16 +293,25 @@ def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
     k_inv = inv(k)
     hat_m0v = mul(k, mul(mats.m_inf, k_inv))
     hat_m1v = mul(k, mul(mats.m1, k_inv))
-    s1_e_inf = mul(s1_mat, Mat2.diag(exp_pi_i(theta_inf_v), exp_pi_i(-theta_inf_v)))
+    e_inf_mat = Mat2.diag(e_inf, e_inf_neg)
+    e6_mat = Mat2.diag(e6, e6_neg)
+    s1_e_inf = mul(s1_mat, e_inf_mat)
     hat_m_inf_v = mul(s0_mat, s1_e_inf)
-    rhs1 = mul(s0_mat, Mat2.diag(exp_pi_i(theta6), exp_pi_i(-theta6)))
-    rhs2 = mul(Mat2.diag(exp_pi_i(-theta6), exp_pi_i(theta6)), s1_e_inf)
+    # each side sized by its factors; e^{-pi i theta6 sigma3} has the
+    # max-norm of e^{pi i theta6 sigma3}
+    n_k, n_k_inv, n_e6 = k.norm_max(), k_inv.norm_max(), e6_mat.norm_max()
     res = {
-        "k_equation_1": max_diff(mul(k, mul(mt_vi, k_inv)), rhs1),
-        "k_equation_2": max_diff(mul(k, mul(m0_vi, k_inv)), rhs2),
-        "cyclic_hatted": max_diff(mul(hat_m0v, mul(hat_m1v, hat_m_inf_v)), IDENTITY),
+        "k_equation_1": backward_error(
+            max_diff(mul(k, mul(mt_vi, k_inv)), mul(s0_mat, e6_mat)),
+            n_k * mt_vi.norm_max() * n_k_inv, s0_mat.norm_max() * n_e6),
+        "k_equation_2": backward_error(
+            max_diff(mul(k, mul(m0_vi, k_inv)),
+                     mul(Mat2.diag(e6_neg, e6), s1_e_inf)),
+            n_k * m0_vi.norm_max() * n_k_inv,
+            n_e6 * s1_mat.norm_max() * e_inf_mat.norm_max()),
+        "cyclic_hatted": identity_residual(hat_m0v, hat_m1v, hat_m_inf_v),
     }
-    if not (res["k_equation_1"] <= _CONSISTENCY_TOL and res["k_equation_2"] <= _CONSISTENCY_TOL):
+    if not (res["k_equation_1"] <= CONSISTENCY_TOL and res["k_equation_2"] <= CONSISTENCY_TOL):
         raise InconsistentKError(
             f"no common K solves both matching equations: residuals {res}")
     return LimitIIResult(T=T, l=l, alpha=alpha, beta=beta, s0_hat=s0_mat, s1_hat=s1_mat,
@@ -315,8 +336,9 @@ def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
     Returns the hatted and unhatted sets together with the Stokes
     multipliers; the unhatted set is pinned to the gauge r = -2 mu, which is
     the value that makes its Stokes multipliers match the explicit ones. The
-    two sets are verified to be hat-transform images of each other and to
-    satisfy their cyclic relations; a residual above 1e-10, or nan, is refused.
+    two sets are verified to be hat-transform images of each other, matrix
+    by matrix, and to satisfy their cyclic relations; a backward error above
+    CONSISTENCY_TOL, or nan, is refused.
     """
     mu, w1 = p.mu, p.omega1
     om, omb = p.omega, p.omega_bar
@@ -328,46 +350,55 @@ def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
     inv_g_neg = gamma_ratio((), (-2 * mu, 2 * w1))
     inv_g_pos = gamma_ratio((), (1 + 2 * mu, 1 - 2 * w1))
 
+    # each phase and sine below enters more than one entry
+    e_thi, e_thi_neg = e(2 * mu - 2 * w1), e(-(2 * mu - 2 * w1))
+    e_mu_omb, e_omb_mu = e(mu + omb), e(-mu + omb)
+    e_mu_om, e_mu_om_neg = e(mu + om), e(-(mu + om))
+    e_m0, e_m1 = e(-3 * mu + omb), e(2 * w1 - mu + omb)
+    sin_2mu, sin_mu_omb, sin_mu_om = sin_pi(2 * mu), sin_pi(mu - omb), sin_pi(mu + om)
+    two_cos_sg = 2 * cos_pi(2 * mu + 2 * w1)
+
     hat_m0 = Mat2(
-        e(mu + omb) * (1 - xi) - e(mu - omb) * 2j * sin_pi(2 * mu),
-        -g_up * e(2 * mu + 2 * w1) * (e(-(mu + omb)) * 2j * sin_pi(2 * mu) + e(-mu + omb) * xi),
-        g_dn * e(2 * mu - 2 * w1) * (2j * sin_pi(mu - omb) + e(-mu + omb) * xi),
-        e(3 * mu - omb) + e(mu + omb) * xi,
+        e_mu_omb * (1 - xi) - e(mu - omb) * 2j * sin_2mu,
+        -g_up * e(2 * mu + 2 * w1) * (e(-(mu + omb)) * 2j * sin_2mu + e_omb_mu * xi),
+        g_dn * e_thi * (2j * sin_mu_omb + e_omb_mu * xi),
+        e(3 * mu - omb) + e_mu_omb * xi,
     )
     hat_m1 = Mat2(
-        e(mu + om) + e(-(mu + om)) * xi,
-        g_up * e(-mu + omb) * xi,
-        -g_dn * e(-2 * w1) * (2j * sin_pi(mu + om) + e(-(mu + om)) * xi),
-        e(-(mu + om)) * (1 - xi),
+        e_mu_om + e_mu_om_neg * xi,
+        g_up * e_omb_mu * xi,
+        -g_dn * e(-2 * w1) * (2j * sin_mu_om + e_mu_om_neg * xi),
+        e_mu_om_neg * (1 - xi),
     )
     hat_m_inf = Mat2(
-        e(2 * mu - 2 * w1),
+        e_thi,
         -2j * math.pi * inv_g_neg,
-        2j * math.pi * inv_g_pos * e(2 * mu - 2 * w1),
-        2 * cos_pi(2 * mu + 2 * w1) - e(2 * mu - 2 * w1),
+        2j * math.pi * inv_g_pos * e_thi,
+        two_cos_sg - e_thi,
     )
 
     m0 = Mat2(
-        e(-3 * mu + omb) * (1 - xi),
-        -g_up * e(-mu - om) * (2j * sin_pi(2 * mu) + e(-2 * mu) * xi),
-        g_dn * e(-2 * mu + 2 * w1) * (2j * sin_pi(mu - omb) + e(-mu + omb) * xi),
-        2 * cos_pi(mu + omb) - e(-3 * mu + omb) * (1 - xi),
+        e_m0 * (1 - xi),
+        -g_up * e(-mu - om) * (2j * sin_2mu + e(-2 * mu) * xi),
+        g_dn * e(-2 * mu + 2 * w1) * (2j * sin_mu_omb + e_omb_mu * xi),
+        2 * cos_pi(mu + omb) - e_m0 * (1 - xi),
     )
     m1 = Mat2(
-        e(mu + om) + e(2 * w1 - mu + omb) * xi,
-        g_up * e(-mu + omb) * xi,
-        -g_dn * e(2 * w1) * (2j * sin_pi(mu + om) + e(2 * w1 - mu + omb) * xi),
-        e(-mu - om) - e(2 * w1 - mu + omb) * xi,
+        e_mu_om + e_m1 * xi,
+        g_up * e_omb_mu * xi,
+        -g_dn * e(2 * w1) * (2j * sin_mu_om + e_m1 * xi),
+        e(-mu - om) - e_m1 * xi,
     )
     m_inf = Mat2(
-        2 * cos_pi(2 * mu + 2 * w1) - e(-(2 * mu - 2 * w1)),
+        two_cos_sg - e_thi_neg,
         -2j * math.pi * inv_g_neg,
-        2j * math.pi * inv_g_pos * e(-(2 * mu - 2 * w1)),
-        e(-(2 * mu - 2 * w1)),
+        2j * math.pi * inv_g_pos * e_thi_neg,
+        e_thi_neg,
     )
 
-    s1 = 2j * math.pi * gamma_ratio((), (1 - 2 * w1, 1 + 2 * mu))
-    s2 = -2j * math.pi * e(2 * mu - 2 * w1) * gamma_ratio((), (2 * w1, -2 * mu))
+    # the multipliers carry the gamma factors of the matrices at infinity
+    s1 = 2j * math.pi * inv_g_pos
+    s2 = -2j * math.pi * e_thi * inv_g_neg
     stokes = StokesData(s1=s1, s2=s2)
 
     data = MonodromyDataV(
@@ -375,16 +406,24 @@ def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
         m0=m0, m1=m1, m_inf=m_inf,
         hat_m0=hat_m0, hat_m1=hat_m1, hat_m_inf=hat_m_inf,
     )
-    bad = {k: v for k, v in data.residuals.items() if not v <= _CONSISTENCY_TOL}
+    bad = {k: v for k, v in data.residuals.items() if not v <= CONSISTENCY_TOL}
     if bad:
         raise InconsistentKError(f"monodromy data fails consistency checks: {bad}")
 
     # the two printed sets must be images of each other under the hat
-    # transform built from the lower Stokes matrix
-    ht = hat_transform(stokes.stokes_matrix_lower(), m0, m1, m_inf)
-    ref = (hat_m0, hat_m1, hat_m_inf)
-    dev = max(max_diff(a, b) for a, b in zip(ht, ref))
-    if not dev <= _CONSISTENCY_TOL * max(1.0, max(m.norm_max() for m in ref)):
+    # transform built from the lower Stokes matrix; each image is sized by
+    # its factors S1 M1 M0 M1^-1 S1^-1, S1 M1 S1^-1 and S1 Minf S1^-1, and
+    # an SL(2) matrix has the max-norm of its inverse
+    s1_mat = stokes.stokes_matrix_lower()
+    n_s1, n_m1 = s1_mat.norm_max(), m1.norm_max()
+    sizes = (n_s1 * n_m1 * m0.norm_max() * n_m1 * n_s1, n_s1 * n_m1 * n_s1,
+             n_s1 * m_inf.norm_max() * n_s1)
+    printed = (hat_m0, hat_m1, hat_m_inf)
+    dev = {name: backward_error(max_diff(image, ref), size, ref.norm_max())
+           for name, image, size, ref in zip(
+               ("hat_m0", "hat_m1", "hat_m_inf"),
+               hat_transform(s1_mat, m0, m1, m_inf), sizes, printed)}
+    if not all(v <= CONSISTENCY_TOL for v in dev.values()):
         raise InconsistentKError(f"printed matrix sets disagree under hat transform: {dev}")
 
     return data

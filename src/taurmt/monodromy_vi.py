@@ -11,14 +11,28 @@ monodromy matrices degenerate to upper triangular form and s_0t exists only
 as the degenerate limit 0. There the matrices are built from the expansion
 coefficient s-hat instead, a multiple of SSEParams.branch_bracket
 (sse_monodromy), and no map between s_0t and s-hat is kept.
+
+Every residual formed here is a complexfn.backward_error: the cyclic
+relation's over the product of the four matrices' max-norms, a
+determinant's, a trace's and the manifold constraint's over their largest
+term. DegenerateParameterError is complexfn's, exported here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexfn import cos_pi, exp_pi_i, near_integer, sin_pi
-from .mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
+from .complexfn import (
+    DEGENERACY_TOL,
+    DegenerateParameterError,
+    backward_error,
+    cos_pi,
+    exp_pi_i,
+    near_integer,
+    require_nonzero,
+    sin_pi,
+)
+from .mat2 import Mat2, det, det_residual, identity_residual, inv, mul, tr
 
 __all__ = [
     "DegenerateParameterError",
@@ -32,25 +46,6 @@ __all__ = [
     "connection_sigmas",
     "sse_monodromy",
 ]
-
-_DEGEN_TOL = 1e-12
-
-
-class DegenerateParameterError(ValueError):
-    """Raised when a parameterization factor vanishes to working precision."""
-
-    def __init__(self, factor: str, value: complex):
-        self.factor = factor
-        self.value = complex(value)
-        super().__init__(f"degenerate parameter: {factor} = {value}")
-
-
-def _require_nonzero(name: str, value: complex) -> complex:
-    value = complex(value)
-    if not abs(value) >= _DEGEN_TOL:  # nan too
-        raise DegenerateParameterError(name, value)
-    return value
-
 
 @dataclass(frozen=True)
 class ThetaVI:
@@ -106,8 +101,8 @@ class MonodromyMatricesVI:
     m_inf: Mat2
 
     def cyclic_residual(self) -> float:
-        """max |Minf M1 Mt M0 - I| over the entries."""
-        return max_diff(mul(self.m_inf, mul(self.m1, mul(self.mt, self.m0))), IDENTITY)
+        """Backward error of Minf M1 Mt M0 = I."""
+        return identity_residual(self.m_inf, self.m1, self.mt, self.m0)
 
     def trace_coordinates(self) -> tuple:
         """(p0, pt, p1, p_inf, p0t, pt1, p01) as manifold_residual takes them."""
@@ -116,20 +111,17 @@ class MonodromyMatricesVI:
                 tr(mul(mt, m0)), tr(mul(m1, mt)), tr(mul(m1, m0)))
 
     def residuals(self, theta: ThetaVI) -> dict:
-        """Deviations from the defining identities (all should be ~0)."""
-        dets = {
-            "det_m0": abs(det(self.m0) - 1.0),
-            "det_mt": abs(det(self.mt) - 1.0),
-            "det_m1": abs(det(self.m1) - 1.0),
-            "det_m_inf": abs(det(self.m_inf) - 1.0),
-        }
-        traces = {
-            "tr_m0": abs(tr(self.m0) - 2 * cos_pi(theta.theta0)),
-            "tr_mt": abs(tr(self.mt) - 2 * cos_pi(theta.theta_t)),
-            "tr_m1": abs(tr(self.m1) - 2 * cos_pi(theta.theta1)),
-            "tr_m_inf": abs(tr(self.m_inf) - 2 * cos_pi(theta.theta_inf)),
-        }
-        return {"cyclic": self.cyclic_residual(), **dets, **traces}
+        """Backward errors of the defining identities (all should be ~0):
+        the cyclic relation, det M = 1 and tr M = 2 cos(pi theta) for each
+        matrix."""
+        out = {"cyclic": self.cyclic_residual()}
+        for name, th in zip(("m0", "mt", "m1", "m_inf"), theta.as_tuple()):
+            m = getattr(self, name)
+            two_cos = 2 * cos_pi(th)
+            out["det_" + name] = det_residual(m)
+            out["tr_" + name] = backward_error(
+                abs(tr(m) - two_cos), abs(m.a11), abs(m.a22), abs(two_cos))
+        return out
 
 
 def pvi_matrices(theta: ThetaVI, sigma_0t: complex, s_0t: complex,
@@ -143,10 +135,10 @@ def pvi_matrices(theta: ThetaVI, sigma_0t: complex, s_0t: complex,
     th0, tht, th1, thi = theta.as_tuple()
     sg = complex(sigma_0t)
 
-    sin_sg = _require_nonzero("sin(pi sigma_0t)", sin_pi(sg))
-    sin_thi = _require_nonzero("sin(pi theta_inf)", sin_pi(thi))
-    s = _require_nonzero("s_0t", s_0t)
-    r = _require_nonzero("r", r)
+    sin_sg = require_nonzero("sin(pi sigma_0t)", sin_pi(sg))
+    sin_thi = require_nonzero("sin(pi theta_inf)", sin_pi(thi))
+    s = require_nonzero("s_0t", s_0t)
+    r = require_nonzero("r", r)
 
     m_inf = Mat2.diag(exp_pi_i(thi), exp_pi_i(-thi))
 
@@ -185,7 +177,7 @@ def pvi_matrices(theta: ThetaVI, sigma_0t: complex, s_0t: complex,
         sin_pi((thi - th1 - sg) / 2), r * sin_pi((thi + th1 + sg) / 2),
         1 / r * sin_pi((thi - th1 + sg) / 2), sin_pi((thi + th1 - sg) / 2),
     )
-    _require_nonzero("det D", det(d))
+    require_nonzero("det D", det(d))
     d_inv = inv(d)
     mt = mul(d_inv, mul(mt_frame, d))
     m0 = mul(d_inv, mul(m0_frame, d))
@@ -193,22 +185,25 @@ def pvi_matrices(theta: ThetaVI, sigma_0t: complex, s_0t: complex,
 
 
 def manifold_residual(p0: complex, pt: complex, p1: complex, p_inf: complex,
-                      p0t: complex, pt1: complex, p01: complex) -> complex:
-    """Left side of the monodromy-manifold constraint; ~0 for consistent data.
+                      p0t: complex, pt1: complex, p01: complex) -> float:
+    """Backward error of the monodromy-manifold constraint; ~0 for
+    consistent data.
 
     Arguments are the trace invariants p_nu = tr M_nu and p_{mu nu} =
-    tr(M_mu M_nu).
+    tr(M_mu M_nu). The constraint's left side is divided by its largest
+    monomial.
     """
-    return (
-        p0t * pt1 * p01
-        + p0t * p0t + pt1 * pt1 + p01 * p01
-        - (p0 * pt + p1 * p_inf) * p0t
-        - (pt * p1 + p0 * p_inf) * pt1
-        - (p0 * p1 + pt * p_inf) * p01
-        + p0 * p0 + pt * pt + p1 * p1 + p_inf * p_inf
-        + p0 * pt * p1 * p_inf
-        - 4.0
+    terms = (
+        p0t * pt1 * p01,
+        p0t * p0t, pt1 * pt1, p01 * p01,
+        -p0 * pt * p0t, -p1 * p_inf * p0t,
+        -pt * p1 * pt1, -p0 * p_inf * pt1,
+        -p0 * p1 * p01, -pt * p_inf * p01,
+        p0 * p0, pt * pt, p1 * p1, p_inf * p_inf,
+        p0 * pt * p1 * p_inf,
+        -4.0,
     )
+    return backward_error(abs(sum(terms)), *(abs(t) for t in terms))
 
 
 def connection_sigmas(theta: ThetaVI, sigma_0t: complex, s_0t: complex):
@@ -237,7 +232,7 @@ def connection_sigmas(theta: ThetaVI, sigma_0t: complex, s_0t: complex):
         rhs.append(c)
     (a1, b1), (a2, b2) = rows
     den = a1 * b2 - a2 * b1  # equals 2i sin^3(pi sigma)
-    if abs(den) < _DEGEN_TOL ** 3:
+    if abs(den) < DEGENERACY_TOL ** 3:
         raise DegenerateParameterError("connection system determinant (sin^3 pi sigma_0t)", den)
     cos_t1 = (rhs[0] * b2 - rhs[1] * b1) / den
     cos_01 = (a1 * rhs[1] - a2 * rhs[0]) / den
@@ -266,7 +261,7 @@ class SSEParams:
             raise ValueError(f"N must be a non-negative int, got {self.N!r}")
         for name in ("mu", "omega1", "omega2", "xi_star"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if (2 * self.omega1).real <= -1 or (2 * self.mu).real <= -1:
+        if not ((2 * self.omega1).real > -1 and (2 * self.mu).real > -1):  # nan too
             raise ValueError("need Re(2 omega1) > -1 and Re(2 mu) > -1 for a convergent weight")
 
     @property
@@ -323,24 +318,25 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
     The parameterization coefficient s_0t only exists as a degenerate limit,
     so the matrices are built from the finite s_hat alone.
     """
-    r = _require_nonzero("r", r)
+    r = require_nonzero("r", r)
     theta = sse_theta_vi(p)
     sg = p.sigma
-    sin_sg = _require_nonzero("sin(pi (2 mu + 2 omega1))", sin_pi(sg))
-    sin_2w1 = _require_nonzero("sin(2 pi omega1)", sin_pi(2 * p.omega1))
-    sin_mo = _require_nonzero("sin(pi (mu + omega))", sin_pi(p.mu + p.omega))
+    sin_sg = require_nonzero("sin(pi (2 mu + 2 omega1))", sin_pi(sg))
+    sin_2w1 = require_nonzero("sin(2 pi omega1)", sin_pi(2 * p.omega1))
+    sin_mo = require_nonzero("sin(pi (mu + omega))", sin_pi(p.mu + p.omega))
 
     s_hat = p.branch_bracket() / (sin_2w1 * sin_mo)
-    _require_nonzero("s_hat", s_hat)
+    require_nonzero("s_hat", s_hat)
 
     # all three entries scale linearly in r: the whole family over r is one
     # diagonal-conjugation orbit, so r is a pure gauge label here exactly as
     # in the generic parameterization
     sgn = -1.0 if p.N % 2 else 1.0
-    m0 = (sgn * 2j * r * sin_pi(2 * p.mu) / sin_sg ** 2
-          * (-(1 / s_hat) * sin_pi(p.mu + p.omega_bar) + sin_sg * sin_mo))
+    sin_2mu, sin_mob = sin_pi(2 * p.mu), sin_pi(p.mu + p.omega_bar)
+    m0 = (sgn * 2j * r * sin_2mu / sin_sg ** 2
+          * (-(1 / s_hat) * sin_mob + sin_sg * sin_mo))
     mt = (sgn * 2j * r / sin_sg ** 2
-          * ((1 / s_hat) * exp_pi_i(-sg) * sin_pi(2 * p.mu) * sin_pi(p.mu + p.omega_bar)
+          * ((1 / s_hat) * exp_pi_i(-sg) * sin_2mu * sin_mob
              + sin_sg * sin_2w1 * sin_mo))
     m1 = -2j * r * exp_pi_i(-(p.mu + p.omega_bar)) * sin_mo
 
@@ -354,15 +350,16 @@ def sse_monodromy(p: SSEParams, r: complex) -> SSEMonodromyVI:
 
 
 def sse_offdiag_relation_residual(res: SSEMonodromyVI) -> float:
-    """Residual of the linear identity tying the three upper-right entries.
+    """Backward error of the linear identity tying the three upper-right
+    entries.
 
     e^{-pi i theta0} m0 + e^{-pi i theta_t} mt + e^{-pi i (theta0+theta_t-
     theta_inf)} m1 = 0 holds independently of s_hat.
     """
     theta = res.theta
     m0, mt, m1 = (m.a12 for m in (res.matrices.m0, res.matrices.mt, res.matrices.m1))
-    value = (exp_pi_i(-theta.theta0) * m0
-             + exp_pi_i(-theta.theta_t) * mt
-             + exp_pi_i(-(theta.theta0 + theta.theta_t - theta.theta_inf)) * m1)
-    scale = max(abs(m0), abs(mt), abs(m1), 1.0)
-    return abs(value) / scale
+    terms = (exp_pi_i(-theta.theta0) * m0,
+             exp_pi_i(-theta.theta_t) * mt,
+             exp_pi_i(-(theta.theta0 + theta.theta_t - theta.theta_inf)) * m1)
+    return backward_error(abs(terms[0] + terms[1] + terms[2]),
+                          *(abs(t) for t in terms))

@@ -23,13 +23,15 @@ from dataclasses import dataclass
 from .complexfn import (
     COMPUTED_INTEGER_TOL,
     INPUT_INTEGER_TOL,
+    DegenerateParameterError,
     barnes_prefactor,
     gamma_ratio,
     near_integer,
+    require_nonzero,
     sin_pi,
 )
 from .monodromy_v import ThetaV
-from .monodromy_vi import DegenerateParameterError, SSEParams, ThetaVI, _require_nonzero
+from .monodromy_vi import SSEParams, ThetaVI
 
 __all__ = [
     "BoundaryExpansion",
@@ -138,7 +140,7 @@ class BoundaryExpansion:
 def _require_nondegenerate_sigma(sigma: complex) -> complex:
     sigma = complex(sigma)
     for label, value in (("sigma", sigma), ("1+sigma", 1 + sigma), ("1-sigma", 1 - sigma)):
-        _require_nonzero(label, value)
+        require_nonzero(label, value)
     return sigma
 
 
@@ -151,7 +153,7 @@ def pvi_tau_series(theta: ThetaVI, sigma: complex, s_hat: complex) -> BoundaryEx
     with remainder order 2(1 - Re sigma).
     """
     sigma = _require_nondegenerate_sigma(sigma)
-    s_hat = _require_nonzero("s_hat", s_hat)
+    s_hat = require_nonzero("s_hat", s_hat)
     th0, tht, th1, thi = theta.as_tuple()
 
     c1 = ((th0 ** 2 - tht ** 2 - sigma ** 2) * (thi ** 2 - th1 ** 2 - sigma ** 2)
@@ -234,7 +236,7 @@ def pv_tau_series(theta: ThetaV, sigma: complex, s_hat: complex) -> BoundaryExpa
     (sigma^2 - theta_inf^2)/4 and branch denominators 8 sigma^2 (1 +/- sigma)^2.
     """
     sigma = _require_nondegenerate_sigma(sigma)
-    s_hat = _require_nonzero("s_hat", s_hat)
+    s_hat = require_nonzero("s_hat", s_hat)
     th0, th1, thi = theta.as_tuple()
     for name, value in (("theta0", th0), ("theta1", th1)):
         if near_integer(value, tol=COMPUTED_INTEGER_TOL):

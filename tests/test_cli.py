@@ -18,7 +18,8 @@ import taurmt
 from taurmt import cli
 from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
                         EXIT_VIOLATION, main)
-from taurmt.monodromy_vi import SSEParams
+from taurmt.monodromy_v import limit_transition_ii, sse_pv_matrices
+from taurmt.monodromy_vi import SSEParams, sse_monodromy
 from taurmt.rmt_numerics import (QuadratureError, fredholm_log_derivatives,
                                   toeplitz_an)
 
@@ -858,8 +859,10 @@ def test_generic_monodromy_check_refuses_a_vanishing_coefficient(
     (["--s=1e100", "--sigma=0.5+200i"],
      ["cyclic", "det_m0", "manifold", "two_point_0t", "connection_t1",
       "connection_01"]),
+    # tr(M1 Mt) and its connection cosine are both of order 1e160 and agree
+    # to rounding, so connection_t1 passes as a backward error
     (["--s=1e160"],
-     ["cyclic", "det_m0", "manifold", "two_point_0t", "connection_t1"]),
+     ["cyclic", "det_m0", "manifold", "two_point_0t"]),
 ])
 def test_nan_residual_is_a_violation(flags, violated, capsys):
     # a nan is never above the tolerance, yet it is no pass either
@@ -901,6 +904,58 @@ def test_nan_fifth_system_residuals_are_a_consistency_failure(capsys):
     assert captured.err == (
         "parameter error: monodromy data fails consistency checks: "
         "{'cyclic_unhatted': nan, 'cyclic_hatted': nan, 'trace_sigma': nan}\n")
+
+
+@pytest.mark.parametrize("xi", ["1e-3", "0.5", "10", "100", "1e3", "1e4",
+                                "-1e4", "1e4i"])
+def test_monodromy_check_passes_as_xi_grows(xi, capsys):
+    # the matrix entries grow like xi; each residual is divided by the size
+    # of what cancels in it, so the data pass from 1e-3 to 1e4
+    assert main(["monodromy-check", f"--xi={xi}"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert max(value for _, value in json.loads(captured.out)["rows"]) \
+        <= 1e-10
+
+
+def test_monodromy_check_refuses_a_cancelling_inverse(capsys):
+    # at xi = 1e6 det M1 is computed as 0.999 from entries near 1e6: the
+    # hat transform's inverse refuses it
+    assert main(["monodromy-check", "--xi=1e6"]) == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "parameter error: matrix is singular to working precision")
+
+
+def _sse_draw(rng):
+    """An even-N branch-window weight with |xi| from 1e-3 to 1e4 at a
+    complex phase, and a gauge r."""
+    n = rng.choice((2, 4, 6, 8))
+    sigma = rng.uniform(0.05, 0.95)
+    two_mu = rng.uniform(max(-0.9, sigma - 1.9), min(1.9, sigma + 0.9))
+    p = SSEParams(N=n, mu=two_mu / 2, omega1=(sigma - two_mu) / 2,
+                  omega2=rng.uniform(-0.49, 0.49),
+                  xi_star=cmath.rect(10 ** rng.uniform(-3, 4),
+                                     rng.uniform(0, 2 * math.pi)))
+    return p, rng.uniform(0.5, 1.5)
+
+
+def test_monodromy_check_passes_over_random_sse_draws(capsys):
+    rng = random.Random(1)
+    for _ in range(200):
+        p, r = _sse_draw(rng)
+        argv = ["monodromy-check", f"--bigN={p.N}"] + [
+            f"--{flag}={cli.format_complex(value)}" for flag, value in (
+                ("mu", p.mu), ("omega1", p.omega1), ("omega2", p.omega2),
+                ("xi", p.xi_star), ("r", r))]
+        assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()
+        pv = sse_pv_matrices(p)
+        limit = limit_transition_ii(sse_monodromy(p, r).matrices,
+                                    -2 * p.omega1, pv.theta.theta_inf)
+        values = [*pv.residuals.values(), *limit.residuals.values()]
+        assert all(value <= 1e-13 for value in values), argv  # nan fails
 
 
 def test_corrupt_s_is_not_a_flag(tmp_path, capsys):

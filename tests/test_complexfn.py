@@ -12,12 +12,16 @@ import mpmath as mp
 import pytest
 
 from taurmt.complexfn import (
+    DEGENERACY_TOL,
+    DegenerateParameterError,
     GammaPoleError,
+    backward_error,
     barnes_prefactor,
     barnes_prefactors,
     cos_pi,
     gamma_ratio,
     ln_gamma,
+    require_nonzero,
     sin_pi,
 )
 
@@ -208,3 +212,40 @@ class TestBarnesPrefactor:
         # 2 mu + 2 omega1 + 1 = 0 puts the k = 0 numerator factor at a pole
         with pytest.raises(GammaPoleError):
             barnes_prefactor(1, -0.75, 0.25, 0.0)
+
+
+class TestBackwardError:
+    def test_residual_over_the_largest_size(self):
+        assert backward_error(3e-12, 1.0, 300.0, 2.0) == 1e-14
+
+    def test_zero_stays_zero(self):
+        assert backward_error(0.0, 5.0) == 0.0
+        assert backward_error(0.0, 0.0) == 0.0
+        assert backward_error(0.0, math.nan) == 0.0
+
+    @pytest.mark.parametrize("residual, sizes", [
+        (math.nan, (1.0,)),
+        (1e-16, (math.nan, 1.0)),
+        (1e-16, (1.0, math.nan)),
+        (1e-16, (math.inf, 1.0)),
+    ])
+    def test_nan_or_an_unbounded_size_is_nan(self, residual, sizes):
+        # never at or below a bound: nan fails every `value <= tol`
+        assert math.isnan(backward_error(residual, *sizes))
+
+    def test_nothing_to_cancel_is_infinite(self):
+        assert backward_error(1e-300, 0.0) == math.inf
+
+
+def test_one_degeneracy_policy():
+    # the layer re-exports the one exception; its modules keep no tolerance
+    from taurmt import monodromy_v, monodromy_vi
+    assert monodromy_vi.DegenerateParameterError is DegenerateParameterError
+    for module in (monodromy_v, monodromy_vi):
+        assert not [name for name in vars(module) if name.endswith("_TOL")
+                    and name.startswith("_")]
+    with pytest.raises(DegenerateParameterError, match="x = "):
+        require_nonzero("x", complex(math.nan, 0.0))
+    with pytest.raises(DegenerateParameterError):
+        require_nonzero("x", 0.5 * DEGENERACY_TOL)
+    assert require_nonzero("x", DEGENERACY_TOL) == DEGENERACY_TOL

@@ -1,5 +1,6 @@
 """Tests for the 2x2 complex matrix layer."""
 
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from taurmt.mat2 import (
     inv,
     max_diff,
     mul,
+    norm_product,
     tr,
 )
 
@@ -59,3 +61,30 @@ class TestBasics:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inv(Mat2(1.0, 2.0, 2.0, 4.0))
+
+
+NAN = complex(math.nan, 0.0)
+
+
+@pytest.mark.parametrize("m", [Mat2(NAN, 0j, 0j, 1 + 0j),
+                               Mat2(1 + 0j, NAN, 0j, 1 + 0j)])
+def test_nan_matrix_is_singular(m):
+    # a nan determinant is not above the bound: refused, not inverted
+    with pytest.raises(SingularMatrixError):
+        inv(m)
+
+
+def test_a_nan_entry_is_not_dropped():
+    # the builtin max keeps a nan only in first place
+    m = Mat2(1 + 0j, NAN, 0j, 1 + 0j)
+    assert math.isnan(m.norm_max())
+    assert math.isnan(max_diff(m, IDENTITY))
+    assert math.isnan(norm_product(IDENTITY, m))
+
+
+def test_norm_product_bounds_the_product():
+    rng = random.Random(9)
+    for _ in range(50):
+        a, b = random_mat(rng), random_mat(rng)
+        assert norm_product(a, b) == a.norm_max() * b.norm_max()
+        assert mul(a, b).norm_max() <= 2 * norm_product(a, b)

@@ -10,7 +10,7 @@ import pytest
 
 from taurmt.complexfn import GammaPoleError, exp_pi_i
 from taurmt import monodromy_v
-from taurmt.mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, tr
+from taurmt.mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, norm_product, tr
 from taurmt.monodromy_v import (
     InconsistentKError,
     NonGenericError,
@@ -197,8 +197,12 @@ class TestSsePvMatrices:
         sp = sse_pv_matrices(P_STD)
         skewed = dataclasses.replace(sp, m0=sp.m0._replace(a12=sp.m0.a12 * 1.001))
         cyc = mul(skewed.m_inf, mul(skewed.m1, skewed.m0))
-        assert skewed.residuals["cyclic_unhatted"] == max_diff(cyc, IDENTITY)
-        assert skewed.residuals["cyclic_unhatted"] > 1e-4
+        # the backward error: the residual over the factors' norm product
+        size = norm_product(skewed.m_inf, skewed.m1, skewed.m0)
+        assert size > 1
+        residual = max_diff(cyc, IDENTITY)
+        assert residual > 1e-4
+        assert skewed.residuals["cyclic_unhatted"] == residual / size
         assert skewed.residuals["cyclic_hatted"] == sp.residuals["cyclic_hatted"]
 
     def test_record_hashes_and_compares_by_its_matrices(self):
@@ -285,6 +289,26 @@ class TestLimitTransitionII:
                                                                nan, nan))
         with pytest.raises(InconsistentKError, match="lower-left"):
             self.run_limit()
+
+    def test_nan_shifted_product_refused(self):
+        # a nan product is not above the degeneracy bound: refused as
+        # non-generic, not carried on to a non-finite gamma argument
+        nan = complex(math.nan, 0.0)
+        self.mats = dataclasses.replace(self.mats, m0=Mat2(nan, nan, nan, nan))
+        with pytest.raises(NonGenericError, match="shifted product"):
+            self.run_limit()
+
+    def test_nan_eigenvector_pair_refused(self, monkeypatch):
+        # a nan det K^-1 is not at or above the degeneracy bound
+        monkeypatch.setattr(monodromy_v, "_eigenvector",
+                            lambda m, lam: (complex(math.nan, 0.0), 1 + 0j))
+        with pytest.raises(InconsistentKError, match="parallel"):
+            self.run_limit()
+
+    def test_nan_eigenvector_rows_refused(self):
+        nan = complex(math.nan, 0.0)
+        with pytest.raises(NonGenericError, match="acts as a scalar"):
+            monodromy_v._eigenvector(Mat2(nan, nan, nan, nan), 1 + 0j)
 
     def test_result_independent_of_vi_gauge(self):
         sm2 = sse_monodromy(P_EVEN, r=0.7 - 0.3j)

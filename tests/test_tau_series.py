@@ -119,8 +119,12 @@ class TestAnSeries:
             an_series(SSEParams(N=0, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5))
 
     def test_nan_sigma_rejected(self):
-        # SSEParams takes a nan mu; the branch exponent check refuses it
-        p = SSEParams(N=2, mu=math.nan, omega1=0.1, omega2=0.3, xi_star=0.5)
+        # SSEParams refuses a nan mu; one set past its check meets the
+        # series' own branch exponent check
+        with pytest.raises(ValueError, match="convergent weight"):
+            SSEParams(N=2, mu=math.nan, omega1=0.1, omega2=0.3, xi_star=0.5)
+        p = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
+        object.__setattr__(p, "mu", complex(math.nan))
         with pytest.raises(DegenerateParameterError, match="Re"):
             an_series(p)
 
@@ -166,7 +170,10 @@ class TestBulkSeries:
             bulk_series(p)
 
     def test_nan_sigma_rejected(self):
-        p = SSEParams(N=1, mu=0.0, omega1=math.nan, omega2=0.0, xi_star=0.5)
+        with pytest.raises(ValueError, match="convergent weight"):
+            SSEParams(N=1, mu=0.0, omega1=math.nan, omega2=0.0, xi_star=0.5)
+        p = SSEParams(N=1, mu=0.0, omega1=0.1, omega2=0.0, xi_star=0.5)
+        object.__setattr__(p, "omega1", complex(math.nan))
         with pytest.raises(DegenerateParameterError, match="2 mu"):
             bulk_series(p)
 
