@@ -38,14 +38,17 @@ sampled in one call of the integrand on their concatenated nodes and
 summed level by level from those rows; the endpoint-decay check of a
 level-4 answer reuses the same samples.
 
-Panels are integrated as rows of a batch (_integrate_rows): every arc
-panel of every weight in a pass is one row of one integrand, every leg
-one row of another, and levels 0..4 of up to _CHUNK_ROWS nodes' worth of
-rows are one call. A row's panel data is a column broadcast across its
-nodes, as a scalar is across a lone panel's, and its level sums are one
-stacked product over rows laid out as a lone panel's would be, so each
-row's value, error and refusal are bit for bit those of the panel on its
-own. Each row finishes in _finish, only when its table is asked for:
+Panels are integrated as rows of a batch (_integrate_rows): every split
+panel on the circle of every weight in a pass is one row of one
+integrand, evaluated in real arithmetic, every other arc panel one row
+of a second and every leg one row of a third, and levels 0..4 of up to
+_CHUNK_ROWS nodes' worth of rows are one call. A row's panel data is a
+column broadcast across its nodes, as a scalar is across a lone panel's,
+and its level sums are one stacked product over rows laid out as a lone
+panel's would be, so each row's value, error and refusal are bit for
+bit those of the panel on its own. That is why real and complex rows
+never share a batch: a real row would turn complex beside a complex
+one. Each row finishes in _finish, only when its table is asked for:
 convergence and the edge check are per row, and a row that needs levels
 past 4 continues alone.
 toeplitz_grid batches the seeds of a whole grid of t this way, and
@@ -71,10 +74,13 @@ through the complementary-angle identity, pins the base to the closed
 right half plane, so the principal power is the correct continuation on
 both sides of the wrap angle pi - Re phi; the two sides differ by exactly
 the phase jump the continued power must carry across the cut that lands
-on the contour there. The subtracted arc of the modified measure becomes
-a straight leg from pi - phi to pi in the complex angle plane with the
-same sine structure. On the circle all of this collapses back to the
-real-modulus weight.
+on the contour there. On the circle all of this collapses back to the
+real-modulus weight, and the subtracted arc (pi - phi, pi) is the
+wrapped panel itself: it is integrated once, scaled by 1 - xi* (as in
+the oracle, and dropped at xi* = 1), with both bases and both logs
+real. The subtracted arc is a straight leg from pi - phi to pi in the
+complex angle plane, with the same sine structure, only inside the
+disc and where the wrap angle snaps onto an arc end (a single panel).
 
 Recurrence notes. z(1 + z)(1 + tz) w'(z)/w(z) is a quadratic in
 z = e^{i theta}, so the coefficients obey a three-term recurrence in k
@@ -496,7 +502,10 @@ def _arc_panels(phi: complex):
 
 
 def _column(values, dtype=float) -> np.ndarray:
-    """One value per row, shaped to broadcast across that row's nodes."""
+    """One value per row, shaped to broadcast across that row's nodes.
+
+    dtype None takes the values' own: float unless one is complex.
+    """
     return np.array(values, dtype=dtype)[:, None]
 
 
@@ -511,6 +520,15 @@ def _arc_integrand(p: SSEParams, rows, ks: np.ndarray):
     built from the opposite distance replaces it, so the argument of the
     sine is always resolved from the nearest zero of the base.
 
+    A float phi marks a split panel on the circle: zeta has no imaginary
+    offset, so zeta, both bases and both logs are real arrays and only
+    the weight and its phase table are complex. The arithmetic follows
+    the dtype of the shift column, as _phase_table's follows theta's, so
+    a batch holds rows of one kind only. A snapped single panel keeps a
+    complex phi: at phi = 2 pi, where the phase of t = e^{-i eps} rounds,
+    its base2 is negative on part of the panel, which the real log would
+    turn into nan.
+
     Returns f(sel, d0, d1) -> (rows[sel], nodes, K) for _integrate_rows.
     Each row's panel data is one column broadcast across its nodes, the
     way a scalar is across one panel's nodes, so every node runs the same
@@ -523,8 +541,9 @@ def _arc_integrand(p: SSEParams, rows, ks: np.ndarray):
     # zeta = (near + shift) / 2 from the wrap point, or
     # (far + far_shift - shift) / 2 from the opposite side; each offset is
     # formed as the scalar a lone panel would add
-    shift = _column([1j * phi.imag if panel[2] else -(1j * phi.imag)
-                     for phi, panel in rows], complex)
+    shift = _column([0.0 if isinstance(phi, float)
+                     else 1j * phi.imag if panel[2] else -(1j * phi.imag)
+                     for phi, panel in rows], None)
     far_shift = _column([_TWO_PI - phi.real if panel[2] else phi.real
                          for phi, panel in rows])
     two_w1 = 2.0 * p.omega1
@@ -557,8 +576,10 @@ def _leg_integrand(p: SSEParams, phis, ks: np.ndarray):
     Both singular factors reduce to principal powers of 2 sin of complex
     half-angles whose real parts stay inside [0, pi), so no branch
     tracking is needed; on a real leg this is exactly the real-modulus
-    weight restricted to the subtracted arc. Returns f(sel, d0, d1) like
-    _arc_integrand.
+    weight restricted to the subtracted arc. _quadrature_tables takes a
+    leg only for t strictly inside the disc and for a wrap angle snapped
+    onto an arc end: on a split circle the wrapped arc panel is that
+    arc. Returns f(sel, d0, d1) like _arc_integrand.
     """
     phi = _column(phis, complex)
     two_w1 = 2.0 * p.omega1
@@ -594,24 +615,37 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
     """Panel quadrature of c_{-kmax..kmax} for the weights of p at each
     phase in phis, in one batched pass.
 
-    The arc panels of every phase are the rows of one _arc_integrand and
-    the legs those of one _leg_integrand, each integrated by
-    _integrate_rows. Within a table every column is refined together, so
-    the slowest (highest |k|) one sets the tanh-sinh level of its panel.
-    Returns one callable per phase, which returns (c_{-kmax..kmax}, error
-    estimate) or raises the QuadratureError of the first of its panels
-    that fails; a panel that needs levels past the head refines only
-    when its table is asked for.
+    On the circle, where _arc_panels splits at the wrap angle, the
+    wrapped panel (pi - phi, pi) is the subtracted arc: it is integrated
+    once with scale (1 - xi*) width / 2 pi, and not at all at xi* = 1,
+    and both panels take _arc_integrand's real arithmetic. Inside the
+    disc and at a snapped wrap the subtracted arc is a leg, scaled by
+    -xi* phi / 2 pi. Split circle panels, other arc panels and legs are
+    the rows of three integrands, each integrated by _integrate_rows.
+    Within a table every column is refined together, so the slowest
+    (highest |k|) one sets the tanh-sinh level of its panel. Returns one
+    callable per phase, which returns (c_{-kmax..kmax}, error estimate)
+    or raises the QuadratureError of the first of its panels that fails;
+    a panel that needs levels past the head refines only when its table
+    is asked for.
     """
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     xi = complex(p.xi_star)
-    # rows and tolerances of the arc panels [0] and of the legs [1]
-    rows, tols, plans = ([], []), ([], []), []
+    # rows and tolerances of the split circle panels [0], the other arc
+    # panels [1] and the legs [2]
+    rows, tols, plans = ([], [], []), ([], [], []), []
     for phi in phis:
-        parts = [(complex((panel[1] - panel[0]) / _TWO_PI), 0, (phi, panel))
-                 for panel in _arc_panels(phi)]
-        if xi != 0 and phi != 0:
-            parts.append((-xi * phi / _TWO_PI, 1, phi))
+        panels = _arc_panels(phi)
+        if phi.imag == 0.0 and len(panels) == 2:
+            parts = [((1.0 - xi if wrapped else 1.0) * ((b - a) / _TWO_PI),
+                      0, (phi.real, (a, b, wrapped)))
+                     for a, b, wrapped in panels
+                     if not (wrapped and xi == 1)]
+        else:
+            parts = [(complex((panel[1] - panel[0]) / _TWO_PI), 1,
+                      (phi, panel)) for panel in panels]
+            if xi != 0 and phi != 0:
+                parts.append((-xi * phi / _TWO_PI, 2, phi))
         inner = tol / len(parts)
         plan = []
         for scale, kind, row in parts:
@@ -620,7 +654,8 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
             tols[kind].append(inner / max(abs(scale), 1e-3))
         plans.append(plan)
     results = (_integrate_rows(_arc_integrand(p, rows[0], ks), tols[0]),
-               _integrate_rows(_leg_integrand(p, rows[1], ks), tols[1]))
+               _integrate_rows(_arc_integrand(p, rows[1], ks), tols[1]),
+               _integrate_rows(_leg_integrand(p, rows[2], ks), tols[2]))
 
     def table(plan):
         total = np.zeros(ks.shape, dtype=complex)
@@ -761,8 +796,12 @@ def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
 def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
                   _prepared=None):
     """(values, error estimate): the coefficients
-    c_k = (2 pi)^{-1} (int - xi* int_leg) w(theta) e^{-ik theta} for
-    k = -kmax .. kmax, and the absolute error they carry.
+    c_k = (2 pi)^{-1} int w(theta) (1 - xi* chi(theta)) e^{-ik theta} for
+    k = -kmax .. kmax, with chi the indicator of the subtracted arc
+    (pi - phi, pi), and the absolute error they carry. On the circle
+    that arc is the wrapped panel, scaled by 1 - xi*; inside the disc,
+    and where the wrap angle snaps onto an arc end, the arc term is
+    -xi* times the integral over the leg (_quadrature_tables).
 
     Absolute accuracy tol. c_{-1}, c_0 and c_1 always come from
     panel-split tanh-sinh refinement; on the circle and on the real
@@ -806,13 +845,16 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
 
     The grid's seeds are one batched pass. First the weight, its leg
     range (_check_leg_range) and its recurrence steps at every t; then
-    the seeds of every t with steps, all arc panels through one integrand
-    call and all legs through another (_quadrature_tables); then, t by t,
-    the march from those seeds, or a quadrature pass of the t's own where
-    the recurrence cannot meet tol; then one determinant call on the
-    stacked matrices. Every value is the one toeplitz_an returns at its
-    t, bit for bit, and a failure raises at the first t that fails, once
-    every earlier t is done, as a loop of toeplitz_an calls would.
+    the seeds of every t with steps, the split circle panels through one
+    integrand call in real arithmetic, the other arc panels through a
+    second and the legs through a third (_quadrature_tables; on the
+    circle the subtracted arc is the wrapped panel, integrated once and
+    scaled by 1 - xi*, with no leg); then, t by t, the march from those
+    seeds, or a quadrature pass of the t's own where the recurrence
+    cannot meet tol; then one determinant call on the stacked matrices.
+    Every value is the one toeplitz_an returns at its t, bit for bit,
+    and a failure raises at the first t that fails, once every earlier t
+    is done, as a loop of toeplitz_an calls would.
     """
     n = int(p.N)
     if n < 0:

@@ -227,6 +227,27 @@ def test_oracle_grid_reports_the_first_failure_in_grid_order(grid, message,
     assert captured.err == f"parameter error: {message}\n"
 
 
+@pytest.mark.parametrize("grid,message", [
+    # t = -0.5 once took the interior quadrature and printed a value
+    (["--grid-start=-0.5", "--grid-count=1"], "not t = -0.5:"),
+    (["--grid-start=0.5", "--grid-end=-0.25", "--grid-count=2"],
+     "not t = -0.25:"),
+    (["--grid-start=-1e-300", "--grid-count=1"], "not t = -1e-300:"),
+    # the first point outside (0, 1] is the weight's own refusal
+    (["--grid-start=1.5", "--grid-end=-0.5", "--grid-count=2"],
+     "t must lie in the closed unit disc, not at 0"),
+])
+def test_real_path_t_outside_zero_one_is_a_parameter_error(grid, message,
+                                                           capsys):
+    code = main(["toeplitz", "--grid-path=real", *grid])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_grid_reports_a_toeplitz_stall_first(capsys):
     # 2 mu = -0.96 is refused by the Toeplitz route at the first point
     p = SSEParams(N=3, mu=-0.48, omega1=0.1, omega2=0.3, xi_star=0.5)

@@ -166,20 +166,18 @@ def _integrate_one(f, tol):
 
 def weight_eval(w: WeightSpec, theta: float) -> complex:
     """The weight fourier_table integrates, at a real angle theta, for t on
-    the circle: the arc panel holding theta gives the weight itself, and on
-    the subtracted arc (pi - phi, pi) the leg adds -xi* times it."""
-    phi = w.phase()
+    the circle with a split arc: the arc panel holding theta, in the real
+    arithmetic of a float phase, gives the weight itself, and the wrapped
+    panel, the subtracted arc (pi - phi, pi), scales it by 1 - xi*."""
+    phi = w.phase().real
     ks = np.zeros(1)
-    for a, b, wrapped in _arc_panels(phi):
+    for a, b, wrapped in _arc_panels(complex(phi)):
         if a < theta < b:
             f = _lone(_arc_integrand(w.p, [(phi, (a, b, wrapped))], ks))
             value = f(np.array([(theta - a) / (b - a)]),
                       np.array([(b - theta) / (b - a)]))[0, 0]
-    if w.p.xi_star != 0 and math.pi - phi.real < theta < math.pi:
-        d1 = (math.pi - theta) / phi.real
-        leg = _lone(_leg_integrand(w.p, [phi], ks))(np.array([1.0 - d1]),
-                                                    np.array([d1]))[0, 0]
-        value -= w.p.xi_star * leg
+            if wrapped:
+                value *= 1.0 - w.p.xi_star
     return complex(value)
 
 
@@ -346,11 +344,17 @@ def _cosine_summand(d0, d1):
 
 
 def _quadrature_parts(t, kmax):
-    """The integrands _quadrature_table integrates: arcs, then the leg."""
+    """The integrands _quadrature_table integrates: on a split circle the
+    two arc panels in real arithmetic, elsewhere the arcs, then the leg."""
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     phi = WeightSpec(P_STD, t).phase()
+    panels = _arc_panels(phi)
+    if phi.imag == 0.0 and len(panels) == 2:
+        return [("real arc", _lone(_arc_integrand(P_STD, [(phi.real, panel)],
+                                                  ks)))
+                for panel in panels]
     parts = [("arc", _lone(_arc_integrand(P_STD, [(phi, panel)], ks)))
-             for panel in _arc_panels(phi)]
+             for panel in panels]
     return parts + [("leg", _lone(_leg_integrand(P_STD, [phi], ks)))]
 
 
@@ -804,8 +808,11 @@ class TestArbitraryPrecisionReference:
 
 # The per-panel quadrature pass as it was before panels were batched into
 # rows: one integrand closure per panel, sampled on levels 0-4 in one call
-# and summed level by level, and the panels summed in order. The
-# row-batched pass (_quadrature_tables) must reproduce it bit for bit.
+# and summed level by level, and the panels summed in order. On a split
+# circle the wrapped panel is the subtracted arc, scaled by 1 - xi*, and
+# both panels run in real arithmetic; elsewhere the arc panels are
+# complex and the subtracted arc is a leg. The row-batched pass
+# (_quadrature_tables) must reproduce it bit for bit.
 
 
 def _per_panel_phase_table(vals, theta, ks):
@@ -824,7 +831,10 @@ def _per_panel_arc(p, phi, panel, ks):
     width = b - a
     gap_pi = math.pi - b
     gap_mpi = a + math.pi
-    re_phi, im_phi = phi.real, phi.imag
+    re_phi = phi.real
+    # a float phase is a split circle panel: no imaginary offset, so zeta
+    # and both logs are real
+    shift = 0.0 if isinstance(phi, float) else 1j * phi.imag
     two_w1 = 2.0 * p.omega1
     two_mu = 2.0 * p.mu
     om2 = p.omega2
@@ -837,11 +847,11 @@ def _per_panel_arc(p, phi, panel, ks):
         dist_mpi = da + gap_mpi
         base1 = 2.0 * np.sin(0.5 * np.minimum(dist_pi, dist_mpi))
         if wrapped:
-            prim = 0.5 * (da + 1j * im_phi)
-            alt = 0.5 * ((dist_pi + (2.0 * math.pi - re_phi)) - 1j * im_phi)
+            prim = 0.5 * (da + shift)
+            alt = 0.5 * ((dist_pi + (2.0 * math.pi - re_phi)) - shift)
         else:
-            prim = 0.5 * (db - 1j * im_phi)
-            alt = 0.5 * ((dist_mpi + re_phi) + 1j * im_phi)
+            prim = 0.5 * (db - shift)
+            alt = 0.5 * ((dist_mpi + re_phi) + shift)
         zeta = np.where(prim.real > 0.5 * math.pi, alt, prim)
         base2 = 2.0 * np.sin(zeta)
         logw = om2 * theta + two_w1 * np.log(base1) + two_mu * np.log(base2)
@@ -904,13 +914,23 @@ def _per_panel_integrate(f, tol):
 def _per_panel_quadrature_table(p, phi, kmax, tol):
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     xi = complex(p.xi_star)
+    panels = _arc_panels(phi)
     parts = []
-    for panel in _arc_panels(phi):
-        scale = complex((panel[1] - panel[0]) / (2.0 * math.pi))
-        parts.append((scale, _per_panel_arc(p, phi, panel, ks)))
-    if xi != 0 and phi != 0:
-        scale = -xi * phi / (2.0 * math.pi)
-        parts.append((scale, _per_panel_leg(p, phi, ks)))
+    if phi.imag == 0.0 and len(panels) == 2:
+        for panel in panels:
+            scale = (panel[1] - panel[0]) / (2.0 * math.pi)
+            if panel[2]:
+                if xi == 1:
+                    continue
+                scale = (1.0 - xi) * scale
+            parts.append((scale, _per_panel_arc(p, phi.real, panel, ks)))
+    else:
+        for panel in panels:
+            scale = complex((panel[1] - panel[0]) / (2.0 * math.pi))
+            parts.append((scale, _per_panel_arc(p, phi, panel, ks)))
+        if xi != 0 and phi != 0:
+            scale = -xi * phi / (2.0 * math.pi)
+            parts.append((scale, _per_panel_leg(p, phi, ks)))
     total = np.zeros(ks.shape, dtype=complex)
     achieved = 0.0
     inner = tol / len(parts)
@@ -952,6 +972,7 @@ P_SLOW_DECAY = SSEParams(N=3, mu=-0.48, omega1=0.1, omega2=0.0, xi_star=0.5)
 BATCH_POINTS = (T_STD, 0.7, 0.7 * cmath.exp(0.5j), 1.0, cmath.exp(1e-13j),
                 cmath.exp(-1e-13j))
 BATCH_WEIGHTS = {"standard": P_STD, "no_leg": replace(P_STD, xi_star=0.0),
+                 "full_jump": replace(P_STD, xi_star=1.0),
                  "two_singular": P_TWO_SINGULAR, "slow_decay": P_SLOW_DECAY}
 # at t = 1 and at the snapped wraps the singular points of P_TWO_SINGULAR
 # merge into one of exponent 2 mu + 2 omega_1 = -1.39: the weight is not
@@ -963,6 +984,25 @@ BATCH_PHIS = [WeightSpec(P_STD, t).phase() for t in BATCH_POINTS]
 DIVERGENT_SAMPLES = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
     "ignore:invalid value encountered:RuntimeWarning")
+
+
+def _three_part_table(p, phi, kmax, tol):
+    """A circle table as the sum of both arc panels in complex arithmetic
+    and -xi* times the leg over the subtracted arc (pi - phi, pi), each
+    integrated alone at its share of tol."""
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    phi = complex(phi)
+    parts = [(complex((b - a) / (2.0 * math.pi)),
+              _arc_integrand(p, [(phi, (a, b, wrapped))], ks))
+             for a, b, wrapped in _arc_panels(phi)]
+    if p.xi_star != 0:
+        parts.append((-p.xi_star * phi / (2.0 * math.pi),
+                      _leg_integrand(p, [phi], ks)))
+    total = np.zeros(ks.shape, dtype=complex)
+    for scale, f in parts:
+        (row,) = _integrate_rows(f, [tol / len(parts) / max(abs(scale), 1e-3)])
+        total = total + scale * row()[0]
+    return total
 
 
 class TestRowBatchedQuadrature:
@@ -977,6 +1017,31 @@ class TestRowBatchedQuadrature:
         for t, phi, table in zip(BATCH_POINTS, BATCH_PHIS, batch):
             want = partial(_per_panel_quadrature_table, p, phi, kmax, tol)
             assert _table_outcome(table) == _table_outcome(want), t
+
+    # worst 5.4e-15 (2 mu = -0.87, xi* = 1, phi = 0.062), where the
+    # three-part sum cancels
+    @pytest.mark.parametrize("phi", [0.062, 1.3, 6.1])
+    @pytest.mark.parametrize("xi", [0.0, 0.4, 1.0, 0.5 + 0.5j])
+    @pytest.mark.parametrize("change", [{}, {"mu": -0.435},
+                                        {"omega1": -0.26}])
+    def test_wrapped_panel_is_the_subtracted_arc(self, change, xi, phi):
+        p = replace(P_STD, xi_star=xi, **change)
+        got, _ = _quadrature_tables(p, [complex(phi)], 63, 1e-12)[0]()
+        want = _three_part_table(p, phi, 63, 1e-12)
+        assert (np.max(np.abs(got - want))
+                <= 1e-14 * max(1.0, np.max(np.abs(want))))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_circle_row_keeps_its_bytes_beside_a_disc_row(self, order):
+        # a split circle row runs in real arithmetic, a disc row in
+        # complex: batched together, neither may change the other's bits
+        phis = [WeightSpec(P_STD, t).phase()
+                for t in (T_STD, 0.7 * cmath.exp(0.5j))]
+        alone = [_quadrature_tables(P_STD, [phi], 24, 1e-12)[0]
+                 for phi in phis]
+        both = _quadrature_tables(P_STD, phis[::order], 24, 1e-12)[::order]
+        for one, batched in zip(alone, both):
+            assert _table_outcome(batched) == _table_outcome(one)
 
     @DIVERGENT_SAMPLES
     def test_cases_refine_and_refuse(self, monkeypatch):
@@ -1216,11 +1281,11 @@ class TestDirectOracle:
         assert abs(b.imag) > 1e-3
         assert abs(a - b) <= 1e-9 * abs(b)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: the Toeplitz route at N = 3 on a short arc is 2.1e-7 "
-        "off the direct oracle, whose error is far smaller"))
-    def test_matches_toeplitz_on_a_short_arc(self):
-        p = SSEParams(N=3, mu=0.5, omega1=0.5, omega2=0.0, xi_star=1.0)
+    @pytest.mark.parametrize("mu,omega1", [(0.5, 0.5), (-0.3, 0.5)])
+    def test_matches_toeplitz_on_a_short_arc(self, mu, omega1):
+        # xi* = 1 leaves only the arc of width 0.18: the wrapped panel is
+        # dropped, not integrated and then cancelled by a leg
+        p = SSEParams(N=3, mu=mu, omega1=omega1, omega2=0.0, xi_star=1.0)
         t = cmath.exp(6.1j)
         a = quad_oracle_an(p, t)
         assert abs(toeplitz_an(p, t) - a) <= 1e-8 * abs(a)
