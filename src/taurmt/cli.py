@@ -66,7 +66,11 @@ The commands compose library calls and re-derive none. The tau <-> sigma
 maps are sigma_ode.sigma_map. ode and bulk seed one flow at the first
 grid point and pass it through the rest, so a one-point grid prints the
 seed row; ode prints every node of the flow, those of its detours off
-the real axis included. bulk takes the sine-kernel point when mu, omega1
+the real axis included. fredholm and asymptotics make one grid call of
+rmt_numerics (fredholm_grid, fredholm_log_derivatives_grid), and a
+failing grid reports the error a loop over its t would meet first:
+asymptotics' prediction at a t before the Fredholm value there. bulk
+takes the sine-kernel point when mu, omega1
 and omega2 are each within complexfn.INPUT_INTEGER_TOL of 0; its seed
 there (_gap_seed) is the bulk sigma map's jet of the Fredholm
 log-derivatives, and the same jet at each grid point gives the
@@ -116,7 +120,9 @@ from .rmt_numerics import (
     QuadratureError,
     bulk_limit_an,
     bulk_limit_grid,
+    fredholm_grid,
     fredholm_log_derivatives,
+    fredholm_log_derivatives_grid,
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
@@ -713,19 +719,15 @@ def _selftest_toeplitz(cfg: RunConfig):
 
 
 def cmd_fredholm(cfg: RunConfig) -> int:
-    xi = cfg.params["xi"]
-    m = cfg.params.get("nodes", 80)
-    rows = []
-    for t in cfg.grid_values():
-        e = fredholm_sine(FredholmSpec(t, xi, m=m))
-        e = complex(e)
-        rows.append((t, e.real, e.imag))
+    ts = cfg.grid_values()
+    es = fredholm_grid(ts, cfg.params["xi"], cfg.params.get("nodes", 80))
+    rows = [(t, complex(e).real, complex(e).imag) for t, e in zip(ts, es)]
     _emit_table(cfg, ("t", "e_re", "e_im"), rows)
     return EXIT_OK
 
 
 def _selftest_fredholm(cfg: RunConfig):
-    vals = [fredholm_sine(FredholmSpec(t, 1.0)) for t in (0.5, 1.0, 2.0)]
+    vals = fredholm_grid((0.5, 1.0, 2.0), 1.0)
     yield "monotone decreasing", vals[0] > vals[1] > vals[2] > 0.0
     a = fredholm_sine(FredholmSpec(2.0, 1.0, m=60))
     b = fredholm_sine(FredholmSpec(2.0, 1.0, m=120))
@@ -835,11 +837,23 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     xi = cfg.params["xi"]
     if xi.imag != 0.0:
         raise UsageError("asymptotics needs a real coupling xi")
-    m = cfg.params.get("nodes", 140)
+    ts = cfg.grid_values()
+    # the predictions up to the first that fails, and the Fredholm jets of
+    # the t before it: each failure is raised in the order a loop over t
+    # taking gap_asymptotics and then the jet would meet it
+    preds, stop = [], None
+    for t in ts:
+        try:
+            preds.append(gap_asymptotics(t, xi.real))
+        except (ValueError, ArithmeticError) as exc:
+            stop = exc
+            break
+    jets = fredholm_log_derivatives_grid(ts[:len(preds)], xi.real,
+                                         cfg.params.get("nodes", 140))
+    if stop is not None:
+        raise stop
     rows = []
-    for t in cfg.grid_values():
-        pred = gap_asymptotics(t, xi.real)
-        loge, l1, _, _ = fredholm_log_derivatives(t, xi.real, m=m)
+    for t, pred, (loge, l1, _, _) in zip(ts, preds, jets):
         computed = (t * l1).real
         row = [t, pred.log_derivative, computed,
                abs(pred.log_derivative - computed)]

@@ -21,7 +21,8 @@ integrals, sharing no code with those layers. Three routes:
     scaling limit of the normalized average, and its log-derivatives in
     t, from one pivoted Cholesky factor of each parity block of rank r:
     O(m r^2) work, stopped at a residual trace of eps times the block's,
-    and refused when its rounding bound leaves no correct digit (see the
+    and refused when its rounding bound leaves no correct digit. A grid
+    of t is factored in one lockstep pass over all its blocks (see the
     Fredholm notes). A Richardson harness in 1/N connects the two.
 
 Quadrature notes. The weight has algebraic singularities at the arc ends
@@ -143,20 +144,21 @@ exact rule where numpy's are 2e-10 off.
 The kernel is integrable (Its, Izergin, Korepin and Slavnov, Int. J.
 Mod. Phys. B 4 (1990) 1003): by the addition theorem both blocks come
 from sin tp and cos tp on the m/2 positive nodes p, O(m) trig values,
-so any one column of a block costs O(m) (_ParityBlock.column), and
-the t-derivative kernels have rank 1, 2 and 3 in three vectors V per
+so any one column of a block costs O(m) from its generators a, b, the
+nodes x = p^2 and the diagonal (_Generators.columns), and the
+t-derivative kernels have rank 1, 2 and 3 in three vectors V per
 block.
 
 For real t both blocks are positive semidefinite with eigenvalues in
 [0, 1), and they are numerically of low rank: at a residual trace of
 eps times the block's, the rank is 2 to 12 for t <= 15 and does not
-grow with m. _factor_blocks factors each block once by diagonally
-pivoted Cholesky, generating only the r pivot columns (Harbrecht,
-Peters and Schneider, Appl. Numer. Math. 62 (2012) 428; for the
-Nystrom route, Bornemann, Math. Comp. 79 (2010) 871): O(m r^2) work in
-place of an O(m^3) LU, 0.37 ms against 3.1 ms per call at m = 600 and
-xi = 1 (one core, x86_64). Both entry points read that factor and its
-one rounding guard. Against a 50-digit evaluation of the same blocks
+grow with m. Each block is factored once by diagonally pivoted
+Cholesky, generating only the r pivot columns (Harbrecht, Peters and
+Schneider, Appl. Numer. Math. 62 (2012) 428; for the Nystrom route,
+Bornemann, Math. Comp. 79 (2010) 871): O(m r^2) work in place of an
+O(m^3) LU, 0.37 ms against 3.1 ms per call at m = 600 and xi = 1 (one
+core, x86_64). Both entry points read that factor and its one rounding
+guard. Against a 50-digit evaluation of the same blocks
 the determinant's relative error stays within a few times a dense LU's
 (1.3e-13, 6.0e-12 and 7.0e-11 against 1.2e-14, 6.4e-13 and 3.5e-11 at
 t = 4, 6, 8 and m = 600); both are set by the eigenvalues nearest
@@ -167,6 +169,24 @@ the whole m-node matrix within 7.4e-13 (m <= 300): rounding in the
 generated columns, which a tighter stop of the factor does not move.
 For complex t the blocks are complex symmetric, not semidefinite, so
 the half-width is a positive real at every entry point.
+
+A grid of t is factored in one pass (_factor_grid): one sin and one cos
+over the (t, node) array give the generators of every block
+(_sine_kernel_blocks), and the pivoted Cholesky runs in lockstep over
+the blocks of one order (_pivoted_cholesky): both parities of every t
+for even m, one lockstep per parity for odd m, whose even blocks hold
+the centre node, up to _LOCKSTEP_ENTRIES entries (blocks times order)
+to a lockstep. A step is one argmax, one column generation and one
+residual update over the stacked blocks still active, in place of one
+Python loop per block; a block leaves the stack when it stops, and its
+rows are sized by the running rank. Every value is bit for bit that of
+the block factored alone, and a single t is the one-point case. Over 10
+t per call (2-core x86_64, one BLAS thread, medians of alternating
+runs), the grid takes 0.35, 0.45-0.5 and 0.55-0.6 of the time of a loop
+of one-t calls at m = 80, 300 and 600, and its log-derivatives 0.45,
+0.55 and 0.6-0.65. A lone t gains nothing: it takes 1.05-1.3 times as
+long as before at even m, and 1.5-1.6 times at odd m, whose two blocks
+have different orders, so that each lockstep holds one block.
 
 The rule resolves the kernel only while |t| <= m/2, and every entry
 point refuses a larger half-width: at xi = 0.5, |E(m) - E(2m)| / E stays
@@ -198,7 +218,9 @@ __all__ = [
     "toeplitz_grid",
     "quad_oracle_an",
     "fredholm_sine",
+    "fredholm_grid",
     "fredholm_log_derivatives",
+    "fredholm_log_derivatives_grid",
     "bulk_limit_an",
     "bulk_limit_grid",
 ]
@@ -214,6 +236,11 @@ _SQRT_EPS = math.sqrt(_EPS)
 # j_{0,k}, k = 1, 2, 3: McMahon's series is too short for the first zeros
 _BESSEL_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013)
 _TINY = float(np.finfo(float).tiny)
+# Blocks times order in one lockstep of the pivoted Cholesky: 8 blocks at
+# m = 600, 60 at m = 80. A whole 10-point grid at m = 600 in one lockstep
+# raised gap_sine's peak memory by 0.2-0.4 MB over the block-by-block
+# factor and ran no faster (2-core x86_64, one BLAS thread).
+_LOCKSTEP_ENTRIES = 2400
 _LOG_MAX = math.log(float(np.finfo(float).max))
 
 
@@ -493,11 +520,13 @@ def _arc_panels(phi: complex):
     """Split (-pi, pi) at the wrap angle of the continued second factor.
 
     Returns (a, b, wrapped) panels. A wrap angle within 1e-12 of the arc
-    ends is snapped onto them, leaving a single panel.
+    ends is snapped onto them, leaving a single panel. It is the wrapped
+    side when Re phi is near 2 pi, not near 0: that is read from Re phi,
+    because at Re phi = 2 pi the reduced angle pi - Re phi lands on +pi.
     """
     star = _wrap_angle(math.pi - phi.real)
     if math.pi - abs(star) <= 1e-12:
-        return [(-math.pi, math.pi, star < 0.0)]
+        return [(-math.pi, math.pi, phi.real > math.pi)]
     return [(-math.pi, star, False), (star, math.pi, True)]
 
 
@@ -1127,32 +1156,40 @@ def _gl_rule(m: int):
                    np.concatenate((w, mid_w, w[::-1])))
 
 
-class _ParityBlock(NamedTuple):
-    """One parity block of the sine-kernel Nystrom matrix, by generators.
+class _Generators(NamedTuple):
+    """Integrable-kernel blocks of one order n, stacked by generators.
 
-    Entry (i, j) off the diagonal is (a_i b_j - a_j b_i) / ((pi/2)
-    (pp_i - pp_j)), and diag holds the diagonal; v is the n x 3 matrix V
-    of the t-derivative kernels (see _sine_kernel_blocks).
+    Row k of a, b and diag belongs to block k: its entry (i, j) off the
+    diagonal is (a_ki b_kj - a_kj b_ki) / ((pi/2) (x_i - x_j)), and
+    diag[k] is its diagonal. Every block shares the nodes x.
     """
 
     a: np.ndarray
     b: np.ndarray
-    pp: np.ndarray
+    x: np.ndarray
     diag: np.ndarray
-    v: np.ndarray
 
-    def column(self, j: int) -> np.ndarray:
-        """Column j of the block, O(n) work."""
-        col = self.a * self.b[j] - self.a[j] * self.b
-        den = (self.pp - self.pp[j]) * _HALF_PI
-        den[j] = 1.0
+    def take(self, keep) -> _Generators:
+        """The blocks that keep selects, as a stack of their own."""
+        return _Generators(self.a[keep], self.b[keep], self.x,
+                           self.diag[keep])
+
+    def columns(self, js: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Column js[k] of every block k, O(n) work each: js and at, the
+        flat indices k n + js[k] of the pivots, are columns."""
+        col = self.a * self.b.take(at)
+        col -= self.a.take(at) * self.b
+        den = self.x - self.x.take(js)
+        den *= _HALF_PI
+        den.put(at, 1.0)
         col /= den
-        col[j] = self.diag[j]
+        col.put(at, self.diag.take(at))
         return col
 
 
-def _sine_kernel_blocks(t, m: int):
-    """Parity blocks of the Nystrom matrix of the sine kernel on (-1, 1).
+def _sine_kernel_blocks(ts, m: int) -> list:
+    """Parity blocks of the Nystrom matrix of the sine kernel on (-1, 1)
+    at every half-width of ts, stacked by order.
 
     The kernel is sin(t d)/(pi d) in d = u - v, with diagonal t/pi. On
     the positive half p of the m-node rule the even block is
@@ -1162,158 +1199,292 @@ def _sine_kernel_blocks(t, m: int):
     2 (p_j s_i c_j - p_i c_i s_j), over pi (p_i^2 - p_j^2), with
     diagonals (t +- s_i c_i / p_i) w_i / pi. The centre node of an odd
     rule joins the even block at half its weight, which reproduces its
-    row exactly, and drops out of the odd one.
+    row exactly, and drops out of the odd one. One sin and one cos over
+    the (t, node) array give every block of the grid.
 
-    Returns (even, odd) _ParityBlock generators, from which any column
-    costs O(n). Each carries the n x 3 columns V = sqrt(w) (c, p s,
-    p^2 c), or sqrt(w) (s, p c, p^2 s) for the odd block. The blocks of
-    the t-derivative kernels cos(t d)/pi, -d sin(t d)/pi and
+    Returns (generators, V) per order: one pair for even m, holding the
+    even blocks of every t and then the odd ones, and for odd m, whose
+    even blocks are one node longer, the even pair and then the odd one.
+    V stacks each block's n x 3 columns sqrt(w) (c, p s, p^2 c), or
+    sqrt(w) (s, p c, p^2 s) for an odd block. The blocks of the
+    t-derivative kernels cos(t d)/pi, -d sin(t d)/pi and
     -d^2 cos(t d)/pi are 2/pi times V0 V0^T, -+(V0 V1^T + V1 V0^T) and
-    -(V0 V2^T + V2 V0^T - 2 V1 V1^T), upper sign even. Real for real t.
+    -(V0 V2^T + V2 V0^T - 2 V1 V1^T), upper sign even.
     """
     x, w = _gl_rule(m)
-    half = m // 2
+    half, c = m // 2, m % 2
     p = x[half:]
     sq = np.sqrt(w[half:])
-    sin_p, cos_p = np.sin(t * p), np.cos(t * p)
+    t = np.array(ts, dtype=float)[:, None]
+    tp = t * p
+    sin_p, cos_p = np.sin(tp), np.cos(tp)
     with np.errstate(divide="ignore", invalid="ignore"):
         sc = sin_p * cos_p / p
-    c = m % 2
     if c:
         sq[0] = math.sqrt(0.5 * w[half])
-        sc[0] = t
-    s, co = sq * sin_p, sq * cos_p
-    ps, pc = p * s, p * co
+        sc[:, 0] = t[:, 0]
+    # parity first, then t: a = (p s, s), b = (c, p c), V = ((c, p s,
+    # p^2 c), (s, p c, p^2 s)), all scaled by sqrt(w)
+    a, b, diag = np.empty((3, 2) + sc.shape)
+    s, co = np.multiply(sq, sin_p, out=a[1]), np.multiply(sq, cos_p, out=b[0])
+    np.multiply(p, s, out=a[0])
+    np.multiply(p, co, out=b[1])
+    np.add(t, sc, out=diag[0])
+    np.subtract(t, sc, out=diag[1])
+    diag *= sq
+    diag *= sq
+    diag /= math.pi
+    v = np.empty((2,) + sc.shape + (3,))
+    v[0, ..., 0], v[0, ..., 1], v[0, ..., 2] = b[0], a[0], p * b[1]
+    v[1, ..., 0], v[1, ..., 1], v[1, ..., 2] = a[1], b[1], p * a[0]
     pp = p * p
-    return tuple(
-        _ParityBlock(a[lo:], b[lo:], pp[lo:],
-                     ((t + sign * sc) * sq * sq / math.pi)[lo:],
-                     np.stack(v, axis=1)[lo:])
-        for a, b, v, sign, lo in ((ps, co, (co, ps, p * pc), 1.0, 0),
-                                  (s, pc, (s, pc, p * ps), -1.0, c)))
+    if c:
+        return [(_Generators(*(np.ascontiguousarray(g[k, :, lo:])
+                               for g in (a, b)), pp[lo:],
+                             np.ascontiguousarray(diag[k, :, lo:])),
+                 v[k, :, lo:])
+                for k, lo in ((0, 0), (1, c))]
+    shape = (2 * len(t), sc.shape[1])
+    return [(_Generators(a.reshape(shape), b.reshape(shape), pp,
+                        diag.reshape(shape)), v.reshape(shape + (3,)))]
 
 
-def _pivoted_cholesky(block: _ParityBlock) -> np.ndarray:
-    """Rows R of a diagonally pivoted Cholesky factor A ~ R^T R of a
-    positive semidefinite block, r x n.
+def _pivoted_cholesky(gens: _Generators) -> list:
+    """Rows R_k of a diagonally pivoted Cholesky factor A_k ~ R_k^T R_k of
+    every stacked positive semidefinite block, r_k x n, in lockstep.
 
     Each step pivots on the largest residual diagonal entry and generates
-    only that column of the block. It stops at full rank or once the
-    residual trace is at most eps tr(A): the dropped part of a PSD block
-    is PSD, so its trace bounds it in the trace, Frobenius and spectral
-    norms.
+    only that column of a block. A block stops at full rank or once its
+    residual trace is at most eps tr(A_k): the dropped part of a PSD
+    block is PSD, so its trace bounds it in the trace, Frobenius and
+    spectral norms. A stopped block leaves the active stack, whose arrays
+    shrink with it, so none of its columns is generated after its last
+    step. The active rows share one buffer as deep as the running rank.
+
+    One step is one argmax, one column generation and one residual
+    update over the active stack. The projection R^T R[:, j] on each
+    block's earlier rows is one stacked matmul that makes one BLAS gemv
+    call per block, as on the block alone: R^T is a view of the buffer,
+    and block k's pivot column R[:, j] is copied into column k of a
+    small buffer, at the stride n it has in R (max(n, blocks) where the
+    blocks outnumber n). BLAS reads a vector of any stride but 1 alike;
+    gathered into contiguous vectors, about half the outputs moved in
+    the last bits. So every R_k is bit for bit the factor of its block
+    by itself. Returns (block indices, their rows as a stack) per stop.
     """
-    resid = block.diag.copy()
-    n = len(resid)
-    stop = _EPS * resid.sum()
-    rows = np.empty((n, n))
+    count, n = gens.diag.shape
+    resid = gens.diag.copy()
+    stop = _EPS * resid.sum(axis=1)
+    live, active, factors = np.arange(count), gens, []
+    rows = np.empty((count, min(n, 4), n))
+    pivots = np.empty((rows.shape[1], max(n, count)))
+    ks = np.arange(count)
+    offsets, proj = (ks * n)[:, None], np.empty((count, n, 1))
     r = 0
-    while r < n and resid.sum() > stop:
-        j = int(np.argmax(resid))
-        col = block.column(j) - rows[:r].T @ rows[:r, j]
-        rows[r] = col / math.sqrt(resid[j])
-        resid -= rows[r] * rows[r]
+    while True:
+        keep = np.add.reduce(resid, axis=1) > stop
+        if np.count_nonzero(keep) < len(keep):
+            factors.append((live[~keep], rows[~keep, :r]))
+            live, rows = live[keep], rows[keep]
+            active, resid, stop = active.take(keep), resid[keep], stop[keep]
+            ks = np.arange(len(live))
+            offsets, proj = (ks * n)[:, None], np.empty((len(live), n, 1))
+        if r == n or not len(live):
+            break
+        if r == rows.shape[1]:
+            deeper = np.empty((len(live), min(2 * r, n), n))
+            deeper[:, :r] = rows
+            rows = deeper
+            pivots = np.empty((rows.shape[1], pivots.shape[1]))
+        js = resid.argmax(axis=1)
+        jcol = js[:, None]
+        at = offsets + jcol
+        col = active.columns(jcol, at)
+        if r:
+            pivots[:r, :len(ks)] = rows[ks, :r, js].T
+            np.matmul(rows[:, :r].transpose(0, 2, 1),
+                      pivots[:r, :len(ks)].T[:, :, None], out=proj)
+            col -= proj[..., 0]
+        col /= np.sqrt(resid.take(at))
+        rows[:, r] = col
+        resid -= col * col
         r += 1
-    return rows[:r]
+    if len(live):
+        factors.append((live, rows[:, :r]))
+    return factors
 
 
-def _factor_blocks(spec: FredholmSpec) -> list:
-    """(block, R, R R^T, lam) for the even and the odd block of spec:
-    the pivoted Cholesky rows R of A ~ R^T R, their r x r Gram matrix
-    and lam = xi times its eigenvalues, so det(I - xi A) =
-    prod (1 - lam_j) by Sylvester's identity.
+def _factor_grid(ts, m: int) -> list:
+    """Per half-width of ts, the even and the odd block as
+    (V, R, R R^T, eigenvalues of R R^T).
 
-    Each eigenvalue may carry an absolute error of m eps, so
-    m eps sum |lam_j| / |1 - lam_j| over both blocks bounds the relative
-    error of the product; where it reaches 1 no digit is correct and
-    ValueError is raised. At xi = 1 and m = 600 it reads 3.4e-11, 1.4e-9
-    and 6.4e-8 at t = 4, 6 and 8, and passes 1 before t = 20.
+    The blocks of every t (_sine_kernel_blocks) are factored in lockstep
+    (_pivoted_cholesky), A ~ R^T R, at most _LOCKSTEP_ENTRIES block
+    entries (blocks times order) to a lockstep, so that
+    det(I - xi A) = prod (1 - xi lam_j) over the eigenvalues lam_j of the
+    r x r Gram matrix R R^T by Sylvester's identity. The Gram matrices
+    and their eigenvalues are one stacked product and one eigvalsh call
+    per stack of equal rank, each bit for bit that of its block alone. A
+    single t is the one-point case.
     """
-    xi = _narrow(spec.xi)
-    m = spec.m
-    out, cond = [], 0.0
-    for block in _sine_kernel_blocks(float(spec.t), m):
-        rows = _pivoted_cholesky(block)
-        gram = rows @ rows.T
-        lam = xi * np.linalg.eigvalsh(gram)
-        # a factor of exactly 0 makes the bound infinite: refused below
-        with np.errstate(divide="ignore"):
-            cond += float(np.sum(np.abs(lam) / np.abs(1.0 - lam)))
-        out.append((block, rows, gram, lam))
-    bound = m * _EPS * cond
-    if not bound < 1.0:
-        raise ValueError(
-            f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no correct "
-            f"digit at m = {m} nodes: its rounding bound reads {bound:.3g}")
-    return out
+    count = len(ts)
+    blocks = [None] * (2 * count)
+    for offset, (gens, v) in zip((0, count), _sine_kernel_blocks(ts, m)):
+        size, n = gens.diag.shape
+        step = max(1, _LOCKSTEP_ENTRIES // n)
+        for lo in range(0, size, step):
+            part = gens.take(slice(lo, lo + step))
+            for index, stack in _pivoted_cholesky(part):
+                grams = stack @ stack.transpose(0, 2, 1)
+                eigs = np.linalg.eigvalsh(grams)
+                for k, rows, gram, eig in zip((index + lo).tolist(), stack,
+                                              grams, eigs):
+                    blocks[offset + k] = (v[k], rows, gram, eig)
+    return [(blocks[i], blocks[count + i]) for i in range(count)]
 
 
-def fredholm_sine(spec: FredholmSpec):
-    """det(I - xi K) on (-t, t) for the kernel sin(x-y)/(pi(x-y)).
+def _factored(ts, xi, m):
+    """(spec, its blocks as (V, R, R R^T, lam)) for each t of ts in grid
+    order, lam = xi times the eigenvalues of R R^T (_factor_grid).
+
+    Every t is checked (FredholmSpec) up to the first one refused, and
+    the blocks of those before it are factored in one pass. Each
+    eigenvalue may carry an absolute error of m eps, so
+    m eps sum |lam_j| / |1 - lam_j| over both blocks bounds the relative
+    error of the determinant; where it reaches 1 no digit is correct and
+    ValueError is raised as the t's turn comes. At xi = 1 and m = 600 it
+    reads 3.4e-11, 1.4e-9 and 6.4e-8 at t = 4, 6 and 8, and passes 1
+    before t = 20. So the first refusal in grid order is raised, with its
+    own message, once every earlier t has been handed out, as a loop over
+    the t would raise it.
+    """
+    specs, stop = [], None
+    for t in ts:
+        try:
+            specs.append(FredholmSpec(t, xi, m))
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            # raised once every earlier t has its value or its refusal
+            stop = exc
+            break
+    if specs:
+        xi, m = _narrow(xi), specs[0].m
+        for spec, pair in zip(specs,
+                              _factor_grid([float(s.t) for s in specs], m)):
+            blocks, cond = [], 0.0
+            # a factor of exactly 0 makes the bound infinite: refused below
+            with np.errstate(divide="ignore"):
+                for v, rows, gram, eig in pair:
+                    lam = xi * eig
+                    cond += float((np.abs(lam) / np.abs(1.0 - lam)).sum())
+                    blocks.append((v, rows, gram, lam))
+            bound = m * _EPS * cond
+            if not bound < 1.0:
+                raise ValueError(
+                    f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no "
+                    f"correct digit at m = {m} nodes: its rounding bound "
+                    f"reads {bound:.3g}")
+            yield spec, blocks
+    if stop is not None:
+        raise stop
+
+
+def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
+    """det(I - xi K) on (-t, t) for the kernel sin(x-y)/(pi(x-y)), at
+    every t of a grid.
 
     Rescaled to (-1, 1), where the kernel is sin(t(u-v))/(pi(u-v)) with
     diagonal t/pi, and factored by parity: det(I - xi A+) det(I - xi A-)
     over the even and odd blocks of the whole m-node Nystrom matrix, each
-    the product of its factors 1 - lam_j (_factor_blocks, which raises
-    ValueError where no digit is correct; see the Fredholm notes), and
-    ValueError where the sum of log |1 - lam_j| over both blocks says the
+    the product of its factors 1 - lam_j. The blocks of the whole grid
+    are factored in one lockstep pass (_factored, which raises ValueError
+    where no digit is correct; see the Fredholm notes), and ValueError is
+    raised where the sum of log |1 - lam_j| over both blocks says the
     product leaves the float range. Convergence in m is exponential; the
     check of it, a second evaluation at doubled m, belongs to the caller
-    (the fredholm selftest runs it). Returns float for real xi.
+    (the fredholm selftest runs it). Each value is a float for real xi.
+    Every value is the one fredholm_sine returns at its t, bit for bit,
+    and the first t that fails raises, as a loop of fredholm_sine calls
+    would.
     """
-    lams = [lam for *_, lam in _factor_blocks(spec)]
-    logabs = sum(float(np.sum(np.log(np.abs(1.0 - lam)))) for lam in lams)
-    if logabs > _LOG_MAX:
-        raise ValueError(
-            f"det(I - xi K) at t = {spec.t!r}, xi = {_narrow(spec.xi)!r} "
-            f"leaves the float range: log |det| reads {logabs:.6g}")
-    e = 1.0
-    for lam in lams:
-        e = e * np.prod(1.0 - lam)
-    return float(e) if isinstance(_narrow(spec.xi), float) else complex(e)
+    out = []
+    for spec, blocks in _factored(ts, xi, m):
+        lams = [lam for *_, lam in blocks]
+        logabs = sum(float(np.sum(np.log(np.abs(1.0 - lam))))
+                     for lam in lams)
+        if logabs > _LOG_MAX:
+            raise ValueError(
+                f"det(I - xi K) at t = {spec.t!r}, xi = "
+                f"{_narrow(spec.xi)!r} leaves the float range: log |det| "
+                f"reads {logabs:.6g}")
+        e = 1.0
+        for lam in lams:
+            e = e * np.prod(1.0 - lam)
+        out.append(float(e) if isinstance(_narrow(spec.xi), float)
+                   else complex(e))
+    return out
+
+
+def fredholm_sine(spec: FredholmSpec):
+    """det(I - xi K) on (-t, t) for the kernel sin(x-y)/(pi(x-y)) at one
+    half-width: the one-point case of fredholm_grid. Returns float for
+    real xi."""
+    return fredholm_grid([spec.t], spec.xi, spec.m)[0]
+
+
+def fredholm_log_derivatives_grid(ts, xi: complex = 1.0,
+                                  m: int = 140) -> list:
+    """(log E, d log E/dt, d2, d3) for the sine-kernel determinant at
+    every t of a grid.
+
+    From the factors fredholm_grid multiplies, under the same argument
+    check (FredholmSpec) and guard, in the same one lockstep pass: log E
+    sums log |1 - lam_j| over both blocks and takes the principal log of
+    the product of their signs. The derivatives are resolvent-trace
+    identities rather than finite differences, per parity block with
+    Q = (I - xi A0)^{-1} and C_k = A_k Q: d log E/dt = -xi tr C1, the
+    second derivative adds tr C1^2 and tr C2, the third tr C1^3,
+    tr C1 C2 and tr Q A3. In the rank forms of the A_k
+    (_sine_kernel_blocks) each trace is a polynomial in the bilinear Gram
+    matrix G = V^T Q V (no conjugate for complex xi): with a = 2/pi,
+    upper sign even, tr C1 = a G00, tr C2 = -+2a G01 and
+    tr Q A3 = -2a (G02 - G11). Woodbury on A0 ~ R^T R gives
+    G = V^T V + xi (R V)^T (I - xi R R^T)^{-1} (R V), one r x r solve per
+    block. Real arithmetic throughout for real xi. Every row is the one
+    fredholm_log_derivatives returns at its t, bit for bit, and the
+    first t that fails raises, as a loop of its calls would.
+    """
+    out = []
+    for spec, blocks in _factored(ts, xi, m):
+        xi = _narrow(spec.xi)
+        logabs, sign = 0.0, 1.0
+        tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
+        for (v, rows, gram, lam), parity in zip(blocks, (1.0, -1.0)):
+            factors = 1.0 - lam
+            logabs += float(np.sum(np.log(np.abs(factors))))
+            sign *= np.prod(factors / np.abs(factors))
+            rv = rows @ v
+            mat = gram * -xi
+            mat.flat[::len(mat) + 1] += 1.0
+            g = v.T @ v + xi * (rv.T @ np.linalg.solve(mat, rv))
+            c1, c2 = g[0, 0] / _HALF_PI, -parity * 2.0 * g[0, 1] / _HALF_PI
+            tr1 += c1
+            tr2 += c2
+            tr3 -= 2.0 * (g[0, 2] - g[1, 1]) / _HALF_PI
+            tr11 += c1 * c1
+            tr12 += c1 * c2
+            tr111 += c1 * c1 * c1
+        loge = complex(logabs) + cmath.log(complex(sign))
+        l1 = -xi * tr1
+        l2 = -xi * (xi * tr11 + tr2)
+        l3 = -xi * (2.0 * xi * xi * tr111 + 3.0 * xi * tr12 + tr3)
+        out.append((loge, complex(l1), complex(l2), complex(l3)))
+    return out
 
 
 def fredholm_log_derivatives(t: float, xi: complex = 1.0, m: int = 140):
-    """(log E, d log E/dt, d2, d3) for the sine-kernel determinant.
-
-    From the factors fredholm_sine multiplies, under the same argument
-    check (FredholmSpec) and guard: log E sums log |1 - lam_j| over both
-    blocks and takes the principal log of the product of their signs.
-    The derivatives are resolvent-trace identities rather than finite
-    differences, per parity block with Q = (I - xi A0)^{-1} and
-    C_k = A_k Q: d log E/dt = -xi tr C1, the second derivative adds
-    tr C1^2 and tr C2, the third tr C1^3, tr C1 C2 and tr Q A3. In the
-    rank forms of the A_k (_sine_kernel_blocks) each trace is a
-    polynomial in the bilinear Gram matrix G = V^T Q V (no conjugate for
-    complex xi): with a = 2/pi, upper sign even, tr C1 = a G00,
-    tr C2 = -+2a G01 and tr Q A3 = -2a (G02 - G11). Woodbury on A0 ~ R^T R
-    gives G = V^T V + xi (R V)^T (I - xi R R^T)^{-1} (R V), one r x r
-    solve per block. Real arithmetic throughout for real xi.
-    """
-    blocks = _factor_blocks(FredholmSpec(t, xi, m))
-    xi = _narrow(xi)
-    logabs, sign = 0.0, 1.0
-    tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
-    for (block, rows, gram, lam), parity in zip(blocks, (1.0, -1.0)):
-        factors = 1.0 - lam
-        logabs += float(np.sum(np.log(np.abs(factors))))
-        sign *= np.prod(factors / np.abs(factors))
-        rv = rows @ block.v
-        mat = gram * -xi
-        mat.flat[::len(mat) + 1] += 1.0
-        g = block.v.T @ block.v + xi * (rv.T @ np.linalg.solve(mat, rv))
-        c1, c2 = g[0, 0] / _HALF_PI, -parity * 2.0 * g[0, 1] / _HALF_PI
-        tr1 += c1
-        tr2 += c2
-        tr3 -= 2.0 * (g[0, 2] - g[1, 1]) / _HALF_PI
-        tr11 += c1 * c1
-        tr12 += c1 * c2
-        tr111 += c1 * c1 * c1
-    loge = complex(logabs) + cmath.log(complex(sign))
-    l1 = -xi * tr1
-    l2 = -xi * (xi * tr11 + tr2)
-    l3 = -xi * (2.0 * xi * xi * tr111 + 3.0 * xi * tr12 + tr3)
-    return loge, complex(l1), complex(l2), complex(l3)
+    """(log E, d log E/dt, d2, d3) for the sine-kernel determinant at one
+    half-width: the one-point case of fredholm_log_derivatives_grid."""
+    return fredholm_log_derivatives_grid([t], xi, m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
                         EXIT_VIOLATION, main)
 from taurmt.monodromy_v import limit_transition_ii, sse_pv_matrices
 from taurmt.monodromy_vi import SSEParams, sse_monodromy
-from taurmt.rmt_numerics import (QuadratureError, fredholm_log_derivatives,
+from taurmt.rmt_numerics import (FredholmSpec, QuadratureError,
+                                  fredholm_log_derivatives, fredholm_sine,
                                   toeplitz_an)
+from taurmt.tau_series import gap_asymptotics
 
 SRC = pathlib.Path(taurmt.__file__).resolve().parent.parent
 
@@ -259,6 +261,81 @@ def test_oracle_grid_reports_a_toeplitz_stall_first(capsys):
     assert code == EXIT_NONCONVERGED
     assert captured.out == ""
     assert captured.err == f"nonconvergence: {exc.value}\n"
+
+
+@pytest.mark.parametrize("bign", ["2", "4"])
+def test_circle_point_snapped_onto_two_pi_keeps_its_value(bign, capsys):
+    # the phase of g = -1e-17 rounds to exactly 2 pi, where the single
+    # snapped panel is the wrapped side
+    snapped, near = (_json_rows(["toeplitz", f"--bigN={bign}",
+                                 f"--grid-start={g}", "--grid-count=1"],
+                                capsys)[0] for g in ("-1e-17", "-1e-15"))
+    a, b = complex(snapped[2], snapped[3]), complex(near[2], near[3])
+    assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("command,xi,m,ts", [
+    # the guard refuses 30; a loop meets it after 2 and 16
+    ("fredholm", "1", 80, (2.0, 16.0, 30.0)),
+    ("fredholm", "1", 80, (30.0, -1.0)),
+    ("fredholm", "1", 80, (-1.0, 30.0)),
+    ("fredholm", "1", 81, (5.0, 25.0, 45.0)),
+    ("fredholm", "0.5+0.5i", 81, (30.0, 45.0)),
+    ("fredholm", "1e300", 80, (0.5, 30.0)),
+    ("fredholm", "1", 9, (0.5, 1.0)),
+    ("asymptotics", "1", 140, (2.0, 16.0, 30.0)),
+    # Fredholm refuses 30 before the prediction refuses -1
+    ("asymptotics", "1", 140, (30.0, -1.0)),
+    # the prediction refuses -1 before Fredholm does
+    ("asymptotics", "1", 140, (2.0, -1.0)),
+    ("asymptotics", "1", 140, (-1.0, 30.0)),
+    ("asymptotics", "1", 300, (30.0, 160.0)),
+    # a coupling outside (0, 1] is the prediction's refusal at the first t
+    ("asymptotics", "2", 140, (2.0, 30.0)),
+    ("asymptotics", "0", 140, (30.0, 2.0)),
+    ("asymptotics", "-0.5", 80, (50.0, 2.0)),
+    ("asymptotics", "0.5", 9, (2.0, 3.0)),
+])
+def test_failing_grid_reports_what_a_loop_over_t_reports(command, xi, m, ts,
+                                                         capsys):
+    # per t, the prediction first and then the Fredholm value; the first
+    # failure of that loop is the one reported
+    z = cli.parse_complex(xi)
+    with pytest.raises(ValueError) as exc:
+        for t in ts:
+            if command == "asymptotics":
+                gap_asymptotics(t, z.real)
+                fredholm_log_derivatives(t, z.real, m)
+            else:
+                fredholm_sine(FredholmSpec(t, z, m))
+    code = main([command, f"--xi={xi}", f"--nodes={m}",
+                 f"--grid-start={ts[0]}", f"--grid-end={ts[-1]}",
+                 f"--grid-count={len(ts)}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        EXIT_BAD_PARAMS, "", f"parameter error: {exc.value}\n")
+
+
+@pytest.mark.parametrize("argv,grid,point", [
+    (["fredholm", "--nodes=81", "--grid-count=5"], "fredholm_grid",
+     "fredholm_sine"),
+    (["asymptotics", "--grid-count=4"], "fredholm_log_derivatives_grid",
+     "fredholm_log_derivatives"),
+])
+def test_fredholm_commands_make_one_grid_call(argv, grid, point,
+                                              monkeypatch, capsys):
+    # one call of the grid function over the whole grid, none per point
+    calls = []
+    real = getattr(cli, grid)
+
+    def counted(ts, *args):
+        calls.append(list(ts))
+        return real(ts, *args)
+
+    monkeypatch.setattr(cli, grid, counted)
+    monkeypatch.setattr(cli, point, None)
+    rows = _json_rows(argv, capsys)
+    assert calls == [[row[0] for row in rows]]
 
 
 def test_odd_node_counts(capsys):

@@ -29,7 +29,9 @@ from taurmt.rmt_numerics import (
     WeightSpec,
     _CHUNK_ROWS,
     _arc_integrand,
+    _HALF_PI,
     _arc_panels,
+    _factor_grid,
     _fill_powers,
     _gl_rule,
     _integrate_rows,
@@ -47,7 +49,9 @@ from taurmt.rmt_numerics import (
     bulk_limit_an,
     bulk_limit_grid,
     fourier_table,
+    fredholm_grid,
     fredholm_log_derivatives,
+    fredholm_log_derivatives_grid,
     fredholm_sine,
     quad_oracle_an,
     toeplitz_an,
@@ -1255,6 +1259,21 @@ class TestToeplitzGrid:
         assert toeplitz_grid(P_STD, []) == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_toeplitz_average_is_a_polynomial_of_degree_n_in_xi(n):
+    """D_N is a polynomial of degree N in xi*: every entry c_k is affine
+    in xi*. Sampled at 32 points of |xi*| = 1, every DFT coefficient
+    above degree N vanishes to rounding, on the circle and on the
+    segment. An exact identity, with no reference value."""
+    ts = [cmath.exp(1j), cmath.exp(4j), 0.6]
+    zs = [cmath.exp(2j * math.pi * k / 32) for k in range(32)]
+    vals = np.array([toeplitz_grid(replace(P_STD, N=n, xi_star=z), ts)
+                     for z in zs])
+    coeffs = np.abs(np.fft.fft(vals, axis=0)) / 32
+    for tail, whole in zip(coeffs[n + 1:].T, coeffs.T):
+        assert np.max(tail) <= 1e-12 * np.max(whole), (n, np.max(tail))
+
+
 class TestDirectOracle:
     def test_unit_weight_normalization(self):
         p0 = SSEParams(N=2, mu=0.0, omega1=0.0, omega2=0.0, xi_star=0.0)
@@ -1723,9 +1742,8 @@ class TestParitySplit:
 
     @pytest.mark.parametrize("t", [0.05, 1.0, 3.0, 6.0, 15.0])
     def test_factor_rank_does_not_grow_with_the_node_count(self, t):
-        coarse, fine = ([len(_pivoted_cholesky(block))
-                         for block in _sine_kernel_blocks(t, m)]
-                        for m in (160, 600))
+        coarse, fine = ([len(rows) for _, rows, _, _ in pair]
+                        for m in (160, 600) for pair in _factor_grid([t], m))
         assert all(f <= c + 1 for c, f in zip(coarse, fine)), (coarse, fine)
 
     @pytest.mark.parametrize("t", sorted(GAP_E_600))
@@ -1799,6 +1817,20 @@ def _parity_fold(a, m):
     return even.T @ a @ even, odd.T @ a @ odd
 
 
+def _one_point_blocks(t, m):
+    """(block, V) for the even and the odd block at one half-width: each
+    whole block from its generators' columns."""
+    out = []
+    for gens, v in _sine_kernel_blocks([t], m):
+        count, n = gens.diag.shape
+        cols = [gens.columns(np.full((count, 1), j),
+                             np.arange(count)[:, None] * n + j)
+                for j in range(n)]
+        out += [(np.stack([c[k] for c in cols], axis=1), v[k])
+                for k in range(count)]
+    return out
+
+
 @pytest.mark.parametrize("m", [80, 81])
 @pytest.mark.parametrize("t", [0.7, 4.0])
 def test_rank_forms_match_the_folded_full_kernels(m, t):
@@ -1806,11 +1838,10 @@ def test_rank_forms_match_the_folded_full_kernels(m, t):
     full matrices of the kernel and its t-derivatives, folded by parity."""
     # (even blocks, odd blocks) of the four full matrices
     folded = zip(*(_parity_fold(a, m) for a in _full_kernels(t, m)))
-    for block, sign, wants in zip(_sine_kernel_blocks(t, m), (1.0, -1.0),
-                                  folded):
-        v0, v1, v2 = block.v.T
-        n = len(block.diag)
-        got = (np.stack([block.column(j) for j in range(n)], axis=1),
+    for (block, v), sign, wants in zip(_one_point_blocks(t, m), (1.0, -1.0),
+                                       folded):
+        v0, v1, v2 = v.T
+        got = (block,
                2.0 / math.pi * np.outer(v0, v0),
                -sign * 2.0 / math.pi * (np.outer(v0, v1) + np.outer(v1, v0)),
                -2.0 / math.pi * (np.outer(v0, v2) + np.outer(v2, v0)
@@ -1818,6 +1849,153 @@ def test_rank_forms_match_the_folded_full_kernels(m, t):
         for k, (g, want) in enumerate(zip(got, wants)):
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(g - want)) <= 1e-14 * scale, (k, sign)
+
+
+def _sequential_factor(a, b, x, diag):
+    """Rows R of the diagonally pivoted Cholesky factor of one block,
+    r x n, as the library formed it one block at a time: column j is
+    (a b_j - a_j b) / ((pi/2) (x - x_j)) with diagonal diag."""
+    def column(j):
+        col = a * b[j] - a[j] * b
+        den = (x - x[j]) * _HALF_PI
+        den[j] = 1.0
+        col /= den
+        col[j] = diag[j]
+        return col
+
+    resid = diag.copy()
+    n = len(resid)
+    stop = np.finfo(float).eps * resid.sum()
+    rows = np.empty((n, n))
+    r = 0
+    while r < n and resid.sum() > stop:
+        j = int(np.argmax(resid))
+        col = column(j) - rows[:r].T @ rows[:r, j]
+        rows[r] = col / math.sqrt(resid[j])
+        resid -= rows[r] * rows[r]
+        r += 1
+    return rows[:r]
+
+
+def _lockstep_rows(ts, m):
+    """Per stacked generators of the grid, the rows of every block as
+    the lockstep factors them, in block order."""
+    out = []
+    for gens, _ in _sine_kernel_blocks(ts, m):
+        rows = [None] * len(gens.diag)
+        for index, stack in _pivoted_cholesky(gens):
+            for k, r in zip(index.tolist(), stack):
+                rows[k] = r
+        out.append((gens, rows))
+    return out
+
+
+def _flat_blocks(groups):
+    """(a, b, x, diag, V) of every block _sine_kernel_blocks stacks, in
+    order."""
+    return [(gens.a[k], gens.b[k], gens.x, gens.diag[k], v[k])
+            for gens, v in groups for k in range(len(gens.diag))]
+
+
+def _hex(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+class TestFredholmGrid:
+    """One lockstep pass over a grid of t keeps every bit and every
+    refusal of the one-t evaluation."""
+
+    @pytest.mark.parametrize("ts,m", [
+        *(((0.5, 3.0, 6.0), m) for m in (80, 81, 140, 300, 600)),
+        # ranks 2 to 12 in one lockstep, which deepens the row buffer
+        ((0.05, 0.3, 1.0, 2.0, 4.0, 6.0, 9.0, 12.0, 15.0), 160),
+        ((0.05, 0.3, 1.0, 2.0, 4.0, 6.0, 9.0, 12.0, 15.0), 81),
+    ])
+    def test_lockstep_rows_equal_the_sequential_factor(self, ts, m):
+        ranks = []
+        for gens, rows in _lockstep_rows(ts, m):
+            for k, got in enumerate(rows):
+                want = _sequential_factor(gens.a[k], gens.b[k], gens.x,
+                                          gens.diag[k])
+                assert np.array_equal(got, want), (k, len(got), len(want))
+                ranks.append(len(got))
+        if len(ts) > 3:
+            assert min(ranks) <= 2 and max(ranks) >= 12, ranks
+
+    @pytest.mark.parametrize("m", [80, 81, 300])
+    def test_stacked_gram_and_spectrum_equal_each_block_alone(self, m):
+        ts = (0.05, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0)
+        for pair in _factor_grid(ts, m):
+            for _, rows, gram, eig in pair:
+                alone = rows @ rows.T
+                assert np.array_equal(gram, alone)
+                assert np.array_equal(eig, np.linalg.eigvalsh(alone))
+
+    @pytest.mark.parametrize("m", [80, 81])
+    def test_stacked_generators_equal_each_t_alone(self, m):
+        # the blocks run over the even block of every t, then the odd ones
+        ts = (0.05, 0.7, 2.5, 4.0, 6.0)
+        grid = _flat_blocks(_sine_kernel_blocks(ts, m))
+        for i, t in enumerate(ts):
+            alone = _flat_blocks(_sine_kernel_blocks([t], m))
+            for parity, want in enumerate(alone):
+                got = grid[parity * len(ts) + i]
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (
+                    t, parity)
+
+    # at m = 600 the grid's 14 blocks take two locksteps
+    @pytest.mark.parametrize("m", [80, 81, 140, 600])
+    @pytest.mark.parametrize("xi", [1.0, 0.5, 0.5 + 0.5j, -0.9 + 0.2j, 1.8])
+    def test_grid_rows_equal_the_one_point_values(self, m, xi):
+        ts = [0.05, 0.7, 1.3, 2.5, 4.0, 5.5, 6.0]
+        dets = fredholm_grid(ts, xi, m)
+        jets = fredholm_log_derivatives_grid(ts, xi, m)
+        for t, e, jet in zip(ts, dets, jets):
+            one = fredholm_sine(FredholmSpec(t, xi, m))
+            assert type(e) is type(one)
+            assert _hex(e) == _hex(one), t
+            assert [_hex(v) for v in jet] == [
+                _hex(v) for v in fredholm_log_derivatives(t, xi, m)], t
+
+    def test_empty_grid(self):
+        assert fredholm_grid([], 1.0, 80) == []
+        assert fredholm_log_derivatives_grid([], 1.0, 80) == []
+
+    @pytest.mark.parametrize("ts,xi,m", [
+        # a bad t after a guard-refused t: the guard's refusal wins
+        ([2.0, 30.0, -1.0], 1.0, 80),
+        # a guard-refused t after a bad t: the argument check's wins
+        ([2.0, -1.0, 30.0], 1.0, 80),
+        # past the rule's resolution after a refused t, and before one
+        ([30.0, 45.0], 1.0, 80),
+        ([45.0, 30.0], 1.0, 80),
+        ([0.5, 1.0], 0.5, 9),
+        ([2.0, 30.0, math.nan], 1.0, 81),
+        ([2.0, 30.0 + 0.0j], 1.0, 81),
+    ])
+    def test_first_refusal_in_grid_order(self, ts, xi, m):
+        for grid, one in (
+                (fredholm_grid, lambda t: fredholm_sine(FredholmSpec(t, xi, m))),
+                (fredholm_log_derivatives_grid,
+                 lambda t: fredholm_log_derivatives(t, xi, m))):
+            with pytest.raises(ValueError) as want:
+                for t in ts:
+                    one(t)
+            with pytest.raises(ValueError) as got:
+                grid(ts, xi, m)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("ts", [[0.5, 30.0], [0.5, -1.0], [30.0, 0.5]])
+    def test_float_range_refusal_in_grid_order(self, ts):
+        # the determinant's own float-range check comes before the next
+        # t's argument check and guard
+        with pytest.raises(ValueError) as want:
+            for t in ts:
+                fredholm_sine(FredholmSpec(t, 1e300, 80))
+        with pytest.raises(ValueError) as got:
+            fredholm_grid(ts, 1e300, 80)
+        assert str(got.value) == str(want.value)
 
 
 # A 40-digit reference for E and l1..l3 on the same parity blocks: each
