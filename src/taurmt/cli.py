@@ -74,9 +74,11 @@ takes the sine-kernel point when mu, omega1
 and omega2 are each within complexfn.INPUT_INTEGER_TOL of 0; its seed
 there (_gap_seed) is the bulk sigma map's jet of the Fredholm
 log-derivatives, and the same jet at each grid point gives the
-h_fredholm column. The rebuilt average of bulk is
-sigma_ode.tau_reconstruct of the flow, from the series value at the
-first grid point. _COMMANDS holds each command's grid defaults,
+h_fredholm column: one fredholm_log_derivatives_grid call for the seed
+point before the flow and one for the other points after it, so that a
+failure meets the same error a loop over them would. The rebuilt
+average of bulk is sigma_ode.tau_reconstruct of the flow, from the
+series value at the first grid point. _COMMANDS holds each command's grid defaults,
 grid paths, --tol, runner and selftest. The monodromy residuals come
 from monodromy_vi and monodromy_v, labelled by the exponents and Stokes
 multipliers sse_pv_matrices returns; the one label given by hand is the
@@ -774,17 +776,18 @@ def cmd_bulk(cfg: RunConfig) -> int:
         ts = cfg.grid_values()
         xs = [-4j * t for t in ts]
         limits = bulk_limit_grid(xs, p, dims)
-        loge, *jet = fredholm_log_derivatives(ts[0], xi)
-        seed = _gap_seed(p, ts[0], *jet)
+        # the seed's jet before the flow, the other rows' after it; the
+        # first row's log E and h are the seed's
+        jets = fredholm_log_derivatives_grid(ts[:1], xi)
+        seed = _gap_seed(p, ts[0], *jets[0][1:])
         traj = integrate(bulk_okamoto_params(p), seed, xs, tol=1e-10)
+        jets += fredholm_log_derivatives_grid(ts[1:], xi)
         # segment ends land exactly on the requested nodes
         h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
-        for i, (t, x, r) in enumerate(zip(ts, xs, limits)):
-            if i:  # the first row's log E and h are the seed's
-                loge, *jet = fredholm_log_derivatives(t, xi)
-                seed = _gap_seed(p, t, *jet)
-            z, h_fred, e_fred = h_ode[x], seed.zeta, cmath.exp(loge)
+        for t, x, r, (loge, *jet) in zip(ts, xs, limits, jets):
+            z, h_fred = h_ode[x], _gap_seed(p, t, *jet).zeta
+            e_fred = cmath.exp(loge)
             rows.append((t, z.real, z.imag, h_fred.real, h_fred.imag,
                          abs(z - h_fred), r.extrapolant.real,
                          r.extrapolant.imag, e_fred.real,

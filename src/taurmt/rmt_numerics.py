@@ -52,6 +52,20 @@ never share a batch: a real row would turn complex beside a complex
 one. Each row finishes in _finish, only when its table is asked for:
 convergence and the edge check are per row, and a row that needs levels
 past 4 continues alone.
+A row stops at its rounding floor. At a level that has not converged,
+the head included, a row whose tol lies more than _ROUNDOFF_MARGIN = 100
+times below eps max|c| of its own values is refused as stalled at once:
+its level-to-level change sits at the rounding of its largest
+coefficient, which no level moves (QUADPACK stops at its own roundoff
+the same way, ier = 2: Piessens et al., QUADPACK, Springer 1983). On the
+real segment a table may ask an absolute 1e-12 of coefficients up to
+1e45; without the floor such a row would climb to level 11, whose new
+nodes alone number 12,288, before it stalled. The margin is measured:
+over seeds 1-10, passes 0-3 of the perfbench finite_n workload, the
+2,453 rows that converged past the head read at most 1.8 for the ratio
+eps max|c|/tol at a level still short of tol, while the 43 that stalled
+read 1.2 to 2.9e60 at the head, 38 of them past 100. A row at 100 or
+below keeps the climb to _TS_MAX_LEVEL, since it may still converge.
 toeplitz_grid batches the seeds of a whole grid of t this way, and
 bulk_limit_grid, over a grid of x, makes one toeplitz_grid call per
 dimension N at t = exp(-x/N), with every normalization from one sweep
@@ -106,14 +120,19 @@ Tables with kmax <= 1 are the quadrature's own. Three-term recurrences and
 the stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 
 Over a grid of t (toeplitz_grid) the work is split in four: the leg
-range and the recurrence steps at every t, so that a t near 0 never
-reaches a quadrature; one batched pass for the seeds of every t with
-steps (_quadrature_tables at kmax = 1); t by t, the scalar march, which
-measures its own amplification, or the t's own full quadrature pass;
-one determinant call on the grid's stacked matrices. The march stays
-scalar Python: over 15 t at kmax = 31 (2-core x86_64), running the same
-steps as numpy arrays across t took 1.14 ms against 1.01 ms, counting
-the conversion of the steps to arrays, and 0.84 ms without it.
+range and the recurrence coefficients at every t, so that a t near 0
+never reaches a quadrature; one batched pass for the seeds of every t
+with coefficients (_quadrature_tables at kmax = 1); t by t, the march,
+which measures its own amplification, or the t's own full quadrature
+pass; one determinant call on the grid's stacked matrices. The march is
+scalar Python that forms each step's two factors as it goes from the
+five coefficients (t, 1 + t, a0, a1, a2), with no list of steps built
+first. A leading coefficient that vanishes on the way stops it, and that
+t takes its own quadrature pass although its seeds were made. Over 15
+circle t at kmax = 31 (2-core x86_64, best of 25 runs) the coefficients
+and both marches take 1.0 ms, against 1.18 ms with step lists built
+first; running the steps as numpy arrays across t gained nothing (1.14
+ms against 1.01 ms for scalar step lists).
 
 Oracle notes. |e^{i a} - e^{i b}|^2 = 2 - 2 cos(a - b) is a bilinear form
 of rank 3 in f(theta) = (1, sin d, 2 sin^2(d/2)), d = theta - theta_0, so
@@ -230,6 +249,9 @@ _HALF_PI = 0.5 * math.pi
 _TS_TAU_MAX = 6.0
 _TS_MIN_LEVEL = 4
 _TS_MAX_LEVEL = 11
+# A row whose tol lies this far below eps times its largest value is
+# refused where it stands (_finish): no level can resolve it
+_ROUNDOFF_MARGIN = 100.0
 _CHUNK_ROWS = 8192
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
@@ -391,11 +413,19 @@ def _finish(f, row: int, total, cur, err: float, edge: float, tol: float):
     call of f on that row, in chunks of _CHUNK_ROWS nodes, and the edge
     check of a converged level past _TS_MIN_LEVEL one more call on its two
     outermost nodes. A stalled refinement or a non-negligible edge raises
-    QuadratureError.
+    QuadratureError. So does, at once, a level that has not converged
+    (the head included) where _ROUNDOFF_MARGIN tol < eps max |cur|: the
+    target lies below the rounding of the row's own largest value, which
+    no further level resolves, so the row stalls there rather than at
+    _TS_MAX_LEVEL.
     """
     rows = slice(row, row + 1)
     level = _TS_MIN_LEVEL
     while not err <= tol:
+        if _ROUNDOFF_MARGIN * tol < _EPS * float(np.max(np.abs(cur))):
+            raise QuadratureError(
+                "tanh-sinh refinement stalled below the rounding floor",
+                err, tol)
         if level == _TS_MAX_LEVEL:
             raise QuadratureError("tanh-sinh refinement stalled", err, tol)
         level += 1
@@ -434,8 +464,9 @@ def _integrate_rows(f, tols):
     all those rows are one stacked product. Convergence and the edge check
     are then decided per row in _finish, when the row's result is first
     asked for; a row that has not converged continues there from its own
-    running total. Every row runs the arithmetic of a lone row, so its
-    result does not depend on the rows batched with it.
+    running total, unless its tol lies below its own rounding floor,
+    where it stalls at once. Every row runs the arithmetic of a lone row,
+    so its result does not depend on the rows batched with it.
 
     The substitution reaches endpoint distances ~exp(-pi sinh(tau_max)),
     which is plenty for any fixed integrable exponent, but exponents
@@ -720,18 +751,26 @@ def _quadrature_table(w: WeightSpec, kmax: int, tol: float):
     return _quadrature_tables(w.p, [w.phase()], kmax, tol)[0]()
 
 
-def _march(far, near, steps):
-    """(values, scale, amplification) of x_new = f1 x_near + f2 x_far
-    over steps of (f1, f2). scale sums |f1 x_near| + |f2 x_far|, what each
-    step rounds at; amplification is max |u| + |v| for the solutions u, v
-    started from (far, near) = (1, 0) and (0, 1): an error of at most e in
-    each start value moves every marched value by at most e times it.
+def _march(far, near, coeffs, ks):
+    """(values, scale, amplification) of the recurrence with coefficients
+    coeffs = (t, 1 + t, a0, a1, a2) (_recurrence_steps) over the orders
+    ks: forward (ks rising from 2) each step solves its row for
+    x_new = c_k, backward (ks falling from 0) for x_new = c_{k-2}, as
+    x_new = f1 x_near + f2 x_far. scale sums |f1 x_near| + |f2 x_far|,
+    what each step rounds at; amplification is max |u| + |v| for the
+    solutions u, v started from (far, near) = (1, 0) and (0, 1): an error
+    of at most e in each start value moves every marched value by at most
+    e times it. A vanishing leading coefficient raises ZeroDivisionError.
     """
+    t, t1, a0, a1, a2 = coeffs
+    forward = ks.step > 0
     vals = []
     scale = 0.0
     uf, un, vf, vn = 1.0, 0.0, 0.0, 1.0
     amp = 1.0
-    for f1, f2 in steps:
+    for k in ks:
+        a, b, g = k - a0, t1 * (k - 1) - a1, t * (k - 2) - a2
+        f1, f2 = (-b / a, -g / a) if forward else (-b / g, -a / g)
         a, b = f1 * near, f2 * far
         far, near = near, a + b
         scale += abs(a) + abs(b)
@@ -743,8 +782,8 @@ def _march(far, near, steps):
 
 
 def _recurrence_steps(w: WeightSpec, kmax: int):
-    """(forward steps, backward steps) of the weight's three-term
-    recurrence out to |k| = kmax, or None where it does not hold.
+    """Coefficients (t, 1 + t, a0, a1, a2) of the weight's three-term
+    recurrence, or None where it does not hold.
 
     The k-th Fourier coefficient of z(1 + z)(1 + tz) w' = (a0 + a1 z +
     a2 z^2) w gives, for every k,
@@ -754,9 +793,10 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
 
     the end terms of the integration by parts vanish where the exponents
     allow, and analytic continuation in the exponents covers the rest.
-    k >= 2 follow forward and k <= -2 backward from c_{-1}, c_0 and c_1.
-    None for kmax < 2, when t is neither on the circle nor on the real
-    segment 0 < t < 1, and when a leading coefficient vanishes.
+    k >= 2 follow forward and k <= -2 backward from c_{-1}, c_0 and c_1
+    (_march). None for kmax < 2 and when t is neither on the circle nor
+    on the real segment 0 < t < 1; a leading coefficient that vanishes
+    stops the march instead.
     """
     if kmax < 2:
         return None
@@ -773,48 +813,42 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
     a0 = -1j * om2 - om1 - mu
     a1 = -1j * om2 * (1.0 + t) + om1 * (1.0 - t) + mu * (t - 1.0)
     a2 = t * (-1j * om2 + om1 + mu)
-
-    def rows(ks):
-        return [(k - a0, (1.0 + t) * (k - 1) - a1, t * (k - 2) - a2)
-                for k in ks]
-
-    try:
-        fwd = [(-b / a, -g / a) for a, b, g in rows(range(2, kmax + 1))]
-        bwd = [(-b / g, -a / g) for a, b, g in rows(range(0, 1 - kmax, -1))]
-    except ZeroDivisionError:
-        return None
-    return fwd, bwd
+    return t, 1.0 + t, a0, a1, a2
 
 
 def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
     """(c_{-kmax..kmax}, error estimate) from three quadrature seeds, or
     None where the recurrence cannot meet tol.
 
-    The seeds come from the panel quadrature at tol, and the steps
-    (_recurrence_steps) march them out to |k| = kmax. prepared is (steps,
-    seeds) when a grid pass has already made them; otherwise both are
-    made here for w alone. The error estimate is the seed error times the
-    amplification the march measures (_march), plus 4 eps times it times
-    the summed magnitudes each step rounds at. Against a 40-digit run of
-    the same steps from the same seeds, the rounding of 500 random tables
-    on the circle and near t = 1 stayed below 1.6 eps times that product.
-    None where _recurrence_steps refuses, when the seeds' quadrature
-    stalls (the full pass then reports it), or when the amplification
-    times eps, or the estimate, exceeds tol.
+    The seeds come from the panel quadrature at tol, and the recurrence
+    (_recurrence_steps) marches them out to |k| = kmax (_march). prepared
+    is (coefficients, seeds) when a grid pass has already made them;
+    otherwise both are made here for w alone. The error estimate is the
+    seed error times the amplification the march measures, plus 4 eps
+    times it times the summed magnitudes each step rounds at. Against a
+    40-digit run of the same steps from the same seeds, the rounding of
+    500 random tables on the circle and near t = 1 stayed below 1.6 eps
+    times that product. None where _recurrence_steps refuses, when the
+    seeds' quadrature stalls (the full pass then reports it), when a
+    leading coefficient vanishes on the way out, or when the
+    amplification times eps, or the estimate, exceeds tol.
     """
-    steps, seeds = prepared or (_recurrence_steps(w, kmax), None)
-    if steps is None:
+    coeffs, seeds = prepared or (_recurrence_steps(w, kmax), None)
+    if coeffs is None:
         return None
     if seeds is None:
         seeds = _quadrature_tables(w.p, [w.phase()], 1, tol)[0]
-    fwd, bwd = steps
     try:
         seed_vals, seed_err = seeds()
     except QuadratureError:
         return None
     c_m1, c_0, c_1 = (complex(c) for c in seed_vals)
-    up, up_scale, up_amp = _march(c_0, c_1, fwd)
-    down, down_scale, down_amp = _march(c_0, c_m1, bwd)
+    try:
+        up, up_scale, up_amp = _march(c_0, c_1, coeffs, range(2, kmax + 1))
+        down, down_scale, down_amp = _march(c_0, c_m1, coeffs,
+                                            range(0, 1 - kmax, -1))
+    except ZeroDivisionError:
+        return None
     amp = max(up_amp, down_amp)
     err = amp * (seed_err + 4.0 * _EPS * (up_scale + down_scale))
     if not (amp * _EPS <= tol and err <= tol):
@@ -839,13 +873,16 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     recurrence's measured amplification, plus its rounding, stays within
     tol. Elsewhere, and wherever that bound fails, the whole table comes
     from one quadrature pass. Raises QuadratureError (with the achieved
-    error attached) if the quadrature stalls. For a recurred table the
+    error attached) if the quadrature stalls: at _TS_MAX_LEVEL, or at
+    once where tol lies below the rounding of a panel's own largest
+    coefficient (_finish; on the real segment an absolute 1e-12 asked of
+    coefficients up to 1e45 ends at the head). For a recurred table the
     error estimate is the seed error times the amplification plus a
     rounding allowance.
 
-    _prepared is toeplitz_grid's: the recurrence steps and seeds its
-    batched pass already made for w (see _recurrence_table). The table
-    is the same bits either way.
+    _prepared is toeplitz_grid's: the recurrence coefficients and seeds
+    its batched pass already made for w (see _recurrence_table). The
+    table is the same bits either way.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -873,10 +910,10 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     conditioning buy nothing this library needs.
 
     The grid's seeds are one batched pass. First the weight, its leg
-    range (_check_leg_range) and its recurrence steps at every t; then
-    the seeds of every t with steps, the split circle panels through one
-    integrand call in real arithmetic, the other arc panels through a
-    second and the legs through a third (_quadrature_tables; on the
+    range (_check_leg_range) and its recurrence coefficients at every t;
+    then the seeds of every t with them, the split circle panels through
+    one integrand call in real arithmetic, the other arc panels through
+    a second and the legs through a third (_quadrature_tables; on the
     circle the subtracted arc is the wrapped panel, integrated once and
     scaled by 1 - xi*, with no leg); then, t by t, the march from those
     seeds, or a quadrature pass of the t's own where the recurrence
@@ -893,24 +930,24 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     if n == 0:
         return [1.0 + 0.0j for _ in ts]
     kmax = n - 1
-    ws, steps, stop = [], [], None
+    ws, coeffs, stop = [], [], None
     for t in ts:
         try:
             w = WeightSpec(p=p, t=t)
             # keeps a t near 0 out of the seed pass
             _check_leg_range(w, kmax)
-            steps.append(_recurrence_steps(w, kmax))
+            coeffs.append(_recurrence_steps(w, kmax))
         except (ValueError, ArithmeticError) as exc:
             # raised once every earlier t has its value
             stop = exc
             break
         ws.append(w)
     seeds = iter(_quadrature_tables(
-        p, [w.phase() for w, s in zip(ws, steps) if s is not None], 1, tol))
+        p, [w.phase() for w, c in zip(ws, coeffs) if c is not None], 1, tol))
     idx = kmax + (np.arange(n)[:, None] - np.arange(n)[None, :])
     mats = np.empty((len(ws), n, n), dtype=complex)
-    for mat, w, s in zip(mats, ws, steps):
-        prepared = s, None if s is None else next(seeds)
+    for mat, w, c in zip(mats, ws, coeffs):
+        prepared = c, None if c is None else next(seeds)
         mat[:] = fourier_table(w, kmax, tol, _prepared=prepared)[0][idx]
     dets = [complex(d) for d in np.linalg.det(mats)]
     if stop is not None:
@@ -1371,8 +1408,12 @@ def _factored(ts, xi, m):
         for spec, pair in zip(specs,
                               _factor_grid([float(s.t) for s in specs], m)):
             blocks, cond = [], 0.0
-            # a factor of exactly 0 makes the bound infinite: refused below
-            with np.errstate(divide="ignore"):
+            # a factor of exactly 0 makes the bound infinite, and a product
+            # xi lam that overflows makes it nan: both are refused below.
+            # numpy's complex product flags an overflow in an intermediate
+            # even where it is finite, at |xi| near the float max
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
                 for v, rows, gram, eig in pair:
                     lam = xi * eig
                     cond += float((np.abs(lam) / np.abs(1.0 - lam)).sum())

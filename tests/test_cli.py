@@ -357,16 +357,19 @@ def test_odd_node_counts(capsys):
 @pytest.mark.parametrize("count, steps", [(3, 1), (1, 0)])
 def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, steps,
                                                         monkeypatch, capsys):
-    # one Fredholm jet per row, the first also seeding the flow, each
-    # row's E from its own jet, and one flow over the whole grid, which on
-    # a one-point grid takes no step
+    # one Fredholm jet per row, computed once: the first also seeds the
+    # flow, each row's E comes from its own jet, and one flow runs over the
+    # whole grid, which on a one-point grid takes no step
     calls, integrations, trajectories, determinants = [], [], [], []
-    real, real_integrate = cli.fredholm_log_derivatives, cli.integrate
+    real, real_integrate = cli.fredholm_log_derivatives_grid, cli.integrate
     real_sine = cli.fredholm_sine
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.extend(args[0])
         return real(*args, **kwargs)
+
+    def one_point(*args, **kwargs):
+        raise AssertionError("a one-point Fredholm jet was computed")
 
     def counted_integrate(*args, **kwargs):
         integrations.append(args[2])
@@ -377,7 +380,8 @@ def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, steps,
         determinants.append(spec)
         return real_sine(spec)
 
-    monkeypatch.setattr(cli, "fredholm_log_derivatives", counted)
+    monkeypatch.setattr(cli, "fredholm_log_derivatives_grid", counted)
+    monkeypatch.setattr(cli, "fredholm_log_derivatives", one_point)
     monkeypatch.setattr(cli, "integrate", counted_integrate)
     monkeypatch.setattr(cli, "fredholm_sine", counted_sine)
     rows = _json_rows(["bulk", "--mu=0", "--omega1=0", "--omega2=0",
@@ -711,6 +715,12 @@ def test_half_width_past_the_node_resolution_is_a_parameter_error(argv,
 
 @pytest.mark.parametrize("argv, message", [
     (["fredholm", "--xi=1e300", "--grid-count=1"], "det(I - xi K)"),
+    # a coupling near the float max: numpy's complex product xi lam flags
+    # an overflow in an intermediate although the product is finite
+    (["fredholm", "--xi=1.7e308+1.7e308i", "--grid-start=0.1",
+      "--grid-end=5", "--grid-count=4"], "det(I - xi K)"),
+    (["fredholm", "--xi=1.7e308", "--grid-start=0.1", "--grid-end=5",
+      "--grid-count=4"], "det(I - xi K)"),
     (["toeplitz", "--omega2=1e300", "--grid-count=1"], "the weight"),
     (["toeplitz", "--omega2=300", "--grid-count=1"], "the weight"),
     (["toeplitz", "--mu=700", "--grid-count=1"], "the weight"),

@@ -544,6 +544,16 @@ def _two_loop_march(far, near, steps):
     return vals, scale
 
 
+def _step_list(coeffs, ks):
+    """The (f1, f2) of each step of a march over the orders ks, built from
+    the recurrence's coefficients as one list before the march."""
+    t, t1, a0, a1, a2 = coeffs
+    rows = [(k - a0, t1 * (k - 1) - a1, t * (k - 2) - a2) for k in ks]
+    if ks.step > 0:
+        return [(-b / a, -g / a) for a, b, g in rows]
+    return [(-b / g, -a / g) for a, b, g in rows]
+
+
 def _two_loop_amplification(steps) -> float:
     uf, un, vf, vn = 1.0, 0.0, 0.0, 1.0
     amp = 1.0
@@ -644,6 +654,14 @@ class TestThreeTermRecurrence:
         c, _ = fourier_table(w, 5)
         assert abs(c[8] - 1.0) <= 1e-13
         assert np.max(np.abs(np.delete(c, 8))) <= 1e-13
+        # in a grid the seeds are made, the march stops at k = 3, and each
+        # t takes its own full quadrature
+        q, ts = replace(p, N=6), [cmath.exp(0.5j), cmath.exp(1.0j)]
+        idx = 5 + np.subtract.outer(np.arange(6), np.arange(6))
+        want = [complex(np.linalg.det(_quadrature_table(WeightSpec(q, t), 5,
+                                                        1e-12)[0][idx]))
+                for t in ts]
+        assert toeplitz_grid(q, ts) == want
 
     @pytest.mark.parametrize("path", ["circle", "real"])
     def test_march_measures_the_two_loop_amplification(self, path):
@@ -652,12 +670,14 @@ class TestThreeTermRecurrence:
             t = (cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
                  if path == "circle" else rng.uniform(0.05, 0.999))
             w = WeightSpec(_random_weight(rng), t)
-            steps = rmt._recurrence_steps(w, int(rng.integers(2, 64)))
-            assert steps is not None
-            for direction in steps:
+            kmax = int(rng.integers(2, 64))
+            coeffs = rmt._recurrence_steps(w, kmax)
+            assert coeffs is not None
+            for ks in (range(2, kmax + 1), range(0, 1 - kmax, -1)):
+                direction = _step_list(coeffs, ks)
                 far, near = rng.normal(size=2) + 1j * rng.normal(size=2)
                 vals, scale, amp = rmt._march(complex(far), complex(near),
-                                              direction)
+                                              coeffs, ks)
                 assert (vals, scale) == _two_loop_march(
                     complex(far), complex(near), direction)
                 assert amp == _two_loop_amplification(direction)
@@ -900,6 +920,11 @@ def _per_panel_integrate(f, tol):
         cur = (0.5 ** level) * total
         if level >= 4:
             err = float(np.max(np.abs(cur - prev)))
+            floor = np.finfo(float).eps * np.max(np.abs(cur))
+            if not err <= tol and 100.0 * tol < floor:
+                raise QuadratureError(
+                    "tanh-sinh refinement stalled below the rounding floor",
+                    err, tol)
             if err <= tol:
                 if level == 4:
                     rows = head[slices[level]][ends]
@@ -1094,6 +1119,129 @@ class TestRowBatchedQuadrature:
         assert (_CHUNK_ROWS // head) * head in sizes
 
 
+def _climbing_finish(f, row, total, cur, err, edge, tol):
+    """_finish without the rounding floor: every row that has not converged
+    climbs to _TS_MAX_LEVEL before it stalls."""
+    rows = slice(row, row + 1)
+    level = rmt._TS_MIN_LEVEL
+    while not err <= tol:
+        if level == rmt._TS_MAX_LEVEL:
+            raise QuadratureError("tanh-sinh refinement stalled", err, tol)
+        level += 1
+        d0, d1, w = rmt._ts_new_nodes(level)
+        part = None
+        for lo in range(0, len(w), _CHUNK_ROWS):
+            sl = slice(lo, lo + _CHUNK_ROWS)
+            block = w[sl] @ f(rows, d0[sl], d1[sl])[0]
+            part = block if part is None else part + block
+        total = total + part
+        prev, cur = cur, (0.5 ** level) * total
+        err = float(np.max(np.abs(cur - prev)))
+        if err <= tol:
+            ends = [0, -1]
+            edge = float(np.max(np.abs(
+                w[ends, None] * f(rows, d0[ends], d1[ends])[0])))
+    if edge > 1e3 * tol:
+        raise QuadratureError("endpoint decay too slow for the node range",
+                              edge, tol)
+    return cur, err
+
+
+def _levels_of_failing_rows(monkeypatch, finish):
+    """Run _finish as finish, and list, for every row that raises, the
+    tanh-sinh levels it asked of _ts_new_nodes."""
+    asked, failing = [], []
+    new_nodes = rmt._ts_new_nodes
+
+    def counted_nodes(level):
+        asked.append(level)
+        return new_nodes(level)
+
+    def counted_finish(*args):
+        asked.clear()
+        try:
+            return finish(*args)
+        except QuadratureError:
+            failing.append(list(asked))
+            raise
+
+    monkeypatch.setattr(rmt, "_ts_new_nodes", counted_nodes)
+    monkeypatch.setattr(rmt, "_finish", counted_finish)
+    return failing
+
+
+def _floor_outcome(table):
+    """A table's bytes and error estimate, or its QuadratureError."""
+    try:
+        vals, err = table()
+    except QuadratureError as exc:
+        return exc
+    return vals.tobytes(), err
+
+
+# a real-segment weight whose table at N = 36 asks an absolute 3.2e-12 of
+# coefficients that reach far past 1/eps
+P_FLOOR = SSEParams(N=36, mu=0.710902 + 0.180507j, omega1=-0.0940847,
+                    omega2=0.419925, xi_star=0.577814)
+T_FLOOR = 0.183796
+
+
+class TestRoundingFloor:
+    """A row whose tol lies more than _ROUNDOFF_MARGIN times below eps times
+    its own largest value stalls where it stands."""
+
+    def test_doomed_row_stalls_at_the_head(self, monkeypatch):
+        failing = _levels_of_failing_rows(monkeypatch, rmt._finish)
+        with pytest.raises(QuadratureError) as exc:
+            toeplitz_an(P_FLOOR, T_FLOOR)
+        assert str(exc.value).startswith("tanh-sinh refinement stalled")
+        assert f"{exc.value.target:.3e}" == "3.210e-12"
+        assert failing == [[]]
+
+    def test_without_the_floor_the_row_climbs_to_the_last_level(
+            self, monkeypatch):
+        failing = _levels_of_failing_rows(monkeypatch, _climbing_finish)
+        with pytest.raises(QuadratureError) as exc:
+            toeplitz_an(P_FLOOR, T_FLOOR)
+        assert str(exc.value) == ("tanh-sinh refinement stalled: achieved "
+                                  "3.357e+06, target 3.210e-12")
+        assert failing == [list(range(5, rmt._TS_MAX_LEVEL + 1))]
+
+    def test_rows_that_climb_to_convergence_keep_their_bits(
+            self, monkeypatch):
+        # circle, real segment and inside the disc at random weights and
+        # orders: wherever the climb without the floor converges, the
+        # table is the same bits, and where it fails, the floor fails too
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(30):
+            p = _random_weight(rng)
+            ts = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01)),
+                  rng.uniform(0.05, 0.999),
+                  rng.uniform(0.1, 0.95) * cmath.exp(1j * rng.uniform(0.1,
+                                                                      6.2))]
+            kmax = int(rng.integers(1, 48))
+            phis = [WeightSpec(p, t).phase() for t in ts]
+            outcomes = []
+            for finish in (_climbing_finish, rmt._finish):
+                with monkeypatch.context() as patch:
+                    patch.setattr(rmt, "_finish", finish)
+                    outcomes.append([_floor_outcome(table) for table
+                                     in _quadrature_tables(p, phis, kmax,
+                                                           1e-12)])
+            for path, old, new in zip("cri", *outcomes):
+                if isinstance(old, QuadratureError):
+                    assert isinstance(new, QuadratureError)
+                    assert new.target == old.target
+                    seen.add((path, "refused"))
+                else:
+                    assert new == old
+                    seen.add((path, "converged"))
+        assert seen == {(path, kind) for path in "cri"
+                        for kind in ("converged", "refused")} - {
+            ("c", "refused")}
+
+
 def test_leg_at_a_vanishing_phase_keeps_the_circle_value():
     # the leg's half-angles underflow at its deepest nodes below a phase of
     # about 1e-33, and its share vanishes like phase^(1 + 2 omega1 + 2 mu)
@@ -1203,8 +1351,9 @@ class TestToeplitzGrid:
         # its amplification times eps alone past tol; 0.65 and 0.9 recur
         p = replace(P_STD, N=16)
         w = WeightSpec(p, 0.4)
-        amp = max(rmt._march(0j, 1j, steps)[2]
-                  for steps in rmt._recurrence_steps(w, 15))
+        coeffs = rmt._recurrence_steps(w, 15)
+        amp = max(rmt._march(0j, 1j, coeffs, ks)[2]
+                  for ks in (range(2, 16), range(0, -14, -1)))
         assert amp * rmt._EPS > 1e-12
         assert _recurrence_table(w, 15, 1e-12) is None
         for t in (0.65, 0.9):
