@@ -53,9 +53,10 @@ the branch: an (the default) or bulk for series, vi (the default) or bulk
 for ode; any other value is a usage error.
 
 --grid-path names the path the grid runs along: real for every command,
-and circle (t = e^{i g}, the default) for toeplitz as well. On toeplitz's
-real path t = g must lie in (0, 1]: below 0 the weight's continuation is
-not holomorphic in t, and such a point is a parameter error.
+and circle (t = e^{i g}, the default) for toeplitz as well. The library
+takes the Toeplitz route's t on the unit circle and in (0, 1) only, for
+toeplitz, series and bulk (t = exp(-x/N)) alike (rmt_numerics.WeightSpec),
+so a real-path t below 0 is a parameter error.
 
 Complex values on the command line are "re", "im i", or "re+im i" with
 no spaces, e.g. 0.25, 1.5i, 0.3-0.2i. Each part must be finite: nan, inf
@@ -681,16 +682,8 @@ def _selftest_ode(cfg: RunConfig):
 def cmd_toeplitz(cfg: RunConfig) -> int:
     p = _sse_params(cfg)
     _, _, _, kind = cfg.grid
-    gs = cfg.grid_values()
-    if kind == "real":
-        # 0 and t > 1 are the weight's own refusals, raised in grid order
-        first = next((g for g in gs if not 0.0 < g <= 1.0), None)
-        if first is not None and first < 0.0:
-            raise ValueError(
-                f"toeplitz on grid-path real takes 0 < t <= 1, not "
-                f"t = {first!r}: the continued weight is not holomorphic "
-                f"in t there")
-    ts = [cmath.exp(1j * g) if kind == "circle" else complex(g) for g in gs]
+    ts = [cmath.exp(1j * g) if kind == "circle" else complex(g)
+          for g in cfg.grid_values()]
     columns = ["t_re", "t_im", "det_re", "det_im"]
     vs = toeplitz_grid(p, ts, tol=cfg.tol)
     rows = [(t.real, t.imag, v.real, v.imag) for t, v in zip(ts, vs)]
@@ -838,8 +831,6 @@ def _selftest_bulk(cfg: RunConfig):
 
 def cmd_asymptotics(cfg: RunConfig) -> int:
     xi = cfg.params["xi"]
-    if xi.imag != 0.0:
-        raise UsageError("asymptotics needs a real coupling xi")
     ts = cfg.grid_values()
     # the predictions up to the first that fails, and the Fredholm jets of
     # the t before it: each failure is raised in the order a loop over t
@@ -847,11 +838,11 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     preds, stop = [], None
     for t in ts:
         try:
-            preds.append(gap_asymptotics(t, xi.real))
+            preds.append(gap_asymptotics(t, xi))
         except (ValueError, ArithmeticError) as exc:
             stop = exc
             break
-    jets = fredholm_log_derivatives_grid(ts[:len(preds)], xi.real,
+    jets = fredholm_log_derivatives_grid(ts[:len(preds)], xi,
                                          cfg.params.get("nodes", 140))
     if stop is not None:
         raise stop

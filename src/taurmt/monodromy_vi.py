@@ -20,6 +20,7 @@ term. DegenerateParameterError is complexfn's, exported here as well.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .complexfn import (
@@ -247,7 +248,7 @@ class SSEParams:
     exponent shifts, so it is kept as an exact integer. The generalized
     weight carries algebraic singularities of exponents 2*omega1 (at the
     endpoint) and 2*mu (at the observation point), a jump of strength xi_star,
-    and an asymmetry phase omega2.
+    and an asymmetry phase omega2, each finite.
     """
 
     N: int
@@ -263,6 +264,8 @@ class SSEParams:
             object.__setattr__(self, name, complex(getattr(self, name)))
         if not ((2 * self.omega1).real > -1 and (2 * self.mu).real > -1):  # nan too
             raise ValueError("need Re(2 omega1) > -1 and Re(2 mu) > -1 for a convergent weight")
+        if not all(map(cmath.isfinite, (self.mu, self.omega1, self.omega2, self.xi_star))):
+            raise ValueError(f"every weight parameter must be finite, got {self!r}")
 
     @property
     def omega(self) -> complex:

@@ -7,10 +7,10 @@ integrals, sharing no code with those layers. Three routes:
   * Toeplitz: the average equals det[c_{j-k}] over the weight's Fourier
     coefficients (Heine). c_{-1}, c_0 and c_1 come from an adaptive panel
     quadrature of w(theta) e^{-ik theta}; on the circle and on the real
-    segment 0 < t < 1 the rest follow from the weight's three-term
-    recurrence wherever its measured error growth keeps the table within
-    tol, and from the same quadrature elsewhere (see the recurrence
-    notes).
+    segment 0 < t < 1, the only t it takes, the rest follow from the
+    weight's three-term recurrence wherever its measured error growth
+    keeps the table within tol, and from the same quadrature where it
+    does not (see the recurrence notes).
   * Direct: for N <= 3, the literal N fold angular integral with the
     squared Vandermonde factor, as a tensor-product rule whose sum over
     node tuples runs through the factor's rank-3 form in O(nodes) (see
@@ -82,20 +82,14 @@ column sum is at most 3.5e-16 (products) against 6.6e-16 (exponentials)
 times the sum of |integrand| on a real arc, and 5.7e-16 against 2.5e-15
 on a complex leg.
 
-For |t| < 1 the coefficients are the radial-in-t analytic continuation of
-the on-circle ones. Writing the second factor as a power of 2 sin(zeta),
-with zeta a complex half-angle whose real part is kept inside [0, pi/2]
-through the complementary-angle identity, pins the base to the closed
-right half plane, so the principal power is the correct continuation on
-both sides of the wrap angle pi - Re phi; the two sides differ by exactly
-the phase jump the continued power must carry across the cut that lands
-on the contour there. On the circle all of this collapses back to the
-real-modulus weight, and the subtracted arc (pi - phi, pi) is the
-wrapped panel itself: it is integrated once, scaled by 1 - xi* (as in
-the oracle, and dropped at xi* = 1), with both bases and both logs
-real. The subtracted arc is a straight leg from pi - phi to pi in the
-complex angle plane, with the same sine structure, only inside the
-disc and where the wrap angle snaps onto an arc end (a single panel).
+On the circle the subtracted arc (pi - phi, pi) is the wrapped panel,
+integrated once and scaled by 1 - xi* (dropped at xi* = 1, as in the
+oracle), with both bases and both logs real. It is a leg in the complex
+angle plane only at a wrap angle snapped onto an arc end and on the real
+segment 0 < t < 1 (phi = -i ln t), whose wrap always snaps and whose
+weight is the analytic continuation in t. WeightSpec refuses every other
+t of the disc: the arc splits at pi - Re phi and its two sides take
+different branches of the 2 mu power, analytic along rays but not in t.
 
 Recurrence notes. z(1 + z)(1 + tz) w'(z)/w(z) is a quadratic in
 z = e^{i theta}, so the coefficients obey a three-term recurrence in k
@@ -111,17 +105,14 @@ column. Per regime:
     backward stepping multiplies the seeds' error by about t^{-|k|}; the
     march measures that amplification as it goes (_march), and a table it
     would carry past tol comes from quadrature (near t = 1 most recur,
-    t = 0.3 at kmax = 31 does not);
-  * for complex t strictly inside the disc the continued weight jumps at
-    the wrap angle, the identity gains a boundary term it does not carry,
-    and the whole table comes from quadrature.
+    t = 0.3 at kmax = 31 does not).
 
 Tables with kmax <= 1 are the quadrature's own. Three-term recurrences and
 the stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 
-Over a grid of t (toeplitz_grid) the work is split in four: the leg
-range and the recurrence coefficients at every t, so that a t near 0
-never reaches a quadrature; one batched pass for the seeds of every t
+Over a grid of t (toeplitz_grid) the work is split in four: the table's
+float range and the recurrence coefficients at every t, so that a t near
+0 never reaches a quadrature; one batched pass for the seeds of every t
 with coefficients (_quadrature_tables at kmax = 1); t by t, the march,
 which measures its own amplification, or the t's own full quadrature
 pass; one determinant call on the grid's stacked matrices. The march is
@@ -276,17 +267,24 @@ class QuadratureError(RuntimeError):
             f"{message}: achieved {achieved:.3e}, target {target:.3e}")
 
 
+def _narrow(z):
+    """z as a float when its imaginary part is exactly 0, else complex."""
+    z = complex(z)
+    return z.real if z.imag == 0.0 else z
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Circular weight with one fixed and one movable singular point.
 
-    t = e^{i phi} places the movable point; |t| = 1 is the defining
-    circle and |t| < 1 is read as the radial analytic continuation into
-    the disc. SSEParams enforces the integrability of each exponent on
-    its own. Where t sits on the circle and the wrap angle snaps onto the
-    arc end (_arc_panels), the two singular points merge into one of
-    exponent 2 mu + 2 omega_1, and a weight with Re(2 mu + 2 omega_1) <= -1
-    is refused here: every route to its coefficients starts from a
+    t = e^{i phi} places the movable point: on the defining circle
+    |t| = 1, or on the real segment 0 < t < 1, read as the analytic
+    continuation in t; any other t is refused (see the module notes).
+    SSEParams enforces the integrability of each exponent on its own.
+    Where t sits on the circle and the wrap angle snaps onto the arc end
+    (_arc_panels), the two singular points merge into one of exponent
+    2 mu + 2 omega_1, and a weight with Re(2 mu + 2 omega_1) <= -1 is
+    refused here: every route to its coefficients starts from a
     WeightSpec. So is a weight that may leave the float range on the
     contour: with s = -ln|t| every base there has modulus at most
     2 cosh(s/2) and argument at most pi/2, which bounds ln|w|. A negative
@@ -302,6 +300,12 @@ class WeightSpec:
         tt = complex(self.t)
         if tt == 0 or abs(tt) > 1.0 + 1e-12:
             raise ValueError("t must lie in the closed unit disc, not at 0")
+        # the circle as phase() snaps it; nan fails both tests
+        if not (abs(abs(tt) - 1.0) <= 1e-12
+                or (tt.imag == 0.0 and 0.0 < tt.real < 1.0)):
+            raise ValueError(f"off the unit circle t must lie in (0, 1), not "
+                             f"t = {_narrow(tt)!r}: the continued weight is "
+                             f"not holomorphic in t there")
         p, phi = self.p, self.phase()
         s, panels = phi.imag, _arc_panels(phi)
         # t = 1 has no leg
@@ -323,8 +327,8 @@ class WeightSpec:
                 f"Re(2 mu + 2 omega1) = {merged!r} <= -1: not integrable")
 
     def phase(self) -> complex:
-        """Angle phi with t = e^{i phi}, Re phi in [0, 2 pi), Im phi >= 0
-        inside the disc.
+        """Angle phi with t = e^{i phi}: real in [0, 2 pi) on the circle,
+        -i ln t on the real segment.
 
         A modulus within 1e-12 of 1 snaps onto the circle so the phase
         comes out exactly real. Rounding noise in |t| would otherwise
@@ -333,13 +337,10 @@ class WeightSpec:
         level, far above quadrature accuracy.
         """
         tt = complex(self.t)
-        if abs(abs(tt) - 1.0) <= 1e-12:
-            phi = complex(cmath.phase(tt), 0.0)
-        else:
-            phi = -1j * cmath.log(tt)
-        if phi.real < 0.0:
-            phi += _TWO_PI
-        return phi
+        if abs(abs(tt) - 1.0) > 1e-12:
+            return -1j * cmath.log(tt)
+        phi = cmath.phase(tt)
+        return complex(phi + _TWO_PI if phi < 0.0 else phi, 0.0)
 
 
 def _wrap_angle(a: float) -> float:
@@ -637,9 +638,9 @@ def _leg_integrand(p: SSEParams, phis, ks: np.ndarray):
     half-angles whose real parts stay inside [0, pi), so no branch
     tracking is needed; on a real leg this is exactly the real-modulus
     weight restricted to the subtracted arc. _quadrature_tables takes a
-    leg only for t strictly inside the disc and for a wrap angle snapped
-    onto an arc end: on a split circle the wrapped arc panel is that
-    arc. Returns f(sel, d0, d1) like _arc_integrand.
+    leg only on the real segment and for a wrap angle snapped onto an arc
+    end: on a split circle the wrapped arc panel is that arc. Returns
+    f(sel, d0, d1) like _arc_integrand.
     """
     phi = _column(phis, complex)
     two_w1 = 2.0 * p.omega1
@@ -671,6 +672,24 @@ def _log_two_sin(d, phi):
                     np.log(2.0 * np.sin(np.where(tiny, 1.0, half))))
 
 
+def _table_parts(phi: complex, xi: complex, tol: float) -> list:
+    """(scale, kind, row, share of tol) of each part of a table at phase
+    phi: split circle panels (kind 0), other arc panels (1) and the leg
+    (2), each to tol over the number of parts and max(|scale|, 1e-3)."""
+    panels = _arc_panels(phi)
+    if phi.imag == 0.0 and len(panels) == 2:
+        parts = [((1.0 - xi if wrapped else 1.0) * ((b - a) / _TWO_PI),
+                  0, (phi.real, (a, b, wrapped)))
+                 for a, b, wrapped in panels if not (wrapped and xi == 1)]
+    else:
+        parts = [(complex((panel[1] - panel[0]) / _TWO_PI), 1,
+                  (phi, panel)) for panel in panels]
+        if xi != 0 and phi != 0:
+            parts.append((-xi * phi / _TWO_PI, 2, phi))
+    return [(scale, kind, row, tol / len(parts) / max(abs(scale), 1e-3))
+            for scale, kind, row in parts]
+
+
 def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
     """Panel quadrature of c_{-kmax..kmax} for the weights of p at each
     phase in phis, in one batched pass.
@@ -678,8 +697,8 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
     On the circle, where _arc_panels splits at the wrap angle, the
     wrapped panel (pi - phi, pi) is the subtracted arc: it is integrated
     once with scale (1 - xi*) width / 2 pi, and not at all at xi* = 1,
-    and both panels take _arc_integrand's real arithmetic. Inside the
-    disc and at a snapped wrap the subtracted arc is a leg, scaled by
+    and both panels take _arc_integrand's real arithmetic. On the real
+    segment and at a snapped wrap the subtracted arc is a leg, scaled by
     -xi* phi / 2 pi. Split circle panels, other arc panels and legs are
     the rows of three integrands, each integrated by _integrate_rows.
     Within a table every column is refined together, so the slowest
@@ -695,23 +714,11 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
     # panels [1] and the legs [2]
     rows, tols, plans = ([], [], []), ([], [], []), []
     for phi in phis:
-        panels = _arc_panels(phi)
-        if phi.imag == 0.0 and len(panels) == 2:
-            parts = [((1.0 - xi if wrapped else 1.0) * ((b - a) / _TWO_PI),
-                      0, (phi.real, (a, b, wrapped)))
-                     for a, b, wrapped in panels
-                     if not (wrapped and xi == 1)]
-        else:
-            parts = [(complex((panel[1] - panel[0]) / _TWO_PI), 1,
-                      (phi, panel)) for panel in panels]
-            if xi != 0 and phi != 0:
-                parts.append((-xi * phi / _TWO_PI, 2, phi))
-        inner = tol / len(parts)
         plan = []
-        for scale, kind, row in parts:
+        for scale, kind, row, share in _table_parts(phi, xi, tol):
             plan.append((scale, kind, len(rows[kind])))
             rows[kind].append(row)
-            tols[kind].append(inner / max(abs(scale), 1e-3))
+            tols[kind].append(share)
         plans.append(plan)
     results = (_integrate_rows(_arc_integrand(p, rows[0], ks), tols[0]),
                _integrate_rows(_arc_integrand(p, rows[1], ks), tols[1]),
@@ -729,20 +736,29 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
     return [partial(table, plan) for plan in plans]
 
 
-def _check_leg_range(w: WeightSpec, kmax: int) -> None:
-    """Refuse a weight whose leg leaves the float range at order kmax.
+def _check_table_range(w: WeightSpec, kmax: int, tol: float) -> None:
+    """Refuse a tol that is not finite and > 0, and a table of w at order
+    kmax that floats cannot hold to tol.
 
-    Off the circle the leg reaches Im theta = -ln|t|, where the phase
-    factors e^{-ik theta} of a table grow like |t|^{-kmax} and the
-    continued weight grows with them. Once |t|^{2 max(kmax, 1)}
-    underflows (|t| < 1e-154 for kmax <= 1) their product overflows and
-    no table can be formed; for the CLI's default weight the quadrature
-    already stalls from |t| = 1e-20 at kmax = 1.
+    On the segment the leg reaches Im theta = -ln t, where the phase
+    factors e^{-ik theta} grow like t^{-kmax} and the continued weight
+    with them: once t^{2 max(kmax, 1)} underflows (t < 1e-154 for
+    kmax <= 1) their product overflows (for the CLI's default weight the
+    quadrature stalls from t = 1e-20 at kmax = 1). A part whose share of
+    tol (_table_parts) is subnormal, as at |xi*| near the float max, asks
+    for what no level can give.
     """
-    if 2.0 * max(kmax, 1) * w.phase().imag > _LOG_MAX:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    phi = w.phase()
+    if 2.0 * max(kmax, 1) * phi.imag > _LOG_MAX:
         raise ValueError(
             f"t = {complex(w.t)!r} is too close to 0: the weight's "
             f"continuation to order {kmax} leaves the float range")
+    share = min(part[3] for part in _table_parts(phi, w.p.xi_star, tol))
+    if not share >= _TINY:
+        raise ValueError(f"the table at t = {_narrow(w.t)!r} cannot reach "
+                         f"tol = {tol!r}: a part's share of it is {share:.3e}")
 
 
 def _quadrature_table(w: WeightSpec, kmax: int, tol: float):
@@ -794,20 +810,14 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
     the end terms of the integration by parts vanish where the exponents
     allow, and analytic continuation in the exponents covers the rest.
     k >= 2 follow forward and k <= -2 backward from c_{-1}, c_0 and c_1
-    (_march). None for kmax < 2 and when t is neither on the circle nor
-    on the real segment 0 < t < 1; a leading coefficient that vanishes
+    (_march). None for kmax < 2; a leading coefficient that vanishes
     stops the march instead.
     """
     if kmax < 2:
         return None
-    phi = w.phase()
-    if phi.imag != 0.0 and phi.real != 0.0:
-        # complex t inside the disc: the wrap-angle jump adds a boundary
-        # term the identity does not carry
-        return None
     # on the circle t is rebuilt from the snapped phase, so that it names
     # the weight the quadrature integrates
-    t = cmath.exp(1j * phi)
+    t = cmath.exp(1j * w.phase())
     p = w.p
     mu, om1, om2 = complex(p.mu), complex(p.omega1), complex(p.omega2)
     a0 = -1j * om2 - om1 - mu
@@ -828,10 +838,10 @@ def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
     times it times the summed magnitudes each step rounds at. Against a
     40-digit run of the same steps from the same seeds, the rounding of
     500 random tables on the circle and near t = 1 stayed below 1.6 eps
-    times that product. None where _recurrence_steps refuses, when the
-    seeds' quadrature stalls (the full pass then reports it), when a
-    leading coefficient vanishes on the way out, or when the
-    amplification times eps, or the estimate, exceeds tol.
+    times that product. None for kmax < 2, when the seeds' quadrature
+    stalls (the full pass then reports it), when a leading coefficient
+    vanishes on the way out, or when the amplification times eps, or the
+    estimate, exceeds tol.
     """
     coeffs, seeds = prepared or (_recurrence_steps(w, kmax), None)
     if coeffs is None:
@@ -862,16 +872,15 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     c_k = (2 pi)^{-1} int w(theta) (1 - xi* chi(theta)) e^{-ik theta} for
     k = -kmax .. kmax, with chi the indicator of the subtracted arc
     (pi - phi, pi), and the absolute error they carry. On the circle
-    that arc is the wrapped panel, scaled by 1 - xi*; inside the disc,
+    that arc is the wrapped panel, scaled by 1 - xi*; on the real segment,
     and where the wrap angle snaps onto an arc end, the arc term is
     -xi* times the integral over the leg (_quadrature_tables).
 
     Absolute accuracy tol. c_{-1}, c_0 and c_1 always come from
-    panel-split tanh-sinh refinement; on the circle and on the real
-    segment 0 < t < 1 the rest follow from the weight's three-term
-    recurrence (_recurrence_table) whenever the seeds' error times the
-    recurrence's measured amplification, plus its rounding, stays within
-    tol. Elsewhere, and wherever that bound fails, the whole table comes
+    panel-split tanh-sinh refinement; the rest follow from the weight's
+    three-term recurrence (_recurrence_table) whenever the seeds' error
+    times the recurrence's measured amplification, plus its rounding,
+    stays within tol. Wherever that bound fails, the whole table comes
     from one quadrature pass. Raises QuadratureError (with the achieved
     error attached) if the quadrature stalls: at _TS_MAX_LEVEL, or at
     once where tol lies below the rounding of a panel's own largest
@@ -881,12 +890,13 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     rounding allowance.
 
     _prepared is toeplitz_grid's: the recurrence coefficients and seeds
-    its batched pass already made for w (see _recurrence_table). The
-    table is the same bits either way.
+    its batched pass made for w, whose range it checked (see
+    _recurrence_table). The table is the same bits either way.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    _check_leg_range(w, kmax)
+    if _prepared is None:
+        _check_table_range(w, kmax, tol)
     got = _recurrence_table(w, kmax, tol, _prepared)
     if got is None:
         got = _quadrature_table(w, kmax, tol)
@@ -903,24 +913,17 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     Dense LU with partial pivoting on the N x N matrix of coefficients;
     N = 0 gives 1 at every t. The coefficients come from fourier_table:
     three quadrature columns and the recurrence on the circle and near
-    t = 1 on the real segment, one quadrature pass refined until its
-    slowest column converges elsewhere (endpoint singularities and the
-    measure jump defeat uniform-grid spectral methods). Dimension is
-    capped at 64: beyond it that quadrature's cost and the determinant's
-    conditioning buy nothing this library needs.
+    t = 1 on the real segment, one quadrature pass refined until its slowest
+    column converges where the recurrence fails (endpoint singularities
+    and the measure jump defeat uniform-grid spectral methods). Dimension
+    is capped at 64: beyond it that quadrature's cost and the
+    determinant's conditioning buy nothing this library needs.
 
-    The grid's seeds are one batched pass. First the weight, its leg
-    range (_check_leg_range) and its recurrence coefficients at every t;
-    then the seeds of every t with them, the split circle panels through
-    one integrand call in real arithmetic, the other arc panels through
-    a second and the legs through a third (_quadrature_tables; on the
-    circle the subtracted arc is the wrapped panel, integrated once and
-    scaled by 1 - xi*, with no leg); then, t by t, the march from those
-    seeds, or a quadrature pass of the t's own where the recurrence
-    cannot meet tol; then one determinant call on the stacked matrices.
-    Every value is the one toeplitz_an returns at its t, bit for bit,
-    and a failure raises at the first t that fails, once every earlier t
-    is done, as a loop of toeplitz_an calls would.
+    The work is split as the recurrence notes describe: every t is
+    checked (WeightSpec, _check_table_range) before one batched pass makes
+    the seeds of the grid. Every value is the one toeplitz_an returns at
+    its t, bit for bit, and a failure raises at the first t that fails,
+    once every earlier t is done, as a loop of toeplitz_an calls would.
     """
     n = int(p.N)
     if n < 0:
@@ -934,8 +937,8 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     for t in ts:
         try:
             w = WeightSpec(p=p, t=t)
-            # keeps a t near 0 out of the seed pass
-            _check_leg_range(w, kmax)
+            # keeps a t near 0, or one past tol's reach, out of the seeds
+            _check_table_range(w, kmax, tol)
             coeffs.append(_recurrence_steps(w, kmax))
         except (ValueError, ArithmeticError) as exc:
             # raised once every earlier t has its value
@@ -1065,12 +1068,6 @@ def quad_oracle_an(p: SSEParams, t: complex) -> complex:
 
 # ---------------------------------------------------------------------------
 # sine-kernel Fredholm determinant
-
-
-def _narrow(z):
-    """z as a float when its imaginary part is exactly 0, else complex."""
-    z = complex(z)
-    return z.real if z.imag == 0.0 else z
 
 
 @dataclass(frozen=True)
@@ -1490,35 +1487,41 @@ def fredholm_log_derivatives_grid(ts, xi: complex = 1.0,
     upper sign even, tr C1 = a G00, tr C2 = -+2a G01 and
     tr Q A3 = -2a (G02 - G11). Woodbury on A0 ~ R^T R gives
     G = V^T V + xi (R V)^T (I - xi R R^T)^{-1} (R V), one r x r solve per
-    block. Real arithmetic throughout for real xi. Every row is the one
-    fredholm_log_derivatives returns at its t, bit for bit, and the
-    first t that fails raises, as a loop of its calls would.
+    block. Real arithmetic throughout for real xi. A row that leaves the
+    float range (at |xi| near the float max) raises ValueError. Every row
+    is the one fredholm_log_derivatives returns at its t, bit for bit,
+    and the first t that fails raises, as a loop of its calls would.
     """
     out = []
     for spec, blocks in _factored(ts, xi, m):
         xi = _narrow(spec.xi)
-        logabs, sign = 0.0, 1.0
-        tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
-        for (v, rows, gram, lam), parity in zip(blocks, (1.0, -1.0)):
-            factors = 1.0 - lam
-            logabs += float(np.sum(np.log(np.abs(factors))))
-            sign *= np.prod(factors / np.abs(factors))
-            rv = rows @ v
-            mat = gram * -xi
-            mat.flat[::len(mat) + 1] += 1.0
-            g = v.T @ v + xi * (rv.T @ np.linalg.solve(mat, rv))
-            c1, c2 = g[0, 0] / _HALF_PI, -parity * 2.0 * g[0, 1] / _HALF_PI
-            tr1 += c1
-            tr2 += c2
-            tr3 -= 2.0 * (g[0, 2] - g[1, 1]) / _HALF_PI
-            tr11 += c1 * c1
-            tr12 += c1 * c2
-            tr111 += c1 * c1 * c1
-        loge = complex(logabs) + cmath.log(complex(sign))
-        l1 = -xi * tr1
-        l2 = -xi * (xi * tr11 + tr2)
-        l3 = -xi * (2.0 * xi * xi * tr111 + 3.0 * xi * tr12 + tr3)
-        out.append((loge, complex(l1), complex(l2), complex(l3)))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logabs, sign = 0.0, 1.0
+            tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
+            for (v, rows, gram, lam), parity in zip(blocks, (1.0, -1.0)):
+                factors = 1.0 - lam
+                logabs += float(np.sum(np.log(np.abs(factors))))
+                sign *= np.prod(factors / np.abs(factors))
+                rv = rows @ v
+                mat = gram * -xi
+                mat.flat[::len(mat) + 1] += 1.0
+                g = v.T @ v + xi * (rv.T @ np.linalg.solve(mat, rv))
+                c1, c2 = g[0, 0] / _HALF_PI, -parity * 2 * g[0, 1] / _HALF_PI
+                tr1 += c1
+                tr2 += c2
+                tr3 -= 2.0 * (g[0, 2] - g[1, 1]) / _HALF_PI
+                tr11 += c1 * c1
+                tr12 += c1 * c2
+                tr111 += c1 * c1 * c1
+            loge = complex(logabs) + cmath.log(complex(sign))
+            l1 = -xi * tr1
+            l2 = -xi * (xi * tr11 + tr2)
+            l3 = -xi * (2.0 * xi * xi * tr111 + 3.0 * xi * tr12 + tr3)
+            row = (loge, complex(l1), complex(l2), complex(l3))
+        if not all(map(cmath.isfinite, row)):
+            raise ValueError(f"the log-derivatives of det(I - xi K) at t = "
+                             f"{spec.t!r}, xi = {xi!r} leave the float range")
+        out.append(row)
     return out
 
 

@@ -294,16 +294,18 @@ class GapAsymptotics:
     gap_probability: float | None
 
 
-def gap_asymptotics(t: float, xi: float) -> GapAsymptotics:
+def gap_asymptotics(t: float, xi: complex) -> GapAsymptotics:
     """Large-t forms of the scaled gap probability generating function.
 
     Full weight xi = 1 gives the classical quartic-decay law with the
     zeta'(-1) constant; 0 < xi < 1 gives the linear-in-t law driven by
-    log(1 - xi). The returned log-derivative includes the factor t.
+    log(1 - xi). The returned log-derivative includes the factor t. t must
+    be finite and positive; xi is read as real (imaginary part 0) in (0, 1].
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not 0 < xi <= 1:
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
+    xi = xi.real if isinstance(xi, complex) and xi.imag == 0 else xi
+    if isinstance(xi, complex) or not 0 < xi <= 1:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
     if xi == 1:
         # zeta0_series at the sine-kernel point, s = -4it, plus its next term

@@ -250,6 +250,26 @@ def test_real_path_t_outside_zero_one_is_a_parameter_error(grid, message,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # series and bulk meet the weight's own rule, as toeplitz does
+    (["series", "--grid-start=-0.5", "--grid-count=1"], "not t = -0.5:"),
+    (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--xi=1.7e308",
+      "--grid-count=2"], "a part's share of it is "),
+    (["asymptotics", "--xi=0.5+0.1i"], "xi must lie in (0, 1], got "
+                                       "(0.5+0.1j)"),
+])
+def test_library_refusal_is_a_parameter_error(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_PARAMS
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_grid_reports_a_toeplitz_stall_first(capsys):
     # 2 mu = -0.96 is refused by the Toeplitz route at the first point
     p = SSEParams(N=3, mu=-0.48, omega1=0.1, omega2=0.3, xi_star=0.5)

@@ -91,7 +91,7 @@ GAP_RATIO_ANCHORS = {
 }
 
 # self-consistent anchors (see module docstring)
-OFFCIRCLE_T0999 = 1.1819284093557945 - 0.0004958897646924946j
+SEGMENT_T0999 = 1.4087916619759626 - 0.0006027820741362145j
 BULK_GENERIC_X_HALF = 1.0426414589149937 - 0.10209005284520646j
 
 
@@ -103,6 +103,32 @@ class TestWeightSpec:
     def test_rejects_outside_disc(self):
         with pytest.raises(ValueError):
             WeightSpec(P_STD, 1.5)
+
+    @pytest.mark.parametrize("t", [
+        -0.5, 0.7 * cmath.exp(0.5j), math.nan, complex(0.5, math.nan),
+        -1e-200, complex(0.5, 1e-300)])
+    def test_rejects_t_off_the_circle_and_the_segment(self, t):
+        # the continuation is holomorphic in t only on the segment; a real
+        # t shows as a float, and -1e-200 is off it before it is near 0
+        shown = repr(t.real if isinstance(t, complex) and t.imag == 0
+                     else t)
+        with pytest.raises(ValueError) as exc:
+            WeightSpec(P_STD, t)
+        assert str(exc.value) == (
+            f"off the unit circle t must lie in (0, 1), not t = {shown}: "
+            f"the continued weight is not holomorphic in t there")
+
+    def test_disc_refusal_comes_first(self):
+        with pytest.raises(ValueError, match="closed unit disc"):
+            WeightSpec(P_STD, -1.5)
+
+    @pytest.mark.parametrize("t", [
+        0.3, complex(0.3, -0.0), (1.0 - 5e-13) * T_STD, cmath.exp(-0.5 / 4),
+        cmath.exp(2j / 8)])
+    def test_accepts_the_circle_and_the_segment(self, t):
+        # within 1e-12 of |t| = 1 is the circle phase() snaps; exp(-x/N)
+        # at real and at imaginary x, as bulk_limit_grid forms it
+        WeightSpec(P_STD, t)
 
     def test_phase_on_circle_is_exactly_real(self):
         phi = WeightSpec(P_STD, T_STD).phase()
@@ -128,7 +154,7 @@ class TestWeightSpec:
 
     @pytest.mark.parametrize("t", [0.999, cmath.exp(1e-11j)])
     def test_unmerged_points_of_the_same_weight_accepted(self, t):
-        # inside the disc, or past the snap, the two points stay apart
+        # on the segment, or past the snap, the two points stay apart
         WeightSpec(P_TWO_SINGULAR, t)
 
     @pytest.mark.parametrize("change,t", [
@@ -398,7 +424,7 @@ class TestTanhSinhRule:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-13])
     @pytest.mark.parametrize("kmax", [1, 40])
-    @pytest.mark.parametrize("t", [T_STD, 0.95, 0.7 * cmath.exp(0.5j)])
+    @pytest.mark.parametrize("t", [T_STD, 0.95, cmath.exp(-1e-13j)])
     def test_bit_identical_to_level_by_level(self, t, kmax, tol):
         for kind, f in _quadrature_parts(t, kmax):
             got = _outcome(_integrate_one, f, tol)
@@ -468,7 +494,7 @@ class TestFourierClosedFormsHighK:
 
     @pytest.mark.parametrize("t,kmax", [
         (cmath.exp(2j), 63),
-        (0.9 * cmath.exp(0.9j), 24),
+        (0.9, 24),
         (0.8, 16),
     ])
     def test_pure_jump(self, t, kmax):
@@ -478,7 +504,7 @@ class TestFourierClosedFormsHighK:
         want = _pure_jump_coeffs(0.7, w.phase(), kmax)
         assert np.max(np.abs(got - want)) <= 1e-13
 
-    @pytest.mark.parametrize("t", [T_STD, 0.9 * cmath.exp(0.9j)])
+    @pytest.mark.parametrize("t", [T_STD, 0.9])
     def test_single_coefficient_matches_table_ends(self, t):
         kmax = 63
         w = WeightSpec(P_STD, t)
@@ -635,15 +661,17 @@ class TestThreeTermRecurrence:
         assert np.max(np.abs(unguarded[32:] - ref[32:])) <= 1e-13
         assert np.max(np.abs(unguarded - ref)) > 1e-6
 
-    def test_interior_complex_t_keeps_quadrature(self):
+    def test_interior_complex_t_is_refused(self):
         # the wrap angle pi - Re phi lands inside the arc, where the
-        # continued weight jumps: the identity fails there
-        w = WeightSpec(replace(P_COMPLEX_MU, xi_star=0.5),
-                       0.7 * cmath.exp(0.5j))
-        ref, _ = _quadrature_table(w, 20, 1e-12)
-        assert np.max(_row_residuals(w, ref)) > 1e-3
-        assert _recurrence_table(w, 20, 1e-12) is None
-        assert np.array_equal(fourier_table(w, 20)[0], ref)
+        # continued weight jumps: it is analytic along rays but not in t,
+        # so no route takes such a t, and no table is formed
+        p = replace(P_COMPLEX_MU, N=21, xi_star=0.5)
+        t = 0.7 * cmath.exp(0.5j)
+        with pytest.raises(ValueError, match="not holomorphic in t"):
+            WeightSpec(p, t)
+        with pytest.raises(ValueError, match="not holomorphic in t"):
+            toeplitz_an(p, t)
+        assert rmt._recurrence_steps(WeightSpec(p, 0.7), 20) is not None
 
     def test_vanishing_leading_coefficient_keeps_quadrature(self):
         # omega2 = 3i makes the weight e^{3i theta}: a0 = 3, so the row at
@@ -996,10 +1024,9 @@ def _spy_refine(monkeypatch):
 # 2 mu = -0.96 decays too slowly for the node range: at tol 1e-12 the
 # panels at the singular point converge at a level whose edge is refused
 P_SLOW_DECAY = SSEParams(N=3, mu=-0.48, omega1=0.1, omega2=0.0, xi_star=0.5)
-# the circle, the real segment, complex t inside the disc, t = 1 (one
-# panel, no leg), and wrap angles snapped onto either arc end (one panel)
-BATCH_POINTS = (T_STD, 0.7, 0.7 * cmath.exp(0.5j), 1.0, cmath.exp(1e-13j),
-                cmath.exp(-1e-13j))
+# the circle, the real segment near 1 and near 0, t = 1 (one panel, no
+# leg), and wrap angles snapped onto either arc end (one panel)
+BATCH_POINTS = (T_STD, 0.7, 0.2, 1.0, cmath.exp(1e-13j), cmath.exp(-1e-13j))
 BATCH_WEIGHTS = {"standard": P_STD, "no_leg": replace(P_STD, xi_star=0.0),
                  "full_jump": replace(P_STD, xi_star=1.0),
                  "two_singular": P_TWO_SINGULAR, "slow_decay": P_SLOW_DECAY}
@@ -1062,10 +1089,9 @@ class TestRowBatchedQuadrature:
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_circle_row_keeps_its_bytes_beside_a_disc_row(self, order):
-        # a split circle row runs in real arithmetic, a disc row in
-        # complex: batched together, neither may change the other's bits
-        phis = [WeightSpec(P_STD, t).phase()
-                for t in (T_STD, 0.7 * cmath.exp(0.5j))]
+        # a split circle row runs in real arithmetic, a real-segment row
+        # in complex: batched together, neither may change the other's bits
+        phis = [WeightSpec(P_STD, t).phase() for t in (T_STD, 0.7)]
         alone = [_quadrature_tables(P_STD, [phi], 24, 1e-12)[0]
                  for phi in phis]
         both = _quadrature_tables(P_STD, phis[::order], 24, 1e-12)[::order]
@@ -1209,17 +1235,15 @@ class TestRoundingFloor:
 
     def test_rows_that_climb_to_convergence_keep_their_bits(
             self, monkeypatch):
-        # circle, real segment and inside the disc at random weights and
-        # orders: wherever the climb without the floor converges, the
-        # table is the same bits, and where it fails, the floor fails too
+        # circle and real segment at random weights and orders: wherever
+        # the climb without the floor converges, the table is the same
+        # bits, and where it fails, the floor fails too
         rng = np.random.default_rng(5)
         seen = set()
         for _ in range(30):
             p = _random_weight(rng)
             ts = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01)),
-                  rng.uniform(0.05, 0.999),
-                  rng.uniform(0.1, 0.95) * cmath.exp(1j * rng.uniform(0.1,
-                                                                      6.2))]
+                  rng.uniform(0.05, 0.999)]
             kmax = int(rng.integers(1, 48))
             phis = [WeightSpec(p, t).phase() for t in ts]
             outcomes = []
@@ -1229,7 +1253,7 @@ class TestRoundingFloor:
                     outcomes.append([_floor_outcome(table) for table
                                      in _quadrature_tables(p, phis, kmax,
                                                            1e-12)])
-            for path, old, new in zip("cri", *outcomes):
+            for path, old, new in zip("cr", *outcomes):
                 if isinstance(old, QuadratureError):
                     assert isinstance(new, QuadratureError)
                     assert new.target == old.target
@@ -1237,7 +1261,7 @@ class TestRoundingFloor:
                 else:
                     assert new == old
                     seen.add((path, "converged"))
-        assert seen == {(path, kind) for path in "cri"
+        assert seen == {(path, kind) for path in "cr"
                         for kind in ("converged", "refused")} - {
             ("c", "refused")}
 
@@ -1249,13 +1273,40 @@ def test_leg_at_a_vanishing_phase_keeps_the_circle_value():
     assert abs(got - toeplitz_an(P_STD, 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("t,kmax", [(1e-300, 0), (-1e-200, 1), (1e-100, 5)])
+@pytest.mark.parametrize("t,kmax", [(1e-300, 0), (1e-200, 1), (1e-100, 5)])
 def test_weight_too_close_to_zero_is_refused(t, kmax):
     # the leg's factors |t|^{-k} would leave the float range
     with pytest.raises(ValueError, match="too close to 0"):
         fourier_table(WeightSpec(P_STD, t), kmax)
     with pytest.raises(ValueError, match="too close to 0"):
         toeplitz_grid(replace(P_STD, N=kmax + 1), [0.5, t])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_tol_not_finite_and_positive_is_refused(tol):
+    # integrate's message; inf once returned values, the rest stalled
+    message = f"tol must be finite and positive, got {tol!r}"
+    with pytest.raises(ValueError) as exc:
+        fourier_table(WeightSpec(P_STD, T_STD), 3, tol)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        toeplitz_grid(P_STD, [T_STD, 0.5], tol)
+    assert str(exc.value) == message
+
+
+def test_subnormal_share_of_tol_is_refused_in_grid_order(monkeypatch):
+    # at xi* = 1e300 the wrapped panel's scale leaves its share of tol
+    # below the smallest normal float; t = 1, with no wrapped panel and no
+    # leg, keeps its value, and no quadrature runs for the refused t
+    p = replace(P_STD, N=3, xi_star=1e300)
+    exc = _grid_matches_points(p, [1.0, T_STD, 0.5])
+    assert isinstance(exc, ValueError)
+    assert str(exc).startswith(f"the table at t = {T_STD!r} cannot reach "
+                               f"tol = 1e-12: a part's share of it is ")
+    monkeypatch.setattr(rmt, "_integrate_rows", None)
+    for t in (T_STD, 0.5, cmath.exp(-1e-13j)):
+        with pytest.raises(ValueError, match="share"):
+            fourier_table(WeightSpec(replace(p, xi_star=1.7e308), t), 2)
 
 
 class TestToeplitzRoute:
@@ -1300,9 +1351,9 @@ class TestToeplitzRoute:
         got = toeplitz_an(replace(p, N=4), cmath.exp(1.1j))
         assert abs(got.imag) <= 1e-12
 
-    def test_off_circle_continuation(self):
-        got = toeplitz_an(P_STD, 0.999 * T_STD)
-        assert abs(got - OFFCIRCLE_T0999) <= 1e-10
+    def test_real_segment_continuation(self):
+        got = toeplitz_an(P_STD, 0.999)
+        assert abs(got - SEGMENT_T0999) <= 1e-10
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -1361,11 +1412,30 @@ class TestToeplitzGrid:
         assert _grid_matches_points(p, [0.4, 0.65, 0.9]) is None
 
     def test_mixed_grid(self):
-        # repeated points, recurred and quadrature tables, the interior of
-        # the disc, t = 1 and a wrap angle snapped onto an arc end
-        ts = [T_STD, 0.05, 0.7 * cmath.exp(0.5j), T_STD, 1.0, 0.05, 0.95,
-              cmath.exp(-1e-13j), -0.5]
+        # repeated points, recurred and quadrature tables, t = 1 and wrap
+        # angles snapped onto either arc end
+        ts = [T_STD, 0.05, 0.3, T_STD, 1.0, 0.05, 0.95, cmath.exp(-1e-13j),
+              cmath.exp(1e-13j)]
         assert _grid_matches_points(replace(P_STD, N=4), ts) is None
+
+    def test_refused_point_raises_after_the_earlier_ones(self, monkeypatch):
+        # t = -0.5 is refused once the two points before it have their
+        # tables, and the point after it is never read
+        seen = []
+        table = rmt.fourier_table
+
+        def counted(w, *args, **kwargs):
+            seen.append(w.t)
+            return table(w, *args, **kwargs)
+
+        monkeypatch.setattr(rmt, "fourier_table", counted)
+        ts = [0.6, T_STD, -0.5, 0.9]
+        exc = _grid_matches_points(replace(P_STD, N=4), ts)
+        assert isinstance(exc, ValueError) and "not t = -0.5:" in str(exc)
+        seen.clear()
+        with pytest.raises(ValueError, match="not t = -0.5:"):
+            toeplitz_grid(replace(P_STD, N=4), ts)
+        assert seen == [0.6, T_STD]
 
     def test_row_past_level_four(self, monkeypatch):
         calls = _spy_refine(monkeypatch)
@@ -1734,6 +1804,15 @@ class TestFredholm:
 
 
 class TestLogDerivatives:
+    @pytest.mark.parametrize("xi", [1.7e308, 1.7e308 + 1.7e308j, 1e300])
+    def test_coupling_near_the_float_max_is_refused(self, xi):
+        # the derivatives overflow while the guard passes; refused at the
+        # first t, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leave the float range"):
+                fredholm_log_derivatives_grid([0.1, 1.0], xi)
+
     def test_reference_value_xi_one(self):
         _, l1, _, _ = fredholm_log_derivatives(2.5, 1.0)
         assert abs(l1 - LOGDERIV_T25) <= 1e-11 * abs(LOGDERIV_T25)
@@ -2362,8 +2441,8 @@ class TestBulkLimitGrid:
          [8, 16, 32]),
         # a generic weight at real x
         (P_STD, [0.2, 0.5, 0.8], [4, 8, 16]),
-        # complex mu
-        (replace(P_STD, mu=0.25 + 0.15j), [0.3, 0.2 - 0.4j], [4, 8, 16]),
+        # complex mu, x on either axis
+        (replace(P_STD, mu=0.25 + 0.15j), [0.3, -0.4j], [4, 8, 16]),
         # unsorted dimensions with duplicates
         (P_STD, [0.5, 0.1], [16, 4, 8, 4]),
         # a one-point grid, one and two dimensions
@@ -2378,6 +2457,12 @@ class TestBulkLimitGrid:
 
     def test_empty_grid(self):
         assert bulk_limit_grid([], P_STD, [4, 8]) == []
+
+    def test_x_off_both_axes_is_refused(self):
+        # t = exp(-x/N) is then neither on the circle nor in (0, 1)
+        with pytest.raises(ValueError, match="not holomorphic in t"):
+            bulk_limit_grid([0.3, 0.2 - 0.4j], replace(P_STD, mu=0.25 + 0.15j),
+                            [4, 8])
 
     def test_first_failure_in_dimension_then_grid_order(self):
         # N = 16 fails at x = 16 and 20, N = 4 only at x = 20: the error

@@ -373,6 +373,17 @@ class TestGapAsymptotics:
         with pytest.raises(ValueError):
             gap_asymptotics(2.0, 1.5)
 
+    @pytest.mark.parametrize("t,xi", [
+        (2.0, 0.5 + 0.1j), (2.0, 1.5 + 0j), (math.inf, 0.5), (math.nan, 0.5),
+        (2.0, math.inf)])
+    def test_non_finite_t_and_complex_coupling_refused(self, t, xi):
+        with pytest.raises(ValueError):
+            gap_asymptotics(t, xi)
+
+    @pytest.mark.parametrize("t,xi", [(3.0, 0.5), (2.0, 1.0)])
+    def test_real_complex_coupling_reads_as_its_real_part(self, t, xi):
+        assert gap_asymptotics(t, complex(xi)) == gap_asymptotics(t, xi)
+
 
 class TestBranchBracket:
     def test_series_and_monodromy_carry_one_bracket(self):
