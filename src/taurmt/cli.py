@@ -68,16 +68,15 @@ maps are sigma_ode.sigma_map. ode and bulk seed one flow at the first
 grid point and pass it through the rest, so a one-point grid prints the
 seed row; ode prints every node of the flow, those of its detours off
 the real axis included. fredholm and asymptotics make one grid call of
-rmt_numerics (fredholm_grid, fredholm_log_derivatives_grid), and a
-failing grid reports the error a loop over its t would meet first:
-asymptotics' prediction at a t before the Fredholm value there. bulk
-takes the sine-kernel point when mu, omega1
-and omega2 are each within complexfn.INPUT_INTEGER_TOL of 0; its seed
-there (_gap_seed) is the bulk sigma map's jet of the Fredholm
-log-derivatives, and the same jet at each grid point gives the
-h_fredholm column: one fredholm_log_derivatives_grid call for the seed
-point before the flow and one for the other points after it, so that a
-failure meets the same error a loop over them would. The rebuilt
+rmt_numerics (fredholm_grid, fredholm_log_derivatives_grid). Each grid
+call raises its first refused point, in grid order, before it computes
+any, and a failure while computing at the first point that fails;
+asymptotics takes its predictions at every t before the Fredholm grid.
+bulk takes the sine-kernel point when mu, omega1 and omega2 are
+each within complexfn.INPUT_INTEGER_TOL of 0; its seed there
+(_gap_seed) is the bulk sigma map's jet of the Fredholm log-derivatives,
+and the same jet at each grid point gives the h_fredholm column, all
+from one fredholm_log_derivatives_grid call before the flow. The rebuilt
 average of bulk is sigma_ode.tau_reconstruct of the flow, from the
 series value at the first grid point. _COMMANDS holds each command's grid defaults,
 grid paths, --tol, runner and selftest. The monodromy residuals come
@@ -769,12 +768,10 @@ def cmd_bulk(cfg: RunConfig) -> int:
         ts = cfg.grid_values()
         xs = [-4j * t for t in ts]
         limits = bulk_limit_grid(xs, p, dims)
-        # the seed's jet before the flow, the other rows' after it; the
-        # first row's log E and h are the seed's
-        jets = fredholm_log_derivatives_grid(ts[:1], xi)
+        # the first row's log E and h are the seed's
+        jets = fredholm_log_derivatives_grid(ts, xi)
         seed = _gap_seed(p, ts[0], *jets[0][1:])
         traj = integrate(bulk_okamoto_params(p), seed, xs, tol=1e-10)
-        jets += fredholm_log_derivatives_grid(ts[1:], xi)
         # segment ends land exactly on the requested nodes
         h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
@@ -832,20 +829,8 @@ def _selftest_bulk(cfg: RunConfig):
 def cmd_asymptotics(cfg: RunConfig) -> int:
     xi = cfg.params["xi"]
     ts = cfg.grid_values()
-    # the predictions up to the first that fails, and the Fredholm jets of
-    # the t before it: each failure is raised in the order a loop over t
-    # taking gap_asymptotics and then the jet would meet it
-    preds, stop = [], None
-    for t in ts:
-        try:
-            preds.append(gap_asymptotics(t, xi))
-        except (ValueError, ArithmeticError) as exc:
-            stop = exc
-            break
-    jets = fredholm_log_derivatives_grid(ts[:len(preds)], xi,
-                                         cfg.params.get("nodes", 140))
-    if stop is not None:
-        raise stop
+    preds = [gap_asymptotics(t, xi) for t in ts]
+    jets = fredholm_log_derivatives_grid(ts, xi, cfg.params.get("nodes", 140))
     rows = []
     for t, pred, (loge, l1, _, _) in zip(ts, preds, jets):
         computed = (t * l1).real

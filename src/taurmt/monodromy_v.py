@@ -76,6 +76,8 @@ class ThetaV:
     def __post_init__(self):
         for name in ("theta0", "theta1", "theta_inf"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+        if not all(map(cmath.isfinite, self.as_tuple())):
+            raise ValueError(f"exponents must be finite, got {self}")
 
     def as_tuple(self):
         return (self.theta0, self.theta1, self.theta_inf)

@@ -920,10 +920,10 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     determinant's conditioning buy nothing this library needs.
 
     The work is split as the recurrence notes describe: every t is
-    checked (WeightSpec, _check_table_range) before one batched pass makes
-    the seeds of the grid. Every value is the one toeplitz_an returns at
-    its t, bit for bit, and a failure raises at the first t that fails,
-    once every earlier t is done, as a loop of toeplitz_an calls would.
+    checked (WeightSpec, _check_table_range), and the first t refused in
+    grid order raises, before one batched pass makes the seeds of the
+    grid. Every value is the one toeplitz_an returns at its t, bit for
+    bit, and a failure while computing raises at the first t that fails.
     """
     n = int(p.N)
     if n < 0:
@@ -933,18 +933,12 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     if n == 0:
         return [1.0 + 0.0j for _ in ts]
     kmax = n - 1
-    ws, coeffs, stop = [], [], None
+    ws = []
     for t in ts:
-        try:
-            w = WeightSpec(p=p, t=t)
-            # keeps a t near 0, or one past tol's reach, out of the seeds
-            _check_table_range(w, kmax, tol)
-            coeffs.append(_recurrence_steps(w, kmax))
-        except (ValueError, ArithmeticError) as exc:
-            # raised once every earlier t has its value
-            stop = exc
-            break
-        ws.append(w)
+        ws.append(WeightSpec(p=p, t=t))
+        # keeps a t near 0, or one past tol's reach, out of the seeds
+        _check_table_range(ws[-1], kmax, tol)
+    coeffs = [_recurrence_steps(w, kmax) for w in ws]
     seeds = iter(_quadrature_tables(
         p, [w.phase() for w, c in zip(ws, coeffs) if c is not None], 1, tol))
     idx = kmax + (np.arange(n)[:, None] - np.arange(n)[None, :])
@@ -952,10 +946,7 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     for mat, w, c in zip(mats, ws, coeffs):
         prepared = c, None if c is None else next(seeds)
         mat[:] = fourier_table(w, kmax, tol, _prepared=prepared)[0][idx]
-    dets = [complex(d) for d in np.linalg.det(mats)]
-    if stop is not None:
-        raise stop
-    return dets
+    return [complex(d) for d in np.linalg.det(mats)]
 
 
 def toeplitz_an(p: SSEParams, t: complex, tol: float = 1e-12) -> complex:
@@ -1381,49 +1372,37 @@ def _factored(ts, xi, m):
     """(spec, its blocks as (V, R, R R^T, lam)) for each t of ts in grid
     order, lam = xi times the eigenvalues of R R^T (_factor_grid).
 
-    Every t is checked (FredholmSpec) up to the first one refused, and
-    the blocks of those before it are factored in one pass. Each
-    eigenvalue may carry an absolute error of m eps, so
+    Every t is checked (FredholmSpec), and the first t refused in grid
+    order raises, before the blocks of the grid are factored in one pass.
+    Each eigenvalue may carry an absolute error of m eps, so
     m eps sum |lam_j| / |1 - lam_j| over both blocks bounds the relative
     error of the determinant; where it reaches 1 no digit is correct and
     ValueError is raised as the t's turn comes. At xi = 1 and m = 600 it
     reads 3.4e-11, 1.4e-9 and 6.4e-8 at t = 4, 6 and 8, and passes 1
-    before t = 20. So the first refusal in grid order is raised, with its
-    own message, once every earlier t has been handed out, as a loop over
-    the t would raise it.
+    before t = 20.
     """
-    specs, stop = [], None
-    for t in ts:
-        try:
-            specs.append(FredholmSpec(t, xi, m))
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            # raised once every earlier t has its value or its refusal
-            stop = exc
-            break
-    if specs:
-        xi, m = _narrow(xi), specs[0].m
-        for spec, pair in zip(specs,
-                              _factor_grid([float(s.t) for s in specs], m)):
-            blocks, cond = [], 0.0
-            # a factor of exactly 0 makes the bound infinite, and a product
-            # xi lam that overflows makes it nan: both are refused below.
-            # numpy's complex product flags an overflow in an intermediate
-            # even where it is finite, at |xi| near the float max
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                for v, rows, gram, eig in pair:
-                    lam = xi * eig
-                    cond += float((np.abs(lam) / np.abs(1.0 - lam)).sum())
-                    blocks.append((v, rows, gram, lam))
-            bound = m * _EPS * cond
-            if not bound < 1.0:
-                raise ValueError(
-                    f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no "
-                    f"correct digit at m = {m} nodes: its rounding bound "
-                    f"reads {bound:.3g}")
-            yield spec, blocks
-    if stop is not None:
-        raise stop
+    specs = [FredholmSpec(t, xi, m) for t in ts]
+    if not specs:
+        return
+    xi, m = _narrow(xi), specs[0].m
+    for spec, pair in zip(specs, _factor_grid([float(s.t) for s in specs], m)):
+        blocks, cond = [], 0.0
+        # a factor of exactly 0 makes the bound infinite, and a product
+        # xi lam that overflows makes it nan: both are refused below.
+        # numpy's complex product flags an overflow in an intermediate
+        # even where it is finite, at |xi| near the float max
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for v, rows, gram, eig in pair:
+                lam = xi * eig
+                cond += float((np.abs(lam) / np.abs(1.0 - lam)).sum())
+                blocks.append((v, rows, gram, lam))
+        bound = m * _EPS * cond
+        if not bound < 1.0:
+            raise ValueError(
+                f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no "
+                f"correct digit at m = {m} nodes: its rounding bound "
+                f"reads {bound:.3g}")
+        yield spec, blocks
 
 
 def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
@@ -1440,9 +1419,9 @@ def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
     product leaves the float range. Convergence in m is exponential; the
     check of it, a second evaluation at doubled m, belongs to the caller
     (the fredholm selftest runs it). Each value is a float for real xi.
-    Every value is the one fredholm_sine returns at its t, bit for bit,
-    and the first t that fails raises, as a loop of fredholm_sine calls
-    would.
+    Every value is the one fredholm_sine returns at its t, bit for bit.
+    Every t is checked before any is computed (_factored): the first t
+    refused in grid order raises, or else the first t that fails.
     """
     out = []
     for spec, blocks in _factored(ts, xi, m):
@@ -1489,8 +1468,8 @@ def fredholm_log_derivatives_grid(ts, xi: complex = 1.0,
     G = V^T V + xi (R V)^T (I - xi R R^T)^{-1} (R V), one r x r solve per
     block. Real arithmetic throughout for real xi. A row that leaves the
     float range (at |xi| near the float max) raises ValueError. Every row
-    is the one fredholm_log_derivatives returns at its t, bit for bit,
-    and the first t that fails raises, as a loop of its calls would.
+    is the one fredholm_log_derivatives returns at its t, bit for bit, and
+    failures raise as in fredholm_grid.
     """
     out = []
     for spec, blocks in _factored(ts, xi, m):
@@ -1560,16 +1539,21 @@ def bulk_limit_grid(xs, p: SSEParams, n_list) -> list:
     and richardson_diff the change from the table's last column, as a
     stability handle. p.N is not read.
 
-    The dimensions are checked once and every normalization comes from one
-    sweep of barnes_prefactors up to the largest N, so a gamma pole raises
-    before any determinant. Then, N by N in ascending order, the averages
-    at the whole grid are one toeplitz_grid call at its default accuracy,
-    which batches the grid's seed quadrature. Every value is the one that
-    toeplitz_an and barnes_prefactor give at its (x, N), bit for bit. A
-    failure raises the first failing (N, x) in that order, dimension
-    ascending, then grid order.
+    The dimensions, which must be integers, are checked once and every
+    normalization comes from one sweep of barnes_prefactors up to the
+    largest N, so a gamma pole raises before any determinant. Then, N by N
+    in ascending order, the averages at the whole grid are one
+    toeplitz_grid call at its default accuracy, which batches the grid's
+    seed quadrature and refuses its first bad t before it computes any.
+    Every value is the one that toeplitz_an and barnes_prefactor give at
+    its (x, N), bit for bit. A failure raises at the first N that fails,
+    as that N's toeplitz_grid call raises it.
     """
-    ns = sorted({int(n) for n in n_list})
+    try:
+        ns = sorted({operator.index(n) for n in n_list})
+    except TypeError:
+        raise ValueError(f"the dimensions must be integers, "
+                         f"not {n_list!r}") from None
     if not ns:
         raise ValueError("need at least one matrix dimension")
     if ns[0] < 1 or ns[-1] > 64:

@@ -360,12 +360,18 @@ def relation(params) -> SimpleNamespace:
 
 @dataclass(frozen=True)
 class OdeSeed:
-    """Initial data for integrate; curvature picks the z'' branch when set."""
+    """Initial data for integrate; curvature picks the z'' branch when set.
+    Non-finite values are refused."""
 
     t: complex
     zeta: complex
     dzeta: complex
     curvature: complex | None = None
+
+    def __post_init__(self):
+        if not all(cmath.isfinite(v) for v in (self.t, self.zeta, self.dzeta,
+                                               self.curvature) if v is not None):
+            raise ValueError(f"seed values must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -628,8 +634,9 @@ def integrate(params, seed: OdeSeed, path,
     seed.curvature, or the principal root when the seed carries none.
     path lists the waypoints to visit after seed.t, and may begin with
     seed.t itself; a path that is seed.t alone gives the seed's one-node
-    trajectory, no step taken, and an empty path raises ValueError. Each
-    segment, and the seed point, must stay clear of the relation's fixed
+    trajectory, no step taken, and an empty path, or one with a waypoint
+    that is not finite, raises ValueError. Each segment, and the seed
+    point, must stay clear of the relation's fixed
     singular points; every waypoint is a node of the result. tol must be
     finite and positive, and it alone sets the step, which starts the
     first leg at a twentieth of its length and every later leg, a
@@ -673,6 +680,8 @@ def integrate(params, seed: OdeSeed, path,
     waypoints = [complex(w) for w in path]
     if not waypoints:
         raise ValueError("path must contain at least one waypoint")
+    if not all(map(cmath.isfinite, waypoints)):
+        raise ValueError(f"waypoints must be finite, got {waypoints}")
     if waypoints[0] == t0:
         waypoints = waypoints[1:]
     # the seed point alone is one zero-length leg: the guard below still

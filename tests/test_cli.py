@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 import taurmt
+import taurmt.rmt_numerics as rmt
 from taurmt import cli
 from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
                         EXIT_VIOLATION, main)
@@ -295,20 +296,22 @@ def test_circle_point_snapped_onto_two_pi_keeps_its_value(bign, capsys):
 
 
 @pytest.mark.parametrize("command,xi,m,ts", [
-    # the guard refuses 30; a loop meets it after 2 and 16
+    # the guard refuses 30 once 2 and 16 are computed
     ("fredholm", "1", 80, (2.0, 16.0, 30.0)),
+    # -1 is refused before the guard computes 30
     ("fredholm", "1", 80, (30.0, -1.0)),
     ("fredholm", "1", 80, (-1.0, 30.0)),
+    # 45 is past the rule's resolution, refused before 25's guard
     ("fredholm", "1", 81, (5.0, 25.0, 45.0)),
     ("fredholm", "0.5+0.5i", 81, (30.0, 45.0)),
     ("fredholm", "1e300", 80, (0.5, 30.0)),
     ("fredholm", "1", 9, (0.5, 1.0)),
     ("asymptotics", "1", 140, (2.0, 16.0, 30.0)),
-    # Fredholm refuses 30 before the prediction refuses -1
+    # the prediction refuses -1 before Fredholm computes 30
     ("asymptotics", "1", 140, (30.0, -1.0)),
-    # the prediction refuses -1 before Fredholm does
     ("asymptotics", "1", 140, (2.0, -1.0)),
     ("asymptotics", "1", 140, (-1.0, 30.0)),
+    # 160 is past the rule's resolution, refused before 30's guard
     ("asymptotics", "1", 300, (30.0, 160.0)),
     # a coupling outside (0, 1] is the prediction's refusal at the first t
     ("asymptotics", "2", 140, (2.0, 30.0)),
@@ -316,16 +319,22 @@ def test_circle_point_snapped_onto_two_pi_keeps_its_value(bign, capsys):
     ("asymptotics", "-0.5", 80, (50.0, 2.0)),
     ("asymptotics", "0.5", 9, (2.0, 3.0)),
 ])
-def test_failing_grid_reports_what_a_loop_over_t_reports(command, xi, m, ts,
-                                                         capsys):
-    # per t, the prediction first and then the Fredholm value; the first
-    # failure of that loop is the one reported
+def test_failing_grid_reports_its_first_refusal_then_its_first_failure(
+        command, xi, m, ts, capsys):
+    # every t's arguments are checked, the predictions' and then the
+    # Fredholm values', before any t is computed; the first error in that
+    # order is the one reported
     z = cli.parse_complex(xi)
     with pytest.raises(ValueError) as exc:
+        if command == "asymptotics":
+            z = z.real
+            for t in ts:
+                gap_asymptotics(t, z)
+        for t in ts:
+            FredholmSpec(t, z, m)
         for t in ts:
             if command == "asymptotics":
-                gap_asymptotics(t, z.real)
-                fredholm_log_derivatives(t, z.real, m)
+                fredholm_log_derivatives(t, z, m)
             else:
                 fredholm_sine(FredholmSpec(t, z, m))
     code = main([command, f"--xi={xi}", f"--nodes={m}",
@@ -334,6 +343,34 @@ def test_failing_grid_reports_what_a_loop_over_t_reports(command, xi, m, ts,
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         EXIT_BAD_PARAMS, "", f"parameter error: {exc.value}\n")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a grid with a refused point was computed")
+
+
+@pytest.mark.parametrize("argv,skipped,message", [
+    (["asymptotics", "--xi=1", "--grid-start=30", "--grid-end=-1",
+      "--grid-count=2"], [(cli, "fredholm_log_derivatives_grid")],
+     "t must be finite and positive, got -1.0"),
+    (["asymptotics", "--xi=1", "--nodes=300", "--grid-start=30",
+      "--grid-end=160", "--grid-count=2"], [(rmt, "_factor_grid")],
+     "half-width t = 160.0 needs more than m = 300 nodes: the rule "
+     "resolves |t| <= m/2"),
+    # the gap branch: one jets call before the flow, which refuses -1
+    (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--dims=8",
+      "--grid-start=0.5", "--grid-end=-1", "--grid-count=2"],
+     [(rmt, "_factor_grid"), (cli, "integrate")],
+     "half-width t must be a positive real"),
+])
+def test_refused_grid_point_raises_before_any_compute(argv, skipped, message,
+                                                      monkeypatch, capsys):
+    for module, name in skipped:
+        monkeypatch.setattr(module, name, _never)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        EXIT_BAD_PARAMS, "", f"parameter error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,grid,point", [
@@ -377,15 +414,16 @@ def test_odd_node_counts(capsys):
 @pytest.mark.parametrize("count, steps", [(3, 1), (1, 0)])
 def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, steps,
                                                         monkeypatch, capsys):
-    # one Fredholm jet per row, computed once: the first also seeds the
-    # flow, each row's E comes from its own jet, and one flow runs over the
-    # whole grid, which on a one-point grid takes no step
+    # one Fredholm jet per row, all from one grid call before the flow:
+    # the first also seeds the flow, each row's E comes from its own jet,
+    # and one flow runs over the whole grid, which on a one-point grid
+    # takes no step
     calls, integrations, trajectories, determinants = [], [], [], []
     real, real_integrate = cli.fredholm_log_derivatives_grid, cli.integrate
     real_sine = cli.fredholm_sine
 
     def counted(*args, **kwargs):
-        calls.extend(args[0])
+        calls.append(list(args[0]))
         return real(*args, **kwargs)
 
     def one_point(*args, **kwargs):
@@ -407,7 +445,7 @@ def test_bulk_gap_point_reuses_the_seed_log_derivatives(count, steps,
     rows = _json_rows(["bulk", "--mu=0", "--omega1=0", "--omega2=0",
                        "--dims=4,8", f"--grid-count={count}"], capsys)
     assert len(rows) == count
-    assert calls == [row[0] for row in rows]
+    assert calls == [[row[0] for row in rows]]
     assert determinants == []
     assert integrations == [[-4j * row[0] for row in rows]]
     assert [min(traj.accepted, 1) for traj in trajectories] == [steps]

@@ -16,12 +16,13 @@ import pytest
 
 import taurmt
 from taurmt.complexfn import gamma_ratio, ln_gamma
-from taurmt.monodromy_vi import SSEParams
+from taurmt.monodromy_v import ThetaV
+from taurmt.monodromy_vi import SSEParams, ThetaVI
 from taurmt.rmt_numerics import (FredholmSpec, WeightSpec, bulk_limit_grid,
                                  fourier_table, fredholm_grid,
                                  fredholm_log_derivatives_grid, quad_oracle_an,
                                  toeplitz_grid)
-from taurmt.sigma_ode import BulkParams, integrate
+from taurmt.sigma_ode import BulkParams, OdeSeed, integrate
 from taurmt.tau_series import gap_asymptotics
 
 # __main__ runs the CLI when imported
@@ -51,6 +52,8 @@ REFUSAL_SITES = {
     "SSEParams.omega1": lambda v: replace(P, omega1=v),
     "SSEParams.omega2": lambda v: replace(P, omega2=v),
     "SSEParams.xi_star": lambda v: replace(P, xi_star=v),
+    "ThetaVI": lambda v: ThetaVI(0.1, v, 0.2, 0.3),
+    "ThetaV": lambda v: ThetaV(0.1, 0.2, v),
     "BulkParams": lambda v: BulkParams(0.1, v, 0.2),
     "WeightSpec.t": lambda v: WeightSpec(P, v),
     "WeightSpec.t.imag": lambda v: WeightSpec(P, complex(0.5, v)),
@@ -65,7 +68,11 @@ REFUSAL_SITES = {
         lambda v: fredholm_log_derivatives_grid([1.0], v),
     "gap_asymptotics.t": lambda v: gap_asymptotics(v, 0.5),
     "gap_asymptotics.xi": lambda v: gap_asymptotics(2.0, v),
+    "OdeSeed.zeta": lambda v: OdeSeed(0.1, v, 0.2),
+    "OdeSeed.curvature": lambda v: OdeSeed(0.1, 0.2, 0.3, v),
     "integrate.tol": lambda v: integrate(None, None, [1.0], tol=v),
+    "integrate.path": lambda v: integrate(BulkParams(0.1, 0.2, 0.3),
+                                          OdeSeed(0.1, 0.2, 0.3), [0.5, v]),
     "ln_gamma": ln_gamma,
     "gamma_ratio": lambda v: gamma_ratio((v,), (1.5,)),
 }

@@ -1367,18 +1367,27 @@ def _hex(z: complex):
     return z.real.hex(), z.imag.hex()
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a grid with a refused point was computed")
+
+
 def _grid_matches_points(p, ts, tol=1e-12):
-    """toeplitz_grid against toeplitz_an at each t, bit for bit, up to and
-    including the first failure; returns that failure or None."""
-    want = []
+    """toeplitz_grid against toeplitz_an at each t, bit for bit. Where some
+    t fail, the grid raises the first refusal (ValueError) in grid order,
+    or else the first failure; returns what it raised or None."""
+    want, failures = [], []
     for t in ts:
         try:
             want.append(_hex(toeplitz_an(p, t, tol=tol)))
         except (QuadratureError, ValueError) as exc:
-            with pytest.raises(type(exc)) as got:
-                toeplitz_grid(p, ts, tol=tol)
-            assert str(got.value) == str(exc)
-            return exc
+            failures.append(exc)
+    if failures:
+        exc = next((e for e in failures if isinstance(e, ValueError)),
+                   failures[0])
+        with pytest.raises(type(exc)) as got:
+            toeplitz_grid(p, ts, tol=tol)
+        assert str(got.value) == str(exc)
+        return exc
     assert [_hex(v) for v in toeplitz_grid(p, ts, tol=tol)] == want
     return None
 
@@ -1418,24 +1427,19 @@ class TestToeplitzGrid:
               cmath.exp(1e-13j)]
         assert _grid_matches_points(replace(P_STD, N=4), ts) is None
 
-    def test_refused_point_raises_after_the_earlier_ones(self, monkeypatch):
-        # t = -0.5 is refused once the two points before it have their
-        # tables, and the point after it is never read
-        seen = []
-        table = rmt.fourier_table
-
-        def counted(w, *args, **kwargs):
-            seen.append(w.t)
-            return table(w, *args, **kwargs)
-
-        monkeypatch.setattr(rmt, "fourier_table", counted)
-        ts = [0.6, T_STD, -0.5, 0.9]
-        exc = _grid_matches_points(replace(P_STD, N=4), ts)
-        assert isinstance(exc, ValueError) and "not t = -0.5:" in str(exc)
-        seen.clear()
-        with pytest.raises(ValueError, match="not t = -0.5:"):
-            toeplitz_grid(replace(P_STD, N=4), ts)
-        assert seen == [0.6, T_STD]
+    @pytest.mark.parametrize("ts,match", [
+        ([0.6, T_STD, -0.5, 0.9], "not t = -0.5:"),
+        # after a point whose quadrature stalls
+        ([0.6, 0.2, 1.5], "closed unit disc"),
+        ([0.6, 0.05, 1e-300], "too close to 0"),
+    ])
+    def test_refused_point_raises_before_any_table(self, ts, match,
+                                                   monkeypatch):
+        # every table, seeds and full passes alike, comes from
+        # _quadrature_tables
+        monkeypatch.setattr(rmt, "_quadrature_tables", _never)
+        with pytest.raises(ValueError, match=match):
+            toeplitz_grid(replace(P_STD, N=12), ts)
 
     def test_row_past_level_four(self, monkeypatch):
         calls = _spy_refine(monkeypatch)
@@ -1456,11 +1460,11 @@ class TestToeplitzGrid:
             toeplitz_an(p, 0.05)
         assert str(later.value) != str(exc)
 
-    @pytest.mark.parametrize("ts,kind", [([0.6, 0.2, 1.5], QuadratureError),
-                                         ([0.6, 1.5, 0.2], ValueError)])
-    def test_invalid_point_raises_in_grid_order(self, ts, kind):
+    @pytest.mark.parametrize("ts", [[0.6, 0.2, 1.5], [0.6, 1.5, 0.2]])
+    def test_invalid_point_raises_in_grid_order(self, ts):
+        # the refusal of 1.5 comes before the stall at 0.2, wherever it sits
         exc = _grid_matches_points(replace(P_STD, N=12), ts)
-        assert isinstance(exc, kind)
+        assert isinstance(exc, ValueError)
 
     def test_point_near_zero_is_refused_before_the_seeds(self):
         # the leg of t = 1e-300 leaves the float range; checked before the
@@ -2191,9 +2195,8 @@ class TestFredholmGrid:
         assert fredholm_log_derivatives_grid([], 1.0, 80) == []
 
     @pytest.mark.parametrize("ts,xi,m", [
-        # a bad t after a guard-refused t: the guard's refusal wins
+        # a bad t after a guard-refused t: the argument check's wins
         ([2.0, 30.0, -1.0], 1.0, 80),
-        # a guard-refused t after a bad t: the argument check's wins
         ([2.0, -1.0, 30.0], 1.0, 80),
         # past the rule's resolution after a refused t, and before one
         ([30.0, 45.0], 1.0, 80),
@@ -2201,13 +2204,18 @@ class TestFredholmGrid:
         ([0.5, 1.0], 0.5, 9),
         ([2.0, 30.0, math.nan], 1.0, 81),
         ([2.0, 30.0 + 0.0j], 1.0, 81),
+        # two guard-refused t: the first in grid order
+        ([2.0, 30.0, 35.0], 1.0, 81),
     ])
     def test_first_refusal_in_grid_order(self, ts, xi, m):
+        # every t's arguments are checked before any t is computed
         for grid, one in (
                 (fredholm_grid, lambda t: fredholm_sine(FredholmSpec(t, xi, m))),
                 (fredholm_log_derivatives_grid,
                  lambda t: fredholm_log_derivatives(t, xi, m))):
             with pytest.raises(ValueError) as want:
+                for t in ts:
+                    FredholmSpec(t, xi, m)
                 for t in ts:
                     one(t)
             with pytest.raises(ValueError) as got:
@@ -2216,14 +2224,26 @@ class TestFredholmGrid:
 
     @pytest.mark.parametrize("ts", [[0.5, 30.0], [0.5, -1.0], [30.0, 0.5]])
     def test_float_range_refusal_in_grid_order(self, ts):
-        # the determinant's own float-range check comes before the next
-        # t's argument check and guard
+        # the determinant's own float-range check comes after every t's
+        # argument check, and before the next t's guard
         with pytest.raises(ValueError) as want:
+            for t in ts:
+                FredholmSpec(t, 1e300, 80)
             for t in ts:
                 fredholm_sine(FredholmSpec(t, 1e300, 80))
         with pytest.raises(ValueError) as got:
             fredholm_grid(ts, 1e300, 80)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("grid", [fredholm_grid,
+                                      fredholm_log_derivatives_grid])
+    @pytest.mark.parametrize("ts", [[0.5, 2.0, -1.0], [30.0, 2.0, math.inf],
+                                    [2.0, 45.0]])
+    def test_refused_point_anywhere_raises_before_any_factor(
+            self, grid, ts, monkeypatch):
+        monkeypatch.setattr(rmt, "_factor_grid", _never)
+        with pytest.raises(ValueError):
+            grid(ts, 1.0, 80)
 
 
 # A 40-digit reference for E and l1..l3 on the same parity blocks: each
@@ -2386,6 +2406,12 @@ class TestBulkLimit:
     def test_dimension_bounds(self, bad):
         with pytest.raises(ValueError):
             bulk_limit_an(0.5, P_STD, bad)
+
+    @pytest.mark.parametrize("bad", [[8.9, 16.2, 32.7], [8, 16.0], ["8"]])
+    def test_dimension_that_is_not_an_integer_is_refused(self, bad):
+        # no silent truncation of 8.9 to 8
+        with pytest.raises(ValueError, match="must be integers"):
+            bulk_limit_grid([0.3], P_STD, bad)
 
     def test_deterministic(self):
         a = bulk_limit_an(0.3, P_STD, [4, 8])

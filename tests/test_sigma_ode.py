@@ -511,10 +511,18 @@ class TestIntegrate:
             integrate(THETA6, OdeSeed(0.3, 0.2 + 0j, 0j), [0.3, 0.5],
                       tol=1e-10)
 
-    def test_nan_seed_ends_in_step_size_underflow(self):
-        # every error estimate is nan, so every step is rejected and shrunk
+    def test_nan_flow_ends_in_step_size_underflow(self, monkeypatch):
+        # OdeSeed refuses a nan seed, so here z''' goes nan: every error
+        # estimate is nan, so every step is rejected and shrunk
+        def nan_third(params):
+            return types.SimpleNamespace(**{
+                **vars(relation(params)),
+                "third": lambda t, z, z1, z2: math.nan})
+
+        monkeypatch.setattr(sigma_ode, "relation", nan_third)
+        sd = seed_bulk(P_STD, bulk_series(P_STD), 0.05)
         with pytest.raises(StepSizeUnderflowError):
-            integrate(V_STD, OdeSeed(0.1, math.nan, 0.2), [0.5], tol=1e-10)
+            integrate(V_STD, sd, [0.5], tol=1e-10)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_out_of_range_tolerance_rejected(self, tol):
