@@ -76,7 +76,9 @@ bulk takes the sine-kernel point when mu, omega1 and omega2 are
 each within complexfn.INPUT_INTEGER_TOL of 0; its seed there
 (_gap_seed) is the bulk sigma map's jet of the Fredholm log-derivatives,
 and the same jet at each grid point gives the h_fredholm column, all
-from one fredholm_log_derivatives_grid call before the flow. The rebuilt
+from one fredholm_log_derivatives_grid call before the flow. Both bulk
+branches take the Toeplitz limits at every grid point (bulk_limit_grid)
+before the flow, so a refused t = exp(-x/N) costs no step. The rebuilt
 average of bulk is sigma_ode.tau_reconstruct of the flow, from the
 series value at the first grid point. _COMMANDS holds each command's grid defaults,
 grid paths, --tol, runner and selftest. The monodromy residuals come
@@ -771,7 +773,7 @@ def cmd_bulk(cfg: RunConfig) -> int:
         # the first row's log E and h are the seed's
         jets = fredholm_log_derivatives_grid(ts, xi)
         seed = _gap_seed(p, ts[0], *jets[0][1:])
-        traj = integrate(bulk_okamoto_params(p), seed, xs, tol=1e-10)
+        traj = integrate(bulk_okamoto_params(p), seed, xs)
         # segment ends land exactly on the requested nodes
         h_ode = dict(zip(traj.path, (z for z, _ in traj.values)))
         rows = []
@@ -795,12 +797,13 @@ def cmd_bulk(cfg: RunConfig) -> int:
     # the boundary series, not by the flow
     xs = cfg.grid_values()
     exp = bulk_series(p)
-    traj = integrate(bulk_okamoto_params(p), seed_bulk(p, exp, xs[0]), xs,
-                     tol=1e-10)
+    seed = seed_bulk(p, exp, xs[0])
+    limits = bulk_limit_grid(xs, p, dims)
+    traj = integrate(bulk_okamoto_params(p), seed, xs)
     # grid points are nodes; the sixth-order rebuild needs no finer step
     a_ode = dict(tau_reconstruct(traj, exp.evaluate(xs[0])))
     rows = []
-    for x, r in zip(xs, bulk_limit_grid(xs, p, dims)):
+    for x, r in zip(xs, limits):
         a_series = exp.evaluate(x)
         rows.append((x, a_ode[x].real, a_ode[x].imag, a_series.real,
                      a_series.imag, r.extrapolant.real, r.extrapolant.imag,

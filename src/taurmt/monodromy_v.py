@@ -7,13 +7,13 @@ relation Minf M1 M0 = I, and a hatted set related to it by conjugation with
 the first Stokes matrix, whose cyclic relation reads in the reversed order
 hat-M0 hat-M1 hat-Minf = I. This module bundles both, with the Stokes
 multipliers they share and their residuals (MonodromyDataV), converts
-between them (hat_transform), computes Stokes multipliers from the exponent
-data, degenerates a sixth-system record into fifth-system Stokes data with
-its residuals (limit_transition_ii), and instantiates the explicit matrices
-of the spectrum-singularity ensemble's bulk limit, the one place both sets
-are built. Each record forms its residuals once, when it is built. There is
-no generic fifth-system parameterization and no s <-> s-hat map: the fifth
-system is reached only through that limit and those matrices.
+between them (hat_transform), degenerates a sixth-system record into
+fifth-system Stokes data with its residuals (limit_transition_ii), and
+instantiates the explicit matrices of the spectrum-singularity ensemble's
+bulk limit, the one place both sets are built. Each record forms its
+residuals once, when it is built. There is no generic fifth-system
+parameterization and no s <-> s-hat map: the fifth system is reached only
+through that limit and those matrices.
 
 Every residual is a complexfn.backward_error: a cyclic relation's over the
 product of its factors' max-norms, a comparison of two matrices over the
@@ -37,7 +37,6 @@ from .complexfn import (
     exp_pi_i,
     gamma_ratio,
     near_integer,
-    require_nonzero,
     sin_pi,
 )
 from .mat2 import Mat2, det, identity_residual, inv, max_diff, mul, norm_product, tr
@@ -50,7 +49,6 @@ __all__ = [
     "StokesData",
     "MonodromyDataV",
     "LimitIIResult",
-    "stokes_from_sigma",
     "hat_transform",
     "limit_transition_ii",
     "sse_pv_matrices",
@@ -99,14 +97,6 @@ class StokesData:
     def stokes_matrix_lower(self) -> Mat2:
         return Mat2(1 + 0j, 0j, self.s1, 1 + 0j)
 
-    def stokes_matrix_upper(self) -> Mat2:
-        return Mat2(1 + 0j, self.s2, 0j, 1 + 0j)
-
-    def m_inf(self, theta_inf: complex) -> Mat2:
-        """Monodromy at infinity, S2 e^{pi i theta_inf sigma3} S1."""
-        e_diag = Mat2.diag(exp_pi_i(theta_inf), exp_pi_i(-theta_inf))
-        return mul(self.stokes_matrix_upper(), mul(e_diag, self.stokes_matrix_lower()))
-
     def constraint_residual(self, theta_inf: complex, sigma: complex) -> float:
         """Backward error of the multiplier product constraint."""
         lhs = self.s1 * self.s2 * exp_pi_i(-theta_inf)
@@ -143,23 +133,6 @@ class MonodromyDataV:
                 abs(tr(mul(self.hat_m0, self.hat_m1)) - two_cos),
                 norm_product(self.hat_m0, self.hat_m1), abs(two_cos)),
         })
-
-
-def stokes_from_sigma(theta: ThetaV, sigma: complex, r: complex) -> StokesData:
-    """Stokes multipliers from the exponent pair (theta_inf, sigma).
-
-    The product s1 s2 e^{-pi i theta_inf} collapses by the reflection formula
-    to 4 sin(pi(theta_inf+sigma)/2) sin(pi(theta_inf-sigma)/2), which is the
-    multiplier constraint; it holds identically for the returned data.
-    """
-    thi = theta.theta_inf
-    sigma = complex(sigma)
-    r = require_nonzero("r", r)
-    inv_g1 = gamma_ratio((), (1 - (sigma - thi) / 2, (sigma + thi) / 2))
-    inv_g2 = gamma_ratio((), (1 - (sigma + thi) / 2, (sigma - thi) / 2))
-    s1 = -2j * math.pi / r * inv_g1
-    s2 = -exp_pi_i(thi) * 2j * math.pi * r * inv_g2
-    return StokesData(s1=s1, s2=s2)
 
 
 def hat_transform(s1_matrix: Mat2, m0: Mat2, m1: Mat2, m_inf: Mat2):

@@ -136,8 +136,14 @@ def test_grid_path_outside_the_command_is_a_usage_error(argv, capsys):
     assert captured.err.startswith(f"error: {argv[0]} computes on grid-path")
 
 
-def test_in_range_tolerance_accepted(capsys):
-    assert main(["ode", "--tol=1e-8", "--grid-end=0.01"]) == EXIT_OK
+@pytest.mark.parametrize("argv", [
+    ["ode", "--tol=1e-8", "--grid-end=0.01"],
+    # the eighth-order flow at a tight tolerance, on both families
+    ["ode", "--tol=1e-13"],
+    ["ode", "--family=bulk", "--tol=1e-13", "--grid-count=9"],
+])
+def test_in_range_tolerance_accepted(argv, capsys):
+    assert main(argv) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) > 1
     assert all(math.isfinite(v) for row in rows for v in row)
@@ -197,6 +203,9 @@ DEFAULT_WEIGHT = dict(mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
     (["toeplitz", "--bigN=4", "--grid-path=real", "--grid-start=0.05",
       "--grid-end=0.99", "--grid-count=6"], lambda row: row[0], 2),
     (["series", "--bigN=6", "--grid-count=7"], lambda row: row[0], 3),
+    # the first point's recurred table is refused at the rounding level
+    (["toeplitz", "--bigN=16", "--grid-path=real", "--grid-start=0.4",
+      "--grid-end=0.9", "--grid-count=3"], lambda row: row[0], 2),
 ])
 def test_grid_rows_equal_single_point_calls(argv, t_of_row, det_at, capsys):
     p = SSEParams(N=int(argv[1].split("=")[1]), **DEFAULT_WEIGHT)
@@ -258,6 +267,10 @@ def test_real_path_t_outside_zero_one_is_a_parameter_error(grid, message,
       "--grid-count=2"], "a part's share of it is "),
     (["asymptotics", "--xi=0.5+0.1i"], "xi must lie in (0, 1], got "
                                        "(0.5+0.1j)"),
+    (["ode", "--s=1e-13"], "degenerate parameter: s_hat = (1e-13+0j)"),
+    # the grid's last point has no correct digit
+    (["fredholm", "--xi=1", "--grid-start=1", "--grid-end=30",
+      "--grid-count=2"], "has no correct digit at m = 80 nodes"),
 ])
 def test_library_refusal_is_a_parameter_error(argv, message, capsys):
     with warnings.catch_warnings():
@@ -269,6 +282,16 @@ def test_library_refusal_is_a_parameter_error(argv, message, capsys):
     assert captured.err.startswith("parameter error: ")
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_oracle_meets_the_toeplitz_route_on_a_short_arc(capsys):
+    # xi = 1 leaves the arc of width 2 pi - 6.1 = 0.18 past the wrap angle
+    assert main(["toeplitz", "--oracle", "--bigN=3", "--mu=0.5",
+                 "--omega1=0.5", "--xi=1", "--grid-start=6.1",
+                 "--grid-count=1"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    column = data["columns"].index("rel_diff")
+    assert all(row[column] <= 1e-8 for row in data["rows"])
 
 
 def test_oracle_grid_reports_a_toeplitz_stall_first(capsys):
@@ -349,6 +372,13 @@ def _never(*args, **kwargs):
     raise AssertionError("a grid with a refused point was computed")
 
 
+# a real-segment table that asks 3.2e-12 of coefficients far past 1/eps,
+# so its quadrature stalls below the rounding floor
+STALLING_TABLE = ["toeplitz", "--bigN=36", "--mu=0.710902+0.180507i",
+                  "--omega1=-0.0940847", "--omega2=0.419925", "--xi=0.577814",
+                  "--grid-path=real", "--grid-start=0.183796"]
+
+
 @pytest.mark.parametrize("argv,skipped,message", [
     (["asymptotics", "--xi=1", "--grid-start=30", "--grid-end=-1",
       "--grid-count=2"], [(cli, "fredholm_log_derivatives_grid")],
@@ -362,6 +392,17 @@ def _never(*args, **kwargs):
       "--grid-start=0.5", "--grid-end=-1", "--grid-count=2"],
      [(rmt, "_factor_grid"), (cli, "integrate")],
      "half-width t must be a positive real"),
+    # the generic branch: the limits refuse t = exp(-x/N) outside the
+    # disc before the flow, at a negative x and where t underflows to 0
+    (["bulk", "--grid-start=-0.3", "--grid-end=-0.6", "--grid-count=2"],
+     [(cli, "integrate")], "t must lie in the closed unit disc, not at 0"),
+    (["bulk", "--grid-end=1e300", "--grid-count=2"], [(cli, "integrate")],
+     "t must lie in the closed unit disc, not at 0"),
+    # the stalling table's t, then a t outside the disc: refused before
+    # any quadrature
+    ([*STALLING_TABLE, "--grid-end=1.5", "--grid-count=2"],
+     [(rmt, "_quadrature_tables")],
+     "t must lie in the closed unit disc, not at 0"),
 ])
 def test_refused_grid_point_raises_before_any_compute(argv, skipped, message,
                                                       monkeypatch, capsys):
@@ -378,6 +419,16 @@ def test_refused_grid_point_raises_before_any_compute(argv, skipped, message,
      "fredholm_sine"),
     (["asymptotics", "--grid-count=4"], "fredholm_log_derivatives_grid",
      "fredholm_log_derivatives"),
+    # an odd rule (one lockstep per parity), a large odd rule built from
+    # numpy alone, a complex coupling, and a larger asymptotics rule
+    (["fredholm", "--nodes=81", "--grid-count=10"], "fredholm_grid",
+     "fredholm_sine"),
+    (["fredholm", "--nodes=601", "--grid-end=6"], "fredholm_grid",
+     "fredholm_sine"),
+    (["fredholm", "--xi=0.5+0.5i", "--nodes=300", "--grid-count=10"],
+     "fredholm_grid", "fredholm_sine"),
+    (["asymptotics", "--nodes=300", "--grid-count=6"],
+     "fredholm_log_derivatives_grid", "fredholm_log_derivatives"),
 ])
 def test_fredholm_commands_make_one_grid_call(argv, grid, point,
                                               monkeypatch, capsys):
@@ -708,6 +759,29 @@ def test_no_command_escapes_its_exit_codes(argv, capsys):
                           EXIT_NONCONVERGED)
 
 
+def test_every_branch_runs_on_numpy_alone():
+    # in a fresh interpreter, every command and branch at its defaults, on
+    # one grid point and as CSV: none may import the test extras or scipy;
+    # toeplitz's default grid starts at phase 0, which as t = 0 is no
+    # real-path point
+    runs = [[*command, *extra] for command in SWEEP_COMMANDS
+            for extra in ([], ["--grid-count=1"],
+                          ["--format=csv", "--grid-count=1"])
+            if extra or "--grid-path=real" not in command]
+    code = ("import contextlib, io, sys\n"
+            "from taurmt.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "extras = {'mpmath', 'scipy', 'pytest'} & "
+            "{name.partition('.')[0] for name in sys.modules}\n"
+            "assert not extras, extras\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("flag", ["--grid-start", "--grid-end"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -789,7 +863,6 @@ def test_half_width_past_the_node_resolution_is_a_parameter_error(argv,
       "--grid-start=6.28318530716", "--grid-count=1"], "the weight"),
     (["ode", "--family=bulk", "--grid-end=1e300", "--grid-count=2"],
      "a value"),
-    (["bulk", "--grid-end=1e300", "--grid-count=2"], "a value"),
 ])
 def test_value_past_the_float_range_is_a_parameter_error(argv, message,
                                                          capsys):
@@ -941,6 +1014,11 @@ def test_bulk_batches_each_dimension_and_sweeps_the_prefactors_once(
       "--grid-start=0.2", "--grid-end=75", "--grid-count=2"],
      EXIT_BAD_PARAMS,
      "parameter error: half-width t = 75.0 needs more than m = 140 nodes"),
+    # the Toeplitz grid behind such limits, at a real-segment t whose
+    # table stalls below its rounding floor
+    ([*STALLING_TABLE, "--grid-count=1"], EXIT_NONCONVERGED,
+     "nonconvergence: tanh-sinh refinement stalled below the rounding "
+     "floor"),
 ])
 def test_bulk_failing_grid_exit_codes(argv, code, message, capsys):
     assert main(argv) == code

@@ -8,33 +8,22 @@ import re
 
 import pytest
 
-from taurmt.complexfn import GammaPoleError, exp_pi_i
+from taurmt.complexfn import exp_pi_i
 from taurmt import monodromy_v
 from taurmt.mat2 import IDENTITY, Mat2, det, inv, max_diff, mul, norm_product, tr
 from taurmt.monodromy_v import (
     InconsistentKError,
     NonGenericError,
-    StokesData,
-    ThetaV,
     hat_transform,
     limit_transition_ii,
     sse_pv_matrices,
-    sse_theta_v,
-    stokes_from_sigma,
 )
 from taurmt.monodromy_vi import (
-    DegenerateParameterError,
     SSEParams,
     ThetaVI,
     pvi_matrices,
     sse_monodromy,
 )
-
-THETA_STD = ThetaV(0.3, 0.5, 0.7)
-SIGMA_STD = 0.4
-
-S1_STD = -4.1668169332475429j
-S2_STD = -0.34824100495440436 - 0.25301190009470035j
 
 P_STD = SSEParams(N=1, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
 P_EVEN = SSEParams(N=2, mu=0.25, omega1=0.1, omega2=0.3, xi_star=0.5)
@@ -67,15 +56,6 @@ SSE_SHAT0 = 6.0897049096402684j
 SSE_SHAT1 = -0.31234896613449681 + 0.22693480747521817j
 
 
-def random_theta_sigma(rng):
-    def draw(lo, hi):
-        return complex(rng.uniform(lo, hi), rng.uniform(-0.2, 0.2))
-
-    theta = ThetaV(draw(0.15, 0.85), draw(0.15, 0.85), draw(0.15, 0.85))
-    sigma = draw(0.25, 0.75)
-    return theta, sigma
-
-
 def random_unit(rng, lo=0.5, hi=2.0):
     return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(-3.0, 3.0))
 
@@ -85,35 +65,6 @@ def random_sl2(rng):
     from det = 1."""
     m = Mat2(random_unit(rng), random_unit(rng), random_unit(rng), 0.0)
     return Mat2(m.a11, m.a12, m.a21, (1.0 + m.a12 * m.a21) / m.a11)
-
-
-class TestStokesFromSigma:
-    def test_standard_multipliers(self):
-        sd = stokes_from_sigma(THETA_STD, SIGMA_STD, 1.0)
-        assert abs(sd.s1 - S1_STD) < 1e-13
-        assert abs(sd.s2 - S2_STD) < 1e-13
-
-    def test_multiplier_constraint(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            theta, sigma = random_theta_sigma(rng)
-            sd = stokes_from_sigma(theta, sigma, random_unit(rng))
-            assert sd.constraint_residual(theta.theta_inf, sigma) < 1e-12
-
-    def test_m_inf_trace_is_two_point_exponent(self):
-        # tr Minf = 2 cos(pi sigma), not 2 cos(pi theta_inf)
-        sd = stokes_from_sigma(THETA_STD, SIGMA_STD, 1.0)
-        minf = sd.m_inf(THETA_STD.theta_inf)
-        assert abs(det(minf) - 1.0) < 1e-12
-        assert abs(tr(minf) - 2 * math.cos(math.pi * SIGMA_STD)) < 1e-12
-
-    def test_sigma_equal_theta_inf_hits_pole(self):
-        with pytest.raises(GammaPoleError):
-            stokes_from_sigma(THETA_STD, THETA_STD.theta_inf, 1.0)
-
-    def test_zero_r_rejected(self):
-        with pytest.raises(DegenerateParameterError):
-            stokes_from_sigma(THETA_STD, SIGMA_STD, 0.0)
 
 
 class TestHatTransform:
@@ -128,13 +79,12 @@ class TestHatTransform:
     def test_preserves_traces_and_dets(self):
         rng = random.Random(32)
         for _ in range(30):
-            theta, sigma = random_theta_sigma(rng)
-            m0, m1 = random_sl2(rng), random_sl2(rng)
-            sd = stokes_from_sigma(theta, sigma, random_unit(rng))
-            h0, h1, hi = hat_transform(sd.stokes_matrix_lower(), m0, m1,
-                                       sd.m_inf(theta.theta_inf))
+            m0, m1, m_inf = random_sl2(rng), random_sl2(rng), random_sl2(rng)
+            s1 = Mat2(1.0, 0.0, random_unit(rng), 1.0)
+            h0, h1, hi = hat_transform(s1, m0, m1, m_inf)
             assert abs(tr(h0) - tr(m0)) < 1e-9
             assert abs(tr(h1) - tr(m1)) < 1e-9
+            assert abs(tr(hi) - tr(m_inf)) < 1e-9
             assert abs(det(hi) - 1.0) < 1e-9
 
     def test_cyclic_relations_equivalent(self):
@@ -176,14 +126,6 @@ class TestSsePvMatrices:
         ht = hat_transform(sp.stokes.stokes_matrix_lower(), *_unhatted(sp))
         for got, ref in zip(ht, _hatted(sp)):
             assert max_diff(got, ref) < 1e-10
-
-    def test_stokes_match_exponent_formulas_at_pinned_r(self):
-        # the gauge r = -2 mu aligns the generic multiplier formulas with the
-        # explicit ones
-        sp = sse_pv_matrices(P_STD)
-        sd = stokes_from_sigma(sse_theta_v(P_STD), P_STD.sigma, -2 * P_STD.mu)
-        assert abs(sd.s1 - sp.stokes.s1) < 1e-12
-        assert abs(sd.s2 - sp.stokes.s2) < 1e-12
 
     def test_nan_residuals_refused(self):
         # a nan is never at or below the tolerance, so it is no pass
@@ -370,7 +312,6 @@ def test_every_built_matrix_holds_complex_entries():
         mats += [sse.m0, sse.mt, sse.m1, sse.m_inf,
                  pv.m0, pv.m1, pv.m_inf, pv.hat_m0, pv.hat_m1, pv.hat_m_inf,
                  pv.stokes.stokes_matrix_lower(),
-                 pv.stokes.stokes_matrix_upper(),
                  lt.K, lt.s0_hat, lt.s1_hat, lt.hat_m0v, lt.hat_m1v,
                  lt.hat_m_inf_v]
     for theta, sigma, s, r in generic_draws:
