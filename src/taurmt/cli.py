@@ -53,7 +53,8 @@ the branch: an (the default) or bulk for series, vi (the default) or bulk
 for ode; any other value is a usage error.
 
 --grid-path names the path the grid runs along: real for every command,
-and circle (t = e^{i g}, the default) for toeplitz as well. The library
+and circle (t = e^{i g}, the default) for toeplitz as well, whose real
+path takes series' default grid, t from 0.9 to 0.995. The library
 takes the Toeplitz route's t on the unit circle and in (0, 1) only, for
 toeplitz, series and bulk (t = exp(-x/N)) alike (rmt_numerics.WeightSpec),
 so a real-path t below 0 is a parameter error.
@@ -80,15 +81,16 @@ from one fredholm_log_derivatives_grid call before the flow. Both bulk
 branches take the Toeplitz limits at every grid point (bulk_limit_grid)
 before the flow, so a refused t = exp(-x/N) costs no step. The rebuilt
 average of bulk is sigma_ode.tau_reconstruct of the flow, from the
-series value at the first grid point. _COMMANDS holds each command's grid defaults,
-grid paths, --tol, runner and selftest. The monodromy residuals come
-from monodromy_vi and monodromy_v, labelled by the exponents and Stokes
-multipliers sse_pv_matrices returns; the one label given by hand is the
-coalescence limit's theta6 = -2 omega1. That label is the known odd-N
-defect: the SSE data carry theta_t = -N - 2 omega1, so at odd N no valid
-matching K exists and the check exits 3 in one of three ways: "no common K
-solves both matching equations", "lower-left matching entry vanished" or
-"matched eigenvectors are parallel". Passing theta_t should end all three.
+series value at the first grid point. _COMMANDS holds each command's
+default grid on each grid path, --tol, runner and selftest. The
+monodromy residuals come from monodromy_vi and monodromy_v, labelled by
+the exponents and Stokes multipliers sse_pv_matrices returns; the one
+label given by hand is the coalescence limit's theta6 = -2 omega1. That
+label is the known odd-N defect: the SSE data carry theta_t =
+-N - 2 omega1, so at odd N no valid matching K exists and the check
+exits 3 in one of three ways: "no common K solves both matching
+equations", "lower-left matching entry vanished" or "matched
+eigenvectors are parallel". Passing theta_t should end all three.
 The strict xfail test_sse_monodromy_check_passes_at_odd_n pins the defect
 (ROADMAP items 1 and 10).
 """
@@ -336,7 +338,7 @@ def _build_parser() -> _Parser:
     """The parser, built on the first call and shared by later ones."""
     parser = _Parser(prog="taurmt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, paths, tol, _, _) in _COMMANDS.items():
+    for name, (paths, tol, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
         for flag, (_, _, _, kwargs) in _flags_of(name).items():
             p.add_argument(f"--{flag}", default=None, **kwargs)
@@ -365,7 +367,7 @@ def _resolve(args) -> RunConfig:
         flag = key.replace("_", "-")
         if value is not None and flag not in ("command", "config"):
             raw[flag] = value
-    (g0, g1, cnt), paths, tol_spec, _, _ = _COMMANDS[args.command]
+    paths, tol_spec, _, _ = _COMMANDS[args.command]
     # a config file may name only what this command's parser declares
     flags = _flags_of(args.command)
     known = set(flags) | {"grid-start", "grid-end", "grid-count", "grid-path",
@@ -397,19 +399,20 @@ def _resolve(args) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise UsageError(f"--{key}: {exc}") from None
 
+    kind = str(raw.get("grid-path", next(iter(paths))))
+    if kind not in paths:
+        raise UsageError(f"{args.command} computes on grid-path "
+                         f"{' or '.join(paths)}, not {kind!r}")
+    g0, g1, cnt = paths[kind]
     g0, g1 = number("grid-start", g0), number("grid-end", g1)
     for key, value in (("grid-start", g0), ("grid-end", g1)):
         if not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value!r}")
     cnt = number("grid-count", cnt, int)
-    kind = str(raw.get("grid-path", paths[0]))
     if cnt < 1:
         raise UsageError("grid-count must be >= 1")
     if cnt >= 3 and not math.isfinite((g1 - g0) / (cnt - 1)):
         raise UsageError("grid-end - grid-start overflows the grid step")
-    if kind not in paths:
-        raise UsageError(f"{args.command} computes on grid-path "
-                         f"{' or '.join(paths)}, not {kind!r}")
     tol = None
     if tol_spec is not None:
         tol = number("tol", tol_spec[0])
@@ -864,26 +867,26 @@ def _selftest_asymptotics(cfg: RunConfig):
 # dispatch
 
 
-# command -> (default grid (start, end, count), the grid paths it computes
-# on with its default first, (--tol default, what --tol sets) or None for a
-# command that takes no --tol, its runner, and its selftest's checks)
+# command -> (the default grid (start, end, count) on each grid path it
+# computes on, its default path first, (--tol default, what --tol sets) or
+# None for a command that takes no --tol, its runner, its selftest's checks)
+_REAL_T = {"real": (0.9, 0.995, 20)}
 _COMMANDS = {
-    "monodromy-check": ((0.0, 0.0, 1), ("real",),
+    "monodromy-check": ({"real": (0.0, 0.0, 1)},
                         (CONSISTENCY_TOL,
                          "the largest backward error that passes"),
                         cmd_monodromy_check, _selftest_monodromy),
-    "series": ((0.9, 0.995, 20), ("real",), None, cmd_series,
-               _selftest_series),
-    "ode": ((1e-3, 0.4, 2), ("real",),
+    "series": (_REAL_T, None, cmd_series, _selftest_series),
+    "ode": ({"real": (1e-3, 0.4, 2)},
             (1e-10, "the tolerance the flow is integrated at"), cmd_ode,
             _selftest_ode),
-    "toeplitz": ((0.2, 3.0, 15), ("circle", "real"),
+    "toeplitz": ({"circle": (0.2, 3.0, 15), **_REAL_T},
                  (1e-12, "the absolute accuracy of the Fourier coefficients"),
                  cmd_toeplitz, _selftest_toeplitz),
-    "fredholm": ((0.1, 3.0, 30), ("real",), None, cmd_fredholm,
+    "fredholm": ({"real": (0.1, 3.0, 30)}, None, cmd_fredholm,
                  _selftest_fredholm),
-    "bulk": ((0.2, 0.8, 4), ("real",), None, cmd_bulk, _selftest_bulk),
-    "asymptotics": ((2.0, 4.0, 5), ("real",), None, cmd_asymptotics,
+    "bulk": ({"real": (0.2, 0.8, 4)}, None, cmd_bulk, _selftest_bulk),
+    "asymptotics": ({"real": (2.0, 4.0, 5)}, None, cmd_asymptotics,
                     _selftest_asymptotics),
 }
 COMMANDS = tuple(_COMMANDS)

@@ -53,7 +53,7 @@ one. Each row finishes in _finish, only when its table is asked for:
 convergence and the edge check are per row, and a row that needs levels
 past 4 continues alone.
 A row stops at its rounding floor. At a level that has not converged,
-the head included, a row whose tol lies more than _ROUNDOFF_MARGIN = 100
+the head included, a row whose tol lies more than _ROUNDOFF_MARGIN = 16
 times below eps max|c| of its own values is refused as stalled at once:
 its level-to-level change sits at the rounding of its largest
 coefficient, which no level moves (QUADPACK stops at its own roundoff
@@ -61,11 +61,12 @@ the same way, ier = 2: Piessens et al., QUADPACK, Springer 1983). On the
 real segment a table may ask an absolute 1e-12 of coefficients up to
 1e45; without the floor such a row would climb to level 11, whose new
 nodes alone number 12,288, before it stalled. The margin is measured:
-over seeds 1-10, passes 0-3 of the perfbench finite_n workload, the
-2,453 rows that converged past the head read at most 1.8 for the ratio
-eps max|c|/tol at a level still short of tol, while the 43 that stalled
-read 1.2 to 2.9e60 at the head, 38 of them past 100. A row at 100 or
-below keeps the climb to _TS_MAX_LEVEL, since it may still converge.
+over 3,896 perfbench ops (finite_n seeds 1-20, gap_sine 1-8, passes
+0-3), the 5,548 rows that converged past the head read at most 1.8 for
+the ratio eps max|c|/tol at a level still short of tol, and random
+weights at tol 1e-13 up to 6.4 (TestRoundingFloor); the 89 that stalled
+read 1.2 to 3.7e84, 84 of them past 16. A row at 16 or below keeps the
+climb to _TS_MAX_LEVEL, since it may still converge.
 toeplitz_grid batches the seeds of a whole grid of t this way, and
 bulk_limit_grid, over a grid of x, makes one toeplitz_grid call per
 dimension N at t = exp(-x/N), with every normalization from one sweep
@@ -103,7 +104,7 @@ column. Per regime:
     snapped phase so that it names the weight the quadrature integrates;
   * on the real segment 0 < t < 1 forward stepping is stable, but
     backward stepping multiplies the seeds' error by about t^{-|k|}; the
-    march measures that amplification as it goes (_march), and a table it
+    march measures that amplification as it goes (_march_rows), and a table it
     would carry past tol comes from quadrature (near t = 1 most recur,
     t = 0.3 at kmax = 31 does not).
 
@@ -113,17 +114,19 @@ the stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 Over a grid of t (toeplitz_grid) the work is split in four: the table's
 float range and the recurrence coefficients at every t, so that a t near
 0 never reaches a quadrature; one batched pass for the seeds of every t
-with coefficients (_quadrature_tables at kmax = 1); t by t, the march,
-which measures its own amplification, or the t's own full quadrature
-pass; one determinant call on the grid's stacked matrices. The march is
-scalar Python that forms each step's two factors as it goes from the
-five coefficients (t, 1 + t, a0, a1, a2), with no list of steps built
-first. A leading coefficient that vanishes on the way stops it, and that
-t takes its own quadrature pass although its seeds were made. Over 15
-circle t at kmax = 31 (2-core x86_64, best of 25 runs) the coefficients
-and both marches take 1.0 ms, against 1.18 ms with step lists built
-first; running the steps as numpy arrays across t gained nothing (1.14
-ms against 1.01 ms for scalar step lists).
+(_quadrature_tables at kmax = 1), all finished at once, where a seed
+that stalls refuses only its own t; one lockstep march of every t in
+both directions (_march_rows), then t by t the refusal, or the t's own
+full quadrature pass, in grid order; one determinant call on the grid's
+stacked matrices. The march's factors come from one vectorized prelude,
+a step is one multiply and one add over every row, and the scale and
+amplification are reductions after the loop. Numpy's elementwise results
+do not depend on the array's length, so a row's bits do not depend on
+its batch; they differ from Python's scalar complex arithmetic in the
+last bit. With the coefficients and the table assembly (2-core x86_64,
+best of 25 runs), 15 circle t at kmax = 31 take 0.19 ms against 1.02 ms
+for the scalar march t by t, and 30 t at kmax = 63 0.46 ms against
+4.0 ms; one t takes 0.07 ms against 0.01 ms at kmax = 3.
 
 Oracle notes. |e^{i a} - e^{i b}|^2 = 2 - 2 cos(a - b) is a bilinear form
 of rank 3 in f(theta) = (1, sin d, 2 sin^2(d/2)), d = theta - theta_0, so
@@ -242,7 +245,7 @@ _TS_MIN_LEVEL = 4
 _TS_MAX_LEVEL = 11
 # A row whose tol lies this far below eps times its largest value is
 # refused where it stands (_finish): no level can resolve it
-_ROUNDOFF_MARGIN = 100.0
+_ROUNDOFF_MARGIN = 16.0
 _CHUNK_ROWS = 8192
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
@@ -767,34 +770,61 @@ def _quadrature_table(w: WeightSpec, kmax: int, tol: float):
     return _quadrature_tables(w.p, [w.phase()], kmax, tol)[0]()
 
 
-def _march(far, near, coeffs, ks):
-    """(values, scale, amplification) of the recurrence with coefficients
-    coeffs = (t, 1 + t, a0, a1, a2) (_recurrence_steps) over the orders
-    ks: forward (ks rising from 2) each step solves its row for
-    x_new = c_k, backward (ks falling from 0) for x_new = c_{k-2}, as
-    x_new = f1 x_near + f2 x_far. scale sums |f1 x_near| + |f2 x_far|,
-    what each step rounds at; amplification is max |u| + |v| for the
-    solutions u, v started from (far, near) = (1, 0) and (0, 1): an error
-    of at most e in each start value moves every marched value by at most
-    e times it. A vanishing leading coefficient raises ZeroDivisionError.
+def _step_factors(coeffs, kmax: int) -> np.ndarray:
+    """(kmax - 1, 2, 2 T) factors (f2, f1) of every step x_new =
+    f1 x_near + f2 x_far of _march_rows, for the coefficients
+    (t, 1 + t, a0, a1, a2) of T rows (_recurrence_steps): columns 0..T-1
+    forward (k = 2..kmax, each step solving its row for c_k), T..2T-1
+    backward (k = 0, -1, .., 2 - kmax, for c_{k-2}). A vanishing leading
+    coefficient leaves its factors non-finite."""
+    t, t1, a0, a1, a2 = np.tile(np.asarray(coeffs, dtype=complex).T, 2)
+    forward = np.arange(len(t)) < len(t) // 2
+    steps = np.arange(kmax - 1.0)[:, None]
+    k = np.where(forward, 2.0 + steps, -steps)
+    a, b, g = k - a0, t1 * (k - 1.0) - a1, t * (k - 2.0) - a2
+    lead = np.where(forward, a, g)
+    with np.errstate(all="ignore"):
+        return np.stack([-np.where(forward, g, a) / lead, -b / lead], axis=1)
+
+
+def _march_rows(seeds, coeffs, kmax: int):
+    """(tables, scale, amplification) of every row's recurrence, marched
+    from its seeds (c_{-1}, c_0, c_1) out to |k| = kmax.
+
+    Both directions of every row are columns of one march (_step_factors)
+    whose state holds the values and the unit solutions u, v started from
+    (far, near) = (1, 0) and (0, 1); a step is one multiply and one add
+    over all of them. scale sums |f1 x_near| + |f2 x_far| over both
+    directions, what each step rounds at; amplification is max |u| + |v|:
+    an error of at most e in each seed moves every marched value by at
+    most e times it. A row with a non-finite factor is stopped: its
+    amplification is inf. Each value is elementwise or reduced along k,
+    so a row's bits do not depend on the rows marched beside it.
     """
-    t, t1, a0, a1, a2 = coeffs
-    forward = ks.step > 0
-    vals = []
-    scale = 0.0
-    uf, un, vf, vn = 1.0, 0.0, 0.0, 1.0
-    amp = 1.0
-    for k in ks:
-        a, b, g = k - a0, t1 * (k - 1) - a1, t * (k - 2) - a2
-        f1, f2 = (-b / a, -g / a) if forward else (-b / g, -a / g)
-        a, b = f1 * near, f2 * far
-        far, near = near, a + b
-        scale += abs(a) + abs(b)
-        vals.append(near)
-        uf, un = un, f1 * un + f2 * uf
-        vf, vn = vn, f1 * vn + f2 * vf
-        amp = max(amp, abs(un) + abs(vn))
-    return vals, scale, amp
+    seeds = np.asarray(seeds, dtype=complex)
+    rows = len(seeds)
+    factors = _step_factors(coeffs, kmax)
+    state = np.zeros((kmax + 1, 3, 2 * rows), dtype=complex)
+    state[0, 0] = np.tile(seeds[:, 1], 2)
+    state[0, 1] = 1.0
+    state[1, 0] = np.concatenate([seeds[:, 2], seeds[:, 0]])
+    state[1, 2] = 1.0
+    far, near = step = np.empty((2, 3, 2 * rows), dtype=complex)
+    with np.errstate(all="ignore"):
+        for f, pair, new in zip(np.repeat(factors[:, :, None], 3, axis=2),
+                                [state[j:j + 2] for j in range(kmax - 1)],
+                                state[2:]):
+            np.multiply(f, pair, out=step)
+            np.add(far, near, out=new)
+        x = state[:, 0]
+        scale = np.cumsum(np.abs(factors[:, 1] * x[1:-1])
+                          + np.abs(factors[:, 0] * x[:-2]), axis=0)[-1]
+        amp = np.fmax.reduce(np.abs(state[2:, 1]) + np.abs(state[2:, 2]),
+                             axis=0, initial=1.0)
+    amp[~np.isfinite(factors).all(axis=(0, 1))] = np.inf
+    tables = np.concatenate([x[:1:-1, rows:].T, seeds, x[2:, :rows].T], axis=1)
+    return (tables, scale[:rows] + scale[rows:],
+            np.fmax(amp[:rows], amp[rows:]))
 
 
 def _recurrence_steps(w: WeightSpec, kmax: int):
@@ -810,7 +840,7 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
     the end terms of the integration by parts vanish where the exponents
     allow, and analytic continuation in the exponents covers the rest.
     k >= 2 follow forward and k <= -2 backward from c_{-1}, c_0 and c_1
-    (_march). None for kmax < 2; a leading coefficient that vanishes
+    (_march_rows). None for kmax < 2; a leading coefficient that vanishes
     stops the march instead.
     """
     if kmax < 2:
@@ -826,44 +856,46 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
     return t, 1.0 + t, a0, a1, a2
 
 
-def _recurrence_table(w: WeightSpec, kmax: int, tol: float, prepared=None):
-    """(c_{-kmax..kmax}, error estimate) from three quadrature seeds, or
-    None where the recurrence cannot meet tol.
+def _recurrence_tables(p: SSEParams, ws, kmax: int, tol: float) -> list:
+    """(c_{-kmax..kmax}, error estimate) of each weight of p in ws from three
+    quadrature seeds, or None where the recurrence cannot meet tol.
 
-    The seeds come from the panel quadrature at tol, and the recurrence
-    (_recurrence_steps) marches them out to |k| = kmax (_march). prepared
-    is (coefficients, seeds) when a grid pass has already made them;
-    otherwise both are made here for w alone. The error estimate is the
-    seed error times the amplification the march measures, plus 4 eps
-    times it times the summed magnitudes each step rounds at. Against a
-    40-digit run of the same steps from the same seeds, the rounding of
-    500 random tables on the circle and near t = 1 stayed below 1.6 eps
-    times that product. None for kmax < 2, when the seeds' quadrature
-    stalls (the full pass then reports it), when a leading coefficient
-    vanishes on the way out, or when the amplification times eps, or the
-    estimate, exceeds tol.
+    One batched pass makes the seeds of every weight at tol, and one
+    lockstep march (_march_rows) carries them out to |k| = kmax. The error
+    estimate is the seed error times the amplification the march
+    measures, plus 4 eps times it times the summed magnitudes each step
+    rounds at. Against a 40-digit run of the same steps from the same
+    seeds, the rounding of 80 random tables on the circle and near t = 1
+    stayed below 0.29 eps times that product (0.31 over 500 tables).
+    None for kmax < 2, where a weight's seeds stall (its full pass then
+    reports it), where its row is stopped, or where the amplification
+    times eps, or the estimate, exceeds tol.
     """
-    coeffs, seeds = prepared or (_recurrence_steps(w, kmax), None)
-    if coeffs is None:
-        return None
-    if seeds is None:
-        seeds = _quadrature_tables(w.p, [w.phase()], 1, tol)[0]
-    try:
-        seed_vals, seed_err = seeds()
-    except QuadratureError:
-        return None
-    c_m1, c_0, c_1 = (complex(c) for c in seed_vals)
-    try:
-        up, up_scale, up_amp = _march(c_0, c_1, coeffs, range(2, kmax + 1))
-        down, down_scale, down_amp = _march(c_0, c_m1, coeffs,
-                                            range(0, 1 - kmax, -1))
-    except ZeroDivisionError:
-        return None
-    amp = max(up_amp, down_amp)
-    err = amp * (seed_err + 4.0 * _EPS * (up_scale + down_scale))
-    if not (amp * _EPS <= tol and err <= tol):
-        return None
-    return np.array(down[::-1] + [c_m1, c_0, c_1] + up), err
+    got = [None] * len(ws)
+    if kmax < 2:
+        return got
+    coeffs = [_recurrence_steps(w, kmax) for w in ws]
+    rows = []
+    for i, seeds in enumerate(_quadrature_tables(
+            p, [w.phase() for w in ws], 1, tol)):
+        try:
+            rows.append((i, *seeds()))
+        except QuadratureError:
+            pass
+    if not rows:
+        return got
+    index, seeds, seed_errs = zip(*rows)
+    tables, scale, amp = _march_rows(seeds, [coeffs[i] for i in index], kmax)
+    errs = amp * (np.array(seed_errs) + 4.0 * _EPS * scale)
+    for i, table, a, err in zip(index, tables, amp, errs):
+        if a * _EPS <= tol and err <= tol:
+            got[i] = table, float(err)
+    return got
+
+
+def _recurrence_table(w: WeightSpec, kmax: int, tol: float):
+    """The one-weight call of _recurrence_tables."""
+    return _recurrence_tables(w.p, [w], kmax, tol)[0]
 
 
 def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
@@ -878,7 +910,7 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
 
     Absolute accuracy tol. c_{-1}, c_0 and c_1 always come from
     panel-split tanh-sinh refinement; the rest follow from the weight's
-    three-term recurrence (_recurrence_table) whenever the seeds' error
+    three-term recurrence (_recurrence_tables) whenever the seeds' error
     times the recurrence's measured amplification, plus its rounding,
     stays within tol. Wherever that bound fails, the whole table comes
     from one quadrature pass. Raises QuadratureError (with the achieved
@@ -889,18 +921,16 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     error estimate is the seed error times the amplification plus a
     rounding allowance.
 
-    _prepared is toeplitz_grid's: the recurrence coefficients and seeds
-    its batched pass made for w, whose range it checked (see
-    _recurrence_table). The table is the same bits either way.
+    _prepared is toeplitz_grid's: the recurred table its lockstep made
+    for w, whose range it checked, or () where it refused the recurrence.
+    The table is the same bits either way.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if _prepared is None:
         _check_table_range(w, kmax, tol)
-    got = _recurrence_table(w, kmax, tol, _prepared)
-    if got is None:
-        got = _quadrature_table(w, kmax, tol)
-    return got
+        _prepared = _recurrence_table(w, kmax, tol)
+    return _prepared or _quadrature_table(w, kmax, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -938,14 +968,10 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
         ws.append(WeightSpec(p=p, t=t))
         # keeps a t near 0, or one past tol's reach, out of the seeds
         _check_table_range(ws[-1], kmax, tol)
-    coeffs = [_recurrence_steps(w, kmax) for w in ws]
-    seeds = iter(_quadrature_tables(
-        p, [w.phase() for w, c in zip(ws, coeffs) if c is not None], 1, tol))
     idx = kmax + (np.arange(n)[:, None] - np.arange(n)[None, :])
     mats = np.empty((len(ws), n, n), dtype=complex)
-    for mat, w, c in zip(mats, ws, coeffs):
-        prepared = c, None if c is None else next(seeds)
-        mat[:] = fourier_table(w, kmax, tol, _prepared=prepared)[0][idx]
+    for mat, w, got in zip(mats, ws, _recurrence_tables(p, ws, kmax, tol)):
+        mat[:] = fourier_table(w, kmax, tol, _prepared=got or ())[0][idx]
     return [complex(d) for d in np.linalg.det(mats)]
 
 

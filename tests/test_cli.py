@@ -761,13 +761,10 @@ def test_no_command_escapes_its_exit_codes(argv, capsys):
 
 def test_every_branch_runs_on_numpy_alone():
     # in a fresh interpreter, every command and branch at its defaults, on
-    # one grid point and as CSV: none may import the test extras or scipy;
-    # toeplitz's default grid starts at phase 0, which as t = 0 is no
-    # real-path point
+    # one grid point and as CSV: none may import the test extras or scipy
     runs = [[*command, *extra] for command in SWEEP_COMMANDS
             for extra in ([], ["--grid-count=1"],
-                          ["--format=csv", "--grid-count=1"])
-            if extra or "--grid-path=real" not in command]
+                          ["--format=csv", "--grid-count=1"])]
     code = ("import contextlib, io, sys\n"
             "from taurmt.cli import main\n"
             f"for argv in {runs!r}:\n"

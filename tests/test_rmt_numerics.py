@@ -556,9 +556,11 @@ def _coefficient_gate(ref: np.ndarray, tol: float = 1e-12) -> float:
 P_COMPLEX_MU = SSEParams(N=1, mu=0.2 + 0.15j, omega1=0.1, omega2=0.3)
 
 
-# A two-loop reference for _march: the march, then the amplification, over
-# the same steps. _march must return the same values, scale and
-# amplification, bit for bit.
+# A scalar two-loop reference for _march_rows: the march, then the
+# amplification, over the same steps in Python's complex arithmetic. The
+# lockstep's numpy arithmetic rounds differently in the last bit, so its
+# values are held to the rounding allowance and its scale and
+# amplification to 1e-13 relative.
 def _two_loop_march(far, near, steps):
     vals = []
     scale = 0.0
@@ -701,14 +703,42 @@ class TestThreeTermRecurrence:
             kmax = int(rng.integers(2, 64))
             coeffs = rmt._recurrence_steps(w, kmax)
             assert coeffs is not None
-            for ks in (range(2, kmax + 1), range(0, 1 - kmax, -1)):
+            seeds = rng.normal(size=3) + 1j * rng.normal(size=3)
+            (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
+                                                         kmax)
+            want, want_scale, want_amp = [], 0.0, 1.0
+            for ks, near in ((range(2, kmax + 1), seeds[2]),
+                             (range(0, 1 - kmax, -1), seeds[0])):
                 direction = _step_list(coeffs, ks)
-                far, near = rng.normal(size=2) + 1j * rng.normal(size=2)
-                vals, scale, amp = rmt._march(complex(far), complex(near),
-                                              coeffs, ks)
-                assert (vals, scale) == _two_loop_march(
-                    complex(far), complex(near), direction)
-                assert amp == _two_loop_amplification(direction)
+                vals, part = _two_loop_march(complex(seeds[1]),
+                                             complex(near), direction)
+                want.append(vals)
+                want_scale += part
+                want_amp = max(want_amp, _two_loop_amplification(direction))
+            want = np.array(want[1][::-1] + list(seeds) + want[0])
+            assert np.max(np.abs(table - want)) <= 4 * rmt._EPS * amp * scale
+            assert abs(scale - want_scale) <= 1e-13 * want_scale
+            assert abs(amp - want_amp) <= 1e-13 * want_amp
+
+    def test_lockstep_rows_keep_their_bits(self):
+        # each row of a batch of mixed circle and segment t is the bits of
+        # its one-row march: table, scale and amplification
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            p = _random_weight(rng)
+            kmax = int(rng.integers(2, 64))
+            ts = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
+                  if rng.random() < 0.5 else rng.uniform(0.05, 0.999)
+                  for _ in range(int(rng.integers(1, 31)))]
+            coeffs = [rmt._recurrence_steps(WeightSpec(p, t), kmax)
+                      for t in ts]
+            seeds = rng.normal(size=(len(ts), 3)) * np.exp(
+                1j * rng.uniform(0, 2 * math.pi, size=(len(ts), 3)))
+            batch = rmt._march_rows(seeds, coeffs, kmax)
+            for row, (s, c) in enumerate(zip(seeds, coeffs)):
+                alone = rmt._march_rows([s], [c], kmax)
+                for got, want in zip(batch, alone):
+                    assert got[row].tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("kmax", [0, 1])
     def test_small_tables_are_pure_quadrature(self, kmax):
@@ -858,6 +888,36 @@ class TestArbitraryPrecisionReference:
         assert np.max(np.abs(got[0] - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("path", ["circle", "real"])
+def test_rounding_allowance_covers_a_40_digit_march(path):
+    # the lockstep's own double factors, converted exactly, marched in 40
+    # digits from the same quadrature seeds: every table's rounding stays
+    # within the 4 eps amplification times scale its estimate adds (the
+    # worst table reads 0.29 of it)
+    rng = np.random.default_rng(21 if path == "circle" else 22)
+    for _ in range(40):
+        t = (cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
+             if path == "circle" else rng.uniform(0.9, 0.999))
+        w = WeightSpec(_random_weight(rng), t)
+        kmax = int(rng.integers(2, 64))
+        coeffs = rmt._recurrence_steps(w, kmax)
+        seeds, _ = _quadrature_tables(w.p, [w.phase()], 1, 1e-10)[0]()
+        (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
+                                                     kmax)
+        factors = rmt._step_factors([coeffs], kmax)
+        want = []
+        with mp.workdps(40):
+            for column, start in ((0, seeds[2]), (1, seeds[0])):
+                far, near = mp.mpc(seeds[1]), mp.mpc(start)
+                vals = []
+                for f2, f1 in factors[:, :, column]:
+                    far, near = near, mp.mpc(f1) * near + mp.mpc(f2) * far
+                    vals.append(complex(near))
+                want.append(vals)
+        want = np.array(want[1][::-1] + list(seeds) + want[0])
+        assert np.max(np.abs(table - want)) <= 4 * rmt._EPS * amp * scale
+
+
 # The per-panel quadrature pass as it was before panels were batched into
 # rows: one integrand closure per panel, sampled on levels 0-4 in one call
 # and summed level by level, and the panels summed in order. On a split
@@ -949,7 +1009,7 @@ def _per_panel_integrate(f, tol):
         if level >= 4:
             err = float(np.max(np.abs(cur - prev)))
             floor = np.finfo(float).eps * np.max(np.abs(cur))
-            if not err <= tol and 100.0 * tol < floor:
+            if not err <= tol and rmt._ROUNDOFF_MARGIN * tol < floor:
                 raise QuadratureError(
                     "tanh-sinh refinement stalled below the rounding floor",
                     err, tol)
@@ -1145,12 +1205,16 @@ class TestRowBatchedQuadrature:
         assert (_CHUNK_ROWS // head) * head in sizes
 
 
-def _climbing_finish(f, row, total, cur, err, edge, tol):
+def _climbing_finish(f, row, total, cur, err, edge, tol, floors=None):
     """_finish without the rounding floor: every row that has not converged
-    climbs to _TS_MAX_LEVEL before it stalls."""
+    climbs to _TS_MAX_LEVEL before it stalls. floors, if given, collects
+    the largest eps max|c| / tol that a row which converges read at a
+    level short of tol (0 for a row done at the head)."""
     rows = slice(row, row + 1)
     level = rmt._TS_MIN_LEVEL
+    floor = 0.0
     while not err <= tol:
+        floor = max(floor, rmt._EPS * float(np.max(np.abs(cur))) / tol)
         if level == rmt._TS_MAX_LEVEL:
             raise QuadratureError("tanh-sinh refinement stalled", err, tol)
         level += 1
@@ -1170,6 +1234,8 @@ def _climbing_finish(f, row, total, cur, err, edge, tol):
     if edge > 1e3 * tol:
         raise QuadratureError("endpoint decay too slow for the node range",
                               edge, tol)
+    if floors is not None:
+        floors.append(floor)
     return cur, err
 
 
@@ -1233,13 +1299,17 @@ class TestRoundingFloor:
                                   "3.357e+06, target 3.210e-12")
         assert failing == [list(range(5, rmt._TS_MAX_LEVEL + 1))]
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
     def test_rows_that_climb_to_convergence_keep_their_bits(
-            self, monkeypatch):
+            self, monkeypatch, tol):
         # circle and real segment at random weights and orders: wherever
         # the climb without the floor converges, the table is the same
-        # bits, and where it fails, the floor fails too
+        # bits, and where it fails, the floor fails too. Every row that
+        # converges reads its floor well inside the margin (the worst,
+        # 6.4, at tol 1e-13)
         rng = np.random.default_rng(5)
         seen = set()
+        floors = []
         for _ in range(30):
             p = _random_weight(rng)
             ts = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01)),
@@ -1247,12 +1317,13 @@ class TestRoundingFloor:
             kmax = int(rng.integers(1, 48))
             phis = [WeightSpec(p, t).phase() for t in ts]
             outcomes = []
-            for finish in (_climbing_finish, rmt._finish):
+            for finish in (partial(_climbing_finish, floors=floors),
+                           rmt._finish):
                 with monkeypatch.context() as patch:
                     patch.setattr(rmt, "_finish", finish)
                     outcomes.append([_floor_outcome(table) for table
                                      in _quadrature_tables(p, phis, kmax,
-                                                           1e-12)])
+                                                           tol)])
             for path, old, new in zip("cr", *outcomes):
                 if isinstance(old, QuadratureError):
                     assert isinstance(new, QuadratureError)
@@ -1264,6 +1335,7 @@ class TestRoundingFloor:
         assert seen == {(path, kind) for path in "cr"
                         for kind in ("converged", "refused")} - {
             ("c", "refused")}
+        assert max(floors) < rmt._ROUNDOFF_MARGIN / 2
 
 
 def test_leg_at_a_vanishing_phase_keeps_the_circle_value():
@@ -1412,8 +1484,7 @@ class TestToeplitzGrid:
         p = replace(P_STD, N=16)
         w = WeightSpec(p, 0.4)
         coeffs = rmt._recurrence_steps(w, 15)
-        amp = max(rmt._march(0j, 1j, coeffs, ks)[2]
-                  for ks in (range(2, 16), range(0, -14, -1)))
+        amp = rmt._march_rows([[1j, 0j, 1j]], [coeffs], 15)[2][0]
         assert amp * rmt._EPS > 1e-12
         assert _recurrence_table(w, 15, 1e-12) is None
         for t in (0.65, 0.9):
