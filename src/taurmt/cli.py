@@ -136,6 +136,7 @@ from .rmt_numerics import (
 )
 from .sigma_ode import (
     OdeSeed,
+    StepLimitError,
     StepSizeUnderflowError,
     TurningPointError,
     bulk_okamoto_params,
@@ -926,8 +927,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except (QuadratureError, TurningPointError,
-            StepSizeUnderflowError) as exc:
+    except (QuadratureError, TurningPointError, StepSizeUnderflowError,
+            StepLimitError) as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except OSError as exc:

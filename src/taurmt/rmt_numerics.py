@@ -36,22 +36,25 @@ singular factors are evaluated as trigonometric functions of those
 distances, so precision survives where the integrand varies fastest.
 No tanh-sinh answer is accepted before level 4, so levels 0..4 are
 sampled in one call of the integrand on their concatenated nodes and
-summed level by level from those rows; the endpoint-decay check of a
-level-4 answer reuses the same samples.
+summed level by level from those rows; the endpoint-decay check reads
+the outermost samples of the level that converged.
 
 Panels are integrated as rows of a batch (_integrate_rows): every split
 panel on the circle of every weight in a pass is one row of one
 integrand, evaluated in real arithmetic, every other arc panel one row
-of a second and every leg one row of a third, and levels 0..4 of up to
-_CHUNK_ROWS nodes' worth of rows are one call. A row's panel data is a
-column broadcast across its nodes, as a scalar is across a lone panel's,
-and its level sums are one stacked product over rows laid out as a lone
+of a second and every leg one row of a third. Levels 0..4 of up to
+_CHUNK_ROWS nodes' worth of rows are one call; past them the rows that
+have not converged refine in lockstep, each level one call for every
+row still refining, up to _CHUNK_ROWS nodes a call (level 11's 12,288
+new nodes take two calls a row). A row's panel data is a column
+broadcast across its nodes, as a scalar is across a lone panel's, and
+its level sums are one stacked product over rows laid out as a lone
 panel's would be, so each row's value, error and refusal are bit for
 bit those of the panel on its own. That is why real and complex rows
 never share a batch: a real row would turn complex beside a complex
-one. Each row finishes in _finish, only when its table is asked for:
-convergence and the edge check are per row, and a row that needs levels
-past 4 continues alone.
+one. Convergence, the refusals below and the edge check are decided per
+row from its own sums, and every row comes back finished: its values
+and error, or its QuadratureError.
 A row stops at its rounding floor. At a level that has not converged,
 the head included, a row whose tol lies more than _ROUNDOFF_MARGIN = 16
 times below eps max|c| of its own values is refused as stalled at once:
@@ -112,14 +115,14 @@ Tables with kmax <= 1 are the quadrature's own. Three-term recurrences and
 the stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 
 Over a grid of t (toeplitz_grid) the work is split in four: the table's
-float range and the recurrence coefficients at every t, so that a t near
-0 never reaches a quadrature; one batched pass for the seeds of every t
-(_quadrature_tables at kmax = 1), all finished at once, where a seed
-that stalls refuses only its own t; one lockstep march of every t in
-both directions (_march_rows), then t by t the refusal, or the t's own
-full quadrature pass, in grid order; one determinant call on the grid's
-stacked matrices. The march's factors come from one vectorized prelude,
-a step is one multiply and one add over every row, and the scale and
+float range at every t, so that a t near 0 never reaches a quadrature;
+one batched pass for the seeds of every t (_quadrature_tables at
+kmax = 1), whose rows come back finished, and where a seed that stalls
+refuses only its own t; one lockstep march of every t in both directions
+(_march_rows), then t by t the refusal, or the t's own full quadrature
+pass, in grid order; one determinant call on the grid's stacked
+matrices. The march's factors come from one vectorized prelude, a step
+is one multiply and one add over every row, and the scale and
 amplification are reductions after the loop. Numpy's elementwise results
 do not depend on the array's length, so a row's bits do not depend on
 its batch; they differ from Python's scalar complex arithmetic in the
@@ -213,7 +216,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -244,7 +247,7 @@ _TS_TAU_MAX = 6.0
 _TS_MIN_LEVEL = 4
 _TS_MAX_LEVEL = 11
 # A row whose tol lies this far below eps times its largest value is
-# refused where it stands (_finish): no level can resolve it
+# refused where it stands (_integrate_rows): no level can resolve it
 _ROUNDOFF_MARGIN = 16.0
 _CHUNK_ROWS = 8192
 _EPS = float(np.finfo(float).eps)
@@ -409,101 +412,103 @@ def _ts_full_rule(level: int):
     return (*_locked(d0, d1, w), slices)
 
 
-def _finish(f, row: int, total, cur, err: float, edge: float, tol: float):
-    """(values, error) of one row of f, from its running total, value,
-    level-to-level change and outermost summand at _TS_MIN_LEVEL.
+def _summed(samples, w):
+    """The weighted sum of each row's samples, and its summands w f at the
+    first and last node."""
+    return np.matmul(w, samples), w[[0, -1], None] * samples[:, [0, -1]]
 
-    While the change exceeds tol, each level up to _TS_MAX_LEVEL is one
-    call of f on that row, in chunks of _CHUNK_ROWS nodes, and the edge
-    check of a converged level past _TS_MIN_LEVEL one more call on its two
-    outermost nodes. A stalled refinement or a non-negligible edge raises
-    QuadratureError. So does, at once, a level that has not converged
-    (the head included) where _ROUNDOFF_MARGIN tol < eps max |cur|: the
-    target lies below the rounding of the row's own largest value, which
-    no further level resolves, so the row stalls there rather than at
-    _TS_MAX_LEVEL.
+
+def _level_sums(f, rows, level: int):
+    """(sums, outer) of the nodes joining at level, for each of rows: the
+    weighted sum of the row's samples there, and its summands at the
+    level's first and last node.
+
+    As many rows as fit in _CHUNK_ROWS nodes go to f in one call, and at
+    least one; a level with more nodes than that (level 11) goes in node
+    chunks whose sums add in order.
     """
-    rows = slice(row, row + 1)
-    level = _TS_MIN_LEVEL
-    while not err <= tol:
-        if _ROUNDOFF_MARGIN * tol < _EPS * float(np.max(np.abs(cur))):
-            raise QuadratureError(
-                "tanh-sinh refinement stalled below the rounding floor",
-                err, tol)
-        if level == _TS_MAX_LEVEL:
-            raise QuadratureError("tanh-sinh refinement stalled", err, tol)
-        level += 1
-        d0, d1, w = _ts_new_nodes(level)
-        part = None
-        for lo in range(0, len(w), _CHUNK_ROWS):
-            sl = slice(lo, lo + _CHUNK_ROWS)
-            block = w[sl] @ f(rows, d0[sl], d1[sl])[0]
-            part = block if part is None else part + block
-        total = total + part
-        prev, cur = cur, (0.5 ** level) * total
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= tol:
-            ends = [0, -1]
-            edge = float(np.max(np.abs(
-                w[ends, None] * f(rows, d0[ends], d1[ends])[0])))
-    if edge > 1e3 * tol:
-        raise QuadratureError("endpoint decay too slow for the node range",
-                              edge, tol)
-    return cur, err
+    d0, d1, w = _ts_new_nodes(level)
+    per_call = max(1, _CHUNK_ROWS // len(w))
+    groups = []
+    for lo in range(0, len(rows), per_call):
+        chunks = [_summed(f(rows[lo:lo + per_call], d0[at:at + _CHUNK_ROWS],
+                            d1[at:at + _CHUNK_ROWS]), w[at:at + _CHUNK_ROWS])
+                  for at in range(0, len(w), _CHUNK_ROWS)]
+        groups.append((reduce(operator.add, [part for part, _ in chunks]),
+                       np.stack([chunks[0][1][:, 0], chunks[-1][1][:, 1]], 1)))
+    return [np.concatenate(a) for a in zip(*groups)]
 
 
-def _integrate_rows(f, tols):
+def _integrate_rows(f, tols) -> list:
     """Adaptive tanh-sinh integration over (0, 1) of several vector
     integrands at once, one row each.
 
-    f(rows, d0, d1) -> (number of rows, len(d0), K) samples of the rows
-    selected by the slice rows, with d0 and d1 the nodes' exact distances
-    to the interval ends. Each row halves its step until the level to
-    level change falls below its own tols[row] (absolute, max over
-    components), from level _TS_MIN_LEVEL up to _TS_MAX_LEVEL.
+    f(rows, d0, d1) -> (len(rows), len(d0), K) samples of the rows
+    indexed by the integer array rows, with d0 and d1 the nodes' exact
+    distances to the interval ends. Each row halves its step until the
+    level to level change falls below its own tols[row] (absolute, max
+    over components), from level _TS_MIN_LEVEL up to _TS_MAX_LEVEL.
 
     No answer is accepted before _TS_MIN_LEVEL, so levels 0.._TS_MIN_LEVEL
     of as many rows as fit in _CHUNK_ROWS nodes are sampled in one call of
     f on the concatenated nodes (_ts_full_rule), and each level's sums of
-    all those rows are one stacked product. Convergence and the edge check
-    are then decided per row in _finish, when the row's result is first
-    asked for; a row that has not converged continues there from its own
-    running total, unless its tol lies below its own rounding floor,
-    where it stalls at once. Every row runs the arithmetic of a lone row,
-    so its result does not depend on the rows batched with it.
+    all those rows are one stacked product. The rows that have not
+    converged then refine in lockstep: each further level is one call of
+    f for every row still refining, within _CHUNK_ROWS nodes a call
+    (_level_sums). Before each level a row whose tol lies more than
+    _ROUNDOFF_MARGIN times below eps max |c| of its own values is refused
+    as stalled below its rounding floor, which no level resolves, and a
+    row still short of tol at _TS_MAX_LEVEL as stalled. Every row runs
+    the arithmetic of a lone row, so its result does not depend on the
+    rows batched with it.
 
     The substitution reaches endpoint distances ~exp(-pi sinh(tau_max)),
     which is plenty for any fixed integrable exponent, but exponents
     within a few hundredths of -1 decay so slowly that the tail past the
-    node range would go missing silently. The outermost summand is
-    checked before a converged value is reported (at _TS_MIN_LEVEL from
-    the rows already sampled); a non-negligible edge turns into
-    QuadratureError instead of a quiet deficit.
+    node range would go missing silently. The outermost summand of the
+    level that converged, read from its own samples, is checked before a
+    value is reported; a non-negligible edge turns into QuadratureError
+    instead of a quiet deficit.
 
-    Returns one callable per row, which returns (values, error estimate)
-    or raises that row's QuadratureError.
+    Returns, per row, (values, error estimate) or the row's
+    QuadratureError. tols must hold one row or more.
     """
     d0, d1, _, slices = _ts_full_rule(_TS_MIN_LEVEL)
-    w_edge = _ts_new_nodes(_TS_MIN_LEVEL)[2][[0, -1], None]
     per_call = max(1, _CHUNK_ROWS // len(d0))
-    results = []
+    heads = []
     for lo in range(0, len(tols), per_call):
-        hi = min(lo + per_call, len(tols))
-        head = f(slice(lo, hi), d0, d1)
-        total = prev = None
-        for level, sl in enumerate(slices):
-            part = np.matmul(_ts_new_nodes(level)[2], head[:, sl])
-            total = part if total is None else total + part
-            if level == _TS_MIN_LEVEL - 1:
-                prev = (0.5 ** level) * total
-        cur = (0.5 ** _TS_MIN_LEVEL) * total
-        errs = np.max(np.abs(cur - prev), axis=1)
-        edges = np.max(np.abs(w_edge * head[:, slices[-1]][:, [0, -1]]),
-                       axis=(1, 2))
-        results += [partial(_finish, f, row, total[j], cur[j],
-                            float(errs[j]), float(edges[j]), tols[row])
-                    for j, row in enumerate(range(lo, hi))]
-    return results
+        head = f(np.arange(lo, min(lo + per_call, len(tols))), d0, d1)
+        parts = [np.matmul(_ts_new_nodes(level)[2], head[:, sl])
+                 for level, sl in enumerate(slices[:-1])]
+        heads.append((reduce(operator.add, parts), *_summed(
+            head[:, slices[-1]], _ts_new_nodes(_TS_MIN_LEVEL)[2])))
+    # levels 0.._TS_MIN_LEVEL - 1 summed; the loop adds each further level
+    total, sums, outer = (np.concatenate(a) for a in zip(*heads))
+    cur = (0.5 ** (_TS_MIN_LEVEL - 1)) * total
+    tol = np.array(tols, dtype=float)
+    err, edge, out = np.empty(len(tol)), np.empty(len(tol)), [None] * len(tol)
+    live, level = np.arange(len(tol)), _TS_MIN_LEVEL
+    while len(live):
+        if level > _TS_MIN_LEVEL:
+            sums, outer = _level_sums(f, live, level)
+        total[live] += sums
+        prev, cur[live] = cur[live], (0.5 ** level) * total[live]
+        err[live] = np.max(np.abs(cur[live] - prev), axis=1)
+        edge[live] = np.max(np.abs(outer), axis=(1, 2))
+        live = live[~(err[live] <= tol[live])]
+        floor = (_ROUNDOFF_MARGIN * tol[live]
+                 < _EPS * np.max(np.abs(cur[live]), axis=1))
+        for i, below in zip(live, floor):
+            if below or level == _TS_MAX_LEVEL:
+                out[i] = QuadratureError("tanh-sinh refinement stalled" + (
+                    " below the rounding floor" if below else ""),
+                    err[i], tol[i])
+        live = live[~floor] if level < _TS_MAX_LEVEL else live[:0]
+        level += 1
+    return [out[i] or (QuadratureError(
+        "endpoint decay too slow for the node range", edge[i], tol[i])
+        if edge[i] > 1e3 * tol[i] else (cur[i], float(err[i])))
+        for i in range(len(tol))]
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +710,9 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
     -xi* phi / 2 pi. Split circle panels, other arc panels and legs are
     the rows of three integrands, each integrated by _integrate_rows.
     Within a table every column is refined together, so the slowest
-    (highest |k|) one sets the tanh-sinh level of its panel. Returns one
-    callable per phase, which returns (c_{-kmax..kmax}, error estimate)
-    or raises the QuadratureError of the first of its panels that fails;
-    a panel that needs levels past the head refines only when its table
-    is asked for.
+    (highest |k|) one sets the tanh-sinh level of its panel. Returns, per
+    phase, (c_{-kmax..kmax}, error estimate) or the QuadratureError of
+    the first of its parts, in the order of _table_parts, that failed.
     """
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     xi = complex(p.xi_star)
@@ -723,20 +726,22 @@ def _quadrature_tables(p: SSEParams, phis, kmax: int, tol: float):
             rows[kind].append(row)
             tols[kind].append(share)
         plans.append(plan)
-    results = (_integrate_rows(_arc_integrand(p, rows[0], ks), tols[0]),
-               _integrate_rows(_arc_integrand(p, rows[1], ks), tols[1]),
-               _integrate_rows(_leg_integrand(p, rows[2], ks), tols[2]))
+    results = [_integrate_rows(make(p, rows[kind], ks), tols[kind])
+               if rows[kind] else [] for kind, make in enumerate(
+                   (_arc_integrand, _arc_integrand, _leg_integrand))]
 
     def table(plan):
         total = np.zeros(ks.shape, dtype=complex)
         achieved = 0.0
         for scale, kind, index in plan:
-            vals, err = results[kind][index]()
-            total = total + scale * vals
-            achieved += abs(scale) * err
+            got = results[kind][index]
+            if isinstance(got, QuadratureError):
+                return got
+            total = total + scale * got[0]
+            achieved += abs(scale) * got[1]
         return total, achieved
 
-    return [partial(table, plan) for plan in plans]
+    return [table(plan) for plan in plans]
 
 
 def _check_table_range(w: WeightSpec, kmax: int, tol: float) -> None:
@@ -766,8 +771,8 @@ def _check_table_range(w: WeightSpec, kmax: int, tol: float) -> None:
 
 def _quadrature_table(w: WeightSpec, kmax: int, tol: float):
     """(c_{-kmax..kmax}, error estimate) of one weight from
-    _quadrature_tables."""
-    return _quadrature_tables(w.p, [w.phase()], kmax, tol)[0]()
+    _quadrature_tables, or its QuadratureError."""
+    return _quadrature_tables(w.p, [w.phase()], kmax, tol)[0]
 
 
 def _step_factors(coeffs, kmax: int) -> np.ndarray:
@@ -860,13 +865,14 @@ def _recurrence_tables(p: SSEParams, ws, kmax: int, tol: float) -> list:
     """(c_{-kmax..kmax}, error estimate) of each weight of p in ws from three
     quadrature seeds, or None where the recurrence cannot meet tol.
 
-    One batched pass makes the seeds of every weight at tol, and one
-    lockstep march (_march_rows) carries them out to |k| = kmax. The error
-    estimate is the seed error times the amplification the march
-    measures, plus 4 eps times it times the summed magnitudes each step
-    rounds at. Against a 40-digit run of the same steps from the same
-    seeds, the rounding of 80 random tables on the circle and near t = 1
-    stayed below 0.29 eps times that product (0.31 over 500 tables).
+    One batched pass makes the seeds of every weight at tol, each table
+    finished or refused (_quadrature_tables), and one lockstep march
+    (_march_rows) carries them out to |k| = kmax. The error estimate is
+    the seed error times the amplification the march measures, plus 4 eps
+    times it times the summed magnitudes each step rounds at. Against a
+    40-digit run of the same steps from the same seeds, the rounding of 80
+    random tables on the circle and near t = 1 stayed below 0.29 eps
+    times that product (0.31 over 500 tables).
     None for kmax < 2, where a weight's seeds stall (its full pass then
     reports it), where its row is stopped, or where the amplification
     times eps, or the estimate, exceeds tol.
@@ -874,18 +880,14 @@ def _recurrence_tables(p: SSEParams, ws, kmax: int, tol: float) -> list:
     got = [None] * len(ws)
     if kmax < 2:
         return got
-    coeffs = [_recurrence_steps(w, kmax) for w in ws]
-    rows = []
-    for i, seeds in enumerate(_quadrature_tables(
-            p, [w.phase() for w in ws], 1, tol)):
-        try:
-            rows.append((i, *seeds()))
-        except QuadratureError:
-            pass
+    rows = [(i, *seeds) for i, seeds in enumerate(
+        _quadrature_tables(p, [w.phase() for w in ws], 1, tol))
+        if not isinstance(seeds, QuadratureError)]
     if not rows:
         return got
     index, seeds, seed_errs = zip(*rows)
-    tables, scale, amp = _march_rows(seeds, [coeffs[i] for i in index], kmax)
+    tables, scale, amp = _march_rows(
+        seeds, [_recurrence_steps(ws[i], kmax) for i in index], kmax)
     errs = amp * (np.array(seed_errs) + 4.0 * _EPS * scale)
     for i, table, a, err in zip(index, tables, amp, errs):
         if a * _EPS <= tol and err <= tol:
@@ -913,13 +915,14 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     three-term recurrence (_recurrence_tables) whenever the seeds' error
     times the recurrence's measured amplification, plus its rounding,
     stays within tol. Wherever that bound fails, the whole table comes
-    from one quadrature pass. Raises QuadratureError (with the achieved
-    error attached) if the quadrature stalls: at _TS_MAX_LEVEL, or at
-    once where tol lies below the rounding of a panel's own largest
-    coefficient (_finish; on the real segment an absolute 1e-12 asked of
-    coefficients up to 1e45 ends at the head). For a recurred table the
-    error estimate is the seed error times the amplification plus a
-    rounding allowance.
+    from one quadrature pass, which raises the QuadratureError (with the
+    achieved error attached) of the table's first failing part: one that
+    stalls at _TS_MAX_LEVEL, or where tol lies below the rounding of its
+    own largest coefficient (_integrate_rows; on the real segment an
+    absolute 1e-12 asked of coefficients up to 1e45 ends at the head), or
+    whose endpoint decay is too slow. For a recurred table the error
+    estimate is the seed error times the amplification plus a rounding
+    allowance.
 
     _prepared is toeplitz_grid's: the recurred table its lockstep made
     for w, whose range it checked, or () where it refused the recurrence.
@@ -930,7 +933,10 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     if _prepared is None:
         _check_table_range(w, kmax, tol)
         _prepared = _recurrence_table(w, kmax, tol)
-    return _prepared or _quadrature_table(w, kmax, tol)
+    got = _prepared or _quadrature_table(w, kmax, tol)
+    if isinstance(got, QuadratureError):
+        raise got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -941,33 +947,33 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     """N point averages det[c_{j-k}] of one weight at every t of a grid.
 
     Dense LU with partial pivoting on the N x N matrix of coefficients;
-    N = 0 gives 1 at every t. The coefficients come from fourier_table:
-    three quadrature columns and the recurrence on the circle and near
-    t = 1 on the real segment, one quadrature pass refined until its slowest
-    column converges where the recurrence fails (endpoint singularities
-    and the measure jump defeat uniform-grid spectral methods). Dimension
-    is capped at 64: beyond it that quadrature's cost and the
-    determinant's conditioning buy nothing this library needs.
+    N = 0 gives 1 at every t it takes. The coefficients come from
+    fourier_table: three quadrature columns and the recurrence on the
+    circle and near t = 1 on the real segment, one quadrature pass refined
+    until its slowest column converges where the recurrence fails
+    (endpoint singularities and the measure jump defeat uniform-grid
+    spectral methods). Dimension is capped at 64: beyond it that
+    quadrature's cost and the determinant's conditioning buy nothing this
+    library needs.
 
     The work is split as the recurrence notes describe: every t is
     checked (WeightSpec, _check_table_range), and the first t refused in
     grid order raises, before one batched pass makes the seeds of the
-    grid. Every value is the one toeplitz_an returns at its t, bit for
-    bit, and a failure while computing raises at the first t that fails.
+    grid. N = 0 takes the same checks, at kmax = 0, before its 1. Every
+    value is the one toeplitz_an returns at its t, bit for bit, and a
+    failure while computing raises at the first t that fails.
     """
-    n = int(p.N)
-    if n < 0:
-        raise ValueError("dimension must be >= 0")
+    n = p.N
     if n > 64:
         raise ValueError("Toeplitz dimension capped at 64")
-    if n == 0:
-        return [1.0 + 0.0j for _ in ts]
-    kmax = n - 1
+    kmax = max(n - 1, 0)
     ws = []
     for t in ts:
         ws.append(WeightSpec(p=p, t=t))
         # keeps a t near 0, or one past tol's reach, out of the seeds
         _check_table_range(ws[-1], kmax, tol)
+    if n == 0:
+        return [1.0 + 0.0j for _ in ws]
     idx = kmax + (np.arange(n)[:, None] - np.arange(n)[None, :])
     mats = np.empty((len(ws), n, n), dtype=complex)
     for mat, w, got in zip(mats, ws, _recurrence_tables(p, ws, kmax, tol)):
@@ -987,15 +993,15 @@ def toeplitz_an(p: SSEParams, t: complex, tol: float = 1e-12) -> complex:
 _VDM_FORM = np.array([[0.0, 0.0, 2.0], [0.0, -2.0, 0.0], [2.0, 0.0, -2.0]])
 
 
-def _oracle_rule(p: SSEParams, t: complex, level: int):
-    """Nodes and weights of the direct oracle's rule on the circle.
+def _oracle_rule(p: SSEParams, phi_r: float, level: int):
+    """Nodes and weights of the direct oracle's rule on the circle, at
+    the real phase phi_r of a checked WeightSpec.
 
     Tanh-sinh at the given level on each panel of _arc_panels, with the
     real-modulus weight and the factor 1/2 pi folded into the weights and
     the subtracted arc scaled by 1 - xi*. Returns (theta, u); u is real
     when the weight is.
     """
-    phi_r = WeightSpec(p=p, t=t).phase().real
     jump = 1.0 - p.xi_star
     thetas, weights = [], []
     for a, b, wrapped in _arc_panels(phi_r + 0j):
@@ -1057,19 +1063,20 @@ def quad_oracle_an(p: SSEParams, t: complex) -> complex:
     relative before a value is accepted; one escalation is tried, then
     QuadratureError. Kept independent of the Fourier machinery: no
     complex legs, no continued weight, no Toeplitz determinant, just the
-    real-modulus integrand.
+    real-modulus integrand. t is checked as a WeightSpec at every N, and
+    a t off the circle, with a complex phase, is refused.
     """
-    tt = complex(t)
-    if abs(abs(tt) - 1.0) > 1e-12:
+    phi = WeightSpec(p=p, t=t).phase()
+    if phi.imag != 0.0:
         raise ValueError("direct oracle is defined on the unit circle only")
-    n = int(p.N)
-    if n < 0 or n > 3:
+    n = p.N
+    if n > 3:
         raise ValueError("direct oracle handles N in 0..3")
     if n == 0:
         return 1.0 + 0.0j
 
     def value(level):
-        return _vandermonde_sum(*_oracle_rule(p, tt, level), n)
+        return _vandermonde_sum(*_oracle_rule(p, phi.real, level), n)
 
     rtol = 1e-9
     v_low = value(5)

@@ -69,6 +69,7 @@ from .tau_series import BoundaryExpansion
 __all__ = [
     "TurningPointError",
     "StepSizeUnderflowError",
+    "StepLimitError",
     "OdeSeed",
     "SigmaTrajectory",
     "SigmaMap",
@@ -98,6 +99,16 @@ class StepSizeUnderflowError(RuntimeError):
     def __init__(self, t: complex):
         self.t = complex(t)
         super().__init__(f"step size underflow near t = {t}")
+
+
+class StepLimitError(RuntimeError):
+    """A leg took its bound of accepted steps before reaching its end."""
+
+    def __init__(self, t: complex, limit: int):
+        self.t = complex(t)
+        self.limit = limit
+        super().__init__(f"{limit} accepted steps on one leg, stopped at "
+                         f"t = {t}")
 
 
 def _sixth_form(theta: ThetaVI):
@@ -622,6 +633,11 @@ def _detour(t, b, dt, rest, ahead, depth, singularities) -> tuple:
 # quarter of it at tol 1e-13, and they never reach t*. A detour opened
 # while t* is still several steps away needs no such steps.
 _REACH = 8
+# Accepted steps one leg may take. Over the benchmark's workloads no
+# completed leg takes more than 137. A flow that creeps toward a pole of
+# sigma, each step a fixed small fraction of the distance left, would
+# otherwise run millions of steps before its step underflows.
+_LEG_STEPS = 10_000
 
 
 def integrate(params, seed: OdeSeed, path,
@@ -646,7 +662,9 @@ def integrate(params, seed: OdeSeed, path,
     unless the scaled residual is at or below tol (a nan residual is
     re-projected too). A step whose error estimate overflows or is nan is
     rejected and shrunk, so a flow that goes nan ends in
-    StepSizeUnderflowError.
+    StepSizeUnderflowError. A leg, a detour's included, takes at most
+    _LEG_STEPS = 10,000 accepted steps: one that has not reached its end
+    by then raises StepLimitError at the t it reached.
 
     Each step is one DOP853 step (_dop853): twelve stages, the 8th-order
     update, and Hairer's error measure |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100)
@@ -718,7 +736,10 @@ def integrate(params, seed: OdeSeed, path,
         dt = b - a
         s = 0.0
         h = min(1.0, proposed / abs(dt)) if proposed else 0.05
+        leg_steps = 0
         while s < 1.0:
+            if leg_steps == _LEG_STEPS:
+                raise StepLimitError(a + s * dt, _LEG_STEPS)
             last = h >= 1.0 - s
             if last:
                 h = 1.0 - s
@@ -752,6 +773,7 @@ def integrate(params, seed: OdeSeed, path,
             err = r5 * r5 / math.sqrt(den) if den else 0.0
             if err <= 1.0:
                 accepted += 1
+                leg_steps += 1
                 last_step = h * abs(dt)
                 min_step = min(min_step, last_step)
                 s = 1.0 if last else s + h

@@ -16,7 +16,7 @@ import pytest
 
 import taurmt
 import taurmt.rmt_numerics as rmt
-from taurmt import cli
+from taurmt import cli, sigma_ode
 from taurmt.cli import (COMMANDS, EXIT_BAD_PARAMS, EXIT_NONCONVERGED, EXIT_OK,
                         EXIT_VIOLATION, main)
 from taurmt.monodromy_v import limit_transition_ii, sse_pv_matrices
@@ -263,6 +263,13 @@ def test_real_path_t_outside_zero_one_is_a_parameter_error(grid, message,
 @pytest.mark.parametrize("argv,message", [
     # series and bulk meet the weight's own rule, as toeplitz does
     (["series", "--grid-start=-0.5", "--grid-count=1"], "not t = -0.5:"),
+    # N = 0 once printed det 1 here and exited 0
+    (["toeplitz", "--bigN=0", "--grid-path=real", "--grid-start=-0.5",
+      "--grid-count=1"], "off the unit circle t must lie in (0, 1), not "
+                         "t = -0.5:"),
+    (["toeplitz", "--bigN=0", "--oracle", "--grid-start=0",
+      "--grid-path=real", "--grid-count=1"],
+     "t must lie in the closed unit disc, not at 0"),
     (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--xi=1.7e308",
       "--grid-count=2"], "a part's share of it is "),
     (["asymptotics", "--xi=0.5+0.1i"], "xi must lie in (0, 1], got "
@@ -1022,6 +1029,35 @@ def test_bulk_failing_grid_exit_codes(argv, code, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+
+
+def test_gap_point_flow_stops_at_its_step_bound(monkeypatch, capsys):
+    # at xi* = 2 the bulk flow creeps toward the pole of sigma near
+    # t = -3.394i, each step a small fraction of the distance left; it once
+    # ran 154 s before its step underflowed. A leg's accepted steps are the
+    # distinct s its trial steps start from
+    starts = {}
+    make = sigma_ode._dop853
+
+    def counted(third):
+        step = make(third)
+
+        def wrapped(a, dt, s, *rest):
+            starts.setdefault(a, set()).add(s)
+            return step(a, dt, s, *rest)
+
+        return wrapped
+
+    monkeypatch.setattr(sigma_ode, "_dop853", counted)
+    code = main(["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--xi=2",
+                 "--grid-start=0.1", "--grid-end=3", "--grid-count=6"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NONCONVERGED
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"nonconvergence: {sigma_ode._LEG_STEPS} accepted steps on one leg, "
+        f"stopped at t = ")
+    assert max(len(s) for s in starts.values()) == sigma_ode._LEG_STEPS
 
 
 def test_stokes_constraint_checks_the_printed_multipliers(monkeypatch, capsys):

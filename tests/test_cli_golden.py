@@ -3,8 +3,10 @@
 golden/cli_*.out (and .csv) hold the stdout of every command at its
 defaults, of monodromy-check on both branches (SSE and generic theta), of
 bulk at the sine-kernel gap point and at a complex weight, and of one CSV
-table. Every number is written through
-repr, so any change in the arithmetic behind a command shows here.
+table; golden/ode_bulk.out that of ode on its bulk family. Every number is
+written through repr, so any change in the arithmetic behind a command
+shows here. With the trajectory file of test_sigma_ode_golden.py, these
+are every file under golden/.
 
 Regenerate only for a deliberate numerical change, and say so in CHANGES.md:
 
@@ -13,6 +15,7 @@ Regenerate only for a deliberate numerical change, and say so in CHANGES.md:
 
 import contextlib
 import io
+import json
 import pathlib
 
 import pytest
@@ -29,6 +32,7 @@ CASES = {
         ["monodromy-check", *GENERIC_THETA], cli.EXIT_OK),
     "cli_series.out": (["series"], cli.EXIT_OK),
     "cli_ode.out": (["ode"], cli.EXIT_OK),
+    "ode_bulk.out": (["ode", "--family", "bulk"], cli.EXIT_OK),
     "cli_toeplitz.out": (["toeplitz"], cli.EXIT_OK),
     "cli_fredholm.out": (["fredholm"], cli.EXIT_OK),
     "cli_bulk.out": (["bulk"], cli.EXIT_OK),
@@ -51,18 +55,36 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def write_golden():
-    GOLDEN.mkdir(exist_ok=True)
+def write_golden(directory: pathlib.Path = GOLDEN):
+    directory.mkdir(exist_ok=True)
     for fname, (argv, want) in CASES.items():
         code, text = _run(argv)
         assert code == want, (fname, code)
-        (GOLDEN / fname).write_text(text)
+        (directory / fname).write_text(text)
 
 
 @pytest.mark.parametrize("fname", sorted(CASES))
 def test_cli_stdout_is_byte_identical(fname):
     argv, want = CASES[fname]
     assert _run(argv) == (want, (GOLDEN / fname).read_text())
+
+
+def test_ode_on_the_sixth_family_echoes_it():
+    # --family=vi is ode's default flow: the same JSON, plus the echoed key
+    want = json.loads((GOLDEN / "cli_ode.out").read_text())
+    want["params"]["family"] = "vi"
+    assert json.loads(_run(["ode", "--family=vi"])[1]) == want
+
+
+def test_regeneration_reproduces_the_goldens(tmp_path):
+    # nothing numerical changed, so regenerating rewrites no byte
+    write_golden(tmp_path)
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert sorted(written + ["sigma_ode_trajectories.json"]) == sorted(
+        f.name for f in GOLDEN.iterdir())
+    for fname in written:
+        assert (tmp_path / fname).read_bytes() \
+            == (GOLDEN / fname).read_bytes(), fname
 
 
 if __name__ == "__main__":

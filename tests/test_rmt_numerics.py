@@ -43,6 +43,7 @@ from taurmt.rmt_numerics import (
     _quadrature_tables,
     _recurrence_table,
     _sine_kernel_blocks,
+    _table_parts,
     _ts_full_rule,
     _ts_new_nodes,
     _vandermonde_sum,
@@ -189,9 +190,12 @@ def _lone(f):
 
 
 def _integrate_one(f, tol):
-    """_integrate_rows on the single integrand f(d0, d1) -> (nodes, K)."""
+    """_integrate_rows on the single integrand f(d0, d1) -> (nodes, K):
+    its (values, error), or its QuadratureError raised."""
     (row,) = _integrate_rows(lambda rows, d0, d1: f(d0, d1)[None], [tol])
-    return row()
+    if isinstance(row, QuadratureError):
+        raise row
+    return row
 
 
 def weight_eval(w: WeightSpec, theta: float) -> complex:
@@ -392,14 +396,16 @@ class TestTanhSinhRule:
 
     @pytest.mark.parametrize("a,calls,ref_calls", [
         (-0.9, [193], 6),                                   # level 4
-        (-0.955, [193, 192, 384, 768, 2], 9),               # level 7
+        (-0.955, [193, 192, 384, 768], 9),                  # level 7
         (-0.96, [193, 192, 384, 768, 1536, 3072, 6144,
                  _CHUNK_ROWS, 12288 - _CHUNK_ROWS], 13),    # stalls
     ])
     def test_levels_0_to_4_take_one_call(self, a, calls, ref_calls):
         # d0^a at tol 1e-12: levels 0-4 are 13 + 12 + 24 + 48 + 96 = 193
-        # nodes, sampled in one call; the level-by-level rule makes
-        # ref_calls calls for the same answer
+        # nodes, sampled in one call, and the edge is read from the
+        # samples of the level that converged; the level-by-level rule
+        # makes ref_calls calls, its 2-node edge call included, for the
+        # same answer
         f, sizes = _counted(_power_integrand(a))
         ref, ref_sizes = _counted(_power_integrand(a))
         got = _outcome(_integrate_one, f, 1e-12)
@@ -901,7 +907,7 @@ def test_rounding_allowance_covers_a_40_digit_march(path):
         w = WeightSpec(_random_weight(rng), t)
         kmax = int(rng.integers(2, 64))
         coeffs = rmt._recurrence_steps(w, kmax)
-        seeds, _ = _quadrature_tables(w.p, [w.phase()], 1, 1e-10)[0]()
+        seeds, _ = _quadrature_tables(w.p, [w.phase()], 1, 1e-10)[0]
         (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
                                                      kmax)
         factors = rmt._step_factors([coeffs], kmax)
@@ -1059,26 +1065,33 @@ def _per_panel_quadrature_table(p, phi, kmax, tol):
 
 
 def _table_outcome(table):
-    """A table's bytes and error estimate, or its QuadratureError's text."""
-    try:
-        vals, err = table()
-    except QuadratureError as exc:
-        return str(exc)
+    """A table's bytes and error estimate, or its QuadratureError's text:
+    table is a finished table of _quadrature_tables, or a callable that
+    returns one or raises."""
+    if callable(table):
+        try:
+            table = table()
+        except QuadratureError as exc:
+            table = exc
+    if isinstance(table, QuadratureError):
+        return str(table)
+    vals, err = table
     return vals.tobytes(), err
 
 
-def _spy_refine(monkeypatch):
-    """Count the rows that refine past level 4 from now on."""
-    calls = []
-    finish = rmt._finish
+def _levels_asked(monkeypatch):
+    """The tanh-sinh levels past the head asked of _ts_new_nodes from now
+    on, one entry per level of each lockstep that refines."""
+    asked = []
+    new_nodes = rmt._ts_new_nodes
 
-    def counted(f, row, total, cur, err, edge, tol):
-        if not err <= tol:
-            calls.append(row)
-        return finish(f, row, total, cur, err, edge, tol)
+    def counted(level):
+        if level > rmt._TS_MIN_LEVEL:
+            asked.append(level)
+        return new_nodes(level)
 
-    monkeypatch.setattr(rmt, "_finish", counted)
-    return calls
+    monkeypatch.setattr(rmt, "_ts_new_nodes", counted)
+    return asked
 
 
 # 2 mu = -0.96 decays too slowly for the node range: at tol 1e-12 the
@@ -1117,7 +1130,7 @@ def _three_part_table(p, phi, kmax, tol):
     total = np.zeros(ks.shape, dtype=complex)
     for scale, f in parts:
         (row,) = _integrate_rows(f, [tol / len(parts) / max(abs(scale), 1e-3)])
-        total = total + scale * row()[0]
+        total = total + scale * row[0]
     return total
 
 
@@ -1142,7 +1155,7 @@ class TestRowBatchedQuadrature:
                                         {"omega1": -0.26}])
     def test_wrapped_panel_is_the_subtracted_arc(self, change, xi, phi):
         p = replace(P_STD, xi_star=xi, **change)
-        got, _ = _quadrature_tables(p, [complex(phi)], 63, 1e-12)[0]()
+        got, _ = _quadrature_tables(p, [complex(phi)], 63, 1e-12)[0]
         want = _three_part_table(p, phi, 63, 1e-12)
         assert (np.max(np.abs(got - want))
                 <= 1e-14 * max(1.0, np.max(np.abs(want))))
@@ -1162,22 +1175,60 @@ class TestRowBatchedQuadrature:
     def test_cases_refine_and_refuse(self, monkeypatch):
         # the batch above holds rows that go past level 4 and rows whose
         # endpoint decay is refused
-        calls = _spy_refine(monkeypatch)
-        for table in _quadrature_tables(P_TWO_SINGULAR, BATCH_PHIS, 24,
-                                        1e-13):
-            _table_outcome(table)
-        assert calls
+        levels = _levels_asked(monkeypatch)
+        _quadrature_tables(P_TWO_SINGULAR, BATCH_PHIS, 24, 1e-13)
+        assert levels
         refused = [_table_outcome(table) for table
                    in _quadrature_tables(P_SLOW_DECAY, BATCH_PHIS, 1, 1e-12)]
         assert any("endpoint decay" in str(r) for r in refused)
 
-    @DIVERGENT_SAMPLES
-    def test_unsettled_rows_refine_only_when_asked(self, monkeypatch):
-        calls = _spy_refine(monkeypatch)
-        tables = _quadrature_tables(P_TWO_SINGULAR, BATCH_PHIS, 24, 1e-13)
-        assert calls == []
-        _table_outcome(tables[0])
-        assert calls and calls == sorted(calls)
+    def test_rows_refined_together_equal_rows_refined_alone(self,
+                                                            monkeypatch):
+        # batches of 1-40 rows of one integrand kind (split circle panels,
+        # other arc panels, legs) at random weights, phases, orders and
+        # tolerances, 2 mu near -1 so that rows climb: every row of the
+        # lockstep is the row integrated alone, bit for bit, its values and
+        # error or its error text. The rows end at every level from 4 to
+        # 11, and a row at level 11 takes its new nodes in two calls
+        rng = np.random.default_rng(3)
+        levels = _levels_asked(monkeypatch)
+        calls, ends = [], set()
+
+        def spied(f):
+            def g(rows, d0, d1):
+                calls.append((len(rows), len(d0)))
+                return f(rows, d0, d1)
+            return g
+
+        for trial in range(36):
+            kind = trial % 3
+            make = _leg_integrand if kind == 2 else _arc_integrand
+            p = SSEParams(N=1, mu=complex(rng.uniform(-0.49, -0.3),
+                                          rng.uniform(-0.3, 0.3)),
+                          omega1=rng.uniform(-0.49, 1.0),
+                          omega2=complex(rng.uniform(-1.0, 1.0),
+                                         rng.uniform(-0.3, 0.3)),
+                          xi_star=rng.uniform(0.0, 1.0))
+            size, rows = int(rng.integers(1, 41)), []
+            while len(rows) < size:
+                t = (cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
+                     if kind == 0 else rng.uniform(0.02, 0.999))
+                phi = WeightSpec(p, t).phase()
+                rows += [row for _, k, row, _ in _table_parts(phi, p.xi_star,
+                                                              1.0)
+                         if k == kind]
+            rows = rows[:size]
+            tols = list(10.0 ** rng.uniform(-14, -6, size))
+            kmax = int(rng.integers(1, 30))
+            ks = np.arange(-kmax, kmax + 1, dtype=float)
+            batch = _integrate_rows(spied(make(p, rows, ks)), tols)
+            for row, tol, got in zip(rows, tols, batch):
+                levels.clear()
+                (alone,) = _integrate_rows(make(p, [row], ks), [tol])
+                ends.add(max(levels, default=4))
+                assert _table_outcome(got) == _table_outcome(alone)
+        assert ends == set(range(4, 12))
+        assert (1, _CHUNK_ROWS) in calls and (1, 12288 - _CHUNK_ROWS) in calls
 
     def test_integrand_calls_stay_within_the_chunk(self, monkeypatch):
         sizes = []
@@ -1205,69 +1256,30 @@ class TestRowBatchedQuadrature:
         assert (_CHUNK_ROWS // head) * head in sizes
 
 
-def _climbing_finish(f, row, total, cur, err, edge, tol, floors=None):
-    """_finish without the rounding floor: every row that has not converged
-    climbs to _TS_MAX_LEVEL before it stalls. floors, if given, collects
-    the largest eps max|c| / tol that a row which converges read at a
-    level short of tol (0 for a row done at the head)."""
-    rows = slice(row, row + 1)
-    level = rmt._TS_MIN_LEVEL
-    floor = 0.0
-    while not err <= tol:
-        floor = max(floor, rmt._EPS * float(np.max(np.abs(cur))) / tol)
-        if level == rmt._TS_MAX_LEVEL:
-            raise QuadratureError("tanh-sinh refinement stalled", err, tol)
-        level += 1
-        d0, d1, w = rmt._ts_new_nodes(level)
-        part = None
-        for lo in range(0, len(w), _CHUNK_ROWS):
-            sl = slice(lo, lo + _CHUNK_ROWS)
-            block = w[sl] @ f(rows, d0[sl], d1[sl])[0]
-            part = block if part is None else part + block
-        total = total + part
-        prev, cur = cur, (0.5 ** level) * total
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= tol:
-            ends = [0, -1]
-            edge = float(np.max(np.abs(
-                w[ends, None] * f(rows, d0[ends], d1[ends])[0])))
-    if edge > 1e3 * tol:
-        raise QuadratureError("endpoint decay too slow for the node range",
-                              edge, tol)
-    if floors is not None:
-        floors.append(floor)
-    return cur, err
+def _levels_of_failing_calls(monkeypatch):
+    """Run _integrate_rows as before, and list, for every call of it that
+    hands back a failing row, the tanh-sinh levels past the head that its
+    lockstep asked of _ts_new_nodes."""
+    levels = _levels_asked(monkeypatch)
+    failing = []
+    integrate = rmt._integrate_rows
 
+    def counted(f, tols):
+        levels.clear()
+        rows = integrate(f, tols)
+        if any(isinstance(row, QuadratureError) for row in rows):
+            failing.append(list(levels))
+        return rows
 
-def _levels_of_failing_rows(monkeypatch, finish):
-    """Run _finish as finish, and list, for every row that raises, the
-    tanh-sinh levels it asked of _ts_new_nodes."""
-    asked, failing = [], []
-    new_nodes = rmt._ts_new_nodes
-
-    def counted_nodes(level):
-        asked.append(level)
-        return new_nodes(level)
-
-    def counted_finish(*args):
-        asked.clear()
-        try:
-            return finish(*args)
-        except QuadratureError:
-            failing.append(list(asked))
-            raise
-
-    monkeypatch.setattr(rmt, "_ts_new_nodes", counted_nodes)
-    monkeypatch.setattr(rmt, "_finish", counted_finish)
+    monkeypatch.setattr(rmt, "_integrate_rows", counted)
     return failing
 
 
 def _floor_outcome(table):
     """A table's bytes and error estimate, or its QuadratureError."""
-    try:
-        vals, err = table()
-    except QuadratureError as exc:
-        return exc
+    if isinstance(table, QuadratureError):
+        return table
+    vals, err = table
     return vals.tobytes(), err
 
 
@@ -1283,7 +1295,7 @@ class TestRoundingFloor:
     its own largest value stalls where it stands."""
 
     def test_doomed_row_stalls_at_the_head(self, monkeypatch):
-        failing = _levels_of_failing_rows(monkeypatch, rmt._finish)
+        failing = _levels_of_failing_calls(monkeypatch)
         with pytest.raises(QuadratureError) as exc:
             toeplitz_an(P_FLOOR, T_FLOOR)
         assert str(exc.value).startswith("tanh-sinh refinement stalled")
@@ -1292,7 +1304,8 @@ class TestRoundingFloor:
 
     def test_without_the_floor_the_row_climbs_to_the_last_level(
             self, monkeypatch):
-        failing = _levels_of_failing_rows(monkeypatch, _climbing_finish)
+        monkeypatch.setattr(rmt, "_ROUNDOFF_MARGIN", math.inf)
+        failing = _levels_of_failing_calls(monkeypatch)
         with pytest.raises(QuadratureError) as exc:
             toeplitz_an(P_FLOOR, T_FLOOR)
         assert str(exc.value) == ("tanh-sinh refinement stalled: achieved "
@@ -1306,10 +1319,10 @@ class TestRoundingFloor:
         # the climb without the floor converges, the table is the same
         # bits, and where it fails, the floor fails too. Every row that
         # converges reads its floor well inside the margin (the worst,
-        # 6.4, at tol 1e-13)
+        # 6.4, at tol 1e-13), so at half the margin it still converges
         rng = np.random.default_rng(5)
         seen = set()
-        floors = []
+        margins = (math.inf, rmt._ROUNDOFF_MARGIN, rmt._ROUNDOFF_MARGIN / 2)
         for _ in range(30):
             p = _random_weight(rng)
             ts = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01)),
@@ -1317,25 +1330,24 @@ class TestRoundingFloor:
             kmax = int(rng.integers(1, 48))
             phis = [WeightSpec(p, t).phase() for t in ts]
             outcomes = []
-            for finish in (partial(_climbing_finish, floors=floors),
-                           rmt._finish):
+            for margin in margins:
                 with monkeypatch.context() as patch:
-                    patch.setattr(rmt, "_finish", finish)
+                    patch.setattr(rmt, "_ROUNDOFF_MARGIN", margin)
                     outcomes.append([_floor_outcome(table) for table
                                      in _quadrature_tables(p, phis, kmax,
                                                            tol)])
-            for path, old, new in zip("cr", *outcomes):
+            for path, old, new, half in zip("cr", *outcomes):
                 if isinstance(old, QuadratureError):
                     assert isinstance(new, QuadratureError)
+                    assert isinstance(half, QuadratureError)
                     assert new.target == old.target
                     seen.add((path, "refused"))
                 else:
-                    assert new == old
+                    assert new == old and half == old
                     seen.add((path, "converged"))
         assert seen == {(path, kind) for path in "cr"
                         for kind in ("converged", "refused")} - {
             ("c", "refused")}
-        assert max(floors) < rmt._ROUNDOFF_MARGIN / 2
 
 
 def test_leg_at_a_vanishing_phase_keeps_the_circle_value():
@@ -1498,26 +1510,30 @@ class TestToeplitzGrid:
               cmath.exp(1e-13j)]
         assert _grid_matches_points(replace(P_STD, N=4), ts) is None
 
+    # N = 0 once returned 1 at every point, these included
+    @pytest.mark.parametrize("n", [0, 12])
     @pytest.mark.parametrize("ts,match", [
         ([0.6, T_STD, -0.5, 0.9], "not t = -0.5:"),
-        # after a point whose quadrature stalls
+        # after a point whose quadrature stalls at N = 12
         ([0.6, 0.2, 1.5], "closed unit disc"),
         ([0.6, 0.05, 1e-300], "too close to 0"),
+        ([0.6, math.nan], "not t = nan:"),
+        ([0.6, 0.0], "closed unit disc"),
     ])
-    def test_refused_point_raises_before_any_table(self, ts, match,
+    def test_refused_point_raises_before_any_table(self, ts, match, n,
                                                    monkeypatch):
         # every table, seeds and full passes alike, comes from
         # _quadrature_tables
         monkeypatch.setattr(rmt, "_quadrature_tables", _never)
         with pytest.raises(ValueError, match=match):
-            toeplitz_grid(replace(P_STD, N=12), ts)
+            toeplitz_grid(replace(P_STD, N=n), ts)
 
     def test_row_past_level_four(self, monkeypatch):
-        calls = _spy_refine(monkeypatch)
+        levels = _levels_asked(monkeypatch)
         p = replace(P_TWO_SINGULAR, N=8)
         ts = [cmath.exp(1j * g) for g in (PHI_TWO_SINGULAR, 0.5, 3.0)]
         assert _grid_matches_points(p, ts) is None
-        assert calls
+        assert levels
 
     def test_endpoint_decay_refusal(self):
         exc = _grid_matches_points(P_SLOW_DECAY, [T_STD, cmath.exp(1j)])
@@ -1545,9 +1561,9 @@ class TestToeplitzGrid:
             with pytest.raises(ValueError, match="too close to 0"):
                 toeplitz_grid(replace(P_STD, N=8), [0.5, 1e-300])
 
-    def test_dimension_zero_reads_no_point(self):
-        got = toeplitz_grid(replace(P_STD, N=0), [0.0, T_STD])
-        assert got == [1.0 + 0.0j, 1.0 + 0.0j]
+    def test_dimension_zero_is_one_at_every_point(self):
+        got = toeplitz_grid(replace(P_STD, N=0), [0.5, T_STD, 1.0])
+        assert got == [1.0 + 0.0j] * 3
 
     def test_empty_grid(self):
         assert toeplitz_grid(P_STD, []) == []
@@ -1608,9 +1624,16 @@ class TestDirectOracle:
         got = quad_oracle_an(p, T_STD)
         assert abs(got - SINGULAR_C0) <= 5e-11 * abs(SINGULAR_C0)
 
-    def test_rejects_off_circle(self):
-        with pytest.raises(ValueError):
-            quad_oracle_an(P_STD, 0.9 * T_STD)
+    # N = 0 once returned 1 before any check of t
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("t,match", [
+        (0.9 * T_STD, "off the unit circle"),
+        (math.nan, "off the unit circle"),
+        (0.5, "direct oracle is defined on the unit circle only"),
+    ])
+    def test_rejects_off_circle(self, t, match, n):
+        with pytest.raises(ValueError, match=match):
+            quad_oracle_an(replace(P_STD, N=n), t)
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
@@ -1710,7 +1733,7 @@ class TestVandermondeSum:
         # oracle converges at level 6 (levels 5 and 6 agree)
         p = SSEParams(N=3, mu=-0.3, omega1=0.5, omega2=0.0, xi_star=1.0)
         t = cmath.exp(6.1j)
-        theta, u = _oracle_rule(p, t, 6)
+        theta, u = _oracle_rule(p, WeightSpec(p, t).phase().real, 6)
         got = _vandermonde_sum(theta, u, 3)
         assert quad_oracle_an(p, t) == got
         live = u != 0.0  # zero weights add exact zeros to the literal sum

@@ -1,12 +1,13 @@
-"""Bit-exact regression of the sigma-form integrator and the ode CLI.
+"""Bit-exact regression of the sigma-form integrator.
 
 golden/sigma_ode_trajectories.json holds four integrate trajectories (the
 sixth form on a real path, the fifth form, the bulk form through two
-waypoints, and the bulk form on an imaginary-axis leg) and golden/*.out
-the stdout of `taurmt ode --family vi|bulk` at their defaults, all written
-with float.hex or repr. Every sum of the stepping loop keeps a fixed order,
-so the output must match bit for bit, signs of zero included. Seeds are
-stored with the trajectories, so only integrate is under test there.
+waypoints, and the bulk form on an imaginary-axis leg), written with
+float.hex. Every sum of the stepping loop keeps a fixed order, so the
+output must match bit for bit, signs of zero included. Seeds are stored
+with the trajectories, so only integrate is under test there. The stdout
+of `taurmt ode` on both families is pinned with the other commands' in
+test_cli_golden.py.
 
 Regenerate only for a deliberate numerical change, and say so in CHANGES.md:
 
@@ -19,8 +20,6 @@ differences between hosts. To re-derive a stored seed, delete its case
 from the file first.
 """
 
-import contextlib
-import io
 import json
 import math
 import pathlib
@@ -47,8 +46,6 @@ from taurmt.tau_series import bulk_series
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 TRAJECTORIES = GOLDEN / "sigma_ode_trajectories.json"
-CLI_CASES = {"ode_vi.out": ["ode", "--family", "vi"],
-             "ode_bulk.out": ["ode", "--family", "bulk"]}
 
 THETA6 = ThetaVI(0.3, 0.4, 0.5, 0.6)
 THETA5 = ThetaV(0.3, 0.5, 0.7)
@@ -108,18 +105,10 @@ def _record_trajectory(traj) -> dict:
             "residuals": [r.hex() for r in traj.residuals]}
 
 
-def _cli_stdout(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    assert code == cli.EXIT_OK
-    return out.getvalue()
-
-
 def write_golden(directory: pathlib.Path = GOLDEN):
-    """Write the trajectory file and the ode stdout files into directory,
-    taking each case's seed from the stored trajectory file where it is
-    there and deriving it otherwise."""
+    """Write the trajectory file into directory, taking each case's seed
+    from the stored trajectory file where it is there and deriving it
+    otherwise."""
     stored = (json.loads(TRAJECTORIES.read_text())
               if TRAJECTORIES.exists() else {})
     directory.mkdir(exist_ok=True)
@@ -132,8 +121,6 @@ def write_golden(directory: pathlib.Path = GOLDEN):
         }
     (directory / TRAJECTORIES.name).write_text(json.dumps(data, indent=1)
                                                + "\n")
-    for fname, argv in CLI_CASES.items():
-        (directory / fname).write_text(_cli_stdout(argv))
 
 
 @pytest.mark.parametrize("name", sorted(_cases()))
@@ -167,19 +154,12 @@ def test_imaginary_leg_seed_is_its_derivation():
         assert abs(g - w) <= 1e-12 * abs(w), field
 
 
-@pytest.mark.parametrize("fname", sorted(CLI_CASES))
-def test_cli_stdout_is_bit_identical(fname):
-    assert _cli_stdout(CLI_CASES[fname]) == (GOLDEN / fname).read_text()
-
-
 def test_regeneration_reproduces_the_goldens(tmp_path):
     # nothing numerical changed, so regenerating rewrites no byte
     write_golden(tmp_path)
-    written = sorted(f.name for f in tmp_path.iterdir())
-    assert written == sorted([TRAJECTORIES.name, *CLI_CASES])
-    for fname in written:
-        assert (tmp_path / fname).read_bytes() \
-            == (GOLDEN / fname).read_bytes(), fname
+    assert [f.name for f in tmp_path.iterdir()] == [TRAJECTORIES.name]
+    assert (tmp_path / TRAJECTORIES.name).read_bytes() \
+        == TRAJECTORIES.read_bytes()
 
 
 def _random_states(rng, count):
