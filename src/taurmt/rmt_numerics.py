@@ -111,17 +111,20 @@ column. Per regime:
     would carry past tol comes from quadrature (near t = 1 most recur,
     t = 0.3 at kmax = 31 does not).
 
-Tables with kmax <= 1 are the quadrature's own. Three-term recurrences and
-the stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
+A table with kmax <= 1 is its seed pass's own: the same batched pass,
+made at kmax, with nothing to march. Three-term recurrences and the
+stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 
 Over a grid of t (toeplitz_grid) the work is split in four: the table's
 float range at every t, so that a t near 0 never reaches a quadrature;
 one batched pass for the seeds of every t (_quadrature_tables at
-kmax = 1), whose rows come back finished, and where a seed that stalls
-refuses only its own t; one lockstep march of every t in both directions
-(_march_rows), then t by t the refusal, or the t's own full quadrature
-pass, in grid order; one determinant call on the grid's stacked
-matrices. The march's factors come from one vectorized prelude, a step
+min(kmax, 1)), whose rows come back finished, and where a seed that
+stalls refuses only its own t; for kmax >= 2 one lockstep march of every
+t in both directions (_march_rows), then t by t the refusal, or the t's
+own full quadrature pass, in grid order; one determinant call on the
+grid's stacked matrices. Below kmax = 2 the seed pass is the whole table
+of every t, and a t whose pass failed raises its QuadratureError in grid
+order. The march's factors come from one vectorized prelude, a step
 is one multiply and one add over every row, and the scale and
 amplification are reductions after the loop. Numpy's elementwise results
 do not depend on the array's length, so a row's bits do not depend on
@@ -191,18 +194,17 @@ over the (t, node) array give the generators of every block
 (_sine_kernel_blocks), and the pivoted Cholesky runs in lockstep over
 the blocks of one order (_pivoted_cholesky): both parities of every t
 for even m, one lockstep per parity for odd m, whose even blocks hold
-the centre node, up to _LOCKSTEP_ENTRIES entries (blocks times order)
-to a lockstep. A step is one argmax, one column generation and one
+the centre node. A step is one argmax, one column generation and one
 residual update over the stacked blocks still active, in place of one
 Python loop per block; a block leaves the stack when it stops, and its
 rows are sized by the running rank. Every value is bit for bit that of
 the block factored alone, and a single t is the one-point case. Over 10
-t per call (2-core x86_64, one BLAS thread, medians of alternating
-runs), the grid takes 0.35, 0.45-0.5 and 0.55-0.6 of the time of a loop
-of one-t calls at m = 80, 300 and 600, and its log-derivatives 0.45,
-0.55 and 0.6-0.65. A lone t gains nothing: it takes 1.05-1.3 times as
-long as before at even m, and 1.5-1.6 times at odd m, whose two blocks
-have different orders, so that each lockstep holds one block.
+t per call at xi = 1 (2-core x86_64, one BLAS thread, best of 15 runs),
+the grid takes 0.31, 0.36 and 0.46 of the time of a loop of one-t calls
+at m = 80, 300 and 600, and its log-derivatives 0.4, 0.42 and 0.52. A
+lone t gains nothing: it takes 1.05-1.3 times as long as before at even
+m, and 1.5-1.6 times at odd m, whose two blocks have different orders,
+so that each lockstep holds one block.
 
 The rule resolves the kernel only while |t| <= m/2, and every entry
 point refuses a larger half-width: at xi = 0.5, |E(m) - E(2m)| / E stays
@@ -255,11 +257,6 @@ _SQRT_EPS = math.sqrt(_EPS)
 # j_{0,k}, k = 1, 2, 3: McMahon's series is too short for the first zeros
 _BESSEL_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013)
 _TINY = float(np.finfo(float).tiny)
-# Blocks times order in one lockstep of the pivoted Cholesky: 8 blocks at
-# m = 600, 60 at m = 80. A whole 10-point grid at m = 600 in one lockstep
-# raised gap_sine's peak memory by 0.2-0.4 MB over the block-by-block
-# factor and ran no faster (2-core x86_64, one BLAS thread).
-_LOCKSTEP_ENTRIES = 2400
 _LOG_MAX = math.log(float(np.finfo(float).max))
 
 
@@ -832,9 +829,9 @@ def _march_rows(seeds, coeffs, kmax: int):
             np.fmax(amp[:rows], amp[rows:]))
 
 
-def _recurrence_steps(w: WeightSpec, kmax: int):
+def _recurrence_steps(w: WeightSpec):
     """Coefficients (t, 1 + t, a0, a1, a2) of the weight's three-term
-    recurrence, or None where it does not hold.
+    recurrence.
 
     The k-th Fourier coefficient of z(1 + z)(1 + tz) w' = (a0 + a1 z +
     a2 z^2) w gives, for every k,
@@ -845,11 +842,8 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
     the end terms of the integration by parts vanish where the exponents
     allow, and analytic continuation in the exponents covers the rest.
     k >= 2 follow forward and k <= -2 backward from c_{-1}, c_0 and c_1
-    (_march_rows). None for kmax < 2; a leading coefficient that vanishes
-    stops the march instead.
+    (_march_rows); a leading coefficient that vanishes stops the march.
     """
-    if kmax < 2:
-        return None
     # on the circle t is rebuilt from the snapped phase, so that it names
     # the weight the quadrature integrates
     t = cmath.exp(1j * w.phase())
@@ -863,31 +857,35 @@ def _recurrence_steps(w: WeightSpec, kmax: int):
 
 def _recurrence_tables(p: SSEParams, ws, kmax: int, tol: float) -> list:
     """(c_{-kmax..kmax}, error estimate) of each weight of p in ws from three
-    quadrature seeds, or None where the recurrence cannot meet tol.
+    quadrature seeds: None where the recurrence cannot meet tol, and the
+    seed pass's QuadratureError where a table with kmax <= 1 failed.
 
     One batched pass makes the seeds of every weight at tol, each table
-    finished or refused (_quadrature_tables), and one lockstep march
-    (_march_rows) carries them out to |k| = kmax. The error estimate is
-    the seed error times the amplification the march measures, plus 4 eps
-    times it times the summed magnitudes each step rounds at. Against a
-    40-digit run of the same steps from the same seeds, the rounding of 80
-    random tables on the circle and near t = 1 stayed below 0.29 eps
-    times that product (0.31 over 500 tables).
-    None for kmax < 2, where a weight's seeds stall (its full pass then
+    finished or refused (_quadrature_tables at min(kmax, 1)). For
+    kmax <= 1 that pass is the table: each weight's result is its row of
+    the pass, (values, error) or its QuadratureError, bit for bit the
+    weight's pass on its own. For kmax >= 2 one lockstep march
+    (_march_rows) carries the seeds out to |k| = kmax. The error estimate
+    is the seed error times the amplification the march measures, plus
+    4 eps times it times the summed magnitudes each step rounds at.
+    Against a 40-digit run of the same steps from the same seeds, the
+    rounding of 80 random tables on the circle and near t = 1 stayed below
+    0.29 eps times that product (0.31 over 500 tables).
+    None, for kmax >= 2, where a weight's seeds stall (its full pass then
     reports it), where its row is stopped, or where the amplification
     times eps, or the estimate, exceeds tol.
     """
-    got = [None] * len(ws)
+    seeded = _quadrature_tables(p, [w.phase() for w in ws], min(kmax, 1), tol)
     if kmax < 2:
-        return got
-    rows = [(i, *seeds) for i, seeds in enumerate(
-        _quadrature_tables(p, [w.phase() for w in ws], 1, tol))
-        if not isinstance(seeds, QuadratureError)]
+        return seeded
+    got = [None] * len(ws)
+    rows = [(i, *seeds) for i, seeds in enumerate(seeded)
+            if not isinstance(seeds, QuadratureError)]
     if not rows:
         return got
     index, seeds, seed_errs = zip(*rows)
     tables, scale, amp = _march_rows(
-        seeds, [_recurrence_steps(ws[i], kmax) for i in index], kmax)
+        seeds, [_recurrence_steps(ws[i]) for i in index], kmax)
     errs = amp * (np.array(seed_errs) + 4.0 * _EPS * scale)
     for i, table, a, err in zip(index, tables, amp, errs):
         if a * _EPS <= tol and err <= tol:
@@ -924,9 +922,13 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     estimate is the seed error times the amplification plus a rounding
     allowance.
 
-    _prepared is toeplitz_grid's: the recurred table its lockstep made
-    for w, whose range it checked, or () where it refused the recurrence.
-    The table is the same bits either way.
+    Tables with kmax <= 1 are their seed pass's rows (_recurrence_tables)
+    and never take a second pass.
+
+    _prepared is toeplitz_grid's, for w, whose range it checked: what its
+    batched pass made, the recurred table or, at kmax <= 1, the seed
+    pass's table or QuadratureError, or () where it refused the
+    recurrence. The table, or the error, is the same bits either way.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -959,9 +961,10 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     The work is split as the recurrence notes describe: every t is
     checked (WeightSpec, _check_table_range), and the first t refused in
     grid order raises, before one batched pass makes the seeds of the
-    grid. N = 0 takes the same checks, at kmax = 0, before its 1. Every
-    value is the one toeplitz_an returns at its t, bit for bit, and a
-    failure while computing raises at the first t that fails.
+    grid, which at N <= 2 are its whole tables. N = 0 takes the same
+    checks, at kmax = 0, before its 1. Every value is the one toeplitz_an
+    returns at its t, bit for bit, and a failure while computing raises
+    at the first t that fails.
     """
     n = p.N
     if n > 64:
@@ -1376,9 +1379,8 @@ def _factor_grid(ts, m: int) -> list:
     """Per half-width of ts, the even and the odd block as
     (V, R, R R^T, eigenvalues of R R^T).
 
-    The blocks of every t (_sine_kernel_blocks) are factored in lockstep
-    (_pivoted_cholesky), A ~ R^T R, at most _LOCKSTEP_ENTRIES block
-    entries (blocks times order) to a lockstep, so that
+    The blocks of every t (_sine_kernel_blocks) are factored in one
+    lockstep per order (_pivoted_cholesky), A ~ R^T R, so that
     det(I - xi A) = prod (1 - xi lam_j) over the eigenvalues lam_j of the
     r x r Gram matrix R R^T by Sylvester's identity. The Gram matrices
     and their eigenvalues are one stacked product and one eigvalsh call
@@ -1388,16 +1390,11 @@ def _factor_grid(ts, m: int) -> list:
     count = len(ts)
     blocks = [None] * (2 * count)
     for offset, (gens, v) in zip((0, count), _sine_kernel_blocks(ts, m)):
-        size, n = gens.diag.shape
-        step = max(1, _LOCKSTEP_ENTRIES // n)
-        for lo in range(0, size, step):
-            part = gens.take(slice(lo, lo + step))
-            for index, stack in _pivoted_cholesky(part):
-                grams = stack @ stack.transpose(0, 2, 1)
-                eigs = np.linalg.eigvalsh(grams)
-                for k, rows, gram, eig in zip((index + lo).tolist(), stack,
-                                              grams, eigs):
-                    blocks[offset + k] = (v[k], rows, gram, eig)
+        for index, stack in _pivoted_cholesky(gens):
+            grams = stack @ stack.transpose(0, 2, 1)
+            eigs = np.linalg.eigvalsh(grams)
+            for k, rows, gram, eig in zip(index.tolist(), stack, grams, eigs):
+                blocks[offset + k] = (v[k], rows, gram, eig)
     return [(blocks[i], blocks[count + i]) for i in range(count)]
 
 

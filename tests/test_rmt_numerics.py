@@ -679,7 +679,7 @@ class TestThreeTermRecurrence:
             WeightSpec(p, t)
         with pytest.raises(ValueError, match="not holomorphic in t"):
             toeplitz_an(p, t)
-        assert rmt._recurrence_steps(WeightSpec(p, 0.7), 20) is not None
+        assert rmt._recurrence_steps(WeightSpec(p, 0.7)) is not None
 
     def test_vanishing_leading_coefficient_keeps_quadrature(self):
         # omega2 = 3i makes the weight e^{3i theta}: a0 = 3, so the row at
@@ -707,8 +707,7 @@ class TestThreeTermRecurrence:
                  if path == "circle" else rng.uniform(0.05, 0.999))
             w = WeightSpec(_random_weight(rng), t)
             kmax = int(rng.integers(2, 64))
-            coeffs = rmt._recurrence_steps(w, kmax)
-            assert coeffs is not None
+            coeffs = rmt._recurrence_steps(w)
             seeds = rng.normal(size=3) + 1j * rng.normal(size=3)
             (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
                                                          kmax)
@@ -736,8 +735,7 @@ class TestThreeTermRecurrence:
             ts = [cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
                   if rng.random() < 0.5 else rng.uniform(0.05, 0.999)
                   for _ in range(int(rng.integers(1, 31)))]
-            coeffs = [rmt._recurrence_steps(WeightSpec(p, t), kmax)
-                      for t in ts]
+            coeffs = [rmt._recurrence_steps(WeightSpec(p, t)) for t in ts]
             seeds = rng.normal(size=(len(ts), 3)) * np.exp(
                 1j * rng.uniform(0, 2 * math.pi, size=(len(ts), 3)))
             batch = rmt._march_rows(seeds, coeffs, kmax)
@@ -906,7 +904,7 @@ def test_rounding_allowance_covers_a_40_digit_march(path):
              if path == "circle" else rng.uniform(0.9, 0.999))
         w = WeightSpec(_random_weight(rng), t)
         kmax = int(rng.integers(2, 64))
-        coeffs = rmt._recurrence_steps(w, kmax)
+        coeffs = rmt._recurrence_steps(w)
         seeds, _ = _quadrature_tables(w.p, [w.phase()], 1, 1e-10)[0]
         (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
                                                      kmax)
@@ -1455,6 +1453,18 @@ def _never(*args, **kwargs):
     raise AssertionError("a grid with a refused point was computed")
 
 
+def _counted_quadrature_tables(monkeypatch):
+    """(phases, kmax) of every _quadrature_tables call from here on."""
+    calls, real = [], rmt._quadrature_tables
+
+    def counted(p, phis, kmax, tol):
+        calls.append((len(phis), kmax))
+        return real(p, phis, kmax, tol)
+
+    monkeypatch.setattr(rmt, "_quadrature_tables", counted)
+    return calls
+
+
 def _grid_matches_points(p, ts, tol=1e-12):
     """toeplitz_grid against toeplitz_an at each t, bit for bit. Where some
     t fail, the grid raises the first refusal (ValueError) in grid order,
@@ -1495,7 +1505,7 @@ class TestToeplitzGrid:
         # its amplification times eps alone past tol; 0.65 and 0.9 recur
         p = replace(P_STD, N=16)
         w = WeightSpec(p, 0.4)
-        coeffs = rmt._recurrence_steps(w, 15)
+        coeffs = rmt._recurrence_steps(w)
         amp = rmt._march_rows([[1j, 0j, 1j]], [coeffs], 15)[2][0]
         assert amp * rmt._EPS > 1e-12
         assert _recurrence_table(w, 15, 1e-12) is None
@@ -1510,8 +1520,40 @@ class TestToeplitzGrid:
               cmath.exp(1e-13j)]
         assert _grid_matches_points(replace(P_STD, N=4), ts) is None
 
-    # N = 0 once returned 1 at every point, these included
-    @pytest.mark.parametrize("n", [0, 12])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("path", ["circle", "real"])
+    def test_small_tables_take_one_pass_per_grid(self, n, path, monkeypatch):
+        # at N <= 2 the seed pass is every table of the grid: one batched
+        # call at kmax = N - 1, and no second pass for any t
+        ts = ([cmath.exp(1j * g) for g in np.linspace(0.2, 6.2, 9)]
+              if path == "circle" else [0.05, 0.3, 0.6, 0.9, 0.999])
+        p = replace(P_STD, N=n)
+        want = [_hex(toeplitz_an(p, t)) for t in ts]
+        calls = _counted_quadrature_tables(monkeypatch)
+        assert [_hex(v) for v in toeplitz_grid(p, ts)] == want
+        assert calls == [(len(ts), n - 1)]
+
+    def test_small_table_failure_raises_its_own_error(self, monkeypatch):
+        # at N = 2 the tables at 0.5 and T_STD both stall, each with its
+        # own achieved error; the grid's one pass raises the first in grid
+        # order, as the one-t call at 0.5 does
+        p = replace(P_SLOW_DECAY, N=2)
+        alone = []
+        for t in (0.5, T_STD):
+            with pytest.raises(QuadratureError) as exc:
+                toeplitz_an(p, t)
+            alone.append(str(exc.value))
+        assert alone[0] != alone[1]
+        calls = _counted_quadrature_tables(monkeypatch)
+        with pytest.raises(QuadratureError) as grid:
+            toeplitz_grid(p, [0.9, 0.5, T_STD])
+        assert str(grid.value) == alone[0]
+        assert "endpoint decay" in alone[0]
+        assert calls == [(3, 1)]
+
+    # N = 0 once returned 1 at every point, these included; at N = 2 the
+    # seed pass is the grid's only one
+    @pytest.mark.parametrize("n", [0, 2, 12])
     @pytest.mark.parametrize("ts,match", [
         ([0.6, T_STD, -0.5, 0.9], "not t = -0.5:"),
         # after a point whose quadrature stalls at N = 12
@@ -2270,7 +2312,8 @@ class TestFredholmGrid:
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), (
                     t, parity)
 
-    # at m = 600 the grid's 14 blocks take two locksteps
+    # at m = 600 the grid's 14 blocks, both parities of every t, take one
+    # lockstep
     @pytest.mark.parametrize("m", [80, 81, 140, 600])
     @pytest.mark.parametrize("xi", [1.0, 0.5, 0.5 + 0.5j, -0.9 + 0.2j, 1.8])
     def test_grid_rows_equal_the_one_point_values(self, m, xi):
