@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 __all__ = [
     "GammaPoleError",
@@ -235,6 +236,13 @@ def exp_pi_i(z: complex) -> complex:
     return cmath.exp(1j * math.pi * complex(z))
 
 
+@lru_cache(maxsize=None)
+def _ln_factorial(k: int) -> complex:
+    """ln k! = ln_gamma(k + 1). It does not depend on any weight, so it is
+    kept for every later sweep, as a quadrature rule is."""
+    return ln_gamma(k + 1)
+
+
 def barnes_prefactors(n_max: int, mu: complex, omega1: complex,
                       omega2: complex) -> list:
     """Finite-N normalization products of the boundary expansion, N = 0..n_max.
@@ -245,23 +253,34 @@ def barnes_prefactors(n_max: int, mu: complex, omega1: complex,
     = G(N+1) G(N+1+a) G(1+b) G(1+c) / (G(1+a) G(N+1+b) G(N+1+c)) in Barnes G,
     with a = 2 mu + 2 omega1, b = mu + omega, c = mu + conj-omega and
     omega = omega1 + i omega2. Its reciprocal normalizes the bulk scaling
-    limit. All entries come from one running sum of log-gammas, 4 n_max
-    calls; entry N is the sum of the first N terms in the same order for
-    every n_max, so it has the same bits whichever sweep it comes from.
-    Raises GammaPoleError if any factor up to n_max is at a pole.
+    limit. All entries come from one running sum of 4 n_max log-gammas,
+    each distinct argument evaluated once per sweep and ln k! taken from
+    _ln_factorial: at mu = omega = 0 every term is ln k!, and no other
+    log-gamma is evaluated. Arguments that compare equal differ at most
+    in the sign of a zero part, which the running sum, started at +0.0,
+    does not keep, so a repeat adds what its evaluation would. Entry N is the sum of the first N terms in the same order for every
+    n_max, so it has the same bits whichever sweep it comes from. Raises
+    GammaPoleError at the first factor, in that order, at a pole.
     """
     if n_max < 0 or n_max != int(n_max):
         raise ValueError(f"N must be a non-negative integer, got {n_max}")
     mu = complex(mu)
     om = complex(omega1) + 1j * complex(omega2)
     omb = complex(omega1) - 1j * complex(omega2)
+    seen = {}
+
+    def ln_g(z: complex) -> complex:
+        if z not in seen:
+            seen[z] = ln_gamma(z)
+        return seen[z]
+
     acc = 0.0 + 0.0j
     out = [cmath.exp(acc)]
     for k in range(int(n_max)):
-        acc += ln_gamma(k + 1)
-        acc += ln_gamma(2 * mu + complex(omega1) * 2 + k + 1)
-        acc -= ln_gamma(1 + k + mu + om)
-        acc -= ln_gamma(1 + k + mu + omb)
+        acc += seen.setdefault(complex(k + 1), _ln_factorial(k))
+        acc += ln_g(2 * mu + complex(omega1) * 2 + k + 1)
+        acc -= ln_g(1 + k + mu + om)
+        acc -= ln_g(1 + k + mu + omb)
         out.append(cmath.exp(acc))
     return out
 

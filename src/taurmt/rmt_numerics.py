@@ -71,9 +71,9 @@ weights at tol 1e-13 up to 6.4 (TestRoundingFloor); the 89 that stalled
 read 1.2 to 3.7e84, 84 of them past 16. A row at 16 or below keeps the
 climb to _TS_MAX_LEVEL, since it may still converge.
 toeplitz_grid batches the seeds of a whole grid of t this way, and
-bulk_limit_grid, over a grid of x, makes one toeplitz_grid call per
-dimension N at t = exp(-x/N), with every normalization from one sweep
-of barnes_prefactors.
+bulk_limit_grid, over a grid of x, those of every dimension N at
+t = exp(-x/N) in one Toeplitz sweep over the (N, x) pairs, with every
+normalization from one sweep of barnes_prefactors.
 
 The phase factors e^{-ik theta} of a coefficient table come from running
 products, not one complex exponential per entry: z = e^{-i theta} is
@@ -115,24 +115,31 @@ A table with kmax <= 1 is its seed pass's own: the same batched pass,
 made at kmax, with nothing to march. Three-term recurrences and the
 stability of each direction: Gautschi, SIAM Rev. 9 (1967) 24.
 
-Over a grid of t (toeplitz_grid) the work is split in four: the table's
-float range at every t, so that a t near 0 never reaches a quadrature;
-one batched pass for the seeds of every t (_quadrature_tables at
-min(kmax, 1)), whose rows come back finished, and where a seed that
-stalls refuses only its own t; for kmax >= 2 one lockstep march of every
-t in both directions (_march_rows), then t by t the refusal, or the t's
-own full quadrature pass, in grid order; one determinant call on the
-grid's stacked matrices. Below kmax = 2 the seed pass is the whole table
-of every t, and a t whose pass failed raises its QuadratureError in grid
-order. The march's factors come from one vectorized prelude, a step
-is one multiply and one add over every row, and the scale and
-amplification are reductions after the loop. Numpy's elementwise results
-do not depend on the array's length, so a row's bits do not depend on
-its batch; they differ from Python's scalar complex arithmetic in the
-last bit. With the coefficients and the table assembly (2-core x86_64,
-best of 25 runs), 15 circle t at kmax = 31 take 0.19 ms against 1.02 ms
-for the scalar march t by t, and 30 t at kmax = 63 0.46 ms against
-4.0 ms; one t takes 0.07 ms against 0.01 ms at kmax = 3.
+A sweep over (N, t) pairs (_toeplitz_sweep; toeplitz_grid is its
+one-dimension case, bulk_limit_grid runs one over all its dimensions)
+splits the work in four: the table's float range at every pair, at its
+own kmax = N - 1, so that a t near 0 never reaches a quadrature; one
+batched pass for the seeds of every pair (_quadrature_tables at
+min(kmax, 1); kmax = 0 takes a pass of its own, since a row's columns set
+its level), whose rows come back finished, and where a seed that stalls
+refuses only its own pair; one lockstep march of every pair with
+kmax >= 2 in both directions (_march_rows), out to the largest kmax,
+each pair reading its table at its own, then pair by pair the refusal,
+or the pair's own full quadrature pass, in (N, grid) order; one
+determinant call per N on its stacked matrices. Below kmax = 2 the seed
+pass is the whole table of a pair, and a pair whose pass failed raises
+its QuadratureError in that order. The march's factors come from one
+vectorized prelude, a step is one multiply and one add over every row,
+and the scale and amplification are accumulations after the loop, read
+at each row's kmax. Numpy's elementwise results do not depend on the
+array's length, so a row's bits do not depend on its batch; they differ
+from Python's scalar complex arithmetic in the last bit. With the
+coefficients and the table assembly (2-core x86_64, best of 25 runs),
+15 circle t at kmax = 31 take 0.19 ms against 1.02 ms for the scalar
+march t by t, and 30 t at kmax = 63 0.46 ms against 4.0 ms; one t takes
+0.07 ms against 0.01 ms at kmax = 3. A bulk limit at the gap point over
+dimensions 8, 16, 32 and 48 at two x takes 1.2 ms as one sweep against
+2.4 ms as one grid per dimension (best of 40, one BLAS thread).
 
 Oracle notes. |e^{i a} - e^{i b}|^2 = 2 - 2 cos(a - b) is a bilinear form
 of rank 3 in f(theta) = (1, sin d, 2 sin^2(d/2)), d = theta - theta_0, so
@@ -217,7 +224,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -789,42 +796,51 @@ def _step_factors(coeffs, kmax: int) -> np.ndarray:
         return np.stack([-np.where(forward, g, a) / lead, -b / lead], axis=1)
 
 
-def _march_rows(seeds, coeffs, kmax: int):
+def _march_rows(seeds, coeffs, kmaxes):
     """(tables, scale, amplification) of every row's recurrence, marched
-    from its seeds (c_{-1}, c_0, c_1) out to |k| = kmax.
+    from its seeds (c_{-1}, c_0, c_1) out to |k| = kmax, its entry of
+    kmaxes (each >= 2).
 
     Both directions of every row are columns of one march (_step_factors)
-    whose state holds the values and the unit solutions u, v started from
-    (far, near) = (1, 0) and (0, 1); a step is one multiply and one add
-    over all of them. scale sums |f1 x_near| + |f2 x_far| over both
-    directions, what each step rounds at; amplification is max |u| + |v|:
-    an error of at most e in each seed moves every marched value by at
-    most e times it. A row with a non-finite factor is stopped: its
-    amplification is inf. Each value is elementwise or reduced along k,
-    so a row's bits do not depend on the rows marched beside it.
+    to the largest kmax, whose state holds the values and the unit
+    solutions u, v started from (far, near) = (1, 0) and (0, 1); a step is
+    one multiply and one add over all of them. Each row reads what it
+    needs at its own kmax: its table, its scale, which sums
+    |f1 x_near| + |f2 x_far| over both directions (what each step rounds
+    at; a cumulative sum, read at the row's last step), and its
+    amplification, max |u| + |v| over its own steps: an error of at most e
+    in each seed moves every marched value by at most e times it. A row
+    with a non-finite factor within its own steps is stopped: its
+    amplification is inf; a factor past its kmax does not touch it. Each
+    value is elementwise or accumulated along k, so a row's bits are those
+    of its march alone, whatever rows and kmax are marched beside it.
     """
     seeds = np.asarray(seeds, dtype=complex)
-    rows = len(seeds)
-    factors = _step_factors(coeffs, kmax)
-    state = np.zeros((kmax + 1, 3, 2 * rows), dtype=complex)
+    rows, top = len(seeds), max(kmaxes)
+    factors = _step_factors(coeffs, top)
+    state = np.zeros((len(factors) + 2, 3, 2 * rows), dtype=complex)
     state[0, 0] = np.tile(seeds[:, 1], 2)
     state[0, 1] = 1.0
     state[1, 0] = np.concatenate([seeds[:, 2], seeds[:, 0]])
     state[1, 2] = 1.0
     far, near = step = np.empty((2, 3, 2 * rows), dtype=complex)
+    # each column's last step, and the column itself
+    last = (np.array(list(kmaxes) * 2) - 2, np.arange(2 * rows))
     with np.errstate(all="ignore"):
         for f, pair, new in zip(np.repeat(factors[:, :, None], 3, axis=2),
-                                [state[j:j + 2] for j in range(kmax - 1)],
+                                [state[j:j + 2] for j in range(len(factors))],
                                 state[2:]):
             np.multiply(f, pair, out=step)
             np.add(far, near, out=new)
         x = state[:, 0]
         scale = np.cumsum(np.abs(factors[:, 1] * x[1:-1])
-                          + np.abs(factors[:, 0] * x[:-2]), axis=0)[-1]
-        amp = np.fmax.reduce(np.abs(state[2:, 1]) + np.abs(state[2:, 2]),
-                             axis=0, initial=1.0)
-    amp[~np.isfinite(factors).all(axis=(0, 1))] = np.inf
+                          + np.abs(factors[:, 0] * x[:-2]), axis=0)[last]
+        # a non-finite factor stops its column from that step on
+        reach = np.where(np.isfinite(factors).all(axis=1),
+                         np.abs(state[2:, 1]) + np.abs(state[2:, 2]), np.inf)
+        amp = np.fmax(np.fmax.accumulate(reach, axis=0)[last], 1.0)
     tables = np.concatenate([x[:1:-1, rows:].T, seeds, x[2:, :rows].T], axis=1)
+    tables = [row[top - k:top + k + 1] for row, k in zip(tables, kmaxes)]
     return (tables, scale[:rows] + scale[rows:],
             np.fmax(amp[:rows], amp[rows:]))
 
@@ -855,37 +871,44 @@ def _recurrence_steps(w: WeightSpec):
     return t, 1.0 + t, a0, a1, a2
 
 
-def _recurrence_tables(p: SSEParams, ws, kmax: int, tol: float) -> list:
-    """(c_{-kmax..kmax}, error estimate) of each weight of p in ws from three
-    quadrature seeds: None where the recurrence cannot meet tol, and the
-    seed pass's QuadratureError where a table with kmax <= 1 failed.
+def _recurrence_tables(p: SSEParams, ws, kmaxes, tol: float) -> list:
+    """(c_{-kmax..kmax}, error estimate) of each weight of p in ws, at its
+    own kmax in kmaxes, from three quadrature seeds: None where the
+    recurrence cannot meet tol, and the seed pass's QuadratureError where
+    a table with kmax <= 1 failed.
 
     One batched pass makes the seeds of every weight at tol, each table
-    finished or refused (_quadrature_tables at min(kmax, 1)). For
-    kmax <= 1 that pass is the table: each weight's result is its row of
-    the pass, (values, error) or its QuadratureError, bit for bit the
-    weight's pass on its own. For kmax >= 2 one lockstep march
-    (_march_rows) carries the seeds out to |k| = kmax. The error estimate
-    is the seed error times the amplification the march measures, plus
-    4 eps times it times the summed magnitudes each step rounds at.
-    Against a 40-digit run of the same steps from the same seeds, the
-    rounding of 80 random tables on the circle and near t = 1 stayed below
-    0.29 eps times that product (0.31 over 500 tables).
+    finished or refused (_quadrature_tables at min(kmax, 1)); weights with
+    kmax = 0 take a pass of their own beside it, since a row's columns set
+    its level. For kmax <= 1 that pass is the table: each weight's result
+    is its row of the pass, (values, error) or its QuadratureError, bit
+    for bit the weight's pass on its own. For kmax >= 2 one lockstep march
+    (_march_rows) carries the seeds out to the largest kmax, and each
+    weight reads its own. The error estimate is the seed error times the
+    amplification the march measures, plus 4 eps times it times the summed
+    magnitudes each step rounds at. Against a 40-digit run of the same
+    steps from the same seeds, the rounding of 80 random tables on the
+    circle and near t = 1 stayed below 0.29 eps times that product (0.31
+    over 500 tables).
     None, for kmax >= 2, where a weight's seeds stall (its full pass then
     reports it), where its row is stopped, or where the amplification
     times eps, or the estimate, exceeds tol.
     """
-    seeded = _quadrature_tables(p, [w.phase() for w in ws], min(kmax, 1), tol)
-    if kmax < 2:
-        return seeded
-    got = [None] * len(ws)
+    seeded = [None] * len(ws)
+    for order in sorted({min(k, 1) for k in kmaxes}):
+        at = [i for i, k in enumerate(kmaxes) if min(k, 1) == order]
+        for i, seeds in zip(at, _quadrature_tables(
+                p, [ws[i].phase() for i in at], order, tol)):
+            seeded[i] = seeds
+    got = [seeds if k < 2 else None for seeds, k in zip(seeded, kmaxes)]
     rows = [(i, *seeds) for i, seeds in enumerate(seeded)
-            if not isinstance(seeds, QuadratureError)]
+            if kmaxes[i] >= 2 and not isinstance(seeds, QuadratureError)]
     if not rows:
         return got
     index, seeds, seed_errs = zip(*rows)
     tables, scale, amp = _march_rows(
-        seeds, [_recurrence_steps(ws[i]) for i in index], kmax)
+        seeds, [_recurrence_steps(ws[i]) for i in index],
+        [kmaxes[i] for i in index])
     errs = amp * (np.array(seed_errs) + 4.0 * _EPS * scale)
     for i, table, a, err in zip(index, tables, amp, errs):
         if a * _EPS <= tol and err <= tol:
@@ -895,7 +918,7 @@ def _recurrence_tables(p: SSEParams, ws, kmax: int, tol: float) -> list:
 
 def _recurrence_table(w: WeightSpec, kmax: int, tol: float):
     """The one-weight call of _recurrence_tables."""
-    return _recurrence_tables(w.p, [w], kmax, tol)[0]
+    return _recurrence_tables(w.p, [w], [kmax], tol)[0]
 
 
 def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
@@ -925,7 +948,7 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     Tables with kmax <= 1 are their seed pass's rows (_recurrence_tables)
     and never take a second pass.
 
-    _prepared is toeplitz_grid's, for w, whose range it checked: what its
+    _prepared is _toeplitz_sweep's, for w, whose range it checked: what its
     batched pass made, the recurred table or, at kmax <= 1, the seed
     pass's table or QuadratureError, or () where it refused the
     recurrence. The table, or the error, is the same bits either way.
@@ -958,30 +981,56 @@ def toeplitz_grid(p: SSEParams, ts, tol: float = 1e-12) -> list:
     quadrature's cost and the determinant's conditioning buy nothing this
     library needs.
 
-    The work is split as the recurrence notes describe: every t is
-    checked (WeightSpec, _check_table_range), and the first t refused in
-    grid order raises, before one batched pass makes the seeds of the
-    grid, which at N <= 2 are its whole tables. N = 0 takes the same
-    checks, at kmax = 0, before its 1. Every value is the one toeplitz_an
-    returns at its t, bit for bit, and a failure while computing raises
-    at the first t that fails.
+    The one-dimension case of _toeplitz_sweep: every t is checked
+    (WeightSpec, _check_table_range), and the first t refused in grid
+    order raises, before one batched pass makes the seeds of the grid,
+    which at N <= 2 are its whole tables. N = 0 takes the same checks, at
+    kmax = 0, before its 1. Every value is the one toeplitz_an returns at
+    its t, bit for bit, and a failure while computing raises at the first
+    t that fails.
     """
-    n = p.N
-    if n > 64:
+    return _toeplitz_sweep(p, [(p.N, ts)], tol)[0]
+
+
+def _toeplitz_sweep(p: SSEParams, grids, tol: float = 1e-12) -> list:
+    """toeplitz_grid at each (N, ts) of grids, for the weight of p (p.N
+    is not read), in one sweep over every (N, t) pair.
+
+    The work is split as the recurrence notes describe. Every pair is
+    checked first, in (N, grid) order, WeightSpec and the table's range at
+    its own kmax = N - 1, and the first refused raises before any table is
+    computed. One batched seed pass then covers every pair, and one
+    lockstep march every pair with kmax >= 2 (_recurrence_tables); the
+    pairs the recurrence refuses take fourier_table's full pass in (N,
+    grid) order, so a failure raises at the first pair that fails; and
+    the determinants of each N are one call on its stacked matrices.
+    Every value is the bits of its own one-point call.
+    """
+    if any(n > 64 for n, _ in grids):
         raise ValueError("Toeplitz dimension capped at 64")
-    kmax = max(n - 1, 0)
-    ws = []
-    for t in ts:
-        ws.append(WeightSpec(p=p, t=t))
-        # keeps a t near 0, or one past tol's reach, out of the seeds
-        _check_table_range(ws[-1], kmax, tol)
-    if n == 0:
-        return [1.0 + 0.0j for _ in ws]
-    idx = kmax + (np.arange(n)[:, None] - np.arange(n)[None, :])
-    mats = np.empty((len(ws), n, n), dtype=complex)
-    for mat, w, got in zip(mats, ws, _recurrence_tables(p, ws, kmax, tol)):
-        mat[:] = fourier_table(w, kmax, tol, _prepared=got or ())[0][idx]
-    return [complex(d) for d in np.linalg.det(mats)]
+    sweep = []
+    for n, ts in grids:
+        kmax, ws = max(n - 1, 0), []
+        for t in ts:
+            ws.append(WeightSpec(p=p, t=t))
+            # keeps a t near 0, or one past tol's reach, out of the seeds
+            _check_table_range(ws[-1], kmax, tol)
+        sweep.append((n, ws))
+    live = [(n, w) for n, ws in sweep if n for w in ws]
+    got = iter(_recurrence_tables(p, [w for _, w in live],
+                                  [n - 1 for n, _ in live], tol))
+    out = []
+    for n, ws in sweep:
+        if n == 0:
+            out.append([1.0 + 0.0j for _ in ws])
+            continue
+        idx = n - 1 + (np.arange(n)[:, None] - np.arange(n)[None, :])
+        mats = np.empty((len(ws), n, n), dtype=complex)
+        for mat, w in zip(mats, ws):
+            mat[:] = fourier_table(w, n - 1, tol,
+                                   _prepared=next(got) or ())[0][idx]
+        out.append([complex(d) for d in np.linalg.det(mats)])
+    return out
 
 
 def toeplitz_an(p: SSEParams, t: complex, tol: float = 1e-12) -> complex:
@@ -1571,13 +1620,13 @@ def bulk_limit_grid(xs, p: SSEParams, n_list) -> list:
 
     The dimensions, which must be integers, are checked once and every
     normalization comes from one sweep of barnes_prefactors up to the
-    largest N, so a gamma pole raises before any determinant. Then, N by N
-    in ascending order, the averages at the whole grid are one
-    toeplitz_grid call at its default accuracy, which batches the grid's
-    seed quadrature and refuses its first bad t before it computes any.
-    Every value is the one that toeplitz_an and barnes_prefactor give at
-    its (x, N), bit for bit. A failure raises at the first N that fails,
-    as that N's toeplitz_grid call raises it.
+    largest N, so a gamma pole raises before any determinant. Then the
+    averages at every (N, x) are one Toeplitz sweep at its default
+    accuracy (_toeplitz_sweep): every pair is checked, in (N, grid) order,
+    before one seed pass and one march cover them all, and a failure while
+    computing raises at the first pair that fails in that order. Every
+    value is the one that toeplitz_an and barnes_prefactor give at its
+    (x, N), bit for bit.
     """
     try:
         ns = sorted({operator.index(n) for n in n_list})
@@ -1590,10 +1639,9 @@ def bulk_limit_grid(xs, p: SSEParams, n_list) -> list:
         raise ValueError("dimensions must lie in 1..64")
     xs = [complex(x) for x in xs]
     norms = barnes_prefactors(ns[-1], p.mu, p.omega1, p.omega2)
-    rows = []
-    for n in ns:
-        dets = toeplitz_grid(replace(p, N=n), [cmath.exp(-x / n) for x in xs])
-        rows.append([det / norms[n] for det in dets])
+    rows = [[det / norms[n] for det in dets] for n, dets in zip(
+        ns, _toeplitz_sweep(p, [(n, [cmath.exp(-x / n) for x in xs])
+                                for n in ns]))]
     return [_extrapolate(x, ns, [row[i] for row in rows])
             for i, x in enumerate(xs)]
 

@@ -973,39 +973,61 @@ def test_last_grid_row_is_the_grid_end(capsys):
     assert [row[0] for row in rows] == [0.7, 2.9]
 
 
-def test_bulk_batches_each_dimension_and_sweeps_the_prefactors_once(
-        monkeypatch, capsys):
-    # one toeplitz_grid call per dimension over the whole grid, and one
-    # running log-gamma sum up to the largest dimension for every
-    # normalization, where a loop over (x, N) made |xs| |dims| of each
+@pytest.mark.parametrize("weight, fresh", [
+    # the gap point: every log-gamma argument is an integer k + 1
+    (["--mu=0", "--omega1=0", "--omega2=0"], 0),
+    # a generic weight: a + k + 1, b + k + 1 and c + k + 1 for each k
+    ([], 3 * 32),
+])
+def test_bulk_sweeps_every_dimension_at_once(weight, fresh, monkeypatch,
+                                             capsys):
+    # the 12 (N, x) pairs take one seed pass, one march and one
+    # fourier_table call each, and every normalization comes from one
+    # running log-gamma sum up to the largest dimension, whose ln k! come
+    # from the integer table (its evaluations take an int) and whose other
+    # arguments are evaluated once each
     from taurmt import complexfn
     from taurmt import rmt_numerics as rmt
 
-    grids, sweeps, ln_calls = [], [], []
-    real_grid, real_sweep = rmt.toeplitz_grid, rmt.barnes_prefactors
-    real_ln_gamma = complexfn.ln_gamma
+    seeds, marches, tables, sweeps, ln_calls = [], [], [], [], []
+    real = (rmt._quadrature_tables, rmt._march_rows, rmt.fourier_table,
+            rmt.barnes_prefactors, complexfn.ln_gamma)
 
-    def counted_grid(p, ts, *args, **kwargs):
-        grids.append((p.N, len(ts)))
-        return real_grid(p, ts, *args, **kwargs)
+    def counted_seeds(p, phis, kmax, tol):
+        seeds.append((len(phis), kmax))
+        return real[0](p, phis, kmax, tol)
+
+    def counted_march(rows, coeffs, kmaxes):
+        marches.append(len(rows))
+        return real[1](rows, coeffs, kmaxes)
+
+    def counted_table(w, kmax, *args, **kwargs):
+        tables.append(kmax)
+        return real[2](w, kmax, *args, **kwargs)
 
     def counted_sweep(n_max, *args):
         before = len(ln_calls)
-        out = real_sweep(n_max, *args)
-        sweeps.append((n_max, len(ln_calls) - before))
+        out = real[3](n_max, *args)
+        sweeps.append((n_max, [z for z in ln_calls[before:]
+                               if not isinstance(z, int)]))
         return out
 
     def counted_ln_gamma(z):
         ln_calls.append(z)
-        return real_ln_gamma(z)
+        return real[4](z)
 
-    monkeypatch.setattr(rmt, "toeplitz_grid", counted_grid)
+    monkeypatch.setattr(rmt, "_quadrature_tables", counted_seeds)
+    monkeypatch.setattr(rmt, "_march_rows", counted_march)
+    monkeypatch.setattr(rmt, "fourier_table", counted_table)
     monkeypatch.setattr(rmt, "barnes_prefactors", counted_sweep)
     monkeypatch.setattr(complexfn, "ln_gamma", counted_ln_gamma)
-    rows = _json_rows(["bulk", "--dims=8,16,32", "--grid-count=4"], capsys)
+    rows = _json_rows(["bulk", *weight, "--dims=8,16,32", "--grid-count=4"],
+                      capsys)
     assert len(rows) == 4
-    assert grids == [(8, 4), (16, 4), (32, 4)]
-    assert sweeps == [(32, 4 * 32)]
+    assert seeds == [(12, 1)]
+    assert marches == [12]
+    assert tables == [7] * 4 + [15] * 4 + [31] * 4
+    assert [(n_max, len(new)) for n_max, new in sweeps] == [(32, fresh)]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -1013,6 +1035,11 @@ def test_bulk_batches_each_dimension_and_sweeps_the_prefactors_once(
     (["bulk", "--dims=8,16", "--grid-start=0.2", "--grid-end=40",
       "--grid-count=2"], EXIT_NONCONVERGED,
      "nonconvergence: tanh-sinh refinement stalled"),
+    # N = 4's table at x = 400 stalls, but every (N, x) is checked before
+    # any is computed, and N = 64's t = e^{-400/64} is refused first
+    (["bulk", "--dims=4,64", "--grid-start=400", "--grid-count=1"],
+     EXIT_BAD_PARAMS, "parameter error: t = (0.0019304541362277093+0j) is "
+     "too close to 0"),
     # every limit succeeds; the Fredholm value at t = 75 is refused
     (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--dims=8,16",
       "--grid-start=0.2", "--grid-end=75", "--grid-count=2"],

@@ -208,6 +208,32 @@ class TestBarnesPrefactor:
         for n, v in enumerate(sweep):
             assert v == barnes_prefactor(n, mu, 0.1, 0.3)
 
+    @pytest.mark.parametrize("mu, omega1, omega2", [
+        (0.0, 0.0, 0.0),
+        # integer and repeated arguments: a = 2, b = c = 1
+        (0.5, 0.5, 0.0),
+        (0.25, 0.1, 0.0),
+        (0.25 + 0.15j, 0.1, 0.3),
+        # signed zeros in the weight
+        (complex(-0.0, -0.0), -0.0, -0.0),
+        (complex(-0.25, -0.0), -0.0, -0.0),
+    ])
+    def test_sweep_is_the_literal_log_gamma_sum(self, mu, omega1, omega2):
+        # each distinct argument evaluated once, and ln k! from its table,
+        # give the bits of four ln_gamma calls per k
+        om = complex(omega1) + 1j * complex(omega2)
+        omb = complex(omega1) - 1j * complex(omega2)
+        acc, want = 0j, [1.0 + 0j]
+        for k in range(40):
+            acc += ln_gamma(k + 1)
+            acc += ln_gamma(2 * complex(mu) + complex(omega1) * 2 + k + 1)
+            acc -= ln_gamma(1 + k + complex(mu) + om)
+            acc -= ln_gamma(1 + k + complex(mu) + omb)
+            want.append(cmath.exp(acc))
+        got = barnes_prefactors(40, mu, omega1, omega2)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want]
+
     def test_pole_propagates(self):
         # 2 mu + 2 omega1 + 1 = 0 puts the k = 0 numerator factor at a pole
         with pytest.raises(GammaPoleError):

@@ -710,7 +710,7 @@ class TestThreeTermRecurrence:
             coeffs = rmt._recurrence_steps(w)
             seeds = rng.normal(size=3) + 1j * rng.normal(size=3)
             (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
-                                                         kmax)
+                                                         [kmax])
             want, want_scale, want_amp = [], 0.0, 1.0
             for ks, near in ((range(2, kmax + 1), seeds[2]),
                              (range(0, 1 - kmax, -1), seeds[0])):
@@ -738,11 +738,37 @@ class TestThreeTermRecurrence:
             coeffs = [rmt._recurrence_steps(WeightSpec(p, t)) for t in ts]
             seeds = rng.normal(size=(len(ts), 3)) * np.exp(
                 1j * rng.uniform(0, 2 * math.pi, size=(len(ts), 3)))
-            batch = rmt._march_rows(seeds, coeffs, kmax)
+            batch = rmt._march_rows(seeds, coeffs, [kmax] * len(ts))
             for row, (s, c) in enumerate(zip(seeds, coeffs)):
-                alone = rmt._march_rows([s], [c], kmax)
+                alone = rmt._march_rows([s], [c], [kmax])
                 for got, want in zip(batch, alone):
                     assert got[row].tobytes() == want[0].tobytes()
+
+    def test_rows_at_their_own_kmax_keep_their_bits(self):
+        # rows marched together to the largest kmax each read their table,
+        # scale and amplification at their own kmax: the bits of the row
+        # marched alone. omega2 = 4i makes the forward leading coefficient
+        # vanish at k = 4, past the kmax = 3 of the first row, which must
+        # not be stopped by it; the second row reaches it and is
+        rng = np.random.default_rng(14)
+        stall = SSEParams(N=1, mu=0.0, omega1=0.0, omega2=4j)
+        rows = [(stall, cmath.exp(1.0j), 3), (stall, cmath.exp(1.0j), 6)]
+        for _ in range(10):
+            t = (cmath.exp(1j * rng.uniform(0.01, 2 * math.pi - 0.01))
+                 if rng.random() < 0.5 else rng.uniform(0.05, 0.999))
+            rows.append((_random_weight(rng), t, int(rng.integers(2, 64))))
+        coeffs = [rmt._recurrence_steps(WeightSpec(p, t)) for p, t, _ in rows]
+        kmaxes = [k for _, _, k in rows]
+        seeds = rng.normal(size=(len(rows), 3)) * np.exp(
+            1j * rng.uniform(0, 2 * math.pi, size=(len(rows), 3)))
+        batch = rmt._march_rows(seeds, coeffs, kmaxes)
+        for row, (s, c, k) in enumerate(zip(seeds, coeffs, kmaxes)):
+            alone = rmt._march_rows([s], [c], [k])
+            assert len(batch[0][row]) == 2 * k + 1
+            for got, want in zip(batch, alone):
+                assert got[row].tobytes() == want[0].tobytes()
+        amp = batch[2]
+        assert math.isfinite(amp[0]) and amp[1] == math.inf
 
     @pytest.mark.parametrize("kmax", [0, 1])
     def test_small_tables_are_pure_quadrature(self, kmax):
@@ -907,7 +933,7 @@ def test_rounding_allowance_covers_a_40_digit_march(path):
         coeffs = rmt._recurrence_steps(w)
         seeds, _ = _quadrature_tables(w.p, [w.phase()], 1, 1e-10)[0]
         (table,), (scale,), (amp,) = rmt._march_rows([seeds], [coeffs],
-                                                     kmax)
+                                                     [kmax])
         factors = rmt._step_factors([coeffs], kmax)
         want = []
         with mp.workdps(40):
@@ -1506,7 +1532,7 @@ class TestToeplitzGrid:
         p = replace(P_STD, N=16)
         w = WeightSpec(p, 0.4)
         coeffs = rmt._recurrence_steps(w)
-        amp = rmt._march_rows([[1j, 0j, 1j]], [coeffs], 15)[2][0]
+        amp = rmt._march_rows([[1j, 0j, 1j]], [coeffs], [15])[2][0]
         assert amp * rmt._EPS > 1e-12
         assert _recurrence_table(w, 15, 1e-12) is None
         for t in (0.65, 0.9):
@@ -2611,6 +2637,12 @@ class TestBulkLimitGrid:
         # a one-point grid, one and two dimensions
         (P_STD, [0.5], [8]),
         (P_GAP, [-2.0j], [16, 8]),
+        # seed-only tables (kmax <= 1) beside recurred ones
+        (P_STD, [0.3, -0.4j], [1, 2, 3, 64]),
+        (P_GAP, [-4j * t for t in (0.2, 0.9)], [1, 2, 3, 64]),
+        # x = 8 is refused by the recurrence at every N and takes the full
+        # quadrature (test_one_seed_pass_and_one_march_cover_every_pair)
+        (P_STD, [0.5, 3.0, 8.0], [4, 8, 16]),
     ])
     def test_grid_equals_points_bit_for_bit(self, p, xs, dims):
         got = bulk_limit_grid(xs, p, dims)
@@ -2626,6 +2658,41 @@ class TestBulkLimitGrid:
         with pytest.raises(ValueError, match="not holomorphic in t"):
             bulk_limit_grid([0.3, 0.2 - 0.4j], replace(P_STD, mu=0.25 + 0.15j),
                             [4, 8])
+
+    @pytest.mark.parametrize("dims, passes", [
+        ([4, 8, 16], [(9, 1), (1, 3), (1, 7), (1, 15)]),
+        # kmax = 0 has its own seed pass, since a row's columns set its
+        # level; at N = 64 the recurrence refuses x = 8 alone
+        ([1, 2, 3, 64], [(3, 0), (9, 1), (1, 63)]),
+    ])
+    def test_one_seed_pass_and_one_march_cover_every_pair(
+            self, dims, passes, monkeypatch):
+        # every (N, x) takes the one seed pass, every N >= 3 the one march
+        # at its own kmax, and a pair the recurrence refuses its own full
+        # pass, in (N, grid) order
+        xs = [0.5, 3.0, 8.0]
+        calls = _counted_quadrature_tables(monkeypatch)
+        marches, march = [], rmt._march_rows
+
+        def counted(seeds, coeffs, kmaxes):
+            marches.append(list(kmaxes))
+            return march(seeds, coeffs, kmaxes)
+
+        monkeypatch.setattr(rmt, "_march_rows", counted)
+        bulk_limit_grid(xs, P_STD, dims)
+        assert calls == passes
+        assert marches == [[n - 1 for n in sorted(dims) if n >= 3
+                            for _ in xs]]
+
+    def test_every_pair_is_checked_before_any_is_computed(self, monkeypatch):
+        # at x = 400 the N = 4 table stalls, and N = 64's t = e^{-400/64}
+        # is too close to 0 for a table of order 63: the sweep checks every
+        # (N, x) first, so the range refusal raises, and no table is made
+        with pytest.raises(QuadratureError):
+            bulk_limit_an(400.0, P_STD, [4])
+        monkeypatch.setattr(rmt, "_quadrature_tables", _never)
+        with pytest.raises(ValueError, match="too close to 0"):
+            bulk_limit_grid([400.0], P_STD, [4, 64])
 
     def test_first_failure_in_dimension_then_grid_order(self):
         # N = 16 fails at x = 16 and 20, N = 4 only at x = 20: the error
