@@ -198,20 +198,20 @@ the half-width is a positive real at every entry point.
 
 A grid of t is factored in one pass (_factor_grid): one sin and one cos
 over the (t, node) array give the generators of every block
-(_sine_kernel_blocks), and the pivoted Cholesky runs in lockstep over
-the blocks of one order (_pivoted_cholesky): both parities of every t
-for even m, one lockstep per parity for odd m, whose even blocks hold
-the centre node. A step is one argmax, one column generation and one
+(_sine_kernel_blocks), and the pivoted Cholesky runs in one lockstep
+over both parities of every t (_pivoted_cholesky), which share the
+order ceil(m/2) at every m: an odd rule's odd blocks keep the centre
+node as a zero row. A step is one argmax, one column generation and one
 residual update over the stacked blocks still active, in place of one
 Python loop per block; a block leaves the stack when it stops, and its
 rows are sized by the running rank. Every value is bit for bit that of
 the block factored alone, and a single t is the one-point case. Over 10
 t per call at xi = 1 (2-core x86_64, one BLAS thread, best of 15 runs),
 the grid takes 0.31, 0.36 and 0.46 of the time of a loop of one-t calls
-at m = 80, 300 and 600, and its log-derivatives 0.4, 0.42 and 0.52. A
-lone t gains nothing: it takes 1.05-1.3 times as long as before at even
-m, and 1.5-1.6 times at odd m, whose two blocks have different orders,
-so that each lockstep holds one block.
+at m = 80, 300 and 600, and its log-derivatives 0.4, 0.42 and 0.52;
+odd m is alike. A lone t gains nothing: at t = 2.5 it takes 0.9-1.2
+times as long as a factor of one block at a time at m = 80 to 601, of
+either parity.
 
 The rule resolves the kernel only while |t| <= m/2, and every entry
 point refuses a larger half-width: at xi = 0.5, |E(m) - E(2m)| / E stays
@@ -1297,9 +1297,9 @@ class _Generators(NamedTuple):
         return col
 
 
-def _sine_kernel_blocks(ts, m: int) -> list:
+def _sine_kernel_blocks(ts, m: int) -> tuple:
     """Parity blocks of the Nystrom matrix of the sine kernel on (-1, 1)
-    at every half-width of ts, stacked by order.
+    at every half-width of ts, as one stack.
 
     The kernel is sin(t d)/(pi d) in d = u - v, with diagonal t/pi. On
     the positive half p of the m-node rule the even block is
@@ -1309,20 +1309,21 @@ def _sine_kernel_blocks(ts, m: int) -> list:
     2 (p_j s_i c_j - p_i c_i s_j), over pi (p_i^2 - p_j^2), with
     diagonals (t +- s_i c_i / p_i) w_i / pi. The centre node of an odd
     rule joins the even block at half its weight, which reproduces its
-    row exactly, and drops out of the odd one. One sin and one cos over
-    the (t, node) array give every block of the grid.
+    row exactly; in the odd block its a, b, diagonal (t - t) and V row
+    are exactly 0, so its row and column there are 0 and the block is
+    the odd block of the rule without it. Both parities of every t have
+    order ceil(m/2). One sin and one cos over the (t, node) array give
+    every block of the grid.
 
-    Returns (generators, V) per order: one pair for even m, holding the
-    even blocks of every t and then the odd ones, and for odd m, whose
-    even blocks are one node longer, the even pair and then the odd one.
-    V stacks each block's n x 3 columns sqrt(w) (c, p s, p^2 c), or
-    sqrt(w) (s, p c, p^2 s) for an odd block. The blocks of the
-    t-derivative kernels cos(t d)/pi, -d sin(t d)/pi and
+    Returns (generators, V), holding the even blocks of every t and then
+    the odd ones. V stacks each block's n x 3 columns sqrt(w) (c, p s,
+    p^2 c), or sqrt(w) (s, p c, p^2 s) for an odd block. The blocks of
+    the t-derivative kernels cos(t d)/pi, -d sin(t d)/pi and
     -d^2 cos(t d)/pi are 2/pi times V0 V0^T, -+(V0 V1^T + V1 V0^T) and
     -(V0 V2^T + V2 V0^T - 2 V1 V1^T), upper sign even.
     """
     x, w = _gl_rule(m)
-    half, c = m // 2, m % 2
+    half = m // 2
     p = x[half:]
     sq = np.sqrt(w[half:])
     t = np.array(ts, dtype=float)[:, None]
@@ -1330,7 +1331,7 @@ def _sine_kernel_blocks(ts, m: int) -> list:
     sin_p, cos_p = np.sin(tp), np.cos(tp)
     with np.errstate(divide="ignore", invalid="ignore"):
         sc = sin_p * cos_p / p
-    if c:
+    if m % 2:
         sq[0] = math.sqrt(0.5 * w[half])
         sc[:, 0] = t[:, 0]
     # parity first, then t: a = (p s, s), b = (c, p c), V = ((c, p s,
@@ -1347,16 +1348,9 @@ def _sine_kernel_blocks(ts, m: int) -> list:
     v = np.empty((2,) + sc.shape + (3,))
     v[0, ..., 0], v[0, ..., 1], v[0, ..., 2] = b[0], a[0], p * b[1]
     v[1, ..., 0], v[1, ..., 1], v[1, ..., 2] = a[1], b[1], p * a[0]
-    pp = p * p
-    if c:
-        return [(_Generators(*(np.ascontiguousarray(g[k, :, lo:])
-                               for g in (a, b)), pp[lo:],
-                             np.ascontiguousarray(diag[k, :, lo:])),
-                 v[k, :, lo:])
-                for k, lo in ((0, 0), (1, c))]
     shape = (2 * len(t), sc.shape[1])
-    return [(_Generators(a.reshape(shape), b.reshape(shape), pp,
-                        diag.reshape(shape)), v.reshape(shape + (3,)))]
+    return (_Generators(a.reshape(shape), b.reshape(shape), p * p,
+                        diag.reshape(shape)), v.reshape(shape + (3,)))
 
 
 def _pivoted_cholesky(gens: _Generators) -> list:
@@ -1428,44 +1422,44 @@ def _factor_grid(ts, m: int) -> list:
     """Per half-width of ts, the even and the odd block as
     (V, R, R R^T, eigenvalues of R R^T).
 
-    The blocks of every t (_sine_kernel_blocks) are factored in one
-    lockstep per order (_pivoted_cholesky), A ~ R^T R, so that
-    det(I - xi A) = prod (1 - xi lam_j) over the eigenvalues lam_j of the
-    r x r Gram matrix R R^T by Sylvester's identity. The Gram matrices
-    and their eigenvalues are one stacked product and one eigvalsh call
-    per stack of equal rank, each bit for bit that of its block alone. A
-    single t is the one-point case.
+    The one stack of blocks (_sine_kernel_blocks), both parities of
+    every t, is factored in one lockstep (_pivoted_cholesky), A ~ R^T R,
+    so that det(I - xi A) = prod (1 - xi lam_j) over the eigenvalues
+    lam_j of the r x r Gram matrix R R^T by Sylvester's identity. The
+    Gram matrices and their eigenvalues are one stacked product and one
+    eigvalsh call per stack of equal rank, each bit for bit that of its
+    block alone. A single t is the one-point case.
     """
-    count = len(ts)
-    blocks = [None] * (2 * count)
-    for offset, (gens, v) in zip((0, count), _sine_kernel_blocks(ts, m)):
-        for index, stack in _pivoted_cholesky(gens):
-            grams = stack @ stack.transpose(0, 2, 1)
-            eigs = np.linalg.eigvalsh(grams)
-            for k, rows, gram, eig in zip(index.tolist(), stack, grams, eigs):
-                blocks[offset + k] = (v[k], rows, gram, eig)
-    return [(blocks[i], blocks[count + i]) for i in range(count)]
+    gens, v = _sine_kernel_blocks(ts, m)
+    blocks = [None] * len(v)
+    for index, stack in _pivoted_cholesky(gens):
+        grams = stack @ stack.transpose(0, 2, 1)
+        eigs = np.linalg.eigvalsh(grams)
+        for k, rows, gram, eig in zip(index.tolist(), stack, grams, eigs):
+            blocks[k] = (v[k], rows, gram, eig)
+    return list(zip(blocks[:len(ts)], blocks[len(ts):]))
 
 
 def _factored(ts, xi, m):
-    """(spec, its blocks as (V, R, R R^T, lam)) for each t of ts in grid
-    order, lam = xi times the eigenvalues of R R^T (_factor_grid).
+    """(spec, log |det(I - xi K)|, its blocks) for each t of ts in grid
+    order, each block as (V, R, R R^T, f, |f|) with f the factors
+    1 - xi lam_j over the eigenvalues lam_j of R R^T (_factor_grid).
 
     Every t is checked (FredholmSpec), and the first t refused in grid
     order raises, before the blocks of the grid are factored in one pass.
     Each eigenvalue may carry an absolute error of m eps, so
-    m eps sum |lam_j| / |1 - lam_j| over both blocks bounds the relative
+    m eps sum |xi lam_j| / |f_j| over both blocks bounds the relative
     error of the determinant; where it reaches 1 no digit is correct and
     ValueError is raised as the t's turn comes. At xi = 1 and m = 600 it
     reads 3.4e-11, 1.4e-9 and 6.4e-8 at t = 4, 6 and 8, and passes 1
-    before t = 20.
+    before t = 20. log |det| sums log |f_j| over both blocks.
     """
     specs = [FredholmSpec(t, xi, m) for t in ts]
     if not specs:
         return
     xi, m = _narrow(xi), specs[0].m
     for spec, pair in zip(specs, _factor_grid([float(s.t) for s in specs], m)):
-        blocks, cond = [], 0.0
+        blocks, cond, logabs = [], 0.0, 0.0
         # a factor of exactly 0 makes the bound infinite, and a product
         # xi lam that overflows makes it nan: both are refused below.
         # numpy's complex product flags an overflow in an intermediate
@@ -1473,15 +1467,18 @@ def _factored(ts, xi, m):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for v, rows, gram, eig in pair:
                 lam = xi * eig
-                cond += float((np.abs(lam) / np.abs(1.0 - lam)).sum())
-                blocks.append((v, rows, gram, lam))
+                factors = 1.0 - lam
+                moduli = np.abs(factors)
+                cond += float((np.abs(lam) / moduli).sum())
+                logabs += float(np.sum(np.log(moduli)))
+                blocks.append((v, rows, gram, factors, moduli))
         bound = m * _EPS * cond
         if not bound < 1.0:
             raise ValueError(
                 f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no "
                 f"correct digit at m = {m} nodes: its rounding bound "
                 f"reads {bound:.3g}")
-        yield spec, blocks
+        yield spec, logabs, blocks
 
 
 def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
@@ -1491,30 +1488,28 @@ def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
     Rescaled to (-1, 1), where the kernel is sin(t(u-v))/(pi(u-v)) with
     diagonal t/pi, and factored by parity: det(I - xi A+) det(I - xi A-)
     over the even and odd blocks of the whole m-node Nystrom matrix, each
-    the product of its factors 1 - lam_j. The blocks of the whole grid
-    are factored in one lockstep pass (_factored, which raises ValueError
-    where no digit is correct; see the Fredholm notes), and ValueError is
-    raised where the sum of log |1 - lam_j| over both blocks says the
-    product leaves the float range. Convergence in m is exponential; the
-    check of it, a second evaluation at doubled m, belongs to the caller
-    (the fredholm selftest runs it). Each value is a float for real xi.
-    Every value is the one fredholm_sine returns at its t, bit for bit.
-    Every t is checked before any is computed (_factored): the first t
-    refused in grid order raises, or else the first t that fails.
+    the product of the factors 1 - xi lam_j that _factored forms. The
+    blocks of the whole grid are factored in one lockstep pass
+    (_factored, which raises ValueError where no digit is correct; see
+    the Fredholm notes), and ValueError is raised where the log |det| it
+    yields says the product leaves the float range. Convergence in m is
+    exponential; the check of it, a second evaluation at doubled m,
+    belongs to the caller (the fredholm selftest runs it). Each value is
+    a float for real xi. Every value is the one fredholm_sine returns at
+    its t, bit for bit. Every t is checked before any is computed
+    (_factored): the first t refused in grid order raises, or else the
+    first t that fails.
     """
     out = []
-    for spec, blocks in _factored(ts, xi, m):
-        lams = [lam for *_, lam in blocks]
-        logabs = sum(float(np.sum(np.log(np.abs(1.0 - lam))))
-                     for lam in lams)
+    for spec, logabs, blocks in _factored(ts, xi, m):
         if logabs > _LOG_MAX:
             raise ValueError(
                 f"det(I - xi K) at t = {spec.t!r}, xi = "
                 f"{_narrow(spec.xi)!r} leaves the float range: log |det| "
                 f"reads {logabs:.6g}")
         e = 1.0
-        for lam in lams:
-            e = e * np.prod(1.0 - lam)
+        for *_, factors, _ in blocks:
+            e = e * np.prod(factors)
         out.append(float(e) if isinstance(_narrow(spec.xi), float)
                    else complex(e))
     return out
@@ -1533,13 +1528,13 @@ def fredholm_log_derivatives_grid(ts, xi: complex = 1.0,
     every t of a grid.
 
     From the factors fredholm_grid multiplies, under the same argument
-    check (FredholmSpec) and guard, in the same one lockstep pass: log E
-    sums log |1 - lam_j| over both blocks and takes the principal log of
-    the product of their signs. The derivatives are resolvent-trace
-    identities rather than finite differences, per parity block with
-    Q = (I - xi A0)^{-1} and C_k = A_k Q: d log E/dt = -xi tr C1, the
-    second derivative adds tr C1^2 and tr C2, the third tr C1^3,
-    tr C1 C2 and tr Q A3. In the rank forms of the A_k
+    check (FredholmSpec) and guard, in the same one lockstep pass
+    (_factored): log E is the log |det| it yields plus the principal log
+    of the product of the factors' signs f / |f|. The derivatives are
+    resolvent-trace identities rather than finite differences, per parity
+    block with Q = (I - xi A0)^{-1} and C_k = A_k Q: d log E/dt =
+    -xi tr C1, the second derivative adds tr C1^2 and tr C2, the third
+    tr C1^3, tr C1 C2 and tr Q A3. In the rank forms of the A_k
     (_sine_kernel_blocks) each trace is a polynomial in the bilinear Gram
     matrix G = V^T Q V (no conjugate for complex xi): with a = 2/pi,
     upper sign even, tr C1 = a G00, tr C2 = -+2a G01 and
@@ -1551,15 +1546,14 @@ def fredholm_log_derivatives_grid(ts, xi: complex = 1.0,
     failures raise as in fredholm_grid.
     """
     out = []
-    for spec, blocks in _factored(ts, xi, m):
+    for spec, logabs, blocks in _factored(ts, xi, m):
         xi = _narrow(spec.xi)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logabs, sign = 0.0, 1.0
+            sign = 1.0
             tr1 = tr2 = tr3 = tr11 = tr12 = tr111 = 0.0
-            for (v, rows, gram, lam), parity in zip(blocks, (1.0, -1.0)):
-                factors = 1.0 - lam
-                logabs += float(np.sum(np.log(np.abs(factors))))
-                sign *= np.prod(factors / np.abs(factors))
+            for (v, rows, gram, factors, moduli), parity in zip(
+                    blocks, (1.0, -1.0)):
+                sign *= np.prod(factors / moduli)
                 rv = rows @ v
                 mat = gram * -xi
                 mat.flat[::len(mat) + 1] += 1.0

@@ -426,8 +426,8 @@ def test_refused_grid_point_raises_before_any_compute(argv, skipped, message,
      "fredholm_sine"),
     (["asymptotics", "--grid-count=4"], "fredholm_log_derivatives_grid",
      "fredholm_log_derivatives"),
-    # an odd rule (one lockstep per parity), a large odd rule built from
-    # numpy alone, a complex coupling, and a larger asymptotics rule
+    # an odd rule (both parities in one lockstep), a large odd rule built
+    # from numpy alone, a complex coupling, and a larger asymptotics rule
     (["fredholm", "--nodes=81", "--grid-count=10"], "fredholm_grid",
      "fredholm_sine"),
     (["fredholm", "--nodes=601", "--grid-end=6"], "fredholm_grid",
@@ -768,10 +768,20 @@ def test_no_command_escapes_its_exit_codes(argv, capsys):
 
 def test_every_branch_runs_on_numpy_alone():
     # in a fresh interpreter, every command and branch at its defaults, on
-    # one grid point and as CSV: none may import the test extras or scipy
+    # one grid point and as CSV, toeplitz on both sides of the kmax split
+    # (N = 1 is a seed pass, N = 3 recurs) and bulk with seed-only and
+    # recurred dimensions in one sweep: none may import the test extras
+    # or scipy
     runs = [[*command, *extra] for command in SWEEP_COMMANDS
             for extra in ([], ["--grid-count=1"],
                           ["--format=csv", "--grid-count=1"])]
+    runs += [
+        ["toeplitz", "--bigN=1", "--grid-count=3"],
+        ["toeplitz", "--bigN=3", "--grid-path=real", "--grid-count=3"],
+        ["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--dims=1,2,3,16",
+         "--grid-count=3"],
+        ["bulk", "--dims=1,2,8", "--grid-count=2"],
+    ]
     code = ("import contextlib, io, sys\n"
             "from taurmt.cli import main\n"
             f"for argv in {runs!r}:\n"

@@ -1881,8 +1881,9 @@ class TestFredholm:
     def test_xi_zero_is_one(self):
         assert fredholm_sine(FredholmSpec(1.0, 0.0)) == 1.0
 
-    def test_reference_value(self):
-        got = fredholm_sine(FredholmSpec(1.0, 1.0, m=90))
+    @pytest.mark.parametrize("m", [90, 91])
+    def test_reference_value(self, m):
+        got = fredholm_sine(FredholmSpec(1.0, 1.0, m=m))
         assert abs(got - FREDHOLM_T1) <= 1e-12
 
     def test_small_t_slope(self):
@@ -1913,9 +1914,10 @@ class TestFredholm:
         b = fredholm_sine(FredholmSpec(4.0, 1.0, m=120))
         assert abs(a - b) <= 1e-12
 
+    @pytest.mark.parametrize("m", [120, 121])
     @pytest.mark.parametrize("t,ref", sorted(GAP_RATIO_ANCHORS.items()))
-    def test_reference_gap_ratio(self, t, ref):
-        e = fredholm_sine(FredholmSpec(t, 1.0, m=120))
+    def test_reference_gap_ratio(self, t, ref, m):
+        e = fredholm_sine(FredholmSpec(t, 1.0, m=m))
         got = e / (t ** -0.25 * math.exp(-t * t / 2.0))
         assert abs(got - ref) <= 1e-10
 
@@ -2197,32 +2199,30 @@ class TestParitySplit:
 def _parity_fold(a, m):
     """The even and odd blocks of a full m x m Nystrom matrix: a in the
     orthonormal bases of reflection-symmetric and -antisymmetric node
-    pairs, an odd rule's centre node in the even one."""
-    half, c = m // 2, m % 2
+    pairs, an odd rule's centre node in the even one; the odd basis
+    keeps a zero column in its place."""
+    half = m // 2
     pos = np.arange(half, m)
     cols = np.arange(len(pos))
     even = np.zeros((m, len(pos)))
     even[pos, cols] = even[m - 1 - pos, cols] = math.sqrt(0.5)
-    if c:
-        even[half, 0] = 1.0
     odd = np.zeros((m, len(pos)))
     odd[pos, cols], odd[m - 1 - pos, cols] = math.sqrt(0.5), -math.sqrt(0.5)
-    odd = odd[:, c:]
+    if m % 2:
+        even[half, 0], odd[half, 0] = 1.0, 0.0
     return even.T @ a @ even, odd.T @ a @ odd
 
 
 def _one_point_blocks(t, m):
     """(block, V) for the even and the odd block at one half-width: each
     whole block from its generators' columns."""
-    out = []
-    for gens, v in _sine_kernel_blocks([t], m):
-        count, n = gens.diag.shape
-        cols = [gens.columns(np.full((count, 1), j),
-                             np.arange(count)[:, None] * n + j)
-                for j in range(n)]
-        out += [(np.stack([c[k] for c in cols], axis=1), v[k])
-                for k in range(count)]
-    return out
+    gens, v = _sine_kernel_blocks([t], m)
+    count, n = gens.diag.shape
+    cols = [gens.columns(np.full((count, 1), j),
+                         np.arange(count)[:, None] * n + j)
+            for j in range(n)]
+    return [(np.stack([c[k] for c in cols], axis=1), v[k])
+            for k in range(count)]
 
 
 @pytest.mark.parametrize("m", [80, 81])
@@ -2272,23 +2272,22 @@ def _sequential_factor(a, b, x, diag):
 
 
 def _lockstep_rows(ts, m):
-    """Per stacked generators of the grid, the rows of every block as
+    """The stacked generators of the grid and the rows of every block as
     the lockstep factors them, in block order."""
-    out = []
-    for gens, _ in _sine_kernel_blocks(ts, m):
-        rows = [None] * len(gens.diag)
-        for index, stack in _pivoted_cholesky(gens):
-            for k, r in zip(index.tolist(), stack):
-                rows[k] = r
-        out.append((gens, rows))
-    return out
+    gens, _ = _sine_kernel_blocks(ts, m)
+    rows = [None] * len(gens.diag)
+    for index, stack in _pivoted_cholesky(gens):
+        for k, r in zip(index.tolist(), stack):
+            rows[k] = r
+    return gens, rows
 
 
-def _flat_blocks(groups):
+def _flat_blocks(stack):
     """(a, b, x, diag, V) of every block _sine_kernel_blocks stacks, in
     order."""
+    gens, v = stack
     return [(gens.a[k], gens.b[k], gens.x, gens.diag[k], v[k])
-            for gens, v in groups for k in range(len(gens.diag))]
+            for k in range(len(gens.diag))]
 
 
 def _hex(v):
@@ -2308,12 +2307,12 @@ class TestFredholmGrid:
     ])
     def test_lockstep_rows_equal_the_sequential_factor(self, ts, m):
         ranks = []
-        for gens, rows in _lockstep_rows(ts, m):
-            for k, got in enumerate(rows):
-                want = _sequential_factor(gens.a[k], gens.b[k], gens.x,
-                                          gens.diag[k])
-                assert np.array_equal(got, want), (k, len(got), len(want))
-                ranks.append(len(got))
+        gens, rows = _lockstep_rows(ts, m)
+        for k, got in enumerate(rows):
+            want = _sequential_factor(gens.a[k], gens.b[k], gens.x,
+                                      gens.diag[k])
+            assert np.array_equal(got, want), (k, len(got), len(want))
+            ranks.append(len(got))
         if len(ts) > 3:
             assert min(ranks) <= 2 and max(ranks) >= 12, ranks
 
@@ -2337,6 +2336,28 @@ class TestFredholmGrid:
                 got = grid[parity * len(ts) + i]
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), (
                     t, parity)
+
+    @pytest.mark.parametrize("m", [21, 81])
+    def test_odd_rule_factors_in_one_lockstep_with_a_zero_centre(
+            self, m, monkeypatch):
+        # both parities of every t share the order ceil(m/2): the odd
+        # blocks keep the centre node, whose a, b, diagonal and V are 0
+        ts = (0.05, 0.7, 2.5, 4.0, 6.0)
+        calls = []
+
+        def counted(gens):
+            calls.append(gens.diag.shape)
+            return _pivoted_cholesky(gens)
+
+        monkeypatch.setattr(rmt, "_pivoted_cholesky", counted)
+        fredholm_grid(ts, 1.0, m)
+        fredholm_log_derivatives_grid(ts, 1.0, m)
+        assert calls == [(2 * len(ts), (m + 1) // 2)] * 2
+        gens, v = _sine_kernel_blocks(ts, m)
+        odd = slice(len(ts), None)
+        for centre in (gens.a[odd, 0], gens.b[odd, 0], gens.diag[odd, 0],
+                       v[odd, 0]):
+            assert np.all(centre == 0.0)
 
     # at m = 600 the grid's 14 blocks, both parities of every t, take one
     # lockstep
@@ -2428,13 +2449,14 @@ def _to_fix(x):
 @lru_cache(maxsize=None)
 def _mp_parity_blocks(t, m):
     """(even, odd): the blocks of the kernel and its first three
-    t-derivatives, each a (4, n, n) object array in fixed point."""
+    t-derivatives, each a (4, n, n) object array in fixed point; an odd
+    rule's odd blocks keep the centre node's zero row and column."""
     x, w = _gl_rule(m)
-    half, c = m // 2, m % 2
+    half = m // 2
     with mp.workprec(_FIX_BITS + 32):
         p = [mp.mpf(v) for v in x[half:]]
         sq = [mp.sqrt(mp.mpf(v) / mp.pi) for v in w[half:]]
-        if c:
+        if m % 2:
             sq[0] = mp.sqrt(mp.mpf(w[half]) / (2 * mp.pi))
         tt = mp.mpf(t)
 
@@ -2454,7 +2476,7 @@ def _mp_parity_blocks(t, m):
                 for k, (kd, ks) in enumerate(pairs):
                     even[k, i, j] = even[k, j, i] = _to_fix((kd + ks) * f)
                     odd[k, i, j] = odd[k, j, i] = _to_fix((kd - ks) * f)
-    return even, odd[:, c:, c:]
+    return even, odd
 
 
 def _fix_mul(a, b):
