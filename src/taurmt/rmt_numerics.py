@@ -97,7 +97,7 @@ different branches of the 2 mu power, analytic along rays but not in t.
 
 Recurrence notes. z(1 + z)(1 + tz) w'(z)/w(z) is a quadratic in
 z = e^{i theta}, so the coefficients obey a three-term recurrence in k
-(_recurrence_table) with characteristic roots -1 and -t. Where it holds
+(_recurrence_tables) with characteristic roots -1 and -t. Where it holds
 and is stable, three quadrature columns replace 2 kmax + 1, and the
 tanh-sinh level is set by |k| <= 1 instead of the slowest high-|k|
 column. Per regime:
@@ -196,22 +196,25 @@ generated columns, which a tighter stop of the factor does not move.
 For complex t the blocks are complex symmetric, not semidefinite, so
 the half-width is a positive real at every entry point.
 
-A grid of t is factored in one pass (_factor_grid): one sin and one cos
-over the (t, node) array give the generators of every block
-(_sine_kernel_blocks), and the pivoted Cholesky runs in one lockstep
-over both parities of every t (_pivoted_cholesky), which share the
-order ceil(m/2) at every m: an odd rule's odd blocks keep the centre
-node as a zero row. A step is one argmax, one column generation and one
-residual update over the stacked blocks still active, in place of one
-Python loop per block; a block leaves the stack when it stops, and its
-rows are sized by the running rank. Every value is bit for bit that of
-the block factored alone, and a single t is the one-point case. Over 10
-t per call at xi = 1 (2-core x86_64, one BLAS thread, best of 15 runs),
-the grid takes 0.31, 0.36 and 0.46 of the time of a loop of one-t calls
-at m = 80, 300 and 600, and its log-derivatives 0.4, 0.42 and 0.52;
-odd m is alike. A lone t gains nothing: at t = 2.5 it takes 0.9-1.2
-times as long as a factor of one block at a time at m = 80 to 601, of
-either parity.
+A grid of t goes from its half-widths to its factors in one stage
+(_factored): one sin and one cos over the (t, node) array give the
+generators of every block (_sine_kernel_blocks), and the pivoted
+Cholesky runs in one lockstep over both parities of every t
+(_pivoted_cholesky), which share the order ceil(m/2) at every m: an odd
+rule's odd blocks keep the centre node as a zero row. A step is one
+argmax, one column generation and one residual update over the stacked
+blocks still active, in place of one Python loop per block; a block
+leaves the stack when it stops, and its rows are sized by the running
+rank. Each stack of equal rank then forms its Gram matrices, their
+spectra, the factors 1 - xi lam, their moduli and each block's guard
+sum and sum of log |f| as one stacked operation each. Every value is
+bit for bit that of the block factored alone, and a single t is the
+one-point case. Over 10 t per call at xi = 1 (2-core x86_64, one BLAS
+thread, best of 15 runs), the grid takes 0.31, 0.36 and 0.46 of the
+time of a loop of one-t calls at m = 80, 300 and 600, and its
+log-derivatives 0.4, 0.42 and 0.52; odd m is alike. A lone t gains
+nothing: at t = 2.5 it takes 0.9-1.2 times as long as a factor of one
+block at a time at m = 80 to 601, of either parity.
 
 The rule resolves the kernel only while |t| <= m/2, and every entry
 point refuses a larger half-width: at xi = 0.5, |E(m) - E(2m)| / E stays
@@ -773,12 +776,6 @@ def _check_table_range(w: WeightSpec, kmax: int, tol: float) -> None:
                          f"tol = {tol!r}: a part's share of it is {share:.3e}")
 
 
-def _quadrature_table(w: WeightSpec, kmax: int, tol: float):
-    """(c_{-kmax..kmax}, error estimate) of one weight from
-    _quadrature_tables, or its QuadratureError."""
-    return _quadrature_tables(w.p, [w.phase()], kmax, tol)[0]
-
-
 def _step_factors(coeffs, kmax: int) -> np.ndarray:
     """(kmax - 1, 2, 2 T) factors (f2, f1) of every step x_new =
     f1 x_near + f2 x_far of _march_rows, for the coefficients
@@ -916,11 +913,6 @@ def _recurrence_tables(p: SSEParams, ws, kmaxes, tol: float) -> list:
     return got
 
 
-def _recurrence_table(w: WeightSpec, kmax: int, tol: float):
-    """The one-weight call of _recurrence_tables."""
-    return _recurrence_tables(w.p, [w], [kmax], tol)[0]
-
-
 def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
                   _prepared=None):
     """(values, error estimate): the coefficients
@@ -948,17 +940,20 @@ def fourier_table(w: WeightSpec, kmax: int, tol: float = 1e-12, *,
     Tables with kmax <= 1 are their seed pass's rows (_recurrence_tables)
     and never take a second pass.
 
-    _prepared is _toeplitz_sweep's, for w, whose range it checked: what its
-    batched pass made, the recurred table or, at kmax <= 1, the seed
-    pass's table or QuadratureError, or () where it refused the
-    recurrence. The table, or the error, is the same bits either way.
+    Without _prepared, w's range is checked (_check_table_range) and w is
+    the one row of each batched call: _recurrence_tables, then, where it
+    refuses, the full pass of _quadrature_tables. _prepared is
+    _toeplitz_sweep's, for w, whose range it checked: what its batched
+    pass made, the recurred table or, at kmax <= 1, the seed pass's table
+    or QuadratureError, or () where it refused the recurrence. The table,
+    or the error, is the same bits either way.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if _prepared is None:
         _check_table_range(w, kmax, tol)
-        _prepared = _recurrence_table(w, kmax, tol)
-    got = _prepared or _quadrature_table(w, kmax, tol)
+        _prepared = _recurrence_tables(w.p, [w], [kmax], tol)[0]
+    got = _prepared or _quadrature_tables(w.p, [w.phase()], kmax, tol)[0]
     if isinstance(got, QuadratureError):
         raise got
     return got
@@ -1418,67 +1413,57 @@ def _pivoted_cholesky(gens: _Generators) -> list:
     return factors
 
 
-def _factor_grid(ts, m: int) -> list:
-    """Per half-width of ts, the even and the odd block as
-    (V, R, R R^T, eigenvalues of R R^T).
-
-    The one stack of blocks (_sine_kernel_blocks), both parities of
-    every t, is factored in one lockstep (_pivoted_cholesky), A ~ R^T R,
-    so that det(I - xi A) = prod (1 - xi lam_j) over the eigenvalues
-    lam_j of the r x r Gram matrix R R^T by Sylvester's identity. The
-    Gram matrices and their eigenvalues are one stacked product and one
-    eigvalsh call per stack of equal rank, each bit for bit that of its
-    block alone. A single t is the one-point case.
-    """
-    gens, v = _sine_kernel_blocks(ts, m)
-    blocks = [None] * len(v)
-    for index, stack in _pivoted_cholesky(gens):
-        grams = stack @ stack.transpose(0, 2, 1)
-        eigs = np.linalg.eigvalsh(grams)
-        for k, rows, gram, eig in zip(index.tolist(), stack, grams, eigs):
-            blocks[k] = (v[k], rows, gram, eig)
-    return list(zip(blocks[:len(ts)], blocks[len(ts):]))
-
-
 def _factored(ts, xi, m):
-    """(spec, log |det(I - xi K)|, its blocks) for each t of ts in grid
+    """(spec, log |det(I - xi K)|, (even, odd)) for each t of ts in grid
     order, each block as (V, R, R R^T, f, |f|) with f the factors
-    1 - xi lam_j over the eigenvalues lam_j of R R^T (_factor_grid).
+    1 - xi lam_j over the eigenvalues lam_j of R R^T.
 
     Every t is checked (FredholmSpec), and the first t refused in grid
-    order raises, before the blocks of the grid are factored in one pass.
-    Each eigenvalue may carry an absolute error of m eps, so
-    m eps sum |xi lam_j| / |f_j| over both blocks bounds the relative
-    error of the determinant; where it reaches 1 no digit is correct and
-    ValueError is raised as the t's turn comes. At xi = 1 and m = 600 it
-    reads 3.4e-11, 1.4e-9 and 6.4e-8 at t = 4, 6 and 8, and passes 1
-    before t = 20. log |det| sums log |f_j| over both blocks.
+    order raises, before any block is computed. The one stack of blocks
+    (_sine_kernel_blocks), both parities of every t, is factored in one
+    lockstep (_pivoted_cholesky), A ~ R^T R, so that
+    det(I - xi A) = prod (1 - xi lam_j) over the eigenvalues lam_j of the
+    r x r Gram matrix R R^T by Sylvester's identity. Per stack of equal
+    rank the Gram matrices, their eigenvalues, the factors, their moduli
+    and each block's sums are one stacked operation each, bit for bit
+    those of the block alone. Each eigenvalue may carry an absolute error
+    of m eps, so m eps sum |xi lam_j| / |f_j| over both blocks bounds the
+    relative error of the determinant; where it reaches 1 no digit is
+    correct and ValueError is raised as the t's turn comes. At xi = 1 and
+    m = 600 it reads 3.4e-11, 1.4e-9 and 6.4e-8 at t = 4, 6 and 8, and
+    passes 1 before t = 20. log |det| sums log |f_j| over both blocks.
     """
     specs = [FredholmSpec(t, xi, m) for t in ts]
     if not specs:
         return
     xi, m = _narrow(xi), specs[0].m
-    for spec, pair in zip(specs, _factor_grid([float(s.t) for s in specs], m)):
-        blocks, cond, logabs = [], 0.0, 0.0
+    gens, v = _sine_kernel_blocks([float(s.t) for s in specs], m)
+    blocks, conds, logs = [None] * len(v), np.empty(len(v)), np.empty(len(v))
+    for index, stack in _pivoted_cholesky(gens):
+        grams = stack @ stack.transpose(0, 2, 1)
+        eigs = np.linalg.eigvalsh(grams)
         # a factor of exactly 0 makes the bound infinite, and a product
         # xi lam that overflows makes it nan: both are refused below.
         # numpy's complex product flags an overflow in an intermediate
         # even where it is finite, at |xi| near the float max
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for v, rows, gram, eig in pair:
-                lam = xi * eig
-                factors = 1.0 - lam
-                moduli = np.abs(factors)
-                cond += float((np.abs(lam) / moduli).sum())
-                logabs += float(np.sum(np.log(moduli)))
-                blocks.append((v, rows, gram, factors, moduli))
-        bound = m * _EPS * cond
+            lam = xi * eigs
+            factors = 1.0 - lam
+            moduli = np.abs(factors)
+            conds[index] = (np.abs(lam) / moduli).sum(axis=1)
+            logs[index] = np.log(moduli).sum(axis=1)
+        for k, *block in zip(index.tolist(), stack, grams, factors, moduli):
+            blocks[k] = (v[k], *block)
+    count = len(specs)
+    for k, spec in enumerate(specs):
+        bound = m * _EPS * float(conds[k] + conds[count + k])
         if not bound < 1.0:
             raise ValueError(
                 f"det(I - xi K) at t = {spec.t!r}, xi = {xi!r} has no "
                 f"correct digit at m = {m} nodes: its rounding bound "
                 f"reads {bound:.3g}")
-        yield spec, logabs, blocks
+        yield (spec, float(logs[k] + logs[count + k]),
+               (blocks[k], blocks[count + k]))
 
 
 def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
@@ -1488,17 +1473,16 @@ def fredholm_grid(ts, xi: complex = 1.0, m: int = 80) -> list:
     Rescaled to (-1, 1), where the kernel is sin(t(u-v))/(pi(u-v)) with
     diagonal t/pi, and factored by parity: det(I - xi A+) det(I - xi A-)
     over the even and odd blocks of the whole m-node Nystrom matrix, each
-    the product of the factors 1 - xi lam_j that _factored forms. The
-    blocks of the whole grid are factored in one lockstep pass
-    (_factored, which raises ValueError where no digit is correct; see
-    the Fredholm notes), and ValueError is raised where the log |det| it
-    yields says the product leaves the float range. Convergence in m is
-    exponential; the check of it, a second evaluation at doubled m,
-    belongs to the caller (the fredholm selftest runs it). Each value is
-    a float for real xi. Every value is the one fredholm_sine returns at
-    its t, bit for bit. Every t is checked before any is computed
-    (_factored): the first t refused in grid order raises, or else the
-    first t that fails.
+    the product of the factors 1 - xi lam_j. The whole grid goes from its
+    half-widths to those factors in one stage (_factored, which raises
+    ValueError where no digit is correct; see the Fredholm notes), and
+    ValueError is raised where the log |det| it yields says the product
+    leaves the float range. Convergence in m is exponential; the check
+    of it, a second evaluation at doubled m, belongs to the caller (the
+    fredholm selftest runs it). Each value is a float for real xi. Every
+    value is the one fredholm_sine returns at its t, bit for bit. Every t
+    is checked before any is computed (_factored): the first t refused in
+    grid order raises, or else the first t that fails.
     """
     out = []
     for spec, logabs, blocks in _factored(ts, xi, m):
@@ -1528,9 +1512,9 @@ def fredholm_log_derivatives_grid(ts, xi: complex = 1.0,
     every t of a grid.
 
     From the factors fredholm_grid multiplies, under the same argument
-    check (FredholmSpec) and guard, in the same one lockstep pass
-    (_factored): log E is the log |det| it yields plus the principal log
-    of the product of the factors' signs f / |f|. The derivatives are
+    check (FredholmSpec) and guard, in the same one stage (_factored):
+    log E is the log |det| it yields plus the principal log of the
+    product of the factors' signs f / |f|. The derivatives are
     resolvent-trace identities rather than finite differences, per parity
     block with Q = (I - xi A0)^{-1} and C_k = A_k Q: d log E/dt =
     -xi tr C1, the second derivative adds tr C1^2 and tr C2, the third

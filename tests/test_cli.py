@@ -391,13 +391,13 @@ STALLING_TABLE = ["toeplitz", "--bigN=36", "--mu=0.710902+0.180507i",
       "--grid-count=2"], [(cli, "fredholm_log_derivatives_grid")],
      "t must be finite and positive, got -1.0"),
     (["asymptotics", "--xi=1", "--nodes=300", "--grid-start=30",
-      "--grid-end=160", "--grid-count=2"], [(rmt, "_factor_grid")],
+      "--grid-end=160", "--grid-count=2"], [(rmt, "_sine_kernel_blocks")],
      "half-width t = 160.0 needs more than m = 300 nodes: the rule "
      "resolves |t| <= m/2"),
     # the gap branch: one jets call before the flow, which refuses -1
     (["bulk", "--mu=0", "--omega1=0", "--omega2=0", "--dims=8",
       "--grid-start=0.5", "--grid-end=-1", "--grid-count=2"],
-     [(rmt, "_factor_grid"), (cli, "integrate")],
+     [(rmt, "_sine_kernel_blocks"), (cli, "integrate")],
      "half-width t must be a positive real"),
     # the generic branch: the limits refuse t = exp(-x/N) outside the
     # disc before the flow, at a negative x and where t underflows to 0
