@@ -59,10 +59,11 @@ takes the Toeplitz route's t on the unit circle and in (0, 1) only, for
 toeplitz, series and bulk (t = exp(-x/N)) alike (rmt_numerics.WeightSpec),
 so a real-path t below 0 is a parameter error.
 
-Complex values on the command line are "re", "im i", or "re+im i" with
-no spaces, e.g. 0.25, 1.5i, 0.3-0.2i. Each part must be finite: nan, inf
-and a literal that overflows, such as 1e400, are usage errors that name
-the flag.
+Complex values on the command line are "re", "im i", or "re+im i", e.g.
+0.25, 1.5i, 0.3-0.2i; spaces are ignored. A j suffix, parentheses and any
+other whitespace inside the literal are refused. Each part must be finite:
+nan, inf and a literal that overflows, such as 1e400, are usage errors
+that name the flag.
 
 The commands compose library calls and re-derive none. The tau <-> sigma
 maps are sigma_ode.sigma_map. ode and bulk seed one flow at the first
@@ -167,27 +168,17 @@ class UsageError(Exception):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "re", "im i" or "re+im i" (also re-im i); no spaces. nan, inf
-    and a literal that overflows to inf are refused."""
+    """Parse "re", "im i" or "re+im i" (also re-im i) through complex().
+    Spaces are ignored. A j suffix, parentheses and any other whitespace
+    inside the literal are refused, and so are nan, inf and a literal that
+    overflows to inf."""
     s = str(text).strip().replace(" ", "")
     if not s:
         raise UsageError("empty complex literal")
-    re_part, im_part = s, "0"
-    if s[-1] in "iI":
-        body = s[:-1]
-        # split at the last sign that is not an exponent sign and not leading
-        cut = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                cut = k
-                break
-        re_part, im_part = (body[:cut], body[cut:]) if cut > 0 else ("", body)
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
     try:
-        z = complex(float(re_part) if re_part else 0.0, float(im_part))
+        if any(c in s for c in "jJ()"):
+            raise ValueError
+        z = complex(s[:-1] + "j" if s[-1] in "iI" else s)
     except ValueError:
         raise UsageError(f"cannot parse {text!r} as a complex value") from None
     if not cmath.isfinite(z):
@@ -379,26 +370,23 @@ def _resolve(args) -> RunConfig:
         if key not in known:
             raise UsageError(f"unknown configuration key {key!r}")
 
+    def number(key, default, conv=float):
+        try:
+            return conv(raw.get(key, default))
+        except (TypeError, ValueError, UsageError) as exc:
+            raise UsageError(f"--{key}: {exc}") from None
+
     params = {}
     for flag, (_, conv, default, kwargs) in flags.items():
         if flag not in raw:
             if default is not None:
                 params[flag] = default
             continue
-        try:
-            params[flag] = conv(raw[flag])
-        except (TypeError, ValueError, UsageError) as exc:
-            raise UsageError(f"--{flag}: {exc}") from None
+        params[flag] = number(flag, None, conv)
         choices = kwargs.get("choices")
         if choices is not None and params[flag] not in choices:
             raise UsageError(f"--{flag}: {params[flag]!r} is not one "
                              f"of {', '.join(choices)}")
-
-    def number(key, default, conv=float):
-        try:
-            return conv(raw.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"--{key}: {exc}") from None
 
     kind = str(raw.get("grid-path", next(iter(paths))))
     if kind not in paths:
@@ -547,12 +535,11 @@ def _sse_residuals(p: SSEParams, r) -> dict:
         out["limit_ii_" + name] = value
     # each limit matrix is sized by its factors: K M K^-1, where det K = 1
     # gives K^-1 the max-norm of K, and S0 S1 e^{pi i theta_inf sigma3}
-    n_k = lt.K.norm_max()
     e_inf = Mat2.diag(exp_pi_i(thv.theta_inf), exp_pi_i(-thv.theta_inf))
     for name, ours, size, theirs in (
-            ("hat_m0", lt.hat_m0v, n_k * mats.m_inf.norm_max() * n_k,
+            ("hat_m0", lt.hat_m0v, norm_product(lt.K, mats.m_inf, lt.K),
              pv.hat_m0),
-            ("hat_m1", lt.hat_m1v, n_k * mats.m1.norm_max() * n_k, pv.hat_m1),
+            ("hat_m1", lt.hat_m1v, norm_product(lt.K, mats.m1, lt.K), pv.hat_m1),
             ("hat_m_inf", lt.hat_m_inf_v,
              norm_product(lt.s0_hat, lt.s1_hat, e_inf), pv.hat_m_inf)):
         out["limit_ii_" + name] = backward_error(

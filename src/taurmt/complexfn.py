@@ -122,17 +122,14 @@ class GammaPoleError(ValueError):
         super().__init__(f"{where} {argument} is a pole of the gamma function")
 
 
-def _near_nonpositive_integer(z: complex) -> int | None:
-    """Return the pole index n >= 0 with z ~ -n, or None. A non-finite z
-    raises ValueError: it has no nearest integer, and a nan would recurse in
-    ln_gamma's reflection without end."""
+def _at_pole(z: complex) -> bool:
+    """Whether z ~ -n for an integer n >= 0, a pole of the gamma function. A
+    non-finite z raises ValueError: it has no nearest integer, and a nan
+    would recurse in ln_gamma's reflection without end."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"gamma argument {z} is not finite")
-    if not near_integer(z):
-        return None
-    n = round(z.real)
-    return None if n > 0 else -n
+    return near_integer(z) and round(z.real) <= 0
 
 
 def _lanczos_right(z: complex) -> complex:
@@ -154,7 +151,7 @@ def ln_gamma(z: complex) -> complex:
     ValueError at a non-finite argument.
     """
     z = complex(z)
-    if _near_nonpositive_integer(z) is not None:
+    if _at_pole(z):
         raise GammaPoleError(z)
     return _ln_gamma_off_poles(z)
 
@@ -192,7 +189,7 @@ def gamma_ratio(numerators: tuple, denominators: tuple) -> complex:
     for where, args in (("numerator argument", numerators),
                         ("denominator argument", denominators)):
         for a in args:
-            if _near_nonpositive_integer(a) is not None:
+            if _at_pole(a):
                 raise GammaPoleError(a, where)
     acc = 0.0 + 0.0j
     for a in numerators:

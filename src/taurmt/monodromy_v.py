@@ -274,16 +274,15 @@ def limit_transition_ii(mats: MonodromyMatricesVI, theta6: complex,
     hat_m_inf_v = mul(s0_mat, s1_e_inf)
     # each side sized by its factors; e^{-pi i theta6 sigma3} has the
     # max-norm of e^{pi i theta6 sigma3}
-    n_k, n_k_inv, n_e6 = k.norm_max(), k_inv.norm_max(), e6_mat.norm_max()
     res = {
         "k_equation_1": backward_error(
             max_diff(mul(k, mul(mt_vi, k_inv)), mul(s0_mat, e6_mat)),
-            n_k * mt_vi.norm_max() * n_k_inv, s0_mat.norm_max() * n_e6),
+            norm_product(k, mt_vi, k_inv), norm_product(s0_mat, e6_mat)),
         "k_equation_2": backward_error(
             max_diff(mul(k, mul(m0_vi, k_inv)),
                      mul(Mat2.diag(e6_neg, e6), s1_e_inf)),
-            n_k * m0_vi.norm_max() * n_k_inv,
-            n_e6 * s1_mat.norm_max() * e_inf_mat.norm_max()),
+            norm_product(k, m0_vi, k_inv),
+            norm_product(e6_mat, s1_mat, e_inf_mat)),
         "cyclic_hatted": identity_residual(hat_m0v, hat_m1v, hat_m_inf_v),
     }
     if not (res["k_equation_1"] <= CONSISTENCY_TOL and res["k_equation_2"] <= CONSISTENCY_TOL):
@@ -390,9 +389,8 @@ def sse_pv_matrices(p: SSEParams) -> MonodromyDataV:
     # its factors S1 M1 M0 M1^-1 S1^-1, S1 M1 S1^-1 and S1 Minf S1^-1, and
     # an SL(2) matrix has the max-norm of its inverse
     s1_mat = stokes.stokes_matrix_lower()
-    n_s1, n_m1 = s1_mat.norm_max(), m1.norm_max()
-    sizes = (n_s1 * n_m1 * m0.norm_max() * n_m1 * n_s1, n_s1 * n_m1 * n_s1,
-             n_s1 * m_inf.norm_max() * n_s1)
+    sizes = (norm_product(s1_mat, m1, m0, m1, s1_mat),
+             norm_product(s1_mat, m1, s1_mat), norm_product(s1_mat, m_inf, s1_mat))
     printed = (hat_m0, hat_m1, hat_m_inf)
     dev = {name: backward_error(max_diff(image, ref), size, ref.norm_max())
            for name, image, size, ref in zip(

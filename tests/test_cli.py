@@ -149,6 +149,41 @@ def test_in_range_tolerance_accepted(argv, capsys):
     assert all(math.isfinite(v) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("0.25", (0.25, 0.0)),
+    ("1.5i", (0.0, 1.5)),
+    ("0.3-0.2i", (0.3, -0.2)),
+    ("i", (0.0, 1.0)),
+    ("-i", (0.0, -1.0)),
+    ("+I", (0.0, 1.0)),
+    ("1e+3-2e-3i", (1000.0, -0.002)),
+    ("-0", (-0.0, 0.0)),
+    ("-0i", (0.0, -0.0)),
+    ("0.3-0i", (0.3, -0.0)),
+    (" 0.3 - 0.2i ", (0.3, -0.2)),
+    # a refusal is its UsageError's text
+    ("", "empty complex literal"),
+    *((text, f"cannot parse {text!r} as a complex value") for text in
+      ("1+2j", "2j", "(1+2i)", "1+", "i1", "1e", "1\t+2i")),
+    *((text, f"{text!r} is not a finite number") for text in
+      ("nan", "inf", "infi", "1e400")),
+])
+def test_complex_literal_grammar(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(cli.UsageError) as exc:
+            cli.parse_complex(text)
+        assert str(exc.value) == expected
+    else:
+        z = cli.parse_complex(text)
+        assert (z.real.hex(), z.imag.hex()) == tuple(x.hex() for x in expected)
+
+
+def test_j_suffix_is_a_usage_error_that_names_the_flag(capsys):
+    assert main(["fredholm", "--xi=1+2j"]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr().err == (
+        "error: --xi: cannot parse '1+2j' as a complex value\n")
+
+
 @pytest.mark.parametrize("module", ["taurmt", "taurmt.cli"])
 def test_runs_as_module_without_warnings(module):
     env = dict(os.environ)

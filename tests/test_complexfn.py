@@ -8,7 +8,6 @@ import cmath
 import math
 import random
 
-import mpmath as mp
 import pytest
 
 from taurmt.complexfn import (
@@ -191,6 +190,7 @@ class TestBarnesPrefactor:
         # G(N+1) G(N+1+a) G(1+b) G(1+c) / (G(1+a) G(N+1+b) G(N+1+c)) with
         # a = 2 mu + 2 omega1, b = mu + omega, c = mu + conj-omega, at 30
         # digits; the log-gamma sum drifts to about 1e-12 by N = 64
+        mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             a = 2 * mp.mpc(mu) + 2 * mp.mpf(omega1)
             b = mp.mpc(mu) + mp.mpc(omega1, omega2)
