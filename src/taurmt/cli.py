@@ -11,13 +11,24 @@ diagnostics key: accepted, rejected and re-projected steps, detours round
 a turning point, and the shortest step (null when no step was taken);
 the CSV holds the table alone.
 
+One pass over argv reads the flags (_read_argv): argv[0] names the
+command, and each flag, spelled --key=value or --key value (a value may
+not start with --), goes under its key into the same dict that the lines
+of a --config file fill; --oracle and --selftest are given bare. One
+table per command, _keys_of, holds the keys it takes: a flag outside it
+is "unrecognized", a config key outside it "unknown". _resolve then runs
+the one conversion and choices check of every value, whichever source
+gave it. -h or --help prints help built from _COMMANDS, _FLAGS and
+_COMMON, the top level's or the command's, and exits 0.
+
 Exit codes: 0 success, 2 identity violation (monodromy-check or
 --selftest), 3 degenerate or invalid parameters, 4 numerical
-nonconvergence, 1 I/O failure. Exit 3 covers a usage error (a bad flag,
-key or value, printed as "error: ...") and every ValueError and
-ArithmeticError a computation raises (printed as "parameter error: ..."),
-among them a weight or a determinant whose values would leave the float
-range; an OverflowError prints as "a value leaves the float range (...)".
+nonconvergence, 1 I/O failure. Exit 3 covers a usage error (a missing or
+unknown command, or a bad flag, key or value, printed as "error: ...")
+and every ValueError and ArithmeticError a computation raises (printed
+as "parameter error: ..."), among them a weight or a determinant whose
+values would leave the float range; an OverflowError prints as "a value
+leaves the float range (...)".
 Every subcommand also accepts --selftest, which ignores the grid and runs
 that command's built-in property checks.
 
@@ -60,10 +71,11 @@ toeplitz, series and bulk (t = exp(-x/N)) alike (rmt_numerics.WeightSpec),
 so a real-path t below 0 is a parameter error.
 
 Complex values on the command line are "re", "im i", or "re+im i", e.g.
-0.25, 1.5i, 0.3-0.2i; spaces are ignored. A j suffix, parentheses and any
-other whitespace inside the literal are refused. Each part must be finite:
-nan, inf and a literal that overflows, such as 1e400, are usage errors
-that name the flag.
+0.25, 1.5i, 0.3-0.2i. A space may stand round the literal and round the
+sign that joins its parts, so "1 5" and "1e -3" are refused; a j suffix,
+parentheses and any other whitespace inside the literal are refused too.
+Each part must be finite: nan, inf and a literal that overflows, such as
+1e400, are usage errors that name the flag.
 
 The commands compose library calls and re-derive none. The tau <-> sigma
 maps are sigma_ode.sigma_map. ode and bulk seed one flow at the first
@@ -98,7 +110,6 @@ The strict xfail test_sse_monodromy_check_passes_at_odd_n pins the defect
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import csv
 import functools
@@ -106,6 +117,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -167,12 +179,20 @@ class UsageError(Exception):
     """Bad flags, bad config keys, or missing required parameters."""
 
 
+# a sign after a character that can end a real part (not an exponent's e),
+# with the spaces round it: the sign that joins the real and imaginary parts
+_JOINING_SIGN = re.compile(r"(?<=[^eE ]) *([+-]) *")
+
+
 def parse_complex(text: str) -> complex:
     """Parse "re", "im i" or "re+im i" (also re-im i) through complex().
-    Spaces are ignored. A j suffix, parentheses and any other whitespace
-    inside the literal are refused, and so are nan, inf and a literal that
-    overflows to inf."""
-    s = str(text).strip().replace(" ", "")
+    A space may stand round the literal and round the sign that joins its
+    parts, and nowhere else. A j suffix, parentheses and any other
+    whitespace inside the literal are refused, and so are nan, inf and a
+    literal that overflows to inf."""
+    s = str(text).strip()
+    if " " in s:
+        s = _JOINING_SIGN.sub(r"\1", s)
     if not s:
         raise UsageError("empty complex literal")
     try:
@@ -255,30 +275,15 @@ class RunConfig:
 # argument plumbing
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises UsageError on bad input; a flag must be spelled in full.
-
-    Without allow_abbrev a unique prefix (--x for --xi) would be a silent
-    alias on the command line although the same key in a config file is
-    rejected. Subparsers are built from this class too.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 # the commands that read the weight (mu, omega1, omega2, xi) and those that
 # read the generic sixth-system data (sigma, s and the theta flags)
 _SSE = ("monodromy-check", "series", "ode", "toeplitz", "bulk")
 _GENERIC = ("monodromy-check", "ode")
 
-# flag -> (commands that read it, converter, default or None, further
-# add_argument keywords); a command declares, accepts and echoes into its
+# flag -> (commands that read it, converter, default or None, keywords
+# help and choices); a command declares, accepts and echoes into its
 # params exactly the flags that name it here. A keyword given as a dict
-# keyed by command (choices, help) applies per command
+# keyed by command applies per command
 _FLAGS = {
     "mu": (_SSE, parse_complex, 0.25 + 0j,
            {"help": "singularity exponent parameter"}),
@@ -302,9 +307,10 @@ _FLAGS = {
     "thetainf": (_GENERIC, parse_complex, None,
                  {"help": "exponent theta_inf"}),
     "family": (("series", "ode"), str, None,
-               {"choices": {"series": ("an", "bulk"), "ode": ("vi", "bulk")}}),
+               {"help": "the branch computed",
+                "choices": {"series": ("an", "bulk"), "ode": ("vi", "bulk")}}),
     "oracle": (("toeplitz",), _as_bool, None,
-               {"action": "store_const", "const": True}),
+               {"help": "add the direct quadrature oracle's columns"}),
     "nodes": (("fredholm", "asymptotics"), int, None,
               {"help": {"fredholm": "Nystrom nodes m (default 80); "
                                     "needs |t| <= m/2",
@@ -313,8 +319,23 @@ _FLAGS = {
     "dims": (("bulk",), str, None,
              {"help": "comma list of matrix dimensions"}),
 }
+# the flags every command takes besides its own, and --tol where _COMMANDS
+# gives it a default
+_COMMON = {
+    "grid-start": "first grid value",
+    "grid-end": "last grid value",
+    "grid-count": "number of grid points, an integer >= 1",
+    "grid-path": "the path the grid runs along",
+    "format": "json (the default) or csv",
+    "output": "file the output goes to (default stdout)",
+    "config": "key=value file read before the flags; flags win",
+    "selftest": "run the command's property checks instead",
+}
+# the flags given bare, which take no value
+_SWITCHES = ("oracle", "selftest")
 
 
+@functools.cache
 def _flags_of(command: str) -> dict:
     flags = {}
     for flag, (commands, conv, default, kwargs) in _FLAGS.items():
@@ -326,49 +347,109 @@ def _flags_of(command: str) -> dict:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first call and shared by later ones."""
-    parser = _Parser(prog="taurmt", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (paths, tol, _, _) in _COMMANDS.items():
-        p = sub.add_parser(name, add_help=True)
-        for flag, (_, _, _, kwargs) in _flags_of(name).items():
-            p.add_argument(f"--{flag}", default=None, **kwargs)
-        p.add_argument("--grid-start", default=None)
-        p.add_argument("--grid-end", default=None)
-        p.add_argument("--grid-count", default=None)
-        p.add_argument("--grid-path", default=None,
-                       metavar="{" + ",".join(paths) + "}")
-        if tol is not None:
-            p.add_argument("--tol", default=None,
-                           help=f"{tol[1]} (default {tol[0]!r})")
-        p.add_argument("--format", default=None, choices=("json", "csv"))
-        p.add_argument("--output", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--selftest", action="store_const", const=True,
-                       default=None)
-    return parser
+def _keys_of(command: str) -> frozenset:
+    """The keys a config file may name for command: every flag it takes
+    but --config."""
+    keys = set(_flags_of(command)) | set(_COMMON)
+    keys.discard("config")
+    if _COMMANDS[command][1] is not None:
+        keys.add("tol")
+    return frozenset(keys)
 
 
-def _resolve(args) -> RunConfig:
-    """Merge defaults, config file, and flags into a RunConfig."""
-    raw = {}
-    if args.config:
-        raw.update(read_config(args.config))
-    for key, value in vars(args).items():
-        flag = key.replace("_", "-")
-        if value is not None and flag not in ("command", "config"):
-            raw[flag] = value
-    paths, tol_spec, _, _ = _COMMANDS[args.command]
-    # a config file may name only what this command's parser declares
-    flags = _flags_of(args.command)
-    known = set(flags) | {"grid-start", "grid-end", "grid-count", "grid-path",
-                          "format", "output", "selftest"}
-    if tol_spec is not None:
-        known.add("tol")
-    for key in raw:
-        if key not in known:
-            raise UsageError(f"unknown configuration key {key!r}")
+def _help(command: str | None) -> str:
+    """The top-level help, or command's, from _COMMANDS, _FLAGS and
+    _COMMON."""
+    usage = (f"usage: taurmt {command or '<command>'} "
+             "[--key=value | --key value] ...\n\n")
+    if command is None:
+        return (usage + __doc__.splitlines()[0] + "\n\ncommands:\n"
+                + "".join(f"  {name}\n" for name in COMMANDS)
+                + "\n'taurmt <command> --help' lists the flags of one.\n")
+    paths, tol, _, _ = _COMMANDS[command]
+    path, grid = next(iter(paths.items()))
+    lines = {}
+    for flag, (_, _, default, kwargs) in _flags_of(command).items():
+        text = kwargs["help"]
+        if "choices" in kwargs:
+            text += ": " + " or ".join(kwargs["choices"])
+        if default is not None:
+            text += " (default %s)" % (format_complex(default) if isinstance(
+                default, complex) else repr(default))
+        lines[flag] = text
+    lines.update(_COMMON)
+    for key, value in zip(("grid-start", "grid-end", "grid-count"), grid):
+        lines[key] += f" (default {value!r} on {path})"
+    lines["grid-path"] += f": {' or '.join(paths)} (default {path})"
+    if tol is not None:
+        lines["tol"] = f"{tol[1]} (default {tol[0]!r})"
+    for flag in _SWITCHES:
+        if flag in lines:
+            lines[flag] += ", given bare"
+    return (usage + "flags (a config file takes each but --config as a "
+            "key=value line):\n"
+            + "".join(f"  --{flag:<13}{text}\n"
+                      for flag, text in lines.items()))
+
+
+def _read_argv(argv) -> tuple:
+    """(command, raw) from argv, raw mapping each flag given to its text.
+
+    argv[0] names the command. A flag is --key=value or --key value (a
+    value may not start with --), and --oracle and --selftest are given
+    bare, as True. A later flag overrides an earlier one. raw is None
+    when -h or --help asks for help (command None: the top level's).
+    Every key is checked against the keys of the command (_keys_of); the
+    values are left to _resolve.
+    """
+    if not argv:
+        raise UsageError("a command is required: " + ", ".join(COMMANDS))
+    command = argv[0]
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}: choose from "
+                         + ", ".join(COMMANDS))
+    keys = _keys_of(command)
+    raw, unknown = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        key, eq, value = token[2:].partition("=")
+        if token[:2] != "--" or (key not in keys and key != "config"):
+            unknown.append(token)
+        elif key in _SWITCHES:
+            if eq:
+                raise UsageError(f"argument --{key}: ignored explicit "
+                                 f"argument {value!r}")
+            raw[key] = True
+        else:
+            if not eq:
+                # past the last token the value is missing as well
+                value = next(tokens, "--")
+                if value[:2] == "--":
+                    raise UsageError(f"argument --{key}: expected one "
+                                     "argument")
+            raw[key] = value
+    if unknown:
+        raise UsageError("unrecognized arguments: " + " ".join(unknown))
+    return command, raw
+
+
+def _resolve(command: str, raw: dict) -> RunConfig:
+    """Merge defaults, the --config file, and the flags read from argv
+    (raw, which wins) into a RunConfig."""
+    path = raw.get("config")
+    if path:
+        given = read_config(path)
+        # a config file may name only what the command takes
+        keys = _keys_of(command)
+        for key in given:
+            if key not in keys:
+                raise UsageError(f"unknown configuration key {key!r}")
+        raw = {**given, **raw}
+    paths, tol_spec, _, _ = _COMMANDS[command]
 
     def number(key, default, conv=float):
         try:
@@ -377,7 +458,7 @@ def _resolve(args) -> RunConfig:
             raise UsageError(f"--{key}: {exc}") from None
 
     params = {}
-    for flag, (_, conv, default, kwargs) in flags.items():
+    for flag, (_, conv, default, kwargs) in _flags_of(command).items():
         if flag not in raw:
             if default is not None:
                 params[flag] = default
@@ -390,7 +471,7 @@ def _resolve(args) -> RunConfig:
 
     kind = str(raw.get("grid-path", next(iter(paths))))
     if kind not in paths:
-        raise UsageError(f"{args.command} computes on grid-path "
+        raise UsageError(f"{command} computes on grid-path "
                          f"{' or '.join(paths)}, not {kind!r}")
     g0, g1, cnt = paths[kind]
     g0, g1 = number("grid-start", g0), number("grid-end", g1)
@@ -412,7 +493,7 @@ def _resolve(args) -> RunConfig:
         raise UsageError("format must be json or csv")
     output = raw.get("output")
     selftest = _as_bool(raw.get("selftest", False))
-    return RunConfig(command=args.command, params=params,
+    return RunConfig(command=command, params=params,
                      grid=(g0, g1, cnt, kind), tol=tol, fmt=fmt,
                      output=output, selftest=selftest)
 
@@ -894,12 +975,12 @@ def _run_selftest(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a command is required: " + ", ".join(COMMANDS))
-        cfg = _resolve(args)
+        command, raw = _read_argv(sys.argv[1:] if argv is None else argv)
+        if raw is None:
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        cfg = _resolve(command, raw)
         if cfg.selftest:
             return _run_selftest(cfg)
         *_, runner, _ = _COMMANDS[cfg.command]

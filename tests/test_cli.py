@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -161,10 +162,14 @@ def test_in_range_tolerance_accepted(argv, capsys):
     ("-0i", (0.0, -0.0)),
     ("0.3-0i", (0.3, -0.0)),
     (" 0.3 - 0.2i ", (0.3, -0.2)),
+    # a space may stand round the sign that joins the parts
+    ("1 +2i", (1.0, 2.0)),
+    ("1e-3  -  2e+3i", (0.001, -2000.0)),
     # a refusal is its UsageError's text
     ("", "empty complex literal"),
     *((text, f"cannot parse {text!r} as a complex value") for text in
-      ("1+2j", "2j", "(1+2i)", "1+", "i1", "1e", "1\t+2i")),
+      ("1+2j", "2j", "(1+2i)", "1+", "i1", "1e", "1\t+2i", "1 5", "1e 3",
+       "1e -3", "1e+ 3", "- 2i", "1+2 i")),
     *((text, f"{text!r} is not a finite number") for text in
       ("nan", "inf", "infi", "1e400")),
 ])
@@ -178,10 +183,12 @@ def test_complex_literal_grammar(text, expected):
         assert (z.real.hex(), z.imag.hex()) == tuple(x.hex() for x in expected)
 
 
-def test_j_suffix_is_a_usage_error_that_names_the_flag(capsys):
-    assert main(["fredholm", "--xi=1+2j"]) == EXIT_BAD_PARAMS
-    assert capsys.readouterr().err == (
-        "error: --xi: cannot parse '1+2j' as a complex value\n")
+@pytest.mark.parametrize("text", ["1+2j", "1 5", "1e 3", "1e -3"])
+def test_refused_literal_is_a_usage_error_that_names_the_flag(text, capsys):
+    # a space between two digits once vanished, so "1 5" read 15
+    assert main(["fredholm", f"--xi={text}"]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr() == (
+        "", f"error: --xi: cannot parse {text!r} as a complex value\n")
 
 
 @pytest.mark.parametrize("module", ["taurmt", "taurmt.cli"])
@@ -637,10 +644,6 @@ def test_looser_tolerance_is_honoured(capsys):
     assert abs(loose[-1][2] - default[-1][2]) <= 1e-4
 
 
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
-
-
 @pytest.mark.parametrize("first, second", [
     (["toeplitz", "--oracle", "--grid-count=2"], ["toeplitz", "--grid-count=2"]),
     (["series", "--family=bulk", "--grid-count=2"], ["series", "--grid-count=2"]),
@@ -688,9 +691,9 @@ def test_parameter_flag_only_where_it_is_read(command, flag, tmp_path,
     config = tmp_path / "run.cfg"
     config.write_text(f"{flag}=1\n")
     if flag in READS[command]:
-        for given in (f"--{flag}=1", f"--config={config}"):
-            cfg = cli._resolve(cli._build_parser().parse_args([command,
-                                                                given]))
+        for given in ([f"--{flag}=1"], [f"--{flag}", "1"],
+                      [f"--config={config}"]):
+            cfg = cli._resolve(*cli._read_argv([command, *given]))
             assert cfg.params[flag] == 1
         return
     assert main([command, f"--{flag}=1", "--grid-count=1"]) == EXIT_BAD_PARAMS
@@ -720,6 +723,57 @@ def test_one_point_bulk_grid_prints_the_anchor_row(capsys):
     assert x == 0.2
     assert (ode_re, ode_im) == (series_re, series_im)
     assert rows[0][7] == rows[0][8]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("spelling", ["--help", "-h"])
+def test_command_help_names_the_flags_it_reads(command, spelling, capsys):
+    assert main([command, "--grid-count=1", spelling]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: taurmt {command} ")
+    named = set(re.findall(r"^  --([\w-]+)", out, re.MULTILINE))
+    assert named & set(PARAMETER_FLAGS) == READS[command]
+    assert ("tol" in named) == (command in TOL_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+def test_top_level_help_lists_every_command(argv, capsys):
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert re.findall(r"^  (\S+)$", out, re.MULTILINE) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required: " + ", ".join(COMMANDS)),
+    (["nope"], "unknown command 'nope': choose from " + ", ".join(COMMANDS)),
+    (["--xi=1", "fredholm"], "unknown command '--xi=1': choose from "
+     + ", ".join(COMMANDS)),
+    (["fredholm", "--xi"], "argument --xi: expected one argument"),
+    (["fredholm", "--xi", "--nodes=80"],
+     "argument --xi: expected one argument"),
+    (["toeplitz", "--oracle=1"], "argument --oracle: ignored explicit "
+     "argument '1'"),
+    (["fredholm", "--selftest="], "argument --selftest: ignored explicit "
+     "argument ''"),
+    (["fredholm", "0.5", "--tol=1", "-x"],
+     "unrecognized arguments: 0.5 --tol=1 -x"),
+    (["toeplitz", "--oracle", "1"], "unrecognized arguments: 1"),
+])
+def test_argv_errors_are_usage_errors(argv, message, capsys):
+    assert main(argv) == EXIT_BAD_PARAMS
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_spaced_flag_value_reads_as_its_equals_spelling(capsys):
+    # the token after a --key with no "=" is its value, a negative number
+    # included; the later of two spellings wins
+    spelled = ["--xi=-0.5", "--grid-start=0.5", "--grid-count=2"]
+    assert main(["fredholm", *spelled]) == EXIT_OK
+    want = capsys.readouterr()
+    assert main(["fredholm", "--xi", "-0.5", "--grid-start", "0.5",
+                 "--grid-count=7", "--grid-count", "2"]) == EXIT_OK
+    assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("argv", [
