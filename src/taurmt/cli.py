@@ -11,15 +11,17 @@ diagnostics key: accepted, rejected and re-projected steps, detours round
 a turning point, and the shortest step (null when no step was taken);
 the CSV holds the table alone.
 
-One pass over argv reads the flags (_read_argv): argv[0] names the
-command, and each flag, spelled --key=value or --key value (a value may
-not start with --), goes under its key into the same dict that the lines
-of a --config file fill; --oracle and --selftest are given bare. One
-table per command, _keys_of, holds the keys it takes: a flag outside it
-is "unrecognized", a config key outside it "unknown". _resolve then runs
-the one conversion and choices check of every value, whichever source
-gave it. -h or --help prints help built from _COMMANDS, _FLAGS and
-_COMMON, the top level's or the command's, and exits 0.
+One table, _FLAGS, holds every key a command takes, with its converter,
+default and help, and _flags_of(command) is its one per-command view. One
+pass over argv reads the flags (_read_argv): argv[0] names the command,
+and each flag, spelled --key=value or --key value (a value may not start
+with --), goes under its key into the same dict that the lines of a
+--config file fill; a switch (--oracle, --selftest) is given bare. A
+flag outside the view is "unrecognized", a config key outside it (or
+config itself) "unknown". _resolve then passes every value, whichever
+source gave it, through its key's converter, and a converter's error
+names the key. -h or --help prints the top level's help or one line per
+key of the command's view, and exits 0.
 
 Exit codes: 0 success, 2 identity violation (monodromy-check or
 --selftest), 3 degenerate or invalid parameters, 4 numerical
@@ -95,7 +97,7 @@ branches take the Toeplitz limits at every grid point (bulk_limit_grid)
 before the flow, so a refused t = exp(-x/N) costs no step. The rebuilt
 average of bulk is sigma_ode.tau_reconstruct of the flow, from the
 series value at the first grid point. _COMMANDS holds each command's
-default grid on each grid path, --tol, runner and selftest. The
+default grid on each grid path, runner and selftest. The
 monodromy residuals come from monodromy_vi and monodromy_v, labelled by
 the exponents and Stokes multipliers sse_pv_matrices returns; the one
 label given by hand is the coalescence limit's theta6 = -2 omega1. That
@@ -275,132 +277,130 @@ class RunConfig:
 # argument plumbing
 
 
-# the commands that read the weight (mu, omega1, omega2, xi) and those that
-# read the generic sixth-system data (sigma, s and the theta flags)
+class _OneOf(tuple):
+    """A converter that takes one of its words, as given."""
+
+    def __call__(self, value):
+        if value not in self:
+            raise UsageError(f"{value!r} is not one of {', '.join(self)}")
+        return value
+
+
+# the commands that read the weight (mu, omega1, omega2 and xi), every
+# command (each reads xi), and those that read the generic sixth-system data
+# (sigma, s and the theta flags)
 _SSE = ("monodromy-check", "series", "ode", "toeplitz", "bulk")
+_ALL = _SSE + ("fredholm", "asymptotics")
 _GENERIC = ("monodromy-check", "ode")
 
-# flag -> (commands that read it, converter, default or None, keywords
-# help and choices); a command declares, accepts and echoes into its
-# params exactly the flags that name it here. A keyword given as a dict
-# keyed by command applies per command
-_FLAGS = {
-    "mu": (_SSE, parse_complex, 0.25 + 0j,
-           {"help": "singularity exponent parameter"}),
+# parameter -> (commands that read it, converter, default or None, help); a
+# command declares, accepts and echoes into its params exactly the
+# parameters that name it here
+_PARAMETERS = {
+    "mu": (_SSE, parse_complex, 0.25 + 0j, "singularity exponent parameter"),
     "omega1": (_SSE, parse_complex, 0.1 + 0j,
-               {"help": "first arc-end exponent parameter"}),
-    "omega2": (_SSE, parse_complex, 0.3 + 0j, {"help": "rotation parameter"}),
-    "xi": (_SSE + ("fredholm", "asymptotics"), parse_complex, 0.5 + 0j,
-           {"help": "jump coupling xi*"}),
+               "first arc-end exponent parameter"),
+    "omega2": (_SSE, parse_complex, 0.3 + 0j, "rotation parameter"),
+    "xi": (_ALL, parse_complex, 0.5 + 0j, "jump coupling xi*"),
     "bigN": (("monodromy-check", "series", "toeplitz"), int, 2,
-             {"help": "matrix dimension N"}),
-    "sigma": (_GENERIC, parse_complex, 0.41 + 0j,
-              {"help": "two-point exponent sigma"}),
+             "matrix dimension N"),
+    "sigma": (_GENERIC, parse_complex, 0.41 + 0j, "two-point exponent sigma"),
     "s": (_GENERIC, parse_complex, 1.1 + 0j,
-          {"help": {"monodromy-check": "parameterization coefficient s_0t",
-                    "ode": "expansion coefficient s-hat (family vi)"}}),
-    "r": (("monodromy-check",), parse_complex, 1.0 + 0j,
-          {"help": "gauge parameter r"}),
-    "theta0": (_GENERIC, parse_complex, None, {"help": "exponent theta_0"}),
-    "thetat": (_GENERIC, parse_complex, None, {"help": "exponent theta_t"}),
-    "theta1": (_GENERIC, parse_complex, None, {"help": "exponent theta_1"}),
-    "thetainf": (_GENERIC, parse_complex, None,
-                 {"help": "exponent theta_inf"}),
-    "family": (("series", "ode"), str, None,
-               {"help": "the branch computed",
-                "choices": {"series": ("an", "bulk"), "ode": ("vi", "bulk")}}),
+          {"monodromy-check": "parameterization coefficient s_0t",
+           "ode": "expansion coefficient s-hat (family vi)"}),
+    "r": (("monodromy-check",), parse_complex, 1.0 + 0j, "gauge parameter r"),
+    "theta0": (_GENERIC, parse_complex, None, "exponent theta_0"),
+    "thetat": (_GENERIC, parse_complex, None, "exponent theta_t"),
+    "theta1": (_GENERIC, parse_complex, None, "exponent theta_1"),
+    "thetainf": (_GENERIC, parse_complex, None, "exponent theta_inf"),
+    "family": (("series", "ode"), {"series": _OneOf(("an", "bulk")),
+                                   "ode": _OneOf(("vi", "bulk"))},
+               None, "the branch computed"),
     "oracle": (("toeplitz",), _as_bool, None,
-               {"help": "add the direct quadrature oracle's columns"}),
+               "add the direct quadrature oracle's columns"),
     "nodes": (("fredholm", "asymptotics"), int, None,
-              {"help": {"fredholm": "Nystrom nodes m (default 80); "
-                                    "needs |t| <= m/2",
-                        "asymptotics": "Nystrom nodes m (default 140); "
-                                       "needs |t| <= m/2"}}),
-    "dims": (("bulk",), str, None,
-             {"help": "comma list of matrix dimensions"}),
+              {"fredholm": "Nystrom nodes m (default 80); needs |t| <= m/2",
+               "asymptotics": "Nystrom nodes m (default 140); "
+                              "needs |t| <= m/2"}),
+    "dims": (("bulk",), str, None, "comma list of matrix dimensions"),
 }
-# the flags every command takes besides its own, and --tol where _COMMANDS
-# gives it a default
-_COMMON = {
-    "grid-start": "first grid value",
-    "grid-end": "last grid value",
-    "grid-count": "number of grid points, an integer >= 1",
-    "grid-path": "the path the grid runs along",
-    "format": "json (the default) or csv",
-    "output": "file the output goes to (default stdout)",
-    "config": "key=value file read before the flags; flags win",
-    "selftest": "run the command's property checks instead",
+# key -> (commands, converter, default or None, help) for every key a
+# command takes, in the order its help lists them: the parameters, the run
+# flags, and --tol. A converter, default or help given as a dict keyed by
+# command applies per command. A key whose converter is _as_bool is a
+# switch, given bare; the grid's defaults are those of its path in
+# _COMMANDS
+_FLAGS = {
+    **_PARAMETERS,
+    "grid-start": (_ALL, float, None, "first grid value"),
+    "grid-end": (_ALL, float, None, "last grid value"),
+    "grid-count": (_ALL, int, None, "number of grid points, an integer >= 1"),
+    "grid-path": (_ALL, str, None, "the path the grid runs along"),
+    "format": (_ALL, str, None, "json (the default) or csv"),
+    "output": (_ALL, str, None, "file the output goes to (default stdout)"),
+    "config": (_ALL, str, None,
+               "key=value file read before the flags; flags win"),
+    "selftest": (_ALL, _as_bool, None,
+                 "run the command's property checks instead"),
+    "tol": (("monodromy-check", "ode", "toeplitz"), float,
+            {"monodromy-check": CONSISTENCY_TOL, "ode": 1e-10,
+             "toeplitz": 1e-12},
+            {"monodromy-check": "the largest backward error that passes",
+             "ode": "the tolerance the flow is integrated at",
+             "toeplitz": "the absolute accuracy of the Fourier coefficients"}),
 }
-# the flags given bare, which take no value
-_SWITCHES = ("oracle", "selftest")
 
 
 @functools.cache
 def _flags_of(command: str) -> dict:
-    flags = {}
-    for flag, (commands, conv, default, kwargs) in _FLAGS.items():
-        if command in commands:
-            kwargs = {key: value[command] if isinstance(value, dict) else value
-                      for key, value in kwargs.items()}
-            flags[flag] = (commands, conv, default, kwargs)
-    return flags
-
-
-@functools.cache
-def _keys_of(command: str) -> frozenset:
-    """The keys a config file may name for command: every flag it takes
-    but --config."""
-    keys = set(_flags_of(command)) | set(_COMMON)
-    keys.discard("config")
-    if _COMMANDS[command][1] is not None:
-        keys.add("tol")
-    return frozenset(keys)
+    """key -> (converter, default, help) for every key command takes; of an
+    entry given per command, command's."""
+    return {key: tuple(v[command] if isinstance(v, dict) else v for v in spec)
+            for key, (commands, *spec) in _FLAGS.items()
+            if command in commands}
 
 
 def _help(command: str | None) -> str:
-    """The top-level help, or command's, from _COMMANDS, _FLAGS and
-    _COMMON."""
+    """The top-level help, which lists the commands, or command's, one line
+    per key of _flags_of(command): its help, its choices, its default (the
+    grid's on the default path) and whether it is given bare."""
     usage = (f"usage: taurmt {command or '<command>'} "
              "[--key=value | --key value] ...\n\n")
     if command is None:
-        return (usage + __doc__.splitlines()[0] + "\n\ncommands:\n"
+        return (usage + "Command-line driver exposing every computation as a "
+                "data-file emitter.\n\ncommands:\n"
                 + "".join(f"  {name}\n" for name in COMMANDS)
                 + "\n'taurmt <command> --help' lists the flags of one.\n")
-    paths, tol, _, _ = _COMMANDS[command]
+    paths, _, _ = _COMMANDS[command]
     path, grid = next(iter(paths.items()))
-    lines = {}
-    for flag, (_, _, default, kwargs) in _flags_of(command).items():
-        text = kwargs["help"]
-        if "choices" in kwargs:
-            text += ": " + " or ".join(kwargs["choices"])
+    shown = {"grid-path": path, **{
+        key: f"{value!r} on {path}"
+        for key, value in zip(("grid-start", "grid-end", "grid-count"), grid)}}
+    text = (usage + "flags (a config file takes each but --config as a "
+            "key=value line):\n")
+    for key, (conv, default, line) in _flags_of(command).items():
+        # grid-path's choices are the paths in _COMMANDS
+        choices = _OneOf(paths) if key == "grid-path" else conv
+        if isinstance(choices, _OneOf):
+            line += ": " + " or ".join(choices)
+        default = shown.get(key, default)
         if default is not None:
-            text += " (default %s)" % (format_complex(default) if isinstance(
-                default, complex) else repr(default))
-        lines[flag] = text
-    lines.update(_COMMON)
-    for key, value in zip(("grid-start", "grid-end", "grid-count"), grid):
-        lines[key] += f" (default {value!r} on {path})"
-    lines["grid-path"] += f": {' or '.join(paths)} (default {path})"
-    if tol is not None:
-        lines["tol"] = f"{tol[1]} (default {tol[0]!r})"
-    for flag in _SWITCHES:
-        if flag in lines:
-            lines[flag] += ", given bare"
-    return (usage + "flags (a config file takes each but --config as a "
-            "key=value line):\n"
-            + "".join(f"  --{flag:<13}{text}\n"
-                      for flag, text in lines.items()))
+            line += " (default %s)" % (format_complex(default) if isinstance(
+                default, complex) else default)
+        if conv is _as_bool:
+            line += ", given bare"
+        text += f"  --{key:<13}{line}\n"
+    return text
 
 
 def _read_argv(argv) -> tuple:
     """(command, raw) from argv, raw mapping each flag given to its text.
 
     argv[0] names the command. A flag is --key=value or --key value (a
-    value may not start with --), and --oracle and --selftest are given
-    bare, as True. A later flag overrides an earlier one. raw is None
-    when -h or --help asks for help (command None: the top level's).
-    Every key is checked against the keys of the command (_keys_of); the
-    values are left to _resolve.
+    value may not start with --), and a switch (converter _as_bool) is
+    given bare, as True. A later flag overrides an earlier one. raw is None
+    when -h or --help asks for help (command None: the top level's). Every
+    key must be one of _flags_of(command); the values are left to _resolve.
     """
     if not argv:
         raise UsageError("a command is required: " + ", ".join(COMMANDS))
@@ -410,16 +410,16 @@ def _read_argv(argv) -> tuple:
     if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}: choose from "
                          + ", ".join(COMMANDS))
-    keys = _keys_of(command)
+    flags = _flags_of(command)
     raw, unknown = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
             return command, None
         key, eq, value = token[2:].partition("=")
-        if token[:2] != "--" or (key not in keys and key != "config"):
+        if token[:2] != "--" or key not in flags:
             unknown.append(token)
-        elif key in _SWITCHES:
+        elif flags[key][0] is _as_bool:
             if eq:
                 raise UsageError(f"argument --{key}: ignored explicit "
                                  f"argument {value!r}")
@@ -440,36 +440,31 @@ def _read_argv(argv) -> tuple:
 def _resolve(command: str, raw: dict) -> RunConfig:
     """Merge defaults, the --config file, and the flags read from argv
     (raw, which wins) into a RunConfig."""
+    flags = _flags_of(command)
     path = raw.get("config")
     if path:
         given = read_config(path)
-        # a config file may name only what the command takes
-        keys = _keys_of(command)
+        # a config file may name only what the command takes, --config aside
         for key in given:
-            if key not in keys:
+            if key not in flags or key == "config":
                 raise UsageError(f"unknown configuration key {key!r}")
         raw = {**given, **raw}
-    paths, tol_spec, _, _ = _COMMANDS[command]
+    paths, _, _ = _COMMANDS[command]
 
-    def number(key, default, conv=float):
+    def number(key, default=None):
+        # the value given through key's converter, else default, else the
+        # table's
+        conv, fallback, _ = flags[key]
+        if key not in raw:
+            return fallback if default is None else default
         try:
-            return conv(raw.get(key, default))
+            return conv(raw[key])
         except (TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"--{key}: {exc}") from None
 
-    params = {}
-    for flag, (_, conv, default, kwargs) in _flags_of(command).items():
-        if flag not in raw:
-            if default is not None:
-                params[flag] = default
-            continue
-        params[flag] = number(flag, None, conv)
-        choices = kwargs.get("choices")
-        if choices is not None and params[flag] not in choices:
-            raise UsageError(f"--{flag}: {params[flag]!r} is not one "
-                             f"of {', '.join(choices)}")
-
-    kind = str(raw.get("grid-path", next(iter(paths))))
+    params = {key: number(key) for key in flags if key in _PARAMETERS}
+    params = {key: value for key, value in params.items() if value is not None}
+    kind = number("grid-path", next(iter(paths)))
     if kind not in paths:
         raise UsageError(f"{command} computes on grid-path "
                          f"{' or '.join(paths)}, not {kind!r}")
@@ -478,24 +473,21 @@ def _resolve(command: str, raw: dict) -> RunConfig:
     for key, value in (("grid-start", g0), ("grid-end", g1)):
         if not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {value!r}")
-    cnt = number("grid-count", cnt, int)
+    cnt = number("grid-count", cnt)
     if cnt < 1:
         raise UsageError("grid-count must be >= 1")
     if cnt >= 3 and not math.isfinite((g1 - g0) / (cnt - 1)):
         raise UsageError("grid-end - grid-start overflows the grid step")
-    tol = None
-    if tol_spec is not None:
-        tol = number("tol", tol_spec[0])
-        if not (math.isfinite(tol) and tol > 0):
-            raise UsageError(f"tol must be finite and positive, got {tol!r}")
-    fmt = str(raw.get("format", "json"))
+    tol = number("tol") if "tol" in flags else None
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be finite and positive, got {tol!r}")
+    fmt = number("format", "json")
     if fmt not in ("json", "csv"):
         raise UsageError("format must be json or csv")
-    output = raw.get("output")
-    selftest = _as_bool(raw.get("selftest", False))
     return RunConfig(command=command, params=params,
                      grid=(g0, g1, cnt, kind), tol=tol, fmt=fmt,
-                     output=output, selftest=selftest)
+                     output=number("output"),
+                     selftest=bool(number("selftest")))
 
 
 def _sse_params(cfg: RunConfig) -> SSEParams:
@@ -937,32 +929,25 @@ def _selftest_asymptotics(cfg: RunConfig):
 
 
 # command -> (the default grid (start, end, count) on each grid path it
-# computes on, its default path first, (--tol default, what --tol sets) or
-# None for a command that takes no --tol, its runner, its selftest's checks)
+# computes on, its default path first, its runner, its selftest's checks)
 _REAL_T = {"real": (0.9, 0.995, 20)}
 _COMMANDS = {
-    "monodromy-check": ({"real": (0.0, 0.0, 1)},
-                        (CONSISTENCY_TOL,
-                         "the largest backward error that passes"),
-                        cmd_monodromy_check, _selftest_monodromy),
-    "series": (_REAL_T, None, cmd_series, _selftest_series),
-    "ode": ({"real": (1e-3, 0.4, 2)},
-            (1e-10, "the tolerance the flow is integrated at"), cmd_ode,
-            _selftest_ode),
-    "toeplitz": ({"circle": (0.2, 3.0, 15), **_REAL_T},
-                 (1e-12, "the absolute accuracy of the Fourier coefficients"),
-                 cmd_toeplitz, _selftest_toeplitz),
-    "fredholm": ({"real": (0.1, 3.0, 30)}, None, cmd_fredholm,
-                 _selftest_fredholm),
-    "bulk": ({"real": (0.2, 0.8, 4)}, None, cmd_bulk, _selftest_bulk),
-    "asymptotics": ({"real": (2.0, 4.0, 5)}, None, cmd_asymptotics,
+    "monodromy-check": ({"real": (0.0, 0.0, 1)}, cmd_monodromy_check,
+                        _selftest_monodromy),
+    "series": (_REAL_T, cmd_series, _selftest_series),
+    "ode": ({"real": (1e-3, 0.4, 2)}, cmd_ode, _selftest_ode),
+    "toeplitz": ({"circle": (0.2, 3.0, 15), **_REAL_T}, cmd_toeplitz,
+                 _selftest_toeplitz),
+    "fredholm": ({"real": (0.1, 3.0, 30)}, cmd_fredholm, _selftest_fredholm),
+    "bulk": ({"real": (0.2, 0.8, 4)}, cmd_bulk, _selftest_bulk),
+    "asymptotics": ({"real": (2.0, 4.0, 5)}, cmd_asymptotics,
                     _selftest_asymptotics),
 }
 COMMANDS = tuple(_COMMANDS)
 
 
 def _run_selftest(cfg: RunConfig) -> int:
-    *_, checks = _COMMANDS[cfg.command]
+    _, _, checks = _COMMANDS[cfg.command]
     failed = False
     lines = []
     for name, ok in checks(cfg):
@@ -983,7 +968,7 @@ def main(argv=None) -> int:
         cfg = _resolve(command, raw)
         if cfg.selftest:
             return _run_selftest(cfg)
-        *_, runner, _ = _COMMANDS[cfg.command]
+        _, runner, _ = _COMMANDS[cfg.command]
         return runner(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,6 +117,18 @@ def test_family_of_the_other_command_is_a_usage_error(argv, via_config,
     assert flag.split("=")[1] in captured.err
 
 
+@pytest.mark.parametrize("command,key", [("toeplitz", "oracle"),
+                                         ("fredholm", "selftest")])
+def test_unparsable_config_switch_names_its_key(command, key, tmp_path,
+                                                capsys):
+    # a config line names its key in a switch's error, as a flag does
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}=maybe\n")
+    assert main([command, f"--config={config}"]) == EXIT_BAD_PARAMS
+    assert capsys.readouterr() == (
+        "", f"error: --{key}: cannot parse 'maybe' as a boolean\n")
+
+
 def test_config_keys_of_the_command_itself_are_read(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("family=bulk\nformat=csv\n")
@@ -191,17 +203,25 @@ def test_refused_literal_is_a_usage_error_that_names_the_flag(text, capsys):
         "", f"error: --xi: cannot parse {text!r} as a complex value\n")
 
 
-@pytest.mark.parametrize("module", ["taurmt", "taurmt.cli"])
-def test_runs_as_module_without_warnings(module):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["-m", "taurmt", "monodromy-check", "--bigN=2"],
+                 id="taurmt"),
+    pytest.param(["-m", "taurmt.cli", "monodromy-check", "--bigN=2"],
+                 id="taurmt.cli"),
+    # -OO strips the docstrings: the help must not read them
+    pytest.param(["-OO", "-m", "taurmt", "--help"], id="-OO"),
+])
+def test_runs_as_module_without_warnings(argv, capsys):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", module, "monodromy-check",
-         "--bigN=2"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
+    if "--help" in argv:
+        assert main(["--help"]) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
 
 
 def test_package_import_leaves_cli_unloaded():
@@ -734,6 +754,25 @@ def test_command_help_names_the_flags_it_reads(command, spelling, capsys):
     named = set(re.findall(r"^  --([\w-]+)", out, re.MULTILINE))
     assert named & set(PARAMETER_FLAGS) == READS[command]
     assert ("tol" in named) == (command in TOL_COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_defaults_are_the_ones_applied(command, capsys):
+    assert main([command, "--help"]) == EXIT_OK
+    shown = dict(re.findall(r"^  --([\w-]+) .*\(default ([^)]*)\)$",
+                            capsys.readouterr().out, re.MULTILINE))
+    cfg = cli._resolve(command, {})
+    start, end, count, path = cfg.grid
+    applied = {flag: cli.format_complex(value) if isinstance(value, complex)
+               else repr(value) for flag, value in cfg.params.items()}
+    applied.update({"grid-start": f"{start!r} on {path}",
+                    "grid-end": f"{end!r} on {path}",
+                    "grid-count": f"{count!r} on {path}",
+                    "grid-path": path,
+                    "output": cfg.output or "stdout"})
+    if cfg.tol is not None:
+        applied["tol"] = repr(cfg.tol)
+    assert shown == applied
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
